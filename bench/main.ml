@@ -112,14 +112,15 @@ let bechamel_suite () =
                Nkcore.Hugepages.free hp e))
   in
   (* Engine timer hot path: two schedules into the wheel, one cancelled
-     lazily, then both drained — the sequence every datapath wakeup pays. *)
+     (unlinked from its bucket), then the other drained — the sequence
+     every datapath wakeup pays. *)
   let engine = Sim.Engine.create () in
   let heap_ops =
     Test.make ~name:"engine timer schedule+fire"
       (Staged.stage (fun () ->
            let a = Sim.Engine.schedule engine ~delay:1e-6 ignore in
            ignore (Sim.Engine.schedule engine ~delay:2e-6 ignore);
-           Sim.Engine.Timer.cancel a;
+           Sim.Engine.Timer.cancel engine a;
            ignore (Sim.Engine.step engine);
            ignore (Sim.Engine.step engine)))
   in

@@ -82,10 +82,6 @@ let stats t =
     send_eagain = R.counter_value t.ctr.c_send_eagain;
   }
 
-let nk_debug = Sys.getenv_opt "NKDEBUG" <> None
-
-let dbg fmt = if nk_debug then Printf.eprintf fmt else Printf.ifprintf stderr fmt
-
 let hash_qset t sock = sock * 2654435761 land max_int mod Cpu.Set.n t.cores
 
 let core_for t gs = Cpu.Set.core t.cores gs.qset
@@ -258,9 +254,6 @@ let apply t (nqe : Nqe.t) =
             }
             gs.recvq;
           gs.recv_avail <- gs.recv_avail + nqe.Nqe.size;
-          dbg "[%.4f] glib: gid=%x ev_data %d avail=%d members=%b\n"
-            (Engine.now t.engine) gs.gid nqe.Nqe.size gs.recv_avail
-            (Hashtbl.mem t.memberships gs.gid);
           Nkmon.Registry.add t.ctr.c_bytes_received nqe.Nqe.size;
           notify_epolls t gs.gid)
   | Nqe.Ev_eof -> (

@@ -86,10 +86,6 @@ let stats t =
     bytes_to_vm = R.counter_value t.ctr.c_bytes_to_vm;
   }
 
-let nk_debug = Sys.getenv_opt "NKDEBUG" <> None
-
-let dbg fmt = if nk_debug then Printf.eprintf fmt else Printf.ifprintf stderr fmt
-
 let core_index t core =
   let cores = Cpu.Set.cores t.cores in
   let rec loop i = if i >= Array.length cores then 0 else if cores.(i) == core then i else loop (i + 1) in
@@ -204,10 +200,7 @@ let rec pump_recv t ss =
           ~cycles:t.ops.Stack_ops.wake_cycles;
         let rec go () =
           let credit = t.costs.Nk_costs.nsm_rwnd - ss.recv_credit_used in
-          if credit <= 0 then begin
-            dbg "[%.4f] slib: gid=%x credit exhausted\n" (Engine.now t.engine) ss.gid;
-            ss.recv_pumping <- false
-          end
+          if credit <= 0 then ss.recv_pumping <- false
           else begin
             let max = Int.min 65536 credit in
             match Hugepages.alloc ss.vm.hugepages max with
@@ -430,8 +423,6 @@ let apply t ~qset_idx (nqe : Nqe.t) =
               pump_send t ss
           | Nqe.Recv_done ->
               ss.recv_credit_used <- Int.max 0 (ss.recv_credit_used - nqe.Nqe.size);
-              dbg "[%.4f] slib: gid=%x recv_done %d -> used %d\n" (Engine.now t.engine)
-                ss.gid nqe.Nqe.size ss.recv_credit_used;
               pump_recv t ss
           | Nqe.Close ->
               ss.closing <- true;

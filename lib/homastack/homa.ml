@@ -178,7 +178,7 @@ let teardown t (h : Hcb.t) =
     h.Hcb.destroyed <- true;
     (match h.Hcb.request_timer with
     | Some tm ->
-        Engine.Timer.cancel tm;
+        Engine.Timer.cancel t.engine tm;
         h.Hcb.request_timer <- None
     | None -> ());
     Flow_tbl.remove t.conns (Hcb.rx_flow h);
@@ -305,7 +305,7 @@ let conn_input t (h : Hcb.t) (seg : Segment.t) =
         h.Hcb.state <- Hcb.Open;
         (match h.Hcb.request_timer with
         | Some tm ->
-            Engine.Timer.cancel tm;
+            Engine.Timer.cancel t.engine tm;
             h.Hcb.request_timer <- None
         | None -> ());
         R.incr t.ctr.c_established;
@@ -639,7 +639,7 @@ let export_conn t (h : Hcb.t) =
       Vswitch.unregister_endpoint t.vswitch (Hcb.local_addr h);
     if h.Hcb.flow_registered then Vswitch.unregister_flow t.vswitch h.Hcb.flow;
     Flow_tbl.remove t.conns (Hcb.rx_flow h);
-    Hcb.detach ~cancel_timer:Engine.Timer.cancel h;
+    Hcb.detach ~cancel_timer:(Engine.Timer.cancel t.engine) h;
     Ok { Stack_ops.e_proto = proto; e_flow = h.Hcb.flow; e_payload = Homa_state snap }
   end
 

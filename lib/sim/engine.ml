@@ -3,11 +3,14 @@
    The pending set is a 3-level hierarchical timing wheel, not a binary
    heap: the datapath schedules millions of dense short-delay events
    (per-NQE CPU slices, ring wakeups, link hops) while long-lived TCP
-   timers (RTO, persist) are armed and lazily cancelled far in the future.
-   A single heap holds every lazily-cancelled timer until its expiry, so
-   with hundreds of thousands pending each pop pays O(log n) comparisons;
-   the wheel gives O(1) placement and lets a cancelled event be dropped
-   the moment its bucket is touched, without ordering work.
+   timers (RTO, persist) are armed far in the future and almost always
+   cancelled. The wheel gives O(1) placement, and each bucket is a
+   doubly-linked list, so cancelling an event still in a bucket unlinks
+   it in O(1) (Varghese & Lauck's STOP_TIMER): its closure, and whatever
+   that closure holds, is released at the cancel, not when the wheel
+   would have reached it up to a virtual second later. An event already
+   moved into the near or overflow heap loses its closure at the cancel
+   and is dropped when it surfaces.
 
    Determinism contract (unchanged from the heap engine): events execute
    in (time, insertion-seq) order. The wheel maps times to slots
@@ -17,23 +20,22 @@
    pop order is byte-identical to the heap engine's (the oracle test in
    test_sim.ml replays a 100K-event schedule against a reference heap). *)
 
+(* A cancelled event's closure is [noop]; no other event's is, since
+   [noop] never leaves this module. *)
+let noop () = ()
+
 type event = {
   time : float;
   seq : int;
-  f : unit -> unit;
-  mutable cancelled : bool;
+  mutable f : unit -> unit;
+  (* Bucket back link: the predecessor, the event itself for a bucket
+     head, [nil] when the event is in no bucket (in a heap, fired or
+     cancelled). *)
+  mutable prev : event;
   mutable next : event; (* intrusive bucket link; [nil] terminates *)
 }
 
-let rec nil = { time = 0.0; seq = -1; f = (fun () -> ()); cancelled = true; next = nil }
-
-module Timer = struct
-  type t = event
-
-  let cancel ev = ev.cancelled <- true
-
-  let is_pending ev = not ev.cancelled
-end
+let rec nil = { time = 0.0; seq = -1; f = noop; prev = nil; next = nil }
 
 (* The old comparator, verbatim: earlier time first, insertion order on
    ties. Used by the near heap (current slot) and the overflow heap. *)
@@ -47,10 +49,6 @@ module Eheap = struct
   type h = { mutable data : event array; mutable size : int }
 
   let create capacity = { data = Array.make capacity nil; size = 0 }
-
-  let length h = h.size
-
-  let is_empty h = h.size = 0
 
   let rec sift_up h i =
     if i > 0 then begin
@@ -157,7 +155,8 @@ type t = {
   mutable clock : float;
   mutable next_seq : int;
   mutable executed : int;
-  (* Undelivered events, including cancelled ones not yet discarded. *)
+  (* Undelivered events: the live ones, plus cancelled ones still in
+     [near] or [overflow] (a cancel unlinks a bucketed event at once). *)
   mutable size : int;
   (* Absolute slot index of the wheel cursor: every event in a wheel
      bucket has slot > cur; events with slot <= cur live in [near]. *)
@@ -200,10 +199,14 @@ let now t = t.clock
 
 let slot_of time = int_of_float (time *. inv_tick)
 
+(* Push [ev] as the new head of bucket [idx]. A head's back link is the
+   event itself. *)
 let put level bm idx ev =
-  ev.next <- level.(idx);
-  level.(idx) <- ev;
-  Bitmap.set bm idx
+  let head = level.(idx) in
+  ev.prev <- ev;
+  ev.next <- head;
+  if head == nil then Bitmap.set bm idx else head.prev <- ev;
+  level.(idx) <- ev
 
 (* Route an event to the structure that owns its slot relative to the
    cursor. Does not touch [size] (cascades re-place without re-counting). *)
@@ -222,7 +225,7 @@ let place t ev =
 
 let schedule_at t ~at f =
   let at = Float.max at t.clock in
-  let ev = { time = at; seq = t.next_seq; f; cancelled = false; next = nil } in
+  let ev = { time = at; seq = t.next_seq; f; prev = nil; next = nil } in
   t.next_seq <- t.next_seq + 1;
   t.size <- t.size + 1;
   place t ev;
@@ -230,8 +233,8 @@ let schedule_at t ~at f =
 
 let schedule t ~delay f = schedule_at t ~at:(t.clock +. Float.max 0.0 delay) f
 
-(* Empty bucket [idx] of [level], re-placing live events (now one level
-   down, or in [near]) and dropping cancelled ones on the spot. *)
+(* Empty bucket [idx] of [level], re-placing its events one level down
+   or in [near]. Buckets hold live events only. *)
 let cascade t level bm idx =
   Bitmap.clear bm idx;
   let ev = ref level.(idx) in
@@ -239,81 +242,119 @@ let cascade t level bm idx =
   while !ev != nil do
     let e = !ev in
     ev := e.next;
+    e.prev <- nil;
     e.next <- nil;
-    if e.cancelled then t.size <- t.size - 1 else place t e
+    place t e
   done
 
-(* Move the cursor to the next occupied slot and spill it into [near].
-   Loops because a bucket may contain only cancelled events. *)
-let rec advance t =
-  if t.size > Eheap.length t.near then begin
-    let i = Bitmap.next t.l0_bm (t.cur land mask) in
-    if i >= 0 then begin
-      t.cur <- (t.cur land lnot mask) lor i;
-      cascade t t.l0 t.l0_bm i;
-      if Eheap.is_empty t.near then advance t
+(* Unlink bucket head [ev], whose successor is [n], from bucket [idx]. *)
+let pop_head level bm idx ev n =
+  assert (level.(idx) == ev);
+  level.(idx) <- n;
+  if n == nil then Bitmap.clear bm idx else n.prev <- n
+
+(* Release a cancelled event: its closure at once, and its bucket entry
+   in O(1) if it is in one. A head's bucket is recomputed from its slot
+   and the cursor exactly as [place] chose it: the cursor never passes an
+   occupied bucket without cascading it, so the level is unchanged since
+   the event was put. An event in a heap has no back link and keeps its
+   count until it surfaces; nor has a fired or already-cancelled one, for
+   which only the closure swap happens. *)
+let cancel t ev =
+  ev.f <- noop;
+  let p = ev.prev in
+  if p != nil then begin
+    let n = ev.next in
+    if p == ev then begin
+      let s = slot_of ev.time in
+      if s lsr bits = t.cur lsr bits then pop_head t.l0 t.l0_bm (s land mask) ev n
+      else if s lsr (2 * bits) = t.cur lsr (2 * bits) then
+        pop_head t.l1 t.l1_bm ((s lsr bits) land mask) ev n
+      else pop_head t.l2 t.l2_bm ((s lsr (2 * bits)) land mask) ev n
     end
     else begin
-      let j = Bitmap.next t.l1_bm (((t.cur lsr bits) land mask) + 1) in
-      if j >= 0 then begin
-        t.cur <- ((t.cur lsr (2 * bits)) lsl (2 * bits)) lor (j lsl bits);
-        cascade t t.l1 t.l1_bm j;
-        advance t
+      p.next <- n;
+      if n != nil then n.prev <- p
+    end;
+    ev.prev <- nil;
+    ev.next <- nil;
+    t.size <- t.size - 1
+  end
+
+module Timer = struct
+  type t = event
+
+  let cancel = cancel
+end
+
+(* Move the cursor to the next occupied bucket and cascade it. Called
+   with [near] empty and events pending; a level-0 bucket refills [near],
+   an upper one may only refill lower levels, so [peek_next] repeats. *)
+let advance t =
+  let i = Bitmap.next t.l0_bm (t.cur land mask) in
+  if i >= 0 then begin
+    t.cur <- (t.cur land lnot mask) lor i;
+    cascade t t.l0 t.l0_bm i
+  end
+  else begin
+    let j = Bitmap.next t.l1_bm (((t.cur lsr bits) land mask) + 1) in
+    if j >= 0 then begin
+      t.cur <- ((t.cur lsr (2 * bits)) lsl (2 * bits)) lor (j lsl bits);
+      cascade t t.l1 t.l1_bm j
+    end
+    else begin
+      let k = Bitmap.next t.l2_bm (((t.cur lsr (2 * bits)) land mask) + 1) in
+      if k >= 0 then begin
+        t.cur <- ((t.cur lsr (3 * bits)) lsl (3 * bits)) lor (k lsl (2 * bits));
+        cascade t t.l2 t.l2_bm k
       end
       else begin
-        let k = Bitmap.next t.l2_bm (((t.cur lsr (2 * bits)) land mask) + 1) in
-        if k >= 0 then begin
-          t.cur <- ((t.cur lsr (3 * bits)) lsl (3 * bits)) lor (k lsl (2 * bits));
-          cascade t t.l2 t.l2_bm k;
-          advance t
+        let ev = Eheap.min_elt t.overflow in
+        if ev == nil then
+          (* Accounting says events remain but no structure holds any;
+             unreachable, but fail closed rather than spin. *)
+          t.size <- 0
+        else if Float.is_finite ev.time then begin
+          t.cur <- Int.max t.cur (slot_of ev.time);
+          (* Pull everything belonging to the cursor's new level-2
+             block out of overflow. *)
+          let block_end =
+            float_of_int ((t.cur lsr (3 * bits)) + 1) *. float_of_int (1 lsl (3 * bits))
+          in
+          let rec pull () =
+            let e = Eheap.min_elt t.overflow in
+            if e != nil && e.time *. inv_tick < block_end then begin
+              ignore (Eheap.pop_min t.overflow);
+              if e.f == noop then t.size <- t.size - 1 else place t e;
+              pull ()
+            end
+          in
+          pull ()
         end
         else begin
-          let ev = Eheap.min_elt t.overflow in
-          if ev == nil then
-            (* Accounting says events remain but no structure holds any;
-               unreachable, but fail closed rather than spin. *)
-            t.size <- Eheap.length t.near
-          else if Float.is_finite ev.time then begin
-            t.cur <- Int.max t.cur (slot_of ev.time);
-            (* Pull everything belonging to the cursor's new level-2
-               block out of overflow. *)
-            let block_end =
-              float_of_int ((t.cur lsr (3 * bits)) + 1) *. float_of_int (1 lsl (3 * bits))
-            in
-            let rec pull () =
-              let e = Eheap.min_elt t.overflow in
-              if e != nil && e.time *. inv_tick < block_end then begin
-                ignore (Eheap.pop_min t.overflow);
-                if e.cancelled then t.size <- t.size - 1 else place t e;
-                pull ()
-              end
-            in
-            pull ();
-            advance t
-          end
-          else begin
-            (* Only non-finite times remain: order among them is by
-               insertion seq, which the near heap's comparator gives. *)
-            let rec drain () =
-              let e = Eheap.pop_min t.overflow in
-              if e != nil then begin
-                if e.cancelled then t.size <- t.size - 1 else Eheap.add t.near e;
-                drain ()
-              end
-            in
-            drain ()
-          end
+          (* Only non-finite times remain: order among them is by
+             insertion seq, which the near heap's comparator gives. *)
+          let rec drain () =
+            let e = Eheap.pop_min t.overflow in
+            if e != nil then begin
+              if e.f == noop then t.size <- t.size - 1 else Eheap.add t.near e;
+              drain ()
+            end
+          in
+          drain ()
         end
       end
     end
   end
 
-(* Earliest live event ([nil] if none), discarding cancelled ones as they
-   surface. *)
+(* Earliest live event ([nil] if none), discarding cancelled ones that
+   were already in a heap as they surface. Advancing stops at the first
+   bucket that refills [near], so the cursor is then the slot of the next
+   event to run. *)
 let rec peek_next t =
   let ev = Eheap.min_elt t.near in
   if ev != nil then
-    if ev.cancelled then begin
+    if ev.f == noop then begin
       ignore (Eheap.pop_min t.near);
       t.size <- t.size - 1;
       peek_next t
@@ -322,7 +363,7 @@ let rec peek_next t =
   else if t.size = 0 then nil
   else begin
     advance t;
-    if Eheap.is_empty t.near && t.size = 0 then nil else peek_next t
+    peek_next t
   end
 
 (* Peek once per event, not once for the horizon check and again to pop. *)

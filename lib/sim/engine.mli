@@ -5,11 +5,10 @@
     closures at absolute virtual times; [run] executes them in
     (time, insertion-order) sequence, so runs are fully deterministic.
 
-    The pending-event set is a hierarchical timing wheel (O(1) placement
-    for the datapath's dense short-delay events; lazily-cancelled timers
-    are discarded at bucket boundaries instead of paying heap pops), but
-    the execution order is exactly the former binary heap's — see the
-    oracle test in test/test_sim.ml.
+    The pending-event set is a hierarchical timing wheel with doubly-linked
+    buckets (O(1) placement for the datapath's dense short-delay events,
+    O(1) removal of cancelled timers), but the execution order is exactly
+    the former binary heap's — see the oracle test in test/test_sim.ml.
 
     This is the substitute for the paper's QEMU/KVM testbed: wall-clock
     behaviour of the real system maps to virtual-time behaviour here. *)
@@ -17,18 +16,19 @@
 type t
 
 (** Handles over scheduled events. [schedule]/[schedule_at] return a
-    [Timer.t]; cancellation and liveness queries go through this module, so
-    callers never see the engine's internal event representation. *)
+    [Timer.t]; cancellation goes through this module, so callers never see
+    the engine's internal event representation. *)
 module Timer : sig
+  type engine := t
+
   type t
 
-  val cancel : t -> unit
-  (** [cancel h] prevents the event from running; cancelling a fired or
-      already-cancelled event is a no-op. Cancellation is O(1): the event
-      is dropped when its wheel bucket is next touched. *)
-
-  val is_pending : t -> bool
-  (** [is_pending h] is false once the event fired or was cancelled. *)
+  val cancel : engine -> t -> unit
+  (** [cancel e h] prevents the event from running and releases its
+      closure at once; cancelling a fired or already-cancelled event is a
+      no-op. O(1): an event still in a wheel bucket is unlinked from it and
+      leaves [pending] immediately; one already moved into the engine's
+      near-term or overflow heap is dropped when it reaches the front. *)
 end
 
 val create : unit -> t
@@ -55,8 +55,10 @@ val events_executed : t -> int
 (** Count of events executed so far (for performance reporting). *)
 
 val pending : t -> int
-(** Number of events currently queued (including cancelled ones not yet
-    discarded). *)
+(** Number of events currently queued: every live event, plus cancelled
+    ones that were already in the near-term heap (due within the current
+    ~0.12 µs slot) or the overflow heap (beyond the wheel's ~128 s
+    horizon) when cancelled, until they reach the front and are dropped. *)
 
 val set_cycle_hook : t -> (string -> float -> unit) option -> unit
 (** [set_cycle_hook t (Some f)] makes every [Cpu.exec]/[Cpu.charge] call

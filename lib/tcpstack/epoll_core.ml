@@ -49,7 +49,7 @@ let try_wake t core =
       | [] -> ()
       | events ->
           t.waiter <- None;
-          (match w.timer with None -> () | Some h -> Engine.Timer.cancel h);
+          (match w.timer with None -> () | Some h -> Engine.Timer.cancel t.engine h);
           Cpu.exec core ~cycles:t.wake_cycles (fun () -> w.k events))
 
 let notify t fd =

@@ -122,6 +122,7 @@ type rx_queue = {
 
 type t = {
   engine : Engine.t;
+  cancel_timer : Engine.Timer.t -> unit; (* [Engine.Timer.cancel engine], shared by every TCB *)
   name : string;
   cores : Cpu.Set.t;
   vswitch : Vswitch.t;
@@ -328,7 +329,7 @@ let make_actions t s ~flow ~role =
     Tcb.now = (fun () -> Engine.now t.engine);
     emit = (fun seg -> emit t s seg);
     set_timer = (fun ~delay f -> Engine.schedule t.engine ~delay f);
-    cancel_timer = Engine.Timer.cancel;
+    cancel_timer = t.cancel_timer;
     on_established;
     on_readable = (fun () -> notify t s);
     on_writable = (fun () -> notify t s);
@@ -529,6 +530,7 @@ let create ~engine ~name ~cores ~vswitch ~registry ~rng ?(mon = Nkmon.null ())
   let t =
     {
       engine;
+      cancel_timer = Engine.Timer.cancel engine;
       name;
       cores;
       vswitch;

@@ -206,11 +206,6 @@ and on_rto t =
   match Queue.peek_opt t.retxq with
   | None -> ()
   | Some item ->
-      if Sys.getenv_opt "NKDEBUG" <> None then
-        Printf.eprintf "[%.4f] RTO %s seq=%d len=%d retx=%d state=%s cwnd=%d sndwnd=%d inflight=%d pending=%d\n"
-          (t.act.now ()) (Format.asprintf "%a" Addr.Flow.pp t.flow) item.seq item.len
-          item.retx (state_to_string t.state) (t.cc.Cc.cwnd ()) t.snd_wnd (inflight t)
-          t.send_pending;
       item.retx <- item.retx + 1;
       t.retransmissions <- t.retransmissions + 1;
       let too_many =
@@ -470,13 +465,8 @@ let process_payload t (seg : Segment.t) =
         (* Receive autotuning: under buffer pressure, grow towards the
            ceiling so a slow-draining receiver does not strangle the
            sender's chunk sizes (Linux tcp_moderate_rcvbuf). *)
-        if t.recv_ready > t.rwnd_limit / 2 && t.rwnd_limit < t.cfg.rwnd_max then begin
-          t.rwnd_limit <- Int.min t.cfg.rwnd_max (2 * t.rwnd_limit);
-          if Sys.getenv_opt "NKDEBUG" <> None then
-            Printf.eprintf "[%.4f] autotune %s rwnd->%d\n" (t.act.now ())
-              (Format.asprintf "%a" Addr.Flow.pp t.flow)
-              t.rwnd_limit
-        end
+        if t.recv_ready > t.rwnd_limit / 2 && t.rwnd_limit < t.cfg.rwnd_max then
+          t.rwnd_limit <- Int.min t.cfg.rwnd_max (2 * t.rwnd_limit)
       end;
       if off.Reassembly.fin_reached then begin
         t.fin_received <- true;

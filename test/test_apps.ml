@@ -209,6 +209,40 @@ let mtcp_direct_api () =
   if List.length active < 3 then
     Alcotest.failf "poor RSS spread: only %d/4 shards active" (List.length active)
 
+(* Connection churn must not grow the engine's pending set: every
+   handshake arms a 1 s initial RTO at both ends and cancels it one round
+   trip later, so if cancelled events stayed queued until their expiry,
+   32 non-keep-alive clients would pile up tens of thousands of them in
+   0.3 virtual s. Live state is the TIME_WAIT timers and in-flight
+   requests, a few thousand events. *)
+let churn_pending_bounded () =
+  let w = world () in
+  let server = server_endpoint w and client = client_endpoint w in
+  (match
+     Nkapps.Epoll_server.start ~engine:w.World.engine ~api:server.World.api
+       (Nkapps.Epoll_server.config ~proto:(fixed 64) (Addr.make ip_server 80))
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "server: %s" (Types.err_to_string e));
+  let lg =
+    Nkapps.Loadgen.start ~engine:w.World.engine ~api:client.World.api
+      {
+        Nkapps.Loadgen.server = Addr.make ip_server 80;
+        proto = fixed 64;
+        mode = Nkapps.Loadgen.Closed { concurrency = 32; total = None; duration = Some 0.3 };
+        warmup = 0.0;
+      }
+  in
+  let peak = ref 0 in
+  for i = 1 to 300 do
+    World.run w ~until:(float_of_int i *. 1e-3);
+    peak := Int.max !peak (E.pending w.World.engine)
+  done;
+  let r = Nkapps.Loadgen.results lg in
+  if r.Nkapps.Loadgen.completed < 10_000 then
+    Alcotest.failf "only %d requests completed" r.Nkapps.Loadgen.completed;
+  if !peak > 10_000 then Alcotest.failf "pending peaked at %d events" !peak
+
 let tests =
   [
     Alcotest.test_case "loadgen completes exactly" `Quick loadgen_completes_exactly;
@@ -218,4 +252,5 @@ let tests =
     Alcotest.test_case "paced stream" `Quick paced_stream;
     Alcotest.test_case "kv store over baseline" `Quick kvstore_baseline;
     Alcotest.test_case "mtcp direct API + RSS spread" `Quick mtcp_direct_api;
+    Alcotest.test_case "connection churn keeps pending bounded" `Quick churn_pending_bounded;
   ]

@@ -26,9 +26,70 @@ let engine_cancel () =
   let e = E.create () in
   let fired = ref false in
   let h = E.schedule e ~delay:0.1 (fun () -> fired := true) in
-  E.Timer.cancel h;
+  E.Timer.cancel e h;
   E.run e;
   Alcotest.(check bool) "cancelled event must not run" false !fired
+
+(* Allocate the capture here, so the caller's frame never holds it: once
+   the event is cancelled only the weak slot refers to it. *)
+let[@inline never] arm_capturing e w =
+  let v = Bytes.make 64 'x' in
+  Weak.set w 0 (Some v);
+  E.schedule e ~delay:5.0 (fun () -> ignore (Bytes.length v))
+
+let engine_cancel_frees_closure () =
+  let e = E.create () in
+  let fired = ref 0 in
+  ignore (E.schedule e ~delay:5.0 (fun () -> incr fired));
+  let w = Weak.create 1 in
+  let h = arm_capturing e w in
+  ignore (E.schedule e ~delay:5.0 (fun () -> incr fired));
+  Alcotest.(check int) "three pending" 3 (E.pending e);
+  E.Timer.cancel e h;
+  Alcotest.(check int) "pending drops at the cancel" 2 (E.pending e);
+  Gc.full_major ();
+  Alcotest.(check bool) "the cancelled closure's capture is collected" false (Weak.check w 0);
+  E.Timer.cancel e h;
+  Alcotest.(check int) "a second cancel is a no-op" 2 (E.pending e);
+  E.run e;
+  Alcotest.(check int) "its bucket neighbours still fire" 2 !fired;
+  Alcotest.(check int) "nothing left" 0 (E.pending e)
+
+(* Exact bucket positions on a fresh engine: three events share one slot
+   on each wheel level (the last scheduled is the bucket head, the first
+   the tail), one waits in the overflow heap. Every cancel of a bucketed
+   event leaves [pending] at once; the overflow event and a same-slot
+   event already in the near heap keep their count until they surface. *)
+let engine_cancel_positions () =
+  let e = E.create () in
+  let log = ref [] in
+  let at name t = E.schedule_at e ~at:t (fun () -> log := name :: !log) in
+  let bucket lvl t = Array.init 3 (fun i -> at (Printf.sprintf "%s%d" lvl i) t) in
+  let l0 = bucket "a" 50e-6 and l1 = bucket "b" 50e-3 and l2 = bucket "c" 50.0 in
+  let far = at "far" 200.0 in
+  let cancel h expect =
+    E.Timer.cancel e h;
+    Alcotest.(check int) "pending after cancel" expect (E.pending e)
+  in
+  (* Level 0: head, then tail; level 1: tail, then head; level 2: middle. *)
+  cancel l0.(2) 9;
+  cancel l0.(0) 8;
+  cancel l1.(0) 7;
+  cancel l1.(2) 6;
+  cancel l2.(1) 5;
+  cancel far 5;
+  ignore (at "x" 1.0);
+  (* At 0.5 s: 4 pending (x, c0, c2, far) once this event is popped. *)
+  ignore
+    (E.schedule_at e ~at:0.5 (fun () ->
+         let h = E.schedule e ~delay:0.0 (fun () -> log := "zero" :: !log) in
+         cancel h 5;
+         log := "half" :: !log));
+  cancel l0.(1) 6 (* the last of its bucket *);
+  E.run e;
+  Alcotest.(check (list string)) "survivors fire in order"
+    [ "b1"; "half"; "x"; "c0"; "c2" ] (List.rev !log);
+  Alcotest.(check int) "pending ends at 0" 0 (E.pending e)
 
 let engine_until () =
   let e = E.create () in
@@ -54,13 +115,16 @@ let engine_nested_schedule () =
    Reference model: that heap, rebuilt here on Nkutil.Heap with the same
    clamping/cancellation semantics. Both run the same scripted ~100K-event
    schedule — dense sub-tick delays, exact ties, zero and negative delays,
-   multi-second overflow delays, events scheduled from inside callbacks, and
-   cancellations — and must log byte-identical id sequences. *)
+   delays on every wheel level and beyond its 128 s horizon, events
+   scheduled from inside callbacks, and cancellations — and must log
+   byte-identical id sequences. *)
 
 type 'h sched_api = {
   api_schedule : delay:float -> (unit -> unit) -> 'h;
   api_cancel : 'h -> unit;
   api_run : unit -> unit;
+  api_now : unit -> float;
+  api_pending : (unit -> int) option; (* the wheel only *)
 }
 
 module Ref_engine = struct
@@ -110,38 +174,125 @@ let scripted_delay id =
   | 9 | 10 -> 0.0
   | 11 -> -1e-6 (* negative: clamps to now *)
   | 12 | 13 -> Nkutil.Rng.float_range rng 0.0 0.05 (* mid-range, upper wheel levels *)
-  | _ -> Nkutil.Rng.float_range rng 0.5 10.0 (* far future: overflow heap *)
+  | 14 -> Nkutil.Rng.float_range rng 0.5 10.0 (* far: level 2 *)
+  | _ -> Nkutil.Rng.float_range rng 130.0 300.0 (* beyond the horizon: overflow heap *)
+
+(* Same-instant groups: one slot, so one bucket, in which the last member
+   scheduled is the head. Kinds: level-0, level-1 and level-2 distances,
+   beyond the horizon, and zero (straight into the near heap). *)
+let group_delay id =
+  let rng = Nkutil.Rng.create ~seed:(0xBEEF + id) in
+  match (id lsr 5) mod 5 with
+  | 0 -> Nkutil.Rng.float_range rng 10e-6 100e-6
+  | 1 -> Nkutil.Rng.float_range rng 1e-3 0.1
+  | 2 -> Nkutil.Rng.float_range rng 1.0 10.0
+  | 3 -> Nkutil.Rng.float_range rng 150.0 250.0
+  | _ -> 0.0
+
+(* Wheel geometry, for the expected effect of each cancel: 2^23 slots per
+   second, 1024 slots per level, the overflow heap past the cursor's
+   level-2 block. Under [run] without a horizon, the cursor is the clock's
+   slot while a callback runs. *)
+let slot time = int_of_float (time *. 8388608.0)
 
 let run_script (type h) (api : h sched_api) ~total =
   let order = ref [] in
   let spawned = ref 0 in
   let handles : (int, h) Hashtbl.t = Hashtbl.create 1024 in
-  let rec spawn depth =
+  let due = Array.make total 0.0 in
+  let dead = Array.make total false (* fired or cancelled *) in
+  (* Cancels of live events: [level][position] for bucketed group members
+     (position 0 head, 1 middle, 2 first scheduled), then near, overflow. *)
+  let hits = Array.make_matrix 3 3 0 and near_hits = ref 0 and overflow_hits = ref 0 in
+  let cancel ?pos id =
+    match Hashtbl.find_opt handles id with
+    | None -> ()
+    | Some h ->
+        let before = match api.api_pending with Some p -> p () | None -> 0 in
+        api.api_cancel h;
+        (match api.api_pending with
+        | None -> ()
+        | Some pending ->
+            let s = slot due.(id) and c = slot (api.api_now ()) in
+            let level =
+              if dead.(id) then `Dead
+              else if s <= c then `Near
+              else if s lsr 30 <> c lsr 30 then `Overflow
+              else if s lsr 10 = c lsr 10 then `Wheel 0
+              else if s lsr 20 = c lsr 20 then `Wheel 1
+              else `Wheel 2
+            in
+            let dropped = before - pending () in
+            let expect = match level with `Wheel _ -> 1 | `Dead | `Near | `Overflow -> 0 in
+            if dropped <> expect then
+              Alcotest.failf "cancel of event %d (slot %d, cursor %d): pending fell by %d, not %d"
+                id s c dropped expect;
+            match (level, pos) with
+            | `Wheel l, Some p -> hits.(l).(p) <- hits.(l).(p) + 1
+            | `Near, _ -> incr near_hits
+            | `Overflow, _ -> incr overflow_hits
+            | (`Wheel _ | `Dead), _ -> ());
+        dead.(id) <- true
+  in
+  let rec spawn ?delay depth =
     if !spawned < total then begin
       let id = !spawned in
       incr spawned;
-      let h = api.api_schedule ~delay:(scripted_delay id) (fun () -> fire id depth) in
-      Hashtbl.replace handles id h
+      let delay = match delay with Some d -> d | None -> scripted_delay id in
+      due.(id) <- api.api_now () +. Float.max 0.0 delay;
+      Hashtbl.replace handles id (api.api_schedule ~delay (fun () -> fire id depth));
+      Some id
     end
+    else None
   and fire id depth =
+    dead.(id) <- true;
     order := id :: !order;
     (* Some events fan out into fresh events mid-run (exercising seq
        assignment while the wheel cursor has advanced)... *)
     if depth < 4 && id land 7 <= 2 then begin
-      spawn (depth + 1);
-      spawn (depth + 1)
+      ignore (spawn (depth + 1));
+      ignore (spawn (depth + 1))
     end;
-    (* ...and some cancel a not-necessarily-pending later event. *)
-    if id land 15 = 3 then
-      match Hashtbl.find_opt handles (id + 5) with
-      | Some h -> api.api_cancel h
-      | None -> ()
+    (* ...some schedule a same-instant group and cancel its head, a
+       middle member, its first member, or first, middle and head in
+       turn... *)
+    if id land 31 = 22 then begin
+      let delay = group_delay id in
+      let g = List.filter_map (fun _ -> spawn ~delay (depth + 1)) (List.init 4 Fun.id) in
+      match Array.of_list g with
+      | [| m0; m1; m2; m3 |] -> (
+          match (id lsr 5) / 5 mod 4 with
+          | 0 -> cancel ~pos:0 m3
+          | 1 -> cancel ~pos:1 m1
+          | 2 -> cancel ~pos:2 m0
+          | _ ->
+              cancel ~pos:2 m0;
+              cancel ~pos:1 m2;
+              cancel ~pos:0 m3)
+      | _ -> ()
+    end;
+    (* ...and some cancel a not-necessarily-pending later event of any
+       delay class. *)
+    if id land 15 = 3 then cancel (id + 1 + ((id lsr 4) mod 15))
   in
   (* Seed enough roots that fan-out reaches [total]. *)
   for _ = 1 to total / 2 do
-    spawn 0
+    ignore (spawn 0)
   done;
   api.api_run ();
+  (match api.api_pending with
+  | None -> ()
+  | Some pending ->
+      Alcotest.(check int) "pending ends at 0" 0 (pending ());
+      Array.iteri
+        (fun l row ->
+          Array.iteri
+            (fun p n ->
+              if n = 0 then Alcotest.failf "no cancel hit level %d at group position %d" l p)
+            row)
+        hits;
+      if !near_hits = 0 then Alcotest.fail "no cancel hit the near heap";
+      if !overflow_hits = 0 then Alcotest.fail "no cancel hit the overflow heap");
   List.rev !order
 
 let wheel_matches_heap_oracle () =
@@ -151,8 +302,10 @@ let wheel_matches_heap_oracle () =
     run_script
       {
         api_schedule = (fun ~delay f -> E.schedule e ~delay f);
-        api_cancel = E.Timer.cancel;
+        api_cancel = E.Timer.cancel e;
         api_run = (fun () -> E.run e);
+        api_now = (fun () -> E.now e);
+        api_pending = Some (fun () -> E.pending e);
       }
       ~total
   in
@@ -163,6 +316,8 @@ let wheel_matches_heap_oracle () =
         api_schedule = (fun ~delay f -> Ref_engine.schedule r ~delay f);
         api_cancel = (fun ev -> ev.Ref_engine.cancelled <- true);
         api_run = (fun () -> Ref_engine.run r);
+        api_now = (fun () -> r.Ref_engine.clock);
+        api_pending = None;
       }
       ~total
   in
@@ -232,6 +387,8 @@ let tests =
     Alcotest.test_case "event ordering" `Quick engine_ordering;
     Alcotest.test_case "same-time FIFO" `Quick engine_same_time_fifo;
     Alcotest.test_case "cancellation" `Quick engine_cancel;
+    Alcotest.test_case "cancel frees the closure at once" `Quick engine_cancel_frees_closure;
+    Alcotest.test_case "cancel at bucket head, middle, tail" `Quick engine_cancel_positions;
     Alcotest.test_case "run until horizon" `Quick engine_until;
     Alcotest.test_case "nested scheduling" `Quick engine_nested_schedule;
     Alcotest.test_case "wheel vs heap order oracle (100K)" `Quick wheel_matches_heap_oracle;

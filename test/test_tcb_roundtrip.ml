@@ -17,7 +17,7 @@ let mk_act engine outq est =
     Tcb.now = (fun () -> E.now engine);
     emit = (fun seg -> Queue.push seg outq);
     set_timer = (fun ~delay f -> E.schedule engine ~delay f);
-    cancel_timer = E.Timer.cancel;
+    cancel_timer = E.Timer.cancel engine;
     on_established = (fun () -> est := true);
     on_readable = (fun () -> ());
     on_writable = (fun () -> ());
@@ -33,7 +33,7 @@ let null_act engine =
     Tcb.now = (fun () -> E.now engine);
     emit = (fun _ -> ());
     set_timer = (fun ~delay f -> E.schedule engine ~delay f);
-    cancel_timer = E.Timer.cancel;
+    cancel_timer = E.Timer.cancel engine;
     on_established = (fun () -> ());
     on_readable = (fun () -> ());
     on_writable = (fun () -> ());
