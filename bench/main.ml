@@ -124,9 +124,45 @@ let bechamel_suite () =
            ignore (Sim.Engine.step engine);
            ignore (Sim.Engine.step engine)))
   in
+  (* One NQE through the CoreEngine: a Send posted on an attached VM
+     device, switched by a 1-shard engine with 24 more VM devices
+     registered and idle, then taken off the NSM's send ring. *)
+  let ce_engine = Sim.Engine.create () in
+  let ce =
+    Nkcore.Coreengine.create ~engine:ce_engine
+      ~cores:[| Sim.Cpu.create ce_engine ~name:"ce" () |]
+      Nkcore.Nk_costs.default
+  in
+  let device ~id role =
+    Nkcore.Nk_device.create ~id ~role ~qsets:1 ~capacity:64
+      ~hugepages:(Nkcore.Hugepages.create ~page_size:4096 ~pages:1 ())
+      ()
+  in
+  let vm = device ~id:1 Nkcore.Nk_device.Vm_side in
+  let nsm = device ~id:1 Nkcore.Nk_device.Nsm_side in
+  Nkcore.Coreengine.register_vm ce vm;
+  Nkcore.Coreengine.register_nsm ce nsm;
+  for id = 2 to 25 do
+    Nkcore.Coreengine.register_vm ce (device ~id Nkcore.Nk_device.Vm_side)
+  done;
+  Nkcore.Coreengine.attach ce ~vm_id:1 ~nsm_ids:[ 1 ];
+  let send_nqe =
+    Nkcore.Nqe.encode
+      (Nkcore.Nqe.make ~op:Nkcore.Nqe.Send ~vm_id:1 ~qset:0 ~sock:7 ~data_ptr:0 ~size:1024 ())
+  in
+  let nsm_send = (Nkcore.Nk_device.qset nsm 0).Nkcore.Queue_set.send in
+  let ce_switch =
+    Test.make ~name:"coreengine switch (24 idle devices)"
+      (Staged.stage (fun () ->
+           Nkcore.Nk_device.post vm ~qset:0 `Send send_nqe;
+           Sim.Engine.run ce_engine;
+           match Nkutil.Spsc_ring.pop nsm_send with
+           | Some _ -> ()
+           | None -> failwith "send NQE not switched"))
+  in
   let tests =
     Test.make_grouped ~name:"netkernel-primitives"
-      [ nqe_roundtrip; ring_pushpop; hugepage_copy; heap_ops ]
+      [ nqe_roundtrip; ring_pushpop; hugepage_copy; heap_ops; ce_switch ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
   let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
@@ -145,7 +181,7 @@ let bechamel_suite () =
       analyzed []
     |> List.rev
   in
-  List.iter (fun (name, est) -> Printf.printf "%-48s %s\n" name est) rows
+  List.iter (fun (name, est) -> Printf.printf "%-58s %s\n" name est) rows
 
 let () =
   if !micro_only then bechamel_suite ()

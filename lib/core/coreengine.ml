@@ -664,64 +664,73 @@ and route_vm_to_nsm t (sh : shard) raw =
               end
               else false))
 
+(* Pop up to [batch] NQEs from [ring] into [sh]'s reusable work buffers,
+   tagged with [src]. *)
+let rec take (sh : shard) ~batch src ring i =
+  if i < batch then
+    match Ring.pop ring with
+    | None -> ()
+    | Some raw ->
+        let n = sh.sweep_len in
+        if n = Array.length sh.sweep_raw then begin
+          let cap = 2 * n in
+          let src' = Array.make cap (-1) and raw' = Array.make cap Bytes.empty in
+          Array.blit sh.sweep_src 0 src' 0 n;
+          Array.blit sh.sweep_raw 0 raw' 0 n;
+          sh.sweep_src <- src';
+          sh.sweep_raw <- raw'
+        end;
+        sh.sweep_src.(n) <- src;
+        sh.sweep_raw.(n) <- raw;
+        sh.sweep_len <- n + 1;
+        take sh ~batch src ring (i + 1)
+
 (* One full sweep by shard [sh] over the queue sets it owns, popping at most
    [ce_batch] NQEs per outbound ring into the shard's reusable work
    buffers. Queue sets of the same devices owned by other shards are
    cross-kicked when they have pending outbound NQEs (e.g. overflow
    entries this shard just flushed into their rings).
-   Sets [sh.sweep_len]. *)
+   Sets [sh.sweep_len].
+   Devices without outbound work are skipped, which is exact: visiting one
+   would flush nothing, pop nothing and kick no shard. The walk is
+   top-level recursion because, without flambda, every local function with
+   free variables costs a closure each time it is defined. *)
 let rec sweep t (sh : shard) =
-  let batch = t.costs.Nk_costs.ce_batch in
   sh.sweep_len <- 0;
-  let take src ring =
-    let rec loop i =
-      if i < batch then
-        match Ring.pop ring with
-        | None -> ()
-        | Some raw ->
-            let n = sh.sweep_len in
-            if n = Array.length sh.sweep_raw then begin
-              let cap = 2 * n in
-              let src' = Array.make cap (-1) and raw' = Array.make cap Bytes.empty in
-              Array.blit sh.sweep_src 0 src' 0 n;
-              Array.blit sh.sweep_raw 0 raw' 0 n;
-              sh.sweep_src <- src';
-              sh.sweep_raw <- raw'
-            end;
-            sh.sweep_src.(n) <- src;
-            sh.sweep_raw.(n) <- raw;
-            sh.sweep_len <- n + 1;
-            loop (i + 1)
-    in
-    loop 0
-  in
-  List.iter
-    (fun (dev, side) ->
-      let dev_id = Nk_device.id dev in
-      let nq = Nk_device.n_qsets dev in
-      let owns_any = ref false in
-      for i = 0 to nq - 1 do
-        if owner_idx t ~dev_id ~qset:i = sh.idx then owns_any := true
-      done;
-      if !owns_any then begin
-        Nk_device.flush_overflow dev;
-        for i = 0 to nq - 1 do
-          if owner_idx t ~dev_id ~qset:i = sh.idx then begin
-            let s = Nk_device.qset dev i in
-            match side with
-            | `Vm ->
-                take (-1) s.Queue_set.job;
-                take (-1) s.Queue_set.send
-            | `Nsm ->
-                let src = (dev_id lsl 16) lor i in
-                take src s.Queue_set.completion;
-                take src s.Queue_set.receive
-          end
-          else if Nk_device.outbound_pending dev ~qset:i > 0 then
-            kick_shard t t.shards.(owner_idx t ~dev_id ~qset:i)
-        done
-      end)
-    t.device_order
+  sweep_devices t sh t.device_order
+
+and sweep_devices t sh = function
+  | [] -> ()
+  | (dev, side) :: rest ->
+      if Nk_device.has_outbound dev then sweep_device t sh dev side;
+      sweep_devices t sh rest
+
+and sweep_device t sh dev side =
+  let dev_id = Nk_device.id dev in
+  let nq = Nk_device.n_qsets dev in
+  let owns_any = ref false in
+  for i = 0 to nq - 1 do
+    if owner_idx t ~dev_id ~qset:i = sh.idx then owns_any := true
+  done;
+  if !owns_any then begin
+    let batch = t.costs.Nk_costs.ce_batch in
+    Nk_device.flush_overflow dev;
+    for i = 0 to nq - 1 do
+      if owner_idx t ~dev_id ~qset:i = sh.idx then begin
+        let s = Nk_device.qset dev i in
+        match side with
+        | `Vm ->
+            take sh ~batch (-1) s.Queue_set.job 0;
+            take sh ~batch (-1) s.Queue_set.send 0
+        | `Nsm ->
+            let src = (dev_id lsl 16) lor i in
+            take sh ~batch src s.Queue_set.completion 0;
+            take sh ~batch src s.Queue_set.receive 0
+      end
+      else if Nk_device.outbound_pending dev ~qset:i > 0 then
+        kick_shard t t.shards.(owner_idx t ~dev_id ~qset:i)
+    done
+  end
 
 and dispatch t (sh : shard) src raw =
   if not (Nqe.View.ok raw) then drop sh t None "decode"

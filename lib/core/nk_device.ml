@@ -87,17 +87,17 @@ let ring t ~qset q =
   | `Send -> s.Queue_set.send
   | `Receive -> s.Queue_set.receive
 
-let flush_overflow t =
-  let rec loop () =
-    match Queue.peek_opt t.overflow with
-    | None -> ()
-    | Some o ->
-        if Nkutil.Spsc_ring.push (ring t ~qset:o.qset o.q) o.nqe then begin
-          ignore (Queue.pop t.overflow);
-          loop ()
-        end
-  in
-  loop ()
+(* Called for every post and every device a CoreEngine sweep visits, so it
+   returns at once on an empty overflow and recurses at top level: without
+   flambda a local loop would cost a closure per call. *)
+let rec flush_overflow t =
+  if not (Queue.is_empty t.overflow) then begin
+    let o = Queue.peek t.overflow in
+    if Nkutil.Spsc_ring.push (ring t ~qset:o.qset o.q) o.nqe then begin
+      ignore (Queue.pop t.overflow);
+      flush_overflow t
+    end
+  end
 
 let trace_queue = function
   | `Job -> Nkmon.Trace.Job
@@ -140,3 +140,21 @@ let outbound_pending t ~qset =
         + Nkutil.Spsc_ring.length s.Queue_set.receive
   in
   ring_part + Queue.length t.overflow
+
+(* Queue set [i] or a later one holds an NQE in a ring this device's owner
+   produces. *)
+let rec rings_outbound t i =
+  i < Array.length t.qsets
+  && (let s = t.qsets.(i) in
+      (match t.role with
+      | Vm_side ->
+          not
+            (Nkutil.Spsc_ring.is_empty s.Queue_set.job
+            && Nkutil.Spsc_ring.is_empty s.Queue_set.send)
+      | Nsm_side ->
+          not
+            (Nkutil.Spsc_ring.is_empty s.Queue_set.completion
+            && Nkutil.Spsc_ring.is_empty s.Queue_set.receive))
+      || rings_outbound t (i + 1))
+
+let has_outbound t = (not (Queue.is_empty t.overflow)) || rings_outbound t 0

@@ -73,5 +73,12 @@ val flush_overflow : t -> unit
     this as it drains). *)
 
 val outbound_pending : t -> qset:int -> int
-(** Encoded NQEs waiting for the CoreEngine in [qset] (rings + overflow),
-    counting the queues this device's owner produces. *)
+(** Encoded NQEs waiting for the CoreEngine in [qset]: the [qset] rings this
+    device's owner produces plus the overflow buffer. The overflow is
+    device-wide, so it is counted in every queue set's total. *)
+
+val has_outbound : t -> bool
+(** [true] iff [outbound_pending t ~qset] is positive for some [qset]: an
+    outbound ring of any queue set or the overflow holds an NQE. Early-exit
+    and allocation-free; CoreEngine sweeps skip a device for which it is
+    [false]. *)

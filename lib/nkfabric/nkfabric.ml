@@ -385,14 +385,7 @@ let install_proxy t relay proxy =
    replay. *)
 let drain_vm_ward dev ~deliver =
   let n = Nk_device.n_qsets dev in
-  let pending () =
-    let p = ref 0 in
-    for qi = 0 to n - 1 do
-      p := !p + Nk_device.outbound_pending dev ~qset:qi
-    done;
-    !p
-  in
-  while pending () > 0 do
+  while Nk_device.has_outbound dev do
     Nk_device.flush_overflow dev;
     for qi = 0 to n - 1 do
       let s = Nk_device.qset dev qi in

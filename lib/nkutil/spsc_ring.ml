@@ -42,16 +42,6 @@ let pop t =
     x
   end
 
-let peek t =
-  let head = Atomic.get t.head in
-  let tail = Atomic.get t.tail in
-  if tail = head then None else t.slots.(head land t.mask)
-
-let push_batch t xs =
-  let n = Array.length xs in
-  let rec loop i = if i < n && push t xs.(i) then loop (i + 1) else i in
-  loop 0
-
 let pop_batch t ~max =
   let rec loop i acc =
     if i >= max then List.rev acc
@@ -68,19 +58,6 @@ let pop_slice t buf ~pos ~max =
       | None -> i
       | Some x ->
           buf.(pos + i) <- x;
-          loop (i + 1)
-  in
-  loop 0
-
-let pop_into t buf =
-  let max = Array.length buf in
-  let rec loop i =
-    if i >= max then i
-    else
-      match pop t with
-      | None -> i
-      | Some x ->
-          buf.(i) <- x;
           loop (i + 1)
   in
   loop 0

@@ -33,19 +33,8 @@ val push : 'a t -> 'a -> bool
 val pop : 'a t -> 'a option
 (** [pop t] dequeues the oldest element. Consumer side. *)
 
-val peek : 'a t -> 'a option
-
-val push_batch : 'a t -> 'a array -> int
-(** [push_batch t xs] enqueues a prefix of [xs]; returns how many were
-    accepted. *)
-
 val pop_batch : 'a t -> max:int -> 'a list
 (** [pop_batch t ~max] dequeues up to [max] elements, oldest first. *)
-
-val pop_into : 'a t -> 'a array -> int
-(** [pop_into t buf] dequeues up to [Array.length buf] elements into [buf]
-    starting at index 0 and returns the count. Allocation-free fast path for
-    the CoreEngine switching loop. *)
 
 val pop_slice : 'a t -> 'a array -> pos:int -> max:int -> int
 (** [pop_slice t buf ~pos ~max] dequeues up to [max] elements into

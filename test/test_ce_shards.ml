@@ -8,26 +8,29 @@ open Nkcore
 module E = Sim.Engine
 module Types = Tcpstack.Types
 
-let mk_device ~id ~role ~qsets =
-  Nk_device.create ~id ~role ~qsets
+let mk_device ?capacity ~id ~role ~qsets () =
+  Nk_device.create ~id ~role ~qsets ?capacity
     ~hugepages:(Hugepages.create ~page_size:4096 ~pages:4 ())
     ()
 
 let encode op ~vm_id ~qset ~sock ?(size = 0) () =
   Nqe.encode (Nqe.make ~op ~vm_id ~qset ~sock ~size ())
 
-(* The direct switching scenario the single-core oracle was captured on:
-   one VM device (2 queue sets), two NSM devices, eight Socket NQEs
-   round-robined across both NSMs. *)
-let run_direct ~n_cores =
+let mk_ce ~n_cores =
   let engine = E.create () in
   let cores =
     Array.init n_cores (fun k -> Sim.Cpu.create engine ~name:(Printf.sprintf "ce%d" k) ())
   in
-  let ce = Coreengine.create ~engine ~cores Nk_costs.default in
-  let vm = mk_device ~id:1 ~role:Nk_device.Vm_side ~qsets:2 in
-  let nsm1 = mk_device ~id:1 ~role:Nk_device.Nsm_side ~qsets:2 in
-  let nsm2 = mk_device ~id:2 ~role:Nk_device.Nsm_side ~qsets:2 in
+  (engine, cores, Coreengine.create ~engine ~cores Nk_costs.default)
+
+(* The direct switching scenario the single-core oracle was captured on:
+   one VM device (2 queue sets), two NSM devices, eight Socket NQEs
+   round-robined across both NSMs. *)
+let run_direct ~n_cores =
+  let engine, cores, ce = mk_ce ~n_cores in
+  let vm = mk_device ~id:1 ~role:Nk_device.Vm_side ~qsets:2 () in
+  let nsm1 = mk_device ~id:1 ~role:Nk_device.Nsm_side ~qsets:2 () in
+  let nsm2 = mk_device ~id:2 ~role:Nk_device.Nsm_side ~qsets:2 () in
   Coreengine.register_vm ce vm;
   Coreengine.register_nsm ce nsm1;
   Coreengine.register_nsm ce nsm2;
@@ -230,6 +233,117 @@ let scale_out_redistributes () =
   Alcotest.(check bool) "new shard did work" true (busy.(1) > 0.0);
   Alcotest.(check int) "2 shards" 2 (Coreengine.n_shards (Host.coreengine hosta))
 
+(* ---- sweep cost and the idle-device skip -------------------------------- *)
+
+(* Minor words allocated per switched NQE on a 1-shard engine with [idle]
+   registered VM devices that never post. Each Socket NQE is switched on
+   its own: post, run the engine dry, pop the NSM job ring. *)
+let words_per_switch ~idle =
+  let engine, _, ce = mk_ce ~n_cores:1 in
+  let vm = mk_device ~id:1 ~role:Nk_device.Vm_side ~qsets:1 () in
+  let nsm = mk_device ~id:1 ~role:Nk_device.Nsm_side ~qsets:1 () in
+  Coreengine.register_vm ce vm;
+  Coreengine.register_nsm ce nsm;
+  for k = 1 to idle do
+    Coreengine.register_vm ce
+      (mk_device ~capacity:4 ~id:(100 + k) ~role:Nk_device.Vm_side ~qsets:1 ())
+  done;
+  Coreengine.attach ce ~vm_id:1 ~nsm_ids:[ 1 ];
+  let job = (Nk_device.qset nsm 0).Queue_set.job in
+  let nqes = Array.init 1_100 (fun i -> encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock:(i + 1) ()) in
+  let switch i =
+    Nk_device.post vm ~qset:0 `Job nqes.(i);
+    E.run engine;
+    if Nkutil.Spsc_ring.pop job = None then Alcotest.failf "NQE %d was not switched" i
+  in
+  for i = 0 to 99 do
+    switch i
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 100 to 1_099 do
+    switch i
+  done;
+  (Gc.minor_words () -. w0) /. 1_000.0
+
+let idle_devices_cost_nothing () =
+  let w0 = words_per_switch ~idle:0 and w64 = words_per_switch ~idle:64 in
+  if Float.abs (w64 -. w0) > 1.0 then
+    Alcotest.failf "words per switched NQE: %.1f with 0 idle devices, %.1f with 64" w0 w64
+
+(* A capacity-2 VM device with two queue sets takes a burst of 12 Socket
+   NQEs: 4 fill the job rings and 8 spill into the device-wide overflow.
+   After the first sweep the device's rings are empty but its overflow is
+   not, so a sweep that skipped devices on their rings alone would strand
+   the spilled NQEs. *)
+let run_overflow_burst ~n_cores =
+  let engine, cores, ce = mk_ce ~n_cores in
+  let vm = mk_device ~capacity:2 ~id:1 ~role:Nk_device.Vm_side ~qsets:2 () in
+  let nsm = mk_device ~id:1 ~role:Nk_device.Nsm_side ~qsets:2 () in
+  Coreengine.register_vm ce vm;
+  Coreengine.register_nsm ce nsm;
+  Coreengine.attach ce ~vm_id:1 ~nsm_ids:[ 1 ];
+  for sock = 1 to 12 do
+    Nk_device.post vm ~qset:(sock mod 2) `Job
+      (encode Nqe.Socket ~vm_id:1 ~qset:(sock mod 2) ~sock ())
+  done;
+  E.run engine;
+  let received qi =
+    let ring = (Nk_device.qset nsm qi).Queue_set.job in
+    let rec drain acc =
+      match Nkutil.Spsc_ring.pop ring with
+      | Some raw -> drain (Nqe.View.sock raw :: acc)
+      | None -> List.rev acc
+    in
+    drain []
+  in
+  (ce, cores, E.now engine, [ received 0; received 1 ])
+
+(* Oracles captured on the engine that visited every device on every
+   sweep. *)
+let overflow_oracle_dump =
+  "vm=1 sock=1 -> nsm=1 qset=1\n\
+   vm=1 sock=2 -> nsm=1 qset=0\n\
+   vm=1 sock=3 -> nsm=1 qset=1\n\
+   vm=1 sock=4 -> nsm=1 qset=0\n\
+   vm=1 sock=5 -> nsm=1 qset=1\n\
+   vm=1 sock=6 -> nsm=1 qset=0\n\
+   vm=1 sock=7 -> nsm=1 qset=1\n\
+   vm=1 sock=8 -> nsm=1 qset=0\n\
+   vm=1 sock=9 -> nsm=1 qset=1\n\
+   vm=1 sock=10 -> nsm=1 qset=0\n\
+   vm=1 sock=11 -> nsm=1 qset=1\n\
+   vm=1 sock=12 -> nsm=1 qset=0\n"
+
+let overflow_only_device_is_swept () =
+  let check ~n_cores ~sweeps ~busy ~end_time =
+    let ce, cores, now, received = run_overflow_burst ~n_cores in
+    let at what = Printf.sprintf "%s at %d shards" what n_cores in
+    let s = Coreengine.stats ce in
+    Alcotest.(check int) (at "switched") 12 s.Coreengine.switched;
+    Alcotest.(check int) (at "dropped") 0 s.Coreengine.dropped;
+    Alcotest.(check (list int))
+      (at "every NQE reached the NSM")
+      (List.init 12 (fun i -> i + 1))
+      (List.sort Int.compare (List.concat received));
+    List.iteri
+      (fun qi socks ->
+        Alcotest.(check (list int))
+          (at (Printf.sprintf "post order in NSM queue set %d" qi))
+          (List.sort Int.compare socks) socks)
+      received;
+    Alcotest.(check int) (at "sweeps") sweeps s.Coreengine.sweeps;
+    Alcotest.(check (list string))
+      (at "busy cycles") busy
+      (Array.to_list (Array.map (fun c -> hex (Sim.Cpu.busy_cycles c)) cores));
+    Alcotest.(check string) (at "end time") end_time (hex now);
+    Alcotest.(check string) (at "conn table") overflow_oracle_dump
+      (Coreengine.dump_conn_table ce)
+  in
+  check ~n_cores:1 ~sweeps:3 ~busy:[ "0x1.3bp+11" ]
+    ~end_time:"0x1.d402e9edfb116p-20";
+  check ~n_cores:2 ~sweeps:6 ~busy:[ "0x1.d1p+10"; "0x1.77p+10" ]
+    ~end_time:"0x1.78fa0c3a43874p-20"
+
 let tests =
   [
     Alcotest.test_case "single shard matches pre-shard oracle (direct)" `Quick
@@ -243,4 +357,8 @@ let tests =
     Alcotest.test_case "sharded runs are deterministic" `Quick sharded_runs_deterministic;
     Alcotest.test_case "live scale-out redistributes queue sets" `Quick
       scale_out_redistributes;
+    Alcotest.test_case "idle devices cost nothing per switch" `Quick
+      idle_devices_cost_nothing;
+    Alcotest.test_case "overflow-only device is still swept" `Quick
+      overflow_only_device_is_swept;
   ]

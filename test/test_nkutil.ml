@@ -106,12 +106,15 @@ let ring_qcheck =
 
 let ring_batch () =
   let r = Ring.create ~capacity:8 in
-  let n = Ring.push_batch r [| 1; 2; 3; 4; 5 |] in
-  Alcotest.(check int) "batch accepted" 5 n;
+  List.iter (fun x -> Alcotest.(check bool) "push" true (Ring.push r x)) [ 1; 2; 3; 4; 5 ];
   Alcotest.(check (list int)) "batch pop" [ 1; 2; 3 ] (Ring.pop_batch r ~max:3);
-  let buf = Array.make 8 0 in
-  Alcotest.(check int) "pop_into" 2 (Ring.pop_into r buf);
-  Alcotest.(check int) "pop_into contents" 4 buf.(0)
+  let buf = Array.make 6 0 in
+  Alcotest.(check int) "pop_slice stops when empty" 2 (Ring.pop_slice r buf ~pos:3 ~max:3);
+  Alcotest.(check (array int)) "pop_slice fills from pos" [| 0; 0; 0; 4; 5; 0 |] buf;
+  List.iter (fun x -> ignore (Ring.push r x)) [ 6; 7; 8 ];
+  Alcotest.(check int) "pop_slice stops at max" 2 (Ring.pop_slice r buf ~pos:1 ~max:2);
+  Alcotest.(check (array int)) "pop_slice overwrites" [| 0; 6; 7; 4; 5; 0 |] buf;
+  Alcotest.(check (list int)) "rest stays queued" [ 8 ] (Ring.pop_batch r ~max:8)
 
 (* ---- token bucket ------------------------------------------------------- *)
 
