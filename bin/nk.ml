@@ -128,12 +128,19 @@ let bench_cmd =
               | None ->
                   Printf.eprintf "nk bench: unknown experiment %S; try `nk list`\n" id;
                   exit 2
-              | Some e ->
-                  Printf.eprintf "benchmarking %s (quick)...\n%!" id;
-                  let t0 = Unix.gettimeofday () in
-                  let report = e.Experiments.Registry.run ~quick:true () in
-                  let wall_s = Unix.gettimeofday () -. t0 in
-                  Experiments.Bench.of_report ~wall_s report)
+              | Some e -> (
+                  Printf.eprintf "benchmarking %s (quick, twice)...\n%!" id;
+                  let timed () =
+                    let t0 = Unix.gettimeofday () in
+                    let report = e.Experiments.Registry.run ~quick:true () in
+                    (report, Unix.gettimeofday () -. t0)
+                  in
+                  match Experiments.Bench.run_twice timed with
+                  | Ok entry -> entry
+                  | Error diff ->
+                      Printf.eprintf
+                        "nk bench: %s is nondeterministic, two runs differ:\n%s\n" id diff;
+                      exit 1))
             ids
         in
         let json = Experiments.Bench.to_json entries in
@@ -149,7 +156,8 @@ let bench_cmd =
     (Cmd.info "bench"
        ~doc:
          "Snapshot quick-mode experiment results (simulated metrics + \
-          wall-clock) as JSON, or --compare two snapshots")
+          wall-clock) as JSON, or --compare two snapshots. Each experiment \
+          runs twice and must render identically, notes included.")
     Term.(const run $ ids $ out $ compare_files $ tolerance)
 
 let demo_cmd =
@@ -191,18 +199,18 @@ let demo_cmd =
     Term.(const run $ const ())
 
 (* A small representative NetKernel workload (kernel-stack NSM, epoll
-   server in the VM, closed-loop load) whose Nkmon handle the stats and
-   trace subcommands inspect afterwards. *)
+   server in the VM, closed-loop load). The stats and trace subcommands
+   export its one testbed-wide Nkmon handle as a one-source list. *)
 let observed_world ~trace ~config =
   let w = Experiments.Worlds.netkernel ~config () in
   let mon = w.Experiments.Worlds.tb.Nkcore.Testbed.mon in
   if trace then Nkmon.Trace.set_enabled (Nkmon.trace mon) true;
   ignore (Experiments.Worlds.measure_rps w ~concurrency:32 ~total:2_000 ());
-  mon
+  [ ("testbed", mon) ]
 
 (* The cluster counterpart for the --cluster variants: a two-node Nkfabric
-   world under keep-alive load, federated by an Nkobs plane (per-node
-   registries and trace rings merge back into one host-tagged view). *)
+   world under keep-alive load, watched by an Nkobs plane whose sources
+   (the testbed plus one per node) feed the same exporters. *)
 let observed_cluster ~trace ~seed =
   let open Nkcore in
   let tb =
@@ -250,16 +258,22 @@ let observed_cluster ~trace ~seed =
   Nkobs.start obs;
   Testbed.run tb ~until:1.0;
   Nkobs.stop obs;
-  obs
+  Nkobs.sources obs
+
+let observed ~trace ~cluster config =
+  if cluster then
+    let seed = config.Experiments.Worlds.Config.tb.Nkcore.Testbed.Config.seed in
+    observed_cluster ~trace ~seed
+  else observed_world ~trace ~config
 
 let cluster_flag =
   Arg.(
     value & flag
     & info [ "cluster" ]
         ~doc:
-          "Observe a two-node Nkfabric cluster through Nkobs instead of a \
-           single host: metrics are host-tagged and traces merged in \
-           virtual-time order. World knobs other than --seed are ignored.")
+          "Observe a two-node Nkfabric cluster instead of a single host: \
+           one source per node plus the testbed, rendered exactly like the \
+           single-host source. World knobs other than --seed are ignored.")
 
 let ce_cores_arg =
   Arg.(
@@ -289,12 +303,14 @@ let world_config_term =
   Term.(const build $ ce_cores_arg $ vcpus_arg $ nsm_cores_arg $ seed_arg)
 
 let stats_cmd =
-  let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of a table.") in
   let format =
     Arg.(
       value
       & opt (enum [ ("table", `Table); ("csv", `Csv); ("json", `Json) ]) `Table
-      & info [ "format" ] ~docv:"FORMAT" ~doc:"Output format: table, csv or json.")
+      & info [ "format" ] ~docv:"FORMAT"
+          ~doc:
+            "Output format: table, csv or json. json is the full-detail export \
+             (histogram percentiles, every time-series bin) and ignores --filter.")
   in
   let filter =
     Arg.(
@@ -302,62 +318,42 @@ let stats_cmd =
       & info [ "filter" ] ~docv:"PREFIX"
           ~doc:"Keep only metrics whose component name starts with $(docv).")
   in
-  let run csv format filter cluster config =
-    let report =
-      if cluster then
-        let seed = config.Experiments.Worlds.Config.tb.Nkcore.Testbed.Config.seed in
-        let obs = observed_cluster ~trace:false ~seed in
-        Experiments.Mon_report.cluster_table ~filter obs
-      else Experiments.Mon_report.table ~filter (observed_world ~trace:false ~config)
-    in
-    match (if csv then `Csv else format) with
-    | `Table -> print_report ~csv:false report
-    | `Csv -> print_endline (Experiments.Report.to_csv report)
-    | `Json -> print_endline (Experiments.Report.to_json report)
+  let run format filter cluster config =
+    let sources = observed ~trace:false ~cluster config in
+    match format with
+    | `Table -> print_report ~csv:false (Experiments.Mon_report.table ~filter sources)
+    | `Csv -> print_report ~csv:true (Experiments.Mon_report.table ~filter sources)
+    | `Json -> print_string (Nkobs.metrics_json sources)
   in
   Cmd.v
     (Cmd.info "stats"
        ~doc:
          "Run a small NetKernel workload and print every Nkmon metric \
-          (component/instance/metric) it produced; with --cluster, the \
-          Nkobs-federated host-tagged view of a two-node fabric")
-    Term.(const run $ csv $ format $ filter $ cluster_flag $ world_config_term)
+          (host/component/instance/metric) it produced; with --cluster, the \
+          same view of a two-node fabric")
+    Term.(const run $ format $ filter $ cluster_flag $ world_config_term)
 
 let trace_cmd =
   let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of JSON.") in
   let run csv cluster config =
-    if cluster then begin
-      let seed = config.Experiments.Worlds.Config.tb.Nkcore.Testbed.Config.seed in
-      let obs = observed_cluster ~trace:true ~seed in
-      if csv then print_string (Nkobs.merged_trace_csv obs)
-      else print_string (Nkobs.merged_trace_json obs);
-      List.iter
-        (fun (host, mon) ->
-          let dropped = Nkmon.dropped_events mon in
-          if dropped > 0 then
-            Printf.eprintf "nk trace: warning: host %s dropped %d events\n" host dropped)
-        (Nkobs.sources obs)
-    end
-    else begin
-      let mon = observed_world ~trace:true ~config in
-      let tr = Nkmon.trace mon in
-      if csv then print_string (Nkmon.Trace.to_csv tr)
-      else print_string (Nkmon.Trace.to_json tr);
-      let dropped = Nkmon.Trace.dropped tr in
-      if dropped > 0 then
-        Printf.eprintf
-          "nk trace: warning: %d events dropped (ring capacity %d); rerun with a \
-           larger trace ring to keep them\n"
-          dropped
-          (Nkmon.Trace.capacity tr)
-    end
+    let sources = observed ~trace:true ~cluster config in
+    print_string ((if csv then Nkobs.trace_csv else Nkobs.trace_json) sources);
+    List.iter
+      (fun (host, mon) ->
+        let dropped = Nkmon.dropped_events mon in
+        if dropped > 0 then
+          Printf.eprintf
+            "nk trace: warning: host %s dropped %d events (ring capacity %d)\n" host
+            dropped
+            (Nkmon.Trace.capacity (Nkmon.trace mon)))
+      sources
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:
          "Run a small NetKernel workload with event tracing enabled and dump \
-          the virtual-time trace (JSON by default); with --cluster, every \
-          host's trace merged in virtual-time order")
+          the host-tagged virtual-time trace (JSON by default); with \
+          --cluster, every host's trace merged in virtual-time order")
     Term.(const run $ csv $ cluster_flag $ world_config_term)
 
 let write_file path contents =

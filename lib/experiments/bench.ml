@@ -16,21 +16,8 @@ type entry = {
 
 (* ---- serialization ------------------------------------------------------ *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json entries =
-  let str s = "\"" ^ escape s ^ "\"" in
+  let str s = "\"" ^ Nkmon.json_escape s ^ "\"" in
   let arr items = "[" ^ String.concat ", " items ^ "]" in
   (* Fixed decimals keep the rendering deterministic across runs. *)
   let pctl (p : Report.pctl) =
@@ -352,3 +339,21 @@ let of_report ~wall_s (r : Report.t) =
     b_percentiles = r.Report.percentiles;
     b_wall_s = wall_s;
   }
+
+(* The whole rendered report is compared, notes included: a snapshot keeps
+   only rows and percentiles, but a nondeterministic note (an error count,
+   a flight-dump digest) is as much a behaviour leak as a drifted cell. *)
+let run_twice run =
+  let first, wall_s = run () in
+  let second, _ = run () in
+  let lines r = String.split_on_char '\n' (Report.to_json r) in
+  let rec first_diff = function
+    | a :: ra, b :: rb -> if String.equal a b then first_diff (ra, rb) else Some (a, b)
+    | a :: _, [] -> Some (a, "(missing)")
+    | [], b :: _ -> Some ("(missing)", b)
+    | [], [] -> None
+  in
+  match first_diff (lines first, lines second) with
+  | None -> Ok (of_report ~wall_s first)
+  | Some (a, b) ->
+      Error (Printf.sprintf "run 1: %s\nrun 2: %s" (String.trim a) (String.trim b))

@@ -17,6 +17,13 @@ type entry = {
 
 val of_report : wall_s:float -> Report.t -> entry
 
+val run_twice : (unit -> Report.t * float) -> (entry, string) result
+(** Run an experiment twice; [run] returns its report and the wall-clock
+    seconds it took. [Ok] holds the snapshot of the first run (its
+    [wall_s] is one run's time) when both runs render byte-identical
+    {!Report.to_json}: rows, percentiles and notes. [Error] quotes the
+    first line where the two renderings differ. *)
+
 val to_json : entry list -> string
 
 val of_json : string -> (entry list, string) result

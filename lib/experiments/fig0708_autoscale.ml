@@ -15,31 +15,6 @@
 
 open Nkcore
 
-let sparkline values =
-  let ramp = [| ' '; '.'; ':'; '-'; '='; '+'; '*'; '#' |] in
-  let peak = Array.fold_left Float.max 1e-9 values in
-  String.init (Array.length values) (fun i ->
-      let level = int_of_float (values.(i) /. peak *. 7.0) in
-      ramp.(Int.max 0 (Int.min 7 level)))
-
-(* Bucket a (time, value) series into [k] equal bins over [0, duration],
-   averaging within each bin (empty bins repeat the previous value). *)
-let bucket ~k ~duration series =
-  let sums = Array.make k 0.0 and counts = Array.make k 0 in
-  List.iter
-    (fun (time, v) ->
-      let i = Int.min (k - 1) (Int.max 0 (int_of_float (time /. duration *. float_of_int k))) in
-      sums.(i) <- sums.(i) +. v;
-      counts.(i) <- counts.(i) + 1)
-    series;
-  let out = Array.make k 0.0 in
-  let prev = ref 0.0 in
-  for i = 0 to k - 1 do
-    if counts.(i) > 0 then prev := sums.(i) /. float_of_int counts.(i);
-    out.(i) <- !prev
-  done;
-  out
-
 let nsm_vcpus = 1
 
 let run ?(quick = false) () =
@@ -144,10 +119,10 @@ let run ?(quick = false) () =
   let stats = Nkctl.stats ctl in
   let k = 40 in
   let of_samples f =
-    bucket ~k ~duration (List.map (fun s -> (s.Nkctl.s_time, f s)) samples)
+    Report.bucket ~k ~duration (List.map (fun s -> (s.Nkctl.s_time, f s)) samples)
   in
   let offered =
-    bucket ~k ~duration
+    Report.bucket ~k ~duration
       (List.init 120 (fun i ->
            let t = float_of_int i /. 119.0 *. duration in
            ( t,
@@ -158,22 +133,12 @@ let run ?(quick = false) () =
   let nsms = of_samples (fun s -> float_of_int s.Nkctl.s_active) in
   let util = of_samples (fun s -> s.Nkctl.s_utilization) in
   let conns = of_samples (fun s -> float_of_int s.Nkctl.s_conns) in
-  let fmin a = Array.fold_left Float.min infinity a in
-  let fmax a = Array.fold_left Float.max neg_infinity a in
-  let digits a =
-    String.init (Array.length a) (fun i ->
-        let v = Int.max 0 (Int.min 9 (int_of_float (Float.round a.(i)))) in
-        Char.chr (Char.code '0' + v))
-  in
-  let frow name a render =
-    [ name; Printf.sprintf "%.2f" (fmin a); Printf.sprintf "%.2f" (fmax a); render a ]
-  in
   let rows =
     [
-      frow "offered load (rps, 3 AGs)" offered sparkline;
-      frow "NSM vCPU utilization" util sparkline;
-      frow "active NSMs" nsms digits;
-      frow "CE connection entries" conns sparkline;
+      Report.series_row "offered load (rps, 3 AGs)" offered Report.sparkline;
+      Report.series_row "NSM vCPU utilization" util Report.sparkline;
+      Report.series_row "active NSMs" nsms Report.digits;
+      Report.series_row "CE connection entries" conns Report.sparkline;
     ]
   in
   Report.make ~id:"fig0708"

@@ -5,13 +5,6 @@
    average utilization and bursty per-minute rates. The report summarizes
    each AG series plus a coarse sparkline of the hour. *)
 
-let sparkline rates =
-  let ramp = [| ' '; '.'; ':'; '-'; '='; '+'; '*'; '#' |] in
-  let peak = Array.fold_left Float.max 1e-9 rates in
-  String.init (Array.length rates) (fun i ->
-      let level = int_of_float (rates.(i) /. peak *. 7.0) in
-      ramp.(Int.max 0 (Int.min 7 level)))
-
 let run ?quick:(_ = false) () =
   let fleet = Nktrace.Traffic.generate_fleet ~seed:2018 ~n:64 () in
   let top3 = Nktrace.Traffic.top_k_by_utilization fleet 3 in
@@ -25,7 +18,7 @@ let run ?quick:(_ = false) () =
           Printf.sprintf "%.1f" (Nktrace.Traffic.peak_to_mean t);
           Printf.sprintf "%.2f"
             (Nkutil.Stats.coefficient_of_variation t.Nktrace.Traffic.rates);
-          sparkline t.Nktrace.Traffic.rates;
+          Report.sparkline t.Nktrace.Traffic.rates;
         ])
       top3
   in

@@ -18,31 +18,6 @@
 
 open Nkcore
 
-let sparkline values =
-  let ramp = [| ' '; '.'; ':'; '-'; '='; '+'; '*'; '#' |] in
-  let peak = Array.fold_left Float.max 1e-9 values in
-  String.init (Array.length values) (fun i ->
-      let level = int_of_float (values.(i) /. peak *. 7.0) in
-      ramp.(Int.max 0 (Int.min 7 level)))
-
-(* Bucket a (time, value) series into [k] equal bins over [0, duration],
-   averaging within each bin (empty bins repeat the previous value). *)
-let bucket ~k ~duration series =
-  let sums = Array.make k 0.0 and counts = Array.make k 0 in
-  List.iter
-    (fun (time, v) ->
-      let i = Int.min (k - 1) (Int.max 0 (int_of_float (time /. duration *. float_of_int k))) in
-      sums.(i) <- sums.(i) +. v;
-      counts.(i) <- counts.(i) + 1)
-    series;
-  let out = Array.make k 0.0 in
-  let prev = ref 0.0 in
-  for i = 0 to k - 1 do
-    if counts.(i) > 0 then prev := sums.(i) /. float_of_int counts.(i);
-    out.(i) <- !prev
-  done;
-  out
-
 let n_vms = 4
 
 let run ?(quick = false) () =
@@ -166,7 +141,7 @@ let run ?(quick = false) () =
   in
   let samples = List.rev !samples in
   let k = 40 in
-  let series f = bucket ~k ~duration (List.map f samples) in
+  let series f = Report.bucket ~k ~duration (List.map f samples) in
   let util_a = series (fun (t, u, _, _) -> (t, u.(0))) in
   let util_b = series (fun (t, u, _, _) -> (t, u.(1))) in
   let vms_a = series (fun (t, _, c, _) -> (t, float_of_int c.(0))) in
@@ -177,23 +152,13 @@ let run ?(quick = false) () =
     Array.mapi (fun i v -> if i = 0 then v else Float.max 0.0 (v -. cum.(i - 1))) cum
   in
   let st = Nkfabric.stats cluster in
-  let fmin a = Array.fold_left Float.min infinity a in
-  let fmax a = Array.fold_left Float.max neg_infinity a in
-  let digits a =
-    String.init (Array.length a) (fun i ->
-        let v = Int.max 0 (Int.min 9 (int_of_float (Float.round a.(i)))) in
-        Char.chr (Char.code '0' + v))
-  in
-  let frow name a render =
-    [ name; Printf.sprintf "%.2f" (fmin a); Printf.sprintf "%.2f" (fmax a); render a ]
-  in
   let rows =
     [
-      frow "nodeA NSM vCPU utilization" util_a sparkline;
-      frow "nodeB NSM vCPU utilization" util_b sparkline;
-      frow "VMs served on nodeA" vms_a digits;
-      frow "VMs served on nodeB" vms_b digits;
-      frow "spine NQEs shipped (per bucket)" spine sparkline;
+      Report.series_row "nodeA NSM vCPU utilization" util_a Report.sparkline;
+      Report.series_row "nodeB NSM vCPU utilization" util_b Report.sparkline;
+      Report.series_row "VMs served on nodeA" vms_a Report.digits;
+      Report.series_row "VMs served on nodeB" vms_b Report.digits;
+      Report.series_row "spine NQEs shipped (per bucket)" spine Report.sparkline;
     ]
   in
   Report.make ~id:"fig-cluster"

@@ -1,47 +1,19 @@
-let table ?(id = "stats") ?(title = "Nkmon metrics") ?(filter = "") mon =
-  let rows = Nkmon.Registry.to_rows (Nkmon.registry mon) in
+let table ?(filter = "") sources =
   let rows =
-    if filter = "" then rows
-    else
-      List.filter
-        (fun row ->
-          match row with
-          | component :: _ ->
-              String.length component >= String.length filter
-              && String.equal (String.sub component 0 (String.length filter)) filter
-          | [] -> false)
-        rows
+    List.filter
+      (function
+        | _host :: component :: _ -> String.starts_with ~prefix:filter component
+        | _ -> false)
+      (Nkobs.metric_rows sources)
   in
   (* Truncation must be visible in the snapshot itself: a trace ring that
      wrapped silently would make every downstream event count a lie. *)
-  let notes =
-    let d = Nkmon.dropped_events mon in
-    if d = 0 then []
-    else [ Printf.sprintf "trace ring dropped %d events (oldest overwritten)" d ]
-  in
-  Report.make ~id ~title ~headers:Nkmon.Registry.row_headers ~notes rows
-
-let cluster_table ?(id = "stats-cluster") ?(title = "Nkobs federated metrics")
-    ?(filter = "") obs =
-  let rows = Nkobs.to_rows obs in
-  let rows =
-    if filter = "" then rows
-    else
-      List.filter
-        (fun row ->
-          match row with
-          | _host :: component :: _ ->
-              String.length component >= String.length filter
-              && String.equal (String.sub component 0 (String.length filter)) filter
-          | _ -> false)
-        rows
-  in
   let notes =
     List.filter_map
       (fun (host, mon) ->
         let d = Nkmon.dropped_events mon in
         if d = 0 then None
         else Some (Printf.sprintf "host %s: trace ring dropped %d events" host d))
-      (Nkobs.sources obs)
+      sources
   in
-  Report.make ~id ~title ~headers:Nkobs.row_headers ~notes rows
+  Report.make ~id:"stats" ~title:"Nkmon metrics" ~headers:Nkobs.row_headers ~notes rows

@@ -1,17 +1,12 @@
-(** Render an {!Nkmon} registry (or an {!Nkobs} federation of them) as a
-    {!Report} table, so observability snapshots print and export exactly
-    like experiment results. *)
+(** Render host-tagged {!Nkmon} registries as a {!Report} table, so
+    observability snapshots print and export exactly like experiment
+    results. *)
 
-val table : ?id:string -> ?title:string -> ?filter:string -> Nkmon.t -> Report.t
-(** One row per registered metric in deterministic
-    [component/instance/metric] order; histograms and time series are
-    summarised into the value cell. [filter] keeps only rows whose
-    component name starts with it (default "": keep everything). A note
-    reports the trace ring's [dropped_events] count when it is nonzero,
-    so truncation shows up in every output format (table, CSV, JSON). *)
-
-val cluster_table :
-  ?id:string -> ?title:string -> ?filter:string -> Nkobs.t -> Report.t
-(** The cluster view [nk stats --cluster] prints: one host-tagged row per
-    metric of every federated source ({!Nkobs.to_rows} order), with one
-    note per source whose trace ring dropped events. *)
+val table : ?filter:string -> (string * Nkmon.t) list -> Report.t
+(** The table [nk stats] prints: one host-tagged row per metric of every
+    source ({!Nkobs.metric_rows} order). A single host is a one-element
+    source list. [filter] keeps only rows whose component name starts
+    with it (default "": keep everything). One note per source whose
+    trace ring dropped events, so truncation shows up in the printed
+    table; the [nkmon/trace/dropped_events] row carries the same count
+    into the CSV. *)

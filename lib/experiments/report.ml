@@ -65,23 +65,7 @@ let to_csv t =
   |> String.concat "\n"
 
 let to_json t =
-  let escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  in
-  let str s = "\"" ^ escape s ^ "\"" in
+  let str s = "\"" ^ Nkmon.json_escape s ^ "\"" in
   let arr items = "[" ^ String.concat ", " items ^ "]" in
   let row r = arr (List.map str r) in
   (* Fixed decimals keep the rendering deterministic across runs. *)
@@ -113,3 +97,40 @@ let cell_gbps v = Printf.sprintf "%.1f" v
 let cell_krps v = Printf.sprintf "%.1fK" (v /. 1e3)
 
 let cell_pct v = Printf.sprintf "%.0f%%" (v *. 100.0)
+
+(* ---- virtual-time series rendered as one row each ----------------------- *)
+
+let sparkline values =
+  let ramp = [| ' '; '.'; ':'; '-'; '='; '+'; '*'; '#' |] in
+  let peak = Array.fold_left Float.max 1e-9 values in
+  String.init (Array.length values) (fun i ->
+      let level = int_of_float (values.(i) /. peak *. 7.0) in
+      ramp.(Int.max 0 (Int.min 7 level)))
+
+let digits values =
+  String.init (Array.length values) (fun i ->
+      let v = Int.max 0 (Int.min 9 (int_of_float (Float.round values.(i)))) in
+      Char.chr (Char.code '0' + v))
+
+let bucket ~k ~duration series =
+  let sums = Array.make k 0.0 and counts = Array.make k 0 in
+  List.iter
+    (fun (time, v) ->
+      let i =
+        Int.min (k - 1) (Int.max 0 (int_of_float (time /. duration *. float_of_int k)))
+      in
+      sums.(i) <- sums.(i) +. v;
+      counts.(i) <- counts.(i) + 1)
+    series;
+  let out = Array.make k 0.0 in
+  let prev = ref 0.0 in
+  for i = 0 to k - 1 do
+    if counts.(i) > 0 then prev := sums.(i) /. float_of_int counts.(i);
+    out.(i) <- !prev
+  done;
+  out
+
+let series_row name values render =
+  let fmin = Array.fold_left Float.min infinity values in
+  let fmax = Array.fold_left Float.max neg_infinity values in
+  [ name; Printf.sprintf "%.2f" fmin; Printf.sprintf "%.2f" fmax; render values ]

@@ -46,3 +46,24 @@ val cell_krps : float -> string
 (** Thousands of requests per second with one decimal. *)
 
 val cell_pct : float -> string
+
+(** {1 Time series as text}
+
+    Shared by the reports that draw virtual-time series (fig07, fig0708,
+    fig-cluster, slo): one character per bucket, and one row per series
+    with its min and max. *)
+
+val sparkline : float array -> string
+(** One character per value on an 8-level ramp scaled to the peak. *)
+
+val digits : float array -> string
+(** One digit per value, rounded and clamped to 0..9 (small counts such
+    as active NSMs). *)
+
+val bucket : k:int -> duration:float -> (float * float) list -> float array
+(** Bucket a [(time, value)] series into [k] equal bins over
+    [\[0, duration\]], averaging within each bin; an empty bin repeats the
+    previous bin's value. *)
+
+val series_row : string -> float array -> (float array -> string) -> string list
+(** [[name; min; max; render values]], min and max with two decimals. *)

@@ -22,38 +22,6 @@
 
 open Nkcore
 
-let sparkline values =
-  let ramp = [| ' '; '.'; ':'; '-'; '='; '+'; '*'; '#' |] in
-  let peak = Array.fold_left Float.max 1e-9 values in
-  String.init (Array.length values) (fun i ->
-      let level = int_of_float (values.(i) /. peak *. 7.0) in
-      ramp.(Int.max 0 (Int.min 7 level)))
-
-let digits a =
-  String.init (Array.length a) (fun i ->
-      let v = Int.max 0 (Int.min 9 (int_of_float (Float.round a.(i)))) in
-      Char.chr (Char.code '0' + v))
-
-(* Bucket a (time, value) series into [k] equal bins over [0, duration],
-   averaging within each bin (empty bins repeat the previous value). *)
-let bucket ~k ~duration series =
-  let sums = Array.make k 0.0 and counts = Array.make k 0 in
-  List.iter
-    (fun (time, v) ->
-      let i =
-        Int.min (k - 1) (Int.max 0 (int_of_float (time /. duration *. float_of_int k)))
-      in
-      sums.(i) <- sums.(i) +. v;
-      counts.(i) <- counts.(i) + 1)
-    series;
-  let out = Array.make k 0.0 in
-  let prev = ref 0.0 in
-  for i = 0 to k - 1 do
-    if counts.(i) > 0 then prev := sums.(i) /. float_of_int counts.(i);
-    out.(i) <- !prev
-  done;
-  out
-
 let p99_target = 0.0005 (* seconds: the gold tenant's declared p99 ceiling *)
 
 let run ?(quick = false) () =
@@ -206,7 +174,7 @@ let run ?(quick = false) () =
   Nkctl.stop ctl;
   let samples = List.rev !samples in
   let k = 40 in
-  let series f = bucket ~k ~duration (List.map f samples) in
+  let series f = Report.bucket ~k ~duration (List.map f samples) in
   let p99_ms = series (fun (t, p, _) -> (t, p *. 1e3)) in
   let alerts_cum = series (fun (t, _, a) -> (t, a)) in
   let gold_results =
@@ -238,15 +206,10 @@ let run ?(quick = false) () =
           (Digest.to_hex (Digest.string snap))
     | None, [] -> "flight dump: none captured"
   in
-  let fmin a = Array.fold_left Float.min infinity a in
-  let fmax a = Array.fold_left Float.max neg_infinity a in
-  let frow name a render =
-    [ name; Printf.sprintf "%.2f" (fmin a); Printf.sprintf "%.2f" (fmax a); render a ]
-  in
   let rows =
     [
-      frow "gold windowed p99 (ms)" p99_ms sparkline;
-      frow "alerts raised (cumulative)" alerts_cum digits;
+      Report.series_row "gold windowed p99 (ms)" p99_ms Report.sparkline;
+      Report.series_row "alerts raised (cumulative)" alerts_cum Report.digits;
     ]
   in
   Report.make ~id:"slo"
@@ -265,7 +228,7 @@ let run ?(quick = false) () =
            gold_results.Nkapps.Loadgen.completed gold_results.Nkapps.Loadgen.errors ramp_at;
          Printf.sprintf "federation: %d hosts, %d metric rows; plane ticks %d"
            (List.length (Nkobs.sources obs))
-           (List.length (Nkobs.to_rows obs))
+           (List.length (Nkobs.metric_rows (Nkobs.sources obs)))
            (Nkobs.ticks obs);
        ]
       @ List.map (fun l -> "alert: " ^ l) alert_log

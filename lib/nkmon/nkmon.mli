@@ -37,6 +37,13 @@ val dropped_events : t -> int
     trace). Surfaced in [nk stats] / [Mon_report] output and watched by
     the Nkobs federation so silent trace truncation raises an alert. *)
 
+val json_escape : string -> string
+(** Escape a string for a JSON string literal (quotes not included):
+    quote, backslash and newline get their short escapes, other control
+    characters [\u00XX]. Shared by every JSON exporter in the simulator
+    libraries (Nkobs, Nkspan, the experiment reports and bench
+    snapshots). *)
+
 (** {1 Convenience forwarding} *)
 
 val counter : t -> component:string -> instance:string -> name:string -> Registry.counter

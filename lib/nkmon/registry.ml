@@ -83,7 +83,7 @@ let timeseries t ~bin_width ~component ~instance ~name =
       Hashtbl.replace t.table k (M_timeseries ts);
       ts
 
-(* ---- enumeration and export --------------------------------------------- *)
+(* ---- enumeration ---------------------------------------------------------- *)
 
 type value =
   | Counter of int
@@ -112,91 +112,3 @@ let entries t =
   |> List.rev
 
 let cardinality t = Hashtbl.length t.table
-
-let fmt_float v =
-  (* Compact but deterministic: integers print without a mantissa tail. *)
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%g" v
-
-let value_cell = function
-  | Counter n -> string_of_int n
-  | Gauge v -> fmt_float v
-  | Histogram h ->
-      let module H = Nkutil.Histogram in
-      Printf.sprintf "n=%d mean=%s p50=%s p99=%s max=%s" (H.count h) (fmt_float (H.mean h))
-        (fmt_float (H.percentile h 50.0))
-        (fmt_float (H.percentile h 99.0))
-        (fmt_float (H.max h))
-  | Timeseries ts ->
-      let module T = Nkutil.Timeseries in
-      let total = Array.fold_left ( +. ) 0.0 (T.to_array ts) in
-      Printf.sprintf "bins=%d width=%s total=%s" (T.num_bins ts) (fmt_float (T.bin_width ts))
-        (fmt_float total)
-
-let row_headers = [ "component"; "instance"; "metric"; "value" ]
-
-let to_rows t =
-  List.map (fun e -> [ e.component; e.instance; e.metric; value_cell e.value ]) (entries t)
-
-let to_csv t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (String.concat "," row_headers);
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun row ->
-      Buffer.add_string buf (String.concat "," (List.map (fun c -> "\"" ^ c ^ "\"") row));
-      Buffer.add_char buf '\n')
-    (to_rows t);
-  Buffer.contents buf
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_float v = Printf.sprintf "%.9g" v
-
-let value_json = function
-  | Counter n -> Printf.sprintf "\"kind\":\"counter\",\"value\":%d" n
-  | Gauge v -> Printf.sprintf "\"kind\":\"gauge\",\"value\":%s" (json_float v)
-  | Histogram h ->
-      let module H = Nkutil.Histogram in
-      Printf.sprintf
-        "\"kind\":\"histogram\",\"count\":%d,\"mean\":%s,\"p50\":%s,\"p90\":%s,\"p99\":%s,\"max\":%s"
-        (H.count h) (json_float (H.mean h))
-        (json_float (H.percentile h 50.0))
-        (json_float (H.percentile h 90.0))
-        (json_float (H.percentile h 99.0))
-        (json_float (H.max h))
-  | Timeseries ts ->
-      let module T = Nkutil.Timeseries in
-      let bins =
-        T.to_array ts |> Array.to_list |> List.map json_float |> String.concat ","
-      in
-      Printf.sprintf "\"kind\":\"timeseries\",\"bin_width\":%s,\"bins\":[%s]"
-        (json_float (T.bin_width ts))
-        bins
-
-let to_json t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"metrics\":[\n";
-  let first = ref true in
-  List.iter
-    (fun e ->
-      if not !first then Buffer.add_string buf ",\n";
-      first := false;
-      Buffer.add_string buf
-        (Printf.sprintf "{\"component\":\"%s\",\"instance\":\"%s\",\"metric\":\"%s\",%s}"
-           (json_escape e.component) (json_escape e.instance) (json_escape e.metric)
-           (value_json e.value)))
-    (entries t);
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf

@@ -18,8 +18,12 @@
     Registration is idempotent: asking for an existing key of the same
     kind returns the existing handle, so a component can re-derive its
     handles without double counting. Asking for an existing key with a
-    different kind raises [Invalid_argument]. Enumeration and export are
-    sorted by key, so output is independent of registration order. *)
+    different kind raises [Invalid_argument]. Enumeration is sorted by
+    key, so output is independent of registration order.
+
+    The registry does not render itself: [Nkobs.metric_rows] and
+    [Nkobs.metrics_json] export any list of host-tagged registries, and a
+    single host is a one-element list. *)
 
 type t
 
@@ -66,7 +70,7 @@ val timeseries :
   Nkutil.Timeseries.t
 (** [bin_width] applies only on first registration. *)
 
-(** {1 Enumeration and export} *)
+(** {1 Enumeration} *)
 
 type value =
   | Counter of int
@@ -83,24 +87,3 @@ val entries : t -> entry list
 (** All registered metrics, sorted by [component/instance/metric]. *)
 
 val cardinality : t -> int
-
-val row_headers : string list
-(** ["component"; "instance"; "metric"; "value"] — matches {!to_rows}. *)
-
-val value_cell : value -> string
-(** The table/CSV rendering of one value — counters and gauges as numbers,
-    histograms and time series summarised. Exposed so cross-host
-    aggregators (Nkobs federation) render merged rows identically. *)
-
-val value_json : value -> string
-(** The JSON body rendered for one value (the [kind/value] fields of a
-    {!to_json} metric object, without the surrounding braces). *)
-
-val to_rows : t -> string list list
-(** One row per metric in {!entries} order; histograms and time series
-    are summarised into the value cell. *)
-
-val to_csv : t -> string
-
-val to_json : t -> string
-(** Deterministic: identical registry contents serialize byte-identically. *)

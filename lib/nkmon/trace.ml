@@ -86,7 +86,7 @@ let event_type = function
   | Hugepage_free _ -> "hugepage_free"
   | Custom _ -> "custom"
 
-(* Every event flattens to (string * string) pairs used by both exports. *)
+(* Every event flattens to (string * string) pairs for the exporters. *)
 let event_args = function
   | Nqe_enqueue { device; qset; queue; op; vm_id; sock } ->
       [
@@ -137,67 +137,3 @@ let event_args = function
       [ ("region", region); ("offset", string_of_int offset); ("len", string_of_int len) ]
   | Custom { component; name; detail } ->
       [ ("component", component); ("name", name); ("detail", detail) ]
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let fmt_time time = Printf.sprintf "%.9f" time
-
-let record_to_json r =
-  let args =
-    event_args r.event
-    |> List.map (fun (k, v) ->
-           (* Numeric fields stay numbers in JSON. *)
-           match int_of_string_opt v with
-           | Some _ when k <> "op" && k <> "dst" -> Printf.sprintf "\"%s\":%s" k v
-           | _ -> Printf.sprintf "\"%s\":\"%s\"" k (json_escape v))
-    |> String.concat ","
-  in
-  Printf.sprintf "{\"seq\":%d,\"time\":%s,\"type\":\"%s\"%s%s}" r.seq (fmt_time r.time)
-    (event_type r.event)
-    (if args = "" then "" else ",")
-    args
-
-let to_json t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"events\":[\n";
-  let first = ref true in
-  List.iter
-    (fun r ->
-      if not !first then Buffer.add_string buf ",\n";
-      first := false;
-      Buffer.add_string buf (record_to_json r))
-    (records t);
-  Buffer.add_string buf
-    (Printf.sprintf "\n],\"recorded\":%d,\"dropped\":%d}\n" (recorded t) (dropped t));
-  Buffer.contents buf
-
-let to_csv t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "seq,time,type,args\n";
-  List.iter
-    (fun r ->
-      let args =
-        event_args r.event
-        |> List.map (fun (k, v) -> k ^ "=" ^ v)
-        |> String.concat ";"
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "%d,%s,%s,\"%s\"\n" r.seq (fmt_time r.time) (event_type r.event)
-           args))
-    (records t);
-  if dropped t > 0 then
-    Buffer.add_string buf
-      (Printf.sprintf "# dropped %d events (ring capacity %d; oldest overwritten)\n"
-         (dropped t) (capacity t));
-  Buffer.contents buf

@@ -9,8 +9,10 @@
 
     Recording is gated on {!enabled} (default off): components guard
     their event construction with it, so a disabled trace costs one
-    branch per event site. Export is deterministic — two identical
-    seeded runs produce byte-identical {!to_json} / {!to_csv} output. *)
+    branch per event site. The trace does not render itself:
+    [Nkobs.trace_csv] and [Nkobs.trace_json] export any list of
+    host-tagged traces, and a single host is a one-element list. Two
+    identical seeded runs export byte-identically. *)
 
 type queue = Job | Completion | Send | Receive
 
@@ -80,16 +82,5 @@ val clear : t -> unit
 val event_type : event -> string
 
 val event_args : event -> (string * string) list
-(** The event's payload as ordered [key, value] pairs — the same pairs
-    {!to_json} / {!to_csv} render. Exposed so cross-host aggregators
-    (Nkobs federation, the flight recorder) can re-render merged streams
-    without reimplementing the taxonomy. *)
-
-val to_json : t -> string
-(** [{"events":[...],"recorded":N,"dropped":M}], one event object per
-    line, deterministic. *)
-
-val to_csv : t -> string
-(** Header [seq,time,type,args]; [args] is a semicolon-separated
-    [key=value] list. When events were dropped (ring wraparound) a trailing
-    ["# dropped ..."] comment line warns about the truncation. *)
+(** The event's payload as ordered [key, value] pairs, the fields the
+    Nkobs trace exporters and flight recorder render. *)

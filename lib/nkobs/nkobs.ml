@@ -236,60 +236,77 @@ let alert_count t = List.length t.alert_log
 
 let ticks t = t.n_ticks
 
-(* ---- metric federation --------------------------------------------------- *)
+(* ---- export: any host-tagged source list ---------------------------------- *)
+
+let cell_float v =
+  (* Compact but deterministic: integers print without a mantissa tail. *)
+  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else Printf.sprintf "%g" v
+
+let value_cell = function
+  | Registry.Counter n -> string_of_int n
+  | Registry.Gauge v -> cell_float v
+  | Registry.Histogram h ->
+      Printf.sprintf "n=%d mean=%s p50=%s p99=%s max=%s" (Histogram.count h)
+        (cell_float (Histogram.mean h))
+        (cell_float (Histogram.percentile h 50.0))
+        (cell_float (Histogram.percentile h 99.0))
+        (cell_float (Histogram.max h))
+  | Registry.Timeseries ts ->
+      let module T = Nkutil.Timeseries in
+      let total = Array.fold_left ( +. ) 0.0 (T.to_array ts) in
+      Printf.sprintf "bins=%d width=%s total=%s" (T.num_bins ts)
+        (cell_float (T.bin_width ts))
+        (cell_float total)
+
+let value_json = function
+  | Registry.Counter n -> Printf.sprintf "\"kind\":\"counter\",\"value\":%d" n
+  | Registry.Gauge v -> Printf.sprintf "\"kind\":\"gauge\",\"value\":%s" (fmt_float v)
+  | Registry.Histogram h ->
+      Printf.sprintf
+        "\"kind\":\"histogram\",\"count\":%d,\"mean\":%s,\"p50\":%s,\"p90\":%s,\"p99\":%s,\"max\":%s"
+        (Histogram.count h)
+        (fmt_float (Histogram.mean h))
+        (fmt_float (Histogram.percentile h 50.0))
+        (fmt_float (Histogram.percentile h 90.0))
+        (fmt_float (Histogram.percentile h 99.0))
+        (fmt_float (Histogram.max h))
+  | Registry.Timeseries ts ->
+      let module T = Nkutil.Timeseries in
+      let bins =
+        T.to_array ts |> Array.to_list |> List.map fmt_float |> String.concat ","
+      in
+      Printf.sprintf "\"kind\":\"timeseries\",\"bin_width\":%s,\"bins\":[%s]"
+        (fmt_float (T.bin_width ts))
+        bins
 
 let row_headers = [ "host"; "component"; "instance"; "metric"; "value" ]
 
-let to_rows t =
+let metric_rows sources =
   List.concat_map
-    (fun s ->
+    (fun (host, mon) ->
       List.map
         (fun (e : Registry.entry) ->
-          [ s.s_host; e.component; e.instance; e.metric; Registry.value_cell e.value ])
-        (Registry.entries (Nkmon.registry s.s_mon)))
-    t.srcs
+          [ host; e.component; e.instance; e.metric; value_cell e.value ])
+        (Registry.entries (Nkmon.registry mon)))
+    sources
 
-let to_csv t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (String.concat "," row_headers);
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun row ->
-      Buffer.add_string buf (String.concat "," (List.map (fun c -> "\"" ^ c ^ "\"") row));
-      Buffer.add_char buf '\n')
-    (to_rows t);
-  Buffer.contents buf
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let to_json t =
+let metrics_json sources =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"hosts\":[";
   List.iteri
-    (fun i s ->
+    (fun i (host, mon) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf "{\"host\":\"%s\",\"metrics\":%d,\"dropped_events\":%d}"
-           (json_escape s.s_host)
-           (Registry.cardinality (Nkmon.registry s.s_mon))
-           (Nkmon.dropped_events s.s_mon)))
-    t.srcs;
+           (Nkmon.json_escape host)
+           (Registry.cardinality (Nkmon.registry mon))
+           (Nkmon.dropped_events mon)))
+    sources;
   Buffer.add_string buf "],\"metrics\":[\n";
   let first = ref true in
   List.iter
-    (fun s ->
+    (fun (host, mon) ->
       List.iter
         (fun (e : Registry.entry) ->
           if not !first then Buffer.add_string buf ",\n";
@@ -297,10 +314,11 @@ let to_json t =
           Buffer.add_string buf
             (Printf.sprintf
                "{\"host\":\"%s\",\"component\":\"%s\",\"instance\":\"%s\",\"metric\":\"%s\",%s}"
-               (json_escape s.s_host) (json_escape e.component) (json_escape e.instance)
-               (json_escape e.metric) (Registry.value_json e.value)))
-        (Registry.entries (Nkmon.registry s.s_mon)))
-    t.srcs;
+               (Nkmon.json_escape host) (Nkmon.json_escape e.component)
+               (Nkmon.json_escape e.instance) (Nkmon.json_escape e.metric)
+               (value_json e.value)))
+        (Registry.entries (Nkmon.registry mon)))
+    sources;
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf
 
@@ -325,37 +343,42 @@ let merge_records per_src =
            if c <> 0 then c else Int.compare ra.Trace.seq rb.Trace.seq)
        tagged)
 
-let merged_trace t =
+let merged_trace sources =
   merge_records
-    (List.map (fun s -> (s.s_host, Trace.records (Nkmon.trace s.s_mon))) t.srcs)
+    (List.map (fun (host, mon) -> (host, Trace.records (Nkmon.trace mon))) sources)
 
 let fmt_time = Printf.sprintf "%.9f"
 
-let add_record_csv buf (host, (r : Trace.record)) =
-  let args =
-    Trace.event_args r.Trace.event
-    |> List.map (fun (k, v) -> k ^ "=" ^ v)
-    |> String.concat ";"
-  in
-  Buffer.add_string buf
-    (Printf.sprintf "%s,%d,%s,%s,\"%s\"\n" host r.Trace.seq (fmt_time r.Trace.time)
-       (Trace.event_type r.Trace.event)
-       args)
-
-let merged_trace_csv t =
-  let buf = Buffer.create 4096 in
+(* The CSV header and one line per host-tagged record: the body of both
+   {!trace_csv} and a flight dump. *)
+let add_records_csv buf merged =
   Buffer.add_string buf "host,seq,time,type,args\n";
-  List.iter (fun tagged -> add_record_csv buf tagged) (merged_trace t);
   List.iter
-    (fun s ->
-      let d = Nkmon.dropped_events s.s_mon in
+    (fun (host, (r : Trace.record)) ->
+      let args =
+        Trace.event_args r.Trace.event
+        |> List.map (fun (k, v) -> k ^ "=" ^ v)
+        |> String.concat ";"
+      in
+      Buffer.add_string buf
+        (Printf.sprintf "%s,%d,%s,%s,\"%s\"\n" host r.Trace.seq (fmt_time r.Trace.time)
+           (Trace.event_type r.Trace.event)
+           args))
+    merged
+
+let trace_csv sources =
+  let buf = Buffer.create 4096 in
+  add_records_csv buf (merged_trace sources);
+  List.iter
+    (fun (host, mon) ->
+      let d = Nkmon.dropped_events mon in
       if d > 0 then
         Buffer.add_string buf
-          (Printf.sprintf "# host %s dropped %d events (ring wraparound)\n" s.s_host d))
-    t.srcs;
+          (Printf.sprintf "# host %s dropped %d events (ring wraparound)\n" host d))
+    sources;
   Buffer.contents buf
 
-let merged_trace_json t =
+let trace_json sources =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"events\":[\n";
   let first = ref true in
@@ -365,24 +388,24 @@ let merged_trace_json t =
       let args =
         Trace.event_args r.Trace.event
         |> List.map (fun (k, v) ->
-               Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
+               Printf.sprintf "\"%s\":\"%s\"" (Nkmon.json_escape k) (Nkmon.json_escape v))
         |> String.concat ","
       in
       Buffer.add_string buf
         (Printf.sprintf
            "{\"host\":\"%s\",\"seq\":%d,\"time\":%s,\"type\":\"%s\",\"args\":{%s}}"
-           (json_escape host) r.Trace.seq (fmt_time r.Trace.time)
-           (json_escape (Trace.event_type r.Trace.event))
+           (Nkmon.json_escape host) r.Trace.seq (fmt_time r.Trace.time)
+           (Nkmon.json_escape (Trace.event_type r.Trace.event))
            args))
-    (merged_trace t);
+    (merged_trace sources);
   Buffer.add_string buf "\n],\"dropped\":[";
   List.iteri
-    (fun i s ->
+    (fun i (host, mon) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "{\"host\":\"%s\",\"dropped_events\":%d}" (json_escape s.s_host)
-           (Nkmon.dropped_events s.s_mon)))
-    t.srcs;
+        (Printf.sprintf "{\"host\":\"%s\",\"dropped_events\":%d}" (Nkmon.json_escape host)
+           (Nkmon.dropped_events mon)))
+    sources;
   Buffer.add_string buf "]}\n";
   Buffer.contents buf
 
@@ -397,14 +420,11 @@ let flight_snapshot t ~time alert =
   Buffer.add_string buf
     (Printf.sprintf "# flight time=%s type=%s %s\n" (fmt_time time) (alert_type alert)
        (alert_detail alert));
-  Buffer.add_string buf "host,seq,time,type,args\n";
-  let merged =
-    merge_records
-      (List.map
-         (fun s -> (s.s_host, last_n t.flight_depth (Trace.records (Nkmon.trace s.s_mon))))
-         t.srcs)
-  in
-  List.iter (fun tagged -> add_record_csv buf tagged) merged;
+  add_records_csv buf
+    (merge_records
+       (List.map
+          (fun s -> (s.s_host, last_n t.flight_depth (Trace.records (Nkmon.trace s.s_mon))))
+          t.srcs));
   Buffer.contents buf
 
 let dumps t = List.rev t.dump_log

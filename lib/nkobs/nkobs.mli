@@ -5,10 +5,12 @@
     Nkobs is the layer above — one [Nkobs.t] watches any number of hosts
     and turns their per-host state into an operator view:
 
-    - {e metric federation}: walk every source registry and produce one
-      merged, host-tagged snapshot ({!to_rows}/{!to_csv}/{!to_json}) and
-      one merged trace ordered by virtual time ({!merged_trace_csv}) —
-      what [nk stats --cluster] and [nk trace --cluster] print;
+    - {e the export path}: render any list of host-tagged Nkmon handles
+      as metric rows ({!metric_rows}), metric JSON ({!metrics_json}) and
+      one trace merged in virtual-time order ({!trace_csv},
+      {!trace_json}). A plane exports its {!sources}; a single host is a
+      one-element list and needs no plane. This is what [nk stats] and
+      [nk trace] print, with or without [--cluster];
     - {e per-tenant SLO accounting}: rolling windows over each tenant's
       cumulative request counts and latency histogram, evaluated against
       declared targets (p99 ceiling, error-rate ceiling) on virtual-time
@@ -122,7 +124,9 @@ val create :
     recorded into its trace and the plane's counters
     ([nkobs/plane/ticks], [nkobs/plane/alerts]) into its registry —
     normally the cluster-scope [tb.mon], which {!add_source} then also
-    federates as a source. [period] (default 10 ms) is the evaluation
+    federates as a source. Creating a plane registers its [nkobs/plane/*]
+    metrics into [mon], which is why exporting a single host takes no
+    plane. [period] (default 10 ms) is the evaluation
     tick; [flight_depth] (default 64) bounds the per-host event count in
     a flight dump; [max_dumps] (default 8) bounds retained dumps (later
     alerts still count and fan out, they just stop dumping). *)
@@ -178,32 +182,37 @@ val tick : t -> unit
 
 val ticks : t -> int
 
-(** {1 Metric federation} *)
+(** {1 Export}
+
+    Every exporter takes a list of [(host, Nkmon.t)] sources: a plane's
+    {!sources}, or [[ (host, mon) ]] for a single host. Sources are
+    rendered in list order. *)
 
 val row_headers : string list
 (** ["host"; "component"; "instance"; "metric"; "value"]. *)
 
-val to_rows : t -> string list list
-(** One row per metric of every source, host tag first — sources in add
-    order, each source's rows in its registry's sorted order. *)
+val metric_rows : (string * Nkmon.t) list -> string list list
+(** One row per metric of every source, host tag first, each source's
+    rows in {!Nkmon.Registry.entries} order. Histograms and time series
+    are summarised into the value cell. *)
 
-val to_csv : t -> string
+val metrics_json : (string * Nkmon.t) list -> string
+(** [{"hosts":[...],"metrics":[...]}], deterministic. Each metric object
+    carries its [host] tag and full detail: histogram count, mean,
+    p50/p90/p99 and max, every time-series bin. Each host object carries
+    its metric count and trace [dropped_events], so truncation is visible
+    in the export itself. *)
 
-val to_json : t -> string
-(** [{"hosts":[...],"metrics":[...]}], deterministic; each metric object
-    carries its [host] tag, and each host object its trace
-    [dropped_events] count so truncation is visible in the export
-    itself. *)
-
-val merged_trace : t -> (string * Nkmon.Trace.record) list
+val merged_trace : (string * Nkmon.t) list -> (string * Nkmon.Trace.record) list
 (** All sources' retained trace events, host-tagged and merged in
-    virtual-time order (ties: source add order, then sequence number). *)
+    virtual-time order (ties: source list order, then sequence number). *)
 
-val merged_trace_csv : t -> string
-(** Header [host,seq,time,type,args]; a trailing comment warns when any
-    source dropped events. *)
+val trace_csv : (string * Nkmon.t) list -> string
+(** Header [host,seq,time,type,args]; [args] is a semicolon-separated
+    [key=value] list. A trailing comment line per source warns when that
+    source's ring dropped events. *)
 
-val merged_trace_json : t -> string
+val trace_json : (string * Nkmon.t) list -> string
 (** [{"events":[...],"dropped":[...]}], same order as {!merged_trace};
     every event object carries its [host] tag and the [dropped] array the
     per-source [dropped_events] counts. *)

@@ -236,19 +236,6 @@ let breakdown t =
 
 (* ---- Chrome trace-event (catapult JSON) export ------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Microseconds with fixed decimals: virtual times are deterministic, so the
    rendered JSON is byte-identical across same-seed runs. *)
 let usec v = Printf.sprintf "%.3f" (v *. 1e6)
@@ -273,19 +260,19 @@ let to_catapult t =
     Buffer.add_string buf
       (Printf.sprintf
          "\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":%d,\"tid\":%d,\"args\":{%s}}"
-         (json_escape name) cat (usec ts) (usec dur) pid tid args)
+         (Nkmon.json_escape name) cat (usec ts) (usec dur) pid tid args)
   in
   List.iter
     (fun sp ->
       let pid = pid_of sp.vm in
       emit ~name:"request" ~cat:"span" ~ts:sp.birth ~dur:(sp.finished_at -. sp.birth)
         ~pid ~tid:sp.id
-        ~args:(Printf.sprintf "\"vm\":\"%s\"" (json_escape sp.vm));
+        ~args:(Printf.sprintf "\"vm\":\"%s\"" (Nkmon.json_escape sp.vm));
       List.iter
         (fun g ->
           emit ~name:g.g_stage ~cat:"stage" ~ts:g.g_t0 ~dur:(g.g_t1 -. g.g_t0) ~pid
             ~tid:sp.id
-            ~args:(Printf.sprintf "\"component\":\"%s\"" (json_escape g.g_comp)))
+            ~args:(Printf.sprintf "\"component\":\"%s\"" (Nkmon.json_escape g.g_comp)))
         (span_segs sp))
     (finished_spans t);
   Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"";

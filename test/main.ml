@@ -25,4 +25,5 @@ let () =
       ("nkspan", Test_nkspan.tests);
       ("nklint", Test_nklint.tests);
       ("nkscope", Test_nkscope.tests);
+      ("bench", Test_bench.tests);
     ]

@@ -135,7 +135,7 @@ let run_world ~ce_cores ~seed =
     ce.Coreengine.switched,
     Sim.Engine.events_executed tb.Testbed.engine,
     shard_busy,
-    Nkmon.Registry.to_json (Nkmon.registry tb.Testbed.mon) )
+    Nkobs.metrics_json [ ("testbed", tb.Testbed.mon) ] )
 
 let hex = Printf.sprintf "%h"
 

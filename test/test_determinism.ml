@@ -62,8 +62,8 @@ let run_once ?loss_seed ?(trace = false) ~seed () =
     Nsm.busy_cycles nsm,
     ce.Coreengine.switched,
     Sim.Engine.events_executed tb.Testbed.engine,
-    ( Nkmon.Registry.to_json (Nkmon.registry tb.Testbed.mon),
-      Nkmon.Trace.to_json (Nkmon.trace tb.Testbed.mon) ) )
+    ( Nkobs.metrics_json [ ("testbed", tb.Testbed.mon) ],
+      Nkobs.trace_json [ ("testbed", tb.Testbed.mon) ] ) )
 
 let identical_runs () =
   let a = run_once ~seed:1234 () in

@@ -1,6 +1,7 @@
 (* Nkmon unit tests: registry semantics (idempotent registration, kind
-   mismatch, deterministic export), histogram summarisation, and the trace
-   ring buffer (wraparound, seq numbering, drop accounting). *)
+   mismatch, deterministic export through the one-source Nkobs path),
+   histogram summarisation, and the trace ring buffer (wraparound, seq
+   numbering, drop accounting). *)
 
 module R = Nkmon.Registry
 module T = Nkmon.Trace
@@ -36,7 +37,10 @@ let kind_mismatch () =
       ignore (R.gauge r ~component:"x" ~instance:"y" ~name:"m"))
 
 let export_sorted () =
-  let r = R.create () in
+  (* A detached handle registers nothing of its own, so the export holds
+     exactly the three metrics below. *)
+  let mon = Nkmon.null () in
+  let r = Nkmon.registry mon in
   (* Register out of order; export must sort by component/instance/metric. *)
   ignore (R.counter r ~component:"b" ~instance:"i" ~name:"z");
   ignore (R.counter r ~component:"a" ~instance:"j" ~name:"y");
@@ -47,14 +51,19 @@ let export_sorted () =
   Alcotest.(check bool)
     "sorted" true
     (keys = [ ("a", "i", "x"); ("a", "j", "y"); ("b", "i", "z") ]);
-  let rows = R.to_rows r in
+  let rows = Nkobs.metric_rows [ ("h", mon) ] in
   Alcotest.(check int) "row count" 3 (List.length rows);
+  Alcotest.(check bool)
+    "rows sorted, host tag first" true
+    (List.map (fun row -> (List.nth row 0, List.nth row 1, List.nth row 2, List.nth row 3)) rows
+    = [ ("h", "a", "i", "x"); ("h", "a", "j", "y"); ("h", "b", "i", "z") ]);
+  let csv = Experiments.Report.to_csv (Experiments.Mon_report.table [ ("h", mon) ]) in
   Alcotest.(check bool) "csv has header" true
-    (String.length (R.to_csv r) > 0
-    && String.sub (R.to_csv r) 0 9 = "component")
+    (String.length csv > 0 && String.sub csv 0 14 = "host,component")
 
 let histogram_export () =
-  let r = R.create () in
+  let mon = Nkmon.null () in
+  let r = Nkmon.registry mon in
   let h = R.histogram r ~component:"tc" ~instance:"s" ~name:"lat" in
   for i = 1 to 100 do
     Nkutil.Histogram.record h (float_of_int i)
@@ -63,7 +72,7 @@ let histogram_export () =
   | Some (R.Histogram h') ->
       Alcotest.(check int) "count through registry" 100 (Nkutil.Histogram.count h')
   | _ -> Alcotest.fail "histogram not found");
-  let cell = List.nth (List.hd (R.to_rows r)) 3 in
+  let cell = List.nth (List.hd (Nkobs.metric_rows [ ("h", mon) ])) 4 in
   Alcotest.(check bool) "summary mentions count" true
     (String.length cell >= 5 && String.sub cell 0 5 = "n=100");
   (* p50/p99 land near the true percentiles (log-bucketed, so approximate). *)
@@ -104,20 +113,21 @@ let contains hay needle =
   loop 0
 
 let trace_export_shapes () =
-  let tr = T.create ~capacity:8 ~enabled:true ~now:(fun () -> 0.5) () in
-  T.record tr
+  let mon = Nkmon.create ~trace_capacity:8 ~trace_enabled:true ~now:(fun () -> 0.5) () in
+  Nkmon.event mon
     (T.Nqe_enqueue
        { device = 1; qset = 0; queue = T.Job; op = "socket"; vm_id = 1; sock = 7 });
-  T.record tr
+  Nkmon.event mon
     (T.Tcp_state { stack = "nsm"; sock = 7; old_state = "SYN_SENT"; new_state = "ESTABLISHED" });
-  let json = T.to_json tr in
-  let csv = T.to_csv tr in
+  let sources = [ ("h", mon) ] in
+  let json = Nkobs.trace_json sources in
+  let csv = Nkobs.trace_csv sources in
   Alcotest.(check bool) "json mentions both events" true
     (contains json "nqe_enqueue" && contains json "tcp_state");
   Alcotest.(check bool) "csv has header" true
-    (String.sub csv 0 8 = "seq,time");
+    (String.sub csv 0 13 = "host,seq,time");
   (* Export is deterministic for identical content. *)
-  Alcotest.(check string) "json stable" json (T.to_json tr)
+  Alcotest.(check string) "json stable" json (Nkobs.trace_json sources)
 
 let null_handle_works () =
   let mon = Nkmon.null () in

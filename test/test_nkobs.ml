@@ -88,7 +88,7 @@ let federation_host_tags () =
     "source tags in add order"
     [ "cluster"; "nodeA"; "nodeB" ]
     (List.map fst (Nkobs.sources obs));
-  let rows = Nkobs.to_rows obs in
+  let rows = Nkobs.metric_rows (Nkobs.sources obs) in
   let hosts_seen =
     List.sort_uniq String.compare (List.map (fun r -> List.hd r) rows)
   in
@@ -107,7 +107,7 @@ let federation_host_tags () =
   Alcotest.(check bool) "cluster-scope spine federated" true
     (has ~host:"cluster" ~component:"nkfabric");
   (* The merged trace interleaves hosts in virtual-time order. *)
-  let merged = Nkobs.merged_trace obs in
+  let merged = Nkobs.merged_trace (Nkobs.sources obs) in
   Alcotest.(check bool) "merged trace non-trivial" true (List.length merged > 100);
   let rec nondecreasing = function
     | (_, (a : Nkmon.Trace.record)) :: ((_, b) :: _ as tl) ->
@@ -121,17 +121,46 @@ let federation_host_tags () =
 
 let federation_deterministic () =
   let snap () =
-    let obs = run_federated ~seed:77 () in
-    (Nkobs.to_csv obs, Nkobs.to_json obs, Nkobs.merged_trace_csv obs,
-     Nkobs.merged_trace_json obs)
+    let sources = Nkobs.sources (run_federated ~seed:77 ()) in
+    ( Experiments.Report.to_csv (Experiments.Mon_report.table sources),
+      Nkobs.metrics_json sources,
+      Nkobs.trace_csv sources,
+      Nkobs.trace_json sources )
   in
   let csv_a, json_a, tcsv_a, tjson_a = snap () in
   let csv_b, json_b, tcsv_b, tjson_b = snap () in
   Alcotest.(check bool) "csv non-trivial" true (String.length csv_a > 500);
-  Alcotest.(check string) "to_csv byte-identical" csv_a csv_b;
-  Alcotest.(check string) "to_json byte-identical" json_a json_b;
+  Alcotest.(check string) "metrics csv byte-identical" csv_a csv_b;
+  Alcotest.(check string) "metrics json byte-identical" json_a json_b;
   Alcotest.(check string) "merged trace csv byte-identical" tcsv_a tcsv_b;
   Alcotest.(check string) "merged trace json byte-identical" tjson_a tjson_b
+
+(* A single host is a one-source list: no plane, so nothing is registered
+   into the world being exported, and the rows follow the registry. *)
+let single_host_one_source () =
+  let tb = Testbed.create ~config:{ Testbed.Config.default with trace_enabled = true } () in
+  let hosta = Testbed.add_host tb ~name:"hostA" in
+  let nsm = Nsm.create_kernel hosta ~name:"nsm" ~vcpus:1 () in
+  ignore (Vm.create_nk hosta ~name:"vm" ~vcpus:1 ~ips:[ 10 ] ~nsms:[ nsm ] ());
+  let reg = Nkmon.registry tb.Testbed.mon in
+  let before = Nkmon.Registry.cardinality reg in
+  let sources = [ ("testbed", tb.Testbed.mon) ] in
+  let rows = Nkobs.metric_rows sources in
+  ignore (Nkobs.metrics_json sources, Nkobs.trace_csv sources, Nkobs.trace_json sources);
+  ignore (Experiments.Mon_report.table sources);
+  Alcotest.(check int) "cardinality unchanged by export" before
+    (Nkmon.Registry.cardinality reg);
+  Alcotest.(check bool) "world has metrics" true (before > 10);
+  Alcotest.(check (list (list string)))
+    "rows in Registry.entries order, host-tagged"
+    (List.map
+       (fun (e : Nkmon.Registry.entry) -> [ "testbed"; e.component; e.instance; e.metric ])
+       (Nkmon.Registry.entries reg))
+    (List.map (fun row -> List.filteri (fun i _ -> i < 4) row) rows);
+  (* What a plane would have cost: its own rows in the observed registry. *)
+  ignore (Nkobs.create ~engine:tb.Testbed.engine ~mon:tb.Testbed.mon ());
+  Alcotest.(check bool) "a plane registers nkobs/plane rows" true
+    (Nkmon.Registry.cardinality reg > before)
 
 (* ---- SLO accounting ------------------------------------------------------- *)
 
@@ -352,27 +381,35 @@ let mon_report_dropped_note () =
         { Testbed.Config.default with trace_enabled = true; trace_capacity = Some 8 }
       ()
   in
-  let clean = Experiments.Mon_report.table tb.Testbed.mon in
+  let sources = [ ("testbed", tb.Testbed.mon) ] in
+  let clean = Experiments.Mon_report.table sources in
   Alcotest.(check (list string)) "no note while nothing dropped" [] clean.Experiments.Report.notes;
   for i = 1 to 40 do
     Nkmon.event tb.Testbed.mon
       (Nkmon.Trace.Custom { component = "test"; name = "e"; detail = string_of_int i })
   done;
-  let r = Experiments.Mon_report.table tb.Testbed.mon in
+  let r = Experiments.Mon_report.table sources in
   (match r.Experiments.Report.notes with
   | [ note ] ->
       Alcotest.(check bool) "note names the dropped count" true
         (contains ~affix:"dropped 32 events" note)
   | l -> Alcotest.failf "expected 1 note, got %d" (List.length l));
-  (* The registry row version of the same truth (what --format json shows). *)
+  (* The registry row version of the same truth (what --format csv shows). *)
   let row =
     List.find_opt
-      (fun row -> List.nth row 0 = "nkmon" && List.nth row 2 = "dropped_events")
+      (fun row -> List.nth row 1 = "nkmon" && List.nth row 3 = "dropped_events")
       r.Experiments.Report.rows
   in
-  match row with
-  | Some cells -> Alcotest.(check string) "dropped_events row value" "32" (List.nth cells 3)
-  | None -> Alcotest.fail "no nkmon/trace/dropped_events row"
+  (match row with
+  | Some cells -> Alcotest.(check string) "dropped_events row value" "32" (List.nth cells 4)
+  | None -> Alcotest.fail "no nkmon/trace/dropped_events row");
+  (* And what --format json shows: the per-host count and the metric. *)
+  let json = Nkobs.metrics_json sources in
+  Alcotest.(check bool) "json host carries dropped_events" true
+    (contains ~affix:"\"host\":\"testbed\",\"metrics\":" json
+    && contains ~affix:"\"dropped_events\":32}" json);
+  Alcotest.(check bool) "json dropped_events metric" true
+    (contains ~affix:"\"metric\":\"dropped_events\",\"kind\":\"gauge\",\"value\":32}" json)
 
 (* ---- span ids are host-unique cluster-wide (satellite: Nkspan) ------------ *)
 
@@ -442,6 +479,7 @@ let tests =
   [
     Alcotest.test_case "federation: host tags + merged trace" `Quick federation_host_tags;
     Alcotest.test_case "federation exports deterministic" `Quick federation_deterministic;
+    Alcotest.test_case "single host exports as one source" `Quick single_host_one_source;
     Alcotest.test_case "SLO windows: breach, recovery, min_requests" `Quick slo_windows;
     Alcotest.test_case "pressure rules edge-triggered" `Quick pressure_rules_edge_triggered;
     Alcotest.test_case "dropped-events alerts edge-triggered" `Quick dropped_events_alerts;
