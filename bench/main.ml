@@ -1,84 +1,10 @@
-(* Benchmark driver: regenerates every table and figure of the paper's
-   evaluation (printed as aligned tables with the paper's reference values
-   in the notes), then runs Bechamel microbenchmarks of the NetKernel
-   dataplane primitives.
+(* Bechamel microbenchmarks of the NetKernel dataplane primitives: NQE
+   codec, SPSC ring, hugepage copy, engine timers and one CoreEngine switch.
+   The paper's tables and figures are regenerated by `nk run` instead.
 
-     dune exec bench/main.exe              -- everything (reduced durations;
-                                              statistically equivalent, see
-                                              EXPERIMENTS.md on scale-downs)
-     dune exec bench/main.exe -- --full    -- paper-length durations
-     dune exec bench/main.exe -- fig18 table5
-     dune exec bench/main.exe -- --micro   -- only the Bechamel suite
-     dune exec bench/main.exe -- --json DIR -- also write BENCH_<id>.json
-                                              per experiment under DIR *)
-
-let quick = ref true
-let micro_only = ref false
-let selected = ref []
-let json_dir = ref None
+     dune exec bench/main.exe *)
 
 let () =
-  let expect_json = ref false in
-  Array.iteri
-    (fun i arg ->
-      if i > 0 then
-        if !expect_json then begin
-          json_dir := Some arg;
-          expect_json := false
-        end
-        else
-          match arg with
-          | "--full" -> quick := false
-          | "--quick" | "-q" -> quick := true
-          | "--micro" -> micro_only := true
-          | "--json" -> expect_json := true
-          | id -> selected := id :: !selected)
-    Sys.argv;
-  if !expect_json then begin
-    prerr_endline "bench: --json requires a directory argument";
-    exit 2
-  end
-
-(* ---- paper experiments ---------------------------------------------------- *)
-
-let write_json report =
-  match !json_dir with
-  | None -> ()
-  | Some dir ->
-      if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-      let path =
-        Filename.concat dir
-          (Printf.sprintf "BENCH_%s.json" report.Experiments.Report.id)
-      in
-      let oc = open_out path in
-      output_string oc (Experiments.Report.to_json report);
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "  wrote %s\n%!" path
-
-let run_experiments () =
-  let entries =
-    match !selected with
-    | [] -> Experiments.Registry.all
-    | ids ->
-        List.filter
-          (fun (e : Experiments.Registry.entry) -> List.mem e.Experiments.Registry.id ids)
-          Experiments.Registry.all
-  in
-  List.iter
-    (fun (e : Experiments.Registry.entry) ->
-      Printf.printf "\n>>> %s (%s)%!" e.Experiments.Registry.id e.Experiments.Registry.title;
-      let t0 = Unix.gettimeofday () in
-      let report = e.Experiments.Registry.run ~quick:!quick () in
-      Printf.printf "  [%.1fs]\n%!" (Unix.gettimeofday () -. t0);
-      Experiments.Report.print Format.std_formatter report;
-      Format.pp_print_flush Format.std_formatter ();
-      write_json report)
-    entries
-
-(* ---- Bechamel microbenchmarks ---------------------------------------------- *)
-
-let bechamel_suite () =
   let open Bechamel in
   let open Toolkit in
   let nqe_roundtrip =
@@ -182,11 +108,3 @@ let bechamel_suite () =
     |> List.rev
   in
   List.iter (fun (name, est) -> Printf.printf "%-58s %s\n" name est) rows
-
-let () =
-  if !micro_only then bechamel_suite ()
-  else begin
-    run_experiments ();
-    if !selected = [] then bechamel_suite ()
-  end;
-  print_endline "\nbench: done"

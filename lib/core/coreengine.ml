@@ -318,19 +318,10 @@ let undrain_nsm t ~nsm_id =
     ctl_event t "undrain_nsm" (Printf.sprintf "nsm=%d" nsm_id)
   end
 
-let is_draining t ~nsm_id = Hashtbl.mem t.draining nsm_id
-
 let forget_route t ~vm_id ~sock = table_remove t (vm_id, sock)
 
 let add_route t ~vm_id ~sock ~nsm_id ~nsm_qset =
   table_add t (vm_id, sock) { nsm_id; nsm_qset }
-
-let nsm_routes t ~nsm_id =
-  Nkutil.Det_tbl.fold ~cmp:conn_key_cmp
-    (fun (vm_id, sock) r acc ->
-      if r.nsm_id = nsm_id then (vm_id, sock, r.nsm_qset) :: acc else acc)
-    t.conn_table []
-  |> List.rev
 
 let rehome_nsm_routes t ~from_nsm ~to_nsm =
   (* Re-point every route at [from_nsm] to [to_nsm], keeping queue-set
@@ -376,8 +367,6 @@ let set_rate_limit ?burst t ~vm_id ~bytes_per_sec =
   let burst = match burst with Some b -> b | None -> bytes_per_sec *. 0.05 in
   Hashtbl.replace t.buckets vm_id
     (Nkutil.Token_bucket.create ~rate:bytes_per_sec ~burst ~now:(Engine.now t.engine))
-
-let clear_rate_limit t ~vm_id = Hashtbl.remove t.buckets vm_id
 
 (* ---- switching --------------------------------------------------------- *)
 

@@ -89,8 +89,6 @@ val drain_nsm : t -> nsm_id:int -> unit
 
 val undrain_nsm : t -> nsm_id:int -> unit
 
-val is_draining : t -> nsm_id:int -> bool
-
 val nsm_conn_count : t -> nsm_id:int -> int
 (** Live connection-table entries routed to the NSM (the drain-completion
     signal). *)
@@ -102,10 +100,6 @@ val forget_route : t -> vm_id:int -> sock:int -> unit
 val add_route : t -> vm_id:int -> sock:int -> nsm_id:int -> nsm_qset:int -> unit
 (** Install one connection-table entry directly (live migration: the
     destination host pins imported sockets to the destination NSM). *)
-
-val nsm_routes : t -> nsm_id:int -> (int * int * int) list
-(** All [(vm_id, sock, nsm_qset)] routes currently pointing at the NSM, in
-    ascending ⟨vm, sock⟩ order. *)
 
 val rehome_nsm_routes : t -> from_nsm:int -> to_nsm:int -> int
 (** Atomically re-point every route at [from_nsm] to [to_nsm] (same queue
@@ -123,8 +117,6 @@ val forget_vm_routes : t -> vm_id:int -> nsm_id:int -> int
 val set_rate_limit : ?burst:float -> t -> vm_id:int -> bytes_per_sec:float -> unit
 (** Token-bucket cap on the VM's egress payload bytes (Fig 21). [burst]
     defaults to 50 ms worth of tokens. *)
-
-val clear_rate_limit : t -> vm_id:int -> unit
 
 val kick : t -> unit
 (** Producer notification: outbound NQEs may be pending. *)

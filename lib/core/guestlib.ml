@@ -61,15 +61,13 @@ type t = {
   costs : Nk_costs.t;
   profile : Sim.Cost_profile.t;
   socks : (int, gsock) Hashtbl.t;
-  epolls : (Socket_api.epoll, Socket_api.sock Epoll_core.t) Hashtbl.t;
-  memberships : (Socket_api.sock, Socket_api.epoll list ref) Hashtbl.t;
+  epoll : Epoll_core.t;
   qstates : qset_state array;
   mon : Nkmon.t;
   spans : Nkspan.t;
   instance : string; (* "vm<id>", the span/metric component instance *)
   ctr : counters;
   mutable next_gid : int;
-  mutable next_ep : int;
 }
 
 let stats t =
@@ -90,8 +88,7 @@ let find t gid = Hashtbl.find_opt t.socks gid
 
 (* ---- epoll plumbing ----------------------------------------------------- *)
 
-let gsock_events t gid =
-  match find t gid with
+let gsock_events ~sendbuf = function
   | None -> { Types.readable = false; writable = false; hup = true }
   | Some gs -> (
       match gs.state with
@@ -108,20 +105,9 @@ let gsock_events t gid =
           let hup = gs.err <> None in
           {
             Types.readable = gs.recv_avail > 0 || (gs.eof && not gs.eof_delivered) || hup;
-            writable = gs.sendbuf_used < t.costs.Nk_costs.guest_sendbuf;
+            writable = gs.sendbuf_used < sendbuf;
             hup;
           })
-
-let notify_epolls t gid =
-  match Hashtbl.find_opt t.memberships gid with
-  | None -> ()
-  | Some eps ->
-      List.iter
-        (fun epid ->
-          match Hashtbl.find_opt t.epolls epid with
-          | None -> ()
-          | Some ep -> Epoll_core.notify ep gid)
-        !eps
 
 (* ---- NQE posting -------------------------------------------------------- *)
 
@@ -172,7 +158,7 @@ let apply t (nqe : Nqe.t) =
       | None -> ()
       | Some gs ->
           (match err with Some e -> gs.err <- Some e | None -> ());
-          notify_epolls t gs.gid)
+          Epoll_core.notify t.epoll gs.gid)
   | Nqe.Comp_connect -> (
       match find t nqe.Nqe.sock with
       | None -> ()
@@ -187,7 +173,7 @@ let apply t (nqe : Nqe.t) =
           | Some k ->
               gs.on_connect <- None;
               k (match err with None -> Ok () | Some e -> Error e));
-          notify_epolls t gs.gid)
+          Epoll_core.notify t.epoll gs.gid)
   | Nqe.Comp_send -> (
       free_send_extent t nqe;
       Nkspan.end_stage t.spans ~id:nqe.Nqe.span "completion";
@@ -201,7 +187,7 @@ let apply t (nqe : Nqe.t) =
             gs.close_pending <- false;
             post_op t gs Nqe.Close ()
           end;
-          notify_epolls t gs.gid)
+          Epoll_core.notify t.epoll gs.gid)
   | Nqe.Comp_close -> Hashtbl.remove t.socks nqe.Nqe.sock
   | Nqe.Ev_accept -> (
       match find t nqe.Nqe.sock with
@@ -232,7 +218,7 @@ let apply t (nqe : Nqe.t) =
           Hashtbl.replace t.socks gid gs;
           if Queue.is_empty lsock.accept_waiters then begin
             Queue.add (gid, peer) lsock.acceptq;
-            notify_epolls t lsock.gid
+            Epoll_core.notify t.epoll lsock.gid
           end
           else begin
             let k = Queue.pop lsock.accept_waiters in
@@ -255,13 +241,13 @@ let apply t (nqe : Nqe.t) =
             gs.recvq;
           gs.recv_avail <- gs.recv_avail + nqe.Nqe.size;
           Nkmon.Registry.add t.ctr.c_bytes_received nqe.Nqe.size;
-          notify_epolls t gs.gid)
+          Epoll_core.notify t.epoll gs.gid)
   | Nqe.Ev_eof -> (
       match find t nqe.Nqe.sock with
       | None -> ()
       | Some gs ->
           gs.eof <- true;
-          notify_epolls t gs.gid)
+          Epoll_core.notify t.epoll gs.gid)
   | Nqe.Ev_err -> (
       match find t nqe.Nqe.sock with
       | None -> ()
@@ -276,7 +262,7 @@ let apply t (nqe : Nqe.t) =
           (* A dying listener must fail its parked accepts, not strand them. *)
           Queue.iter (fun k -> k (Error e)) gs.accept_waiters;
           Queue.clear gs.accept_waiters;
-          notify_epolls t gs.gid)
+          Epoll_core.notify t.epoll gs.gid)
   | Nqe.Socket | Nqe.Bind | Nqe.Listen | Nqe.Connect | Nqe.Send | Nqe.Recv_done | Nqe.Close
     ->
       (* VM-bound queues never carry VM-to-NSM ops. *)
@@ -532,58 +518,7 @@ let api t =
            overtake data. *)
         if gs.sendbuf_used > 0 then gs.close_pending <- true
         else post_op t gs Nqe.Close ();
-        (match Hashtbl.find_opt t.memberships gid with
-        | None -> ()
-        | Some eps ->
-            List.iter
-              (fun epid ->
-                match Hashtbl.find_opt t.epolls epid with
-                | None -> ()
-                | Some ep -> Epoll_core.del ep gid)
-              !eps;
-            Hashtbl.remove t.memberships gid)
-  in
-  let epoll_create () =
-    let epid = t.next_ep in
-    t.next_ep <- t.next_ep + 1;
-    let core_of gid =
-      match find t gid with
-      | Some gs -> core_for t gs
-      | None -> Cpu.Set.core t.cores 0
-    in
-    Hashtbl.replace t.epolls epid
-      (Epoll_core.create ~engine:t.engine ~cmp:Int.compare ~events_of:(gsock_events t)
-         ~core_of ~wake_cycles:t.costs.Nk_costs.guest_epoll_wake ());
-    epid
-  in
-  let epoll_add epid gid ~mask =
-    match Hashtbl.find_opt t.epolls epid with
-    | None -> ()
-    | Some ep ->
-        Epoll_core.add ep gid ~mask;
-        let eps =
-          match Hashtbl.find_opt t.memberships gid with
-          | Some l -> l
-          | None ->
-              let l = ref [] in
-              Hashtbl.replace t.memberships gid l;
-              l
-        in
-        if not (List.mem epid !eps) then eps := epid :: !eps
-  in
-  let epoll_del epid gid =
-    match Hashtbl.find_opt t.epolls epid with
-    | None -> ()
-    | Some ep ->
-        Epoll_core.del ep gid;
-        (match Hashtbl.find_opt t.memberships gid with
-        | None -> ()
-        | Some eps -> eps := List.filter (fun e -> e <> epid) !eps)
-  in
-  let epoll_wait epid ~timeout ~k =
-    match Hashtbl.find_opt t.epolls epid with
-    | None -> k []
-    | Some ep -> Epoll_core.wait ep ~timeout ~k
+        Epoll_core.remove t.epoll gid
   in
   let local_addr gid = Option.bind (find t gid) (fun gs -> gs.local) in
   let peer_addr gid = Option.bind (find t gid) (fun gs -> gs.peer) in
@@ -596,10 +531,10 @@ let api t =
     send;
     recv;
     close;
-    epoll_create;
-    epoll_add;
-    epoll_del;
-    epoll_wait;
+    epoll_create = Epoll_core.epoll_create t.epoll;
+    epoll_add = Epoll_core.epoll_add t.epoll;
+    epoll_del = Epoll_core.epoll_del t.epoll;
+    epoll_wait = Epoll_core.epoll_wait t.epoll;
     local_addr;
     peer_addr;
   }
@@ -627,7 +562,7 @@ let remigrate_listeners t =
               post_op t gs Nqe.Socket ();
               post_op t gs Nqe.Bind ~op_data:(Nqe.pack_addr addr) ();
               post_op t gs Nqe.Listen ~op_data:(Int64.of_int gs.backlog) ();
-              notify_epolls t gs.gid)
+              Epoll_core.notify t.epoll gs.gid)
       | _ -> ())
     (listening_socks t)
 
@@ -635,6 +570,17 @@ let create ~engine ~vm_id ~cores ~device ~costs ~profile ?(mon = Nkmon.null ())
     ?(spans = Nkspan.null ()) () =
   let instance = Printf.sprintf "vm%d" vm_id in
   let c name = Nkmon.counter mon ~component:"guestlib" ~instance ~name in
+  let socks = Hashtbl.create 256 in
+  let epoll =
+    Epoll_core.create ~engine
+      ~events_of:(fun gid ->
+        gsock_events ~sendbuf:costs.Nk_costs.guest_sendbuf (Hashtbl.find_opt socks gid))
+      ~core_of:(fun gid ->
+        match Hashtbl.find_opt socks gid with
+        | Some gs -> Cpu.Set.core cores gs.qset
+        | None -> Cpu.Set.core cores 0)
+      ~wake_cycles:costs.Nk_costs.guest_epoll_wake
+  in
   let t =
     {
       engine;
@@ -643,9 +589,8 @@ let create ~engine ~vm_id ~cores ~device ~costs ~profile ?(mon = Nkmon.null ())
       device;
       costs;
       profile;
-      socks = Hashtbl.create 256;
-      epolls = Hashtbl.create 4;
-      memberships = Hashtbl.create 256;
+      socks;
+      epoll;
       qstates =
         Array.init (Nk_device.n_qsets device) (fun _ ->
             { scheduled = false; last_active = 0.0; scratch = Array.make 128 Bytes.empty });
@@ -661,7 +606,6 @@ let create ~engine ~vm_id ~cores ~device ~costs ~profile ?(mon = Nkmon.null ())
           c_send_eagain = c "send_eagain";
         };
       next_gid = 1;
-      next_ep = 1;
     }
   in
   Nk_device.set_kick_owner device (fun qi -> on_kick t qi);

@@ -154,8 +154,6 @@ module View = struct
     | Some op -> op
     | None -> invalid_arg "Nqe.View.op: unknown opcode (check View.ok first)"
 
-  let op_byte raw = Bytes.get_uint8 raw 0
-
   let vm_id raw = Bytes.get_uint8 raw 1
 
   let qset raw = Bytes.get_uint8 raw 2

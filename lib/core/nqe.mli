@@ -103,9 +103,6 @@ module View : sig
 
   val op : bytes -> op
 
-  val op_byte : bytes -> int
-  (** The raw opcode byte, for dispatch tables / error messages. *)
-
   val vm_id : bytes -> int
 
   val qset : bytes -> int

@@ -32,19 +32,17 @@ let finish host ~name ~cores ~device ~backend ~nsm_id =
   Coreengine.register_nsm (Host.coreengine host) device;
   { host; nsm_id; name; cores; device; backend; failed = false }
 
-let create_kernel host ~name ~vcpus ?(profile = Sim.Cost_profile.linux_kernel) ?cc_factory
-    ?tcb () =
+let create_kernel host ~name ~vcpus ?cc_factory () =
   let nsm_id = Host.fresh_nsm_id host in
   let cores = Host.new_cores host ~name ~n:vcpus in
   let device = make_device host ~nsm_id ~vcpus in
-  let base = Tcpstack.Stack.default_config profile in
+  let base = Tcpstack.Stack.default_config Sim.Cost_profile.linux_kernel in
   let cfg =
     {
       base with
       Tcpstack.Stack.charge_syscalls = false (* ServiceLib calls kernel APIs directly *);
       charge_user_copy = false (* the hugepage copy is charged by ServiceLib *);
-      cc_factory = (match cc_factory with Some f -> f | None -> base.Tcpstack.Stack.cc_factory);
-      tcb = (match tcb with Some c -> c | None -> base.Tcpstack.Stack.tcb);
+      cc_factory = Option.value cc_factory ~default:base.Tcpstack.Stack.cc_factory;
       (* several NSMs may originate connections from one VM IP: give each a
          disjoint ephemeral slice *)
       ephemeral_range =
@@ -67,14 +65,14 @@ let create_kernel host ~name ~vcpus ?(profile = Sim.Cost_profile.linux_kernel) ?
     ~backend:(Svc { service; proto = Tcpstack.Tcp_ops.proto; stacks = [ stack ] })
     ~nsm_id
 
-let create_mtcp host ~name ~vcpus ?cc_factory ?tcb () =
+let create_mtcp host ~name ~vcpus () =
   let nsm_id = Host.fresh_nsm_id host in
   let cores = Host.new_cores host ~name ~n:vcpus in
   let device = make_device host ~nsm_id ~vcpus in
   let mtcp =
     Mtcpstack.Mtcp.create ~engine:(Host.engine host) ~name ~cores
       ~vswitch:(Host.vswitch host) ~registry:(Host.registry host) ~rng:(Host.rng host)
-      ?cc_factory ?tcb ~charge_user_copy:false ~mon:(Host.mon host) ()
+      ~mon:(Host.mon host) ()
   in
   let service =
     Servicelib.create ~engine:(Host.engine host) ~device ~ops:(Mtcpstack.Mtcp.ops mtcp)
@@ -91,18 +89,17 @@ let create_mtcp host ~name ~vcpus ?cc_factory ?tcb () =
          })
     ~nsm_id
 
-let create_homa host ~name ~vcpus ?cfg () =
+let create_homa host ~name ~vcpus () =
   let nsm_id = Host.fresh_nsm_id host in
   let cores = Host.new_cores host ~name ~n:vcpus in
   let device = make_device host ~nsm_id ~vcpus in
-  let base = match cfg with Some c -> c | None -> Homastack.Homa.default_config in
   let cfg =
     {
-      base with
+      Homastack.Homa.default_config with
       (* Same slicing rule as the TCP NSMs: several NSMs may originate
          connections from one VM IP, so each takes a disjoint ephemeral
          range. *)
-      Homastack.Homa.ephemeral_base = 32768 + (nsm_id mod 8 * 3500);
+      ephemeral_base = 32768 + (nsm_id mod 8 * 3500);
       ephemeral_count = 3500;
     }
   in
@@ -120,13 +117,13 @@ let create_homa host ~name ~vcpus ?cfg () =
     ~backend:(Svc { service; proto = Homastack.Homa.proto; stacks = [] })
     ~nsm_id
 
-let create_shmem host ~name ~vcpus ?copy_cycles_per_byte () =
+let create_shmem host ~name ~vcpus () =
   let nsm_id = Host.fresh_nsm_id host in
   let cores = Host.new_cores host ~name ~n:vcpus in
   let device = make_device host ~nsm_id ~vcpus in
   let shm =
     Nsm_shmem.create ~engine:(Host.engine host) ~device ~cores ~costs:(Host.costs host)
-      ?copy_cycles_per_byte ~mon:(Host.mon host) ~spans:(Host.spans host) ()
+      ~mon:(Host.mon host) ~spans:(Host.spans host) ()
   in
   finish host ~name ~cores ~device ~backend:(Shm shm) ~nsm_id
 

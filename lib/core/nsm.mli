@@ -19,28 +19,20 @@ val create_kernel :
   Host.t ->
   name:string ->
   vcpus:int ->
-  ?profile:Sim.Cost_profile.t ->
   ?cc_factory:Tcpstack.Cc.factory ->
-  ?tcb:Tcpstack.Tcb.config ->
   unit ->
   t
+(** [cc_factory] defaults to CUBIC ({!Tcpstack.Cc_cubic}); fig09 passes the
+    VM-level controller ({!Tcpstack.Cc_vm}). *)
 
-val create_mtcp :
-  Host.t ->
-  name:string ->
-  vcpus:int ->
-  ?cc_factory:Tcpstack.Cc.factory ->
-  ?tcb:Tcpstack.Tcb.config ->
-  unit ->
-  t
+val create_mtcp : Host.t -> name:string -> vcpus:int -> unit -> t
 
-val create_homa :
-  Host.t -> name:string -> vcpus:int -> ?cfg:Homastack.Homa.config -> unit -> t
+val create_homa : Host.t -> name:string -> vcpus:int -> unit -> t
 (** The Homa-style RPC NSM ({!Homastack.Homa}): message-oriented,
     backlog-free, receiver-driven. The ephemeral-port slice is carved per
     NSM id exactly like the TCP NSMs'. *)
 
-val create_shmem : Host.t -> name:string -> vcpus:int -> ?copy_cycles_per_byte:float -> unit -> t
+val create_shmem : Host.t -> name:string -> vcpus:int -> unit -> t
 
 val id : t -> int
 

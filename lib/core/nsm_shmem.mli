@@ -13,15 +13,14 @@ val create :
   device:Nk_device.t ->
   cores:Sim.Cpu.Set.t ->
   costs:Nk_costs.t ->
-  ?copy_cycles_per_byte:float ->
   ?mon:Nkmon.t ->
   ?spans:Nkspan.t ->
   unit ->
   t
-(** [copy_cycles_per_byte] is the cross-region memcpy cost (default 0.3,
-    calibrated so a 2-core shared-memory NSM sustains ~100 Gb/s as in the
-    paper's Fig 10). [spans] records the servicelib stage of sampled
-    requests (there is no stack stage on the shared-memory path). *)
+(** The cross-region memcpy costs 0.3 cycles/B, calibrated so a 2-core
+    shared-memory NSM sustains ~100 Gb/s as in the paper's Fig 10.
+    [spans] records the servicelib stage of sampled requests (there is no
+    stack stage on the shared-memory path). *)
 
 val register_vm : t -> vm_id:int -> hugepages:Hugepages.t -> ips:Addr.ip list -> unit
 (** The VM's IPs become resolvable for colocated connects. *)

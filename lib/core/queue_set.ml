@@ -34,9 +34,3 @@ let total_queued t =
   + Nkutil.Spsc_ring.length t.completion
   + Nkutil.Spsc_ring.length t.send
   + Nkutil.Spsc_ring.length t.receive
-
-let depths t =
-  ( Nkutil.Spsc_ring.length t.job,
-    Nkutil.Spsc_ring.length t.completion,
-    Nkutil.Spsc_ring.length t.send,
-    Nkutil.Spsc_ring.length t.receive )

@@ -34,7 +34,3 @@ val drain_into :
     must hold [budget] ([shared]) or [2 * budget] records. *)
 
 val total_queued : t -> int
-
-val depths : t -> int * int * int * int
-(** Current [(job, completion, send, receive)] ring occupancies, for
-    Nkmon queue-depth gauges. *)

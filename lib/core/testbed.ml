@@ -1,9 +1,7 @@
 module Config = struct
   type t = {
     rate_gbps : float;
-    delay : float;
     buffer_bytes : int option;
-    ecn_threshold_bytes : int option;
     seed : int;
     costs : Nk_costs.t;
     trace_capacity : int option;
@@ -14,9 +12,7 @@ module Config = struct
   let default =
     {
       rate_gbps = 100.0;
-      delay = 20e-6;
       buffer_bytes = None;
-      ecn_threshold_bytes = None;
       seed = 42;
       costs = Nk_costs.default;
       trace_capacity = None;
@@ -39,9 +35,7 @@ type t = {
 let create ?(config = Config.default) () =
   let {
     Config.rate_gbps;
-    delay;
     buffer_bytes;
-    ecn_threshold_bytes;
     seed;
     costs;
     trace_capacity;
@@ -51,9 +45,9 @@ let create ?(config = Config.default) () =
     config
   in
   let engine = Sim.Engine.create () in
+  (* 20 us one-way through the switch *)
   let fabric =
-    Fabric.create engine ~rate_bps:(rate_gbps *. 1e9) ~delay ?buffer_bytes
-      ?ecn_threshold_bytes ()
+    Fabric.create engine ~rate_bps:(rate_gbps *. 1e9) ~delay:20e-6 ?buffer_bytes ()
   in
   let mon =
     Nkmon.create ?trace_capacity ~trace_enabled

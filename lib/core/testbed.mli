@@ -10,10 +10,8 @@
     [{ Config.default with seed = 7 }]. *)
 module Config : sig
   type t = {
-    rate_gbps : float;  (** port speed (default 100) *)
-    delay : float;  (** one-way fabric delay in seconds (default 20 us) *)
+    rate_gbps : float;  (** port speed (default 100); the one-way fabric delay is 20 us *)
     buffer_bytes : int option;  (** fabric link buffer ([None] = Fabric default) *)
-    ecn_threshold_bytes : int option;  (** ECN marking threshold ([None] = off) *)
     seed : int;  (** root RNG seed (default 42) *)
     costs : Nk_costs.t;  (** datapath cost model *)
     trace_capacity : int option;  (** Nkmon trace ring size ([None] = default) *)

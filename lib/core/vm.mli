@@ -18,7 +18,6 @@ val create_baseline :
   vcpus:int ->
   ips:Addr.ip list ->
   ?profile:Sim.Cost_profile.t ->
-  ?config:Tcpstack.Stack.config ->
   unit ->
   t
 
@@ -28,14 +27,11 @@ val create_nk :
   vcpus:int ->
   ips:Addr.ip list ->
   nsms:Nsm.t list ->
-  ?profile:Sim.Cost_profile.t ->
-  ?hugepage_pages:int ->
   unit ->
   t
-(** [profile] is the guest-kernel cost profile used for syscall/copy/epoll
-    costs of the redirected calls (default [linux_kernel]).
-    [hugepage_pages] sizes the shared payload region in 2 MB pages
-    (default 32). *)
+(** The guest kernel's syscall/copy/epoll costs of the redirected calls
+    follow {!Sim.Cost_profile.linux_kernel}. The shared payload region has
+    the {!Hugepages.create} defaults (32 pages of 2 MB). *)
 
 val attach_nsm : t -> Nsm.t -> unit
 (** Switch the VM to [nsm] on the fly (paper §3: the queue/switch design
@@ -62,8 +58,6 @@ val ips : t -> Addr.ip list
 val busy_cycles : t -> float
 
 val guestlib : t -> Guestlib.t option
-
-val baseline_stack : t -> Tcpstack.Stack.t option
 
 val hugepages : t -> Hugepages.t option
 

@@ -27,9 +27,7 @@ module Config = struct
     nsm_cores : int;
     nsm_kind : [ `Kernel | `Mtcp ];
     n_nsms : int;
-    cc_factory : Tcpstack.Cc.factory option;
     ce_cores : int;
-    server_config : Tcpstack.Stack.config option;
   }
 
   let default =
@@ -39,9 +37,7 @@ module Config = struct
       nsm_cores = 1;
       nsm_kind = `Kernel;
       n_nsms = 1;
-      cc_factory = None;
       ce_cores = 1;
-      server_config = None;
     }
 
   let with_seed seed t = { t with tb = { t.tb with Testbed.Config.seed } }
@@ -56,16 +52,13 @@ let baseline ?(config = Config.default) () =
   let server_host = Testbed.add_host tb ~name:"hostA" in
   let client_host = Testbed.add_host tb ~name:"hostB" in
   let server_vm =
-    Vm.create_baseline server_host ~name:"vm" ~vcpus:config.Config.vcpus ~ips:[ server_ip ]
-      ?config:config.Config.server_config ()
+    Vm.create_baseline server_host ~name:"vm" ~vcpus:config.Config.vcpus ~ips:[ server_ip ] ()
   in
   let client_vm = make_client client_host in
   { tb; server_host; client_host; server_vm; client_vm; nsms = [] }
 
 let netkernel ?(config = Config.default) () =
-  let { Config.tb = tb_cfg; vcpus; nsm_cores; nsm_kind; n_nsms; cc_factory; ce_cores; _ } =
-    config
-  in
+  let { Config.tb = tb_cfg; vcpus; nsm_cores; nsm_kind; n_nsms; ce_cores } = config in
   let tb = Testbed.create ~config:tb_cfg () in
   let server_host = Testbed.add_host tb ~name:"hostA" in
   let client_host = Testbed.add_host tb ~name:"hostB" in
@@ -76,8 +69,8 @@ let netkernel ?(config = Config.default) () =
     List.init n_nsms (fun i ->
         let name = Printf.sprintf "nsm%d" i in
         match nsm_kind with
-        | `Kernel -> Nsm.create_kernel server_host ~name ~vcpus:nsm_cores ?cc_factory ()
-        | `Mtcp -> Nsm.create_mtcp server_host ~name ~vcpus:nsm_cores ?cc_factory ())
+        | `Kernel -> Nsm.create_kernel server_host ~name ~vcpus:nsm_cores ()
+        | `Mtcp -> Nsm.create_mtcp server_host ~name ~vcpus:nsm_cores ())
   in
   let server_vm = Vm.create_nk server_host ~name:"vm" ~vcpus ~ips:[ server_ip ] ~nsms () in
   let client_vm = make_client client_host in
@@ -146,12 +139,12 @@ let run_server w cfg =
   get_exn "epoll server"
     (Nkapps.Epoll_server.start ~engine:w.tb.Testbed.engine ~api:(Vm.api w.server_vm) cfg)
 
-let start_loadgen w ?(delay = 1e-3) ?on_done cfg =
+let start_loadgen w cfg =
   let lg = ref None in
   ignore
-    (Sim.Engine.schedule w.tb.Testbed.engine ~delay (fun () ->
+    (Sim.Engine.schedule w.tb.Testbed.engine ~delay:1e-3 (fun () ->
          lg := Some (Nkapps.Loadgen.start ~engine:w.tb.Testbed.engine
-                       ~api:(Vm.api w.client_vm) ?on_done cfg)));
+                       ~api:(Vm.api w.client_vm) cfg)));
   lg
 
 let nsm_cycles w = List.fold_left (fun acc nsm -> acc +. Nsm.busy_cycles nsm) 0.0 w.nsms
@@ -163,11 +156,6 @@ let ce_cycles w =
       0.0
       (Host.ce_cores w.server_host)
   else 0.0
-
-let ce_shard_cycles w =
-  if Host.netkernel_enabled w.server_host then
-    Array.map Sim.Cpu.busy_cycles (Host.ce_cores w.server_host)
-  else [||]
 
 let measure_rps w ?(concurrency = 100) ?(total = 50_000) ?(msg_size = 64)
     ?(app_cycles = 0.0) ?(backlog = 8192) ?proto () =

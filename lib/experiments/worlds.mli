@@ -28,9 +28,7 @@ module Config : sig
     nsm_cores : int;  (** cores per NSM (default 1) *)
     nsm_kind : [ `Kernel | `Mtcp ];  (** NSM stack flavour (default [`Kernel]) *)
     n_nsms : int;  (** how many NSMs serve the VM (default 1) *)
-    cc_factory : Tcpstack.Cc.factory option;  (** NSM congestion control override *)
     ce_cores : int;  (** CoreEngine switching shards (default 1) *)
-    server_config : Tcpstack.Stack.config option;  (** baseline-stack override *)
   }
 
   val default : t
@@ -44,8 +42,8 @@ end
 
 val baseline : ?config:Config.t -> unit -> world
 (** Status quo: the VM runs its own kernel stack; the remote client machine
-    is an ideal-profile 16-core load generator. Only [tb], [vcpus] and
-    [server_config] are read — the NSM/CE fields don't apply. *)
+    is an ideal-profile 16-core load generator. Only [tb] and [vcpus] are
+    read — the NSM/CE fields don't apply. *)
 
 val netkernel : ?config:Config.t -> unit -> world
 (** NetKernel: VM with GuestLib + NSM(s) on the server host, CoreEngine on
@@ -74,10 +72,6 @@ val ce_cycles : world -> float
 (** Total busy cycles across every CoreEngine shard core (0 when NetKernel
     is off). *)
 
-val ce_shard_cycles : world -> float array
-(** Per-shard CE core busy cycles, in shard order (empty when NetKernel is
-    off). *)
-
 val measure_rps :
   world ->
   ?concurrency:int ->
@@ -94,8 +88,6 @@ val run_server :
   world -> Nkapps.Epoll_server.config -> Nkapps.Epoll_server.t
 (** Start an epoll server in the server VM (raises on setup failure). *)
 
-val start_loadgen :
-  world -> ?delay:float -> ?on_done:(unit -> unit) -> Nkapps.Loadgen.config ->
-  Nkapps.Loadgen.t option ref
-(** Start a load generator on the client machine after [delay] (default
-    1 ms, letting listeners come up). *)
+val start_loadgen : world -> Nkapps.Loadgen.config -> Nkapps.Loadgen.t option ref
+(** Start a load generator on the client machine after 1 ms, letting
+    listeners come up. *)

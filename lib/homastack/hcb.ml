@@ -120,11 +120,6 @@ let rx_flow t = match t.role with Client -> Addr.Flow.reverse t.flow | Server ->
 let local_addr t =
   match t.role with Client -> t.flow.Addr.Flow.src | Server -> t.flow.Addr.Flow.dst
 
-let peer_addr t =
-  match t.role with Client -> t.flow.Addr.Flow.dst | Server -> t.flow.Addr.Flow.src
-
-let ready_bytes t = List.fold_left ( + ) 0 t.ready
-
 let eof_pending t =
   t.peer_closed && t.rx_cur = None && t.ready = [] && not t.eof_delivered
 

@@ -75,11 +75,6 @@ val rx_flow : t -> Addr.Flow.t
 
 val local_addr : t -> Addr.t
 
-val peer_addr : t -> Addr.t
-
-val ready_bytes : t -> int
-(** Total unread bytes of completed messages. *)
-
 val eof_pending : t -> bool
 
 val inflight : t -> int

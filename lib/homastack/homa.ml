@@ -45,8 +45,6 @@ module R = Nkmon.Registry
 
 let proto = "homa"
 
-let caps = { Stack_ops.semantics = Stack_ops.Message; has_backlog = false }
-
 type config = {
   profile : Sim.Cost_profile.t;
   cc_factory : Cc.factory;
@@ -696,17 +694,11 @@ let stats t =
     conns_failed = R.counter_value t.ctr.c_failed;
   }
 
-let conn_count t = Flow_tbl.length t.conns
-
 (* ---- The Stack_ops boundary --------------------------------------------- *)
 
 let ops t =
   {
-    Stack_ops.name = t.name;
-    proto;
-    caps;
-    engine = t.engine;
-    add_ip = add_ip t;
+    Stack_ops.add_ip = add_ip t;
     remove_ip = remove_ip t;
     new_listener =
       (fun ~addr ~backlog:_ ~on_accept ->
@@ -719,13 +711,9 @@ let ops t =
     close_conn = (fun c -> close_conn t (unpack_conn c));
     abort_conn = (fun c -> abort_conn t (unpack_conn c));
     set_conn_handler = (fun c f -> (unpack_conn c).Hcb.handler <- Some f);
-    conn_events = (fun c -> Hcb.events (unpack_conn c));
     conn_core = (fun c -> (unpack_conn c).Hcb.core);
-    conn_peer = (fun c -> Some (Hcb.peer_addr (unpack_conn c)));
-    conn_local = (fun c -> Some (Hcb.local_addr (unpack_conn c)));
     conn_error = (fun c -> (unpack_conn c).Hcb.error);
     export_conn = (fun c -> export_conn t (unpack_conn c));
     import_conn = (fun x -> import_conn t x);
-    default_core = Cpu.Set.core t.cores 0;
     wake_cycles = t.cfg.profile.Sim.Cost_profile.epoll_wake;
   }

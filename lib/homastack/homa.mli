@@ -1,5 +1,5 @@
-(** Homa-style receiver-driven RPC transport (message-oriented NSM
-    backend).
+(** Homa-style receiver-driven RPC transport: a message-oriented,
+    backlog-free NSM backend.
 
     Connections are admitted on first contact — there is no SYN backlog to
     overflow, which is what removes the incast tail TCP suffers when many
@@ -19,9 +19,6 @@ type t
 
 val proto : string
 (** ["homa"] — the protocol id stamped into exports. *)
-
-val caps : Tcpstack.Stack_ops.caps
-(** Message semantics, no listener backlog. *)
 
 type config = {
   profile : Sim.Cost_profile.t;
@@ -59,8 +56,6 @@ type Tcpstack.Stack_ops.payload += Homa_state of Hcb.Snapshot.t
 
 val input : t -> Segment.t -> unit
 (** Segment ingress (registered with the vswitch by [add_ip]/connect). *)
-
-val conn_count : t -> int
 
 type stats = {
   segs_rx : int;

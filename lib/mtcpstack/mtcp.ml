@@ -2,8 +2,6 @@ module T = Tcpstack
 module Cpu = Sim.Cpu
 
 type t = {
-  engine : Sim.Engine.t;
-  name : string;
   vswitch : Vswitch.t;
   shards : T.Stack.t array;
   mutable ips : Addr.ip list;
@@ -12,43 +10,30 @@ type t = {
 
 let shards t = t.shards
 
-let n_shards t = Array.length t.shards
-
-let stats t = Array.to_list (Array.map T.Stack.stats t.shards)
-
 let shard_for t flow = t.shards.(Addr.Flow.rss_hash flow mod Array.length t.shards)
 
 (* RSS dispatch: what the NIC hardware does for mTCP's per-core queues. *)
 let dispatch t (seg : Segment.t) = T.Stack.input (shard_for t seg.Segment.flow) seg
 
-let create ~engine ~name ~cores ~vswitch ~registry ~rng ?(profile = Sim.Cost_profile.mtcp)
-    ?cc_factory ?tcb ?(charge_user_copy = true) ?mon () =
+let create ~engine ~name ~cores ~vswitch ~registry ~rng ~mon () =
   let n = Cpu.Set.n cores in
-  let cc_factory =
-    match cc_factory with
-    | Some f -> f
-    | None -> T.Cc_cubic.factory ~mss:Segment.mss
-  in
-  let base = T.Stack.default_config profile in
   let cfg =
     {
-      base with
-      T.Stack.cc_factory;
-      rx_mode = T.Stack.Polling;
+      (T.Stack.default_config Sim.Cost_profile.mtcp) with
+      T.Stack.rx_mode = T.Stack.Polling;
       charge_syscalls = false;
-      charge_user_copy;
+      charge_user_copy = false (* the hugepage copy is charged by ServiceLib *);
       contention_cores = Some n;
       register_vswitch = false;
-      tcb = (match tcb with Some c -> c | None -> base.T.Stack.tcb);
     }
   in
   let mk i =
     T.Stack.create ~engine
       ~name:(Printf.sprintf "%s.shard%d" name i)
       ~cores:(Cpu.Set.of_array [| Cpu.Set.core cores i |])
-      ~vswitch ~registry ~rng:(Nkutil.Rng.split rng) ?mon cfg
+      ~vswitch ~registry ~rng:(Nkutil.Rng.split rng) ~mon cfg
   in
-  { engine; name; vswitch; shards = Array.init n mk; ips = []; next_port = 32768 }
+  { vswitch; shards = Array.init n mk; ips = []; next_port = 32768 }
 
 let add_ip t ip =
   if not (List.mem ip t.ips) then begin
@@ -97,8 +82,7 @@ let ops t =
   let single = T.Tcp_ops.of_stack t.shards.(0) in
   {
     single with
-    T.Stack_ops.name = t.name;
-    add_ip = add_ip t;
+    T.Stack_ops.add_ip = add_ip t;
     remove_ip = remove_ip t;
     new_listener =
       (fun ~addr ~backlog ~on_accept ->
@@ -117,5 +101,3 @@ let ops t =
             | Ok s -> Ok (T.Tcp_ops.conn_of_sock shard s)
             | Error e -> Error e));
   }
-
-let api t = T.Ops_socket.make (ops t)

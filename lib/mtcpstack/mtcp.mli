@@ -26,19 +26,12 @@ val create :
   vswitch:Vswitch.t ->
   registry:Tcpstack.Conn_registry.t ->
   rng:Nkutil.Rng.t ->
-  ?profile:Sim.Cost_profile.t ->
-  ?cc_factory:Tcpstack.Cc.factory ->
-  ?tcb:Tcpstack.Tcb.config ->
-  ?charge_user_copy:bool ->
-  ?mon:Nkmon.t ->
+  mon:Nkmon.t ->
   unit ->
   t
-(** One shard per core in [cores]. [profile] defaults to
-    {!Sim.Cost_profile.mtcp}. *)
-
-val add_ip : t -> Addr.ip -> unit
-(** Own [ip]: registers the facade's RSS dispatch with the vswitch and the
-    ownership with every shard. *)
+(** One shard per core in [cores], each a CUBIC stack with the
+    {!Sim.Cost_profile.mtcp} profile. The user copy is not charged: the
+    NSM's ServiceLib charges the hugepage copy. *)
 
 val ops : t -> Tcpstack.Stack_ops.t
 (** The backend interface used by ServiceLib. [new_listener] listens on
@@ -46,12 +39,4 @@ val ops : t -> Tcpstack.Stack_ops.t
     [SO_REUSEPORT]); [connect] picks the shard the reply RSS hash maps
     to. *)
 
-val api : t -> Tcpstack.Socket_api.t
-(** Direct application API over the shard group (an mTCP application linked
-    with the library, for baselines outside NetKernel). *)
-
 val shards : t -> Tcpstack.Stack.t array
-
-val n_shards : t -> int
-
-val stats : t -> Tcpstack.Stack.stats list

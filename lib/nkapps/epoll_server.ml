@@ -40,13 +40,10 @@ type t = {
   reactor : Reactor.t;
   listener : Socket_api.sock;
   stats : stats;
-  ts : Nkutil.Timeseries.t;
   mutable stopped : bool;
 }
 
 let stats t = t.stats
-
-let requests_timeseries t = t.ts
 
 let charge_app t fd =
   if t.cfg.app_cycles > 0.0 then
@@ -76,7 +73,6 @@ let rec flush t c =
           match r with
           | Ok n ->
               t.stats.bytes_out <- t.stats.bytes_out + n;
-              Nkutil.Timeseries.add t.ts ~time:(Sim.Engine.now t.engine) (float_of_int n);
               let len = Types.payload_len payload in
               ignore (Queue.pop c.outq);
               if n < len then begin
@@ -237,7 +233,6 @@ let start ~engine ~api cfg =
                   stats =
                     { accepted = 0; requests = 0; bytes_in = 0; bytes_out = 0; errors = 0;
                       active = 0 };
-                  ts = Nkutil.Timeseries.create ~bin_width:0.1 ();
                   stopped = false;
                 }
               in

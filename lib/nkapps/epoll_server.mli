@@ -37,7 +37,4 @@ val start :
 
 val stats : t -> stats
 
-val requests_timeseries : t -> Nkutil.Timeseries.t
-(** Completed requests binned at 100 ms (used by Fig 21's series). *)
-
 val stop : t -> unit

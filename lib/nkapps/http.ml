@@ -1,20 +1,13 @@
-let request ?(meth = "GET") ~path ?(host = "netkernel.test") ?(keepalive = false) () =
-  Printf.sprintf "%s %s HTTP/1.1\r\nHost: %s\r\nUser-Agent: nk-ab\r\nAccept: */*\r\n%s\r\n"
-    meth path host
+let request ~path ?(keepalive = false) () =
+  Printf.sprintf
+    "GET %s HTTP/1.1\r\nHost: netkernel.test\r\nUser-Agent: nk-ab\r\nAccept: */*\r\n%s\r\n"
+    path
     (if keepalive then "Connection: keep-alive\r\n" else "Connection: close\r\n")
 
-let status_text = function
-  | 200 -> "OK"
-  | 204 -> "No Content"
-  | 400 -> "Bad Request"
-  | 404 -> "Not Found"
-  | 500 -> "Internal Server Error"
-  | _ -> "Unknown"
-
-let response_header ?(status = 200) ~content_length ?(keepalive = false) () =
+let response_header ~content_length ?(keepalive = false) () =
   Printf.sprintf
-    "HTTP/1.1 %d %s\r\nServer: nk-nginx\r\nContent-Type: text/html\r\nContent-Length: %d\r\n%s\r\n"
-    status (status_text status) content_length
+    "HTTP/1.1 200 OK\r\nServer: nk-nginx\r\nContent-Type: text/html\r\nContent-Length: %d\r\n%s\r\n"
+    content_length
     (if keepalive then "Connection: keep-alive\r\n" else "Connection: close\r\n")
 
 module Parser = struct

@@ -5,14 +5,12 @@
     real header bytes, and an incremental parser that counts body bytes
     without materializing synthetic payloads. *)
 
-val request :
-  ?meth:string -> path:string -> ?host:string -> ?keepalive:bool -> unit -> string
-(** A full request string (no body). [keepalive] defaults to false
+val request : path:string -> ?keepalive:bool -> unit -> string
+(** A full GET request string (no body). [keepalive] defaults to false
     (ab-style non-keepalive benchmarking). *)
 
-val response_header :
-  ?status:int -> content_length:int -> ?keepalive:bool -> unit -> string
-(** The response head; the body ([content_length] bytes) is sent
+val response_header : content_length:int -> ?keepalive:bool -> unit -> string
+(** The [200 OK] response head; the body ([content_length] bytes) is sent
     separately, typically as synthetic payload. *)
 
 (** Incremental message parser. *)

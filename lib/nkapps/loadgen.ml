@@ -26,7 +26,6 @@ type t = {
   reactor : Reactor.t;
   latency : Nkutil.Histogram.t;
   completions : Nkutil.Timeseries.t;
-  on_done : (unit -> unit) option;
   mutable issued : int;
   mutable completed : int;
   mutable errors : int;
@@ -64,8 +63,7 @@ let maybe_done t =
   | Closed { total = Some total; _ } ->
       if t.completed + t.errors >= total && not t.done_fired then begin
         t.done_fired <- true;
-        t.finished <- Engine.now t.engine;
-        match t.on_done with None -> () | Some f -> f ()
+        t.finished <- Engine.now t.engine
       end
   | Closed _ | Open _ -> ()
 
@@ -196,7 +194,7 @@ let rec open_arrivals t =
            open_arrivals t))
   end
 
-let start ~engine ~api ?on_done cfg =
+let start ~engine ~api cfg =
   let deadline =
     match cfg.mode with
     | Closed { duration = Some d; _ } -> Engine.now engine +. d
@@ -211,7 +209,6 @@ let start ~engine ~api ?on_done cfg =
       reactor = Reactor.create api;
       latency = Nkutil.Histogram.create ();
       completions = Nkutil.Timeseries.create ~bin_width:0.1 ();
-      on_done;
       issued = 0;
       completed = 0;
       errors = 0;

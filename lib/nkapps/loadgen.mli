@@ -33,13 +33,7 @@ type results = {
   completions : Nkutil.Timeseries.t;  (** completed requests per 100 ms *)
 }
 
-val start :
-  engine:Sim.Engine.t ->
-  api:Tcpstack.Socket_api.t ->
-  ?on_done:(unit -> unit) ->
-  config ->
-  t
-(** [on_done] fires when a closed-loop run exhausts its request budget. *)
+val start : engine:Sim.Engine.t -> api:Tcpstack.Socket_api.t -> config -> t
 
 val results : t -> results
 

@@ -6,35 +6,29 @@ module Ring = Nkutil.Spsc_ring
 (* ---- inter-host NQE spine ----------------------------------------------- *)
 
 module Spine = struct
-  type link = {
-    l_latency : float;
-    l_bytes_per_sec : float;
-    mutable l_free_at : float;
-    mutable l_nqes : int;
-    mutable l_bytes : int;
-  }
+  (* Every directed link: 50 us one-way latency, 40 Gb/s. *)
+  let latency = 50e-6
+
+  let bytes_per_sec = 40.0 *. 1e9 /. 8.0
+
+  type link = { mutable l_free_at : float; mutable l_nqes : int; mutable l_bytes : int }
 
   type t = {
     engine : Engine.t;
-    latency : float;
-    bytes_per_sec : float;
     links : (int * int, link) Hashtbl.t; (* directed (src node, dst node) *)
     c_nqes : Nkmon.Registry.counter;
     c_bytes : Nkmon.Registry.counter;
   }
 
-  let create ~engine ~mon ?(latency = 50e-6) ?(gbps = 40.0) () =
+  let create ~engine ~mon () =
     let c name = Nkmon.counter mon ~component:"nkfabric" ~instance:"spine" ~name in
-    let bytes_per_sec = gbps *. 1e9 /. 8.0 in
-    (* Default per-link capacity next to the shipped counters, so
-       saturation (windowed bytes_shipped delta vs capacity) is computable
-       from a registry snapshot alone — the Nkobs spine alert reads it. *)
+    (* Per-link capacity next to the shipped counters, so saturation
+       (windowed bytes_shipped delta vs capacity) is computable from a
+       registry snapshot alone — the Nkobs spine alert reads it. *)
     Nkmon.sampler mon ~component:"nkfabric" ~instance:"spine"
       ~name:"link_capacity_bytes_per_sec" (fun () -> bytes_per_sec);
     {
       engine;
-      latency;
-      bytes_per_sec;
       links = Hashtbl.create 16;
       c_nqes = c "nqes_shipped";
       c_bytes = c "bytes_shipped";
@@ -44,27 +38,9 @@ module Spine = struct
     match Hashtbl.find_opt t.links (src, dst) with
     | Some l -> l
     | None ->
-        let l =
-          {
-            l_latency = t.latency;
-            l_bytes_per_sec = t.bytes_per_sec;
-            l_free_at = 0.0;
-            l_nqes = 0;
-            l_bytes = 0;
-          }
-        in
+        let l = { l_free_at = 0.0; l_nqes = 0; l_bytes = 0 } in
         Hashtbl.replace t.links (src, dst) l;
         l
-
-  let set_link t ~src ~dst ~latency ~gbps =
-    Hashtbl.replace t.links (src, dst)
-      {
-        l_latency = latency;
-        l_bytes_per_sec = gbps *. 1e9 /. 8.0;
-        l_free_at = 0.0;
-        l_nqes = 0;
-        l_bytes = 0;
-      }
 
   (* Store-and-forward: serialization at the link rate, then propagation.
      [l_free_at] is monotone, so same-link deliveries stay FIFO — the
@@ -73,13 +49,13 @@ module Spine = struct
     let l = link t ~src ~dst in
     let now = Engine.now t.engine in
     let start = Float.max now l.l_free_at in
-    let txtime = float_of_int bytes /. l.l_bytes_per_sec in
+    let txtime = float_of_int bytes /. bytes_per_sec in
     l.l_free_at <- start +. txtime;
     l.l_nqes <- l.l_nqes + 1;
     l.l_bytes <- l.l_bytes + bytes;
     Nkmon.Registry.incr t.c_nqes;
     Nkmon.Registry.add t.c_bytes bytes;
-    ignore (Engine.schedule_at t.engine ~at:(start +. txtime +. l.l_latency) deliver)
+    ignore (Engine.schedule_at t.engine ~at:(start +. txtime +. latency) deliver)
 
   let shipped t =
     Nkutil.Det_tbl.fold
@@ -149,10 +125,10 @@ let fabric_event t name detail =
   if Nkmon.tracing mon then
     Nkmon.event mon (Nkmon.Trace.Custom { component = "nkfabric"; name; detail })
 
-let create ?(policy = Spread) ?latency ?gbps tb =
+let create ?(policy = Spread) tb =
   {
     tb;
-    spine = Spine.create ~engine:tb.Testbed.engine ~mon:tb.Testbed.mon ?latency ?gbps ();
+    spine = Spine.create ~engine:tb.Testbed.engine ~mon:tb.Testbed.mon ();
     policy;
     nodes = [];
     vms = [];
@@ -272,10 +248,10 @@ let pick_nsm t node =
         (fun best nsm -> if nsm_vm_count t nsm < nsm_vm_count t best then nsm else best)
         first rest
 
-let place_vm t ~name ~vcpus ~ips ?hugepage_pages () =
+let place_vm t ~name ~vcpus ~ips () =
   let node = pick_node t in
   let nsm = pick_nsm t node in
-  let vm = Vm.create_nk node.n_host ~name ~vcpus ~ips ~nsms:[ nsm ] ?hugepage_pages () in
+  let vm = Vm.create_nk node.n_host ~name ~vcpus ~ips ~nsms:[ nsm ] () in
   (match node.n_ctl with Some ctl -> Nkctl.add_vm ctl vm ~home:nsm | None -> ());
   t.vms <- t.vms @ [ { e_vm = vm; e_home = node; e_node = node; e_nsm = nsm; e_relay = None } ];
   fabric_event t "place"
@@ -403,21 +379,15 @@ let drain_vm_ward dev ~deliver =
 
 (* ---- live migration ------------------------------------------------------ *)
 
-let ensure_dest t ~source ~dst dest =
-  match dest with
-  | Some nsm ->
-      if Nsm.failed nsm then invalid_arg "Nkfabric.migrate_nsm: dest NSM is retired or crashed";
-      add_nsm t dst nsm;
-      nsm
-  | None ->
-      let nsm =
-        Nsm.create_kernel dst.n_host
-          ~name:(Printf.sprintf "%s@%s" (Nsm.name source) (Host.name dst.n_host))
-          ~vcpus:(Cpu.Set.n (Nsm.cores source))
-          ()
-      in
-      add_nsm t dst nsm;
-      nsm
+let create_dest t ~source ~dst =
+  let nsm =
+    Nsm.create_kernel dst.n_host
+      ~name:(Printf.sprintf "%s@%s" (Nsm.name source) (Host.name dst.n_host))
+      ~vcpus:(Cpu.Set.n (Nsm.cores source))
+      ()
+  in
+  add_nsm t dst nsm;
+  nsm
 
 (* Per-VM half of the protocol: quiesce on the source, resume on the
    destination, stitch (or re-target) the relay. The caller then drains the
@@ -652,7 +622,10 @@ let migrate_cut t ~source ~src_node ~dst ~dest_nsm ~moving =
     (Printf.sprintf "nsm=%s %s->%s vms=%d" (Nsm.name source) (Host.name src_node.n_host)
        (Host.name dst.n_host) (List.length moving))
 
-let migrate_nsm t ~nsm:source ~dst ?dest ?(quiesce = 0.02) () =
+(* The quiesce window, in virtual seconds. *)
+let quiesce = 0.02
+
+let migrate_nsm t ~nsm:source ~dst () =
   if Nsm.failed source then
     invalid_arg "Nkfabric.migrate_nsm: source NSM is retired or crashed";
   let src_node =
@@ -666,7 +639,7 @@ let migrate_nsm t ~nsm:source ~dst ?dest ?(quiesce = 0.02) () =
   in
   if src_node.n_index = dst.n_index then
     invalid_arg "Nkfabric.migrate_nsm: source and destination are the same node";
-  let dest_nsm = ensure_dest t ~source ~dst dest in
+  let dest_nsm = create_dest t ~source ~dst in
   let moving = List.filter (fun e -> Nsm.id e.e_nsm = Nsm.id source) t.vms in
   (* Pull the source out of the local control loop first: Nkctl would read
      the retired source as a crash on its next tick and fight the migration

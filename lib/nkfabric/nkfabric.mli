@@ -54,17 +54,8 @@ open Nkcore
 module Spine : sig
   type t
 
-  val create :
-    engine:Sim.Engine.t ->
-    mon:Nkmon.t ->
-    ?latency:float ->
-    ?gbps:float ->
-    unit ->
-    t
-  (** Defaults: 50 us one-way latency, 40 Gb/s per directed link. *)
-
-  val set_link : t -> src:int -> dst:int -> latency:float -> gbps:float -> unit
-  (** Override one directed link (node indices); resets its byte counters. *)
+  val create : engine:Sim.Engine.t -> mon:Nkmon.t -> unit -> t
+  (** Every directed link has 50 us one-way latency and 40 Gb/s. *)
 
   val ship : t -> src:int -> dst:int -> bytes:int -> (unit -> unit) -> unit
   (** Occupy the [src]→[dst] link for [bytes] and run the continuation at
@@ -89,9 +80,8 @@ type stats = {
   bytes_shipped : int;
 }
 
-val create : ?policy:policy -> ?latency:float -> ?gbps:float -> Testbed.t -> t
-(** A cluster over the testbed's engine, fabric and shared registry.
-    [latency]/[gbps] configure the spine defaults. *)
+val create : ?policy:policy -> Testbed.t -> t
+(** A cluster over the testbed's engine, fabric and shared registry. *)
 
 val add_node : t -> name:string -> node
 (** Add a host as a cluster node with its own disjoint id range. Raises
@@ -144,8 +134,7 @@ val node_vm_count : t -> node -> int
 (** VMs currently {e served} by this node (placed here, migrated in, minus
     migrated out). *)
 
-val place_vm :
-  t -> name:string -> vcpus:int -> ips:Addr.ip list -> ?hugepage_pages:int -> unit -> Vm.t
+val place_vm : t -> name:string -> vcpus:int -> ips:Addr.ip list -> unit -> Vm.t
 (** Create a NetKernel VM on the node chosen by the cluster {!policy} and
     home it on that node's least-loaded NSM. Raises if no node has a live
     NSM. *)
@@ -153,18 +142,17 @@ val place_vm :
 val vm_node : t -> Vm.t -> node option
 (** The node currently serving the VM's flows. *)
 
-val migrate_nsm :
-  t -> nsm:Nsm.t -> dst:node -> ?dest:Nsm.t -> ?quiesce:float -> unit -> Nsm.t
+val migrate_nsm : t -> nsm:Nsm.t -> dst:node -> unit -> Nsm.t
 (** Live-migrate [nsm] and every VM it serves to [dst], per the protocol
-    above; returns the destination NSM ([?dest], or a fresh kernel-stack
-    NSM with the source's vCPU count). The call starts the quiesce phase:
-    the source leaves the serving pool and its VMs' listeners silently
-    drop fresh SYNs (the client's SYN RTO retries against the destination)
-    while in-flight handshakes and queued accepts settle; the cut itself —
-    serialize, resume, relay, retire — runs [quiesce] seconds of virtual
-    time later (default 20 ms). Established connections keep flowing with
-    zero loss; new connections land on the destination host. Raises
-    [Invalid_argument] if the source is not in any node's pool, already
-    retired, or [dst] is its own node. *)
+    above; returns the destination NSM, a fresh kernel-stack NSM with the
+    source's vCPU count. The call starts the quiesce phase: the source
+    leaves the serving pool and its VMs' listeners silently drop fresh
+    SYNs (the client's SYN RTO retries against the destination) while
+    in-flight handshakes and queued accepts settle; the cut itself —
+    serialize, resume, relay, retire — runs 20 ms of virtual time later.
+    Established connections keep flowing with zero loss; new connections
+    land on the destination host. Raises [Invalid_argument] if the source
+    is not in any node's pool, already retired, or [dst] is its own
+    node. *)
 
 val stats : t -> stats

@@ -55,7 +55,13 @@ type rules = {
   spine_utilization : float;
 }
 
-let default_rules = { hugepage_used_frac = 0.9; ring_depth = 64.0; spine_utilization = 0.8 }
+(* Pressure alerts fire at/above these. *)
+let rules = { hugepage_used_frac = 0.9; ring_depth = 64.0; spine_utilization = 0.8 }
+
+(* Trace events per host in a flight dump, and dumps retained. *)
+let flight_depth = 64
+
+let max_dumps = 8
 
 type slo_target = {
   latency_p99 : float option;
@@ -109,9 +115,6 @@ type t = {
   engine : Engine.t;
   mon : Nkmon.t; (* where alert events and plane counters land *)
   period : float;
-  rules : rules;
-  flight_depth : int;
-  max_dumps : int;
   mutable srcs : source list; (* add order *)
   mutable tenants : tenant list; (* add order *)
   mutable subs : (time:float -> alert -> unit) list; (* subscription order *)
@@ -125,17 +128,13 @@ type t = {
   c_ticks : Registry.counter;
 }
 
-let create ?(period = 0.01) ?(rules = default_rules) ?(flight_depth = 64) ?(max_dumps = 8)
-    ~engine ~mon () =
+let create ?(period = 0.01) ~engine ~mon () =
   if period <= 0.0 then invalid_arg "Nkobs.create: period must be positive";
   let t =
     {
       engine;
       mon;
       period;
-      rules;
-      flight_depth;
-      max_dumps;
       srcs = [];
       tenants = [];
       subs = [];
@@ -175,11 +174,10 @@ let add_source t ~host mon =
         };
       ]
 
-let of_fabric ?period ?rules ?flight_depth ?max_dumps fab =
+let of_fabric ?period fab =
   let tb = Nkfabric.testbed fab in
   let t =
-    create ?period ?rules ?flight_depth ?max_dumps ~engine:tb.Nkcore.Testbed.engine
-      ~mon:tb.Nkcore.Testbed.mon ()
+    create ?period ~engine:tb.Nkcore.Testbed.engine ~mon:tb.Nkcore.Testbed.mon ()
   in
   add_source t ~host:"cluster" tb.Nkcore.Testbed.mon;
   List.iter
@@ -423,13 +421,12 @@ let flight_snapshot t ~time alert =
   add_records_csv buf
     (merge_records
        (List.map
-          (fun s -> (s.s_host, last_n t.flight_depth (Trace.records (Nkmon.trace s.s_mon))))
+          (fun s -> (s.s_host, last_n flight_depth (Trace.records (Nkmon.trace s.s_mon))))
           t.srcs));
   Buffer.contents buf
 
 let dumps t = List.rev t.dump_log
 
-let dump_count t = t.n_dumps
 
 (* ---- the alert path ------------------------------------------------------ *)
 
@@ -442,7 +439,7 @@ let raise_alert t alert =
       (Trace.Custom
          { component = "nkobs"; name = alert_type alert; detail = alert_detail alert });
   t.n_dumps <- t.n_dumps + 1;
-  if t.n_dumps <= t.max_dumps then
+  if t.n_dumps <= max_dumps then
     t.dump_log <- (time, alert, flight_snapshot t ~time alert) :: t.dump_log;
   List.iter (fun f -> f ~time alert) t.subs
 
@@ -485,7 +482,7 @@ let eval_source t ~elapsed s =
         with
         | Some used, Some cap when cap > 0.0 ->
             let frac = used /. cap in
-            let over = frac >= t.rules.hugepage_used_frac in
+            let over = frac >= rules.hugepage_used_frac in
             let was = List.mem e.instance s.s_hp_over in
             if over && not was then begin
               s.s_hp_over <- s.s_hp_over @ [ e.instance ];
@@ -504,7 +501,7 @@ let eval_source t ~elapsed s =
       then
         match gauge_of e.value with
         | Some depth ->
-            let over = depth >= t.rules.ring_depth in
+            let over = depth >= rules.ring_depth in
             let was = List.mem e.instance s.s_ring_over in
             if over && not was then begin
               s.s_ring_over <- s.s_ring_over @ [ e.instance ];
@@ -528,7 +525,7 @@ let eval_source t ~elapsed s =
        with
       | Some cap when cap > 0.0 && elapsed > 0.0 ->
           let utilization = float_of_int delta /. (cap *. elapsed) in
-          let over = utilization >= t.rules.spine_utilization in
+          let over = utilization >= rules.spine_utilization in
           if over && not s.s_spine_over then begin
             s.s_spine_over <- true;
             raise_alert t (Spine_saturation { host = s.s_host; utilization })

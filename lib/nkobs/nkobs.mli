@@ -51,16 +51,17 @@ type alert =
   | Hugepage_pressure of {
       host : string;
       region : string;
-      used_frac : float;  (** bytes_in_use / capacity_bytes *)
+      used_frac : float;  (** bytes_in_use / capacity_bytes; alerts at/above 0.9 *)
     }
   | Ring_pressure of {
       host : string;
       instance : string;  (** CoreEngine shard instance *)
-      depth : float;  (** parked NQEs in its deferred queues *)
+      depth : float;  (** parked NQEs in its deferred queues; alerts at/above 64 *)
     }
   | Spine_saturation of {
       host : string;  (** the source carrying the spine metrics *)
-      utilization : float;  (** shipped bytes this tick vs link capacity *)
+      utilization : float;
+          (** shipped bytes this tick vs link capacity; alerts at/above 0.8 *)
     }
 
 val alert_type : alert -> string
@@ -69,15 +70,7 @@ val alert_detail : alert -> string
 (** Deterministic one-line rendering ([key=value] pairs) — the [detail]
     field of the [Custom] trace event each alert records. *)
 
-(** {1 Thresholds and SLO targets} *)
-
-type rules = {
-  hugepage_used_frac : float;  (** alert at/above this fill fraction (default 0.9) *)
-  ring_depth : float;  (** alert at/above this parked-NQE depth (default 64) *)
-  spine_utilization : float;  (** alert at/above this link utilization (default 0.8) *)
-}
-
-val default_rules : rules
+(** {1 SLO targets} *)
 
 type slo_target = {
   latency_p99 : float option;  (** ceiling on windowed p99, seconds *)
@@ -111,32 +104,22 @@ type slo_status = {
 
 type t
 
-val create :
-  ?period:float ->
-  ?rules:rules ->
-  ?flight_depth:int ->
-  ?max_dumps:int ->
-  engine:Sim.Engine.t ->
-  mon:Nkmon.t ->
-  unit ->
-  t
+val create : ?period:float -> engine:Sim.Engine.t -> mon:Nkmon.t -> unit -> t
 (** [mon] is the plane's own observability handle: alert events are
     recorded into its trace and the plane's counters
     ([nkobs/plane/ticks], [nkobs/plane/alerts]) into its registry —
     normally the cluster-scope [tb.mon], which {!add_source} then also
     federates as a source. Creating a plane registers its [nkobs/plane/*]
     metrics into [mon], which is why exporting a single host takes no
-    plane. [period] (default 10 ms) is the evaluation
-    tick; [flight_depth] (default 64) bounds the per-host event count in
-    a flight dump; [max_dumps] (default 8) bounds retained dumps (later
-    alerts still count and fan out, they just stop dumping). *)
+    plane. [period] (default 10 ms) is the evaluation tick. A flight dump
+    holds each host's last 64 trace events, and 8 dumps are retained
+    (later alerts still count and fan out, they just stop dumping). *)
 
 val add_source : t -> host:string -> Nkmon.t -> unit
 (** Federate a host's registry + trace under the [host] tag. Sources are
     walked in add order; adding the same tag twice raises. *)
 
-val of_fabric :
-  ?period:float -> ?rules:rules -> ?flight_depth:int -> ?max_dumps:int -> Nkfabric.t -> t
+val of_fabric : ?period:float -> Nkfabric.t -> t
 (** The standard cluster wiring: the testbed's [mon] becomes the plane
     handle and the ["cluster"] source (spine + migration metrics, plain
     hosts outside the cluster), and every node is added as a source under
@@ -221,9 +204,7 @@ val trace_json : (string * Nkmon.t) list -> string
 
 val dumps : t -> (float * alert * string) list
 (** Retained flight dumps, oldest first: alert virtual time, the alert,
-    and the snapshot — the last [flight_depth] trace events of every
+    and the snapshot — the last 64 trace events of every
     source at the moment the alert fired, host-tagged and merged in
     virtual-time order. Byte-identical across same-seed runs. *)
 
-val dump_count : t -> int
-(** Alerts that requested a dump (including those past [max_dumps]). *)

@@ -28,7 +28,6 @@ type span = {
 type t = {
   now : unit -> float;
   every : int; (* sample 1 in [every] requests; 0 disables spans *)
-  capacity : int; (* max spans retained; later samples count as dropped *)
   id_base : int; (* host index lsl 24, OR'd into every minted id *)
   spans : (int, span) Hashtbl.t;
   mutable next_seq : int;
@@ -47,13 +46,15 @@ type t = {
 let seq_bits = 24
 let max_host_index = (1 lsl (32 - seq_bits)) - 1
 
-let create ?(span_every = 0) ?(capacity = 1 lsl 16) ?(host_index = 0) ~now () =
+(* Most spans retained; later samples count as dropped. *)
+let capacity = 1 lsl 16
+
+let create ?(span_every = 0) ?(host_index = 0) ~now () =
   if host_index < 0 || host_index > max_host_index then
     invalid_arg "Nkspan.create: host_index out of range";
   {
     now;
     every = span_every;
-    capacity;
     id_base = host_index lsl seq_bits;
     spans = Hashtbl.create 256;
     next_seq = 1;
@@ -80,7 +81,7 @@ let sample t ~vm =
     let n = t.births in
     t.births <- n + 1;
     if n mod t.every <> 0 then 0
-    else if Hashtbl.length t.spans >= t.capacity then begin
+    else if Hashtbl.length t.spans >= capacity then begin
       t.dropped <- t.dropped + 1;
       0
     end
@@ -153,7 +154,6 @@ let finished_spans t =
     (fold_spans t (fun acc sp -> if sp.finished_at >= 0.0 then sp :: acc else acc) [])
 
 let span_id sp = sp.id
-let span_vm sp = sp.vm
 let span_birth sp = sp.birth
 let span_finish sp = sp.finished_at
 let span_segs sp = List.rev sp.segs

@@ -31,12 +31,11 @@ type seg = {
   g_t1 : float;  (** virtual-time interval covered *)
 }
 
-val create :
-  ?span_every:int -> ?capacity:int -> ?host_index:int -> now:(unit -> float) -> unit -> t
+val create : ?span_every:int -> ?host_index:int -> now:(unit -> float) -> unit -> t
 (** [create ~now ()] with [span_every = 0] (the default) disables span
-    collection entirely. [span_every = n] samples one request in [n];
-    [capacity] (default 65536) bounds retained spans — samples past it are
-    counted in {!dropped} instead of being silently lost.
+    collection entirely. [span_every = n] samples one request in [n]; at
+    most 65536 spans are retained — samples past that are counted in
+    {!dropped} instead of being silently lost.
 
     [host_index] (default 0, max 255) is OR'd into the high 8 bits of
     every minted span id so that per-host instances in a cluster can never
@@ -51,7 +50,8 @@ val null : unit -> t
 val enabled : t -> bool
 
 val dropped : t -> int
-(** Sampled requests not retained because [capacity] was reached. *)
+(** Sampled requests not retained because the 65536-span capacity was
+    reached. *)
 
 val host_index : t -> int
 (** The host index baked into this instance's span ids (0 by default). *)
@@ -91,7 +91,6 @@ val finished_spans : t -> span list
 (** Completed spans in creation (id) order. *)
 
 val span_id : span -> int
-val span_vm : span -> string
 val span_birth : span -> float
 val span_finish : span -> float
 val span_segs : span -> seg list

@@ -52,8 +52,6 @@ let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let exponential t ~mean = -.mean *. log (1.0 -. float t)
 
-let pareto t ~shape ~scale = scale /. ((1.0 -. float t) ** (1.0 /. shape))
-
 let normal t ~mu ~sigma =
   let u1 = 1.0 -. float t and u2 = float t in
   let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in

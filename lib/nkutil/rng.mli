@@ -30,9 +30,6 @@ val bool : t -> bool
 val exponential : t -> mean:float -> float
 (** [exponential t ~mean] samples Exp with the given mean. *)
 
-val pareto : t -> shape:float -> scale:float -> float
-(** [pareto t ~shape ~scale] samples a Pareto variate (heavy tail). *)
-
 val normal : t -> mu:float -> sigma:float -> float
 (** [normal t ~mu ~sigma] samples a Gaussian via Box–Muller. *)
 

@@ -18,8 +18,6 @@ let length t = Atomic.get t.tail - Atomic.get t.head
 
 let is_empty t = length t = 0
 
-let is_full t = length t > t.mask
-
 let push t x =
   let tail = Atomic.get t.tail in
   let head = Atomic.get t.head in

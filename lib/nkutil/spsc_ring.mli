@@ -25,8 +25,6 @@ val length : 'a t -> int
 
 val is_empty : 'a t -> bool
 
-val is_full : 'a t -> bool
-
 val push : 'a t -> 'a -> bool
 (** [push t x] enqueues [x]; [false] if the ring is full. Producer side. *)
 

@@ -26,8 +26,6 @@ let median a = percentile a 50.0
 
 let minimum a = Array.fold_left Float.min infinity a
 
-let maximum a = Array.fold_left Float.max neg_infinity a
-
 let coefficient_of_variation a =
   let m = mean a in
   if m = 0.0 then 0.0 else stddev a /. m

@@ -14,8 +14,6 @@ val median : float array -> float
 
 val minimum : float array -> float
 
-val maximum : float array -> float
-
 val sum : float array -> float
 
 val coefficient_of_variation : float array -> float

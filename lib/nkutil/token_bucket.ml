@@ -1,5 +1,5 @@
 type t = {
-  mutable rate : float;
+  rate : float;
   burst : float;
   mutable tokens : float;
   mutable last : float;
@@ -17,10 +17,6 @@ let refill t ~now =
     t.tokens <- Float.min t.burst (t.tokens +. ((now -. t.last) *. t.rate));
     t.last <- now
   end
-
-let set_rate t ~rate ~now =
-  refill t ~now;
-  t.rate <- rate
 
 let available t ~now =
   refill t ~now;

@@ -13,9 +13,6 @@ val create : rate:float -> burst:float -> now:float -> t
 
 val rate : t -> float
 
-val set_rate : t -> rate:float -> now:float -> unit
-(** [set_rate] re-rates the bucket after crediting tokens accrued so far. *)
-
 val available : t -> now:float -> float
 (** [available t ~now] is the current token count after refill. *)
 

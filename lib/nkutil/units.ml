@@ -3,7 +3,6 @@ let mib = 1024 * 1024
 let gib = 1024 * 1024 * 1024
 
 let gbps x = x *. 1e9
-let mbps x = x *. 1e6
 
 let bits_per_sec_of_bytes ~bytes ~seconds =
   if seconds <= 0.0 then 0.0 else float_of_int bytes *. 8.0 /. seconds
@@ -11,28 +10,9 @@ let bits_per_sec_of_bytes ~bytes ~seconds =
 let gbps_of_bytes ~bytes ~seconds = bits_per_sec_of_bytes ~bytes ~seconds /. 1e9
 
 let usec x = x *. 1e-6
-let msec x = x *. 1e-3
-
-let pp_rate fmt r =
-  if r >= 1e9 then Format.fprintf fmt "%.1f Gbps" (r /. 1e9)
-  else if r >= 1e6 then Format.fprintf fmt "%.1f Mbps" (r /. 1e6)
-  else if r >= 1e3 then Format.fprintf fmt "%.1f Kbps" (r /. 1e3)
-  else Format.fprintf fmt "%.0f bps" r
 
 let pp_bytes fmt n =
   if n >= gib then Format.fprintf fmt "%.1f GB" (float_of_int n /. float_of_int gib)
   else if n >= mib then Format.fprintf fmt "%.1f MB" (float_of_int n /. float_of_int mib)
   else if n >= kib then Format.fprintf fmt "%d KB" (n / kib)
   else Format.fprintf fmt "%d B" n
-
-let pp_duration fmt s =
-  if s >= 1.0 then Format.fprintf fmt "%.2f s" s
-  else if s >= 1e-3 then Format.fprintf fmt "%.2f ms" (s *. 1e3)
-  else if s >= 1e-6 then Format.fprintf fmt "%.1f us" (s *. 1e6)
-  else Format.fprintf fmt "%.0f ns" (s *. 1e9)
-
-let pp_count fmt c =
-  if c >= 1e9 then Format.fprintf fmt "%.2fG" (c /. 1e9)
-  else if c >= 1e6 then Format.fprintf fmt "%.2fM" (c /. 1e6)
-  else if c >= 1e3 then Format.fprintf fmt "%.1fK" (c /. 1e3)
-  else Format.fprintf fmt "%.0f" c

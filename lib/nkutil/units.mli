@@ -11,8 +11,6 @@ val gib : int
 val gbps : float -> float
 (** [gbps x] is [x] Gb/s expressed in bits per second. *)
 
-val mbps : float -> float
-
 val bits_per_sec_of_bytes : bytes:int -> seconds:float -> float
 (** Throughput in bits/s from a byte count over a duration. *)
 
@@ -22,16 +20,5 @@ val gbps_of_bytes : bytes:int -> seconds:float -> float
 val usec : float -> float
 (** [usec x] is [x] microseconds in seconds. *)
 
-val msec : float -> float
-
-val pp_rate : Format.formatter -> float -> unit
-(** Pretty-print a bits/s rate with an adaptive unit (e.g. ["94.2 Gbps"]). *)
-
 val pp_bytes : Format.formatter -> int -> unit
 (** Pretty-print a byte count (e.g. ["16 KB"]). *)
-
-val pp_duration : Format.formatter -> float -> unit
-(** Pretty-print seconds with an adaptive unit (e.g. ["250 us"]). *)
-
-val pp_count : Format.formatter -> float -> unit
-(** Pretty-print a count/rate with K/M/G suffix (e.g. ["1.1M"]). *)

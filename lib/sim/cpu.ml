@@ -73,10 +73,5 @@ module Set = struct
 
   let total_busy_cycles t = Array.fold_left (fun acc c -> acc +. c.busy_cycles) 0.0 t.cores
 
-  let least_loaded t =
-    let best = ref t.cores.(0) in
-    Array.iter (fun c -> if c.free_at < !best.free_at then best := c) t.cores;
-    !best
-
   let reset_accounting t = Array.iter reset_accounting t.cores
 end

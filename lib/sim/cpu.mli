@@ -72,7 +72,5 @@ module Set : sig
 
   val total_busy_cycles : t -> float
 
-  val least_loaded : t -> core
-
   val reset_accounting : t -> unit
 end

@@ -43,8 +43,7 @@ let leq a b = a.time < b.time || (a.time = b.time && a.seq <= b.seq)
 
 (* Specialized event min-heap: monomorphic (direct [leq] calls, no closure
    indirection) and sentinel-based ([nil] instead of [option], so the
-   engine's one-pop-per-event loop allocates nothing). The generic
-   [Nkutil.Heap] stays the utility for everything that is not this loop. *)
+   engine's one-pop-per-event loop allocates nothing). *)
 module Eheap = struct
   type h = { mutable data : event array; mutable size : int }
 

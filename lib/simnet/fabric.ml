@@ -5,15 +5,14 @@ type t = {
   rate : float;
   delay : float;
   buffer : int option;
-  ecn : int option;
   mutable ports : port list;
   routes : (Addr.ip, port) Hashtbl.t;
   mutable unrouted : int;
 }
 
-let create engine ~rate_bps ~delay ?buffer_bytes ?ecn_threshold_bytes () =
-  { engine; rate = rate_bps; delay; buffer = buffer_bytes; ecn = ecn_threshold_bytes;
-    ports = []; routes = Hashtbl.create 16; unrouted = 0 }
+let create engine ~rate_bps ~delay ?buffer_bytes () =
+  { engine; rate = rate_bps; delay; buffer = buffer_bytes; ports = [];
+    routes = Hashtbl.create 16; unrouted = 0 }
 
 let forward t (seg : Segment.t) =
   match Hashtbl.find_opt t.routes seg.Segment.flow.dst.ip with
@@ -22,8 +21,8 @@ let forward t (seg : Segment.t) =
 
 let attach t nic =
   let mk name =
-    Link.create t.engine ~rate_bps:t.rate ~delay:(t.delay /. 2.0)
-      ?buffer_bytes:t.buffer ?ecn_threshold_bytes:t.ecn ~name ()
+    Link.create t.engine ~rate_bps:t.rate ~delay:(t.delay /. 2.0) ?buffer_bytes:t.buffer
+      ~name ()
   in
   let uplink = mk (Nic.name nic ^ ".up") in
   let downlink = mk (Nic.name nic ^ ".down") in

@@ -12,7 +12,6 @@ val create :
   rate_bps:float ->
   delay:float ->
   ?buffer_bytes:int ->
-  ?ecn_threshold_bytes:int ->
   unit ->
   t
 (** [delay] is the end-to-end one-way propagation+switching delay; it is

@@ -3,8 +3,6 @@ type t = {
   rate : float;
   delay : float;
   buffer : int;
-  ecn_threshold : int option;
-  mark_rng : Nkutil.Rng.t;
   name : string;
   mutable receiver : (Segment.t -> unit) option;
   mutable busy_until : float;
@@ -12,8 +10,6 @@ type t = {
   mutable bytes_sent : int;
   mutable segments_sent : int;
   mutable drops : int;
-  mutable marks : int;
-  mutable transmit_hook : (Segment.t -> unit) option;
   mutable loss : (Nkutil.Rng.t * float) option;
   (* In-flight transmissions whose buffer space is not yet released: a
      circular FIFO of (tx_done, wire_bytes) pairs in unboxed parallel
@@ -29,21 +25,15 @@ type t = {
   mutable fly_len : int;
 }
 
-let create engine ~rate_bps ~delay ?(buffer_bytes = 16 * 1024 * 1024) ?ecn_threshold_bytes
-    ?(name = "link") () =
+let create engine ~rate_bps ~delay ?(buffer_bytes = 16 * 1024 * 1024) ?(name = "link") () =
   if rate_bps <= 0.0 then invalid_arg "Link.create: rate must be > 0";
-  { engine; rate = rate_bps; delay; buffer = buffer_bytes;
-    ecn_threshold = ecn_threshold_bytes; mark_rng = Nkutil.Rng.create ~seed:0x51ED;
-    name; receiver = None; busy_until = 0.0; queued = 0;
-    bytes_sent = 0; segments_sent = 0; drops = 0; marks = 0; transmit_hook = None;
-    loss = None;
+  { engine; rate = rate_bps; delay; buffer = buffer_bytes; name; receiver = None;
+    busy_until = 0.0; queued = 0; bytes_sent = 0; segments_sent = 0; drops = 0; loss = None;
     fly_time = Array.make 64 0.0; fly_wire = Array.make 64 0; fly_head = 0; fly_len = 0 }
 
 let set_random_loss t ~rng ~rate = t.loss <- Some (rng, rate)
 
 let set_receiver t f = t.receiver <- Some f
-
-let on_transmit t f = t.transmit_hook <- Some f
 
 (* Release the buffer space of every transmission completed by [now]. *)
 let release t now =
@@ -107,7 +97,7 @@ let send t seg =
           Segment.make ~flow:seg.Segment.flow ~seq:seg.Segment.seq ~ack:seg.Segment.ack
             ~syn:seg.Segment.syn ~ack_flag:seg.Segment.ack_flag ~fin:false
             ~rst:seg.Segment.rst ~window:seg.Segment.window ~len:fit_payload
-            ~ts:seg.Segment.ts ~ts_echo:seg.Segment.ts_echo ~ece:seg.Segment.ece ()
+            ~ts:seg.Segment.ts ~ts_echo:seg.Segment.ts_echo ()
       end
     end
   in
@@ -117,44 +107,16 @@ let send t seg =
     false
   end
   else begin
-    (* RED-style probabilistic marking: ramp from 0 at the threshold to
-       certain marking at twice the threshold, so no single flow captures
-       the unmarked band. *)
-    (match t.ecn_threshold with
-    | Some threshold when t.queued > threshold ->
-        let p =
-          Float.min 1.0
-            (float_of_int (t.queued - threshold) /. float_of_int (Int.max 1 threshold))
-        in
-        if Nkutil.Rng.float t.mark_rng < p then begin
-          seg.Segment.ce <- true;
-          t.marks <- t.marks + 1
-        end
-    | Some _ | None -> ());
     t.queued <- t.queued + wire;
     let start = Float.max now t.busy_until in
     let tx_done = start +. (float_of_int wire *. 8.0 /. t.rate) in
     t.busy_until <- tx_done;
-    (match t.transmit_hook with
-    | None -> fly_push t tx_done wire
-    | Some _ ->
-        (* A hook needs the exact completion instant and the segment, so
-           fall back to an eager completion event. *)
-        ignore
-          (Sim.Engine.schedule_at t.engine ~at:tx_done (fun () ->
-               t.queued <- t.queued - wire;
-               t.bytes_sent <- t.bytes_sent + wire;
-               t.segments_sent <- t.segments_sent + 1;
-               match t.transmit_hook with None -> () | Some f -> f seg)));
+    fly_push t tx_done wire;
     ignore (Sim.Engine.schedule_at t.engine ~at:(tx_done +. t.delay) (fun () -> receiver seg));
     true
   end
 
 let rate_bps t = t.rate
-
-let queued_bytes t =
-  release t (Sim.Engine.now t.engine);
-  t.queued
 
 let bytes_sent t =
   release t (Sim.Engine.now t.engine);
@@ -165,5 +127,3 @@ let segments_sent t =
   t.segments_sent
 
 let drops t = t.drops
-
-let ecn_marks t = t.marks

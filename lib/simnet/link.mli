@@ -1,9 +1,7 @@
 (** Unidirectional store-and-forward link.
 
     Models one direction of a cable or a switch port: finite rate, fixed
-    propagation delay, a drop-tail buffer, and an ECN marking threshold
-    (segments queued beyond the threshold get their CE bit set, which the
-    DCTCP congestion controller reacts to). *)
+    propagation delay and a drop-tail buffer. *)
 
 type t
 
@@ -12,12 +10,10 @@ val create :
   rate_bps:float ->
   delay:float ->
   ?buffer_bytes:int ->
-  ?ecn_threshold_bytes:int ->
   ?name:string ->
   unit ->
   t
-(** [buffer_bytes] defaults to 16 MB (deep-buffered 100G gear); [ecn_threshold_bytes] defaults to no
-    marking. *)
+(** [buffer_bytes] defaults to 16 MB (deep-buffered 100G gear). *)
 
 val set_receiver : t -> (Segment.t -> unit) -> unit
 (** Register the far-end delivery callback (required before [send]). *)
@@ -27,21 +23,12 @@ val send : t -> Segment.t -> bool
 
 val rate_bps : t -> float
 
-val queued_bytes : t -> int
-(** Wire bytes currently buffered (awaiting or in transmission). *)
-
 val bytes_sent : t -> int
 (** Total wire bytes that completed transmission. *)
 
 val segments_sent : t -> int
 
 val drops : t -> int
-
-val ecn_marks : t -> int
-
-val on_transmit : t -> (Segment.t -> unit) -> unit
-(** Hook invoked when a segment finishes serialization (e.g. to feed the
-    host pressure estimator). *)
 
 val set_random_loss : t -> rng:Nkutil.Rng.t -> rate:float -> unit
 (** Drop each segment independently with probability [rate] (fault

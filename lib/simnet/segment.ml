@@ -10,8 +10,6 @@ type t = {
   len : int;
   ts : float;
   ts_echo : float;
-  ece : bool;
-  mutable ce : bool;
 }
 
 let mss = 1448
@@ -21,9 +19,9 @@ let header_bytes = 78
 let seq_mask = (1 lsl 32) - 1
 
 let make ~flow ~seq ~ack ?(syn = false) ?(ack_flag = false) ?(fin = false) ?(rst = false)
-    ?(window = 0) ?(len = 0) ?(ts = 0.0) ?(ts_echo = -1.0) ?(ece = false) () =
+    ?(window = 0) ?(len = 0) ?(ts = 0.0) ?(ts_echo = -1.0) () =
   { flow; seq = seq land seq_mask; ack = ack land seq_mask; syn; ack_flag; fin; rst; window;
-    len; ts; ts_echo; ece; ce = false }
+    len; ts; ts_echo }
 
 let packets t = if t.len = 0 then 1 else (t.len + mss - 1) / mss
 
@@ -33,11 +31,10 @@ let seq_end t =
   (t.seq + t.len + (if t.syn then 1 else 0) + if t.fin then 1 else 0) land seq_mask
 
 let pp fmt t =
-  Format.fprintf fmt "%a seq=%d ack=%d len=%d%s%s%s%s%s win=%d" Addr.Flow.pp t.flow t.seq
+  Format.fprintf fmt "%a seq=%d ack=%d len=%d%s%s%s%s win=%d" Addr.Flow.pp t.flow t.seq
     t.ack t.len
     (if t.syn then " SYN" else "")
     (if t.ack_flag then " ACK" else "")
     (if t.fin then " FIN" else "")
     (if t.rst then " RST" else "")
-    (if t.ce then " CE" else "")
     t.window

@@ -19,8 +19,6 @@ type t = {
   len : int;  (** payload bytes covered by this segment *)
   ts : float;  (** sender timestamp (TCP timestamps option), for RTT *)
   ts_echo : float;  (** echoed peer timestamp; negative when absent *)
-  ece : bool;  (** ECN-echo flag (receiver -> sender) *)
-  mutable ce : bool;  (** congestion-experienced mark, set by the fabric *)
 }
 
 val mss : int
@@ -47,7 +45,6 @@ val make :
   ?len:int ->
   ?ts:float ->
   ?ts_echo:float ->
-  ?ece:bool ->
   unit ->
   t
 

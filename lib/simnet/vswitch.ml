@@ -14,7 +14,6 @@ end)
 
 type t = {
   engine : Sim.Engine.t;
-  local_delay : float;
   nic : Nic.t;
   by_ip : (Addr.ip, Segment.t -> unit) Hashtbl.t;
   by_endpoint : (Segment.t -> unit) Endpoint_table.t;
@@ -34,9 +33,9 @@ let input t (seg : Segment.t) =
           | Some f -> f seg
           | None -> t.unclaimed <- t.unclaimed + 1))
 
-let create engine ?(local_delay = 5e-6) ~nic () =
+let create engine ~nic () =
   let t =
-    { engine; local_delay; nic; by_ip = Hashtbl.create 16;
+    { engine; nic; by_ip = Hashtbl.create 16;
       by_endpoint = Endpoint_table.create 16; by_flow = Flow_table.create 256;
       unclaimed = 0 }
   in
@@ -57,10 +56,13 @@ let unregister_flow t flow = Flow_table.remove t.by_flow flow
 
 let owns_ip t ip = Hashtbl.mem t.by_ip ip
 
+(* Intra-host delivery latency. *)
+let local_delay = 5e-6
+
 let output t (seg : Segment.t) =
   if owns_ip t seg.Segment.flow.dst.ip
      || Endpoint_table.mem t.by_endpoint seg.Segment.flow.dst
-  then ignore (Sim.Engine.schedule t.engine ~delay:t.local_delay (fun () -> input t seg))
+  then ignore (Sim.Engine.schedule t.engine ~delay:local_delay (fun () -> input t seg))
   else ignore (Nic.transmit t.nic seg)
 
 let unclaimed t = t.unclaimed

@@ -9,9 +9,8 @@
 
 type t
 
-val create : Sim.Engine.t -> ?local_delay:float -> nic:Nic.t -> unit -> t
-(** [local_delay] is the intra-host delivery latency (default 5 us). The
-    vswitch installs itself as [nic]'s RX handler. *)
+val create : Sim.Engine.t -> nic:Nic.t -> unit -> t
+(** The vswitch installs itself as [nic]'s RX handler. *)
 
 val register_ip : t -> Addr.ip -> (Segment.t -> unit) -> unit
 (** Route all segments for [ip] to a stack's input function. *)
@@ -34,8 +33,8 @@ val unregister_flow : t -> Addr.Flow.t -> unit
 val owns_ip : t -> Addr.ip -> bool
 
 val output : t -> Segment.t -> unit
-(** Egress from a local stack: local destinations are delivered after
-    [local_delay]; everything else goes to the physical NIC. *)
+(** Egress from a local stack: local destinations are delivered after the
+    5 us intra-host latency; everything else goes to the physical NIC. *)
 
 val input : t -> Segment.t -> unit
 (** Ingress demux (also used by the local path). *)

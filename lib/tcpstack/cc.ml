@@ -4,7 +4,6 @@ type t = {
   on_ack : acked:int -> rtt:float -> now:float -> unit;
   on_loss : now:float -> unit;
   on_timeout : now:float -> unit;
-  on_ecn_ack : acked:int -> now:float -> unit;
   release : unit -> unit;
   export : unit -> (string * float) list;
   import : (string * float) list -> unit;

@@ -13,8 +13,6 @@ type t = {
       (** new data acknowledged; [rtt] < 0 when no sample is available *)
   on_loss : now:float -> unit;  (** fast-retransmit loss signal *)
   on_timeout : now:float -> unit;  (** RTO expiry *)
-  on_ecn_ack : acked:int -> now:float -> unit;
-      (** acknowledgement carrying an ECN echo *)
   release : unit -> unit;  (** the flow is closing; drop shared-state refs *)
   export : unit -> (string * float) list;
       (** serialize mutable state as key/value pairs (live NSM migration) *)

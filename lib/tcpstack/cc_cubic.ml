@@ -11,15 +11,13 @@ type state = {
   mutable k : float; (* time to regrow to w_max *)
   mutable w_est : float; (* TCP-friendly Reno estimate, in MSS *)
   mutable acked_in_epoch : float;
-  mutable last_ecn : float;
   mutable min_rtt : float; (* HyStart baseline *)
 }
 
 let create ~mss () =
   let s =
     { mss; cwnd = Cc.initial_window ~mss; ssthresh = Cc.max_cwnd; w_max = 0.0;
-      epoch_start = -1.0; k = 0.0; w_est = 0.0; acked_in_epoch = 0.0; last_ecn = -1.0;
-      min_rtt = infinity }
+      epoch_start = -1.0; k = 0.0; w_est = 0.0; acked_in_epoch = 0.0; min_rtt = infinity }
   in
   let mssf = float_of_int mss in
   let on_ack ~acked ~rtt ~now =
@@ -79,12 +77,6 @@ let create ~mss () =
     on_ack;
     on_loss = (fun ~now:_ -> reduce ());
     on_timeout;
-    on_ecn_ack =
-      (fun ~acked:_ ~now ->
-        if now -. s.last_ecn > 0.002 then begin
-          s.last_ecn <- now;
-          reduce ()
-        end);
     release = (fun () -> ());
     export =
       (fun () ->
@@ -96,7 +88,6 @@ let create ~mss () =
           ("k", s.k);
           ("w_est", s.w_est);
           ("acked_in_epoch", s.acked_in_epoch);
-          ("last_ecn", s.last_ecn);
           ("min_rtt", s.min_rtt);
         ]);
     import =
@@ -109,7 +100,6 @@ let create ~mss () =
         s.k <- Cc.import_field kv "k" ~default:s.k;
         s.w_est <- Cc.import_field kv "w_est" ~default:s.w_est;
         s.acked_in_epoch <- Cc.import_field kv "acked_in_epoch" ~default:s.acked_in_epoch;
-        s.last_ecn <- Cc.import_field kv "last_ecn" ~default:s.last_ecn;
         s.min_rtt <- Cc.import_field kv "min_rtt" ~default:s.min_rtt);
   }
 

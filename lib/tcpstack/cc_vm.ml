@@ -5,19 +5,10 @@ type group = {
   (* Not exported: the destination group's flow count was already bumped by
      [factory] when the migrating flow attached. (* nkscope: volatile *) *)
   mutable n : int; (* active flows *)
-  mutable last_ecn : float;
-  (* DCTCP-style proportional ECN response over the shared window: a flat
-     halving per mark would penalize the VM with more packets in flight
-     (more mark events), breaking exactly the per-VM fairness this
-     controller exists to provide. *)
-  mutable acked_window : int;
-  mutable marked_window : int;
-  mutable alpha : float;
 }
 
 let create_group ~mss () =
-  { mss; cwnd = Cc.initial_window ~mss; ssthresh = Cc.max_cwnd; n = 0; last_ecn = -1.0;
-    acked_window = 0; marked_window = 0; alpha = 1.0 }
+  { mss; cwnd = Cc.initial_window ~mss; ssthresh = Cc.max_cwnd; n = 0 }
 
 let shared_cwnd g = g.cwnd
 
@@ -40,25 +31,6 @@ let factory g () =
     g.ssthresh <- Int.max (g.cwnd / 2) (floor ());
     g.cwnd <- g.ssthresh
   in
-  let account acked ~marked =
-    g.acked_window <- g.acked_window + acked;
-    if marked then g.marked_window <- g.marked_window + acked;
-    if g.acked_window >= g.cwnd then begin
-      let f = float_of_int g.marked_window /. float_of_int (Int.max 1 g.acked_window) in
-      g.alpha <- (0.9375 *. g.alpha) +. (0.0625 *. f);
-      if g.marked_window > 0 then begin
-        let reduced = float_of_int g.cwnd *. (1.0 -. (g.alpha /. 2.0)) in
-        g.cwnd <- Int.max (int_of_float reduced) (floor ());
-        g.ssthresh <- g.cwnd
-      end;
-      g.acked_window <- 0;
-      g.marked_window <- 0
-    end
-  in
-  let on_ack ~acked ~rtt:_ ~now:_ =
-    account acked ~marked:false;
-    grow acked
-  in
   let release () =
     if not !released then begin
       released := true;
@@ -68,41 +40,21 @@ let factory g () =
   {
     Cc.name = "vm-shared";
     cwnd = share;
-    on_ack;
+    on_ack = (fun ~acked ~rtt:_ ~now:_ -> grow acked);
     on_loss = (fun ~now:_ -> reduce ());
     on_timeout =
       (fun ~now:_ ->
         g.ssthresh <- Int.max (g.cwnd / 2) (floor ());
         g.cwnd <- Int.max (floor ()) (g.cwnd / 2));
-    on_ecn_ack =
-      (fun ~acked ~now:_ ->
-        account acked ~marked:true;
-        grow acked);
     release;
     (* Export/import move the *shared* group state: when a flow migrates,
        the destination group inherits the source group's window estimate
        (the flow-count bump already happened in [factory]). *)
     export =
-      (fun () ->
-        [
-          ("cwnd", float_of_int g.cwnd);
-          ("ssthresh", float_of_int g.ssthresh);
-          ("last_ecn", g.last_ecn);
-          ("acked_window", float_of_int g.acked_window);
-          ("marked_window", float_of_int g.marked_window);
-          ("alpha", g.alpha);
-        ]);
+      (fun () -> [ ("cwnd", float_of_int g.cwnd); ("ssthresh", float_of_int g.ssthresh) ]);
     import =
       (fun kv ->
         g.cwnd <- int_of_float (Cc.import_field kv "cwnd" ~default:(float_of_int g.cwnd));
         g.ssthresh <-
-          int_of_float (Cc.import_field kv "ssthresh" ~default:(float_of_int g.ssthresh));
-        g.last_ecn <- Cc.import_field kv "last_ecn" ~default:g.last_ecn;
-        g.acked_window <-
-          int_of_float
-            (Cc.import_field kv "acked_window" ~default:(float_of_int g.acked_window));
-        g.marked_window <-
-          int_of_float
-            (Cc.import_field kv "marked_window" ~default:(float_of_int g.marked_window));
-        g.alpha <- Cc.import_field kv "alpha" ~default:g.alpha);
+          int_of_float (Cc.import_field kv "ssthresh" ~default:(float_of_int g.ssthresh)));
   }

@@ -1,37 +1,7 @@
-type state = {
-  stack : Stack.t;
-  socks : (Socket_api.sock, Stack.sock) Hashtbl.t;
-  epolls : (Socket_api.epoll, Socket_api.sock Epoll_core.t) Hashtbl.t;
-  memberships : (Socket_api.sock, Socket_api.epoll list ref) Hashtbl.t;
-  mutable next_fd : int;
-  mutable next_ep : int;
-}
-
-let on_sock_event st fd (_ev : Types.events) =
-  match Hashtbl.find_opt st.memberships fd with
-  | None -> ()
-  | Some eps ->
-      List.iter
-        (fun epid ->
-          match Hashtbl.find_opt st.epolls epid with
-          | None -> ()
-          | Some ep -> Epoll_core.notify ep fd)
-        !eps
-
-let register_fd st s =
-  let fd = st.next_fd in
-  st.next_fd <- st.next_fd + 1;
-  Hashtbl.replace st.socks fd s;
-  Stack.set_event_handler st.stack s (fun ev -> on_sock_event st fd ev);
-  fd
-
 let make stack =
-  let st =
-    { stack; socks = Hashtbl.create 64; epolls = Hashtbl.create 8;
-      memberships = Hashtbl.create 64; next_fd = 3; next_ep = 1 }
-  in
-  let engine = Stack.engine stack in
-  let find fd = Hashtbl.find_opt st.socks fd in
+  let socks = Hashtbl.create 64 in
+  let next_fd = ref 3 in
+  let find fd = Hashtbl.find_opt socks fd in
   let events_of fd =
     match find fd with None -> Types.no_events | Some s -> Stack.sock_events stack s
   in
@@ -40,8 +10,18 @@ let make stack =
     | Some s -> Stack.sock_core stack s
     | None -> Sim.Cpu.Set.core (Stack.cores stack) 0
   in
-  let wake_cycles = (Stack.config stack).Stack.profile.Sim.Cost_profile.epoll_wake in
-  let socket () = Ok (register_fd st (Stack.socket stack)) in
+  let epoll =
+    Epoll_core.create ~engine:(Stack.engine stack) ~events_of ~core_of
+      ~wake_cycles:(Stack.config stack).Stack.profile.Sim.Cost_profile.epoll_wake
+  in
+  let register_fd s =
+    let fd = !next_fd in
+    incr next_fd;
+    Hashtbl.replace socks fd s;
+    Stack.set_event_handler stack s (fun _ -> Epoll_core.notify epoll fd);
+    fd
+  in
+  let socket () = Ok (register_fd (Stack.socket stack)) in
   let bind fd addr =
     match find fd with None -> Error Types.Einval | Some s -> Stack.bind stack s addr
   in
@@ -56,7 +36,7 @@ let make stack =
             match r with
             | Error e -> k (Error e)
             | Ok cs ->
-                let cfd = register_fd st cs in
+                let cfd = register_fd cs in
                 let peer =
                   match Stack.peer_addr stack cs with
                   | Some a -> a
@@ -80,53 +60,8 @@ let make stack =
     | None -> ()
     | Some s ->
         Stack.close stack s;
-        Hashtbl.remove st.socks fd;
-        (match Hashtbl.find_opt st.memberships fd with
-        | None -> ()
-        | Some eps ->
-            List.iter
-              (fun epid ->
-                match Hashtbl.find_opt st.epolls epid with
-                | None -> ()
-                | Some ep -> Epoll_core.del ep fd)
-              !eps;
-            Hashtbl.remove st.memberships fd)
-  in
-  let epoll_create () =
-    let epid = st.next_ep in
-    st.next_ep <- st.next_ep + 1;
-    Hashtbl.replace st.epolls epid
-      (Epoll_core.create ~engine ~cmp:Int.compare ~events_of ~core_of ~wake_cycles ());
-    epid
-  in
-  let epoll_add epid fd ~mask =
-    match Hashtbl.find_opt st.epolls epid with
-    | None -> ()
-    | Some ep ->
-        Epoll_core.add ep fd ~mask;
-        let eps =
-          match Hashtbl.find_opt st.memberships fd with
-          | Some l -> l
-          | None ->
-              let l = ref [] in
-              Hashtbl.replace st.memberships fd l;
-              l
-        in
-        if not (List.mem epid !eps) then eps := epid :: !eps
-  in
-  let epoll_del epid fd =
-    match Hashtbl.find_opt st.epolls epid with
-    | None -> ()
-    | Some ep ->
-        Epoll_core.del ep fd;
-        (match Hashtbl.find_opt st.memberships fd with
-        | None -> ()
-        | Some eps -> eps := List.filter (fun e -> e <> epid) !eps)
-  in
-  let epoll_wait epid ~timeout ~k =
-    match Hashtbl.find_opt st.epolls epid with
-    | None -> k []
-    | Some ep -> Epoll_core.wait ep ~timeout ~k
+        Hashtbl.remove socks fd;
+        Epoll_core.remove epoll fd
   in
   let local_addr fd = Option.bind (find fd) (Stack.local_addr stack) in
   let peer_addr fd = Option.bind (find fd) (Stack.peer_addr stack) in
@@ -139,10 +74,10 @@ let make stack =
     send;
     recv;
     close;
-    epoll_create;
-    epoll_add;
-    epoll_del;
-    epoll_wait;
+    epoll_create = Epoll_core.epoll_create epoll;
+    epoll_add = Epoll_core.epoll_add epoll;
+    epoll_del = Epoll_core.epoll_del epoll;
+    epoll_wait = Epoll_core.epoll_wait epoll;
     local_addr;
     peer_addr;
   }

@@ -1,40 +1,49 @@
-(** Reusable epoll emulation.
+(** Epoll emulation for one socket API.
 
-    Level-triggered readiness over an arbitrary descriptor type, with the
-    waiter wake-up charged to the CPU core of the socket that became ready.
-    Used by {!Direct_socket} (Baseline) and by NetKernel's GuestLib — the
-    same I/O event notification semantics the paper preserves for
-    applications (§4.2). *)
+    One table holds every epoll instance of a {!Socket_api.t} and, per
+    socket, the instances it belongs to. Readiness is level-triggered,
+    with the waiter wake-up charged to the CPU core of the socket that
+    became ready. Used by {!Direct_socket} (Baseline) and by NetKernel's
+    GuestLib — the same I/O event notification semantics the paper
+    preserves for applications (§4.2). *)
 
-type 'fd t
+type t
 
 val create :
   engine:Sim.Engine.t ->
-  cmp:('fd -> 'fd -> int) ->
-  events_of:('fd -> Types.events) ->
-  core_of:('fd -> Sim.Cpu.t) ->
+  events_of:(Socket_api.sock -> Types.events) ->
+  core_of:(Socket_api.sock -> Sim.Cpu.t) ->
   wake_cycles:float ->
-  unit ->
-  'fd t
-(** [events_of] must return the descriptor's current readiness snapshot;
-    [core_of] the core charged [wake_cycles] when a waiter is woken. [cmp]
-    totally orders descriptors: ready sets are delivered in ascending [cmp]
-    order so event delivery is deterministic. *)
+  t
+(** [events_of] must return the socket's current readiness snapshot;
+    [core_of] the core charged [wake_cycles] when a waiter is woken. *)
 
-val add : 'fd t -> 'fd -> mask:Types.events -> unit
+val notify : t -> Socket_api.sock -> unit
+(** The socket's readiness may have changed: every instance it belongs to
+    re-reads [events_of], most recently joined instance first. Cheap no-op
+    for a socket in no instance. *)
+
+val remove : t -> Socket_api.sock -> unit
+(** The socket closed: drop it from every instance it belongs to. *)
+
+val epoll_create : t -> unit -> Socket_api.epoll
+
+val epoll_add : t -> Socket_api.epoll -> Socket_api.sock -> mask:Types.events -> unit
 (** Register interest in the event kinds set in [mask] (hup is always
-    reported); re-adding updates the mask (epoll_mod). If the descriptor is
-    already ready under the mask, a pending waiter is woken immediately. *)
+    reported); re-adding updates the mask (epoll_mod). If the socket is
+    already ready under the mask, a pending waiter is woken immediately.
+    Unknown instances are ignored. *)
 
-val del : 'fd t -> 'fd -> unit
+val epoll_del : t -> Socket_api.epoll -> Socket_api.sock -> unit
 
-val mem : 'fd t -> 'fd -> bool
-
-val notify : 'fd t -> 'fd -> unit
-(** Tell the instance that [fd]'s readiness may have changed (it re-reads
-    [events_of]). Cheap no-op for non-members. *)
-
-val wait : 'fd t -> timeout:float -> k:(('fd * Types.events) list -> unit) -> unit
-(** Deliver the ready set once non-empty, or an empty list after [timeout]
-    seconds (negative timeout = wait indefinitely). One waiter at a time;
-    a second concurrent waiter replaces the first (which is dropped). *)
+val epoll_wait :
+  t ->
+  Socket_api.epoll ->
+  timeout:float ->
+  k:((Socket_api.sock * Types.events) list -> unit) ->
+  unit
+(** Deliver the ready set, in ascending socket order, once non-empty, or
+    an empty list after [timeout] seconds (negative timeout = wait
+    indefinitely; an unknown instance delivers [[]] at once). One waiter
+    per instance; a second concurrent waiter replaces the first (which is
+    dropped). *)

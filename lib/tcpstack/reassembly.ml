@@ -16,10 +16,6 @@ let next t = t.next_mod
 
 let ooo_bytes t = List.fold_left (fun acc (lo, hi) -> acc + (hi - lo)) 0 t.ranges
 
-let ooo_ranges t = List.length t.ranges
-
-let fin_seen t = t.fin_abs <> None
-
 (* Insert [lo, hi) into the sorted disjoint list, merging overlaps. Returns
    the new list and how many bytes of [lo, hi) were already covered. *)
 let insert_range ranges lo hi =

@@ -27,12 +27,6 @@ val next : t -> int
 val ooo_bytes : t -> int
 (** Bytes buffered out-of-order (they consume receive-window space). *)
 
-val ooo_ranges : t -> int
-(** Number of disjoint out-of-order ranges held (for tests). *)
-
-val fin_seen : t -> bool
-(** A FIN has been offered (possibly still out of order). *)
-
 type snapshot = {
   s_next_abs : int;
   s_next_mod : int;

@@ -1,14 +1,16 @@
+(* RFC 6298 2.1: before the first sample the RTO is 1 s. *)
+let initial_rto = 1.0
+
 type t = {
   min_rto : float;
   max_rto : float;
-  initial_rto : float;
   mutable srtt : float;
   mutable rttvar : float;
   mutable has_sample : bool;
 }
 
-let create ?(min_rto = 0.2) ?(max_rto = 30.0) ?(initial_rto = 1.0) () =
-  { min_rto; max_rto; initial_rto; srtt = 0.0; rttvar = 0.0; has_sample = false }
+let create ?(min_rto = 0.2) ?(max_rto = 30.0) () =
+  { min_rto; max_rto; srtt = 0.0; rttvar = 0.0; has_sample = false }
 
 let sample t rtt =
   if rtt >= 0.0 then
@@ -28,7 +30,7 @@ let srtt t = t.srtt
 let rttvar t = t.rttvar
 
 let rto t =
-  if not t.has_sample then t.initial_rto
+  if not t.has_sample then initial_rto
   else Float.min t.max_rto (Float.max t.min_rto (t.srtt +. (4.0 *. t.rttvar)))
 
 let has_sample t = t.has_sample
@@ -36,7 +38,6 @@ let has_sample t = t.has_sample
 type snapshot = {
   s_min_rto : float;
   s_max_rto : float;
-  s_initial_rto : float;
   s_srtt : float;
   s_rttvar : float;
   s_has_sample : bool;
@@ -46,7 +47,6 @@ let snapshot t =
   {
     s_min_rto = t.min_rto;
     s_max_rto = t.max_rto;
-    s_initial_rto = t.initial_rto;
     s_srtt = t.srtt;
     s_rttvar = t.rttvar;
     s_has_sample = t.has_sample;
@@ -56,7 +56,6 @@ let restore s =
   {
     min_rto = s.s_min_rto;
     max_rto = s.s_max_rto;
-    initial_rto = s.s_initial_rto;
     srtt = s.s_srtt;
     rttvar = s.s_rttvar;
     has_sample = s.s_has_sample;

@@ -2,8 +2,9 @@
 
 type t
 
-val create : ?min_rto:float -> ?max_rto:float -> ?initial_rto:float -> unit -> t
-(** Defaults: [min_rto] 0.2 s (Linux), [max_rto] 30 s, [initial_rto] 1 s. *)
+val create : ?min_rto:float -> ?max_rto:float -> unit -> t
+(** Defaults: [min_rto] 0.2 s (Linux), [max_rto] 30 s. Before the first
+    sample the RTO is 1 s (RFC 6298). *)
 
 val sample : t -> float -> unit
 (** [sample t rtt] feeds one round-trip measurement (seconds). Negative
@@ -22,7 +23,6 @@ val has_sample : t -> bool
 type snapshot = {
   s_min_rto : float;
   s_max_rto : float;
-  s_initial_rto : float;
   s_srtt : float;
   s_rttvar : float;
   s_has_sample : bool;

@@ -15,15 +15,7 @@ type export = {
   e_payload : payload;
 }
 
-type semantics = Byte_stream | Message
-
-type caps = { semantics : semantics; has_backlog : bool }
-
 type t = {
-  name : string;
-  proto : string;
-  caps : caps;
-  engine : Sim.Engine.t;
   add_ip : Addr.ip -> unit;
   remove_ip : Addr.ip -> unit;
   new_listener :
@@ -39,13 +31,9 @@ type t = {
   close_conn : conn -> unit;
   abort_conn : conn -> unit;
   set_conn_handler : conn -> (Types.events -> unit) -> unit;
-  conn_events : conn -> Types.events;
   conn_core : conn -> Sim.Cpu.t;
-  conn_peer : conn -> Addr.t option;
-  conn_local : conn -> Addr.t option;
   conn_error : conn -> Types.err option;
   export_conn : conn -> (export, Types.err) result;
   import_conn : export -> (conn, Types.err) result;
-  default_core : Sim.Cpu.t;
   wake_cycles : float;
 }

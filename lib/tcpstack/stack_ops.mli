@@ -39,32 +39,16 @@ type export = {
 }
 (** A serialized connection, as carried across a live NSM migration. *)
 
-type semantics = Byte_stream | Message
-
-type caps = {
-  semantics : semantics;
-      (** [Byte_stream]: send/recv move an unframed octet stream.
-          [Message]: each send is one message and recv never returns bytes
-          that cross a message boundary. *)
-  has_backlog : bool;
-      (** whether listeners queue half-open handshakes (a TCP SYN
-          backlog). Backlog-free transports admit connections on first
-          contact; the [backlog] argument of [new_listener] is advisory
-          for them. *)
-}
-(** What tenants and the control plane may assume of the transport. *)
-
 type t = {
-  name : string;
-  proto : string;  (** protocol id stamped into every {!export} *)
-  caps : caps;
-  engine : Sim.Engine.t;
   add_ip : Addr.ip -> unit;
   remove_ip : Addr.ip -> unit;
       (** release an IP (live migration moved its VM off this backend) *)
   new_listener :
     addr:Addr.t -> backlog:int -> on_accept:(conn -> peer:Addr.t -> unit) ->
     (listener, Types.err) result;
+      (** [backlog] bounds the queue of half-open handshakes (a TCP SYN
+          backlog); a backlog-free transport admits connections on first
+          contact and ignores it *)
   close_listener : listener -> unit;
   quiesce_listener : listener -> unit;
       (** migration quiesce: silently stop admitting new connections — no
@@ -81,10 +65,7 @@ type t = {
   close_conn : conn -> unit;
   abort_conn : conn -> unit;
   set_conn_handler : conn -> (Types.events -> unit) -> unit;
-  conn_events : conn -> Types.events;
   conn_core : conn -> Sim.Cpu.t;
-  conn_peer : conn -> Addr.t option;
-  conn_local : conn -> Addr.t option;
   conn_error : conn -> Types.err option;
   export_conn : conn -> (export, Types.err) result;
       (** quietly detach the connection from whichever shard owns it and
@@ -95,7 +76,6 @@ type t = {
           protocol (live NSM migration); the backend picks which shard
           hosts it, and rejects payloads of a foreign protocol with
           [Einval] *)
-  default_core : Sim.Cpu.t;
   wake_cycles : float;
       (** what one event-loop wakeup costs on this backend (an epoll wake
           on the kernel stack, a context poll on a user-level stack) —

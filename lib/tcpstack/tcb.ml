@@ -104,7 +104,6 @@ type t = {
   mutable eof_delivered : bool;
   mutable peer_ts : float; (* latest peer timestamp, echoed in our ACKs *)
   mutable last_adv_wnd : int;
-  mutable ce_to_echo : bool; (* DCTCP-style: echo CE state on next ACK *)
   mutable retransmissions : int;
   mutable bytes_sent : int;
   mutable bytes_received : int;
@@ -182,10 +181,9 @@ let emit_segment t ~seq ~len ~syn ~fin =
   let ack_flag = t.state <> Syn_sent && (t.reasm <> None || syn) in
   let window = rwnd_available t in
   t.last_adv_wnd <- window;
-  let ece = t.ce_to_echo in
   let seg =
     Segment.make ~flow:t.flow ~seq ~ack:(rcv_nxt t) ~syn ~ack_flag ~fin ~window ~len
-      ~ts:(t.act.now ()) ~ts_echo:t.peer_ts ~ece ()
+      ~ts:(t.act.now ()) ~ts_echo:t.peer_ts ()
   in
   if len > 0 then t.bytes_sent <- t.bytes_sent + len;
   t.act.emit seg
@@ -333,7 +331,6 @@ let base ~flow ~cfg ~act ~cc ~write_fifo ~read_fifo ~state ~iss =
     eof_delivered = false;
     peer_ts = -1.0;
     last_adv_wnd = 0;
-    ce_to_echo = false;
     retransmissions = 0;
     bytes_sent = 0;
     bytes_received = 0;
@@ -414,8 +411,7 @@ let process_ack t (seg : Segment.t) =
       if rtt_sample >= 0.0 then Rtt_estimator.sample t.rtt rtt_sample;
       if t.in_recovery && Tcp_seq.geq ack t.recover then t.in_recovery <- false
       else if t.in_recovery then retransmit_head t;
-      if seg.Segment.ece then t.cc.Cc.on_ecn_ack ~acked ~now
-      else t.cc.Cc.on_ack ~acked ~rtt:rtt_sample ~now;
+      t.cc.Cc.on_ack ~acked ~rtt:rtt_sample ~now;
       arm_rto t;
       if fin_acked t then begin
         match t.state with
@@ -454,7 +450,6 @@ let process_payload t (seg : Segment.t) =
   | None -> ()
   | Some reasm ->
       if seg.Segment.ts >= 0.0 then t.peer_ts <- Float.max t.peer_ts seg.Segment.ts;
-      if seg.Segment.ce then t.ce_to_echo <- true;
       let off =
         Reassembly.offer reasm ~seq:seg.Segment.seq ~len:seg.Segment.len
           ~fin:seg.Segment.fin
@@ -479,7 +474,6 @@ let process_payload t (seg : Segment.t) =
       end;
       (* Data and FIN segments are acknowledged immediately. *)
       emit_ack t;
-      t.ce_to_echo <- false;
       if off.Reassembly.released > 0 || off.Reassembly.fin_reached then t.act.on_readable ()
 
 (* ---- Input dispatch ---------------------------------------------------- *)
@@ -651,7 +645,6 @@ module Snapshot = struct
     s_eof_delivered : bool;
     s_peer_ts : float;
     s_last_adv_wnd : int;
-    s_ce_to_echo : bool;
     s_retransmissions : int;
     s_bytes_sent : int;
     s_bytes_received : int;
@@ -696,7 +689,6 @@ let snapshot t =
     s_eof_delivered = t.eof_delivered;
     s_peer_ts = t.peer_ts;
     s_last_adv_wnd = t.last_adv_wnd;
-    s_ce_to_echo = t.ce_to_echo;
     s_retransmissions = t.retransmissions;
     s_bytes_sent = t.bytes_sent;
     s_bytes_received = t.bytes_received;
@@ -754,7 +746,6 @@ let restore ~act ~cc ~channel ~role (s : Snapshot.t) =
       eof_delivered = s.Snapshot.s_eof_delivered;
       peer_ts = s.Snapshot.s_peer_ts;
       last_adv_wnd = s.Snapshot.s_last_adv_wnd;
-      ce_to_echo = s.Snapshot.s_ce_to_echo;
       retransmissions = s.Snapshot.s_retransmissions;
       bytes_sent = s.Snapshot.s_bytes_sent;
       bytes_received = s.Snapshot.s_bytes_received;

@@ -149,7 +149,6 @@ module Snapshot : sig
     s_eof_delivered : bool;
     s_peer_ts : float;
     s_last_adv_wnd : int;
-    s_ce_to_echo : bool;
     s_retransmissions : int;
     s_bytes_sent : int;
     s_bytes_received : int;

@@ -15,8 +15,6 @@ type Stack_ops.payload += Tcp_state of Stack.export
 
 let proto = "tcp"
 
-let caps = { Stack_ops.semantics = Stack_ops.Byte_stream; has_backlog = true }
-
 let conn_of_sock stack sock = Conn { c_stack = stack; c_sock = sock }
 
 (* Foreign handles mean a caller wired one backend's handle into another —
@@ -28,10 +26,6 @@ let unpack_conn = function
 let unpack_listener = function
   | Listener l -> l
   | _ -> invalid_arg "Tcp_ops: foreign listener handle"
-
-let conn_stack c = fst (unpack_conn c)
-
-let conn_sock c = snd (unpack_conn c)
 
 let export_of ex =
   {
@@ -109,11 +103,7 @@ let quiesce_listener_handle h =
 
 let of_stack stack =
   {
-    Stack_ops.name = Stack.name stack;
-    proto;
-    caps;
-    engine = Stack.engine stack;
-    add_ip = Stack.add_ip stack;
+    Stack_ops.add_ip = Stack.add_ip stack;
     remove_ip = Stack.remove_ip stack;
     new_listener = (fun ~addr ~backlog ~on_accept -> listener_on stack ~addr ~backlog ~on_accept);
     close_listener = close_listener_handle;
@@ -145,22 +135,10 @@ let of_stack stack =
       (fun c h ->
         let stack, sock = unpack_conn c in
         Stack.set_event_handler stack sock h);
-    conn_events =
-      (fun c ->
-        let stack, sock = unpack_conn c in
-        Stack.sock_events stack sock);
     conn_core =
       (fun c ->
         let stack, sock = unpack_conn c in
         Stack.sock_core stack sock);
-    conn_peer =
-      (fun c ->
-        let stack, sock = unpack_conn c in
-        Stack.peer_addr stack sock);
-    conn_local =
-      (fun c ->
-        let stack, sock = unpack_conn c in
-        Stack.local_addr stack sock);
     conn_error =
       (fun c ->
         let stack, sock = unpack_conn c in
@@ -174,6 +152,5 @@ let of_stack stack =
             match Stack.import_conn stack ex with
             | Ok s -> Ok (conn_of_sock stack s)
             | Error e -> Error e));
-    default_core = Sim.Cpu.Set.core (Stack.cores stack) 0;
     wake_cycles = (Stack.config stack).Stack.profile.Sim.Cost_profile.epoll_wake;
   }

@@ -18,9 +18,6 @@ type Stack_ops.payload += Tcp_state of Stack.export
 val proto : string
 (** ["tcp"]. *)
 
-val caps : Stack_ops.caps
-(** Byte-stream semantics, listener backlog present. *)
-
 val of_stack : Stack.t -> Stack_ops.t
 (** Adapt a single stack instance (used by the kernel-stack NSM). *)
 
@@ -46,10 +43,6 @@ val close_listener_handle : Stack_ops.listener -> unit
 val quiesce_listener_handle : Stack_ops.listener -> unit
 (** Stop admitting fresh connections on every part ({!Stack.pause_listener}:
     new SYNs drop silently, queued accepts keep settling). *)
-
-val conn_stack : Stack_ops.conn -> Stack.t
-
-val conn_sock : Stack_ops.conn -> Stack.sock
 
 val export_of : Stack.export -> Stack_ops.export
 (** Wrap a stack export in the neutral envelope (proto ["tcp"], steering

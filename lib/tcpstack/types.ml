@@ -20,8 +20,6 @@ let err_to_string = function
   | Eagain -> "EAGAIN"
   | Enobufs -> "ENOBUFS"
 
-let pp_err fmt e = Format.pp_print_string fmt (err_to_string e)
-
 type payload = Data of string | Zeros of int
 
 let payload_len = function Data s -> String.length s | Zeros n -> n

@@ -13,8 +13,6 @@ type err =
 
 val err_to_string : err -> string
 
-val pp_err : Format.formatter -> err -> unit
-
 (** Application payloads. [Zeros n] is synthetic filler for performance
     experiments (content-free, O(1) space); [Data s] carries real bytes and
     is what correctness tests use end to end. *)

@@ -1,5 +1,5 @@
 (* Application-layer tests over the baseline stack: server/loadgen contracts,
-   HTTP end-to-end, pacing, open-loop rates, and the direct mTCP API. *)
+   HTTP end-to-end, pacing and open-loop rates. *)
 
 open Tcpstack
 module E = Sim.Engine
@@ -162,53 +162,6 @@ let kvstore_baseline () =
   World.run w ~until:5.0;
   Alcotest.(check (option string)) "kv roundtrip" (Some "v") !got
 
-let mtcp_direct_api () =
-  (* An "mTCP application" linked against the sharded library directly. *)
-  let w = world () in
-  let client = client_endpoint w in
-  let nic = Nic.create w.World.engine ~name:"mtcp.nic" () in
-  Fabric.attach w.World.fabric nic;
-  Fabric.add_route w.World.fabric ip_server nic;
-  let vswitch = Vswitch.create w.World.engine ~nic () in
-  let cores = Sim.Cpu.Set.create w.World.engine ~name:"mtcp" ~n:4 () in
-  let mtcp =
-    Mtcpstack.Mtcp.create ~engine:w.World.engine ~name:"mtcp" ~cores ~vswitch
-      ~registry:w.World.registry ~rng:(Nkutil.Rng.create ~seed:5) ()
-  in
-  Mtcpstack.Mtcp.add_ip mtcp ip_server;
-  let api = Mtcpstack.Mtcp.api mtcp in
-  (match
-     Nkapps.Epoll_server.start ~engine:w.World.engine ~api
-       (Nkapps.Epoll_server.config ~proto:(fixed 64) (Addr.make ip_server 80))
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "mtcp server: %s" (Types.err_to_string e));
-  let lg = ref None in
-  ignore
-    (E.schedule w.World.engine ~delay:1e-3 (fun () ->
-         lg :=
-           Some
-             (Nkapps.Loadgen.start ~engine:w.World.engine ~api:client.World.api
-                {
-                  Nkapps.Loadgen.server = Addr.make ip_server 80;
-                  proto = fixed 64;
-                  mode =
-                    Nkapps.Loadgen.Closed { concurrency = 32; total = Some 2000; duration = None };
-                  warmup = 0.0;
-                })));
-  World.run w ~until:30.0;
-  let r = Nkapps.Loadgen.results (Option.get !lg) in
-  Alcotest.(check int) "mtcp served all" 2000 r.Nkapps.Loadgen.completed;
-  Alcotest.(check int) "no errors" 0 r.Nkapps.Loadgen.errors;
-  (* all shards participated (RSS spread) *)
-  let active =
-    List.filter
-      (fun (s : Stack.stats) -> s.Stack.conns_established > 0)
-      (Mtcpstack.Mtcp.stats mtcp)
-  in
-  if List.length active < 3 then
-    Alcotest.failf "poor RSS spread: only %d/4 shards active" (List.length active)
-
 (* Connection churn must not grow the engine's pending set: every
    handshake arms a 1 s initial RTO at both ends and cancels it one round
    trip later, so if cancelled events stayed queued until their expiry,
@@ -251,6 +204,5 @@ let tests =
     Alcotest.test_case "open-loop rate" `Quick open_loop_rate;
     Alcotest.test_case "paced stream" `Quick paced_stream;
     Alcotest.test_case "kv store over baseline" `Quick kvstore_baseline;
-    Alcotest.test_case "mtcp direct API + RSS spread" `Quick mtcp_direct_api;
     Alcotest.test_case "connection churn keeps pending bounded" `Quick churn_pending_bounded;
   ]

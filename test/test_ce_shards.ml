@@ -145,7 +145,7 @@ let single_shard_world_oracle () =
      bit-for-bit. The [events] count was re-captured twice since: once
      when CoreEngine started eliding same-instant duplicate owner wakes,
      and again when Link moved to lazy in-flight buffer release (no
-     per-packet release event unless a transmit hook is installed). Both
+     per-packet release event). Both
      changes remove redundant engine events only, which the unchanged
      finish time / busy cycles / switched counts confirm. *)
   let completed, errors, finished, vm, nsm, switched, events, shard_busy, _ =

@@ -46,21 +46,6 @@ let link_drop_tail () =
   Alcotest.(check (list bool)) "third tail-dropped" [ true; true; false ] [ ok1; ok2; ok3 ];
   Alcotest.(check int) "drop counted" 1 (Link.drops link)
 
-let link_ecn_marking () =
-  let e = E.create () in
-  (* RED-style marking ramps from the threshold to certainty at twice the
-     threshold; queue far past that to make the assertion deterministic. *)
-  let link = Link.create e ~rate_bps:1e6 ~delay:0.0 ~ecn_threshold_bytes:100 () in
-  Link.set_receiver link (fun _ -> ());
-  let f = flow 1 2 in
-  let s1 = seg f ~len:1200 in
-  let s2 = seg f ~len:1200 in
-  ignore (Link.send link s1);
-  ignore (Link.send link s2);
-  Alcotest.(check bool) "first unmarked (queue was empty)" false s1.Segment.ce;
-  Alcotest.(check bool) "deep queue marks with certainty" true s2.Segment.ce;
-  Alcotest.(check int) "mark counted" 1 (Link.ecn_marks link)
-
 let fabric_routing () =
   let e = E.create () in
   let fabric = Fabric.create e ~rate_bps:1e9 ~delay:1e-3 () in
@@ -148,36 +133,11 @@ let agpack_arithmetic () =
   if Float.abs (r.Nktrace.Agpack.core_saving_fraction -. (1.0 -. (16.0 /. 29.0))) > 1e-9
   then Alcotest.fail "saving fraction"
 
-let trace_csv_roundtrip () =
-  let fleet = Nktrace.Traffic.generate_fleet ~seed:3 ~n:4 () in
-  match Nktrace.Trace_io.of_csv (Nktrace.Trace_io.to_csv fleet) with
-  | Error e -> Alcotest.fail e
-  | Ok back ->
-      Alcotest.(check int) "same count" (List.length fleet) (List.length back);
-      List.iter2
-        (fun (a : Nktrace.Traffic.t) (b : Nktrace.Traffic.t) ->
-          Alcotest.(check int) "id" a.Nktrace.Traffic.ag_id b.Nktrace.Traffic.ag_id;
-          Array.iteri
-            (fun i r ->
-              if Float.abs (r -. b.Nktrace.Traffic.rates.(i)) > 0.001 then
-                Alcotest.failf "rate drift at minute %d" i)
-            a.Nktrace.Traffic.rates)
-        fleet back
-
-let trace_csv_malformed () =
-  (match Nktrace.Trace_io.of_csv "ag_id,minute,rps\n1,2\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing column must fail");
-  match Nktrace.Trace_io.of_csv "ag_id,minute,rps\n1,-3,5.0\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "negative minute must fail"
-
 let tests =
   [
     Alcotest.test_case "segment framing" `Quick segment_framing;
     Alcotest.test_case "link serialization" `Quick link_serialization;
     Alcotest.test_case "link drop tail" `Quick link_drop_tail;
-    Alcotest.test_case "link ECN marking" `Quick link_ecn_marking;
     Alcotest.test_case "fabric routing" `Quick fabric_routing;
     Alcotest.test_case "vswitch demux" `Quick vswitch_demux;
     Alcotest.test_case "vswitch local shortcut" `Quick vswitch_local_shortcut;
@@ -185,6 +145,4 @@ let tests =
     Alcotest.test_case "trace burstiness" `Quick trace_burstiness;
     Alcotest.test_case "trace interpolation" `Quick trace_interpolation;
     Alcotest.test_case "agpack arithmetic" `Quick agpack_arithmetic;
-    Alcotest.test_case "trace csv roundtrip" `Quick trace_csv_roundtrip;
-    Alcotest.test_case "trace csv malformed" `Quick trace_csv_malformed;
   ]

@@ -154,6 +154,24 @@ let mtcp_nsm_serves_unmodified_app () =
   in
   if conns < 2000 then Alcotest.failf "mTCP shards accepted too few conns: %d" conns
 
+(* mTCP's per-core sharding seen through the NSM path: a 4-core mTCP NSM
+   listens on every shard and RSS spreads the accepted connections. *)
+let mtcp_nsm_rss_spread () =
+  let tb, _host, nsm, vms, client = nk_world ~nsm_kind:`Mtcp ~nsm_cores:4 () in
+  let r =
+    loadgen_against (Vm.api (List.hd vms)) (Vm.api client) tb ~addr:(Addr.make ip_vm 80)
+      ~total:2000 ~concurrency:32
+  in
+  Alcotest.(check int) "all requests completed" 2000 r.Nkapps.Loadgen.completed;
+  Alcotest.(check int) "no errors" 0 r.Nkapps.Loadgen.errors;
+  let shards = Nsm.stack_stats nsm in
+  Alcotest.(check int) "one stack per core" 4 (List.length shards);
+  List.iteri
+    (fun i (s : Tcpstack.Stack.stats) ->
+      if s.Tcpstack.Stack.conns_established = 0 then
+        Alcotest.failf "mTCP shard %d accepted no connections" i)
+    shards
+
 let multiplexing_two_vms_one_nsm () =
   let tb, _host, nsm, vms, client = nk_world ~vm_ips:[ [ ip_vm ]; [ ip_vm2 ] ] () in
   ignore nsm;
@@ -276,6 +294,7 @@ let tests =
     Alcotest.test_case "loadgen RPS over NetKernel" `Quick rps_over_netkernel;
     Alcotest.test_case "RPS parity with baseline" `Quick rps_parity_with_baseline;
     Alcotest.test_case "mTCP NSM, unmodified app" `Quick mtcp_nsm_serves_unmodified_app;
+    Alcotest.test_case "mTCP NSM RSS spread, 4 shards" `Quick mtcp_nsm_rss_spread;
     Alcotest.test_case "two VMs multiplexed on one NSM" `Quick multiplexing_two_vms_one_nsm;
     Alcotest.test_case "one VM spread over two NSMs" `Quick multi_nsm_per_socket_spread;
     Alcotest.test_case "shared-memory NSM moves real data" `Quick shmem_nsm_copies_data;

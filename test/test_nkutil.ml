@@ -1,6 +1,6 @@
 (* Unit and property tests for the utility substrate. *)
 
-module H = Nkutil.Heap
+module H = Heap
 module R = Nkutil.Rng
 module Ring = Nkutil.Spsc_ring
 module TB = Nkutil.Token_bucket

@@ -112,12 +112,12 @@ let engine_nested_schedule () =
 
 (* The engine's pending set is a hierarchical timing wheel, but its contract
    is the seed binary heap's exact (time, insertion-seq) execution order.
-   Reference model: that heap, rebuilt here on Nkutil.Heap with the same
-   clamping/cancellation semantics. Both run the same scripted ~100K-event
-   schedule — dense sub-tick delays, exact ties, zero and negative delays,
-   delays on every wheel level and beyond its 128 s horizon, events
-   scheduled from inside callbacks, and cancellations — and must log
-   byte-identical id sequences. *)
+   Reference model: that heap, rebuilt here on [Heap] (test/heap.ml) with
+   the same clamping/cancellation semantics. Both run the same scripted
+   ~100K-event schedule — dense sub-tick delays, exact ties, zero and
+   negative delays, delays on every wheel level and beyond its 128 s
+   horizon, events scheduled from inside callbacks, and cancellations —
+   and must log byte-identical id sequences. *)
 
 type 'h sched_api = {
   api_schedule : delay:float -> (unit -> unit) -> 'h;
@@ -135,26 +135,26 @@ module Ref_engine = struct
     mutable cancelled : bool;
   }
 
-  type t = { heap : ev Nkutil.Heap.t; mutable clock : float; mutable next_seq : int }
+  type t = { heap : ev Heap.t; mutable clock : float; mutable next_seq : int }
 
   let dummy = { time = 0.0; seq = 0; f = ignore; cancelled = true }
 
   let leq a b = a.time < b.time || (a.time = b.time && a.seq <= b.seq)
 
   let create () =
-    { heap = Nkutil.Heap.create ~dummy ~leq (); clock = 0.0; next_seq = 0 }
+    { heap = Heap.create ~dummy ~leq (); clock = 0.0; next_seq = 0 }
 
   let schedule t ~delay f =
     let at = Float.max (t.clock +. delay) t.clock in
     let ev = { time = at; seq = t.next_seq; f; cancelled = false } in
     t.next_seq <- t.next_seq + 1;
-    Nkutil.Heap.add t.heap ev;
+    Heap.add t.heap ev;
     ev
 
   let run t =
     let continue = ref true in
     while !continue do
-      match Nkutil.Heap.pop_min t.heap with
+      match Heap.pop_min t.heap with
       | None -> continue := false
       | Some ev ->
           if not ev.cancelled then begin

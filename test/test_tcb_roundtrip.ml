@@ -230,12 +230,12 @@ let full_lifecycle ~mkcc () =
         Alcotest.failf "state %s never checkpointed" (Tcb.state_to_string st))
     expect
 
+(* CUBIC (per-flow state) and the VM-level controller (state shared by
+   every flow of its group, exported and imported as a whole). *)
 let ccs =
   [
-    ("reno", Cc_reno.factory ~mss:Segment.mss);
     ("cubic", Cc_cubic.factory ~mss:Segment.mss);
-    ("bbr", Cc_bbr.factory ~mss:Segment.mss);
-    ("dctcp", Cc_dctcp.factory ~mss:Segment.mss);
+    ("vm-shared", Cc_vm.factory (Cc_vm.create_group ~mss:Segment.mss ()));
   ]
 
 (* Property: under a random write pattern and a random partial/shuffled

@@ -224,79 +224,6 @@ let fin_both_ways () =
   Alcotest.(check int) "no RSTs from server" 0 (Stack.stats b.World.stack).Stack.rst_tx;
   Alcotest.(check int) "no RSTs from client" 0 (Stack.stats a.World.stack).Stack.rst_tx
 
-let ecn_marks_with_dctcp () =
-  (* Two DCTCP senders through a small-buffer ECN-marking fabric keep the
-     queue bounded and both make progress. *)
-  let engine = E.create () in
-  let fabric =
-    Fabric.create engine ~rate_bps:10e9 ~delay:40e-6 ~buffer_bytes:(512 * 1024)
-      ~ecn_threshold_bytes:(96 * 1024) ()
-  in
-  let w =
-    { World.engine; registry = Conn_registry.create (); fabric;
-      rng = Nkutil.Rng.create ~seed:11 }
-  in
-  let dctcp_cfg =
-    let base = Stack.default_config Sim.Cost_profile.ideal in
-    {
-      base with
-      Stack.cc_factory = Cc_dctcp.factory ~mss:Segment.mss;
-      (* Keep segments small relative to the 10G BDP so marking reflects the
-         queue, not our own burstiness. *)
-      tcb = { Tcb.default_config with Tcb.gso = 8192 };
-    }
-  in
-  let a =
-    World.add_endpoint w ~name:"sender" ~ip:ip_a ~profile:Sim.Cost_profile.ideal
-      ~config:dctcp_cfg
-  in
-  let b = World.add_endpoint w ~name:"receiver" ~ip:ip_b ~profile:Sim.Cost_profile.ideal in
-  let server_addr = Addr.make ip_b 5003 in
-  let received = ref 0 in
-  let ls = check_ok "socket" (b.World.api.Socket_api.socket ()) in
-  check_ok "bind" (b.World.api.Socket_api.bind ls server_addr);
-  check_ok "listen" (b.World.api.Socket_api.listen ls ~backlog:64);
-  let rec accept_loop () =
-    b.World.api.Socket_api.accept ls ~k:(fun r ->
-        let fd, _ = check_ok "accept" r in
-        let rec loop () =
-          World.recv_retry w b.World.api fd ~max:(1 lsl 20) ~mode:`Discard ~k:(fun r ->
-              match r with
-              | Ok p ->
-                  received := !received + Types.payload_len p;
-                  loop ()
-              | Error e -> Alcotest.failf "recv: %s" (Types.err_to_string e))
-        in
-        loop ();
-        accept_loop ())
-  in
-  accept_loop ();
-  for _ = 1 to 2 do
-    let cs = check_ok "socket" (a.World.api.Socket_api.socket ()) in
-    a.World.api.Socket_api.connect cs server_addr ~k:(fun r ->
-        check_ok "connect" r;
-        let rec pump () =
-          a.World.api.Socket_api.send cs (Types.Zeros (256 * 1024)) ~k:(fun r ->
-              match r with
-              | Ok _ -> pump ()
-              | Error Types.Eagain ->
-                  ignore (E.schedule engine ~delay:100e-6 pump)
-              | Error e -> Alcotest.failf "send: %s" (Types.err_to_string e))
-        in
-        pump ())
-  done;
-  World.run w ~until:1.0;
-  (* 10G for ~1s ≈ 1.1 GB; expect at least half of that through, and ECN
-     marks on the sender's uplink where the two flows merge. *)
-  if !received < 512 * 1024 * 1024 then
-    Alcotest.failf "DCTCP transferred too little: %d bytes" !received;
-  match Nic.egress a.World.nic with
-  | Some uplink ->
-      if Link.ecn_marks uplink = 0 then Alcotest.fail "expected ECN marks on the uplink";
-      if Link.drops uplink > 100 then
-        Alcotest.failf "DCTCP should keep drops low, got %d" (Link.drops uplink)
-  | None -> Alcotest.fail "no uplink"
-
 let tests =
   [
     Alcotest.test_case "handshake and echo" `Quick handshake_and_echo;
@@ -306,5 +233,4 @@ let tests =
     Alcotest.test_case "backlog overflow recovers via SYN retx" `Quick
       backlog_overflow_recovers;
     Alcotest.test_case "FIN both ways" `Quick fin_both_ways;
-    Alcotest.test_case "DCTCP reacts to ECN marks" `Quick ecn_marks_with_dctcp;
   ]

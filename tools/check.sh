@@ -12,6 +12,10 @@ dune runtest
 # artifacts `dune build` just produced — the lint rule depends on the
 # default alias with sandboxing off, so nkscope never recompiles the tree.
 dune build @lint
+# Microbenchmark smoke: run the Bechamel suite once so a broken case (an
+# NQE that is not switched, a full hugepage region, a decode error) fails
+# the check. Its timings stay ungated.
+dune exec bench/main.exe > /dev/null
 # Span tracing smoke: the quick latency-breakdown run is executed twice and
 # the catapult JSON exports diffed — Nkspan derives every timestamp from
 # virtual time, so same-seed traces must be byte-identical.
