@@ -130,12 +130,22 @@ let rtt_spike_raises_rto () =
 
 let mss = Segment.mss
 
-let cubic_grows_and_reduces () =
-  let ss = Cc_cubic.create ~mss () in
-  Alcotest.(check int) "IW10" (10 * mss) (ss.Cc.cwnd ());
-  ss.Cc.on_ack ~acked:(5 * mss) ~rtt:0.001 ~now:0.0;
+let cubic_slow_start_and_loss () =
+  let cc = Cc_cubic.create ~mss () in
+  Alcotest.(check int) "IW10" (10 * mss) (cc.Cc.cwnd ());
+  cc.Cc.on_ack ~acked:(5 * mss) ~rtt:0.001 ~now:0.0;
   (* ABC (RFC 3465, L=2): growth per ACK is capped at 2*SMSS *)
-  Alcotest.(check int) "slow start grows by min(acked, 2*mss)" (12 * mss) (ss.Cc.cwnd ());
+  Alcotest.(check int) "slow start grows by min(acked, 2*mss)" (12 * mss) (cc.Cc.cwnd ());
+  cc.Cc.on_loss ~now:0.1;
+  Alcotest.(check bool) "cut by beta" true
+    (float_of_int (cc.Cc.cwnd ()) <= (0.7 *. float_of_int (12 * mss)) +. float_of_int mss);
+  let after_loss = cc.Cc.cwnd () in
+  cc.Cc.on_timeout ~now:0.2;
+  Alcotest.(check bool) "timeout collapses below loss window" true
+    (cc.Cc.cwnd () < after_loss);
+  Alcotest.(check bool) "never below 1 mss" true (cc.Cc.cwnd () >= mss)
+
+let cubic_grows_and_reduces () =
   let cc = Cc_cubic.create ~mss () in
   (* force out of slow start *)
   cc.Cc.on_loss ~now:0.0;
@@ -181,6 +191,7 @@ let tests =
     QCheck_alcotest.to_alcotest reasm_qcheck;
     Alcotest.test_case "rtt basics" `Quick rtt_basics;
     Alcotest.test_case "rtt spike raises rto" `Quick rtt_spike_raises_rto;
+    Alcotest.test_case "cubic slow start + loss" `Quick cubic_slow_start_and_loss;
     Alcotest.test_case "cubic grow/reduce" `Quick cubic_grows_and_reduces;
     Alcotest.test_case "vm-cc shared window" `Quick vmcc_shares_window;
   ]
