@@ -4,91 +4,25 @@
 
      dune exec bin/calibrate.exe *)
 
-open Nkcore
-module Types = Tcpstack.Types
+module W = Experiments.Worlds
 
-let ip_server = 10
-let ip_client = 20
+let baseline vcpus = W.baseline ~config:{ W.Config.default with vcpus } ()
 
-let client_ips = List.init 8 (fun i -> ip_client + i)
+let netkernel vcpus nsm_cores nsm_kind =
+  W.netkernel ~config:{ W.Config.default with vcpus; nsm_cores; nsm_kind } ()
 
-let baseline_world ?(vcpus = 1) () =
-  let tb = Testbed.create () in
-  let hosta = Testbed.add_host tb ~name:"hostA" in
-  let hostb = Testbed.add_host tb ~name:"hostB" in
-  let vm = Vm.create_baseline hosta ~name:"vm" ~vcpus ~ips:[ ip_server ] () in
-  let client =
-    Vm.create_baseline hostb ~name:"client" ~vcpus:16 ~ips:client_ips
-      ~profile:Sim.Cost_profile.ideal ()
-  in
-  (tb, vm, client)
+let gbps name v = Printf.printf "%-40s %6.1f Gbps\n%!" name v
 
-let nk_world ?(vcpus = 1) ?(nsm_cores = 1) ?(kind = `Kernel) () =
-  let tb = Testbed.create () in
-  let hosta = Testbed.add_host tb ~name:"hostA" in
-  let hostb = Testbed.add_host tb ~name:"hostB" in
-  let nsm =
-    match kind with
-    | `Kernel -> Nsm.create_kernel hosta ~name:"nsm" ~vcpus:nsm_cores ()
-    | `Mtcp -> Nsm.create_mtcp hosta ~name:"nsm" ~vcpus:nsm_cores ()
-  in
-  let vm = Vm.create_nk hosta ~name:"vm" ~vcpus ~ips:[ ip_server ] ~nsms:[ nsm ] () in
-  let client =
-    Vm.create_baseline hostb ~name:"client" ~vcpus:16 ~ips:client_ips
-      ~profile:Sim.Cost_profile.ideal ()
-  in
-  (tb, vm, client, nsm)
+let send name w ~streams ~msg =
+  gbps name (W.measure_send_throughput w ~streams ~msg_size:msg ())
 
-(* send throughput: server VM sends to remote sink *)
-let send_tput name (tb : Testbed.t) sender_api sink_api ~streams ~msg =
-  let sink_addr = Addr.make ip_client 5001 in
-  let sink = Result.get_ok (Nkapps.Stream.sink ~engine:tb.engine ~api:sink_api ~addr:sink_addr) in
-  ignore
-    (Sim.Engine.schedule tb.engine ~delay:1e-3 (fun () ->
-         ignore
-           (Nkapps.Stream.senders ~engine:tb.engine ~api:sender_api ~dst:sink_addr ~streams
-              ~msg_size:msg ~stop:1.0 ())));
-  Testbed.run tb ~until:1.2;
-  Printf.printf "%-40s %6.1f Gbps\n%!" name (Nkapps.Stream.sink_throughput_gbps sink)
+let recv name w ~streams ~msg =
+  gbps name (W.measure_recv_throughput w ~streams ~msg_size:msg ())
 
-(* receive throughput: remote senders to server VM sink *)
-let recv_tput name (tb : Testbed.t) server_api client_api ~streams ~msg =
-  let sink_addr = Addr.make ip_server 5001 in
-  let sink = Result.get_ok (Nkapps.Stream.sink ~engine:tb.engine ~api:server_api ~addr:sink_addr) in
-  ignore
-    (Sim.Engine.schedule tb.engine ~delay:1e-3 (fun () ->
-         ignore
-           (Nkapps.Stream.senders ~engine:tb.engine ~api:client_api ~dst:sink_addr ~streams
-              ~msg_size:msg ~stop:1.0 ())));
-  Testbed.run tb ~until:1.2;
-  Printf.printf "%-40s %6.1f Gbps\n%!" name (Nkapps.Stream.sink_throughput_gbps sink)
-
-let rps name (tb : Testbed.t) server_api client_api ~conc ~total =
-  let addr = Addr.make ip_server 80 in
-  let _srv =
-    Result.get_ok
-      (Nkapps.Epoll_server.start ~engine:tb.engine ~api:server_api
-         (Nkapps.Epoll_server.config
-            ~proto:(Nkapps.Proto.Fixed { request = 64; response = 64; keepalive = false })
-            addr))
-  in
-  let lg = ref None in
-  ignore
-    (Sim.Engine.schedule tb.engine ~delay:1e-3 (fun () ->
-         lg :=
-           Some
-             (Nkapps.Loadgen.start ~engine:tb.engine ~api:client_api
-                {
-                  Nkapps.Loadgen.server = addr;
-                  proto = Nkapps.Proto.Fixed { request = 64; response = 64; keepalive = false };
-                  mode = Nkapps.Loadgen.Closed { concurrency = conc; total = Some total; duration = None };
-                  warmup = 0.0;
-                })));
-  Testbed.run tb ~until:60.0;
-  let r = Nkapps.Loadgen.results (Option.get !lg) in
-  Printf.printf "%-40s %8.0f rps  (errors %d, mean lat %.2f ms)\n%!" name
-    r.Nkapps.Loadgen.rps r.Nkapps.Loadgen.errors
-    (Nkutil.Histogram.mean r.Nkapps.Loadgen.latency *. 1e3)
+let rps name w ~conc ~total =
+  let r = W.measure_rps w ~concurrency:conc ~total ~backlog:1024 () in
+  Printf.printf "%-40s %8.0f rps  (errors %d, mean lat %.2f ms)\n%!" name r.W.rps r.W.errors
+    (Nkutil.Histogram.mean r.W.latency *. 1e3)
 
 let () =
   (* Paper anchors:
@@ -96,36 +30,16 @@ let () =
      - single stream 16KB send: 30.9G
      - RPS 64B conc100: ~70K (kernel), 190K (mtcp, 1 core)
      - 8 cores RPS: ~400K kernel *)
-  (let tb, vm, client = baseline_world () in
-   send_tput "baseline 1-core send 8x16KB (55.2G)" tb (Vm.api vm) (Vm.api client) ~streams:8
-     ~msg:16384);
-  (let tb, vm, client = baseline_world () in
-   send_tput "baseline 1-core send 1x16KB (30.9G)" tb (Vm.api vm) (Vm.api client) ~streams:1
-     ~msg:16384);
-  (let tb, vm, client = baseline_world () in
-   recv_tput "baseline 1-core recv 8x16KB (17.4G)" tb (Vm.api vm) (Vm.api client) ~streams:8
-     ~msg:16384);
-  (let tb, vm, client = baseline_world ~vcpus:3 () in
-   send_tput "baseline 3-core send 8x8KB (100G)" tb (Vm.api vm) (Vm.api client) ~streams:8
-     ~msg:8192);
-  (let tb, vm, client = baseline_world ~vcpus:8 () in
-   recv_tput "baseline 8-core recv 8x8KB (91G)" tb (Vm.api vm) (Vm.api client) ~streams:8
-     ~msg:8192);
-  (let tb, vm, client = baseline_world () in
-   rps "baseline 1-core rps (70K)" tb (Vm.api vm) (Vm.api client) ~conc:100 ~total:50_000);
-  (let tb, vm, client = baseline_world ~vcpus:8 () in
-   rps "baseline 8-core rps (400K)" tb (Vm.api vm) (Vm.api client) ~conc:1000 ~total:200_000);
-  (let tb, vm, client, _ = nk_world () in
-   send_tput "NK 1c/1c send 8x16KB (55G)" tb (Vm.api vm) (Vm.api client) ~streams:8
-     ~msg:16384);
-  (let tb, vm, client, _ = nk_world () in
-   recv_tput "NK 1c/1c recv 8x16KB (17G)" tb (Vm.api vm) (Vm.api client) ~streams:8
-     ~msg:16384);
-  (let tb, vm, client, _ = nk_world () in
-   rps "NK kernel 1c rps (70K)" tb (Vm.api vm) (Vm.api client) ~conc:100 ~total:50_000);
-  (let tb, vm, client, _ = nk_world ~kind:`Mtcp () in
-   rps "NK mtcp 1c rps (190K)" tb (Vm.api vm) (Vm.api client) ~conc:100 ~total:50_000);
-  (let tb, vm, client, _ = nk_world ~vcpus:8 ~kind:`Mtcp ~nsm_cores:8 () in
-   rps "NK mtcp 8c/8c rps (1.1M)" tb (Vm.api vm) (Vm.api client) ~conc:1000 ~total:200_000);
-  (let tb, vm, client, _ = nk_world ~vcpus:8 ~nsm_cores:8 () in
-   rps "NK kernel 8c/8c rps (400K)" tb (Vm.api vm) (Vm.api client) ~conc:1000 ~total:200_000)
+  send "baseline 1-core send 8x16KB (55.2G)" (baseline 1) ~streams:8 ~msg:16384;
+  send "baseline 1-core send 1x16KB (30.9G)" (baseline 1) ~streams:1 ~msg:16384;
+  recv "baseline 1-core recv 8x16KB (17.4G)" (baseline 1) ~streams:8 ~msg:16384;
+  send "baseline 3-core send 8x8KB (100G)" (baseline 3) ~streams:8 ~msg:8192;
+  recv "baseline 8-core recv 8x8KB (91G)" (baseline 8) ~streams:8 ~msg:8192;
+  rps "baseline 1-core rps (70K)" (baseline 1) ~conc:100 ~total:50_000;
+  rps "baseline 8-core rps (400K)" (baseline 8) ~conc:1000 ~total:200_000;
+  send "NK 1c/1c send 8x16KB (55G)" (netkernel 1 1 `Kernel) ~streams:8 ~msg:16384;
+  recv "NK 1c/1c recv 8x16KB (17G)" (netkernel 1 1 `Kernel) ~streams:8 ~msg:16384;
+  rps "NK kernel 1c rps (70K)" (netkernel 1 1 `Kernel) ~conc:100 ~total:50_000;
+  rps "NK mtcp 1c rps (190K)" (netkernel 1 1 `Mtcp) ~conc:100 ~total:50_000;
+  rps "NK mtcp 8c/8c rps (1.1M)" (netkernel 8 8 `Mtcp) ~conc:1000 ~total:200_000;
+  rps "NK kernel 8c/8c rps (400K)" (netkernel 8 8 `Kernel) ~conc:1000 ~total:200_000

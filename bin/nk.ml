@@ -208,9 +208,9 @@ let observed_world ~trace ~config =
   ignore (Experiments.Worlds.measure_rps w ~concurrency:32 ~total:2_000 ());
   [ ("testbed", mon) ]
 
-(* The cluster counterpart for the --cluster variants: a two-node Nkfabric
-   world under keep-alive load, watched by an Nkobs plane whose sources
-   (the testbed plus one per node) feed the same exporters. *)
+(* The cluster counterpart for the --cluster variants: fig-cluster's
+   two-node world under 20 ms of keep-alive load, watched by an Nkobs plane
+   whose sources (the testbed plus one per node) feed the same exporters. *)
 let observed_cluster ~trace ~seed =
   let open Nkcore in
   let tb =
@@ -218,43 +218,8 @@ let observed_cluster ~trace ~seed =
       ~config:{ Testbed.Config.default with seed; trace_enabled = trace }
       ()
   in
-  let cluster = Nkfabric.create ~policy:Nkfabric.Spread tb in
-  let nodea = Nkfabric.add_node cluster ~name:"nodeA" in
-  let nodeb = Nkfabric.add_node cluster ~name:"nodeB" in
-  Nkfabric.add_nsm cluster nodea
-    (Nsm.create_kernel (Nkfabric.node_host nodea) ~name:"nsmA" ~vcpus:1 ());
-  Nkfabric.add_nsm cluster nodeb
-    (Nsm.create_kernel (Nkfabric.node_host nodeb) ~name:"nsmB" ~vcpus:1 ());
-  let vms =
-    List.init 2 (fun i ->
-        Nkfabric.place_vm cluster ~name:(Printf.sprintf "srv%d" i) ~vcpus:1
-          ~ips:[ 10 + i ] ())
-  in
-  let clients_host = Testbed.add_host tb ~name:"clients" in
-  let client =
-    Vm.create_baseline clients_host ~name:"client" ~vcpus:8 ~ips:[ 100; 101 ]
-      ~profile:Sim.Cost_profile.ideal ()
-  in
-  let proto = Nkapps.Proto.Fixed { request = 128; response = 1024; keepalive = true } in
-  List.iteri
-    (fun i vm ->
-      let addr = Addr.make (10 + i) 80 in
-      (match
-         Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-           (Nkapps.Epoll_server.config ~proto addr)
-       with
-      | Ok _ -> ()
-      | Error e -> failwith (Tcpstack.Types.err_to_string e));
-      ignore
-        (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
-           {
-             Nkapps.Loadgen.server = addr;
-             proto;
-             mode = Nkapps.Loadgen.Closed { concurrency = 8; total = Some 1_000; duration = None };
-             warmup = 0.0;
-           }))
-    vms;
-  let obs = Nkobs.of_fabric cluster in
+  let w = Experiments.Fig_cluster.world tb ~load:0.02 in
+  let obs = Nkobs.of_fabric w.Experiments.Fig_cluster.cluster in
   Nkobs.start obs;
   Testbed.run tb ~until:1.0;
   Nkobs.stop obs;
@@ -271,9 +236,10 @@ let cluster_flag =
     value & flag
     & info [ "cluster" ]
         ~doc:
-          "Observe a two-node Nkfabric cluster instead of a single host: \
-           one source per node plus the testbed, rendered exactly like the \
-           single-host source. World knobs other than --seed are ignored.")
+          "Observe fig-cluster's two-node Nkfabric world (four VMs) instead \
+           of a single host: one source per node plus the testbed, rendered \
+           exactly like the single-host source. World knobs other than \
+           --seed are ignored.")
 
 let ce_cores_arg =
   Arg.(
@@ -363,12 +329,6 @@ let write_file path contents =
   Printf.eprintf "nk: wrote %s\n" path
 
 let span_cmd =
-  let experiment =
-    Arg.(
-      value & opt string "latency-breakdown"
-      & info [ "experiment" ] ~docv:"ID"
-          ~doc:"Workload to trace (currently only latency-breakdown).")
-  in
   let every =
     Arg.(
       value & opt int 16
@@ -384,11 +344,7 @@ let span_cmd =
             "Also write the spans as Chrome trace-event JSON (load in \
              chrome://tracing or Perfetto).")
   in
-  let run experiment every quick csv catapult ce_cores =
-    if experiment <> "latency-breakdown" then begin
-      Printf.eprintf "nk span: unknown experiment %S (try latency-breakdown)\n" experiment;
-      exit 2
-    end;
+  let run every quick csv catapult ce_cores =
     if every < 1 then begin
       Printf.eprintf "nk span: --every must be >= 1\n";
       exit 2
@@ -409,7 +365,7 @@ let span_cmd =
        ~doc:
          "Trace sampled requests end to end through the NetKernel datapath \
           and print the per-stage latency breakdown")
-    Term.(const run $ experiment $ every $ quick $ csv $ catapult $ ce_cores_arg)
+    Term.(const run $ every $ quick $ csv $ catapult $ ce_cores_arg)
 
 let profile_cmd =
   let quick = Arg.(value & flag & info [ "quick"; "q" ] ~doc:"Shorter run.") in
@@ -465,15 +421,7 @@ let orchestrate_cmd =
   in
   let run crash_at duration =
     let open Nkcore in
-    let tb =
-      Testbed.create
-        ~config:
-          { Testbed.Config.default with
-            trace_enabled = true;
-            trace_capacity = Some (1 lsl 20)
-          }
-        ()
-    in
+    let tb = Testbed.create () in
     let hosta = Testbed.add_host tb ~name:"hostA" in
     let hostb = Testbed.add_host tb ~name:"hostB" in
     let spawn i = Nsm.create_kernel hosta ~name:(Printf.sprintf "nsm%d" i) ~vcpus:1 () in
@@ -500,13 +448,8 @@ let orchestrate_cmd =
           in
           Nkctl.add_vm ctl vm ~home:nsm0;
           let addr = Addr.make (10 + i) 80 in
-          (match
-             Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-               (Nkapps.Epoll_server.config ~proto addr)
-           with
-          | Ok _ -> ()
-          | Error e -> failwith (Tcpstack.Types.err_to_string e));
-          Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
+          ignore (Experiments.Worlds.serve tb vm (Nkapps.Epoll_server.config ~proto addr));
+          Experiments.Worlds.load tb ~delay:0.0 client
             {
               Nkapps.Loadgen.server = addr;
               proto;
@@ -524,45 +467,18 @@ let orchestrate_cmd =
              match Nkctl.active_nsms ctl with
              | nsm :: _ -> Nsm.fail nsm
              | [] -> ()));
-    (* The dataplane floods the trace ring, so sweep the control-plane
-       events out of it periodically instead of reading it only at the end. *)
-    let ctl_log = ref [] in
-    let last_seq = ref (-1) in
-    let sweep () =
-      List.iter
-        (fun (r : Nkmon.Trace.record) ->
-          if r.Nkmon.Trace.seq > !last_seq then begin
-            last_seq := r.Nkmon.Trace.seq;
-            match r.Nkmon.Trace.event with
-            | Nkmon.Trace.Custom
-                { component = ("nkctl" | "coreengine") as c; name; detail }
-              when c = "nkctl"
-                   || List.mem name [ "drain"; "undrain"; "deregister_nsm"; "crash_nsm" ]
-              -> ctl_log := (r.Nkmon.Trace.time, c, name, detail) :: !ctl_log
-            | _ -> ()
-          end)
-        (Nkmon.Trace.records (Nkmon.trace tb.Testbed.mon))
-    in
-    let rec sweeper () =
-      sweep ();
-      ignore (Sim.Engine.schedule tb.Testbed.engine ~delay:0.1 sweeper)
-    in
-    sweeper ();
     Testbed.run tb ~until:(duration +. 0.5);
     Nkctl.stop ctl;
-    sweep ();
     print_endline "control events (virtual time):";
     List.iter
-      (fun (time, c, name, detail) ->
-        Printf.printf "  %8.3fs  %-10s %-12s %s\n" time c name detail)
-      (List.rev !ctl_log);
-    let completed, errors =
-      List.fold_left
-        (fun (c, e) lg ->
-          let r = Nkapps.Loadgen.results lg in
-          (c + r.Nkapps.Loadgen.completed, e + r.Nkapps.Loadgen.errors))
-        (0, 0) lgs
-    in
+      (fun (r : Nkmon.Trace.record) ->
+        match r.Nkmon.Trace.event with
+        | Nkmon.Trace.Custom { component = ("nkctl" | "coreengine") as c; name; detail }
+          when c = "nkctl" || List.mem name [ "deregister_nsm"; "crash_nsm" ] ->
+            Printf.printf "  %8.3fs  %-10s %-12s %s\n" r.Nkmon.Trace.time c name detail
+        | _ -> ())
+      (Nkmon.Trace.records (Nkmon.trace tb.Testbed.mon));
+    let completed, errors = Experiments.Worlds.served lgs in
     let s = Nkctl.stats ctl in
     Printf.printf
       "summary: %d requests served, %d errors; scale-ups %d, scale-downs %d, \
@@ -579,15 +495,19 @@ let orchestrate_cmd =
     Term.(const run $ crash_at $ duration)
 
 let cluster_cmd =
-  (* The cluster fabric live: two nodes serving keep-alive RPC through
-     NetKernel, one live cross-host NSM migration mid-run. Prints the
-     virtual-time fabric-event log and a service summary. *)
+  (* The cluster fabric live: fig-cluster's two nodes serving keep-alive
+     RPC through NetKernel until 0.5 s before the end, one live cross-host
+     NSM migration mid-run. Prints the virtual-time fabric-event log and a
+     service summary. *)
   let migrate_at_doc = "Start the live NSM migration at this virtual time (seconds)." in
   let migrate_at =
     Arg.(value & opt float 2.0 & info [ "migrate-at" ] ~docv:"SECONDS" ~doc:migrate_at_doc)
   in
   let duration =
-    Arg.(value & opt float 6.0 & info [ "duration" ] ~docv:"SECONDS" ~doc:"Run length.")
+    Arg.(
+      value & opt float 6.0
+      & info [ "duration" ] ~docv:"SECONDS"
+          ~doc:"Run length (> 0.5; load stops 0.5 s before the end).")
   in
   let back =
     Arg.(
@@ -596,55 +516,14 @@ let cluster_cmd =
           ~doc:"Also migrate the destination NSM back home (re-migration) at 2x the first time.")
   in
   let run migrate_at duration back =
+    if duration <= 0.5 then begin
+      Printf.eprintf "nk cluster: --duration must be > 0.5\n";
+      exit 2
+    end;
     let open Nkcore in
-    let tb =
-      Testbed.create
-        ~config:
-          { Testbed.Config.default with
-            trace_enabled = true;
-            trace_capacity = Some (1 lsl 20)
-          }
-        ()
-    in
-    let cluster = Nkfabric.create ~policy:Nkfabric.Spread tb in
-    let nodea = Nkfabric.add_node cluster ~name:"nodeA" in
-    let nodeb = Nkfabric.add_node cluster ~name:"nodeB" in
-    let nsma = Nsm.create_kernel (Nkfabric.node_host nodea) ~name:"nsmA" ~vcpus:1 () in
-    let nsmb = Nsm.create_kernel (Nkfabric.node_host nodeb) ~name:"nsmB" ~vcpus:1 () in
-    Nkfabric.add_nsm cluster nodea nsma;
-    Nkfabric.add_nsm cluster nodeb nsmb;
-    let vms =
-      List.init 4 (fun i ->
-          Nkfabric.place_vm cluster ~name:(Printf.sprintf "srv%d" i) ~vcpus:1
-            ~ips:[ 10 + i ] ())
-    in
-    let clients_host = Testbed.add_host tb ~name:"clients" in
-    let client =
-      Vm.create_baseline clients_host ~name:"client" ~vcpus:16
-        ~ips:(List.init 8 (fun i -> 100 + i))
-        ~profile:Sim.Cost_profile.ideal ()
-    in
-    let proto = Nkapps.Proto.Fixed { request = 128; response = 1024; keepalive = true } in
-    let lgs =
-      List.mapi
-        (fun i vm ->
-          let addr = Addr.make (10 + i) 80 in
-          (match
-             Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-               (Nkapps.Epoll_server.config ~proto addr)
-           with
-          | Ok _ -> ()
-          | Error e -> failwith (Tcpstack.Types.err_to_string e));
-          Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
-            {
-              Nkapps.Loadgen.server = addr;
-              proto;
-              mode =
-                Nkapps.Loadgen.Closed
-                  { concurrency = 8; total = None; duration = Some duration };
-              warmup = 0.0;
-            })
-        vms
+    let tb = Testbed.create () in
+    let { Experiments.Fig_cluster.cluster; nodea; nodeb; nsma; lgs; _ } =
+      Experiments.Fig_cluster.world tb ~load:(duration -. 0.5)
     in
     ignore
       (Sim.Engine.schedule tb.Testbed.engine ~delay:migrate_at (fun () ->
@@ -653,40 +532,16 @@ let cluster_cmd =
              ignore
                (Sim.Engine.schedule tb.Testbed.engine ~delay:migrate_at (fun () ->
                     ignore (Nkfabric.migrate_nsm cluster ~nsm:dest ~dst:nodea ())))));
-    (* Sweep fabric events out of the trace ring before the dataplane floods
-       it (same trick as orchestrate). *)
-    let ev_log = ref [] in
-    let last_seq = ref (-1) in
-    let sweep () =
-      List.iter
-        (fun (r : Nkmon.Trace.record) ->
-          if r.Nkmon.Trace.seq > !last_seq then begin
-            last_seq := r.Nkmon.Trace.seq;
-            match r.Nkmon.Trace.event with
-            | Nkmon.Trace.Custom { component = "nkfabric"; name; detail } ->
-                ev_log := (r.Nkmon.Trace.time, name, detail) :: !ev_log
-            | _ -> ()
-          end)
-        (Nkmon.Trace.records (Nkmon.trace tb.Testbed.mon))
-    in
-    let rec sweeper () =
-      sweep ();
-      ignore (Sim.Engine.schedule tb.Testbed.engine ~delay:0.1 sweeper)
-    in
-    sweeper ();
     Testbed.run tb ~until:(duration +. 0.5);
-    sweep ();
     print_endline "fabric events (virtual time):";
     List.iter
-      (fun (time, name, detail) -> Printf.printf "  %8.3fs  %-8s %s\n" time name detail)
-      (List.rev !ev_log);
-    let completed, errors =
-      List.fold_left
-        (fun (c, e) lg ->
-          let r = Nkapps.Loadgen.results lg in
-          (c + r.Nkapps.Loadgen.completed, e + r.Nkapps.Loadgen.errors))
-        (0, 0) lgs
-    in
+      (fun (r : Nkmon.Trace.record) ->
+        match r.Nkmon.Trace.event with
+        | Nkmon.Trace.Custom { component = "nkfabric"; name; detail } ->
+            Printf.printf "  %8.3fs  %-8s %s\n" r.Nkmon.Trace.time name detail
+        | _ -> ())
+      (Nkmon.Trace.records (Nkmon.trace tb.Testbed.mon));
+    let completed, errors = Experiments.Worlds.served lgs in
     let s = Nkfabric.stats cluster in
     Printf.printf
       "summary: %d requests served, %d errors; %d migration(s), %d VM(s) relayed, \

@@ -288,8 +288,7 @@ let nsm_conn_count t ~nsm_id =
   match Hashtbl.find_opt t.nsm_conns nsm_id with Some r -> !r | None -> 0
 
 let ctl_event t name detail =
-  if Nkmon.tracing t.mon then
-    Nkmon.event t.mon (Nkmon.Trace.Custom { component = "coreengine"; name; detail })
+  Nkmon.event t.mon (Nkmon.Trace.Custom { component = "coreengine"; name; detail })
 
 let attach t ~vm_id ~nsm_ids =
   if nsm_ids = [] then invalid_arg "Coreengine.attach: need at least one NSM";

@@ -8,7 +8,6 @@
    the maximum per-shard core load drops. *)
 
 open Nkcore
-module Types = Tcpstack.Types
 
 let shard_points = [ 1; 2; 4 ]
 
@@ -36,31 +35,16 @@ let run_point ~ce_cores ~total_per_tenant =
             ~vcpus:1 ~ips:[ 10 + i ] ~nsms:[ nsm ] ()
         in
         let addr = Addr.make (10 + i) 80 in
-        (match
-           Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-             (Nkapps.Epoll_server.config ~proto addr)
-         with
-        | Ok _ -> ()
-        | Error e -> failwith (Types.err_to_string e));
-        let lg = ref None in
-        ignore
-          (Sim.Engine.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
-               lg :=
-                 Some
-                   (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
-                      {
-                        Nkapps.Loadgen.server = addr;
-                        proto;
-                        mode =
-                          Nkapps.Loadgen.Closed
-                            {
-                              concurrency = 64;
-                              total = Some total_per_tenant;
-                              duration = None;
-                            };
-                        warmup = 0.0;
-                      })));
-        lg)
+        ignore (Worlds.serve tb vm (Nkapps.Epoll_server.config ~proto addr));
+        Worlds.load tb ~delay:1e-3 client
+          {
+            Nkapps.Loadgen.server = addr;
+            proto;
+            mode =
+              Nkapps.Loadgen.Closed
+                { concurrency = 64; total = Some total_per_tenant; duration = None };
+            warmup = 0.0;
+          })
   in
   Testbed.run tb ~until:120.0;
   let rps =

@@ -73,48 +73,27 @@ let run ?(quick = false) () =
       (fun i (trace : Nktrace.Traffic.t) ->
         let vm = List.nth vms i in
         let addr = Addr.make (10 + i) 80 in
-        (match
-           Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-             (Nkapps.Epoll_server.config ~proto addr)
-         with
-        | Ok _ -> ()
-        | Error e -> failwith (Tcpstack.Types.err_to_string e));
-        let lg = ref None in
-        ignore
-          (Sim.Engine.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
-               lg :=
-                 Some
-                   (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
-                      {
-                        Nkapps.Loadgen.server = addr;
-                        proto;
-                        mode =
-                          Nkapps.Loadgen.Open
-                            {
-                              rate_at =
-                                (fun t ->
-                                  rate_scale
-                                  *. Nktrace.Traffic.rate_at trace (t *. time_compress));
-                              duration;
-                            };
-                        warmup = 0.0;
-                      })));
-        lg)
+        ignore (Worlds.serve tb vm (Nkapps.Epoll_server.config ~proto addr));
+        Worlds.load tb ~delay:1e-3 client
+          {
+            Nkapps.Loadgen.server = addr;
+            proto;
+            mode =
+              Nkapps.Loadgen.Open
+                {
+                  rate_at =
+                    (fun t ->
+                      rate_scale *. Nktrace.Traffic.rate_at trace (t *. time_compress));
+                  duration;
+                };
+            warmup = 0.0;
+          })
       traces
   in
   Nkctl.start ctl;
   Testbed.run tb ~until:(duration +. 1.0);
   Nkctl.stop ctl;
-  let completed, errors =
-    List.fold_left
-      (fun (c, e) lg ->
-        match !lg with
-        | None -> (c, e)
-        | Some lg ->
-            let r = Nkapps.Loadgen.results lg in
-            (c + r.Nkapps.Loadgen.completed, e + r.Nkapps.Loadgen.errors))
-      (0, 0) lgs
-  in
+  let completed, errors = Worlds.served lgs in
   let samples = Nkctl.samples ctl in
   let stats = Nkctl.stats ctl in
   let k = 40 in

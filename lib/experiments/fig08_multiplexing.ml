@@ -47,51 +47,28 @@ let run_system ~system ~traces ~duration ~rate_scale ~tb_seed =
       (fun i (trace : Nktrace.Traffic.t) ->
         let vm = List.nth vms i in
         let addr = Addr.make (10 + i) 80 in
-        let server =
-          match
-            Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-              (Nkapps.Epoll_server.config ~proto ~app_cycles:ag_app_cycles
-                 ~app_cores:(Vm.cores vm) addr)
-          with
-          | Ok s -> s
-          | Error e -> failwith (Tcpstack.Types.err_to_string e)
-        in
-        ignore server;
-        let lg = ref None in
         ignore
-          (Sim.Engine.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
-               lg :=
-                 Some
-                   (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
-                      {
-                        Nkapps.Loadgen.server = addr;
-                        proto;
-                        mode =
-                          Nkapps.Loadgen.Open
-                            {
-                              rate_at =
-                                (fun t ->
-                                  rate_scale
-                                  *. Nktrace.Traffic.rate_at trace (t *. time_compress));
-                              duration;
-                            };
-                        warmup = 0.0;
-                      })));
-        lg)
+          (Worlds.serve tb vm
+             (Nkapps.Epoll_server.config ~proto ~app_cycles:ag_app_cycles
+                ~app_cores:(Vm.cores vm) addr));
+        Worlds.load tb ~delay:1e-3 client
+          {
+            Nkapps.Loadgen.server = addr;
+            proto;
+            mode =
+              Nkapps.Loadgen.Open
+                {
+                  rate_at =
+                    (fun t ->
+                      rate_scale *. Nktrace.Traffic.rate_at trace (t *. time_compress));
+                  duration;
+                };
+            warmup = 0.0;
+          })
       traces
   in
   Testbed.run tb ~until:(duration +. 0.5);
-  let completed, errors =
-    List.fold_left
-      (fun (c, e) lg ->
-        match !lg with
-        | None -> (c, e)
-        | Some lg ->
-            let r = Nkapps.Loadgen.results lg in
-            (c + r.Nkapps.Loadgen.completed, e + r.Nkapps.Loadgen.errors))
-      (0, 0) lgs
-  in
-  (completed, errors)
+  Worlds.served lgs
 
 let run ?(quick = false) () =
   let duration = if quick then 10.0 else 30.0 in

@@ -20,9 +20,21 @@ open Nkcore
 
 let n_vms = 4
 
-let run ?(quick = false) () =
-  let duration = if quick then 6.0 else 15.0 in
-  let tb = Testbed.create ~config:{ Testbed.Config.default with seed = 7 } () in
+type world = {
+  cluster : Nkfabric.t;
+  nodea : Nkfabric.node;
+  nodeb : Nkfabric.node;
+  nsma : Nsm.t;
+  nsmb : Nsm.t;
+  lgs : Nkapps.Loadgen.t option ref list;
+}
+
+(* The one two-node cluster world, also run by [nk cluster] and the
+   [--cluster] views of [nk stats] and [nk trace]: one kernel NSM per node,
+   four server VMs and a client host whose keep-alive closed loops start at
+   1 ms and issue for [load] seconds. No migration is scheduled; callers
+   add their own. *)
+let world tb ~load =
   let cluster = Nkfabric.create ~policy:Nkfabric.Spread tb in
   let nodea = Nkfabric.add_node cluster ~name:"nodeA" in
   let nodeb = Nkfabric.add_node cluster ~name:"nodeB" in
@@ -51,29 +63,23 @@ let run ?(quick = false) () =
     List.mapi
       (fun i vm ->
         let addr = Addr.make (10 + i) 80 in
-        (match
-           Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-             (Nkapps.Epoll_server.config ~proto addr)
-         with
-        | Ok _ -> ()
-        | Error e -> failwith (Tcpstack.Types.err_to_string e));
-        let lg = ref None in
-        ignore
-          (Sim.Engine.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
-               lg :=
-                 Some
-                   (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
-                      {
-                        Nkapps.Loadgen.server = addr;
-                        proto;
-                        mode =
-                          Nkapps.Loadgen.Closed
-                            { concurrency = 8; total = None; duration = Some (duration -. 0.5) };
-                        warmup = 0.0;
-                      })));
-        lg)
+        ignore (Worlds.serve tb vm (Nkapps.Epoll_server.config ~proto addr));
+        Worlds.load tb ~delay:1e-3 client
+          {
+            Nkapps.Loadgen.server = addr;
+            proto;
+            mode =
+              Nkapps.Loadgen.Closed { concurrency = 8; total = None; duration = Some load };
+            warmup = 0.0;
+          })
       vms
   in
+  { cluster; nodea; nodeb; nsma; nsmb; lgs }
+
+let run ?(quick = false) () =
+  let duration = if quick then 6.0 else 15.0 in
+  let tb = Testbed.create ~config:{ Testbed.Config.default with seed = 7 } () in
+  let { cluster; nodea; nodeb; nsma; nsmb; lgs } = world tb ~load:(duration -. 0.5) in
   let migration_times = ref [] in
   ignore
     (Sim.Engine.schedule tb.Testbed.engine ~delay:(duration /. 3.0) (fun () ->
@@ -129,16 +135,7 @@ let run ?(quick = false) () =
   in
   ignore (Sim.Engine.schedule tb.Testbed.engine ~delay:period tick);
   Testbed.run tb ~until:(duration +. 0.5);
-  let completed, errors =
-    List.fold_left
-      (fun (c, e) lg ->
-        match !lg with
-        | None -> (c, e)
-        | Some lg ->
-            let r = Nkapps.Loadgen.results lg in
-            (c + r.Nkapps.Loadgen.completed, e + r.Nkapps.Loadgen.errors))
-      (0, 0) lgs
-  in
+  let completed, errors = Worlds.served lgs in
   let samples = List.rev !samples in
   let k = 40 in
   let series f = Report.bucket ~k ~duration (List.map f samples) in

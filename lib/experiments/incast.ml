@@ -32,37 +32,29 @@ let backlog = 4
 
 let merge_latencies lgs =
   let h = Nkutil.Histogram.create () in
-  let completed = ref 0 and errors = ref 0 in
   List.iter
     (fun lg ->
-      match !lg with
-      | None -> ()
-      | Some lg ->
+      Option.iter
+        (fun lg ->
           let r = Nkapps.Loadgen.results lg in
-          completed := !completed + r.Nkapps.Loadgen.completed;
-          errors := !errors + r.Nkapps.Loadgen.errors;
           Nkutil.Histogram.merge_into ~src:r.Nkapps.Loadgen.latency ~dst:h)
+        !lg)
     lgs;
-  (h, !completed, !errors)
+  let completed, errors = Worlds.served lgs in
+  (h, completed, errors)
 
 let start_phase tb workers ~addr ~proto ~per_worker =
   List.map
     (fun vm ->
-      let lg = ref None in
-      ignore
-        (Sim.Engine.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
-             lg :=
-               Some
-                 (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-                    {
-                      Nkapps.Loadgen.server = addr;
-                      proto;
-                      mode =
-                        Nkapps.Loadgen.Closed
-                          { concurrency = 1; total = Some per_worker; duration = None };
-                      warmup = 0.0;
-                    })));
-      lg)
+      Worlds.load tb ~delay:1e-3 vm
+        {
+          Nkapps.Loadgen.server = addr;
+          proto;
+          mode =
+            Nkapps.Loadgen.Closed
+              { concurrency = 1; total = Some per_worker; duration = None };
+          warmup = 0.0;
+        })
     workers
 
 let run ?(quick = false) () =
@@ -88,12 +80,7 @@ let run ?(quick = false) () =
   List.iter (fun vm -> Nkctl.add_vm ctl vm ~home:nsm_tcp) workers;
   let proto = Nkapps.Proto.Fixed { request = 256; response = 256; keepalive = false } in
   let addr = Addr.make agg_ip 80 in
-  (match
-     Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api agg)
-       (Nkapps.Epoll_server.config ~backlog ~proto addr)
-   with
-  | Ok _ -> ()
-  | Error e -> failwith (Tcpstack.Types.err_to_string e));
+  ignore (Worlds.serve tb agg (Nkapps.Epoll_server.config ~backlog ~proto addr));
   (* Phase A: the fan-in over the shared kernel-TCP NSM. *)
   let lgs_tcp = start_phase tb workers ~addr ~proto ~per_worker in
   Testbed.run tb ~until:phase_window;

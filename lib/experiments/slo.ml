@@ -76,54 +76,39 @@ let run ?(quick = false) () =
      the windowed p99 recover. *)
   let gold_proto = Nkapps.Proto.Fixed { request = 128; response = 1024; keepalive = false } in
   let gold_addr = Addr.make 10 80 in
-  (match
-     Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api gold)
-       (Nkapps.Epoll_server.config ~proto:gold_proto gold_addr)
-   with
-  | Ok _ -> ()
-  | Error e -> failwith (Tcpstack.Types.err_to_string e));
-  let gold_lg = ref None in
-  ignore
-    (Sim.Engine.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
-         gold_lg :=
-           Some
-             (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
-                {
-                  Nkapps.Loadgen.server = gold_addr;
-                  proto = gold_proto;
-                  mode =
-                    Nkapps.Loadgen.Closed
-                      { concurrency = 2; total = None; duration = Some (duration -. 0.5) };
-                  warmup = 0.0;
-                })));
+  ignore (Worlds.serve tb gold (Nkapps.Epoll_server.config ~proto:gold_proto gold_addr));
+  let gold_lg =
+    Worlds.load tb ~delay:1e-3 client
+      {
+        Nkapps.Loadgen.server = gold_addr;
+        proto = gold_proto;
+        mode =
+          Nkapps.Loadgen.Closed
+            { concurrency = 2; total = None; duration = Some (duration -. 0.5) };
+        warmup = 0.0;
+      }
+  in
   (* Noisy neighbours: keep-alive closed loops pinned to the shared NSM
      (established connections never move), ramped up mid-run. *)
   let noisy_proto = Nkapps.Proto.Fixed { request = 256; response = 16384; keepalive = true } in
   List.iteri
     (fun i vm ->
       let addr = Addr.make (11 + i) 80 in
-      (match
-         Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-           (Nkapps.Epoll_server.config ~proto:noisy_proto addr)
-       with
-      | Ok _ -> ()
-      | Error e -> failwith (Tcpstack.Types.err_to_string e));
+      ignore (Worlds.serve tb vm (Nkapps.Epoll_server.config ~proto:noisy_proto addr));
       ignore
-        (Sim.Engine.schedule tb.Testbed.engine ~delay:ramp_at (fun () ->
-             ignore
-               (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
-                  {
-                    Nkapps.Loadgen.server = addr;
-                    proto = noisy_proto;
-                    mode =
-                      Nkapps.Loadgen.Closed
-                        {
-                          concurrency = 32;
-                          total = None;
-                          duration = Some (duration -. 0.5 -. ramp_at);
-                        };
-                    warmup = 0.0;
-                  }))))
+        (Worlds.load tb ~delay:ramp_at client
+           {
+             Nkapps.Loadgen.server = addr;
+             proto = noisy_proto;
+             mode =
+               Nkapps.Loadgen.Closed
+                 {
+                   concurrency = 32;
+                   total = None;
+                   duration = Some (duration -. 0.5 -. ramp_at);
+                 };
+             warmup = 0.0;
+           }))
     noisy;
   (* The observability plane: federate the cluster, declare the gold SLO,
      and close the loop with Nkctl verbs on breach. *)

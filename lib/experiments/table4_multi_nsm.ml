@@ -44,8 +44,11 @@ let rps w ~n_nsms ~total =
   let lgs =
     List.init n_nsms (fun i ->
         let addr = Addr.make Worlds.server_ip (80 + i) in
-        let _server = Worlds.run_server w (Nkapps.Epoll_server.config ~proto addr) in
-        Worlds.start_loadgen w
+        let _server =
+          Worlds.serve w.Worlds.tb w.Worlds.server_vm
+            (Nkapps.Epoll_server.config ~proto addr)
+        in
+        Worlds.load w.Worlds.tb ~delay:1e-3 w.Worlds.client_vm
           {
             Nkapps.Loadgen.server = addr;
             proto;

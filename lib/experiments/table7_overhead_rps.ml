@@ -14,7 +14,9 @@ let proto = Nkapps.Proto.Fixed { request = 64; response = 64; keepalive = false 
 
 let cycles_at w ~rate ~duration =
   let addr = Addr.make Worlds.server_ip 80 in
-  let _server = Worlds.run_server w (Nkapps.Epoll_server.config ~proto addr) in
+  let _server =
+    Worlds.serve w.Worlds.tb w.Worlds.server_vm (Nkapps.Epoll_server.config ~proto addr)
+  in
   let vm0 = ref 0.0 and nsm0 = ref 0.0 and served = ref 0 in
   ignore
     (Sim.Engine.schedule w.Worlds.tb.Testbed.engine ~delay:1e-3 (fun () ->

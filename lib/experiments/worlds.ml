@@ -135,17 +135,25 @@ type rps_result = {
   ce_cycles : float;
 }
 
-let run_server w cfg =
-  get_exn "epoll server"
-    (Nkapps.Epoll_server.start ~engine:w.tb.Testbed.engine ~api:(Vm.api w.server_vm) cfg)
+let serve (tb : Testbed.t) vm cfg =
+  get_exn "epoll server" (Nkapps.Epoll_server.start ~engine:tb.engine ~api:(Vm.api vm) cfg)
 
-let start_loadgen w cfg =
+let load (tb : Testbed.t) ~delay vm cfg =
   let lg = ref None in
   ignore
-    (Sim.Engine.schedule w.tb.Testbed.engine ~delay:1e-3 (fun () ->
-         lg := Some (Nkapps.Loadgen.start ~engine:w.tb.Testbed.engine
-                       ~api:(Vm.api w.client_vm) cfg)));
+    (Sim.Engine.schedule tb.engine ~delay (fun () ->
+         lg := Some (Nkapps.Loadgen.start ~engine:tb.engine ~api:(Vm.api vm) cfg)));
   lg
+
+let served lgs =
+  List.fold_left
+    (fun (c, e) lg ->
+      match !lg with
+      | None -> (c, e)
+      | Some lg ->
+          let r = Nkapps.Loadgen.results lg in
+          (c + r.Nkapps.Loadgen.completed, e + r.Nkapps.Loadgen.errors))
+    (0, 0) lgs
 
 let nsm_cycles w = List.fold_left (fun acc nsm -> acc +. Nsm.busy_cycles nsm) 0.0 w.nsms
 
@@ -166,7 +174,7 @@ let measure_rps w ?(concurrency = 100) ?(total = 50_000) ?(msg_size = 64)
   in
   let addr = Addr.make server_ip 80 in
   let _server =
-    run_server w
+    serve w.tb w.server_vm
       (Nkapps.Epoll_server.config ~backlog ~proto ~app_cycles
          ~app_cores:(Vm.cores w.server_vm) addr)
   in
@@ -174,7 +182,7 @@ let measure_rps w ?(concurrency = 100) ?(total = 50_000) ?(msg_size = 64)
   let nsm0 = nsm_cycles w in
   let ce0 = ce_cycles w in
   let lg =
-    start_loadgen w
+    load w.tb ~delay:1e-3 w.client_vm
       {
         Nkapps.Loadgen.server = addr;
         proto;

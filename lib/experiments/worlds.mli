@@ -84,10 +84,18 @@ val measure_rps :
   rps_result
 (** Non-keepalive epoll server in the VM under closed-loop load. *)
 
-val run_server :
-  world -> Nkapps.Epoll_server.config -> Nkapps.Epoll_server.t
-(** Start an epoll server in the server VM (raises on setup failure). *)
+(** {1 Serving and loading any world}
 
-val start_loadgen : world -> Nkapps.Loadgen.config -> Nkapps.Loadgen.t option ref
-(** Start a load generator on the client machine after 1 ms, letting
-    listeners come up. *)
+    The steps every live world repeats, for single-host worlds above and
+    hand-built ones (the cluster, the control plane) alike. *)
+
+val serve : Testbed.t -> Vm.t -> Nkapps.Epoll_server.config -> Nkapps.Epoll_server.t
+(** Start an epoll server in [vm] (raises on setup failure). *)
+
+val load :
+  Testbed.t -> delay:float -> Vm.t -> Nkapps.Loadgen.config -> Nkapps.Loadgen.t option ref
+(** Start a load generator on [vm] [delay] virtual seconds from now; the
+    ref holds it once started. [~delay:1e-3] lets listeners come up. *)
+
+val served : Nkapps.Loadgen.t option ref list -> int * int
+(** (completed, errors) summed over the generators that started. *)

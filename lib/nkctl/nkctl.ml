@@ -86,9 +86,7 @@ type t = {
 }
 
 let ctl_event t name detail =
-  let mon = Host.mon t.host in
-  if Nkmon.tracing mon then
-    Nkmon.event mon (Nkmon.Trace.Custom { component = "nkctl"; name; detail })
+  Nkmon.event (Host.mon t.host) (Nkmon.Trace.Custom { component = "nkctl"; name; detail })
 
 let create host ?(policy = Policy.default) ~spawn () =
   let mon = Host.mon host in

@@ -121,9 +121,7 @@ type t = {
 }
 
 let fabric_event t name detail =
-  let mon = t.tb.Testbed.mon in
-  if Nkmon.tracing mon then
-    Nkmon.event mon (Nkmon.Trace.Custom { component = "nkfabric"; name; detail })
+  Nkmon.event t.tb.Testbed.mon (Nkmon.Trace.Custom { component = "nkfabric"; name; detail })
 
 let create ?(policy = Spread) tb =
   {

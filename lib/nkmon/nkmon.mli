@@ -3,7 +3,8 @@
     One [Nkmon.t] per simulated world bundles the {!Registry} (named
     counters, gauges, histograms and time series keyed by
     [component/instance/metric]) with the {!Trace} layer (typed events
-    stamped with {!Sim.Engine} virtual time, ring-buffer retention).
+    stamped with {!Sim.Engine} virtual time: a ring for dataplane events,
+    a log that is never dropped for control events).
     {!Testbed.create} builds one and every component created under that
     testbed — CoreEngine, NK devices, GuestLib, ServiceLib, NSMs,
     hugepage regions, TCP stacks — reports through it instead of keeping
@@ -21,8 +22,8 @@ type t
 
 val create : ?trace_capacity:int -> ?trace_enabled:bool -> now:(unit -> float) -> unit -> t
 (** [now] supplies virtual timestamps for trace events (pass
-    [fun () -> Sim.Engine.now engine]). Tracing defaults to disabled;
-    metrics are always live. *)
+    [fun () -> Sim.Engine.now engine]). Dataplane tracing defaults to
+    disabled; metrics and control events are always live. *)
 
 val null : unit -> t
 (** A detached sink: a private registry, tracing disabled, clock pinned
@@ -67,7 +68,8 @@ val timeseries :
   Nkutil.Timeseries.t
 
 val tracing : t -> bool
-(** Cheap guard for event-construction sites:
-    [if Nkmon.tracing mon then Nkmon.event mon (...)]. *)
+(** Cheap guard for dataplane event-construction sites:
+    [if Nkmon.tracing mon then Nkmon.event mon (...)]. Control events
+    ([Trace.Custom]) are recorded whatever it says and need no guard. *)
 
 val event : t -> Trace.event -> unit

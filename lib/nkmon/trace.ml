@@ -38,13 +38,15 @@ type record = { seq : int; time : float; event : event }
 type t = {
   now : unit -> float;
   ring : record option array;
-  mutable next : int; (* total recorded; ring slot is [next mod capacity] *)
+  mutable in_ring : int; (* dataplane records written; slot is [in_ring mod capacity] *)
+  mutable log : record list; (* control records, newest first; never dropped *)
+  mutable next : int; (* next seq, shared by ring and log *)
   mutable on : bool;
 }
 
 let create ?(capacity = 65536) ?(enabled = false) ~now () =
   let capacity = Int.max 1 capacity in
-  { now; ring = Array.make capacity None; next = 0; on = enabled }
+  { now; ring = Array.make capacity None; in_ring = 0; log = []; next = 0; on = enabled }
 
 let enabled t = t.on
 
@@ -52,25 +54,35 @@ let set_enabled t on = t.on <- on
 
 let capacity t = Array.length t.ring
 
+let stamp t event =
+  let r = { seq = t.next; time = t.now (); event } in
+  t.next <- t.next + 1;
+  r
+
 let record t event =
-  if t.on then begin
-    let slot = t.next mod Array.length t.ring in
-    t.ring.(slot) <- Some { seq = t.next; time = t.now (); event };
-    t.next <- t.next + 1
-  end
+  match event with
+  | Custom _ -> t.log <- stamp t event :: t.log
+  | _ ->
+      if t.on then begin
+        t.ring.(t.in_ring mod Array.length t.ring) <- Some (stamp t event);
+        t.in_ring <- t.in_ring + 1
+      end
 
 let recorded t = t.next
 
-let dropped t = Int.max 0 (t.next - Array.length t.ring)
+let dropped t = Int.max 0 (t.in_ring - Array.length t.ring)
 
 let records t =
   let cap = Array.length t.ring in
-  let retained = Int.min t.next cap in
-  let first = t.next - retained in
-  List.init retained (fun i -> Option.get t.ring.((first + i) mod cap))
+  let retained = Int.min t.in_ring cap in
+  let first = t.in_ring - retained in
+  let ring = List.init retained (fun i -> Option.get t.ring.((first + i) mod cap)) in
+  List.merge (fun a b -> Int.compare a.seq b.seq) ring (List.rev t.log)
 
 let clear t =
   Array.fill t.ring 0 (Array.length t.ring) None;
+  t.in_ring <- 0;
+  t.log <- [];
   t.next <- 0
 
 let event_type = function

@@ -2,17 +2,24 @@
 
     Every event carries the {!Sim.Engine} virtual time at which it was
     recorded (injected as a [now] closure so this library stays below the
-    simulator in the dependency order) and a monotonic sequence number.
-    Retention is a fixed-capacity ring buffer: once full, the oldest
-    events are overwritten and counted in {!dropped} — tracing never
-    grows without bound and never perturbs the simulation.
+    simulator in the dependency order) and a sequence number from one
+    counter per trace.
 
-    Recording is gated on {!enabled} (default off): components guard
-    their event construction with it, so a disabled trace costs one
-    branch per event site. The trace does not render itself:
-    [Nkobs.trace_csv] and [Nkobs.trace_json] export any list of
-    host-tagged traces, and a single host is a one-element list. Two
-    identical seeded runs export byte-identically. *)
+    Events are kept in one of two places:
+    - {e dataplane} events (every kind but [Custom]) go to a fixed-capacity
+      ring, and only while {!enabled} (default off). Once full, the oldest
+      are overwritten and counted in {!dropped}, so tracing never grows
+      without bound and never perturbs the simulation. Components guard
+      their event construction with {!enabled}, so a disabled trace costs
+      one branch per event site.
+    - {e control} events ([Custom]) go to an append-only log whether or
+      not tracing is on. It is never overwritten: a dataplane flood
+      cannot push an operator action out of the trace.
+
+    The trace does not render itself: [Nkobs.trace_csv] and
+    [Nkobs.trace_json] export any list of host-tagged traces, and a
+    single host is a one-element list. Two identical seeded runs export
+    byte-identically. *)
 
 type queue = Job | Completion | Send | Receive
 
@@ -22,8 +29,11 @@ val queue_to_string : queue -> string
     (enqueue at a device, switch through CoreEngine, deliver to the
     consumer), backpressure (ring-full, rate-limit and ring deferrals,
     drops), TCP connection state transitions, and hugepage extent
-    lifecycle. [Custom] is the extension point for components outside
-    the core taxonomy. *)
+    lifecycle. [Custom] is the control-event kind: Nkctl, CoreEngine
+    control verbs, Nkfabric and Nkobs alerts write one record per control
+    action (a scale-up, a drain, a migration, an alert), never one per
+    tick, NQE or connection, so the control log's memory is bounded by the
+    number of control actions. Its type string stays ["custom"]. *)
 type event =
   | Nqe_enqueue of {
       device : int;
@@ -56,8 +66,8 @@ type record = { seq : int; time : float; event : event }
 type t
 
 val create : ?capacity:int -> ?enabled:bool -> now:(unit -> float) -> unit -> t
-(** [capacity] is the ring size in events (default 65536, rounded up to at
-    least 1); [enabled] defaults to [false]. *)
+(** [capacity] is the dataplane ring size in events (default 65536,
+    rounded up to at least 1); [enabled] defaults to [false]. *)
 
 val enabled : t -> bool
 
@@ -66,16 +76,20 @@ val set_enabled : t -> bool -> unit
 val capacity : t -> int
 
 val record : t -> event -> unit
-(** No-op while disabled. *)
+(** Appends a [Custom] event to the control log; any other event goes to
+    the ring, and is a no-op while disabled. *)
 
 val records : t -> record list
-(** Retained events, oldest first. *)
+(** The retained ring events and the whole control log, merged in
+    sequence order (oldest first). *)
 
 val recorded : t -> int
-(** Total events ever recorded (including overwritten ones). *)
+(** Total events ever recorded, control and dataplane (including
+    overwritten ones). *)
 
 val dropped : t -> int
-(** Events overwritten by ring wraparound. *)
+(** Dataplane events overwritten by ring wraparound; control events are
+    never dropped. *)
 
 val clear : t -> unit
 

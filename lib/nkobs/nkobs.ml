@@ -434,10 +434,8 @@ let raise_alert t alert =
   let time = Engine.now t.engine in
   Registry.incr t.c_alerts;
   t.alert_log <- (time, alert) :: t.alert_log;
-  if Nkmon.tracing t.mon then
-    Nkmon.event t.mon
-      (Trace.Custom
-         { component = "nkobs"; name = alert_type alert; detail = alert_detail alert });
+  Nkmon.event t.mon
+    (Trace.Custom { component = "nkobs"; name = alert_type alert; detail = alert_detail alert });
   t.n_dumps <- t.n_dumps + 1;
   if t.n_dumps <= max_dumps then
     t.dump_log <- (time, alert, flight_snapshot t ~time alert) :: t.dump_log;

@@ -18,11 +18,13 @@
     - {e an alert stream}: SLO breaches and recoveries, trace-ring
       overwrites ([dropped_events]), hugepage and CoreEngine deferred-queue
       pressure, and spine-link saturation become typed {!alert}s, recorded
-      as [Custom] events into the plane's own Nkmon trace {e and} fanned
-      out to {!on_alert} subscribers — which is how an SLO breach triggers
-      Nkctl verbs (autoscale, handover, [switch_protocol]);
+      as control events ([Custom]) in the plane's own Nkmon control log,
+      with tracing on or off, {e and} fanned out to {!on_alert}
+      subscribers — which is how an SLO breach triggers Nkctl verbs
+      (autoscale, handover, [switch_protocol]);
     - {e a deterministic flight recorder}: when an alert fires, the most
-      recent trace events of every source host are dumped into one
+      recent trace events of every source host (control events always,
+      dataplane events when tracing is on) are dumped into one
       host-tagged, virtual-time-ordered snapshot ({!dumps}). Same seed,
       same bytes — the dynamic counterpart of nklint/nkscope, and the
       landing pad for the chaos harness (ROADMAP item 5).
@@ -68,7 +70,7 @@ val alert_type : alert -> string
 
 val alert_detail : alert -> string
 (** Deterministic one-line rendering ([key=value] pairs) — the [detail]
-    field of the [Custom] trace event each alert records. *)
+    field of the control event ([Custom]) each alert records. *)
 
 (** {1 SLO targets} *)
 

@@ -6,8 +6,8 @@ open Nkcore
 module Types = Tcpstack.Types
 module E = Sim.Engine
 
-let mk_cluster ?policy () =
-  let tb = Testbed.create ~config:{ Testbed.Config.default with seed = 11 } () in
+let mk_cluster ?policy ?(config = { Testbed.Config.default with seed = 11 }) () =
+  let tb = Testbed.create ~config () in
   let cluster = Nkfabric.create ?policy tb in
   let nodea = Nkfabric.add_node cluster ~name:"nodeA" in
   let nodeb = Nkfabric.add_node cluster ~name:"nodeB" in
@@ -179,9 +179,77 @@ let remigration_home_unwind () =
   Alcotest.(check int) "spine quiet after homecoming" !spine_mid s.Nkfabric.nqes_shipped;
   if !spine_mid <= 0 then Alcotest.fail "no NQEs ever crossed the spine"
 
+(* Control events have a log of their own: neither a dataplane flood
+   through a 64-entry ring nor tracing switched off loses one. Two VMs under
+   closed-loop load, nsmA migrated at 50 ms. *)
+let control_events_kept ~tracing () =
+  let tb, cluster, _nodea, nodeb, nsma, _nsmb =
+    mk_cluster
+      ~config:
+        { Testbed.Config.default with
+          seed = 11;
+          trace_enabled = tracing;
+          trace_capacity = Some 64
+        }
+      ()
+  in
+  let vms = List.init 2 (place cluster) in
+  let clients_host = Testbed.add_host tb ~name:"clients" in
+  let client =
+    Vm.create_baseline clients_host ~name:"client" ~vcpus:2 ~ips:[ 100 ]
+      ~profile:Sim.Cost_profile.ideal ()
+  in
+  let proto = Nkapps.Proto.Fixed { request = 64; response = 256; keepalive = false } in
+  List.iteri
+    (fun i vm ->
+      let addr = Addr.make (10 + i) 80 in
+      (match
+         Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
+           (Nkapps.Epoll_server.config ~proto addr)
+       with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "server: %s" (Types.err_to_string e));
+      ignore
+        (E.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
+             ignore
+               (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
+                  {
+                    Nkapps.Loadgen.server = addr;
+                    proto;
+                    mode =
+                      Nkapps.Loadgen.Closed
+                        { concurrency = 4; total = None; duration = Some 0.12 };
+                    warmup = 0.0;
+                  }))))
+    vms;
+  ignore
+    (E.schedule tb.Testbed.engine ~delay:0.05 (fun () ->
+         ignore (Nkfabric.migrate_nsm cluster ~nsm:nsma ~dst:nodeb ())));
+  Testbed.run tb ~until:0.15;
+  let mon = tb.Testbed.mon in
+  let fabric =
+    List.filter_map
+      (fun (r : Nkmon.Trace.record) ->
+        match r.Nkmon.Trace.event with
+        | Nkmon.Trace.Custom { component = "nkfabric"; name; _ } -> Some name
+        | _ -> None)
+      (Nkmon.Trace.records (Nkmon.trace mon))
+  in
+  Alcotest.(check (list string))
+    "every fabric event, in order"
+    [ "place"; "place"; "quiesce"; "migrate" ]
+    fabric;
+  if tracing then
+    Alcotest.(check bool) "the dataplane wrapped the ring" true
+      (Nkmon.dropped_events mon > 0)
+
 let tests =
   [
     Alcotest.test_case "placement: spread and pack" `Quick placement_policies;
     Alcotest.test_case "live migration keeps the connection" `Quick migration_live_connection;
     Alcotest.test_case "re-migration home unwinds the relay" `Quick remigration_home_unwind;
+    Alcotest.test_case "control events survive a flooded ring" `Quick
+      (control_events_kept ~tracing:true);
+    Alcotest.test_case "control events need no tracing" `Quick
+      (control_events_kept ~tracing:false);
   ]

@@ -86,7 +86,7 @@ let trace_ring_wraparound () =
   let tr = T.create ~capacity:4 ~enabled:true ~now:(fun () -> !now) () in
   for i = 1 to 10 do
     now := float_of_int i;
-    T.record tr (T.Custom { component = "t"; name = "tick"; detail = string_of_int i })
+    T.record tr (T.Ring_defer { vm_id = i })
   done;
   Alcotest.(check int) "recorded" 10 (T.recorded tr);
   Alcotest.(check int) "dropped" 6 (T.dropped tr);
@@ -98,6 +98,37 @@ let trace_ring_wraparound () =
   Alcotest.(check (float 0.0)) "virtual timestamps" 7.0 (List.hd rs).T.time;
   T.clear tr;
   Alcotest.(check int) "clear resets" 0 (T.recorded tr)
+
+(* Control events live in their own log: kept with tracing off and across a
+   wrapped ring, merged with the ring in seq order, never counted as
+   dropped. *)
+let control_log_kept () =
+  let tr = T.create ~capacity:2 ~enabled:false ~now:(fun () -> 0.0) () in
+  let ctl name = T.record tr (T.Custom { component = "t"; name; detail = "" }) in
+  ctl "off";
+  T.record tr (T.Ring_defer { vm_id = 0 });
+  Alcotest.(check int) "kept with tracing off" 1 (List.length (T.records tr));
+  T.set_enabled tr true;
+  for i = 1 to 3 do
+    T.record tr (T.Ring_defer { vm_id = i });
+    ctl (Printf.sprintf "c%d" i)
+  done;
+  T.record tr (T.Ring_defer { vm_id = 4 });
+  Alcotest.(check int) "only ring overwrites dropped" 2 (T.dropped tr);
+  Alcotest.(check int) "recorded counts both" 8 (T.recorded tr);
+  let kinds =
+    List.map
+      (fun r ->
+        match r.T.event with
+        | T.Custom { name; _ } -> (r.T.seq, name)
+        | T.Ring_defer { vm_id } -> (r.T.seq, string_of_int vm_id)
+        | _ -> (r.T.seq, "?"))
+      (T.records tr)
+  in
+  Alcotest.(check (list (pair int string)))
+    "ring survivors and every control event, in seq order"
+    [ (0, "off"); (2, "c1"); (4, "c2"); (5, "3"); (6, "c3"); (7, "4") ]
+    kinds
 
 let trace_disabled_is_free () =
   let tr = T.create ~capacity:4 ~enabled:false ~now:(fun () -> 0.0) () in
@@ -145,6 +176,7 @@ let tests =
     Alcotest.test_case "export is sorted" `Quick export_sorted;
     Alcotest.test_case "histogram percentile export" `Quick histogram_export;
     Alcotest.test_case "trace ring wraparound" `Quick trace_ring_wraparound;
+    Alcotest.test_case "control events kept in their own log" `Quick control_log_kept;
     Alcotest.test_case "disabled trace records nothing" `Quick trace_disabled_is_free;
     Alcotest.test_case "trace export shapes" `Quick trace_export_shapes;
     Alcotest.test_case "null handle" `Quick null_handle_works;

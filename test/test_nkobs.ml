@@ -279,9 +279,7 @@ let run_dropping_world () =
   Nkobs.add_source obs ~host:"h0" mon;
   let burst n =
     for i = 1 to n do
-      Nkmon.event mon
-        (Nkmon.Trace.Custom
-           { component = "test"; name = "burst"; detail = string_of_int i })
+      Nkmon.event mon (Nkmon.Trace.Ring_defer { vm_id = i })
     done
   in
   let at d f = ignore (E.schedule tb.Testbed.engine ~delay:d f) in
@@ -385,8 +383,7 @@ let mon_report_dropped_note () =
   let clean = Experiments.Mon_report.table sources in
   Alcotest.(check (list string)) "no note while nothing dropped" [] clean.Experiments.Report.notes;
   for i = 1 to 40 do
-    Nkmon.event tb.Testbed.mon
-      (Nkmon.Trace.Custom { component = "test"; name = "e"; detail = string_of_int i })
+    Nkmon.event tb.Testbed.mon (Nkmon.Trace.Ring_defer { vm_id = i })
   done;
   let r = Experiments.Mon_report.table sources in
   (match r.Experiments.Report.notes with
