@@ -1,5 +1,6 @@
 (* Bechamel microbenchmarks of the NetKernel dataplane primitives: NQE
-   codec, SPSC ring, hugepage copy, engine timers and one CoreEngine switch.
+   codec, SPSC ring, hugepage copy, engine timers, one CoreEngine switch and
+   one owner poll burst.
    The paper's tables and figures are regenerated by `nk run` instead.
 
      dune exec bench/main.exe *)
@@ -80,15 +81,41 @@ let () =
   let ce_switch =
     Test.make ~name:"coreengine switch (24 idle devices)"
       (Staged.stage (fun () ->
-           Nkcore.Nk_device.post vm ~qset:0 `Send send_nqe;
+           Nkcore.Nk_device.post vm ~qset:0 send_nqe;
            Sim.Engine.run ce_engine;
            match Nkutil.Spsc_ring.pop nsm_send with
            | Some _ -> ()
            | None -> failwith "send NQE not switched"))
   in
+  (* The owner poll loop GuestLib, ServiceLib and the shared-memory NSM all
+     run: 64 jobs pushed onto an NSM device, one wake, one burst drained,
+     charged, decoded and applied, then the empty re-poll. *)
+  let serve_engine = Sim.Engine.create () in
+  let serve_dev = device ~id:2 Nkcore.Nk_device.Nsm_side in
+  let applied = ref 0 in
+  Nkcore.Nk_device.serve serve_dev
+    ~cores:(Sim.Cpu.Set.create serve_engine ~name:"nsm" ~n:1 ())
+    ~costs:Nkcore.Nk_costs.default ~component:"nsm2"
+    (fun _ _ -> incr applied);
+  let jobs =
+    Array.init 64 (fun sock ->
+        Nkcore.Nqe.encode (Nkcore.Nqe.make ~op:Nkcore.Nqe.Socket ~vm_id:1 ~qset:0 ~sock ()))
+  in
+  let serve_burst =
+    Test.make ~name:"nk_device serve: one 64-NQE NSM burst"
+      (Staged.stage (fun () ->
+           applied := 0;
+           Array.iter
+             (fun raw -> ignore (Nkcore.Nk_device.push serve_dev ~qset:0 raw))
+             jobs;
+           Nkcore.Nk_device.wake serve_dev serve_engine ~qset:0
+             ~at:(Sim.Engine.now serve_engine);
+           Sim.Engine.run serve_engine;
+           if !applied <> 64 then failwith "burst not applied"))
+  in
   let tests =
     Test.make_grouped ~name:"netkernel-primitives"
-      [ nqe_roundtrip; ring_pushpop; hugepage_copy; heap_ops; ce_switch ]
+      [ nqe_roundtrip; ring_pushpop; hugepage_copy; heap_ops; ce_switch; serve_burst ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
   let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in

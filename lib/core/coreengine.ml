@@ -311,12 +311,6 @@ let drain_nsm t ~nsm_id =
     ctl_event t "drain_nsm" (Printf.sprintf "nsm=%d conns=%d" nsm_id (nsm_conn_count t ~nsm_id))
   end
 
-let undrain_nsm t ~nsm_id =
-  if Hashtbl.mem t.draining nsm_id then begin
-    Hashtbl.remove t.draining nsm_id;
-    ctl_event t "undrain_nsm" (Printf.sprintf "nsm=%d" nsm_id)
-  end
-
 let forget_route t ~vm_id ~sock = table_remove t (vm_id, sock)
 
 let add_route t ~vm_id ~sock ~nsm_id ~nsm_qset =
@@ -369,41 +363,15 @@ let set_rate_limit ?burst t ~vm_id ~bytes_per_sec =
 
 (* ---- switching --------------------------------------------------------- *)
 
-(* Wake the device owner after [wake_latency]. Same-instant wakes coalesce:
-   a CE dispatch burst delivering several NQEs to one queue set in one
-   callback arms several wakes with the identical fire time, and the
-   owner's budgeted poll drains the whole burst under the first. This is
-   the only sound elision — a wake merely *in flight* must still be armed
-   again for later pushes, because its fire acts as an early poll for
-   anything landing inside its latency window, and dropping that poll
-   shifts the cycle schedule. Same-instant elision cannot: between two
-   equal-time wakes only other wakes and ring pops run (all real work
-   defers through [Cpu.exec] to strictly later times, and no other event
-   kind is scheduled at exactly [wake_latency]), so nothing can slip a new
-   NQE into the queue set at that instant. *)
-let wake t dev qset =
-  let at = Engine.now t.engine +. t.costs.Nk_costs.wake_latency in
-  if Nk_device.wake_armed_at dev ~qset <> at then begin
-    Nk_device.set_wake_armed_at dev ~qset at;
-    ignore
-      (Engine.schedule_at t.engine ~at (Nk_device.wake_thunk dev ~qset))
-  end
-
-(* Push an inbound NQE into [dev]'s queue [q] of [qset]; false if full. A
-   destination queue set owned by another shard is a cross-shard handoff
-   and pays [ce_xshard] on the pushing shard. *)
-let push_inbound t (sh : shard) dev ~qset q raw =
-  let s = Nk_device.qset dev qset in
-  let ring =
-    match q with
-    | `Job -> s.Queue_set.job
-    | `Completion -> s.Queue_set.completion
-    | `Send -> s.Queue_set.send
-    | `Receive -> s.Queue_set.receive
-  in
+(* Push an inbound NQE into [dev]'s queue set [qset] and wake the owner
+   after [wake_latency]; false if the ring is full. A destination queue set
+   owned by another shard is a cross-shard handoff and pays [ce_xshard] on
+   the pushing shard. *)
+let push_inbound t (sh : shard) dev ~qset raw =
   if owner_idx t ~dev_id:(Nk_device.id dev) ~qset <> sh.idx then charge_xshard t sh;
-  if Ring.push ring raw then begin
-    wake t dev qset;
+  if Nk_device.push dev ~qset raw then begin
+    Nk_device.wake dev t.engine ~qset
+      ~at:(Engine.now t.engine +. t.costs.Nk_costs.wake_latency);
     true
   end
   else false
@@ -423,40 +391,30 @@ let route_nsm_to_vm t (sh : shard) ~src_nsm ~src_qset raw =
   | Some dev ->
       let op = Nqe.View.op raw in
       let sock = Nqe.View.sock raw in
-      let n = Nk_device.n_qsets dev in
+      (* An accept event introduces the new socket id (in the size field):
+         it keys both the queue-set pick and the table entry. *)
+      let table_sock = match op with Nqe.Ev_accept -> Nqe.View.size raw | _ -> sock in
       let qset =
         let q0 = Nqe.View.qset raw in
-        if q0 < n then q0
+        if q0 < Nk_device.n_qsets dev then q0
         else begin
-          let key_sock =
-            match op with Nqe.Ev_accept -> Nqe.View.size raw | _ -> sock
-          in
-          let q = key_sock * 2654435761 land max_int mod n in
+          let q = Nk_device.hash_qset dev table_sock in
           (* Complete the NQE with the chosen queue set before delivery. *)
           Nqe.View.set_qset raw q;
           q
         end
       in
-      (* Keep the table complete for NSM-allocated sockets (paper step 4):
-         an accept event introduces the new socket id (in the size field),
-         pinned to the ServiceLib queue set that emitted it. *)
-      let table_sock =
-        match op with Nqe.Ev_accept -> Nqe.View.size raw | _ -> sock
-      in
-      (* Never resurrect routes towards an NSM that has since departed
-         (its parting completions are still in flight). *)
+      (* Keep the table complete for NSM-allocated sockets (paper step 4),
+         pinned to the ServiceLib queue set that emitted the event, but never
+         resurrect routes towards an NSM that has since departed (its
+         parting completions are still in flight). *)
       if
         Hashtbl.mem t.nsms src_nsm
         && not (Hashtbl.mem t.conn_table (vm_id, table_sock))
       then
         table_add ~sh t (vm_id, table_sock) { nsm_id = src_nsm; nsm_qset = src_qset };
       if op = Nqe.Comp_close then table_remove ~sh t (vm_id, sock);
-      let q =
-        match op with
-        | Nqe.Ev_accept | Nqe.Ev_data | Nqe.Ev_eof -> `Receive
-        | _ -> `Completion
-      in
-      if push_inbound t sh dev ~qset q raw then begin
+      if push_inbound t sh dev ~qset raw then begin
         switched sh t raw (`Vm vm_id);
         true
       end
@@ -603,9 +561,8 @@ and route_vm_to_nsm t (sh : shard) raw =
           reply_error t sh raw Types.Econnreset;
           true
       | Some dev ->
-          let q = match op with Nqe.Send -> `Send | _ -> `Job in
           if op = Nqe.Close then table_remove ~sh t (vm_id, sock);
-          if push_inbound t sh dev ~qset:r.nsm_qset q raw then begin
+          if push_inbound t sh dev ~qset:r.nsm_qset raw then begin
             switched sh t raw (`Nsm r.nsm_id);
             true
           end
@@ -641,12 +598,9 @@ and route_vm_to_nsm t (sh : shard) raw =
               reply_error t sh raw Types.Econnreset;
               true
           | Some dev ->
-              let nsm_qset =
-                sock * 2654435761 land max_int mod Nk_device.n_qsets dev
-              in
+              let nsm_qset = Nk_device.hash_qset dev sock in
               table_add ~sh t (vm_id, sock) { nsm_id; nsm_qset };
-              let q = match op with Nqe.Send -> `Send | _ -> `Job in
-              if push_inbound t sh dev ~qset:nsm_qset q raw then begin
+              if push_inbound t sh dev ~qset:nsm_qset raw then begin
                 switched sh t raw (`Nsm nsm_id);
                 true
               end

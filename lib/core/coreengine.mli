@@ -87,8 +87,6 @@ val drain_nsm : t -> nsm_id:int -> unit
     established connections finish (live-handover drain). Deregister it
     once {!nsm_conn_count} reaches zero. *)
 
-val undrain_nsm : t -> nsm_id:int -> unit
-
 val nsm_conn_count : t -> nsm_id:int -> int
 (** Live connection-table entries routed to the NSM (the drain-completion
     signal). *)

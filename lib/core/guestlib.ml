@@ -1,5 +1,4 @@
 module Cpu = Sim.Cpu
-module Engine = Sim.Engine
 module Types = Tcpstack.Types
 module Socket_api = Tcpstack.Socket_api
 module Epoll_core = Tcpstack.Epoll_core
@@ -27,15 +26,6 @@ type gsock = {
   mutable close_pending : bool;
 }
 
-type qset_state = {
-  mutable scheduled : bool;
-  mutable last_active : float;
-  (* Reusable burst buffer for [process_qset]. Per queue set because the
-     apply loop runs deferred (behind [Cpu.exec]) while another queue set
-     may already be draining. *)
-  scratch : bytes array;
-}
-
 type stats = {
   nqes_tx : int;
   nqes_rx : int;
@@ -54,7 +44,6 @@ type counters = {
 }
 
 type t = {
-  engine : Engine.t;
   vm_id : int;
   cores : Cpu.Set.t;
   device : Nk_device.t;
@@ -62,7 +51,6 @@ type t = {
   profile : Sim.Cost_profile.t;
   socks : (int, gsock) Hashtbl.t;
   epoll : Epoll_core.t;
-  qstates : qset_state array;
   mon : Nkmon.t;
   spans : Nkspan.t;
   instance : string; (* "vm<id>", the span/metric component instance *)
@@ -79,8 +67,6 @@ let stats t =
     bytes_received = R.counter_value t.ctr.c_bytes_received;
     send_eagain = R.counter_value t.ctr.c_send_eagain;
   }
-
-let hash_qset t sock = sock * 2654435761 land max_int mod Cpu.Set.n t.cores
 
 let core_for t gs = Cpu.Set.core t.cores gs.qset
 
@@ -111,7 +97,7 @@ let gsock_events ~sendbuf = function
 
 (* ---- NQE posting -------------------------------------------------------- *)
 
-let post t gs queue (nqe : Nqe.t) =
+let post t gs (nqe : Nqe.t) =
   Nkmon.Registry.incr t.ctr.c_nqes_tx;
   if Nkmon.tracing t.mon then
     Nkmon.event t.mon
@@ -119,16 +105,15 @@ let post t gs queue (nqe : Nqe.t) =
          {
            device = Nk_device.id t.device;
            qset = gs.qset;
-           queue = (match queue with `Send -> Nkmon.Trace.Send | _ -> Nkmon.Trace.Job);
+           queue = Queue_set.trace_queue (Queue_set.of_op nqe.Nqe.op);
            op = Nqe.op_to_string nqe.Nqe.op;
            vm_id = t.vm_id;
            sock = gs.gid;
          });
-  Nk_device.post t.device ~qset:gs.qset queue (Nqe.encode nqe)
+  Nk_device.post t.device ~qset:gs.qset (Nqe.encode nqe)
 
 let post_op t gs op ?op_data ?data_ptr ?size ?synthetic ?span () =
   post t gs
-    (match op with Nqe.Send -> `Send | _ -> `Job)
     (Nqe.make ~op ~vm_id:t.vm_id ~qset:gs.qset ~sock:gs.gid ?op_data ?data_ptr ?size
        ?synthetic ?span ())
 
@@ -198,7 +183,9 @@ let apply t (nqe : Nqe.t) =
           let gs =
             {
               gid;
-              qset = (if nqe.Nqe.qset < Cpu.Set.n t.cores then nqe.Nqe.qset else hash_qset t gid);
+              qset =
+                (if nqe.Nqe.qset < Cpu.Set.n t.cores then nqe.Nqe.qset
+                 else Nk_device.hash_qset t.device gid);
               state = Gconnected;
               local = lsock.local;
               peer = Some peer;
@@ -268,55 +255,6 @@ let apply t (nqe : Nqe.t) =
       (* VM-bound queues never carry VM-to-NSM ops. *)
       ()
 
-let rec process_qset t qi =
-  let s = Nk_device.qset t.device qi in
-  let qs = t.qstates.(qi) in
-  (* One wakeup drains a budgeted burst from both inbound rings into the
-     per-qset scratch buffer: completions first, then receive events, each
-     in ring order — the same order the one-at-a-time poll produced. *)
-  let n = Queue_set.drain_into s ~toward:`Vm qs.scratch ~budget:64 ~shared:false in
-  if n = 0 then qs.scheduled <- false
-  else begin
-    let now = Engine.now t.engine in
-    let wake_extra =
-      (* The device slept after the 20 us polling window; waking it costs an
-         interrupt (interrupt-driven polling, §4.6). *)
-      if now -. qs.last_active > t.costs.Nk_costs.guest_idle_window then
-        t.costs.Nk_costs.guest_interrupt
-      else 0.0
-    in
-    let cycles =
-      t.costs.Nk_costs.guest_poll +. wake_extra
-      +. (float_of_int n *. t.costs.Nk_costs.nqe_decode)
-    in
-    (* Traced completions leave the ring here: everything from now until
-       [apply] runs (poll + decode + core queueing) is the completion
-       stage. Only Comp_send NQEs carry a span id, the rest peek as 0. *)
-    if Nkspan.enabled t.spans then
-      for i = 0 to n - 1 do
-        let span = Nqe.span_of_raw qs.scratch.(i) in
-        Nkspan.end_stage t.spans ~id:span "ring";
-        Nkspan.begin_stage t.spans ~id:span ~component:t.instance "completion"
-      done;
-    Nkspan.frame t.spans ~component:t.instance ~stage:"poll" (fun () ->
-        Cpu.exec (Cpu.Set.core t.cores qi) ~cycles (fun () ->
-            for i = 0 to n - 1 do
-              (* Endpoint apply needs the whole record. nklint: decode-ok *)
-              match Nqe.decode qs.scratch.(i) with
-              | Error _ -> ()
-              | Ok nqe -> apply t nqe
-            done;
-            qs.last_active <- Engine.now t.engine;
-            process_qset t qi))
-  end
-
-let on_kick t qi =
-  let qs = t.qstates.(qi) in
-  if not qs.scheduled then begin
-    qs.scheduled <- true;
-    process_qset t qi
-  end
-
 (* ---- API ------------------------------------------------------------------ *)
 
 let alloc_gsock t =
@@ -324,7 +262,7 @@ let alloc_gsock t =
   t.next_gid <- t.next_gid + 1;
   {
     gid;
-    qset = hash_qset t gid;
+    qset = Nk_device.hash_qset t.device gid;
     state = Gfresh;
     local = None;
     peer = None;
@@ -583,7 +521,6 @@ let create ~engine ~vm_id ~cores ~device ~costs ~profile ?(mon = Nkmon.null ())
   in
   let t =
     {
-      engine;
       vm_id;
       cores;
       device;
@@ -591,9 +528,6 @@ let create ~engine ~vm_id ~cores ~device ~costs ~profile ?(mon = Nkmon.null ())
       profile;
       socks;
       epoll;
-      qstates =
-        Array.init (Nk_device.n_qsets device) (fun _ ->
-            { scheduled = false; last_active = 0.0; scratch = Array.make 128 Bytes.empty });
       mon;
       spans;
       instance;
@@ -608,5 +542,5 @@ let create ~engine ~vm_id ~cores ~device ~costs ~profile ?(mon = Nkmon.null ())
       next_gid = 1;
     }
   in
-  Nk_device.set_kick_owner device (fun qi -> on_kick t qi);
+  Nk_device.serve device ~cores ~costs ~component:instance (fun _ nqe -> apply t nqe);
   t

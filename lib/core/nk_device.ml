@@ -1,3 +1,7 @@
+module Cpu = Sim.Cpu
+module Engine = Sim.Engine
+module Ring = Nkutil.Spsc_ring
+
 type role = Vm_side | Nsm_side
 
 type overflow = { q : [ `Job | `Completion | `Send | `Receive ]; qset : int; nqe : bytes }
@@ -8,11 +12,9 @@ type t = {
   qsets : Queue_set.t array;
   hugepages : Hugepages.t;
   overflow : overflow Queue.t;
-  (* Fire time of the last owner wake armed per queue set. A burst of
-     deliveries from one CoreEngine callback all want a wake at the same
-     instant; arming one is enough — the owner's budgeted poll drains the
-     whole burst. Never cleared: the clock only moves forward, so a stale
-     stamp can't equal a future fire time. *)
+  (* Fire time of the last owner wake armed per queue set ([wake]). Never
+     cleared: the clock only moves forward, so a stale stamp can't equal a
+     future fire time. *)
   wake_armed_at : float array;
   (* One preallocated kick-owner thunk per queue set, so arming a wake
      (millions per run) schedules a shared closure instead of building a
@@ -20,6 +22,7 @@ type t = {
   mutable wake_thunks : (unit -> unit) array;
   mutable kick_ce : (int -> unit) option;
   mutable kick_owner : (int -> unit) option;
+  mutable serving : bool; (* cleared by [stop_serving] *)
   mon : Nkmon.t;
   spans : Nkspan.t;
   instance : string;
@@ -42,6 +45,7 @@ let create ~id ~role ~qsets ?capacity ~hugepages ?(mon = Nkmon.null ())
       wake_thunks = [||];
       kick_ce = None;
       kick_owner = None;
+      serving = true;
       mon;
       spans;
       instance;
@@ -71,13 +75,7 @@ let set_kick_ce t f = t.kick_ce <- Some f
 
 let set_kick_owner t f = t.kick_owner <- Some f
 
-let kick_owner t i = match t.kick_owner with None -> () | Some f -> f i
-
-let wake_thunk t ~qset = t.wake_thunks.(qset)
-
-let wake_armed_at t ~qset = t.wake_armed_at.(qset)
-
-let set_wake_armed_at t ~qset at = t.wake_armed_at.(qset) <- at
+let hash_qset t key = key * 2654435761 land max_int mod Array.length t.qsets
 
 let ring t ~qset q =
   let s = t.qsets.(qset) in
@@ -93,19 +91,14 @@ let ring t ~qset q =
 let rec flush_overflow t =
   if not (Queue.is_empty t.overflow) then begin
     let o = Queue.peek t.overflow in
-    if Nkutil.Spsc_ring.push (ring t ~qset:o.qset o.q) o.nqe then begin
+    if Ring.push (ring t ~qset:o.qset o.q) o.nqe then begin
       ignore (Queue.pop t.overflow);
       flush_overflow t
     end
   end
 
-let trace_queue = function
-  | `Job -> Nkmon.Trace.Job
-  | `Completion -> Nkmon.Trace.Completion
-  | `Send -> Nkmon.Trace.Send
-  | `Receive -> Nkmon.Trace.Receive
-
-let post t ~qset q nqe =
+let post t ~qset nqe =
+  let q = Queue_set.of_op (Nqe.View.op nqe) in
   flush_overflow t;
   Nkmon.Registry.incr t.c_posted;
   (* Device enqueue opens the ring stage of a traced request; whichever
@@ -118,26 +111,171 @@ let post t ~qset q nqe =
         ~component:(t.instance ^ "." ^ Queue_set.queue_name q)
         "ring"
   end;
-  if
-    (not (Queue.is_empty t.overflow)) || not (Nkutil.Spsc_ring.push (ring t ~qset q) nqe)
-  then begin
+  if (not (Queue.is_empty t.overflow)) || not (Ring.push (ring t ~qset q) nqe) then begin
     Nkmon.Registry.incr t.c_ring_full;
     if Nkmon.tracing t.mon then
       Nkmon.event t.mon
-        (Nkmon.Trace.Ring_full { device = t.id; qset; queue = trace_queue q });
+        (Nkmon.Trace.Ring_full { device = t.id; qset; queue = Queue_set.trace_queue q });
     Queue.add { q; qset; nqe } t.overflow
   end;
   match t.kick_ce with None -> () | Some f -> f qset
+
+let push t ~qset nqe = Ring.push (ring t ~qset (Queue_set.of_op (Nqe.View.op nqe))) nqe
+
+(* Same-instant wakes coalesce: a CE dispatch burst delivering several NQEs
+   to one queue set in one callback arms several wakes with the identical
+   fire time, and the owner's budgeted poll drains the whole burst under
+   the first. This is the only sound elision — a wake merely *in flight*
+   must still be armed again for later pushes, because its fire acts as an
+   early poll for anything landing inside its latency window, and dropping
+   that poll shifts the cycle schedule. Same-instant elision cannot: between
+   two equal-time wakes only other wakes and ring pops run (all real work
+   defers through [Cpu.exec] to strictly later times, and no other event
+   kind is scheduled at exactly the wake latency), so nothing can slip a
+   new NQE into the queue set at that instant. *)
+let wake t engine ~qset ~at =
+  if t.wake_armed_at.(qset) <> at then begin
+    t.wake_armed_at.(qset) <- at;
+    ignore (Engine.schedule_at engine ~at t.wake_thunks.(qset))
+  end
+
+(* ---- the owner's poll loop ------------------------------------------------ *)
+
+(* Per-NQE budget of one owner burst. *)
+let budget = 64
+
+type owner = {
+  dev : t;
+  cores : Cpu.Set.t;
+  costs : Nk_costs.t;
+  component : string;
+  apply : int -> Nqe.t -> unit;
+  scheduled : bool array;
+  (* End of the last applied burst per queue set; the VM side pays an
+     interrupt when a burst finds the device idle past the polling
+     window. *)
+  last_active : float array;
+  (* Reusable burst buffers, per queue set because the apply loop runs
+     deferred (behind [Cpu.exec]) while another queue set may already be
+     draining. *)
+  scratch : bytes array array;
+}
+
+(* One owner wakeup drains a budgeted burst from the queue set's inbound
+   pair into its scratch buffer in ring order, charges poll + decode on the
+   queue set's core, applies the burst there and polls again until a drain
+   comes back empty. The VM side takes up to [budget] completions, then up
+   to [budget] receive events; the NSM side one burst of [budget] across
+   job then send. Top-level recursion over one owner record, as
+   CoreEngine's [process]: without flambda a local loop would cost a
+   closure per call. *)
+let rec poll o qi =
+  if not o.dev.serving then o.scheduled.(qi) <- false
+  else begin
+    let scratch = o.scratch.(qi) in
+    let s = o.dev.qsets.(qi) in
+    let n =
+      match o.dev.role with
+      | Vm_side -> Queue_set.drain_into s ~toward:`Vm scratch ~budget ~shared:false
+      | Nsm_side -> Queue_set.drain_into s ~toward:`Nsm scratch ~budget ~shared:true
+    in
+    if n = 0 then o.scheduled.(qi) <- false
+    else begin
+      let core = Cpu.Set.core o.cores qi in
+      let c = o.costs in
+      let decode = float_of_int n *. c.Nk_costs.nqe_decode in
+      let cycles =
+        match o.dev.role with
+        | Nsm_side -> c.Nk_costs.service_poll +. decode
+        | Vm_side ->
+            (* The device slept after the polling window; waking it costs
+               an interrupt (interrupt-driven polling, §4.6). *)
+            let idle = Engine.now (Cpu.engine core) -. o.last_active.(qi) in
+            c.Nk_costs.guest_poll
+            +. (if idle > c.Nk_costs.guest_idle_window then c.Nk_costs.guest_interrupt
+                else 0.0)
+            +. decode
+      in
+      (* Traced NQEs leave the ring here: poll + decode + core queueing
+         accrue to the owner's first stage. Only Send and Comp_send NQEs
+         carry a span id; the rest peek as 0. *)
+      if Nkspan.enabled o.dev.spans then
+        for i = 0 to n - 1 do
+          let span = Nqe.span_of_raw scratch.(i) in
+          Nkspan.end_stage o.dev.spans ~id:span "ring";
+          match o.dev.role with
+          | Vm_side ->
+              Nkspan.begin_stage o.dev.spans ~id:span ~component:o.component "completion"
+          | Nsm_side ->
+              Nkspan.begin_stage o.dev.spans ~id:span ~component:o.component "servicelib"
+        done;
+      Nkspan.frame o.dev.spans ~component:o.component
+        ~stage:(match o.dev.role with Vm_side -> "poll" | Nsm_side -> "dispatch")
+        (fun () -> Cpu.exec core ~cycles (fun () -> apply_burst o qi n))
+    end
+  end
+
+and apply_burst o qi n =
+  let scratch = o.scratch.(qi) in
+  for i = 0 to n - 1 do
+    (* Endpoint apply needs the whole record. nklint: decode-ok *)
+    match Nqe.decode scratch.(i) with Error _ -> () | Ok nqe -> o.apply qi nqe
+  done;
+  o.last_active.(qi) <- Engine.now (Cpu.engine (Cpu.Set.core o.cores qi));
+  poll o qi
+
+let kick o qi =
+  if not o.scheduled.(qi) then begin
+    o.scheduled.(qi) <- true;
+    poll o qi
+  end
+
+let serve t ~cores ~costs ~component apply =
+  let n = Array.length t.qsets in
+  let width = match t.role with Vm_side -> 2 * budget | Nsm_side -> budget in
+  let o =
+    {
+      dev = t;
+      cores;
+      costs;
+      component;
+      apply;
+      scheduled = Array.make n false;
+      last_active = Array.make n 0.0;
+      scratch = Array.init n (fun _ -> Array.make width Bytes.empty);
+    }
+  in
+  t.kick_owner <- Some (fun qi -> kick o qi)
+
+let stop_serving t = t.serving <- false
+
+(* ---- relay drains ---------------------------------------------------------- *)
+
+let rec pop_all ring f =
+  match Ring.pop ring with
+  | None -> ()
+  | Some raw ->
+      f raw;
+      pop_all ring f
+
+let drain t ~qset ~toward f =
+  let s = t.qsets.(qset) in
+  match toward with
+  | `Vm ->
+      pop_all s.Queue_set.completion f;
+      pop_all s.Queue_set.receive f
+  | `Nsm ->
+      pop_all s.Queue_set.job f;
+      pop_all s.Queue_set.send f
+
+(* ---- CoreEngine's view ------------------------------------------------------ *)
 
 let outbound_pending t ~qset =
   let s = t.qsets.(qset) in
   let ring_part =
     match t.role with
-    | Vm_side ->
-        Nkutil.Spsc_ring.length s.Queue_set.job + Nkutil.Spsc_ring.length s.Queue_set.send
-    | Nsm_side ->
-        Nkutil.Spsc_ring.length s.Queue_set.completion
-        + Nkutil.Spsc_ring.length s.Queue_set.receive
+    | Vm_side -> Ring.length s.Queue_set.job + Ring.length s.Queue_set.send
+    | Nsm_side -> Ring.length s.Queue_set.completion + Ring.length s.Queue_set.receive
   in
   ring_part + Queue.length t.overflow
 
@@ -147,14 +285,9 @@ let rec rings_outbound t i =
   i < Array.length t.qsets
   && (let s = t.qsets.(i) in
       (match t.role with
-      | Vm_side ->
-          not
-            (Nkutil.Spsc_ring.is_empty s.Queue_set.job
-            && Nkutil.Spsc_ring.is_empty s.Queue_set.send)
+      | Vm_side -> not (Ring.is_empty s.Queue_set.job && Ring.is_empty s.Queue_set.send)
       | Nsm_side ->
-          not
-            (Nkutil.Spsc_ring.is_empty s.Queue_set.completion
-            && Nkutil.Spsc_ring.is_empty s.Queue_set.receive))
+          not (Ring.is_empty s.Queue_set.completion && Ring.is_empty s.Queue_set.receive))
       || rings_outbound t (i + 1))
 
 let has_outbound t = (not (Queue.is_empty t.overflow)) || rings_outbound t 0

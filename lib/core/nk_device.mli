@@ -1,14 +1,18 @@
-(** NK device: the virtual device pairing a VM or NSM with CoreEngine.
+(** NK device: the virtual device pairing a VM or NSM with CoreEngine, and
+    the one place the queue-set protocol lives.
 
     Bundles one queue set per vCPU plus the hugepage region reference, and
     carries the two notification directions:
-    - [kick_ce]: the device owner produced outbound NQEs (GuestLib's job and
-      send queues, or ServiceLib's completion and receive queues);
-    - [kick_owner]: CoreEngine delivered inbound NQEs to queue set [i].
+    - the CE kick: the device owner produced outbound NQEs (GuestLib's job
+      and send queues, or ServiceLib's completion and receive queues);
+    - the owner wake: CoreEngine delivered inbound NQEs to queue set [i]
+      ({!wake}), served by the owner's poll loop ({!serve}) or, on a relay
+      device, by a handler that {!drain}s the rings.
 
     Outbound posting goes through a per-queue overflow buffer so a full
     ring backpressures instead of dropping (the simulated analogue of the
-    producer spinning on a full lockless queue). *)
+    producer spinning on a full lockless queue). The ring an NQE rides is
+    always {!Queue_set.of_op} of its op. *)
 
 type role = Vm_side | Nsm_side
 
@@ -26,7 +30,8 @@ val create :
   t
 (** [mon] records [nk_device/dev<id>/...] metrics (posted NQEs, ring-full
     spills, queued depth) and [Ring_full] trace events. [spans] lets the
-    device mark the ring stage of traced requests at enqueue time. *)
+    device mark the ring stage of traced requests at enqueue time and the
+    owner's first stage when {!serve} dequeues them. *)
 
 val id : t -> int
 
@@ -38,35 +43,64 @@ val qset : t -> int -> Queue_set.t
 
 val hugepages : t -> Hugepages.t
 
+val hash_qset : t -> int -> int
+(** The queue set a socket (or any key) is pinned to: a multiplicative hash
+    of [key] into [\[0, n_qsets t)]. *)
+
 val set_kick_ce : t -> (int -> unit) -> unit
 (** Installed by CoreEngine at registration; the argument is the queue-set
     index the owner posted on, so a sharded CoreEngine wakes only the
     switching shard that owns that queue set. *)
 
 val set_kick_owner : t -> (int -> unit) -> unit
-(** Installed by GuestLib / ServiceLib; argument is the queue-set index. *)
+(** Replace the owner's wake handler (argument: the queue-set index). For
+    devices with no poll loop, such as Nkfabric's relay stub and proxy,
+    which {!drain} their rings on every wake. *)
 
-val kick_owner : t -> int -> unit
+val post : t -> qset:int -> bytes -> unit
+(** Owner-side enqueue of an encoded NQE on its op's ring + CE kick; spills
+    to the overflow buffer when the ring is full. *)
 
-val wake_thunk : t -> qset:int -> unit -> unit
-(** Preallocated [fun () -> kick_owner t qset] — the callback CoreEngine
-    arms as a delayed owner wake. Shared so the per-delivery wake path
-    does not allocate a closure. *)
+val push : t -> qset:int -> bytes -> bool
+(** CoreEngine-side enqueue of an encoded NQE on its op's ring; [false] if
+    that ring is full (no overflow, no kick: the caller parks it and
+    {!wake}s the owner on success). *)
 
-val wake_armed_at : t -> qset:int -> float
-(** Fire time of the last kick-owner wake armed for this queue set
-    ([neg_infinity] before the first). When a delivery wants a wake at
-    exactly this time, one is already scheduled and the new one may be
-    elided: the owner-side polls are budgeted bursts, so the armed wake
-    drains the whole same-instant burst. *)
+val wake : t -> Sim.Engine.t -> qset:int -> at:float -> unit
+(** Arm an owner wake for queue set [qset] at virtual time [at]. A wake
+    already armed for exactly [at] absorbs this one: the owner's budgeted
+    poll drains the whole same-instant burst. *)
 
-val set_wake_armed_at : t -> qset:int -> float -> unit
-(** Recorded by CoreEngine when it arms a wake; never cleared (virtual
-    time is monotone, so a past stamp can never alias a future one). *)
+val serve :
+  t ->
+  cores:Sim.Cpu.Set.t ->
+  costs:Nk_costs.t ->
+  component:string ->
+  (int -> Nqe.t -> unit) ->
+  unit
+(** Install the owner's budgeted poll loop. On a wake of queue set [i] the
+    loop drains a burst from [i]'s inbound rings, charges poll + one
+    [nqe_decode] per NQE on core [i] of [cores], then decodes and applies
+    each NQE there ([apply i nqe]) and polls again until a drain comes
+    back empty. The device role sets the rest:
+    - [Vm_side] (GuestLib): up to 64 completions, then up to 64 receive
+      events; [guest_poll], plus [guest_interrupt] when the queue set had
+      been idle for more than [guest_idle_window] (§4.6); span stage
+      ["completion"], profiler frame ["poll"];
+    - [Nsm_side] (ServiceLib, the shared-memory NSM): 64 across job then
+      send; [service_poll]; span stage ["servicelib"], profiler frame
+      ["dispatch"].
+    [component] is the span and profiler component ([vm<id>], [nsm<id>]). *)
 
-val post : t -> qset:int -> [ `Job | `Completion | `Send | `Receive ] -> bytes -> unit
-(** Owner-side enqueue of an encoded NQE + CE kick; spills to the overflow
-    buffer when the ring is full. *)
+val stop_serving : t -> unit
+(** The owner died: its poll loop drains nothing more (a burst already
+    handed to [apply] still completes). *)
+
+val drain : t -> qset:int -> toward:[ `Vm | `Nsm ] -> (bytes -> unit) -> unit
+(** Synchronously pop the pair of rings flowing toward one side — completion
+    then receive for [`Vm], job then send for [`Nsm] — handing each NQE to
+    [f]: the first ring completely, then the second. [f] must not push into
+    the rings being drained. The overflow buffer is left alone. *)
 
 val flush_overflow : t -> unit
 (** Move spilled NQEs into their rings as space allows (CoreEngine calls

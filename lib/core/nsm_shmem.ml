@@ -1,7 +1,6 @@
 module Cpu = Sim.Cpu
 module Engine = Sim.Engine
 module Types = Tcpstack.Types
-module Ring = Nkutil.Spsc_ring
 
 type vm_ctx = { vm_id : int; hugepages : Hugepages.t; mutable next_gid : int }
 
@@ -29,16 +28,7 @@ module Endpoint_table = Hashtbl.Make (struct
   let hash = Addr.hash
 end)
 
-type qset_state = {
-  mutable scheduled : bool;
-  (* Reusable burst buffer for [process_qset]; per queue set because the
-     dispatch loop runs deferred behind [Cpu.exec]. *)
-  scratch : bytes array;
-}
-
-type stats = { bytes_copied : int; conns : int }
-
-(* Live registry-backed counters; [stats] snapshots them. *)
+(* Live registry-backed counters. *)
 type counters = {
   c_bytes_copied : Nkmon.Registry.counter;
   c_conns : Nkmon.Registry.counter;
@@ -56,18 +46,10 @@ type t = {
   vms : (int, vm_ctx) Hashtbl.t;
   socks : (int * int, endpoint) Hashtbl.t; (* (vm_id, gid) -> endpoint *)
   listeners : listener Endpoint_table.t;
-  qstates : qset_state array;
   spans : Nkspan.t;
   instance : string;
   ctr : counters;
 }
-
-let stats t =
-  let module R = Nkmon.Registry in
-  {
-    bytes_copied = R.counter_value t.ctr.c_bytes_copied;
-    conns = R.counter_value t.ctr.c_conns;
-  }
 
 let register_vm t ~vm_id ~hugepages ~ips =
   ignore ips;
@@ -79,10 +61,7 @@ let deregister_vm t ~vm_id = Hashtbl.remove t.vms vm_id
 
 let post t (ep : endpoint) op ?op_data ?data_ptr ?size ?synthetic ?span () =
   Cpu.charge (Cpu.Set.core t.cores ep.nsm_qset) ~cycles:t.costs.Nk_costs.nqe_encode;
-  let queue =
-    match op with Nqe.Ev_accept | Nqe.Ev_data | Nqe.Ev_eof -> `Receive | _ -> `Completion
-  in
-  Nk_device.post t.device ~qset:ep.nsm_qset queue
+  Nk_device.post t.device ~qset:ep.nsm_qset
     (Nqe.encode
        (Nqe.make ~op ~vm_id:ep.ep_vm.vm_id ~qset:ep.vm_qset ~sock:ep.ep_gid ?op_data
           ?data_ptr ?size ?synthetic ?span ()))
@@ -166,7 +145,7 @@ let lookup_or_create t vm (nqe : Nqe.t) ~qset_idx =
       end
       else None
 
-let apply t ~qset_idx (nqe : Nqe.t) =
+let apply t qset_idx (nqe : Nqe.t) =
   match Hashtbl.find_opt t.vms nqe.Nqe.vm_id with
   | None -> ()
   | Some vm -> (
@@ -198,7 +177,7 @@ let apply t ~qset_idx (nqe : Nqe.t) =
                   l.l_vm.next_gid <- l.l_vm.next_gid + 1;
                   let server =
                     fresh_endpoint l.l_vm ~gid:sgid
-                      ~nsm_qset:(sgid * 2654435761 land max_int mod Cpu.Set.n t.cores)
+                      ~nsm_qset:(Nk_device.hash_qset t.device sgid)
                       ~vm_qset:Nqe.qset_unassigned
                   in
                   Hashtbl.replace t.socks (l.l_vm.vm_id, sgid) server;
@@ -209,7 +188,7 @@ let apply t ~qset_idx (nqe : Nqe.t) =
                   Cpu.charge
                     (Cpu.Set.core t.cores server.nsm_qset)
                     ~cycles:t.costs.Nk_costs.nqe_encode;
-                  Nk_device.post t.device ~qset:server.nsm_qset `Receive
+                  Nk_device.post t.device ~qset:server.nsm_qset
                     (Nqe.encode
                        (Nqe.make ~op:Nqe.Ev_accept ~vm_id:l.l_vm.vm_id
                           ~qset:Nqe.qset_unassigned ~sock:l.l_gid
@@ -259,43 +238,6 @@ let apply t ~qset_idx (nqe : Nqe.t) =
           | Nqe.Ev_err ->
               ()))
 
-(* ---- polling ------------------------------------------------------------------ *)
-
-let rec process_qset t qi =
-  let s = Nk_device.qset t.device qi in
-  let qs = t.qstates.(qi) in
-  (* One burst of at most 64 NQEs across the job + send pair (jobs first),
-     drained into the per-qset scratch buffer in ring order. *)
-  let n = Queue_set.drain_into s ~toward:`Nsm qs.scratch ~budget:64 ~shared:true in
-  if n = 0 then qs.scheduled <- false
-  else begin
-    if Nkspan.enabled t.spans then
-      for i = 0 to n - 1 do
-        let span = Nqe.span_of_raw qs.scratch.(i) in
-        Nkspan.end_stage t.spans ~id:span "ring";
-        Nkspan.begin_stage t.spans ~id:span ~component:t.instance "servicelib"
-      done;
-    let cycles =
-      t.costs.Nk_costs.service_poll +. (float_of_int n *. t.costs.Nk_costs.nqe_decode)
-    in
-    Nkspan.frame t.spans ~component:t.instance ~stage:"dispatch" (fun () ->
-        Cpu.exec (Cpu.Set.core t.cores qi) ~cycles (fun () ->
-            for i = 0 to n - 1 do
-              (* Endpoint apply needs the whole record. nklint: decode-ok *)
-              match Nqe.decode qs.scratch.(i) with
-              | Error _ -> ()
-              | Ok nqe -> apply t ~qset_idx:qi nqe
-            done;
-            process_qset t qi))
-  end
-
-let on_kick t qi =
-  let qs = t.qstates.(qi) in
-  if not qs.scheduled then begin
-    qs.scheduled <- true;
-    process_qset t qi
-  end
-
 let create ~engine ~device ~cores ~costs ?(mon = Nkmon.null ()) ?(spans = Nkspan.null ()) () =
   let instance = Printf.sprintf "nsm%d" (Nk_device.id device) in
   let c name = Nkmon.counter mon ~component:"nsm_shmem" ~instance ~name in
@@ -308,13 +250,10 @@ let create ~engine ~device ~cores ~costs ?(mon = Nkmon.null ()) ?(spans = Nkspan
       vms = Hashtbl.create 8;
       socks = Hashtbl.create 256;
       listeners = Endpoint_table.create 16;
-      qstates =
-        Array.init (Nk_device.n_qsets device) (fun _ ->
-            { scheduled = false; scratch = Array.make 64 Bytes.empty });
       spans;
       instance;
       ctr = { c_bytes_copied = c "bytes_copied"; c_conns = c "conns" };
     }
   in
-  Nk_device.set_kick_owner device (fun qi -> on_kick t qi);
+  Nk_device.serve device ~cores ~costs ~component:instance (apply t);
   t

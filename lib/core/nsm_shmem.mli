@@ -27,8 +27,3 @@ val register_vm : t -> vm_id:int -> hugepages:Hugepages.t -> ips:Addr.ip list ->
 
 val deregister_vm : t -> vm_id:int -> unit
 
-type stats = { bytes_copied : int; conns : int }
-
-val stats : t -> stats
-(** Immutable snapshot of the registry-backed [nsm_shmem/nsm<id>/...]
-    counters. *)

@@ -15,11 +15,25 @@ let create ?(capacity = 8192) () =
     receive = Nkutil.Spsc_ring.create ~capacity;
   }
 
+let of_op = function
+  | Nqe.Send -> `Send
+  | Nqe.Socket | Nqe.Bind | Nqe.Listen | Nqe.Connect | Nqe.Recv_done | Nqe.Close -> `Job
+  | Nqe.Ev_accept | Nqe.Ev_data | Nqe.Ev_eof -> `Receive
+  | Nqe.Comp_socket | Nqe.Comp_bind | Nqe.Comp_listen | Nqe.Comp_connect | Nqe.Comp_send
+  | Nqe.Comp_close | Nqe.Ev_err ->
+      `Completion
+
 let queue_name = function
   | `Job -> "job"
   | `Completion -> "completion"
   | `Send -> "send"
   | `Receive -> "receive"
+
+let trace_queue = function
+  | `Job -> Nkmon.Trace.Job
+  | `Completion -> Nkmon.Trace.Completion
+  | `Send -> Nkmon.Trace.Send
+  | `Receive -> Nkmon.Trace.Receive
 
 let drain_into t ~toward buf ~budget ~shared =
   let r1, r2 =

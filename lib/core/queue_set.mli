@@ -18,9 +18,17 @@ type t = {
 val create : ?capacity:int -> unit -> t
 (** [capacity] per ring, default 8192. *)
 
+val of_op : Nqe.op -> [ `Job | `Completion | `Send | `Receive ]
+(** The ring an NQE op rides: [Send] on send, the other VM-to-NSM ops on
+    job; [Ev_accept], [Ev_data] and [Ev_eof] on receive; every [Comp_*]
+    and [Ev_err] on completion. The one place an op picks its ring. *)
+
 val queue_name : [ `Job | `Completion | `Send | `Receive ] -> string
 (** Canonical lowercase ring name, used by Nkmon labels and Nkspan ring-stage
     component tags. *)
+
+val trace_queue : [ `Job | `Completion | `Send | `Receive ] -> Nkmon.Trace.queue
+(** The same ring as an Nkmon trace-event field. *)
 
 val drain_into :
   t -> toward:[ `Vm | `Nsm ] -> bytes array -> budget:int -> shared:bool -> int

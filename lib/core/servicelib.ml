@@ -2,7 +2,6 @@ module Cpu = Sim.Cpu
 module Engine = Sim.Engine
 module Types = Tcpstack.Types
 module Stack_ops = Tcpstack.Stack_ops
-module Ring = Nkutil.Spsc_ring
 
 type pending_send = {
   extent : Hugepages.extent;
@@ -36,13 +35,6 @@ and ssock = {
   mutable err_sent : bool;
 }
 
-type qset_state = {
-  mutable scheduled : bool;
-  (* Reusable burst buffer for [process_qset]; per queue set because the
-     dispatch loop runs deferred behind [Cpu.exec]. *)
-  scratch : bytes array;
-}
-
 type stats = {
   nqes_rx : int;
   nqes_tx : int;
@@ -69,7 +61,6 @@ type t = {
   vm_forwarders : (int, Nqe.t -> unit) Hashtbl.t;
       (* per-VM hooks for NQEs that were drained before the VM migrated
          away but applied after; they ship to the destination NSM *)
-  qstates : qset_state array;
   mon : Nkmon.t;
   spans : Nkspan.t;
   instance : string;
@@ -97,10 +88,7 @@ let post t (ss : ssock) op ?op_data ?data_ptr ?size ?synthetic ?span () =
   if not t.dead then begin
     Nkmon.Registry.incr t.ctr.c_nqes_tx;
     Cpu.charge (Cpu.Set.core t.cores ss.nsm_qset) ~cycles:t.costs.Nk_costs.nqe_encode;
-    let queue =
-      match op with Nqe.Ev_accept | Nqe.Ev_data | Nqe.Ev_eof -> `Receive | _ -> `Completion
-    in
-    Nk_device.post t.device ~qset:ss.nsm_qset queue
+    Nk_device.post t.device ~qset:ss.nsm_qset
       (Nqe.encode
          (Nqe.make ~op ~vm_id:ss.vm.vm_id ~qset:ss.vm_qset ~sock:ss.gid ?op_data ?data_ptr
             ?size ?synthetic ?span ()))
@@ -315,7 +303,7 @@ let on_accept t vm (lsock : ssock) conn ~peer =
      the size field, the peer address through op_data. *)
   Nkmon.Registry.incr t.ctr.c_nqes_tx;
   Cpu.charge (Cpu.Set.core t.cores ss.nsm_qset) ~cycles:t.costs.Nk_costs.nqe_encode;
-  Nk_device.post t.device ~qset:ss.nsm_qset `Receive
+  Nk_device.post t.device ~qset:ss.nsm_qset
     (Nqe.encode
        (Nqe.make ~op:Nqe.Ev_accept ~vm_id:vm.vm_id ~qset:Nqe.qset_unassigned
           ~sock:lsock.gid ~op_data:(Nqe.pack_addr peer) ~size:gid ()))
@@ -338,7 +326,7 @@ let lookup_or_create t vm (nqe : Nqe.t) =
         None
       end
 
-let apply t ~qset_idx (nqe : Nqe.t) =
+let apply t qset_idx (nqe : Nqe.t) =
   Nkmon.Registry.incr t.ctr.c_nqes_rx;
   if Nkmon.tracing t.mon then
     Nkmon.event t.mon
@@ -369,7 +357,7 @@ let apply t ~qset_idx (nqe : Nqe.t) =
           let reply op ~op_data =
             Nkmon.Registry.incr t.ctr.c_nqes_tx;
             Cpu.charge (Cpu.Set.core t.cores qset_idx) ~cycles:t.costs.Nk_costs.nqe_encode;
-            Nk_device.post t.device ~qset:qset_idx `Completion
+            Nk_device.post t.device ~qset:qset_idx
               (Nqe.encode
                  (Nqe.make ~op ~vm_id:nqe.Nqe.vm_id ~qset:nqe.Nqe.qset ~sock:nqe.Nqe.sock
                     ~op_data ~data_ptr:nqe.Nqe.data_ptr ~size:nqe.Nqe.size
@@ -433,50 +421,6 @@ let apply t ~qset_idx (nqe : Nqe.t) =
               (* NSM-bound queues never carry NSM-to-VM results. *)
               ()))
 
-(* ---- polling ------------------------------------------------------------------------ *)
-
-let rec process_qset t qi =
-  if t.dead then t.qstates.(qi).scheduled <- false
-  else process_qset_live t qi
-
-and process_qset_live t qi =
-  let s = Nk_device.qset t.device qi in
-  let qs = t.qstates.(qi) in
-  (* One burst of at most 64 NQEs across the job + send pair (jobs first),
-     drained into the per-qset scratch buffer in ring order. *)
-  let n = Queue_set.drain_into s ~toward:`Nsm qs.scratch ~budget:64 ~shared:true in
-  if n = 0 then qs.scheduled <- false
-  else begin
-    (* Traced sends leave the NSM-side ring here: poll + decode + core
-       queueing accrue to the servicelib stage (only Send NQEs carry a
-       span id). *)
-    if Nkspan.enabled t.spans then
-      for i = 0 to n - 1 do
-        let span = Nqe.span_of_raw qs.scratch.(i) in
-        Nkspan.end_stage t.spans ~id:span "ring";
-        Nkspan.begin_stage t.spans ~id:span ~component:t.instance "servicelib"
-      done;
-    let cycles =
-      t.costs.Nk_costs.service_poll +. (float_of_int n *. t.costs.Nk_costs.nqe_decode)
-    in
-    Nkspan.frame t.spans ~component:t.instance ~stage:"dispatch" (fun () ->
-        Cpu.exec (Cpu.Set.core t.cores qi) ~cycles (fun () ->
-            for i = 0 to n - 1 do
-              (* Endpoint apply needs the whole record. nklint: decode-ok *)
-              match Nqe.decode qs.scratch.(i) with
-              | Error _ -> ()
-              | Ok nqe -> apply t ~qset_idx:qi nqe
-            done;
-            process_qset t qi))
-  end
-
-let on_kick t qi =
-  let qs = t.qstates.(qi) in
-  if not qs.scheduled then begin
-    qs.scheduled <- true;
-    process_qset t qi
-  end
-
 (* ---- construction -------------------------------------------------------------------- *)
 
 let create ~engine ~device ~ops ~cores ~costs ~pressure ?(mon = Nkmon.null ())
@@ -493,9 +437,6 @@ let create ~engine ~device ~ops ~cores ~costs ~pressure ?(mon = Nkmon.null ())
       pressure;
       vms = Hashtbl.create 8;
       vm_forwarders = Hashtbl.create 4;
-      qstates =
-        Array.init (Nk_device.n_qsets device) (fun _ ->
-            { scheduled = false; scratch = Array.make 64 Bytes.empty });
       mon;
       spans;
       instance;
@@ -509,7 +450,7 @@ let create ~engine ~device ~ops ~cores ~costs ~pressure ?(mon = Nkmon.null ())
         };
     }
   in
-  Nk_device.set_kick_owner device (fun qi -> on_kick t qi);
+  Nk_device.serve device ~cores ~costs ~component:instance (apply t);
   t
 
 let register_vm t ~vm_id ~hugepages ~ips =
@@ -565,6 +506,7 @@ let quiesce_vm_listeners t ~vm_id =
 let fail t =
   if not t.dead then begin
     t.dead <- true;
+    Nk_device.stop_serving t.device;
     (* Kill the stack state under every VM's sockets: aborts send RSTs so
        remote peers observe resets, exactly like a crashed middlebox. *)
     (* Abort order is externally visible (RSTs on the wire), so walk VMs

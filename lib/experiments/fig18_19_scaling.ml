@@ -6,7 +6,7 @@
 
 let vcpu_points = [ 1; 2; 3; 4; 8 ]
 
-let figure ~id ~title ~direction ~duration ~ce_cores ~notes =
+let figure ~id ~title ~direction ~duration ~notes =
   let rows =
     List.map
       (fun vcpus ->
@@ -19,7 +19,7 @@ let figure ~id ~title ~direction ~duration ~ce_cores ~notes =
         let nk =
           let w =
             Worlds.netkernel
-              ~config:{ Worlds.Config.default with vcpus; nsm_cores = vcpus; ce_cores }
+              ~config:{ Worlds.Config.default with vcpus; nsm_cores = vcpus }
               ()
           in
           match direction with
@@ -31,16 +31,14 @@ let figure ~id ~title ~direction ~duration ~ce_cores ~notes =
   in
   Report.make ~id ~title ~headers:[ "vCPUs"; "Baseline Gb/s"; "NetKernel Gb/s" ] ~notes rows
 
-let run_fig18 ?(quick = false) ?(ce_cores = 1) () =
+let run_fig18 ?(quick = false) () =
   figure ~id:"fig18" ~title:"Send throughput scaling, 8 streams x 8KB"
     ~direction:`Send
     ~duration:(if quick then 0.3 else 1.0)
-    ~ce_cores
     ~notes:[ "paper: line rate (~94 Gb/s after framing) from 3 vCPUs; NK == Baseline" ]
 
-let run_fig19 ?(quick = false) ?(ce_cores = 1) () =
+let run_fig19 ?(quick = false) () =
   figure ~id:"fig19" ~title:"Receive throughput scaling, 8 streams x 8KB"
     ~direction:`Recv
     ~duration:(if quick then 0.3 else 1.0)
-    ~ce_cores
     ~notes:[ "paper: 91 Gb/s at 8 vCPUs, near-linear scaling; NK == Baseline" ]

@@ -5,7 +5,7 @@
    Paper: Baseline == NetKernel(kernel) reaching ~400K rps at 8 vCPUs
    (5.7x one core); mTCP: 190K / 366K / 652K / 1.1M rps. *)
 
-let run ?(quick = false) ?(ce_cores = 1) () =
+let run ?(quick = false) () =
   let total n = (if quick then 4_000 else 20_000) * n in
   let kernel_points = [ 1; 2; 3; 4; 8 ] in
   let mtcp_points = [ 1; 2; 4; 8 ] in
@@ -16,8 +16,7 @@ let run ?(quick = false) ?(ce_cores = 1) () =
   let measure_nk kind vcpus =
     let w =
       Worlds.netkernel
-        ~config:
-          { Worlds.Config.default with vcpus; nsm_cores = vcpus; nsm_kind = kind; ce_cores }
+        ~config:{ Worlds.Config.default with vcpus; nsm_cores = vcpus; nsm_kind = kind }
         ()
     in
     (Worlds.measure_rps w ~concurrency:1000 ~total:(total vcpus) ()).Worlds.rps

@@ -20,12 +20,10 @@ let all =
     { id = "fig15"; title = "8-stream send"; run = Fig13_16_streams.run_fig15 };
     { id = "fig16"; title = "8-stream receive"; run = Fig13_16_streams.run_fig16 };
     { id = "fig17"; title = "RPS vs message size"; run = Fig17_rps.run };
-    { id = "fig18"; title = "Send scaling with vCPUs";
-      run = (fun ?quick () -> Fig18_19_scaling.run_fig18 ?quick ()) };
+    { id = "fig18"; title = "Send scaling with vCPUs"; run = Fig18_19_scaling.run_fig18 };
     { id = "fig19"; title = "Receive scaling with vCPUs";
-      run = (fun ?quick () -> Fig18_19_scaling.run_fig19 ?quick ()) };
-    { id = "fig20"; title = "RPS scaling (kernel + mTCP)";
-      run = (fun ?quick () -> Fig20_rps_scaling.run ?quick ()) };
+      run = Fig18_19_scaling.run_fig19 };
+    { id = "fig20"; title = "RPS scaling (kernel + mTCP)"; run = Fig20_rps_scaling.run };
     { id = "ce-scale"; title = "RPS scaling with CoreEngine shards"; run = Ce_scaling.run };
     { id = "cluster"; title = "Cluster fabric: cross-host live NSM migration";
       run = Fig_cluster.run };
@@ -37,9 +35,8 @@ let all =
     { id = "fig21"; title = "Isolation time series"; run = Fig21_isolation.run };
     { id = "table5"; title = "Latency distribution"; run = Table5_latency.run };
     { id = "latency-breakdown"; title = "Per-stage latency decomposition (Nkspan)";
-      run = (fun ?quick () -> Latency_breakdown.run ?quick ()) };
-    { id = "table6"; title = "CPU overhead, throughput";
-      run = (fun ?quick () -> Table6_overhead_tput.run ?quick ()) };
+      run = Latency_breakdown.run };
+    { id = "table6"; title = "CPU overhead, throughput"; run = Table6_overhead_tput.run };
     { id = "table7"; title = "CPU overhead, RPS"; run = Table7_overhead_rps.run };
     { id = "abl-zerocopy"; title = "Ablation: NSM zerocopy"; run = Abl_zerocopy.run };
     { id = "abl-ce-offload"; title = "Ablation: SmartNIC CoreEngine"; run = Abl_ce_offload.run };

@@ -19,12 +19,7 @@ let run ?(quick = false) () =
     in
     r.Worlds.rps
   in
-  let fleet =
-    Nktrace.Traffic.generate_fleet ~seed:2018 ~n:64
-      ~params:
-        { Nktrace.Traffic.default_params with Nktrace.Traffic.base_rps = 800.0 }
-      ()
-  in
+  let fleet = Nktrace.Traffic.generate_fleet ~seed:2018 ~n:64 () in
   let result =
     Nktrace.Agpack.pack ~traces:fleet ~machine_cores:32 ~baseline_cores_per_ag:2
       ~nsm_cores:2 ~ce_cores:1 ~nsm_capacity_rps_per_core:capacity_per_core

@@ -43,7 +43,7 @@ let cycles_at w ~gbps ~duration =
   let achieved = Nkapps.Stream.sink_throughput_gbps sink in
   (vm +. nsm, achieved)
 
-let run ?(quick = false) ?(ce_cores = 1) () =
+let run ?(quick = false) () =
   let duration = if quick then 0.5 else 1.0 in
   let rows =
     List.map
@@ -55,7 +55,7 @@ let run ?(quick = false) ?(ce_cores = 1) () =
         let nk_cycles, nk_achieved =
           cycles_at
             (Worlds.netkernel
-               ~config:{ Worlds.Config.default with vcpus = 4; nsm_cores = 4; ce_cores }
+               ~config:{ Worlds.Config.default with vcpus = 4; nsm_cores = 4 }
                ())
             ~gbps ~duration
         in

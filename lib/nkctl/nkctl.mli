@@ -129,11 +129,6 @@ val spawn_nsm : t -> Nsm.t
     responder pairs with {!handover}: bring up capacity the moment a
     tenant SLO breaches, without waiting for the watermark loop. *)
 
-val scale_out_ce : t -> add:int -> unit
-(** Grow the host's CoreEngine by [add] switching shards ({!Host.scale_ce})
-    and record the action. The policy loop calls this when the busiest shard
-    crosses [ce_scale_watermark]; operators may call it directly. *)
-
 val start : t -> unit
 (** Begin the periodic policy loop (idempotent). *)
 

@@ -1,7 +1,6 @@
 open Nkcore
 module Engine = Sim.Engine
 module Cpu = Sim.Cpu
-module Ring = Nkutil.Spsc_ring
 
 (* ---- inter-host NQE spine ----------------------------------------------- *)
 
@@ -115,7 +114,6 @@ type t = {
   mutable nodes : node list; (* add order *)
   mutable vms : vm_entry list; (* add order *)
   relays : (int, relay) Hashtbl.t; (* vm_id -> relay (lookup only) *)
-  scratch : bytes array; (* relay drain burst buffer *)
   mutable migrations : int;
   c_migrations : Nkmon.Registry.counter;
 }
@@ -131,7 +129,6 @@ let create ?(policy = Spread) tb =
     nodes = [];
     vms = [];
     relays = Hashtbl.create 16;
-    scratch = Array.make 256 Bytes.empty;
     migrations = 0;
     c_migrations =
       Nkmon.counter tb.Testbed.mon ~component:"nkfabric" ~instance:"cluster"
@@ -285,15 +282,14 @@ let ship_to_dest t relay ~src raw =
     Nkspan.begin_stage relay.r_home.n_spans ~id:span ~component:"nkfabric" "spine";
   Spine.ship t.spine ~src ~dst:relay.r_dest.n_index ~bytes:(wire_bytes raw) (fun () ->
       if span <> 0 then Nkspan.end_stage relay.r_home.n_spans ~id:span "spine";
-      let q = match Nqe.View.op raw with Nqe.Send -> `Send | _ -> `Job in
-      Nk_device.post relay.r_proxy ~qset:(Nqe.View.qset raw) q raw)
+      Nk_device.post relay.r_proxy ~qset:(Nqe.View.qset raw) raw)
 
 (* Destination -> home: an NSM->VM NQE drained from the proxy re-enters the
-   home CoreEngine through the stub. Ring and queue set mirror CoreEngine's
-   own choices ([route_nsm_to_vm]): events ride the receive ring, and the
-   queue set hashes the socket the home CE will key its auto-added route on
-   (the new-connection id for Ev_accept, the socket id otherwise), so
-   follow-up NQEs of the same connection land on the same queue set. *)
+   home CoreEngine through the stub. The queue set mirrors CoreEngine's own
+   choice ([route_nsm_to_vm]): it hashes the socket the home CE will key its
+   auto-added route on (the new-connection id for Ev_accept, the socket id
+   otherwise), so follow-up NQEs of the same connection land on the same
+   queue set. *)
 let ship_back t relay ~src raw =
   relay.r_nqes_back <- relay.r_nqes_back + 1;
   let span = Nqe.View.span raw in
@@ -301,79 +297,29 @@ let ship_back t relay ~src raw =
     Nkspan.begin_stage relay.r_home.n_spans ~id:span ~component:"nkfabric" "spine";
   Spine.ship t.spine ~src ~dst:relay.r_home.n_index ~bytes:(wire_bytes raw) (fun () ->
       if span <> 0 then Nkspan.end_stage relay.r_home.n_spans ~id:span "spine";
-      let stub = relay.r_stub in
-      let q, key =
+      let key =
         match Nqe.View.op raw with
-        | Nqe.Ev_accept -> (`Receive, Nqe.View.size raw)
-        | Nqe.Ev_data | Nqe.Ev_eof -> (`Receive, Nqe.View.sock raw)
-        | _ -> (`Completion, Nqe.View.sock raw)
+        | Nqe.Ev_accept -> Nqe.View.size raw
+        | _ -> Nqe.View.sock raw
       in
-      let qset = key * 2654435761 land max_int mod Nk_device.n_qsets stub in
-      Nk_device.post stub ~qset q raw)
+      Nk_device.post relay.r_stub ~qset:(Nk_device.hash_qset relay.r_stub key) raw)
 
 (* One stub can carry several VMs' routes (the departed NSM multiplexed
    them); each drained NQE finds its own relay by vm id. *)
 let install_stub t stubdev =
-  Nk_device.set_kick_owner stubdev (fun qi ->
-      let s = Nk_device.qset stubdev qi in
-      let rec loop () =
-        let n =
-          Queue_set.drain_into s ~toward:`Nsm t.scratch ~budget:(Array.length t.scratch)
-            ~shared:true
-        in
-        if n > 0 then begin
-          for i = 0 to n - 1 do
-            let raw = t.scratch.(i) in
-            match Hashtbl.find_opt t.relays (Nqe.View.vm_id raw) with
-            | Some relay -> ship_to_dest t relay ~src:relay.r_home.n_index raw
-            | None -> ()
-          done;
-          loop ()
-        end
-      in
-      loop ())
+  let ship raw =
+    match Hashtbl.find_opt t.relays (Nqe.View.vm_id raw) with
+    | Some relay -> ship_to_dest t relay ~src:relay.r_home.n_index raw
+    | None -> ()
+  in
+  Nk_device.set_kick_owner stubdev (fun qset ->
+      Nk_device.drain stubdev ~qset ~toward:`Nsm ship)
 
 (* The proxy captures its device: after a re-migration a stale wake on the
    old proxy must not drain the new one. *)
 let install_proxy t relay proxy =
-  Nk_device.set_kick_owner proxy (fun qi ->
-      let s = Nk_device.qset proxy qi in
-      let rec loop () =
-        let n =
-          Queue_set.drain_into s ~toward:`Vm t.scratch ~budget:(Array.length t.scratch)
-            ~shared:true
-        in
-        if n > 0 then begin
-          for i = 0 to n - 1 do
-            ship_back t relay ~src:relay.r_dest.n_index t.scratch.(i)
-          done;
-          loop ()
-        end
-      in
-      loop ())
-
-(* Deterministic drain of a departing NSM device's VM-ward rings: once the
-   source is deregistered the CoreEngine stops polling it, so whatever it
-   has not consumed yet would be orphaned. Pop the completion and receive
-   rings directly (never merged) so ring identity and order survive the
-   replay. *)
-let drain_vm_ward dev ~deliver =
-  let n = Nk_device.n_qsets dev in
-  while Nk_device.has_outbound dev do
-    Nk_device.flush_overflow dev;
-    for qi = 0 to n - 1 do
-      let s = Nk_device.qset dev qi in
-      let rec pump ring which =
-        match Ring.pop ring with
-        | Some raw ->
-            deliver which ~qset:qi raw;
-            pump ring which
-        | None -> ()
-      in
-      pump s.Queue_set.completion `Completion;
-      pump s.Queue_set.receive `Receive
-    done
-  done
+  let ship raw = ship_back t relay ~src:relay.r_dest.n_index raw in
+  Nk_device.set_kick_owner proxy (fun qset -> Nk_device.drain proxy ~qset ~toward:`Vm ship)
 
 (* ---- live migration ------------------------------------------------------ *)
 
@@ -488,14 +434,13 @@ let migrate_vm t e ~source ~src_node ~dst ~dest_nsm ~get_stub =
   (* Resume: rebuild every socket over its original content channel, then
      pin the imported connections to the destination NSM in its CE. *)
   Nsm.import_vm dest_nsm export ~hugepages ~ips;
-  let nq = Nk_device.n_qsets (Nsm.device dest_nsm) in
   List.iter
     (fun (s : Servicelib.sock_export) ->
       match s.Servicelib.x_conn with
       | Some _ ->
           Coreengine.add_route ce_dst ~vm_id ~sock:s.Servicelib.x_gid
             ~nsm_id:(Nsm.id dest_nsm)
-            ~nsm_qset:(s.Servicelib.x_gid * 2654435761 land max_int mod nq)
+            ~nsm_qset:(Nk_device.hash_qset (Nsm.device dest_nsm) s.Servicelib.x_gid)
       | None -> ())
     export.Servicelib.x_socks;
   (* The cluster fabric now delivers the VM's IPs to the destination host,
@@ -549,15 +494,23 @@ let migrate_cut t ~source ~src_node ~dst ~dest_nsm ~moving =
   in
   List.iter (fun e -> migrate_vm t e ~source ~src_node ~dst ~dest_nsm ~get_stub) moving;
   (* Drain-and-replay: NSM->VM NQEs the source CoreEngine has not consumed
-     yet would be orphaned by the deregistration below. First-migration VMs
-     replay them into the stub on the same rings and queue sets (order and
-     auto-route keys preserved); re-migrated VMs ship them to their home. *)
-  drain_vm_ward (Nsm.device source) ~deliver:(fun which ~qset raw ->
-      match Hashtbl.find_opt t.relays (Nqe.View.vm_id raw) with
-      | Some r ->
-          if r.r_home.n_index = src_node.n_index then Nk_device.post r.r_stub ~qset which raw
-          else ship_back t r ~src:src_node.n_index raw
-      | None -> ());
+     yet would be orphaned by the deregistration below. Each queue set's
+     completion ring, then its receive ring, is popped directly, spills
+     included. First-migration VMs replay them into the stub on the same
+     rings and queue sets (order and auto-route keys preserved); re-migrated
+     VMs ship them to their home. *)
+  let src_dev = Nsm.device source in
+  while Nk_device.has_outbound src_dev do
+    Nk_device.flush_overflow src_dev;
+    for qset = 0 to Nk_device.n_qsets src_dev - 1 do
+      Nk_device.drain src_dev ~qset ~toward:`Vm (fun raw ->
+          match Hashtbl.find_opt t.relays (Nqe.View.vm_id raw) with
+          | Some r ->
+              if r.r_home.n_index = src_node.n_index then Nk_device.post r.r_stub ~qset raw
+              else ship_back t r ~src:src_node.n_index raw
+          | None -> ())
+    done
+  done;
   (* Hand the departed NSM's established-flow routes to the stub in one
      step, then retire it (retire would wipe them in the other order). *)
   (match !stub with
@@ -566,42 +519,21 @@ let migrate_cut t ~source ~src_node ~dst ~dest_nsm ~moving =
         (Coreengine.rehome_nsm_routes ce_src ~from_nsm:(Nsm.id source)
            ~to_nsm:(Nk_device.id d))
   | None -> ());
-  (* A re-migrated VM's stale proxy on this host is done. First replay what
-     the CE and the relay left in its rings: VM->NSM NQEs the CE had
-     delivered but the departing ServiceLib not yet consumed re-enter the
-     source device (appended after its backlog, so the forwarder ships them
-     to the new destination in per-connection order), and NSM->VM NQEs a
-     pending proxy wake would have carried ship back to the VM's home now.
-     Then drop the proxy and its conn-table entries (the new destination
-     owns them). *)
-  let src_dev = Nsm.device source in
-  let src_nq = Nk_device.n_qsets src_dev in
+  (* A re-migrated VM's stale proxy on this host is done. First replay the
+     VM->NSM NQEs the relay left in its rings: they re-enter the source
+     device (appended after its backlog, so the forwarder ships them to the
+     new destination in per-connection order). NSM->VM NQEs in its inbound
+     rings ship home under the wake already armed for them: the proxy keeps
+     its drain handler. Then drop the proxy and its conn-table entries (the
+     new destination owns them). *)
+  let replay raw =
+    Nk_device.post src_dev ~qset:(Nk_device.hash_qset src_dev (Nqe.View.sock raw)) raw
+  in
   List.iter
     (fun (vm_id, proxy) ->
-      for qi = 0 to Nk_device.n_qsets proxy - 1 do
-        let s = Nk_device.qset proxy qi in
-        let rec loop () =
-          let n =
-            Queue_set.drain_into s ~toward:`Nsm t.scratch ~budget:(Array.length t.scratch)
-              ~shared:true
-          in
-          if n > 0 then begin
-            for i = 0 to n - 1 do
-              let raw = t.scratch.(i) in
-              let q = match Nqe.View.op raw with Nqe.Send -> `Send | _ -> `Job in
-              Nk_device.post src_dev
-                ~qset:(Nqe.View.sock raw * 2654435761 land max_int mod src_nq)
-                q raw
-            done;
-            loop ()
-          end
-        in
-        loop ()
+      for qset = 0 to Nk_device.n_qsets proxy - 1 do
+        Nk_device.drain proxy ~qset ~toward:`Nsm replay
       done;
-      drain_vm_ward proxy ~deliver:(fun _which ~qset:_ raw ->
-          match Hashtbl.find_opt t.relays vm_id with
-          | Some r -> ship_back t r ~src:src_node.n_index raw
-          | None -> ());
       Coreengine.deregister_vm ce_src ~vm_id)
     stale_proxies;
   Nsm.retire source;

@@ -126,10 +126,6 @@ val set_ctl : node -> Nkctl.t -> unit
     with it; {!migrate_nsm} releases the source NSM and its VMs from it
     before migrating, so the local policy never fights the cluster. *)
 
-val node_utilization : t -> node -> float
-(** Mean vCPU utilization of the node's pool since time zero (the placement
-    signal; 0 before the clock starts). *)
-
 val node_vm_count : t -> node -> int
 (** VMs currently {e served} by this node (placed here, migrated in, minus
     migrated out). *)

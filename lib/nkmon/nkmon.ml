@@ -30,8 +30,7 @@ let gauge t = Registry.gauge t.registry
 
 let sampler t = Registry.sampler t.registry
 
-let histogram ?sub_buckets ?max_value t =
-  Registry.histogram ?sub_buckets ?max_value t.registry
+let histogram t = Registry.histogram t.registry
 
 let timeseries t = Registry.timeseries t.registry
 

@@ -55,13 +55,7 @@ val sampler :
   t -> component:string -> instance:string -> name:string -> (unit -> float) -> unit
 
 val histogram :
-  ?sub_buckets:int ->
-  ?max_value:float ->
-  t ->
-  component:string ->
-  instance:string ->
-  name:string ->
-  Nkutil.Histogram.t
+  t -> component:string -> instance:string -> name:string -> Nkutil.Histogram.t
 
 val timeseries :
   t -> bin_width:float -> component:string -> instance:string -> name:string ->

@@ -63,13 +63,13 @@ let sampler t ~component ~instance ~name f =
   | Some m -> mismatch k m "sampler"
   | None -> Hashtbl.replace t.table k (M_sampler (ref f))
 
-let histogram ?sub_buckets ?max_value t ~component ~instance ~name =
+let histogram t ~component ~instance ~name =
   let k = key ~component ~instance ~name in
   match Hashtbl.find_opt t.table k with
   | Some (M_histogram h) -> h
   | Some m -> mismatch k m "histogram"
   | None ->
-      let h = Nkutil.Histogram.create ?sub_buckets ?max_value () in
+      let h = Nkutil.Histogram.create () in
       Hashtbl.replace t.table k (M_histogram h);
       h
 

@@ -56,14 +56,8 @@ val sampler :
     newest component owns the measurement). *)
 
 val histogram :
-  ?sub_buckets:int ->
-  ?max_value:float ->
-  t ->
-  component:string ->
-  instance:string ->
-  name:string ->
-  Nkutil.Histogram.t
-(** The histogram parameters apply only on first registration. *)
+  t -> component:string -> instance:string -> name:string -> Nkutil.Histogram.t
+(** A {!Nkutil.Histogram.create} with its default range and resolution. *)
 
 val timeseries :
   t -> bin_width:float -> component:string -> instance:string -> name:string ->

@@ -23,8 +23,6 @@
 
 type queue = Job | Completion | Send | Receive
 
-val queue_to_string : queue -> string
-
 (** The event taxonomy (see DESIGN.md "Observability"): NQE lifecycle
     (enqueue at a device, switch through CoreEngine, deliver to the
     consumer), backpressure (ring-full, rate-limit and ring deferrals,

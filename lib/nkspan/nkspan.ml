@@ -313,8 +313,6 @@ let enable_profiler t engine =
   t.profiling <- true;
   Sim.Engine.set_cycle_hook engine (Some (fun core cycles -> record_cycles t ~core cycles))
 
-let profiling t = t.profiling
-
 let frame t ~component ~stage f =
   if not t.profiling then f ()
   else begin

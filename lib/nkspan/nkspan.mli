@@ -60,10 +60,6 @@ val seq_bits : int
 (** Low bits of a span id holding the per-instance sequence number (24);
     the host index lives in the bits above ([id lsr seq_bits]). *)
 
-val max_host_index : int
-(** Largest accepted [?host_index] (255 — the id must fit the NQE's
-    32-bit span field). *)
-
 (** {1 Span lifecycle — called by datapath components} *)
 
 val sample : t -> vm:string -> int
@@ -125,8 +121,6 @@ val enable_profiler : t -> Sim.Engine.t -> unit
     is attributed to the innermost open {!frame}, or — when no frame is
     open — to the component parsed from the core name under the
     ["(unframed)"] stage. *)
-
-val profiling : t -> bool
 
 val frame : t -> component:string -> stage:string -> (unit -> 'a) -> 'a
 (** [frame t ~component ~stage f] runs [f] with the attribution frame

@@ -1,49 +1,44 @@
 type t = { ag_id : int; rates : float array; peak : float; mean : float }
 
-type params = {
-  minutes : int;
-  base_rps : float;
-  diurnal_amplitude : float;
-  noise_sigma : float;
-  spike_probability : float;
-  spike_magnitude : float;
-}
+(* One-hour series matching Fig 7's burstiness: mean utilization a few
+   percent of peak. *)
+let minutes = 60
 
-let default_params =
-  {
-    minutes = 60;
-    base_rps = 800.0;
-    diurnal_amplitude = 0.5;
-    noise_sigma = 0.6;
-    spike_probability = 0.05;
-    spike_magnitude = 12.0;
-  }
+let base_rps = 800.0 (* median demand level *)
+
+let diurnal_amplitude = 0.5 (* 0..1 fraction of base *)
+
+let noise_sigma = 0.6 (* lognormal sigma of multiplicative noise *)
+
+let spike_probability = 0.05 (* per-minute probability of a burst *)
+
+let spike_magnitude = 12.0 (* burst height as multiple of base *)
 
 let finish ~ag_id rates =
   let peak = Array.fold_left Float.max 0.0 rates in
   let mean = Nkutil.Stats.mean rates in
   { ag_id; rates; peak; mean }
 
-let generate ~rng ?(params = default_params) ~ag_id () =
+let generate ~rng ~ag_id =
   let phase = Nkutil.Rng.float_range rng 0.0 (2.0 *. Float.pi) in
   let scale = Nkutil.Rng.lognormal rng ~mu:0.0 ~sigma:0.5 in
   let rates =
-    Array.init params.minutes (fun m ->
+    Array.init minutes (fun m ->
         let tod = 2.0 *. Float.pi *. float_of_int m /. 1440.0 in
-        let diurnal = 1.0 +. (params.diurnal_amplitude *. sin (tod +. phase)) in
-        let noise = Nkutil.Rng.lognormal rng ~mu:0.0 ~sigma:params.noise_sigma in
+        let diurnal = 1.0 +. (diurnal_amplitude *. sin (tod +. phase)) in
+        let noise = Nkutil.Rng.lognormal rng ~mu:0.0 ~sigma:noise_sigma in
         let spike =
-          if Nkutil.Rng.float rng < params.spike_probability then
-            params.spike_magnitude *. Nkutil.Rng.float_range rng 0.5 1.5
+          if Nkutil.Rng.float rng < spike_probability then
+            spike_magnitude *. Nkutil.Rng.float_range rng 0.5 1.5
           else 0.0
         in
-        Float.max 1.0 (params.base_rps *. scale *. ((diurnal *. noise) +. spike)))
+        Float.max 1.0 (base_rps *. scale *. ((diurnal *. noise) +. spike)))
   in
   finish ~ag_id rates
 
-let generate_fleet ~seed ?params ~n () =
+let generate_fleet ~seed ~n () =
   let master = Nkutil.Rng.create ~seed in
-  List.init n (fun ag_id -> generate ~rng:(Nkutil.Rng.split master) ?params ~ag_id ())
+  List.init n (fun ag_id -> generate ~rng:(Nkutil.Rng.split master) ~ag_id)
 
 let rate_at t seconds =
   let n = Array.length t.rates in

@@ -3,9 +3,10 @@
     Stand-in for the paper's September-2018 production trace of tens of
     thousands of application gateways (§6.1, Fig 7): per-minute request
     rates with the properties the paper reports — very low average
-    utilization, strong burstiness, rare large peaks. Each AG's series is a
-    diurnal baseline plus lognormal noise plus Poisson-arriving spikes,
-    deterministic per seed. *)
+    utilization, strong burstiness, rare large peaks. Each AG's one-hour
+    series (60 minutes) is a diurnal baseline around a median of 800 rps
+    plus lognormal noise plus Poisson-arriving spikes, deterministic per
+    seed: mean utilization a few percent of peak, as in Fig 7. *)
 
 type t = {
   ag_id : int;
@@ -14,22 +15,7 @@ type t = {
   mean : float;
 }
 
-type params = {
-  minutes : int;  (** series length *)
-  base_rps : float;  (** median demand level *)
-  diurnal_amplitude : float;  (** 0..1 fraction of base *)
-  noise_sigma : float;  (** lognormal sigma of multiplicative noise *)
-  spike_probability : float;  (** per-minute probability of a burst *)
-  spike_magnitude : float;  (** burst height as multiple of base *)
-}
-
-val default_params : params
-(** One-hour series (60 minutes) matching Fig 7's burstiness: mean
-    utilization a few percent of peak. *)
-
-val generate : rng:Nkutil.Rng.t -> ?params:params -> ag_id:int -> unit -> t
-
-val generate_fleet : seed:int -> ?params:params -> n:int -> unit -> t list
+val generate_fleet : seed:int -> n:int -> unit -> t list
 (** [n] AGs with independent sub-streams of one seed. *)
 
 val rate_at : t -> float -> float

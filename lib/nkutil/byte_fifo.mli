@@ -30,9 +30,6 @@ val next_run : t -> [ `Data of int | `Zeros of int ] option
 (** Kind and length of the leading homogeneous run, letting callers
     dequeue synthetic filler without materializing it. *)
 
-val read_into : t -> bytes -> pos:int -> len:int -> int
-(** Dequeue up to [len] bytes into a buffer; returns the count. *)
-
 val discard : t -> int -> int
 (** [discard t n] drops up to [n] bytes; returns how many were dropped.
     Used when payload content is synthetic and the reader only needs

@@ -16,8 +16,6 @@ val record : t -> float -> unit
 (** [record t v] adds observation [v]; negative values count as 0, values
     above [max_value] clamp to it. *)
 
-val record_n : t -> float -> int -> unit
-
 val count : t -> int
 
 val min : t -> float

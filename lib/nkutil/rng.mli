@@ -30,10 +30,8 @@ val bool : t -> bool
 val exponential : t -> mean:float -> float
 (** [exponential t ~mean] samples Exp with the given mean. *)
 
-val normal : t -> mu:float -> sigma:float -> float
-(** [normal t ~mu ~sigma] samples a Gaussian via Box–Muller. *)
-
 val lognormal : t -> mu:float -> sigma:float -> float
+(** [lognormal t ~mu ~sigma] is [exp] of a Box–Muller Gaussian sample. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

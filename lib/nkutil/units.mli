@@ -4,18 +4,11 @@
     data sizes in bytes (int), rates in bits per second (float) unless a
     name says otherwise. *)
 
-val kib : int
-val mib : int
-val gib : int
-
 val gbps : float -> float
 (** [gbps x] is [x] Gb/s expressed in bits per second. *)
 
-val bits_per_sec_of_bytes : bytes:int -> seconds:float -> float
-(** Throughput in bits/s from a byte count over a duration. *)
-
 val gbps_of_bytes : bytes:int -> seconds:float -> float
-(** Same, in Gb/s. *)
+(** Throughput in Gb/s from a byte count over a duration. *)
 
 val usec : float -> float
 (** [usec x] is [x] microseconds in seconds. *)

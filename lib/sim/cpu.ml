@@ -4,12 +4,10 @@ type t = {
   freq : float; (* Hz *)
   mutable free_at : float;
   mutable busy_cycles : float;
-  mutable accounting_since : float;
 }
 
 let create engine ?(freq_ghz = 2.3) ~name () =
-  { engine; name; freq = freq_ghz *. 1e9; free_at = 0.0; busy_cycles = 0.0;
-    accounting_since = Engine.now engine }
+  { engine; name; freq = freq_ghz *. 1e9; free_at = 0.0; busy_cycles = 0.0 }
 
 let name t = t.name
 let engine t = t.engine
@@ -33,8 +31,6 @@ let charge t ~cycles =
   t.busy_cycles <- t.busy_cycles +. cycles;
   Engine.emit_cycles t.engine ~core:t.name cycles
 
-let free_at t = t.free_at
-
 let backlog t = Float.max 0.0 (t.free_at -. Engine.now t.engine)
 
 let busy_cycles t = t.busy_cycles
@@ -44,10 +40,6 @@ let busy_seconds t = t.busy_cycles /. t.freq
 let utilization t ~since =
   let elapsed = Engine.now t.engine -. since in
   if elapsed <= 0.0 then 0.0 else Float.min 1.0 (busy_seconds t /. elapsed)
-
-let reset_accounting t =
-  t.busy_cycles <- 0.0;
-  t.accounting_since <- Engine.now t.engine
 
 module Set = struct
   type core = t
@@ -72,6 +64,4 @@ module Set = struct
     t.cores.((hash land max_int) mod n)
 
   let total_busy_cycles t = Array.fold_left (fun acc c -> acc +. c.busy_cycles) 0.0 t.cores
-
-  let reset_accounting t = Array.iter reset_accounting t.cores
 end

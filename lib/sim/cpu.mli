@@ -28,11 +28,9 @@ val exec : t -> cycles:float -> (unit -> unit) -> unit
 val charge : t -> cycles:float -> unit
 (** [charge t ~cycles] accounts work with no completion action. *)
 
-val free_at : t -> float
-(** Virtual time at which the core becomes idle given current queue. *)
-
 val backlog : t -> float
-(** [free_at t - now]: seconds of queued work (0 when idle). *)
+(** Seconds of queued work: from now until the core becomes idle given its
+    current queue (0 when idle). *)
 
 val busy_cycles : t -> float
 (** Total cycles charged so far. *)
@@ -41,11 +39,8 @@ val busy_seconds : t -> float
 
 val utilization : t -> since:float -> float
 (** [utilization t ~since] is busy-time / elapsed-time over
-    [\[since, now\]]; uses the busy-cycle counter delta is not kept, so this
-    is cumulative from 0 unless [reset_accounting] was called. *)
-
-val reset_accounting : t -> unit
-(** Zero the busy-cycle counter (e.g. after warm-up). *)
+    [\[since, now\]]; busy time counts from the core's creation (no
+    counter delta is kept). *)
 
 module Set : sig
   (** A pool of cores with flow pinning, standing in for a multi-vCPU VM or
@@ -71,6 +66,4 @@ module Set : sig
       pinning, paper §4.3: connections are pinned to vCPUs/queue sets). *)
 
   val total_busy_cycles : t -> float
-
-  val reset_accounting : t -> unit
 end

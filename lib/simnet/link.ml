@@ -8,7 +8,6 @@ type t = {
   mutable busy_until : float;
   mutable queued : int;
   mutable bytes_sent : int;
-  mutable segments_sent : int;
   mutable drops : int;
   mutable loss : (Nkutil.Rng.t * float) option;
   (* In-flight transmissions whose buffer space is not yet released: a
@@ -28,7 +27,7 @@ type t = {
 let create engine ~rate_bps ~delay ?(buffer_bytes = 16 * 1024 * 1024) ?(name = "link") () =
   if rate_bps <= 0.0 then invalid_arg "Link.create: rate must be > 0";
   { engine; rate = rate_bps; delay; buffer = buffer_bytes; name; receiver = None;
-    busy_until = 0.0; queued = 0; bytes_sent = 0; segments_sent = 0; drops = 0; loss = None;
+    busy_until = 0.0; queued = 0; bytes_sent = 0; drops = 0; loss = None;
     fly_time = Array.make 64 0.0; fly_wire = Array.make 64 0; fly_head = 0; fly_len = 0 }
 
 let set_random_loss t ~rng ~rate = t.loss <- Some (rng, rate)
@@ -42,7 +41,6 @@ let release t now =
     let wire = t.fly_wire.(t.fly_head) in
     t.queued <- t.queued - wire;
     t.bytes_sent <- t.bytes_sent + wire;
-    t.segments_sent <- t.segments_sent + 1;
     t.fly_head <- (t.fly_head + 1) mod cap;
     t.fly_len <- t.fly_len - 1
   done
@@ -121,9 +119,5 @@ let rate_bps t = t.rate
 let bytes_sent t =
   release t (Sim.Engine.now t.engine);
   t.bytes_sent
-
-let segments_sent t =
-  release t (Sim.Engine.now t.engine);
-  t.segments_sent
 
 let drops t = t.drops

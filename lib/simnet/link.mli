@@ -26,8 +26,6 @@ val rate_bps : t -> float
 val bytes_sent : t -> int
 (** Total wire bytes that completed transmission. *)
 
-val segments_sent : t -> int
-
 val drops : t -> int
 
 val set_random_loss : t -> rng:Nkutil.Rng.t -> rate:float -> unit

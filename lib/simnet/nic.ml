@@ -5,11 +5,10 @@ type t = {
   mutable egress : Link.t option;
   mutable rx_handler : (Segment.t -> unit) option;
   mutable bytes_tx : int;
-  mutable bytes_rx : int;
 }
 
 let create engine ~name ?pressure () =
-  { engine; name; pressure; egress = None; rx_handler = None; bytes_tx = 0; bytes_rx = 0 }
+  { engine; name; pressure; egress = None; rx_handler = None; bytes_tx = 0 }
 
 let name t = t.name
 
@@ -36,10 +35,8 @@ let transmit t seg =
       ok
 
 let receive t seg =
-  t.bytes_rx <- t.bytes_rx + Segment.wire_bytes seg;
   observe t seg;
   match t.rx_handler with None -> () | Some f -> f seg
 
 let bytes_tx t = t.bytes_tx
 
-let bytes_rx t = t.bytes_rx

@@ -25,5 +25,3 @@ val receive : t -> Segment.t -> unit
 (** Called by the fabric on delivery. *)
 
 val bytes_tx : t -> int
-
-val bytes_rx : t -> int

@@ -27,13 +27,9 @@ let sample t rtt =
 
 let srtt t = t.srtt
 
-let rttvar t = t.rttvar
-
 let rto t =
   if not t.has_sample then initial_rto
   else Float.min t.max_rto (Float.max t.min_rto (t.srtt +. (4.0 *. t.rttvar)))
-
-let has_sample t = t.has_sample
 
 type snapshot = {
   s_min_rto : float;

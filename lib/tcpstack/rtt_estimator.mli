@@ -13,12 +13,8 @@ val sample : t -> float -> unit
 val srtt : t -> float
 (** Smoothed RTT; 0 before the first sample. *)
 
-val rttvar : t -> float
-
 val rto : t -> float
 (** Current retransmission timeout, clamped to [\[min_rto, max_rto\]]. *)
-
-val has_sample : t -> bool
 
 type snapshot = {
   s_min_rto : float;

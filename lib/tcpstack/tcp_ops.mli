@@ -25,28 +25,13 @@ val of_stack : Stack.t -> Stack_ops.t
 
 val conn_of_sock : Stack.t -> Stack.sock -> Stack_ops.conn
 
-val listener_on :
-  Stack.t -> addr:Addr.t -> backlog:int ->
-  on_accept:(Stack_ops.conn -> peer:Addr.t -> unit) ->
-  (Stack_ops.listener, Types.err) result
-(** Bind+listen on one stack and pump accepted connections into
-    [on_accept]. *)
-
 val listener_on_group :
   Stack.t list -> addr:Addr.t -> backlog:int ->
   on_accept:(Stack_ops.conn -> peer:Addr.t -> unit) ->
   (Stack_ops.listener, Types.err) result
 (** Listen on the same address on every shard (SO_REUSEPORT-style). *)
 
-val close_listener_handle : Stack_ops.listener -> unit
 
-val quiesce_listener_handle : Stack_ops.listener -> unit
-(** Stop admitting fresh connections on every part ({!Stack.pause_listener}:
-    new SYNs drop silently, queued accepts keep settling). *)
-
-val export_of : Stack.export -> Stack_ops.export
-(** Wrap a stack export in the neutral envelope (proto ["tcp"], steering
-    flow = the registry's client → server flow). *)
 
 val export_conn : Stack_ops.conn -> (Stack_ops.export, Types.err) result
 (** Quietly detach the connection from whichever stack owns it and return

@@ -36,7 +36,7 @@ let run_direct ~n_cores =
   Coreengine.register_nsm ce nsm2;
   Coreengine.attach ce ~vm_id:1 ~nsm_ids:[ 1; 2 ];
   for sock = 1 to 8 do
-    Nk_device.post vm ~qset:(sock mod 2) `Job
+    Nk_device.post vm ~qset:(sock mod 2)
       (encode Nqe.Socket ~vm_id:1 ~qset:(sock mod 2) ~sock ())
   done;
   E.run engine;
@@ -252,7 +252,7 @@ let words_per_switch ~idle =
   let job = (Nk_device.qset nsm 0).Queue_set.job in
   let nqes = Array.init 1_100 (fun i -> encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock:(i + 1) ()) in
   let switch i =
-    Nk_device.post vm ~qset:0 `Job nqes.(i);
+    Nk_device.post vm ~qset:0 nqes.(i);
     E.run engine;
     if Nkutil.Spsc_ring.pop job = None then Alcotest.failf "NQE %d was not switched" i
   in
@@ -283,7 +283,7 @@ let run_overflow_burst ~n_cores =
   Coreengine.register_nsm ce nsm;
   Coreengine.attach ce ~vm_id:1 ~nsm_ids:[ 1 ];
   for sock = 1 to 12 do
-    Nk_device.post vm ~qset:(sock mod 2) `Job
+    Nk_device.post vm ~qset:(sock mod 2)
       (encode Nqe.Socket ~vm_id:1 ~qset:(sock mod 2) ~sock ())
   done;
   E.run engine;

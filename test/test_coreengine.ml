@@ -29,8 +29,8 @@ let vm_to_nsm_switching () =
   let woken = ref [] in
   Nk_device.set_kick_owner nsm (fun q -> woken := q :: !woken);
   (* Control op goes to the NSM's job queue; data op to its send queue. *)
-  Nk_device.post vm ~qset:0 `Job (encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock:7 ());
-  Nk_device.post vm ~qset:0 `Send (encode Nqe.Send ~vm_id:1 ~qset:0 ~sock:7 ~size:100 ());
+  Nk_device.post vm ~qset:0 (encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock:7 ());
+  Nk_device.post vm ~qset:0 (encode Nqe.Send ~vm_id:1 ~qset:0 ~sock:7 ~size:100 ());
   E.run engine;
   Alcotest.(check int) "one table entry" 1 (Coreengine.conn_table_size ce);
   Alcotest.(check int) "two switched" 2 (Coreengine.stats ce).Coreengine.switched;
@@ -59,7 +59,7 @@ let nsm_to_vm_completion () =
   Coreengine.attach ce ~vm_id:2 ~nsm_ids:[ 3 ];
   (* NSM announces an accepted connection (unassigned queue set) and then a
      data event for it. *)
-  Nk_device.post nsm ~qset:0 `Receive
+  Nk_device.post nsm ~qset:0
     (Nqe.encode
        (Nqe.make ~op:Nqe.Ev_accept ~vm_id:2 ~qset:Nqe.qset_unassigned ~sock:11
           ~size:(Nqe.nsm_sock_bit lor 1) ()));
@@ -91,10 +91,10 @@ let close_clears_table () =
   Coreengine.register_vm ce vm;
   Coreengine.register_nsm ce nsm;
   Coreengine.attach ce ~vm_id:1 ~nsm_ids:[ 1 ];
-  Nk_device.post vm ~qset:0 `Job (encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock:9 ());
+  Nk_device.post vm ~qset:0 (encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock:9 ());
   E.run engine;
   Alcotest.(check int) "entry exists" 1 (Coreengine.conn_table_size ce);
-  Nk_device.post vm ~qset:0 `Job (encode Nqe.Close ~vm_id:1 ~qset:0 ~sock:9 ());
+  Nk_device.post vm ~qset:0 (encode Nqe.Close ~vm_id:1 ~qset:0 ~sock:9 ());
   E.run engine;
   Alcotest.(check int) "close removed the entry" 0 (Coreengine.conn_table_size ce)
 
@@ -108,7 +108,7 @@ let round_robin_across_nsms () =
   Coreengine.register_nsm ce nsm2;
   Coreengine.attach ce ~vm_id:1 ~nsm_ids:[ 1; 2 ];
   for sock = 1 to 4 do
-    Nk_device.post vm ~qset:0 `Job (encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock ())
+    Nk_device.post vm ~qset:0 (encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock ())
   done;
   E.run engine;
   let jobs d = Ring.length (Nk_device.qset d 0).Queue_set.job in
@@ -125,8 +125,8 @@ let rate_limit_defers_sends () =
   (* 1000 B/s with a 1000 B burst: the first send passes, the second waits
      ~1 s for tokens. *)
   Coreengine.set_rate_limit ce ~vm_id:1 ~bytes_per_sec:1000.0 ~burst:1000.0;
-  Nk_device.post vm ~qset:0 `Send (encode Nqe.Send ~vm_id:1 ~qset:0 ~sock:5 ~size:1000 ());
-  Nk_device.post vm ~qset:0 `Send (encode Nqe.Send ~vm_id:1 ~qset:0 ~sock:5 ~size:1000 ());
+  Nk_device.post vm ~qset:0 (encode Nqe.Send ~vm_id:1 ~qset:0 ~sock:5 ~size:1000 ());
+  Nk_device.post vm ~qset:0 (encode Nqe.Send ~vm_id:1 ~qset:0 ~sock:5 ~size:1000 ());
   E.run engine ~until:0.5;
   Alcotest.(check int) "only first send through at 0.5s" 1
     (Ring.length (Nk_device.qset nsm 0).Queue_set.send);
@@ -144,7 +144,7 @@ let control_not_rate_limited () =
   Coreengine.register_nsm ce nsm;
   Coreengine.attach ce ~vm_id:1 ~nsm_ids:[ 1 ];
   Coreengine.set_rate_limit ce ~vm_id:1 ~bytes_per_sec:1.0 ~burst:1.0;
-  Nk_device.post vm ~qset:0 `Job (encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock:5 ());
+  Nk_device.post vm ~qset:0 (encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock:5 ());
   E.run engine ~until:0.01;
   Alcotest.(check int) "control op passes a strangled bucket" 1
     (Ring.length (Nk_device.qset nsm 0).Queue_set.job)
@@ -156,7 +156,7 @@ let device_overflow_backpressure () =
       ()
   in
   for sock = 1 to 5 do
-    Nk_device.post dev ~qset:0 `Job (encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock ())
+    Nk_device.post dev ~qset:0 (encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock ())
   done;
   (* capacity 2, so three spill to the overflow; nothing is lost *)
   Alcotest.(check int) "pending counts ring + overflow" 5
@@ -178,7 +178,7 @@ let forget_vm_routes_edge_cases () =
   Coreengine.register_vm ce vm;
   Coreengine.register_nsm ce nsm;
   Coreengine.attach ce ~vm_id:1 ~nsm_ids:[ 1 ];
-  Nk_device.post vm ~qset:0 `Job (encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock:7 ());
+  Nk_device.post vm ~qset:0 (encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock:7 ());
   E.run engine;
   Alcotest.(check int) "one route installed" 1 (Coreengine.conn_table_size ce);
   let traced () = Nkmon.Trace.recorded (Nkmon.trace mon) in
@@ -202,6 +202,179 @@ let forget_vm_routes_edge_cases () =
     (Coreengine.forget_vm_routes ce ~vm_id:1 ~nsm_id:1);
   Alcotest.(check int) "still one trace event" (before + 1) (traced ())
 
+
+(* ---- the queue-set protocol (Queue_set / Nk_device) ---------------------- *)
+
+(* Every op the codec knows, enumerated through the wire format itself: each
+   opcode byte [Nqe.View.ok] accepts is one constructor. *)
+let codec_ops () =
+  List.filter_map
+    (fun b ->
+      let raw = Bytes.make Nqe.size_bytes '\000' in
+      Bytes.set_uint8 raw 0 b;
+      if Nqe.View.ok raw then Some (Nqe.View.op raw) else None)
+    (List.init 256 Fun.id)
+
+(* The paper's split, written as a total match so a new op must take a
+   side here before this test compiles. *)
+let vm_to_nsm = function
+  | Nqe.Socket | Nqe.Bind | Nqe.Listen | Nqe.Connect | Nqe.Send | Nqe.Recv_done | Nqe.Close
+    ->
+      true
+  | Nqe.Comp_socket | Nqe.Comp_bind | Nqe.Comp_listen | Nqe.Comp_connect | Nqe.Comp_send
+  | Nqe.Comp_close | Nqe.Ev_accept | Nqe.Ev_data | Nqe.Ev_eof | Nqe.Ev_err ->
+      false
+
+let of_op_covers_every_op () =
+  let ops = codec_ops () in
+  Alcotest.(check int) "every constructor enumerated" 17 (List.length ops);
+  List.iter
+    (fun op ->
+      let name = Nqe.op_to_string op in
+      let ring = Queue_set.of_op op in
+      if vm_to_nsm op then
+        Alcotest.(check bool)
+          (name ^ " rides job or send")
+          true
+          (ring = `Job || ring = `Send)
+      else
+        Alcotest.(check bool)
+          (name ^ " rides completion or receive")
+          true
+          (ring = `Completion || ring = `Receive);
+      let expected =
+        match op with
+        | Nqe.Send -> `Send
+        | Nqe.Ev_accept | Nqe.Ev_data | Nqe.Ev_eof -> `Receive
+        | Nqe.Ev_err -> `Completion
+        | _ -> if vm_to_nsm op then `Job else `Completion
+      in
+      Alcotest.(check string)
+        name (Queue_set.queue_name expected) (Queue_set.queue_name ring))
+    ops
+
+let hash_qset_in_range () =
+  List.iter
+    (fun qsets ->
+      let dev = mk_device ~id:1 ~role:Nk_device.Nsm_side ~qsets in
+      let seen = Array.make qsets false in
+      List.iter
+        (fun key ->
+          let q = Nk_device.hash_qset dev key in
+          if q < 0 || q >= qsets then
+            Alcotest.failf "key %d -> queue set %d of %d" key q qsets;
+          seen.(q) <- true)
+        (List.init 4096 Fun.id @ [ max_int; min_int; -1; Nqe.nsm_sock_bit lor 0x3FFFFF ]);
+      Alcotest.(check bool)
+        (Printf.sprintf "all %d queue sets reachable" qsets)
+        true
+        (Array.for_all Fun.id seen))
+    [ 1; 2; 3; 4; 7; 8; 64 ]
+
+(* Serve one queue set whose inbound rings hold [first] NQEs of [op1] and
+   [second] of [op2], woken at t = 1 s; returns the applied NQEs as
+   (apply time, op, busy cycles so far) in apply order. *)
+let serve_bursts ~role ~op1 ~first ~op2 ~second =
+  let engine = E.create () in
+  let cores = Sim.Cpu.Set.create engine ~name:"owner" ~n:1 () in
+  let dev = mk_device ~id:1 ~role ~qsets:1 in
+  let applied = ref [] in
+  Nk_device.serve dev ~cores ~costs:Nk_costs.default ~component:"owner" (fun qset nqe ->
+      Alcotest.(check int) "queue-set index" 0 qset;
+      let busy = Sim.Cpu.busy_cycles (Sim.Cpu.Set.core cores 0) in
+      applied := (E.now engine, nqe.Nqe.op, busy) :: !applied);
+  (* The second ring is filled first: the burst order must not follow push
+     order across rings. *)
+  for sock = 1 to second do
+    ignore (Nk_device.push dev ~qset:0 (encode op2 ~vm_id:1 ~qset:0 ~sock ()))
+  done;
+  for sock = 1 to first do
+    ignore (Nk_device.push dev ~qset:0 (encode op1 ~vm_id:1 ~qset:0 ~sock ()))
+  done;
+  Nk_device.wake dev engine ~qset:0 ~at:1.0;
+  E.run engine;
+  List.rev !applied
+
+(* Split applied NQEs into bursts: one burst's NQEs are applied together,
+   in one [Cpu.exec] continuation. *)
+let bursts applied =
+  List.fold_left
+    (fun acc ((t, _, _) as x) ->
+      match acc with
+      | ((t', _, _) :: _ as b) :: rest when t' = t -> (x :: b) :: rest
+      | _ -> [ x ] :: acc)
+    [] applied
+  |> List.rev_map List.rev
+
+let ops_of burst = List.map (fun (_, op, _) -> op) burst
+
+let cycles_of burst = match burst with (_, _, c) :: _ -> c | [] -> nan
+
+let nsm_serve_burst_budget () =
+  let c = Nk_costs.default in
+  let applied =
+    serve_bursts ~role:Nk_device.Nsm_side ~op1:Nqe.Socket ~first:70 ~op2:Nqe.Send ~second:30
+  in
+  match bursts applied with
+  | [ b1; b2 ] ->
+      Alcotest.(check int) "first burst" 64 (List.length b1);
+      Alcotest.(check bool) "first burst is all jobs" true
+        (List.for_all (fun op -> op = Nqe.Socket) (ops_of b1));
+      Alcotest.(check int) "second burst" 36 (List.length b2);
+      Alcotest.(check bool) "second burst: the last 6 jobs, then 30 sends" true
+        (ops_of b2 = List.init 6 (fun _ -> Nqe.Socket) @ List.init 30 (fun _ -> Nqe.Send));
+      let burst n = c.Nk_costs.service_poll +. (float_of_int n *. c.Nk_costs.nqe_decode) in
+      Alcotest.(check (float 1e-6)) "first burst cycles" (burst 64) (cycles_of b1);
+      Alcotest.(check (float 1e-6)) "second burst cycles" (burst 64 +. burst 36) (cycles_of b2)
+  | bs -> Alcotest.failf "expected 2 bursts, got %d" (List.length bs)
+
+let vm_serve_burst_budget () =
+  let c = Nk_costs.default in
+  let applied =
+    serve_bursts ~role:Nk_device.Vm_side ~op1:Nqe.Comp_send ~first:100 ~op2:Nqe.Ev_data
+      ~second:10
+  in
+  match bursts applied with
+  | [ b1; b2 ] ->
+      Alcotest.(check int) "first burst" 74 (List.length b1);
+      Alcotest.(check bool) "64 completions, then the 10 receive events" true
+        (ops_of b1
+        = List.init 64 (fun _ -> Nqe.Comp_send) @ List.init 10 (fun _ -> Nqe.Ev_data));
+      Alcotest.(check int) "second burst" 36 (List.length b2);
+      Alcotest.(check bool) "second burst is the last 36 completions" true
+        (List.for_all (fun op -> op = Nqe.Comp_send) (ops_of b2));
+      (* Woken after a second idle, the first burst pays the interrupt
+         (§4.6); the second follows at once and does not. *)
+      let first =
+        c.Nk_costs.guest_poll +. c.Nk_costs.guest_interrupt
+        +. (74.0 *. c.Nk_costs.nqe_decode)
+      in
+      Alcotest.(check (float 1e-6)) "first burst cycles" first (cycles_of b1);
+      Alcotest.(check (float 1e-6)) "second burst cycles"
+        (first +. c.Nk_costs.guest_poll +. (36.0 *. c.Nk_costs.nqe_decode))
+        (cycles_of b2)
+  | bs -> Alcotest.failf "expected 2 bursts, got %d" (List.length bs)
+
+let drain_first_ring_first () =
+  let check ~role ~toward ops expected =
+    let dev = mk_device ~id:1 ~role ~qsets:2 in
+    List.iteri
+      (fun sock op ->
+        ignore (Nk_device.push dev ~qset:1 (encode op ~vm_id:1 ~qset:1 ~sock ())))
+      ops;
+    let got = ref [] in
+    Nk_device.drain dev ~qset:1 ~toward (fun raw -> got := Nqe.View.sock raw :: !got);
+    Alcotest.(check (list int))
+      "first ring emptied before the second" expected (List.rev !got);
+    Alcotest.(check int) "rings empty" 0 (Queue_set.total_queued (Nk_device.qset dev 1))
+  in
+  check ~role:Nk_device.Nsm_side ~toward:`Nsm
+    [ Nqe.Send; Nqe.Socket; Nqe.Send; Nqe.Close; Nqe.Connect ]
+    [ 1; 3; 4; 0; 2 ];
+  check ~role:Nk_device.Vm_side ~toward:`Vm
+    [ Nqe.Ev_data; Nqe.Comp_send; Nqe.Ev_eof; Nqe.Comp_close ]
+    [ 1; 3; 0; 2 ]
+
 let tests =
   [
     Alcotest.test_case "vm->nsm switching + queue pinning" `Quick vm_to_nsm_switching;
@@ -212,4 +385,9 @@ let tests =
     Alcotest.test_case "control ops bypass the bucket" `Quick control_not_rate_limited;
     Alcotest.test_case "device overflow backpressure" `Quick device_overflow_backpressure;
     Alcotest.test_case "forget_vm_routes edge cases" `Quick forget_vm_routes_edge_cases;
+    Alcotest.test_case "of_op rides every op on its side" `Quick of_op_covers_every_op;
+    Alcotest.test_case "hash_qset stays in range" `Quick hash_qset_in_range;
+    Alcotest.test_case "NSM serve bursts 64 across job, send" `Quick nsm_serve_burst_budget;
+    Alcotest.test_case "VM serve bursts 64 + 64 per pair" `Quick vm_serve_burst_budget;
+    Alcotest.test_case "drain empties first ring first" `Quick drain_first_ring_first;
   ]
