@@ -157,10 +157,6 @@ let create ~engine ~cores ?(mon = Nkmon.null ()) ?(spans = Nkspan.null ())
 
 let n_shards t = Array.length t.shards
 
-let cores t = Array.map (fun sh -> sh.cpu) t.shards
-
-let core t = t.shards.(0).cpu
-
 (* Deterministic queue-set affinity: shard [(dev_id + qset) mod n_shards]
    owns device [dev_id]'s queue set [qset] — it alone pops the outbound
    rings of that queue set. VM and NSM id spaces overlap; that only spreads

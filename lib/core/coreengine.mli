@@ -39,12 +39,6 @@ val create :
     drop trace events); [spans] records the ce-switch stage of sampled
     requests on the owning shard; [instance] defaults to ["ce"]. *)
 
-val core : t -> Sim.Cpu.t
-(** Shard 0's core (the only core of a single-shard engine). *)
-
-val cores : t -> Sim.Cpu.t array
-(** Every shard's core, in shard order. *)
-
 val n_shards : t -> int
 
 val scale_out : t -> cores:Sim.Cpu.t array -> unit
@@ -115,9 +109,6 @@ val forget_vm_routes : t -> vm_id:int -> nsm_id:int -> int
 val set_rate_limit : ?burst:float -> t -> vm_id:int -> bytes_per_sec:float -> unit
 (** Token-bucket cap on the VM's egress payload bytes (Fig 21). [burst]
     defaults to 50 ms worth of tokens. *)
-
-val kick : t -> unit
-(** Producer notification: outbound NQEs may be pending. *)
 
 type stats = {
   switched : int;

@@ -63,8 +63,6 @@ let create ~id ~role ~qsets ?capacity ~hugepages ?(mon = Nkmon.null ())
 
 let id t = t.id
 
-let role t = t.role
-
 let n_qsets t = Array.length t.qsets
 
 let qset t i = t.qsets.(i)

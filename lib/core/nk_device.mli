@@ -35,8 +35,6 @@ val create :
 
 val id : t -> int
 
-val role : t -> role
-
 val n_qsets : t -> int
 
 val qset : t -> int -> Queue_set.t

@@ -73,11 +73,7 @@ val make :
 val encode : t -> bytes
 (** Always returns a fresh 32-byte buffer. *)
 
-val encode_into : t -> bytes -> pos:int -> unit
-
 val decode : bytes -> (t, string) result
-
-val decode_from : bytes -> pos:int -> (t, string) result
 
 val span_of_raw : bytes -> int
 (** Peek the span id of an encoded NQE without a full decode (for

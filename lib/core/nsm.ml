@@ -132,11 +132,6 @@ let register_vm t ~vm_id ~hugepages ~ips =
   | Svc { service; _ } -> Servicelib.register_vm service ~vm_id ~hugepages ~ips
   | Shm shm -> Nsm_shmem.register_vm shm ~vm_id ~hugepages ~ips
 
-let deregister_vm t ~vm_id =
-  match t.backend with
-  | Svc { service; _ } -> Servicelib.deregister_vm service ~vm_id
-  | Shm shm -> Nsm_shmem.deregister_vm shm ~vm_id
-
 let close_vm_listeners t ~vm_id =
   match t.backend with
   | Svc { service; _ } -> Servicelib.close_vm_listeners service ~vm_id
@@ -158,9 +153,6 @@ let import_vm t x ~hugepages ~ips =
 
 let set_vm_forwarder t ~vm_id f =
   Servicelib.set_vm_forwarder (service_exn t ~verb:"set_vm_forwarder") ~vm_id f
-
-let clear_vm_forwarder t ~vm_id =
-  Servicelib.clear_vm_forwarder (service_exn t ~verb:"clear_vm_forwarder") ~vm_id
 
 let release_vm_ips t ~ips =
   match t.backend with

@@ -45,10 +45,6 @@ val device : t -> Nk_device.t
 val register_vm : t -> vm_id:int -> hugepages:Hugepages.t -> ips:Addr.ip list -> unit
 (** Called by {!Vm.create_nk}; wires the VM's payload region and IPs. *)
 
-val deregister_vm : t -> vm_id:int -> unit
-(** Stop serving the VM on this NSM: its connections here are aborted and
-    its listeners closed. *)
-
 val close_vm_listeners : t -> vm_id:int -> unit
 (** Release the VM's listening endpoints on this NSM only (listener
     re-homing); established connections keep running. No-op for the
@@ -64,8 +60,6 @@ val export_vm : t -> vm_id:int -> Servicelib.vm_export option
 val import_vm : t -> Servicelib.vm_export -> hugepages:Hugepages.t -> ips:Addr.ip list -> unit
 
 val set_vm_forwarder : t -> vm_id:int -> (Nqe.t -> unit) -> unit
-
-val clear_vm_forwarder : t -> vm_id:int -> unit
 
 val release_vm_ips : t -> ips:Addr.ip list -> unit
 (** Disown the migrated VM's IPs on the backend stack so stray in-flight

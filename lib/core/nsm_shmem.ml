@@ -55,8 +55,6 @@ let register_vm t ~vm_id ~hugepages ~ips =
   ignore ips;
   Hashtbl.replace t.vms vm_id { vm_id; hugepages; next_gid = 1 }
 
-let deregister_vm t ~vm_id = Hashtbl.remove t.vms vm_id
-
 (* ---- replies ------------------------------------------------------------- *)
 
 let post t (ep : endpoint) op ?op_data ?data_ptr ?size ?synthetic ?span () =

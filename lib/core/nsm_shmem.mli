@@ -24,6 +24,3 @@ val create :
 
 val register_vm : t -> vm_id:int -> hugepages:Hugepages.t -> ips:Addr.ip list -> unit
 (** The VM's IPs become resolvable for colocated connects. *)
-
-val deregister_vm : t -> vm_id:int -> unit
-

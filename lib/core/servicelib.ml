@@ -526,19 +526,6 @@ let fail t =
     Hashtbl.reset t.vms
   end
 
-let deregister_vm t ~vm_id =
-  match Hashtbl.find_opt t.vms vm_id with
-  | None -> ()
-  | Some vm ->
-      Nkutil.Det_tbl.iter ~cmp:Int.compare
-        (fun _ ss ->
-          (match ss.conn with Some conn -> t.ops.Stack_ops.abort_conn conn | None -> ());
-          match ss.listener with
-          | Some l -> t.ops.Stack_ops.close_listener l
-          | None -> ())
-        vm.socks;
-      Hashtbl.remove t.vms vm_id
-
 (* ---- VM export/import (live NSM migration) ------------------------------ *)
 
 type pending_export = {
@@ -564,8 +551,6 @@ type sock_export = {
 type vm_export = { x_vm_id : int; x_next_gid : int; x_socks : sock_export list }
 
 let set_vm_forwarder t ~vm_id forward = Hashtbl.replace t.vm_forwarders vm_id forward
-
-let clear_vm_forwarder t ~vm_id = Hashtbl.remove t.vm_forwarders vm_id
 
 let export_vm t ~vm_id =
   match Hashtbl.find_opt t.vms vm_id with

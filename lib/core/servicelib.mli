@@ -39,8 +39,6 @@ val register_vm : t -> vm_id:int -> hugepages:Hugepages.t -> ips:Addr.ip list ->
     ownership of the VM's IPs. Idempotent: re-registering an already-served
     VM only (re-)adds IPs and never disturbs live sockets. *)
 
-val deregister_vm : t -> vm_id:int -> unit
-
 val close_vm_listeners : t -> vm_id:int -> unit
 (** Release the VM's listening endpoints on this NSM (the listeners are
     being re-homed to another NSM); established connections accepted
@@ -95,8 +93,6 @@ val set_vm_forwarder : t -> vm_id:int -> (Nqe.t -> unit) -> unit
 (** After [export_vm], NQEs already drained into a scratch burst but not
     yet applied would find no VM; the forwarder ships them to the
     destination instead (the migration protocol's late-NQE hook). *)
-
-val clear_vm_forwarder : t -> vm_id:int -> unit
 
 val release_ips : t -> Addr.ip list -> unit
 (** Disown IPs after [export_vm] (their VM now lives on another host), so

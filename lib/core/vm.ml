@@ -27,7 +27,6 @@ let detach_nsm t nsm =
   | Baseline -> invalid_arg (t.name ^ ": not a NetKernel VM")
   | Nk _ -> Coreengine.detach (Host.coreengine t.host) ~vm_id:t.vm_id ~nsm_id:(Nsm.id nsm)
 
-let name t = t.name
 let vm_id t = t.vm_id
 let api t = t.api
 let cores t = t.cores

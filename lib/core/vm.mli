@@ -44,8 +44,6 @@ val detach_nsm : t -> Nsm.t -> unit
     from this VM; established connections keep their route until they
     close. Only valid for NetKernel VMs. *)
 
-val name : t -> string
-
 val vm_id : t -> int
 (** 0 for baseline VMs (they have no NK identity). *)
 

@@ -11,5 +11,3 @@ val all : entry list
     (Fig 11–12), evaluation (Fig 13–21, Tables 4–7). *)
 
 val find : string -> entry option
-
-val ids : unit -> string list

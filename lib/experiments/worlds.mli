@@ -68,10 +68,6 @@ type rps_result = {
   ce_cycles : float;
 }
 
-val ce_cycles : world -> float
-(** Total busy cycles across every CoreEngine shard core (0 when NetKernel
-    is off). *)
-
 val measure_rps :
   world ->
   ?concurrency:int ->

@@ -54,9 +54,6 @@ type Tcpstack.Stack_ops.conn += Conn of Hcb.t
 
 type Tcpstack.Stack_ops.payload += Homa_state of Hcb.Snapshot.t
 
-val input : t -> Segment.t -> unit
-(** Segment ingress (registered with the vswitch by [add_ip]/connect). *)
-
 type stats = {
   segs_rx : int;
   segs_tx : int;

@@ -241,8 +241,3 @@ let start ~engine ~api cfg =
               done;
               Reactor.run t.reactor;
               Ok t))
-
-let stop t =
-  t.stopped <- true;
-  t.api.Socket_api.close t.listener;
-  Reactor.stop t.reactor

@@ -36,5 +36,3 @@ val start :
   engine:Sim.Engine.t -> api:Tcpstack.Socket_api.t -> config -> (t, Tcpstack.Types.err) result
 
 val stats : t -> stats
-
-val stop : t -> unit

@@ -11,8 +11,6 @@ type t = {
   stats : stats;
 }
 
-let stats t = t.stats
-
 (* Split a buffer into complete CRLF-terminated lines plus the remainder. *)
 let split_lines buf =
   let s = Buffer.contents buf in

@@ -19,8 +19,6 @@ val start :
   engine:Sim.Engine.t -> api:Tcpstack.Socket_api.t -> addr:Addr.t ->
   (t, Tcpstack.Types.err) result
 
-val stats : t -> stats
-
 (** Client helpers (one connection, pipelined callbacks). *)
 module Client : sig
   type conn

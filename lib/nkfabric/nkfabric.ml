@@ -4,6 +4,10 @@ module Cpu = Sim.Cpu
 
 (* ---- inter-host NQE spine ----------------------------------------------- *)
 
+(* Inter-host NQE interconnect: one directed store-and-forward link per host
+   pair, with per-link serialization rate and propagation latency.
+   Deliveries are FIFO per link (monotone link-busy time), which is what
+   carries the relay's ordering guarantee. *)
 module Spine = struct
   (* Every directed link: 50 us one-way latency, 40 Gb/s. *)
   let latency = 50e-6

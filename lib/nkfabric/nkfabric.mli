@@ -7,7 +7,7 @@ open Nkcore
     infrastructure service (§2, §8). Nkfabric takes that across the host
     boundary: it joins N simulated {!Host.t}s into one cluster behind the
     shared {!Fabric.t}, adds a second, NQE-level interconnect (the
-    {!Spine}), places VMs across hosts under a {!policy}, and — the
+    spine), places VMs across hosts under a {!policy}, and — the
     centerpiece — migrates a live NSM from one host to another without
     breaking a single established connection.
 
@@ -46,24 +46,6 @@ open Nkcore
     (it would collide with the VM's real device), the relay record is
     re-pointed at the real device so straggling shipments land in the VM's
     own rings, and the home CoreEngine serves it directly again. *)
-
-(** Inter-host NQE interconnect: one directed store-and-forward link per
-    host pair, with per-link serialization rate and propagation latency.
-    Deliveries are FIFO per link (monotone link-busy time), which is what
-    carries the relay's ordering guarantee. *)
-module Spine : sig
-  type t
-
-  val create : engine:Sim.Engine.t -> mon:Nkmon.t -> unit -> t
-  (** Every directed link has 50 us one-way latency and 40 Gb/s. *)
-
-  val ship : t -> src:int -> dst:int -> bytes:int -> (unit -> unit) -> unit
-  (** Occupy the [src]→[dst] link for [bytes] and run the continuation at
-      arrival time (serialization + propagation). *)
-
-  val shipped : t -> int * int
-  (** Total [(nqes, bytes)] shipped across every link so far. *)
-end
 
 type policy =
   | Spread  (** lowest node utilization, ties by VM count then node order *)

@@ -32,8 +32,6 @@ let sampler t = Registry.sampler t.registry
 
 let histogram t = Registry.histogram t.registry
 
-let timeseries t = Registry.timeseries t.registry
-
 let tracing t = Trace.enabled t.trace
 
 let event t ev = Trace.record t.trace ev

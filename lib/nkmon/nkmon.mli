@@ -1,7 +1,7 @@
 (** Nkmon: the unified observability subsystem.
 
     One [Nkmon.t] per simulated world bundles the {!Registry} (named
-    counters, gauges, histograms and time series keyed by
+    counters, gauges and histograms keyed by
     [component/instance/metric]) with the {!Trace} layer (typed events
     stamped with {!Sim.Engine} virtual time: a ring for dataplane events,
     a log that is never dropped for control events).
@@ -56,10 +56,6 @@ val sampler :
 
 val histogram :
   t -> component:string -> instance:string -> name:string -> Nkutil.Histogram.t
-
-val timeseries :
-  t -> bin_width:float -> component:string -> instance:string -> name:string ->
-  Nkutil.Timeseries.t
 
 val tracing : t -> bool
 (** Cheap guard for dataplane event-construction sites:

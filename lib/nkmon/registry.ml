@@ -7,7 +7,6 @@ type metric =
   | M_gauge of gauge
   | M_sampler of (unit -> float) ref
   | M_histogram of Nkutil.Histogram.t
-  | M_timeseries of Nkutil.Timeseries.t
 
 type t = { table : (string * string * string, metric) Hashtbl.t }
 
@@ -18,7 +17,6 @@ let kind_name = function
   | M_gauge _ -> "gauge"
   | M_sampler _ -> "gauge"
   | M_histogram _ -> "histogram"
-  | M_timeseries _ -> "timeseries"
 
 let key ~component ~instance ~name = (component, instance, name)
 
@@ -73,23 +71,12 @@ let histogram t ~component ~instance ~name =
       Hashtbl.replace t.table k (M_histogram h);
       h
 
-let timeseries t ~bin_width ~component ~instance ~name =
-  let k = key ~component ~instance ~name in
-  match Hashtbl.find_opt t.table k with
-  | Some (M_timeseries ts) -> ts
-  | Some m -> mismatch k m "timeseries"
-  | None ->
-      let ts = Nkutil.Timeseries.create ~bin_width () in
-      Hashtbl.replace t.table k (M_timeseries ts);
-      ts
-
 (* ---- enumeration ---------------------------------------------------------- *)
 
 type value =
   | Counter of int
   | Gauge of float
   | Histogram of Nkutil.Histogram.t
-  | Timeseries of Nkutil.Timeseries.t
 
 type entry = { component : string; instance : string; metric : string; value : value }
 
@@ -98,7 +85,6 @@ let value_of_metric = function
   | M_gauge g -> Gauge g.g
   | M_sampler r -> Gauge (!r ())
   | M_histogram h -> Histogram h
-  | M_timeseries ts -> Timeseries ts
 
 let find t ~component ~instance ~name =
   Option.map value_of_metric (Hashtbl.find_opt t.table (component, instance, name))

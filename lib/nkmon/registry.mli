@@ -3,7 +3,7 @@
     Metrics are keyed by [component/instance/metric] (e.g.
     ["coreengine/hostA/nqe_switched"]): [component] names the subsystem
     kind, [instance] the particular object (host, VM, NSM, stack), and
-    [metric] the measurement. Four kinds are supported:
+    [metric] the measurement. Three kinds are supported:
 
     - {e counters}: monotonically increasing integers (NQEs switched,
       bytes copied);
@@ -11,9 +11,7 @@
       lazily from a closure at read time (hugepage bytes in use,
       connection-table size);
     - {e histograms}: {!Nkutil.Histogram} distributions (sweep batch
-      sizes, latencies);
-    - {e time series}: {!Nkutil.Timeseries} virtual-time-binned
-      accumulators (per-100ms switch rates).
+      sizes, latencies).
 
     Registration is idempotent: asking for an existing key of the same
     kind returns the existing handle, so a component can re-derive its
@@ -59,18 +57,12 @@ val histogram :
   t -> component:string -> instance:string -> name:string -> Nkutil.Histogram.t
 (** A {!Nkutil.Histogram.create} with its default range and resolution. *)
 
-val timeseries :
-  t -> bin_width:float -> component:string -> instance:string -> name:string ->
-  Nkutil.Timeseries.t
-(** [bin_width] applies only on first registration. *)
-
 (** {1 Enumeration} *)
 
 type value =
   | Counter of int
   | Gauge of float
   | Histogram of Nkutil.Histogram.t
-  | Timeseries of Nkutil.Timeseries.t
 
 type entry = { component : string; instance : string; metric : string; value : value }
 

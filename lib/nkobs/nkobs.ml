@@ -190,8 +190,6 @@ let of_fabric ?period fab =
 
 let sources t = List.map (fun s -> (s.s_host, s.s_mon)) t.srcs
 
-let engine t = t.engine
-
 let add_tenant t ~name ~target ~probe =
   if List.exists (fun tn -> String.equal tn.tn_name name) t.tenants then
     invalid_arg (Printf.sprintf "Nkobs.add_tenant: duplicate tenant %S" name);
@@ -250,12 +248,6 @@ let value_cell = function
         (cell_float (Histogram.percentile h 50.0))
         (cell_float (Histogram.percentile h 99.0))
         (cell_float (Histogram.max h))
-  | Registry.Timeseries ts ->
-      let module T = Nkutil.Timeseries in
-      let total = Array.fold_left ( +. ) 0.0 (T.to_array ts) in
-      Printf.sprintf "bins=%d width=%s total=%s" (T.num_bins ts)
-        (cell_float (T.bin_width ts))
-        (cell_float total)
 
 let value_json = function
   | Registry.Counter n -> Printf.sprintf "\"kind\":\"counter\",\"value\":%d" n
@@ -269,14 +261,6 @@ let value_json = function
         (fmt_float (Histogram.percentile h 90.0))
         (fmt_float (Histogram.percentile h 99.0))
         (fmt_float (Histogram.max h))
-  | Registry.Timeseries ts ->
-      let module T = Nkutil.Timeseries in
-      let bins =
-        T.to_array ts |> Array.to_list |> List.map fmt_float |> String.concat ","
-      in
-      Printf.sprintf "\"kind\":\"timeseries\",\"bin_width\":%s,\"bins\":[%s]"
-        (fmt_float (T.bin_width ts))
-        bins
 
 let row_headers = [ "host"; "component"; "instance"; "metric"; "value" ]
 

@@ -130,8 +130,6 @@ val of_fabric : ?period:float -> Nkfabric.t -> t
 val sources : t -> (string * Nkmon.t) list
 (** In add order. *)
 
-val engine : t -> Sim.Engine.t
-
 (** {1 SLO accounting} *)
 
 val add_tenant : t -> name:string -> target:slo_target -> probe:(unit -> probe) -> unit
@@ -178,13 +176,13 @@ val row_headers : string list
 
 val metric_rows : (string * Nkmon.t) list -> string list list
 (** One row per metric of every source, host tag first, each source's
-    rows in {!Nkmon.Registry.entries} order. Histograms and time series
-    are summarised into the value cell. *)
+    rows in {!Nkmon.Registry.entries} order. Histograms are summarised
+    into the value cell. *)
 
 val metrics_json : (string * Nkmon.t) list -> string
 (** [{"hosts":[...],"metrics":[...]}], deterministic. Each metric object
     carries its [host] tag and full detail: histogram count, mean,
-    p50/p90/p99 and max, every time-series bin. Each host object carries
+    p50/p90/p99 and max. Each host object carries
     its metric count and trace [dropped_events], so truncation is visible
     in the export itself. *)
 

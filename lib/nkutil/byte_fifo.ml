@@ -15,8 +15,6 @@ let create () = { q = Queue.create (); total = 0; tail_zeros = None }
 
 let length t = t.total
 
-let is_empty t = t.total = 0
-
 let write_bytes t b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Byte_fifo.write_bytes: slice out of bounds";

@@ -12,8 +12,6 @@ val create : unit -> t
 val length : t -> int
 (** Number of queued bytes. *)
 
-val is_empty : t -> bool
-
 val write : t -> string -> unit
 (** Enqueue the bytes of a string. *)
 

@@ -23,8 +23,6 @@ let bindings ~cmp tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (k1, _) (k2, _) -> cmp k1 k2)
 
-let keys ~cmp tbl = List.map fst (bindings ~cmp tbl)
-
 let iter ~cmp f tbl = List.iter (fun (k, v) -> f k v) (bindings ~cmp tbl)
 
 let fold ~cmp f tbl init =

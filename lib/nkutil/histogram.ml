@@ -170,11 +170,3 @@ let diff ~newer ~older =
     mean_acc;
     m2;
   }
-
-let clear t =
-  Array.fill t.counts 0 (Array.length t.counts) 0;
-  t.total <- 0;
-  t.vmin <- infinity;
-  t.vmax <- neg_infinity;
-  t.mean_acc <- 0.0;
-  t.m2 <- 0.0

@@ -53,5 +53,3 @@ val diff : newer:t -> older:t -> t
     the histograms are incompatible or [newer] does not dominate [older].
     This is what turns a cumulative latency histogram into a rolling SLO
     window. *)
-
-val clear : t -> unit

@@ -48,8 +48,6 @@ let int t n =
   (* Rejection-free for our purposes: modulo bias is negligible for n << 2^63. *)
   Int64.to_int (Int64.rem (Int64.shift_right_logical (bits64 t) 1) (Int64.of_int n))
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let exponential t ~mean = -.mean *. log (1.0 -. float t)
 
 let normal t ~mu ~sigma =

@@ -25,8 +25,6 @@ val float_range : t -> float -> float -> float
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)]. Requires [n > 0]. *)
 
-val bool : t -> bool
-
 val exponential : t -> mean:float -> float
 (** [exponential t ~mean] samples Exp with the given mean. *)
 

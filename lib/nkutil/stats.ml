@@ -22,10 +22,6 @@ let percentile a p =
     sorted.(Int.max 0 (Int.min (n - 1) (rank - 1)))
   end
 
-let median a = percentile a 50.0
-
-let minimum a = Array.fold_left Float.min infinity a
-
 let coefficient_of_variation a =
   let m = mean a in
   if m = 0.0 then 0.0 else stddev a /. m

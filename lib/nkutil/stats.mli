@@ -3,18 +3,9 @@
 val mean : float array -> float
 (** 0 on empty input. *)
 
-val stddev : float array -> float
-(** Population standard deviation; 0 on empty input. *)
-
 val percentile : float array -> float -> float
 (** [percentile a p] with [p] in [\[0,100\]], nearest-rank on a sorted copy.
     0 on empty input. *)
-
-val median : float array -> float
-
-val minimum : float array -> float
-
-val sum : float array -> float
 
 val coefficient_of_variation : float array -> float
 (** stddev / mean; 0 when the mean is 0. Burstiness measure used for the

@@ -19,14 +19,8 @@ let add t ~time v =
     if i > t.last then t.last <- i
   end
 
-let bin_width t = t.width
-
 let num_bins t = t.last + 1
 
 let get t i = if i >= 0 && i <= t.last then t.bins.(i) else 0.0
 
 let rate t i = get t i /. t.width
-
-let to_array t = Array.sub t.bins 0 (num_bins t)
-
-let rates t = Array.map (fun v -> v /. t.width) (to_array t)

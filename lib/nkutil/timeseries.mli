@@ -13,8 +13,6 @@ val add : t -> time:float -> float -> unit
 (** [add t ~time v] adds [v] into the bin containing [time]. Negative times
     are ignored. *)
 
-val bin_width : t -> float
-
 val num_bins : t -> int
 (** Index of the last touched bin + 1. *)
 
@@ -23,9 +21,3 @@ val get : t -> int -> float
 
 val rate : t -> int -> float
 (** [get t i / bin_width]: per-second rate for bin [i]. *)
-
-val to_array : t -> float array
-(** All bins up to the last touched one. *)
-
-val rates : t -> float array
-(** [to_array] divided by the bin width. *)

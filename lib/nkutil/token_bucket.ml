@@ -10,17 +10,11 @@ let create ~rate ~burst ~now =
   if burst <= 0.0 then invalid_arg "Token_bucket.create: burst must be > 0";
   { rate; burst; tokens = burst; last = now }
 
-let rate t = t.rate
-
 let refill t ~now =
   if now > t.last then begin
     t.tokens <- Float.min t.burst (t.tokens +. ((now -. t.last) *. t.rate));
     t.last <- now
   end
-
-let available t ~now =
-  refill t ~now;
-  t.tokens
 
 let try_take t ~now n =
   refill t ~now;

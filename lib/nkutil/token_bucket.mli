@@ -11,11 +11,6 @@ val create : rate:float -> burst:float -> now:float -> t
     holding at most [burst] tokens, initially full. Requires [rate > 0] and
     [burst > 0]. *)
 
-val rate : t -> float
-
-val available : t -> now:float -> float
-(** [available t ~now] is the current token count after refill. *)
-
 val try_take : t -> now:float -> float -> bool
 (** [try_take t ~now n] consumes [n] tokens if available; otherwise takes
     nothing and returns [false]. *)

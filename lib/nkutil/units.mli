@@ -4,14 +4,8 @@
     data sizes in bytes (int), rates in bits per second (float) unless a
     name says otherwise. *)
 
-val gbps : float -> float
-(** [gbps x] is [x] Gb/s expressed in bits per second. *)
-
 val gbps_of_bytes : bytes:int -> seconds:float -> float
 (** Throughput in Gb/s from a byte count over a duration. *)
-
-val usec : float -> float
-(** [usec x] is [x] microseconds in seconds. *)
 
 val pp_bytes : Format.formatter -> int -> unit
 (** Pretty-print a byte count (e.g. ["16 KB"]). *)

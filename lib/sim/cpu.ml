@@ -31,15 +31,9 @@ let charge t ~cycles =
   t.busy_cycles <- t.busy_cycles +. cycles;
   Engine.emit_cycles t.engine ~core:t.name cycles
 
-let backlog t = Float.max 0.0 (t.free_at -. Engine.now t.engine)
-
 let busy_cycles t = t.busy_cycles
 
 let busy_seconds t = t.busy_cycles /. t.freq
-
-let utilization t ~since =
-  let elapsed = Engine.now t.engine -. since in
-  if elapsed <= 0.0 then 0.0 else Float.min 1.0 (busy_seconds t /. elapsed)
 
 module Set = struct
   type core = t

@@ -28,19 +28,10 @@ val exec : t -> cycles:float -> (unit -> unit) -> unit
 val charge : t -> cycles:float -> unit
 (** [charge t ~cycles] accounts work with no completion action. *)
 
-val backlog : t -> float
-(** Seconds of queued work: from now until the core becomes idle given its
-    current queue (0 when idle). *)
-
 val busy_cycles : t -> float
 (** Total cycles charged so far. *)
 
 val busy_seconds : t -> float
-
-val utilization : t -> since:float -> float
-(** [utilization t ~since] is busy-time / elapsed-time over
-    [\[since, now\]]; busy time counts from the core's creation (no
-    counter delta is kept). *)
 
 module Set : sig
   (** A pool of cores with flow pinning, standing in for a multi-vCPU VM or

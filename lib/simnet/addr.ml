@@ -6,10 +6,6 @@ let make ip port = { ip; port }
 
 let equal a b = a.ip = b.ip && a.port = b.port
 
-let compare a b =
-  let c = Int.compare a.ip b.ip in
-  if c <> 0 then c else Int.compare a.port b.port
-
 (* Mix with a 64-bit avalanche so sequentially-allocated ips/ports spread. *)
 let mix x =
   let x = x * 0x9E3779B97F4A7C1 in
@@ -18,8 +14,6 @@ let mix x =
   x lxor (x lsr 32)
 
 let hash a = mix ((a.ip * 65599) + a.port) land max_int
-
-let pp fmt a = Format.fprintf fmt "%d:%d" a.ip a.port
 
 module Flow = struct
   type addr = t
@@ -34,15 +28,9 @@ module Flow = struct
 
   let equal a b = equal a.src b.src && equal a.dst b.dst
 
-  let compare a b =
-    let c = compare a.src b.src in
-    if c <> 0 then c else compare a.dst b.dst
-
   let hash f = mix ((addr_hash f.src * 31) + addr_hash f.dst) land max_int
 
   let rss_hash f =
     let a = addr_hash f.src and b = addr_hash f.dst in
     mix (Int.min a b + (31 * Int.max a b)) land max_int
-
-  let pp fmt f = Format.fprintf fmt "%a->%a" pp f.src pp f.dst
 end

@@ -11,11 +11,7 @@ val make : ip -> port -> t
 
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-
 val hash : t -> int
-
-val pp : Format.formatter -> t -> unit
 
 (** Directed 4-tuple identifying one direction of a connection. *)
 module Flow : sig
@@ -30,13 +26,9 @@ module Flow : sig
 
   val equal : t -> t -> bool
 
-  val compare : t -> t -> int
-
   val hash : t -> int
 
   val rss_hash : t -> int
   (** Direction-independent hash: both directions of a connection map to the
       same value, so RX processing and the socket's core coincide (RSS). *)
-
-  val pp : Format.formatter -> t -> unit
 end

@@ -7,7 +7,6 @@ type t = {
   mutable receiver : (Segment.t -> unit) option;
   mutable busy_until : float;
   mutable queued : int;
-  mutable bytes_sent : int;
   mutable drops : int;
   mutable loss : (Nkutil.Rng.t * float) option;
   (* In-flight transmissions whose buffer space is not yet released: a
@@ -15,9 +14,9 @@ type t = {
      arrays. Serialization makes tx_done monotone in enqueue order, so
      releasing due entries is a head scan. Keeping this ledger instead of
      scheduling a release event per segment halves the engine events the
-     network path generates — occupancy is only ever read here (and by
-     the stats accessors), so releasing lazily at read time observes the
-     exact same values the eager events produced. *)
+     network path generates — occupancy is only ever read by [send], so
+     releasing lazily at read time observes the exact same values the
+     eager events produced. *)
   mutable fly_time : float array;
   mutable fly_wire : int array;
   mutable fly_head : int;
@@ -27,7 +26,7 @@ type t = {
 let create engine ~rate_bps ~delay ?(buffer_bytes = 16 * 1024 * 1024) ?(name = "link") () =
   if rate_bps <= 0.0 then invalid_arg "Link.create: rate must be > 0";
   { engine; rate = rate_bps; delay; buffer = buffer_bytes; name; receiver = None;
-    busy_until = 0.0; queued = 0; bytes_sent = 0; drops = 0; loss = None;
+    busy_until = 0.0; queued = 0; drops = 0; loss = None;
     fly_time = Array.make 64 0.0; fly_wire = Array.make 64 0; fly_head = 0; fly_len = 0 }
 
 let set_random_loss t ~rng ~rate = t.loss <- Some (rng, rate)
@@ -40,7 +39,6 @@ let release t now =
   while t.fly_len > 0 && t.fly_time.(t.fly_head) <= now do
     let wire = t.fly_wire.(t.fly_head) in
     t.queued <- t.queued - wire;
-    t.bytes_sent <- t.bytes_sent + wire;
     t.fly_head <- (t.fly_head + 1) mod cap;
     t.fly_len <- t.fly_len - 1
   done
@@ -113,11 +111,5 @@ let send t seg =
     ignore (Sim.Engine.schedule_at t.engine ~at:(tx_done +. t.delay) (fun () -> receiver seg));
     true
   end
-
-let rate_bps t = t.rate
-
-let bytes_sent t =
-  release t (Sim.Engine.now t.engine);
-  t.bytes_sent
 
 let drops t = t.drops

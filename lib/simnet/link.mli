@@ -21,11 +21,6 @@ val set_receiver : t -> (Segment.t -> unit) -> unit
 val send : t -> Segment.t -> bool
 (** [send t seg] enqueues for transmission; [false] means tail-dropped. *)
 
-val rate_bps : t -> float
-
-val bytes_sent : t -> int
-(** Total wire bytes that completed transmission. *)
-
 val drops : t -> int
 
 val set_random_loss : t -> rng:Nkutil.Rng.t -> rate:float -> unit

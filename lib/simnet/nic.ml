@@ -14,8 +14,6 @@ let name t = t.name
 
 let set_egress t link = t.egress <- Some link
 
-let egress t = t.egress
-
 let set_rx_handler t f = t.rx_handler <- Some f
 
 let observe t seg =

@@ -13,8 +13,6 @@ val name : t -> string
 
 val set_egress : t -> Link.t -> unit
 
-val egress : t -> Link.t option
-
 val set_rx_handler : t -> (Segment.t -> unit) -> unit
 
 val transmit : t -> Segment.t -> bool

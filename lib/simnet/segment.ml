@@ -29,12 +29,3 @@ let wire_bytes t = t.len + (packets t * header_bytes)
 
 let seq_end t =
   (t.seq + t.len + (if t.syn then 1 else 0) + if t.fin then 1 else 0) land seq_mask
-
-let pp fmt t =
-  Format.fprintf fmt "%a seq=%d ack=%d len=%d%s%s%s%s win=%d" Addr.Flow.pp t.flow t.seq
-    t.ack t.len
-    (if t.syn then " SYN" else "")
-    (if t.ack_flag then " ACK" else "")
-    (if t.fin then " FIN" else "")
-    (if t.rst then " RST" else "")
-    t.window

@@ -56,5 +56,3 @@ val wire_bytes : t -> int
 
 val seq_end : t -> int
 (** [seq + len + (syn?1) + (fin?1)] mod 2^32 — the sequence space consumed. *)
-
-val pp : Format.formatter -> t -> unit

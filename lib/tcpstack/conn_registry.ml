@@ -21,5 +21,3 @@ let register t ~flow ~isn =
 let lookup t ~flow ~isn = Table.find_opt t (flow, isn)
 
 let remove t ~flow ~isn = Table.remove t (flow, isn)
-
-let size t = Table.length t

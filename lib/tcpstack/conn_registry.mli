@@ -25,5 +25,3 @@ val lookup : t -> flow:Addr.Flow.t -> isn:int -> channel option
 
 val remove : t -> flow:Addr.Flow.t -> isn:int -> unit
 (** Drop the entry once both endpoints hold the channel. *)
-
-val size : t -> int

@@ -145,7 +145,6 @@ type t = {
          flows in the vswitch without a forward reference. *)
 }
 
-let name t = t.name
 let engine t = t.engine
 let cores t = t.cores
 let config t = t.cfg
@@ -164,11 +163,6 @@ let stats t =
   }
 
 let owns_ip t ip = List.mem ip t.ips
-
-let default_ip t =
-  match List.rev t.ips with
-  | ip :: _ -> ip
-  | [] -> invalid_arg (t.name ^ ": stack owns no IP")
 
 (* ---- cost helpers ------------------------------------------------------ *)
 

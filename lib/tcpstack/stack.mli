@@ -62,8 +62,6 @@ val create :
     cycle profiler (rx/poll frames); request stages on the stack are
     recorded by ServiceLib around its stack calls. *)
 
-val name : t -> string
-
 val engine : t -> Sim.Engine.t
 
 val cores : t -> Sim.Cpu.Set.t
@@ -77,11 +75,6 @@ val remove_ip : t -> Addr.ip -> unit
 (** Disown [ip] (its VM migrated to another host): the vswitch entry is
     released so stray segments fall through to the vswitch's silent drop
     instead of drawing an RST from this stack. *)
-
-val owns_ip : t -> Addr.ip -> bool
-
-val default_ip : t -> Addr.ip
-(** The first IP added (raises if none). *)
 
 (** {1 Socket operations} *)
 

@@ -104,9 +104,6 @@ type t = {
   mutable eof_delivered : bool;
   mutable peer_ts : float; (* latest peer timestamp, echoed in our ACKs *)
   mutable last_adv_wnd : int;
-  mutable retransmissions : int;
-  mutable bytes_sent : int;
-  mutable bytes_received : int;
   (* A restored copy is live by definition; the source side is detached. *)
   mutable destroyed : bool; (* nkscope: volatile *)
 }
@@ -130,12 +127,6 @@ let can_send_state t =
     -> false
 
 let writable t = can_send_state t && sndbuf_available t > 0
-
-let cwnd t = t.cc.Cc.cwnd ()
-
-let retransmissions t = t.retransmissions
-let bytes_sent t = t.bytes_sent
-let bytes_received t = t.bytes_received
 
 let rwnd_available t =
   let reasm_held = match t.reasm with None -> 0 | Some r -> Reassembly.ooo_bytes r in
@@ -185,7 +176,6 @@ let emit_segment t ~seq ~len ~syn ~fin =
     Segment.make ~flow:t.flow ~seq ~ack:(rcv_nxt t) ~syn ~ack_flag ~fin ~window ~len
       ~ts:(t.act.now ()) ~ts_echo:t.peer_ts ()
   in
-  if len > 0 then t.bytes_sent <- t.bytes_sent + len;
   t.act.emit seg
 
 let emit_ack t = emit_segment t ~seq:t.snd_nxt ~len:0 ~syn:false ~fin:false
@@ -205,7 +195,6 @@ and on_rto t =
   | None -> ()
   | Some item ->
       item.retx <- item.retx + 1;
-      t.retransmissions <- t.retransmissions + 1;
       let too_many =
         if item.syn then item.retx > t.cfg.max_syn_retx else item.retx > t.cfg.max_data_retx
       in
@@ -331,9 +320,6 @@ let base ~flow ~cfg ~act ~cc ~write_fifo ~read_fifo ~state ~iss =
     eof_delivered = false;
     peer_ts = -1.0;
     last_adv_wnd = 0;
-    retransmissions = 0;
-    bytes_sent = 0;
-    bytes_received = 0;
     destroyed = false;
   }
 
@@ -392,7 +378,6 @@ let retransmit_head t =
   match Queue.peek_opt t.retxq with
   | None -> ()
   | Some item ->
-      t.retransmissions <- t.retransmissions + 1;
       let len = Int.min item.len t.cfg.gso in
       emit_segment t ~seq:item.seq ~len ~syn:item.syn ~fin:(item.fin && item.len = 0)
 
@@ -456,7 +441,6 @@ let process_payload t (seg : Segment.t) =
       in
       if off.Reassembly.released > 0 then begin
         t.recv_ready <- t.recv_ready + off.Reassembly.released;
-        t.bytes_received <- t.bytes_received + off.Reassembly.released;
         (* Receive autotuning: under buffer pressure, grow towards the
            ceiling so a slow-draining receiver does not strangle the
            sender's chunk sizes (Linux tcp_moderate_rcvbuf). *)
@@ -645,9 +629,6 @@ module Snapshot = struct
     s_eof_delivered : bool;
     s_peer_ts : float;
     s_last_adv_wnd : int;
-    s_retransmissions : int;
-    s_bytes_sent : int;
-    s_bytes_received : int;
   }
 
   type t = full
@@ -689,9 +670,6 @@ let snapshot t =
     s_eof_delivered = t.eof_delivered;
     s_peer_ts = t.peer_ts;
     s_last_adv_wnd = t.last_adv_wnd;
-    s_retransmissions = t.retransmissions;
-    s_bytes_sent = t.bytes_sent;
-    s_bytes_received = t.bytes_received;
   }
 
 (* Quiet detach for the source side of a migration: stop all timers and
@@ -746,9 +724,6 @@ let restore ~act ~cc ~channel ~role (s : Snapshot.t) =
       eof_delivered = s.Snapshot.s_eof_delivered;
       peer_ts = s.Snapshot.s_peer_ts;
       last_adv_wnd = s.Snapshot.s_last_adv_wnd;
-      retransmissions = s.Snapshot.s_retransmissions;
-      bytes_sent = s.Snapshot.s_bytes_sent;
-      bytes_received = s.Snapshot.s_bytes_received;
       destroyed = false;
     }
   in

@@ -149,9 +149,6 @@ module Snapshot : sig
     s_eof_delivered : bool;
     s_peer_ts : float;
     s_last_adv_wnd : int;
-    s_retransmissions : int;
-    s_bytes_sent : int;
-    s_bytes_received : int;
   }
 
   type t = full
@@ -194,13 +191,3 @@ val eof_pending : t -> bool
 val sndbuf_available : t -> int
 
 val writable : t -> bool
-
-val inflight : t -> int
-
-val cwnd : t -> int
-
-val retransmissions : t -> int
-
-val bytes_sent : t -> int
-
-val bytes_received : t -> int

@@ -33,10 +33,5 @@ val listener_on_group :
 
 
 
-val export_conn : Stack_ops.conn -> (Stack_ops.export, Types.err) result
-(** Quietly detach the connection from whichever stack owns it and return
-    the serialized state ({!Stack.export_conn}); works for any TCP backend
-    because the handle carries its shard. *)
-
 val unpack_export : Stack_ops.export -> (Stack.export, Types.err) result
 (** [Einval] unless the payload is {!Tcp_state}. *)

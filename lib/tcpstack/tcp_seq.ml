@@ -19,5 +19,3 @@ let gt a b = diff a b > 0
 let geq a b = diff a b >= 0
 
 let between ~low ~x ~high = leq low x && lt x high
-
-let max a b = if geq a b then a else b

@@ -23,6 +23,3 @@ val geq : int -> int -> bool
 
 val between : low:int -> x:int -> high:int -> bool
 (** [between ~low ~x ~high] iff [low <= x < high] in sequence space. *)
-
-val max : int -> int -> int
-(** The later of two sequence numbers. *)

@@ -1,4 +1,4 @@
-(* Fixture coverage for the nklint static analyzer (tools/nklint): one
+(* Fixture coverage for nklint's syntactic pass (tools/nklint): one
    minimal snippet per rule asserting it fires exactly where expected and
    stays silent on the sanctioned replacement idiom — plus a whole-system
    determinism regression: the CoreEngine connection table must dump
@@ -6,7 +6,7 @@
    exist to protect). *)
 
 open Nkcore
-module L = Nklint_rules
+module L = Nklint.Syntactic
 module Types = Tcpstack.Types
 
 let lint ?(path = "lib/fixture.ml") src = L.lint_source ~path src
@@ -228,6 +228,81 @@ let s1_span_pairing () =
   Alcotest.(check (pair int int)) "non-literal stage ignored" (0, 0)
     (List.length b3, List.length e3)
 
+(* ---- P2: the queue-set protocol lives in one place --------------------- *)
+
+let p2_one_place () =
+  let hash = "let pin key n = key * 2654435761 land max_int mod n" in
+  check_diags "hash multiplier pasted into GuestLib" ~path:"lib/core/guestlib.ml"
+    [ ("P2", 1) ] hash;
+  check_diags "hash multiplier at its owner" ~path:"lib/core/nk_device.ml" [] hash;
+  check_diags "P2 checks lib/ only" ~path:"test/fixture.ml" [] hash;
+  let drain = "let f s b = Queue_set.drain_into s ~toward:`Nsm b ~budget:8 ~shared:true" in
+  check_diags "drain_into called from CoreEngine" ~path:"lib/core/coreengine.ml"
+    [ ("P2", 1) ] drain;
+  check_diags "drain_into at its owner" ~path:"lib/core/nk_device.ml" [] drain;
+  let of_op =
+    "let ring = function\n\
+    \  | Nqe.Send -> `Send\n\
+    \  | Nqe.Socket | Nqe.Close -> `Job\n\
+    \  | _ -> `Completion\n"
+  in
+  check_diags "op-to-ring map pasted into ServiceLib" ~path:"lib/core/servicelib.ml"
+    [ ("P2", 2); ("P2", 3) ]
+    of_op;
+  check_diags "op-to-ring map at its owner" ~path:"lib/core/queue_set.ml" [] of_op
+
+(* ---- X1: exports nothing else uses -------------------------------------- *)
+
+let x1 files =
+  List.filter_map
+    (fun d -> if d.L.rule = "X1" then Some (d.L.file, d.L.line) else None)
+    (L.lint_sources files)
+
+let counter =
+  [
+    ("lib/a/counter.mli", "val create : unit -> int\n\nval dead : int -> int\n");
+    ("lib/a/counter.ml", "let create () = 0\nlet dead x = x\n");
+  ]
+
+let x1_dead_exports () =
+  let check what expected users =
+    Alcotest.(check (list (pair string int))) what expected (x1 (counter @ users))
+  in
+  let both = [ ("lib/a/counter.mli", 1); ("lib/a/counter.mli", 3) ] in
+  let dead = [ ("lib/a/counter.mli", 3) ] in
+  check "no outside user: X1 at each val line" both [];
+  check "qualified use in another file" dead
+    [ ("bin/main.ml", "let n = Counter.create ()") ];
+  check "use through the library path" dead
+    [ ("bin/main.ml", "let n = Nkutil.Counter.create ()") ];
+  check "use through module X = P" dead
+    [ ("lib/b/user.ml", "module C = Nkutil.Counter\nlet n = C.create ()") ];
+  check "use through let module X = P in" dead
+    [ ("lib/b/user.ml", "let n = let module C = Counter in C.create ()") ];
+  check "functor argument uses the module whole" []
+    [ ("lib/b/user.ml", "module S = Set.Make (Counter)") ];
+  check "include uses the module whole" [] [ ("lib/b/user.ml", "include Counter") ];
+  check "first-class pack uses the module whole" []
+    [ ("lib/b/user.ml", "let m = (module Counter : S)") ];
+  check "use from test/" dead [ ("test/test_counter.ml", "let n = Counter.create ()") ];
+  check "use from perfbench/" dead [ ("perfbench/main.ml", "let n = Counter.create ()") ];
+  check "a bare name after open is not seen" both
+    [ ("bin/main.ml", "open Counter\nlet n = create ()") ];
+  Alcotest.(check (list (pair string int)))
+    "interfaces outside lib/ are not checked" []
+    (x1 [ ("bin/tool.mli", "val run : unit -> unit"); ("bin/tool.ml", "let run () = ()") ]);
+  (* A submodule's values are keyed by the submodule; a use inside the
+     module's own .ml does not count. *)
+  Alcotest.(check (list (pair string int)))
+    "a use in the module's own .ml does not count"
+    [ ("lib/core/nqe.mli", 2) ]
+    (x1
+       [
+         ("lib/core/nqe.mli", "module View : sig\n  val qset : bytes -> int\nend\n");
+         ( "lib/core/nqe.ml",
+           "module View = struct let qset = Bytes.length end\nlet q b = View.qset b\n" );
+       ])
+
 (* ---- whole-system determinism regression ------------------------------ *)
 
 let conn_dump_once ~seed =
@@ -284,5 +359,7 @@ let tests =
     Alcotest.test_case "W1 stale waivers" `Quick w1_stale_waivers;
     Alcotest.test_case "JSON output" `Quick json_format;
     Alcotest.test_case "S1 span stage pairing" `Quick s1_span_pairing;
+    Alcotest.test_case "P2 queue-set protocol in one place" `Quick p2_one_place;
+    Alcotest.test_case "X1 dead exports" `Quick x1_dead_exports;
     Alcotest.test_case "conn-table dump determinism" `Quick conn_table_dump_deterministic;
   ]

@@ -1,10 +1,10 @@
-(* Fixture coverage for the nkscope typedtree analyzer (tools/nkscope).
+(* Fixture coverage for nklint's typedtree pass (tools/nklint/typed.ml).
    Each fixture is typed in-process (Parse -> Typemod against the real
-   stdlib env) and fed to [Nkscope_core.unit_of_structure]/[analyze], so
-   the tests exercise exactly the pipeline the @lint rule runs over the
+   stdlib env) and fed to [Typed.unit_of_structure]/[analyze], so the
+   tests exercise exactly the pipeline the @lint rule runs over the
    build's .cmt files — minus only the cmt (de)serialization. *)
 
-module S = Nkscope_core
+module S = Nklint.Typed
 
 let init =
   lazy
@@ -157,6 +157,22 @@ let w1_stale_and_unknown () =
   check_diags "token inside a string literal is fixture text, not a waiver" []
     "let s = \"(* nkscope: volatile *)\"\n"
 
+let w1_once_across_passes () =
+  (* Both passes report an unknown [nkscope:] token in lib/; the analyzer's
+     report carries it once. *)
+  let path = "lib/fix.ml" and src = "(* nkscope: volatil *)\nlet f x = x + 1\n" in
+  let syntactic = Nklint.Syntactic.lint_sources [ (path, src) ] in
+  let typed =
+    S.analyze [ S.unit_of_structure ~file:path ~src ~name:"Fix" (typecheck ~path src) ]
+  in
+  let rules diags = List.map (fun d -> (d.S.rule, d.S.line)) diags in
+  let check what diags =
+    Alcotest.(check (list (pair string int))) what [ ("W1", 1) ] (rules diags)
+  in
+  check "syntactic pass" syntactic;
+  check "typedtree pass" typed;
+  check "one W1 in the merged report" (S.merge [ syntactic; typed ])
+
 (* ---- JSON output ------------------------------------------------------- *)
 
 let json_format () =
@@ -181,5 +197,6 @@ let tests =
     Alcotest.test_case "m1-volatile-waiver" `Quick m1_volatile_waiver;
     Alcotest.test_case "m1-export-import" `Quick m1_export_import;
     Alcotest.test_case "w1-stale-and-unknown" `Quick w1_stale_and_unknown;
+    Alcotest.test_case "w1-once-across-passes" `Quick w1_once_across_passes;
     Alcotest.test_case "json-format" `Quick json_format;
   ]

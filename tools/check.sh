@@ -7,10 +7,11 @@ set -e
 cd "$(dirname "$0")/.."
 dune build
 dune runtest
-# @lint runs nklint (syntactic, DESIGN.md §10) over lib/ bin/ bench/ test/,
-# then nkscope (typedtree interprocedural, DESIGN.md §15) over the .cmt
-# artifacts `dune build` just produced — the lint rule depends on the
-# default alias with sandboxing off, so nkscope never recompiles the tree.
+# @lint runs nklint once: its syntactic pass (DESIGN.md §10) over every
+# .ml/.mli under lib/ bin/ bench/ test/ examples/ perfbench/, and its
+# typedtree pass (DESIGN.md §15) over the lib/ .cmt files `dune build` just
+# produced — the lint rule depends on the default alias with sandboxing
+# off, so it never recompiles the tree.
 dune build @lint
 # Microbenchmark smoke: run the Bechamel suite once so a broken case (an
 # NQE that is not switched, a full hugepage region, a decode error) fails

@@ -1,19 +1,28 @@
-(* nklint CLI: [nklint [--format text|json] PATH...] lints every .ml/.mli
-   under the given files or directories and exits nonzero if any diagnostic
+(* nklint CLI: [nklint [--format text|json] PATH...] runs both passes over
+   the given files or directories — the syntactic pass over every .ml/.mli,
+   the typedtree pass over the lib/ .cmt files the main build leaves in
+   dune's hidden object directories — and exits nonzero if any diagnostic
    fires. Wired into the build as [dune build @lint] (see the root dune
    file) and tools/check.sh. *)
 
-let rec walk path acc =
+open Nklint
+
+(* (sources, cmts) under [path]: .ml/.mli outside hidden directories, and
+   lib/ .cmt files (dune keeps them in hidden object directories). *)
+let rec walk ~hidden path ((srcs, cmts) as acc) =
   if Sys.is_directory path then
     Sys.readdir path |> Array.to_list
     |> List.sort String.compare
     |> List.fold_left
          (fun acc name ->
-           if name = "_build" || (String.length name > 0 && name.[0] = '.') then acc
-           else walk (Filename.concat path name) acc)
+           if name = "_build" then acc
+           else walk ~hidden:(hidden || name.[0] = '.') (Filename.concat path name) acc)
          acc
+  else if Filename.check_suffix path ".cmt" then
+    if Common.in_lib path then (srcs, path :: cmts) else acc
+  else if hidden then acc
   else if Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli" then
-    path :: acc
+    (path :: srcs, cmts)
   else acc
 
 let usage () =
@@ -37,24 +46,15 @@ let () =
         parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let roots = List.rev !roots in
-  if roots = [] then usage ();
-  let files = List.rev (List.fold_left (fun acc r -> walk r acc) [] roots) in
-  let per_file = List.concat_map Nklint_rules.lint_file files in
-  (* S1 aggregates across every lib/ file in this invocation: the opener and
-     closer of a span stage live in different components by design. *)
-  let begins, ends =
-    List.fold_left
-      (fun (bs, es) f ->
-        let b, e = Nklint_rules.stage_uses_file f in
-        (bs @ b, es @ e))
-      ([], []) files
-  in
-  let diags = per_file @ Nklint_rules.span_pairing ~begins ~ends in
+  if !roots = [] then usage ();
+  let srcs, cmts = List.fold_left (fun acc r -> walk ~hidden:false r acc) ([], []) !roots in
+  let sources = List.map (fun p -> (p, Common.read_file p)) srcs in
+  let units = List.filter_map Typed.unit_of_cmt cmts in
+  let diags = Common.merge [ Syntactic.lint_sources sources; Typed.analyze units ] in
   (match !format with
-  | `Text -> List.iter (fun d -> print_endline (Nklint_rules.to_string d)) diags
-  | `Json -> print_endline (Nklint_rules.to_json_array diags));
-  Printf.eprintf "nklint: %d files checked, %d diagnostic%s\n%!" (List.length files)
-    (List.length diags)
+  | `Text -> List.iter (fun d -> print_endline (Common.to_string d)) diags
+  | `Json -> print_endline (Common.to_json_array diags));
+  Printf.eprintf "nklint: %d files and %d units checked, %d diagnostic%s\n%!"
+    (List.length sources) (List.length units) (List.length diags)
     (if List.length diags = 1 then "" else "s");
   exit (if diags = [] then 0 else 1)

@@ -1,4 +1,4 @@
-(* nklint — NetKernel's repo-specific static analysis (DESIGN.md §10).
+(* nklint's syntactic pass (DESIGN.md §10).
 
    Walks OCaml parsetrees (compiler-libs [Ast_iterator], no ppx) and
    enforces the determinism and invariant discipline the reproduction's
@@ -12,192 +12,39 @@
        monomorphic [Int.compare]/[Float.compare]/... (polymorphic compare
        on non-immediate types walks structure, and on custom types orders
        by declaration accident);
-   D4  no [Obj.magic]; no exception-swallowing [try ... with _ ->] outside
-       the allowlist below (waivers: magic-ok / swallow-ok);
+   D4  no [Obj.magic]; no exception-swallowing [try ... with _ ->]
+       (waivers: magic-ok / swallow-ok);
    P1  NQE wire-protocol invariants in lib/core/nqe.ml: the declared
        [size_bytes] must equal the encoder's written span, every opcode
        constructor must appear in both the encode and decode match sites,
        and encode must assign distinct byte values;
+   P2  the queue-set protocol lives in one place: outside nk_device.ml no
+       lib/ file holds the queue-set hash multiplier or calls
+       [Queue_set.drain_into], and outside queue_set.ml no match case maps
+       an NQE op constructor to a ring;
    H1  no full [Nqe.decode]/[Nqe.decode_from] in the lib/core hot-path
        modules (the datapath reads fields through the zero-allocation
        [Nqe.View] accessors; a deliberate full decode — e.g. an endpoint
        apply loop that needs the whole record — is waived with
        (* nklint: decode-ok *));
+   S1  every span stage a lib/ file opens is closed somewhere under lib/;
+   X1  every value a lib/ .mli exports has a user outside its own module;
    W1  no rotten waivers: a waiver comment that suppresses zero diagnostics
-       in its .ml file, an unknown [nklint:]/[nkscope:] token, or a nkscope
-       token outside the lib/ tree nkscope analyzes, is itself reported.
-       Tokens quoted inside string literals (the lint test fixtures) are
-       exempt; .mli files are skipped (no rule fires on interfaces, so a
-       doc-comment mention of a token is not a waiver).
+       in its .ml file, an unknown [nklint:]/[nkscope:] token, or a
+       [nkscope:] token outside the lib/ tree the typedtree pass analyzes,
+       is itself reported. Tokens quoted inside string literals (the lint
+       test fixtures) are exempt; .mli files are skipped (no waivable rule
+       fires on interfaces, so a doc-comment mention of a token is not a
+       waiver).
 
-   The analysis is purely syntactic (parsetree, not typedtree): it can be
-   fooled by module aliasing or shadowing, which is acceptable — the rules
-   target idioms this codebase actually uses, and the waiver comments are
-   the escape hatch for deliberate exceptions. *)
+   S1 and X1 aggregate over every file of one invocation; the rest look at
+   one file at a time. The analysis is purely syntactic: it can be fooled
+   by shadowing, which is acceptable — the rules target idioms this
+   codebase actually uses, and the waiver comments are the escape hatch
+   for deliberate exceptions. *)
 
 open Parsetree
-
-type diag = { file : string; line : int; col : int; rule : string; msg : string }
-
-let to_string d = Printf.sprintf "%s:%d: %s: %s" d.file d.line d.rule d.msg
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let to_json d =
-  Printf.sprintf "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"rule\":\"%s\",\"msg\":\"%s\"}"
-    (json_escape d.file) d.line d.col (json_escape d.rule) (json_escape d.msg)
-
-let to_json_array diags = "[" ^ String.concat ",\n " (List.map to_json diags) ^ "]"
-
-let compare_diag a b =
-  let c = String.compare a.file b.file in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.line b.line in
-    if c <> 0 then c else Int.compare a.col b.col
-
-(* D4 sites allowed without an inline waiver: (path suffix, rule) pairs.
-   Empty on main — the historical Obj.magic in nkutil/heap.ml was fixed for
-   real (caller-supplied dummy element), not allowlisted. *)
-let d4_allowlist : (string * string) list = []
-
-let allowlisted ~path rule =
-  List.exists
-    (fun (suffix, r) -> r = rule && Filename.check_suffix path suffix)
-    d4_allowlist
-
-(* Waiver comments. A waiver on line N covers diagnostics on lines N and
-   N+1, so it can sit on its own line above the flagged expression or at
-   the end of the same line. (The scan is textual; a waiver token inside a
-   string literal would also count — don't do that.) *)
-let waiver_tokens =
-  [
-    ("nklint: ordered-ok", "D2");
-    ("nklint: magic-ok", "D4");
-    ("nklint: swallow-ok", "D4");
-    ("nklint: decode-ok", "H1");
-  ]
-
-let contains ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
-  m = 0 || at 0
-
-let in_lib path =
-  String.length path >= 4 && String.sub path 0 4 = "lib/" || contains ~sub:"/lib/" path
-
-(* nkscope (tools/nkscope) owns these tokens inside lib/ .ml files; nklint
-   only polices them where nkscope never looks (W1 below). *)
-let nkscope_tokens = [ "volatile"; "ce-owner"; "nondet-ok" ]
-
-(* The word following [marker] on [line] ("ordered-ok" after "nklint:"), or
-   None when the marker is absent. *)
-let token_word line marker =
-  let n = String.length line and m = String.length marker in
-  let rec find i =
-    if i + m > n then None
-    else if String.sub line i m = marker then Some (i + m)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some i ->
-      let i = ref i in
-      while !i < n && line.[!i] = ' ' do
-        incr i
-      done;
-      let j = ref !i in
-      while
-        !j < n
-        &&
-        match line.[!j] with
-        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' -> true
-        | _ -> false
-      do
-        incr j
-      done;
-      Some (String.sub line !i (!j - !i))
-
-type waiver = { w_line : int; w_rule : string; w_token : string; mutable w_used : bool }
-
-let scan_waivers ~path ~strlit src =
-  (* (waiver records for known nklint tokens, W1 diags for tokens that can
-     never suppress anything: unknown nklint tokens, and nkscope tokens
-     outside the lib/ .ml files nkscope analyzes). Lines inside
-     waiver-bearing string literals are fixture text, not waivers. *)
-  let in_strlit line = List.exists (fun (a, b) -> line >= a && line <= b) strlit in
-  let waivers = ref [] and w1 = ref [] in
-  let add_w1 line msg =
-    w1 := { file = path; line; col = 0; rule = "W1"; msg } :: !w1
-  in
-  List.iteri
-    (fun i line ->
-      let lnum = i + 1 in
-      if not (in_strlit lnum) then (
-        (match token_word line "nklint:" with
-        | None | Some "" -> ()
-        | Some word ->
-            let token = "nklint: " ^ word in
-            (match List.assoc_opt token waiver_tokens with
-            | Some rule ->
-                waivers :=
-                  { w_line = lnum; w_rule = rule; w_token = token; w_used = false }
-                  :: !waivers
-            | None -> add_w1 lnum (Printf.sprintf "unknown nklint waiver token %S" token)));
-        match token_word line "nkscope:" with
-        | None | Some "" -> ()
-        | Some word ->
-            let token = "nkscope: " ^ word in
-            if not (List.mem word nkscope_tokens) then
-              add_w1 lnum (Printf.sprintf "unknown nkscope waiver token %S" token)
-            else if not (in_lib path) then
-              add_w1 lnum
-                (Printf.sprintf
-                   "%S has no effect here — nkscope only analyzes .ml files under lib/"
-                   token)))
-    (String.split_on_char '\n' src);
-  (List.rev !waivers, List.rev !w1)
-
-(* Line ranges of string literals that carry waiver-like tokens — the lint
-   test fixtures quote whole waived programs, and those quoted tokens are
-   not waivers of anything in the quoting file. *)
-let waiver_string_literal_lines ast =
-  let ranges = ref [] in
-  let default = Ast_iterator.default_iterator in
-  let record (loc : Location.t) s =
-    if contains ~sub:"nklint:" s || contains ~sub:"nkscope:" s then
-      ranges :=
-        (loc.Location.loc_start.Lexing.pos_lnum, loc.Location.loc_end.Lexing.pos_lnum)
-        :: !ranges
-  in
-  let expr self e =
-    (match e.pexp_desc with
-    | Pexp_constant (Pconst_string (s, _, _)) -> record e.pexp_loc s
-    | _ -> ());
-    default.expr self e
-  in
-  let pat self p =
-    (match p.ppat_desc with
-    | Ppat_constant (Pconst_string (s, _, _)) -> record p.ppat_loc s
-    | _ -> ());
-    default.pat self p
-  in
-  let it = { default with expr; pat } in
-  it.structure it ast;
-  !ranges
+include Common
 
 (* The lib/core modules on the per-NQE datapath, where a full record decode
    is wall-clock the whole simulation pays millions of times. *)
@@ -210,12 +57,28 @@ let hot_path_modules =
 let in_hot_path path =
   contains ~sub:"core/" path && List.mem (Filename.basename path) hot_path_modules
 
-(* ---- expression-level rules (D1–D4) ---------------------------------- *)
+let rec last = function [] -> None | [ x ] -> Some x | _ :: tl -> last tl
 
-let loc_line (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
+(* The last two components of a path: the (module, value) X1 and P2 match
+   on. *)
+let rec last2 = function [ m; x ] -> Some (m, x) | _ :: tl -> last2 tl | [] -> None
 
-let loc_col (loc : Location.t) =
-  loc.Location.loc_start.Lexing.pos_cnum - loc.Location.loc_start.Lexing.pos_bol
+(* ---- expression-level rules (D1–D4, H1, P2) ---------------------------- *)
+
+(* P2: Queue_set.of_op's shape, a case mapping NQE op constructors to a
+   ring. *)
+let rec op_constructors p =
+  match p.ppat_desc with
+  | Ppat_construct ({ txt; _ }, None) -> (
+      match last2 (Longident.flatten txt) with Some (m, _) -> m = "Nqe" | None -> true)
+  | Ppat_or (a, b) -> op_constructors a && op_constructors b
+  | _ -> false
+
+let maps_op_to_ring c =
+  (match c.pc_rhs.pexp_desc with
+  | Pexp_variant (("Job" | "Completion" | "Send" | "Receive"), None) -> true
+  | _ -> false)
+  && op_constructors c.pc_lhs
 
 let expr_rules ~path ast =
   let diags = ref [] in
@@ -223,6 +86,7 @@ let expr_rules ~path ast =
     diags := { file = path; line = loc_line loc; col = loc_col loc; rule; msg } :: !diags
   in
   let lib = in_lib path in
+  let outside owner = lib && Filename.basename path <> owner in
   (* Locations of idents in function-head position: [compare a b] is a
      direct (monomorphized-at-use) call and is not what D3 flags; the bare
      value [List.sort compare] is. *)
@@ -252,10 +116,9 @@ let expr_rules ~path ast =
           "bare polymorphic compare passed as a function — use Int.compare / \
            Float.compare / String.compare or a purpose-built comparator"
     | [ "Obj"; "magic" ] | [ "Stdlib"; "Obj"; "magic" ] ->
-        if not (allowlisted ~path "D4") then
-          add loc "D4"
-            "Obj.magic defeats the type system (and corrupts flat-float-array \
-             payloads) — store a typed dummy/option instead"
+        add loc "D4"
+          "Obj.magic defeats the type system (and corrupts flat-float-array \
+           payloads) — store a typed dummy/option instead"
     | [ "Nqe"; (("decode" | "decode_from") as f) ] when in_hot_path path ->
         add loc "H1"
           (Printf.sprintf
@@ -263,7 +126,20 @@ let expr_rules ~path ast =
               fields through Nqe.View, or waive a deliberate full decode with \
               (* nklint: decode-ok *)"
              f)
+    | l when outside "nk_device.ml" && last2 l = Some ("Queue_set", "drain_into") ->
+        add loc "P2"
+          "Queue_set.drain_into outside nk_device.ml — poll through Nk_device.serve \
+           or Nk_device.drain"
     | _ -> ()
+  in
+  let check_cases cases =
+    if outside "queue_set.ml" then
+      List.iter
+        (fun c ->
+          if maps_op_to_ring c then
+            add c.pc_lhs.ppat_loc "P2"
+              "maps an NQE op to its ring outside queue_set.ml — use Queue_set.of_op")
+        cases
   in
   let default = Ast_iterator.default_iterator in
   let expr self e =
@@ -277,13 +153,19 @@ let expr_rules ~path ast =
         List.iter
           (fun c ->
             match c.pc_lhs.ppat_desc with
-            | Ppat_any when not (allowlisted ~path "D4") ->
+            | Ppat_any ->
                 add c.pc_lhs.ppat_loc "D4"
                   "try ... with _ -> swallows every exception (including \
                    Stack_overflow and Assert_failure) — match the specific \
                    exceptions, or waive with (* nklint: swallow-ok *)"
             | _ -> ())
           cases
+    | Pexp_match (_, cases) | Pexp_function cases -> check_cases cases
+    | Pexp_constant (Pconst_integer (s, None))
+      when outside "nk_device.ml" && int_of_string_opt s = Some 2654435761 ->
+        add e.pexp_loc "P2"
+          "the queue-set hash multiplier outside nk_device.ml — pin a key to its \
+           queue set with Nk_device.hash_qset"
     | _ -> ());
     default.expr self e
   in
@@ -292,8 +174,6 @@ let expr_rules ~path ast =
   !diags
 
 (* ---- P1: NQE wire-protocol invariants --------------------------------- *)
-
-let rec last = function [] -> None | [ x ] -> Some x | _ :: tl -> last tl
 
 (* Body of [let f = function ... ] or [let f x = match x with ...]. *)
 let fn_cases e =
@@ -484,76 +364,170 @@ let nqe_rules ~path ast =
                  "encoder writes a %d-byte span but size_bytes declares %d" span declared)));
   !diags
 
-(* ---- driver ------------------------------------------------------------ *)
+(* ---- what one file contributes ----------------------------------------- *)
 
-let parse_structure ~path src =
+type stage_use = { su_file : string; su_line : int; su_stage : string }
+
+type facts = {
+  f_path : string;
+  f_diags : diag list; (* per-file rules, waivers applied *)
+  f_begins : stage_use list; (* [begin_stage] literals *)
+  f_ends : stage_use list; (* [end_stage] literals *)
+  f_exports : (string * string * Location.t) list; (* (module, value) of a lib/ .mli *)
+  f_uses : string list list; (* value paths, module aliases expanded *)
+  f_whole : string list; (* modules used whole: include, functor argument, pack *)
+}
+
+let facts_of path =
+  {
+    f_path = path;
+    f_diags = [];
+    f_begins = [];
+    f_ends = [];
+    f_exports = [];
+    f_uses = [];
+    f_whole = [];
+  }
+
+let syntax_error path =
+  { (facts_of path) with
+    f_diags = [ { file = path; line = 1; col = 0; rule = "parse"; msg = "syntax error" } ] }
+
+let lexbuf ~path src =
   let lexbuf = Lexing.from_string src in
   Lexing.set_filename lexbuf path;
-  Parse.implementation lexbuf
+  lexbuf
 
-let lint_source ~path src =
+(* Every [val] of an interface, with the module it sits in: the unit for a
+   top-level [val], the submodule for one inside [module M : sig ... end]. *)
+let exports_of_signature ~path sg =
+  let rec items m sg =
+    List.concat_map
+      (fun item ->
+        match item.psig_desc with
+        | Psig_value vd -> [ (m, vd.pval_name.Asttypes.txt, vd.pval_loc) ]
+        | Psig_module
+            {
+              pmd_name = { txt = Some sub; _ };
+              pmd_type = { pmty_desc = Pmty_signature s; _ };
+              _;
+            } ->
+            items sub s
+        | _ -> [])
+      sg
+  in
+  items (String.capitalize_ascii (Filename.remove_extension (Filename.basename path))) sg
+
+(* Stage literals, waiver-bearing string literals, value paths and
+   whole-module uses of one implementation, in one walk. *)
+let scan_structure ~path ast =
+  let begins = ref [] and ends = ref [] and strlit = ref [] in
+  let uses = ref [] and whole = ref [] and aliases = ref [] in
+  let default = Ast_iterator.default_iterator in
+  let stage_arg fn (label, arg) =
+    match (label, arg.pexp_desc) with
+    | Asttypes.Nolabel, Pexp_constant (Pconst_string (s, _, _)) ->
+        let use = { su_file = path; su_line = loc_line arg.pexp_loc; su_stage = s } in
+        if fn = "begin_stage" then begins := use :: !begins else ends := use :: !ends
+    | _ -> ()
+  in
+  let expr self e =
+    match e.pexp_desc with
+    | Pexp_letmodule ({ txt = Some x; _ }, { pmod_desc = Pmod_ident p; _ }, body) ->
+        aliases := (x, Longident.flatten p.txt) :: !aliases;
+        self.Ast_iterator.expr self body
+    | _ ->
+        (match e.pexp_desc with
+        | Pexp_ident { txt; _ } -> uses := Longident.flatten txt :: !uses
+        | Pexp_constant (Pconst_string (s, _, _)) ->
+            Option.iter (fun r -> strlit := r :: !strlit) (waiver_literal e.pexp_loc s)
+        | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> (
+            match last (Longident.flatten txt) with
+            | Some (("begin_stage" | "end_stage") as fn) -> List.iter (stage_arg fn) args
+            | _ -> ())
+        | _ -> ());
+        default.expr self e
+  in
+  let pat self p =
+    (match p.ppat_desc with
+    | Ppat_constant (Pconst_string (s, _, _)) ->
+        Option.iter (fun r -> strlit := r :: !strlit) (waiver_literal p.ppat_loc s)
+    | _ -> ());
+    default.pat self p
+  in
+  let structure_item self item =
+    match item.pstr_desc with
+    | Pstr_module
+        { pmb_name = { txt = Some x; _ }; pmb_expr = { pmod_desc = Pmod_ident p; _ }; _ } ->
+        aliases := (x, Longident.flatten p.txt) :: !aliases
+    | _ -> default.structure_item self item
+  in
+  let module_expr self me =
+    (match me.pmod_desc with
+    | Pmod_ident p -> whole := Longident.flatten p.txt :: !whole
+    | _ -> ());
+    default.module_expr self me
+  in
+  (* [open M] brings names into scope without using them: not a use. *)
+  let open_declaration self od =
+    match od.popen_expr.pmod_desc with
+    | Pmod_ident _ -> ()
+    | _ -> default.open_declaration self od
+  in
+  let it = { default with expr; pat; structure_item; module_expr; open_declaration } in
+  it.structure it ast;
+  (* Expand aliases at the head of each path until none applies; each alias
+     at most once, so [module M = M.Sub] terminates. *)
+  let rec expand seen comps =
+    match comps with
+    | hd :: tl when not (List.mem hd seen) -> (
+        match List.assoc_opt hd !aliases with
+        | Some target -> expand (hd :: seen) (target @ tl)
+        | None -> comps)
+    | _ -> comps
+  in
+  ( List.rev !begins,
+    List.rev !ends,
+    !strlit,
+    List.rev_map (expand []) !uses,
+    List.filter_map (fun comps -> last (expand [] comps)) !whole )
+
+let analyze_source ~path src =
   if Filename.check_suffix path ".mli" then
-    (* Interfaces carry no expressions the rules apply to; parse them only
-       so a syntactically broken .mli still surfaces here. *)
-    match
-      let lexbuf = Lexing.from_string src in
-      Lexing.set_filename lexbuf path;
-      ignore (Parse.interface lexbuf)
-    with
-    | () -> []
-    | exception _ ->
-        [ { file = path; line = 1; col = 0; rule = "parse"; msg = "syntax error" } ]
+    match Parse.interface (lexbuf ~path src) with
+    | exception _ -> syntax_error path
+    | sg when in_lib path ->
+        { (facts_of path) with f_exports = exports_of_signature ~path sg }
+    | _ -> facts_of path
   else
-    match parse_structure ~path src with
-    | exception _ ->
-        [ { file = path; line = 1; col = 0; rule = "parse"; msg = "syntax error" } ]
+    match Parse.implementation (lexbuf ~path src) with
+    | exception _ -> syntax_error path
     | ast ->
-        let diags =
-          expr_rules ~path ast
-          @ (if Filename.basename path = "nqe.ml" && in_lib path then nqe_rules ~path ast
-             else [])
+        let f_begins, f_ends, strlit, f_uses, f_whole = scan_structure ~path ast in
+        let codec = Filename.basename path = "nqe.ml" && in_lib path in
+        let diags = expr_rules ~path ast @ if codec then nqe_rules ~path ast else [] in
+        let waivers, w1 = scan_waivers ~prefix:"nklint" ~file:path ~strlit src in
+        (* [nkscope:] tokens are the typedtree pass's, and it reads lib/ only. *)
+        let scoped, w1_scoped = scan_waivers ~prefix:"nkscope" ~file:path ~strlit src in
+        let no_effect w =
+          rotten w "%S has no effect here — nkscope only analyzes .ml files under lib/"
+            w.w_token
         in
-        let strlit = waiver_string_literal_lines ast in
-        let waivers, w1 = scan_waivers ~path ~strlit src in
-        let kept =
-          List.filter
-            (fun d ->
-              let covering =
-                List.filter
-                  (fun w ->
-                    w.w_rule = d.rule && (w.w_line = d.line || w.w_line = d.line - 1))
-                  waivers
-              in
-              List.iter (fun w -> w.w_used <- true) covering;
-              covering = [])
-            diags
-        in
-        let stale =
-          List.filter_map
-            (fun w ->
-              if w.w_used then None
-              else
-                Some
-                  {
-                    file = path;
-                    line = w.w_line;
-                    col = 0;
-                    rule = "W1";
-                    msg =
-                      Printf.sprintf "stale waiver %S suppresses no %s diagnostic"
-                        w.w_token w.w_rule;
-                  })
-            waivers
-        in
-        kept @ w1 @ stale |> List.sort compare_diag
+        let w1 = w1 @ w1_scoped @ if in_lib path then [] else List.map no_effect scoped in
+        {
+          (facts_of path) with
+          f_diags = List.sort compare_diag (apply_waivers waivers diags @ w1);
+          f_begins;
+          f_ends;
+          f_uses;
+          f_whole;
+        }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let lint_source ~path src = (analyze_source ~path src).f_diags
 
-let lint_file path = lint_source ~path (read_file path)
+let stage_uses_of_source ~path src =
+  let f = analyze_source ~path src in
+  (f.f_begins, f.f_ends)
 
 (* ---- S1: span stage begin/end pairing ---------------------------------- *)
 
@@ -561,50 +535,9 @@ let lint_file path = lint_source ~path (read_file path)
    closed by a matching [end_stage] literal somewhere under lib/ — a begun
    stage with no closer anywhere would only ever be closed implicitly (by a
    later begin_stage or by finish), which silently reshapes the latency
-   breakdown. The check is aggregated across the whole invocation (the root
-   [@lint] alias runs one nklint over lib/ bin/ bench/ test/), because the
-   opener and the closer legitimately live in different components:
+   breakdown. The check is aggregated across the whole invocation, because
+   the opener and the closer legitimately live in different components:
    Nk_device opens "ring", GuestLib/CoreEngine/ServiceLib close it. *)
-
-type stage_use = { su_file : string; su_line : int; su_stage : string }
-
-let stage_uses_of_source ~path src =
-  (* ([begin_stage] literals, [end_stage] literals) in the given source;
-     syntactic, like every other rule here. *)
-  match parse_structure ~path src with
-  | exception _ -> ([], [])
-  | ast ->
-      let begins = ref [] and ends = ref [] in
-      let default = Ast_iterator.default_iterator in
-      let expr self e =
-        (match e.pexp_desc with
-        | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> (
-            match last (Longident.flatten txt) with
-            | Some (("begin_stage" | "end_stage") as fn) ->
-                List.iter
-                  (fun (label, arg) ->
-                    match (label, arg.pexp_desc) with
-                    | Asttypes.Nolabel, Pexp_constant (Pconst_string (s, _, _)) ->
-                        let use =
-                          { su_file = path; su_line = loc_line arg.pexp_loc; su_stage = s }
-                        in
-                        if fn = "begin_stage" then begins := use :: !begins
-                        else ends := use :: !ends
-                    | _ -> ())
-                  args
-            | _ -> ())
-        | _ -> ());
-        default.expr self e
-      in
-      let it = { default with expr } in
-      it.structure it ast;
-      (List.rev !begins, List.rev !ends)
-
-let stage_uses_file path =
-  if Filename.check_suffix path ".ml" && in_lib path then
-    stage_uses_of_source ~path (read_file path)
-  else ([], [])
-
 let span_pairing ~begins ~ends =
   (* One diagnostic per unmatched stage literal, anchored at its first use. *)
   let stages uses =
@@ -633,3 +566,60 @@ let span_pairing ~begins ~ends =
   List.sort compare_diag
     (unmatched begins ends "begin_stage" "end_stage"
     @ unmatched ends begins "end_stage" "begin_stage")
+
+(* ---- X1: exports nothing else uses ------------------------------------- *)
+
+(* A [val] in a lib/ .mli is used when an .ml other than the module's own
+   names it by its last two path components (module aliases expanded), or
+   uses its module whole. A bare name after [open] is not seen. *)
+let dead_exports facts =
+  let users = Hashtbl.create 4096 and whole = Hashtbl.create 64 in
+  let note tbl key path =
+    Hashtbl.replace tbl key (path :: Option.value ~default:[] (Hashtbl.find_opt tbl key))
+  in
+  List.iter
+    (fun f ->
+      List.iter (fun c -> Option.iter (fun k -> note users k f.f_path) (last2 c)) f.f_uses;
+      List.iter (fun m -> note whole m f.f_path) f.f_whole)
+    facts;
+  List.concat_map
+    (fun f ->
+      let own = Filename.remove_extension f.f_path ^ ".ml" in
+      let outside tbl key =
+        match Hashtbl.find_opt tbl key with
+        | Some paths -> List.exists (fun p -> p <> own) paths
+        | None -> false
+      in
+      List.filter_map
+        (fun (m, v, loc) ->
+          if outside users (m, v) || outside whole m then None
+          else
+            Some
+              {
+                file = f.f_path;
+                line = loc_line loc;
+                col = loc_col loc;
+                rule = "X1";
+                msg =
+                  Printf.sprintf
+                    "%s.%s is exported but used nowhere outside %s — delete it or drop \
+                     it from the interface"
+                    m v own;
+              })
+        f.f_exports)
+    facts
+
+(* ---- one invocation ---------------------------------------------------- *)
+
+(* The whole syntactic pass over (path, source) pairs: each file's own
+   rules, then S1 over lib/ implementations and X1 over everything. *)
+let lint_sources files =
+  let facts = List.map (fun (path, src) -> analyze_source ~path src) files in
+  let lib_ml =
+    List.filter (fun f -> in_lib f.f_path && Filename.check_suffix f.f_path ".ml") facts
+  in
+  List.concat_map (fun f -> f.f_diags) facts
+  @ span_pairing
+      ~begins:(List.concat_map (fun f -> f.f_begins) lib_ml)
+      ~ends:(List.concat_map (fun f -> f.f_ends) lib_ml)
+  @ dead_exports facts

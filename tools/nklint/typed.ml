@@ -1,8 +1,8 @@
-(* nkscope — typedtree-based interprocedural analyzer (DESIGN.md §15).
+(* nklint's typedtree pass (DESIGN.md §15).
 
-   Where nklint (tools/nklint) is a purely syntactic parsetree pass over one
-   file at a time, nkscope loads the *typedtrees* the main dune build already
-   produced (.cmt files), links them into an interprocedural call graph, and
+   Where the syntactic pass (Syntactic) reads one parsetree at a time, this
+   pass loads the *typedtrees* the main dune build already produced (.cmt
+   files under lib/), links them into an interprocedural call graph, and
    enforces discipline that no single-function syntactic check can see:
 
    O1  shard-ownership: CoreEngine's shared tables (conn_table, nsm_conns,
@@ -24,10 +24,10 @@
        Random references propagates over the call graph (any mention of a
        function, including as a value, taints the mentioner), so a lib/
        function reaching Unix.gettimeofday through helper chains is flagged
-       even though nklint's D1 only sees the direct call site. Waiver:
+       even though the syntactic D1 only sees the direct call site. Waiver:
        (* nkscope: nondet-ok *).
-   W1  a nkscope waiver comment that suppresses nothing, or an unknown
-       nkscope token, is itself reported so waivers cannot rot. Tokens
+   W1  a [nkscope:] waiver comment that suppresses nothing, or an unknown
+       [nkscope:] token, is itself reported so waivers cannot rot. Tokens
        inside string literals (lint-test fixtures) are exempt.
 
    Approximations, chosen deliberately: call edges are resolved by
@@ -41,56 +41,7 @@
    taint/legality conservatively. *)
 
 open Typedtree
-
-type diag = { file : string; line : int; col : int; rule : string; msg : string }
-
-let to_string d = Printf.sprintf "%s:%d: %s: %s" d.file d.line d.rule d.msg
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let to_json d =
-  Printf.sprintf "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"rule\":\"%s\",\"msg\":\"%s\"}"
-    (json_escape d.file) d.line d.col (json_escape d.rule) (json_escape d.msg)
-
-let to_json_array diags =
-  "[" ^ String.concat ",\n " (List.map to_json diags) ^ "]"
-
-let compare_diag a b =
-  let c = String.compare a.file b.file in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.line b.line in
-    if c <> 0 then c
-    else
-      let c = Int.compare a.col b.col in
-      if c <> 0 then c else String.compare a.rule b.rule
-
-let contains ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
-  m = 0 || at 0
-
-let loc_line (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
-let loc_end_line (loc : Location.t) = loc.Location.loc_end.Lexing.pos_lnum
-
-let loc_col (loc : Location.t) =
-  loc.Location.loc_start.Lexing.pos_cnum - loc.Location.loc_start.Lexing.pos_bol
-
-let in_lib file =
-  (String.length file >= 4 && String.sub file 0 4 = "lib/") || contains ~sub:"/lib/" file
+include Common
 
 (* ---- name normalization ------------------------------------------------ *)
 
@@ -221,9 +172,8 @@ let unit_of_structure ~file ~src ~name (str : structure) =
       | Texp_field (_, _, ld) -> f.f_field_reads <- ld.Types.lbl_name :: f.f_field_reads
       | Texp_setfield (_, _, ld, _) ->
           f.f_field_writes <- ld.Types.lbl_name :: f.f_field_writes
-      | Texp_constant (Asttypes.Const_string (s, _, _))
-        when contains ~sub:"nkscope:" s || contains ~sub:"nklint:" s ->
-          strlits := (loc_line e.exp_loc, loc_end_line e.exp_loc) :: !strlits
+      | Texp_constant (Asttypes.Const_string (s, _, _)) ->
+          Option.iter (fun r -> strlits := r :: !strlits) (waiver_literal e.exp_loc s)
       | Texp_record { fields; _ } ->
           let labels =
             Array.to_list fields
@@ -349,63 +299,6 @@ let unit_of_structure ~file ~src ~name (str : structure) =
     u_exports = !exports;
     u_strlits = !strlits;
   }
-
-(* ---- waivers ----------------------------------------------------------- *)
-
-let waiver_tokens =
-  [ ("nkscope: volatile", "M1"); ("nkscope: ce-owner", "O1"); ("nkscope: nondet-ok", "T1") ]
-
-type waiver = { w_line : int; w_rule : string; w_token : string; mutable w_used : bool }
-
-let token_word line marker =
-  (* The word following [marker] on [line], or "" — used to catch unknown
-     waiver tokens like (* nkscope: volatil *). *)
-  let n = String.length line and m = String.length marker in
-  let rec find i = if i + m > n then None else if String.sub line i m = marker then Some (i + m) else find (i + 1) in
-  match find 0 with
-  | None -> None
-  | Some i ->
-      let i = ref i in
-      while !i < n && line.[!i] = ' ' do incr i done;
-      let j = ref !i in
-      while
-        !j < n
-        && (match line.[!j] with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' -> true | _ -> false)
-      do
-        incr j
-      done;
-      Some (String.sub line !i (!j - !i))
-
-let scan_waivers u =
-  (* (known waivers, W1 diags for unknown tokens). Lines inside
-     waiver-bearing string literals are fixture text, not waivers. *)
-  let in_strlit line =
-    List.exists (fun (a, b) -> line >= a && line <= b) u.u_strlits
-  in
-  let waivers = ref [] and unknown = ref [] in
-  List.iteri
-    (fun i line ->
-      let lnum = i + 1 in
-      if (not (in_strlit lnum)) && contains ~sub:"nkscope:" line then
-        match token_word line "nkscope:" with
-        | None | Some "" -> ()
-        | Some word ->
-            let token = "nkscope: " ^ word in
-            (match List.assoc_opt token waiver_tokens with
-            | Some rule ->
-                waivers := { w_line = lnum; w_rule = rule; w_token = token; w_used = false } :: !waivers
-            | None ->
-                unknown :=
-                  {
-                    file = u.u_file;
-                    line = lnum;
-                    col = 0;
-                    rule = "W1";
-                    msg = Printf.sprintf "unknown nkscope waiver token %S" token;
-                  }
-                  :: !unknown))
-    (String.split_on_char '\n' u.u_src);
-  (List.rev !waivers, List.rev !unknown)
 
 (* ---- M1: snapshot / export completeness -------------------------------- *)
 
@@ -721,52 +614,15 @@ let analyze units =
   let pre =
     graph_diags units @ List.concat_map m1_unit (List.filter (fun u -> u.u_in_lib) units)
   in
-  let per_unit = List.map (fun u -> (u.u_file, scan_waivers u)) units in
-  let kept =
-    List.filter
-      (fun d ->
-        match List.assoc_opt d.file per_unit with
-        | None -> true
-        | Some (waivers, _) ->
-            let covering =
-              List.filter
-                (fun w -> w.w_rule = d.rule && (w.w_line = d.line || w.w_line = d.line - 1))
-                waivers
-            in
-            List.iter (fun w -> w.w_used <- true) covering;
-            covering = [])
-      pre
+  let scans =
+    List.map
+      (fun u -> scan_waivers ~prefix:"nkscope" ~file:u.u_file ~strlit:u.u_strlits u.u_src)
+      units
   in
-  let w1 =
-    List.concat_map
-      (fun (file, (waivers, unknown)) ->
-        unknown
-        @ List.filter_map
-            (fun w ->
-              if w.w_used then None
-              else
-                Some
-                  {
-                    file;
-                    line = w.w_line;
-                    col = 0;
-                    rule = "W1";
-                    msg =
-                      Printf.sprintf "stale waiver %S suppresses no %s diagnostic"
-                        w.w_token w.w_rule;
-                  })
-            waivers)
-      per_unit
-  in
-  List.sort compare_diag (kept @ w1)
+  List.sort compare_diag
+    (apply_waivers (List.concat_map fst scans) pre @ List.concat_map snd scans)
 
 (* ---- cmt loading ------------------------------------------------------- *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let unit_of_cmt path =
   match Cmt_format.read_cmt path with
