@@ -56,109 +56,53 @@ let list_cmd =
   in
   Cmd.v (Cmd.info "list" ~doc:"List available experiments") Term.(const run $ const ())
 
+let write_file path contents =
+  match open_out path with
+  | exception Sys_error msg ->
+      Printf.eprintf "nk: cannot write %s\n" msg;
+      exit 2
+  | oc ->
+      output_string oc contents;
+      close_out oc;
+      Printf.eprintf "nk: wrote %s\n" path
+
 let bench_cmd =
-  let default_ids = [ "ce-scale"; "latency-breakdown" ] in
-  let ids =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"ID"
-          ~doc:"Experiments to snapshot (default: ce-scale latency-breakdown).")
+  let id =
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc:"Experiment to snapshot.")
   in
   let out =
     Arg.(
       value & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Write the snapshot JSON to $(docv).")
+      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Write the snapshot to $(docv) instead of stdout.")
   in
-  let compare_files =
-    Arg.(
-      value & opt (some (pair ~sep:',' string string)) None
-      & info [ "compare" ] ~docv:"OLD,NEW"
-          ~doc:
-            "Instead of running, diff two snapshot files: simulated metrics \
-             within --tolerance, wall-clock reported as a ratio only. Exits \
-             1 on drift.")
-  in
-  let tolerance =
-    Arg.(
-      value & opt float 0.001
-      & info [ "tolerance" ] ~docv:"FRAC"
-          ~doc:
-            "Relative tolerance for numeric cells under --compare (default \
-             0.001; the simulated tables are deterministic, so drift beyond \
-             rendering noise is a real behaviour change).")
-  in
-  let read_snapshot path =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    match Experiments.Bench.of_json s with
-    | Ok entries -> entries
-    | Error msg ->
-        Printf.eprintf "nk bench: cannot parse %s: %s\n" path msg;
-        exit 2
-  in
-  let run ids out compare_files tolerance =
-    match compare_files with
-    | Some (old_path, new_path) ->
-        let baseline = read_snapshot old_path and fresh = read_snapshot new_path in
-        let mismatches = Experiments.Bench.compare_entries ~tolerance ~baseline ~fresh in
-        List.iter
-          (fun (id, old_w, new_w, ratio) ->
-            Printf.printf "%-18s wall %.2fs -> %.2fs (x%.2f, informational)\n" id old_w
-              new_w ratio)
-          (Experiments.Bench.wall_ratios ~baseline ~fresh);
-        if mismatches = [] then print_endline "bench compare: OK (simulated metrics match)"
-        else begin
-          List.iter
-            (fun (m : Experiments.Bench.mismatch) ->
-              Printf.printf "DRIFT %-18s %s\n" m.Experiments.Bench.m_id
-                (Experiments.Bench.describe m))
-            mismatches;
-          Printf.printf "bench compare: %d mismatches beyond tolerance %.4f\n"
-            (List.length mismatches) tolerance;
-          exit 1
-        end
+  let run id out =
+    match Experiments.Registry.find id with
     | None ->
-        let ids = if ids = [] then default_ids else ids in
-        let entries =
-          List.map
-            (fun id ->
-              match Experiments.Registry.find id with
-              | None ->
-                  Printf.eprintf "nk bench: unknown experiment %S; try `nk list`\n" id;
-                  exit 2
-              | Some e -> (
-                  Printf.eprintf "benchmarking %s (quick, twice)...\n%!" id;
-                  let timed () =
-                    let t0 = Unix.gettimeofday () in
-                    let report = e.Experiments.Registry.run ~quick:true () in
-                    (report, Unix.gettimeofday () -. t0)
-                  in
-                  match Experiments.Bench.run_twice timed with
-                  | Ok entry -> entry
-                  | Error diff ->
-                      Printf.eprintf
-                        "nk bench: %s is nondeterministic, two runs differ:\n%s\n" id diff;
-                      exit 1))
-            ids
+        Printf.eprintf "nk bench: unknown experiment %S; try `nk list`\n" id;
+        exit 2
+    | Some e -> (
+        (* Host seconds are for information only: they vary run to run. *)
+        let timed () =
+          let t0 = Unix.gettimeofday () in
+          let report = e.Experiments.Registry.run ~quick:true () in
+          Printf.eprintf "nk bench: %s quick run took %.2f s (host time)\n%!" id
+            (Unix.gettimeofday () -. t0);
+          report
         in
-        let json = Experiments.Bench.to_json entries in
-        (match out with
-        | Some path ->
-            let oc = open_out path in
-            output_string oc json;
-            close_out oc;
-            Printf.eprintf "nk bench: wrote %s\n" path
-        | None -> print_string json)
+        match Experiments.Bench.run_twice timed with
+        | Error diff ->
+            Printf.eprintf "nk bench: %s is nondeterministic, two runs differ:\n%s\n" id diff;
+            exit 1
+        | Ok json -> (
+            match out with Some path -> write_file path json | None -> print_string json))
   in
   Cmd.v
     (Cmd.info "bench"
        ~doc:
-         "Snapshot quick-mode experiment results (simulated metrics + \
-          wall-clock) as JSON, or --compare two snapshots. Each experiment \
-          runs twice and must render identically, notes included.")
-    Term.(const run $ ids $ out $ compare_files $ tolerance)
+         "Run an experiment's quick mode twice and print its report as the \
+          JSON snapshot that BENCH_<id>.json commits. Exits 1 if the two \
+          runs render differently, notes included.")
+    Term.(const run $ id $ out)
 
 let demo_cmd =
   (* A tiny live demo: kv store in a NetKernel VM, queried from another
@@ -321,12 +265,6 @@ let trace_cmd =
           the host-tagged virtual-time trace (JSON by default); with \
           --cluster, every host's trace merged in virtual-time order")
     Term.(const run $ csv $ cluster_flag $ world_config_term)
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc;
-  Printf.eprintf "nk: wrote %s\n" path
 
 let span_cmd =
   let every =

@@ -66,6 +66,8 @@ let run_world ?(quick = false) ?(span_every = 16) ?(ce_cores = 1) () =
           (if Nkspan.dropped spans > 0 then
              Printf.sprintf "WARNING: %d spans dropped (capacity)" (Nkspan.dropped spans)
            else "no spans dropped");
+          Printf.sprintf "catapult export md5 %s"
+            (Digest.to_hex (Digest.string (Nkspan.to_catapult spans)));
         ]
       rows
   in

@@ -64,31 +64,34 @@ let to_csv t =
   |> List.map (fun row -> String.concat "," (List.map escape row))
   |> String.concat "\n"
 
+(* The BENCH snapshot format: one row, percentile record or note per line,
+   so a diff of two renderings names the item that moved. Fixed decimals
+   keep the rendering deterministic across runs. *)
 let to_json t =
   let str s = "\"" ^ Nkmon.json_escape s ^ "\"" in
-  let arr items = "[" ^ String.concat ", " items ^ "]" in
-  let row r = arr (List.map str r) in
-  (* Fixed decimals keep the rendering deterministic across runs. *)
+  let row r = "[" ^ String.concat ", " (List.map str r) ^ "]" in
   let pctl p =
     Printf.sprintf
       "{\"label\": %s, \"p50_ms\": %.4f, \"p90_ms\": %.4f, \"p99_ms\": %.4f, \
        \"p999_ms\": %.4f}"
       (str p.p_label) p.p50_ms p.p90_ms p.p99_ms p.p999_ms
   in
-  String.concat "\n"
-    ([
-       "{";
-       Printf.sprintf "  \"id\": %s," (str t.id);
-       Printf.sprintf "  \"title\": %s," (str t.title);
-       Printf.sprintf "  \"headers\": %s," (row t.headers);
-       Printf.sprintf "  \"rows\": %s," (arr (List.map row t.rows));
-     ]
-    @ (if t.percentiles = [] then []
-       else
-         [
-           Printf.sprintf "  \"percentiles\": %s," (arr (List.map pctl t.percentiles));
-         ])
-    @ [ Printf.sprintf "  \"notes\": %s" (row t.notes); "}" ])
+  let field key v = Printf.sprintf "  \"%s\": %s" key v in
+  let items key = function
+    | [] -> field key "[]"
+    | l -> field key ("[\n    " ^ String.concat ",\n    " l ^ "\n  ]")
+  in
+  "{\n"
+  ^ String.concat ",\n"
+      [
+        field "id" (str t.id);
+        field "title" (str t.title);
+        field "headers" (row t.headers);
+        items "rows" (List.map row t.rows);
+        items "percentiles" (List.map pctl t.percentiles);
+        items "notes" (List.map str t.notes);
+      ]
+  ^ "\n}\n"
 
 let cell_f ?(decimals = 1) v = Printf.sprintf "%.*f" decimals v
 

@@ -36,7 +36,9 @@ val print : Format.formatter -> t -> unit
 val to_csv : t -> string
 
 val to_json : t -> string
-(** One JSON object: id, title, headers, rows (array of arrays), notes. *)
+(** One JSON object and the BENCH snapshot format: id, title and headers,
+    then one row, one percentile record and one note per line, with a
+    trailing newline. *)
 
 val cell_f : ?decimals:int -> float -> string
 

@@ -1,36 +1,29 @@
 (* The `nk bench` double run: each experiment runs twice and the whole
-   rendered report (rows, percentiles and notes) must match, because a
-   snapshot keeps only rows and percentiles. *)
+   rendered report (rows, percentiles and notes) must match. The first
+   rendering is the snapshot a BENCH_<id>.json baseline commits. *)
 
 module Report = Experiments.Report
 module Bench = Experiments.Bench
 
-let report ~notes =
-  Report.make ~id:"exp" ~title:"t" ~headers:[ "a"; "b" ] ~notes [ [ "1"; "2.0" ] ]
+let report ?(rows = [ [ "1"; "2.0" ] ]) ~notes () =
+  Report.make ~id:"exp" ~title:"t" ~headers:[ "a"; "b" ] ~notes rows
 
-(* Each call returns the next report of the script, with its run number as
-   the wall time. *)
+(* Each call returns the next report of the script. *)
 let scripted reports =
   let n = ref 0 in
   fun () ->
     let r = List.nth reports !n in
     incr n;
-    (r, float_of_int !n)
+    r
 
 let identical_runs_pass () =
-  match Bench.run_twice (scripted [ report ~notes:[ "x" ]; report ~notes:[ "x" ] ]) with
-  | Ok e ->
-      Alcotest.(check string) "id" "exp" e.Bench.b_id;
-      Alcotest.(check (float 0.0)) "wall_s is the first run's" 1.0 e.Bench.b_wall_s
+  let r = report ~notes:[ "x" ] () in
+  match Bench.run_twice (scripted [ r; r ]) with
+  | Ok snapshot -> Alcotest.(check string) "snapshot" (Report.to_json r) snapshot
   | Error d -> Alcotest.failf "identical runs flagged: %s" d
 
 let note_only_difference_flagged () =
-  let first = report ~notes:[ "errors 0" ] and second = report ~notes:[ "errors 1" ] in
-  Alcotest.(check bool) "the snapshots alone agree" true
-    (Bench.compare_entries ~tolerance:0.0
-       ~baseline:[ Bench.of_report ~wall_s:0.0 first ]
-       ~fresh:[ Bench.of_report ~wall_s:0.0 second ]
-    = []);
+  let first = report ~notes:[ "errors 0" ] () and second = report ~notes:[ "errors 1" ] () in
   match Bench.run_twice (scripted [ first; second ]) with
   | Ok _ -> Alcotest.fail "a note-only difference passed the double run"
   | Error d ->
@@ -42,9 +35,23 @@ let note_only_difference_flagged () =
       Alcotest.(check bool) "names both notes" true
         (mentions "errors 0" && mentions "errors 1")
 
+(* One row, percentile record or note per line: a single moved cell shows
+   as its own row's line, not as the whole table. *)
+let one_cell_quotes_its_row () =
+  let rows cell = [ [ "1"; "2.0" ]; [ "3"; cell ]; [ "5"; "6.0" ] ] in
+  let first = report ~rows:(rows "4.0") ~notes:[ "x" ] ()
+  and second = report ~rows:(rows "4.5") ~notes:[ "x" ] () in
+  match Bench.run_twice (scripted [ first; second ]) with
+  | Ok _ -> Alcotest.fail "a changed cell passed the double run"
+  | Error d ->
+      Alcotest.(check string) "the row's line only"
+        "run 1: [\"3\", \"4.0\"],\nrun 2: [\"3\", \"4.5\"]," d
+
 let tests =
   [
     Alcotest.test_case "double run passes identical reports" `Quick identical_runs_pass;
     Alcotest.test_case "double run flags a note-only difference" `Quick
       note_only_difference_flagged;
+    Alcotest.test_case "double run quotes only the differing row" `Quick
+      one_cell_quotes_its_row;
   ]
