@@ -87,11 +87,15 @@ let percentile t p =
     let p = Float.min 100.0 (Float.max 0.0 p) in
     let target = int_of_float (ceil (p /. 100.0 *. float_of_int t.total)) in
     let target = Int.max 1 target in
+    (* A bucket's upper edge can lie above the largest sample, so clamp it
+       to the exact max. The min side cannot bind: the first non-empty
+       bucket's upper edge is never below min. *)
     let rec loop i seen =
       if i >= Array.length t.counts then max t
       else begin
         let seen = seen + t.counts.(i) in
-        if seen >= target then upper_of_index t i else loop (i + 1) seen
+        if seen >= target then Float.min t.vmax (upper_of_index t i)
+        else loop (i + 1) seen
       end
     in
     loop 0 0

@@ -32,7 +32,7 @@ val stddev : t -> float
 
 val percentile : t -> float -> float
 (** [percentile t p] for [p] in [\[0, 100\]]: upper edge of the bucket
-    containing that quantile. 0 when empty. *)
+    containing that quantile, clamped to {!max}. 0 when empty. *)
 
 val median : t -> float
 
