@@ -446,10 +446,7 @@ let rec schedule_release t (sh : shard) delay =
   end
 
 and drain_deferred t (sh : shard) =
-  Nkspan.frame t.spans ~component:sh.sinstance ~stage:"drain" (fun () ->
-      drain_deferred_framed t sh)
-
-and drain_deferred_framed t (sh : shard) =
+  Nkspan.enter t.spans ~component:sh.sinstance ~stage:"drain";
   let next_delay = ref infinity in
   (* VM-id order: which VM's parked traffic gets tokens / ring space first
      must not depend on hash-bucket layout. *)
@@ -505,7 +502,8 @@ and drain_deferred_framed t (sh : shard) =
       in
       loop ())
     sh.deferred;
-  if !next_delay < infinity then schedule_release t sh (Float.max 1e-6 !next_delay)
+  if !next_delay < infinity then schedule_release t sh (Float.max 1e-6 !next_delay);
+  Nkspan.leave t.spans
 
 (* Deliver a CE-synthesized NSM->VM NQE, parking it with the VM's deferred
    traffic when the inbound ring is full (same ordering rules as dispatch). *)
@@ -721,8 +719,9 @@ and process t (sh : shard) =
   let n = sh.sweep_len in
   if n = 0 then begin
     sh.running <- false;
-    Nkspan.frame t.spans ~component:sh.sinstance ~stage:"poll" (fun () ->
-        Cpu.charge sh.cpu ~cycles:t.costs.Nk_costs.ce_poll_iter)
+    Nkspan.enter t.spans ~component:sh.sinstance ~stage:"poll";
+    Cpu.charge sh.cpu ~cycles:t.costs.Nk_costs.ce_poll_iter;
+    Nkspan.leave t.spans
   end
   else begin
     Nkmon.Registry.incr sh.ctr.c_sweeps;
@@ -744,12 +743,13 @@ and process t (sh : shard) =
       else (t.costs.Nk_costs.ce_switch, t.costs.Nk_costs.ce_poll_iter)
     in
     let cycles = per_sweep +. (float_of_int n *. per_nqe) in
-    Nkspan.frame t.spans ~component:sh.sinstance ~stage:"switch" (fun () ->
-        Cpu.exec sh.cpu ~cycles (fun () ->
-            for i = 0 to n - 1 do
-              dispatch t sh sh.sweep_src.(i) sh.sweep_raw.(i)
-            done;
-            process t sh))
+    Nkspan.enter t.spans ~component:sh.sinstance ~stage:"switch";
+    Cpu.exec sh.cpu ~cycles (fun () ->
+        for i = 0 to n - 1 do
+          dispatch t sh sh.sweep_src.(i) sh.sweep_raw.(i)
+        done;
+        process t sh);
+    Nkspan.leave t.spans
   end
 
 and kick_shard t (sh : shard) =

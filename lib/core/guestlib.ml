@@ -370,19 +370,19 @@ let api t =
                      rides the NQE through the whole datapath. *)
                   let span = Nkspan.sample t.spans ~vm:t.instance in
                   Nkspan.begin_stage t.spans ~id:span ~component:t.instance "guestlib";
-                  Nkspan.frame t.spans ~component:t.instance ~stage:"send" (fun () ->
-                      Cpu.exec (core_for t gs) ~cycles (fun () ->
-                          (match payload with
-                          | Types.Data s ->
-                              Hugepages.write_payload (Nk_device.hugepages t.device) extent
-                                (Types.Data
-                                   (if String.length s = n then s else String.sub s 0 n))
-                          | Types.Zeros _ -> ());
-                          Nkmon.Registry.add t.ctr.c_bytes_sent n;
-                          Nkspan.end_stage t.spans ~id:span "guestlib";
-                          post_op t gs Nqe.Send ~data_ptr:extent.Hugepages.offset ~size:n
-                            ~synthetic ~span ();
-                          k (Ok n))))
+                  Nkspan.enter t.spans ~component:t.instance ~stage:"send";
+                  Cpu.exec (core_for t gs) ~cycles (fun () ->
+                      (match payload with
+                      | Types.Data s ->
+                          Hugepages.write_payload (Nk_device.hugepages t.device) extent
+                            (Types.Data (if String.length s = n then s else String.sub s 0 n))
+                      | Types.Zeros _ -> ());
+                      Nkmon.Registry.add t.ctr.c_bytes_sent n;
+                      Nkspan.end_stage t.spans ~id:span "guestlib";
+                      post_op t gs Nqe.Send ~data_ptr:extent.Hugepages.offset ~size:n ~synthetic
+                        ~span ();
+                      k (Ok n));
+                  Nkspan.leave t.spans)
         | (Gfresh | Gconnecting | Glistening | Gclosed), None -> k (Error Types.Enotconn))
   in
   let recv gid ~max ~mode ~k =

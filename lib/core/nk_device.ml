@@ -207,9 +207,10 @@ let rec poll o qi =
           | Nsm_side ->
               Nkspan.begin_stage o.dev.spans ~id:span ~component:o.component "servicelib"
         done;
-      Nkspan.frame o.dev.spans ~component:o.component
-        ~stage:(match o.dev.role with Vm_side -> "poll" | Nsm_side -> "dispatch")
-        (fun () -> Cpu.exec core ~cycles (fun () -> apply_burst o qi n))
+      Nkspan.enter o.dev.spans ~component:o.component
+        ~stage:(match o.dev.role with Vm_side -> "poll" | Nsm_side -> "dispatch");
+      Cpu.exec core ~cycles (fun () -> apply_burst o qi n);
+      Nkspan.leave o.dev.spans
     end
   end
 

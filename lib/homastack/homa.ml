@@ -154,8 +154,9 @@ let emit t (h : Hcb.t) seg =
     p.Sim.Cost_profile.per_chunk_tx
     +. (p.Sim.Cost_profile.per_byte_tx *. float_of_int seg.Segment.len)
   in
-  Nkspan.frame t.spans ~component:"homastack" ~stage:"tx" (fun () ->
-      Cpu.exec h.Hcb.core ~cycles (fun () -> Vswitch.output t.vswitch seg))
+  Nkspan.enter t.spans ~component:"homastack" ~stage:"tx";
+  Cpu.exec h.Hcb.core ~cycles (fun () -> Vswitch.output t.vswitch seg);
+  Nkspan.leave t.spans
 
 let send_request t (h : Hcb.t) =
   emit t h (Segment.make ~flow:h.Hcb.flow ~seq:h.Hcb.cid ~ack:0 ~syn:true ())
@@ -269,12 +270,13 @@ let rec pacer_tick t () =
             if remaining im < remaining bim then (h, im) else (bh, bim))
           (h0, im0) rest
       in
-      Nkspan.frame t.spans ~component:"homastack" ~stage:"grant" (fun () ->
-          best_im.Hcb.im_granted <-
-            min best_im.Hcb.im_len (best_im.Hcb.im_granted + t.cfg.grant_quantum);
-          R.incr t.ctr.c_grants_tx;
-          send_ack t best_h ~msg_idx:(best_h.Hcb.rx_msg_count - 1)
-            ~granted:best_im.Hcb.im_granted));
+      Nkspan.enter t.spans ~component:"homastack" ~stage:"grant";
+      best_im.Hcb.im_granted <-
+        min best_im.Hcb.im_len (best_im.Hcb.im_granted + t.cfg.grant_quantum);
+      R.incr t.ctr.c_grants_tx;
+      send_ack t best_h ~msg_idx:(best_h.Hcb.rx_msg_count - 1)
+        ~granted:best_im.Hcb.im_granted;
+      Nkspan.leave t.spans);
   arm_pacer t
 
 and arm_pacer t =
@@ -292,8 +294,9 @@ let rx_cycles t (seg : Segment.t) =
 
 let conn_input t (h : Hcb.t) (seg : Segment.t) =
   if not h.Hcb.destroyed then begin
-    Nkspan.frame t.spans ~component:"homastack" ~stage:"rx" (fun () ->
-        Cpu.charge h.Hcb.core ~cycles:(rx_cycles t seg));
+    Nkspan.enter t.spans ~component:"homastack" ~stage:"rx";
+    Cpu.charge h.Hcb.core ~cycles:(rx_cycles t seg);
+    Nkspan.leave t.spans;
     if seg.Segment.rst then
       conn_fail t h
         (if h.Hcb.state = Hcb.Opening then Types.Econnrefused else Types.Econnreset)

@@ -15,9 +15,9 @@
     ordering or simulated throughput.
 
     The profiler half attributes every {!Sim.Cpu} busy cycle to a
-    (component, stage) pair: dispatch loops wrap their [Cpu.exec] calls in
-    {!frame}, and cycles charged outside any frame fall back to a
-    component parsed from the core name. *)
+    (component, stage) pair: dispatch loops bracket their [Cpu.exec] calls
+    with {!enter} and {!leave}, and cycles charged outside any frame fall
+    back to a component parsed from the core name. *)
 
 type t
 
@@ -118,15 +118,21 @@ val to_catapult : t -> string
 
 val enable_profiler : t -> Sim.Engine.t -> unit
 (** Install the {!Sim.Engine.set_cycle_hook} so every [Cpu.exec]/[charge]
-    is attributed to the innermost open {!frame}, or — when no frame is
+    is attributed to the innermost open frame, or — when no frame is
     open — to the component parsed from the core name under the
     ["(unframed)"] stage. *)
 
-val frame : t -> component:string -> stage:string -> (unit -> 'a) -> 'a
-(** [frame t ~component ~stage f] runs [f] with the attribution frame
-    pushed; identity when the profiler is off. Cycles are charged at
-    [Cpu.exec] call time, so wrapping the dispatch call attributes them
-    correctly even though the continuation runs later. *)
+val enter : t -> component:string -> stage:string -> unit
+(** [enter t ~component ~stage] opens an attribution frame; the matching
+    {!leave} closes it. Cycles are charged at [Cpu.exec] call time, so
+    bracketing the dispatch call attributes them correctly even though
+    the continuation runs later. With the profiler off, [enter] and
+    [leave] are one bool test each: no closure and no allocation. The
+    bracketed code must not raise: nothing closes the frame on an
+    exception. *)
+
+val leave : t -> unit
+(** Close the innermost frame opened by {!enter}. *)
 
 type cell = { p_comp : string; p_stage : string; p_cycles : float }
 

@@ -1,39 +1,39 @@
+(* A core's per-event state, in an all-float record: OCaml stores its
+   fields flat, so updating them allocates nothing (a mutable float field
+   of a mixed record is a box, reallocated at every store). *)
+type acct = { mutable free_at : float; mutable busy_cycles : float }
+
 type t = {
   engine : Engine.t;
   name : string;
   freq : float; (* Hz *)
-  mutable free_at : float;
-  mutable busy_cycles : float;
+  acct : acct;
 }
 
 let create engine ?(freq_ghz = 2.3) ~name () =
-  { engine; name; freq = freq_ghz *. 1e9; free_at = 0.0; busy_cycles = 0.0 }
+  { engine; name; freq = freq_ghz *. 1e9; acct = { free_at = 0.0; busy_cycles = 0.0 } }
 
 let name t = t.name
 let engine t = t.engine
 let freq_hz t = t.freq
 
-let exec t ~cycles k =
-  let cycles = Float.max 0.0 cycles in
-  let now = Engine.now t.engine in
-  let start = Float.max now t.free_at in
-  let finish = start +. (cycles /. t.freq) in
-  t.free_at <- finish;
-  t.busy_cycles <- t.busy_cycles +. cycles;
-  Engine.emit_cycles t.engine ~core:t.name cycles;
-  ignore (Engine.schedule_at t.engine ~at:finish k)
-
-let charge t ~cycles =
-  let cycles = Float.max 0.0 cycles in
-  let now = Engine.now t.engine in
-  let start = Float.max now t.free_at in
-  t.free_at <- start +. (cycles /. t.freq);
-  t.busy_cycles <- t.busy_cycles +. cycles;
+(* Queue [cycles] behind the core's backlog: [free_at] becomes the time
+   the work finishes. *)
+let[@inline] account t cycles =
+  let a = t.acct in
+  a.free_at <- Float.max (Engine.now t.engine) a.free_at +. (cycles /. t.freq);
+  a.busy_cycles <- a.busy_cycles +. cycles;
   Engine.emit_cycles t.engine ~core:t.name cycles
 
-let busy_cycles t = t.busy_cycles
+let exec t ~cycles k =
+  account t (Float.max 0.0 cycles);
+  ignore (Engine.schedule_at t.engine ~at:t.acct.free_at k)
 
-let busy_seconds t = t.busy_cycles /. t.freq
+let charge t ~cycles = account t (Float.max 0.0 cycles)
+
+let busy_cycles t = t.acct.busy_cycles
+
+let busy_seconds t = t.acct.busy_cycles /. t.freq
 
 module Set = struct
   type core = t
@@ -57,5 +57,6 @@ module Set = struct
     let n = Array.length t.cores in
     t.cores.((hash land max_int) mod n)
 
-  let total_busy_cycles t = Array.fold_left (fun acc c -> acc +. c.busy_cycles) 0.0 t.cores
+  let total_busy_cycles t =
+    Array.fold_left (fun acc c -> acc +. c.acct.busy_cycles) 0.0 t.cores
 end

@@ -7,7 +7,12 @@
     paper is about which core saturates first.
 
     Busy cycles are accumulated per core so experiments can report CPU usage
-    (paper Tables 6 and 7). *)
+    (paper Tables 6 and 7).
+
+    A core's backlog end and busy cycles sit in an all-float record, stored
+    flat, so accounting work allocates nothing: [charge] allocates no
+    words, and [exec] at most the boxed finish time it hands to
+    {!Engine.schedule_at}. *)
 
 type t
 

@@ -9,6 +9,9 @@
     buckets (O(1) placement for the datapath's dense short-delay events,
     O(1) removal of cancelled timers), but the execution order is exactly
     the former binary heap's — see the oracle test in test/test_sim.ml.
+    Events are slots in a slab of parallel arrays (unboxed time, seq,
+    links, generation, closure), so scheduling one allocates nothing but
+    the closure the caller passes.
 
     This is the substitute for the paper's QEMU/KVM testbed: wall-clock
     behaviour of the real system maps to virtual-time behaviour here. *)
@@ -17,18 +20,23 @@ type t
 
 (** Handles over scheduled events. [schedule]/[schedule_at] return a
     [Timer.t]; cancellation goes through this module, so callers never see
-    the engine's internal event representation. *)
+    the engine's internal event representation. A handle is an immediate
+    value: the event's slab slot and that slot's generation. *)
 module Timer : sig
   type engine := t
 
-  type t
+  type t [@@immediate]
 
   val cancel : engine -> t -> unit
   (** [cancel e h] prevents the event from running and releases its
       closure at once; cancelling a fired or already-cancelled event is a
-      no-op. O(1): an event still in a wheel bucket is unlinked from it and
-      leaves [pending] immediately; one already moved into the engine's
-      near-term or overflow heap is dropped when it reaches the front. *)
+      no-op, also once its slot serves a newer event (the slot's
+      generation has moved on). O(1): an event still in a wheel bucket is
+      unlinked from it and leaves [pending] immediately; one already moved
+      into the engine's near-term or overflow heap is dropped when it
+      reaches the front. An event that fires drops the engine's reference
+      to its closure before running it, so what the closure captures is
+      collectable once it returns. *)
 end
 
 val create : unit -> t

@@ -1,3 +1,7 @@
+(* The transmitter's per-segment float, in an all-float record so that
+   storing it allocates nothing. *)
+type tx = { mutable busy_until : float }
+
 type t = {
   engine : Sim.Engine.t;
   rate : float;
@@ -5,7 +9,7 @@ type t = {
   buffer : int;
   name : string;
   mutable receiver : (Segment.t -> unit) option;
-  mutable busy_until : float;
+  tx : tx;
   mutable queued : int;
   mutable drops : int;
   mutable loss : (Nkutil.Rng.t * float) option;
@@ -26,7 +30,7 @@ type t = {
 let create engine ~rate_bps ~delay ?(buffer_bytes = 16 * 1024 * 1024) ?(name = "link") () =
   if rate_bps <= 0.0 then invalid_arg "Link.create: rate must be > 0";
   { engine; rate = rate_bps; delay; buffer = buffer_bytes; name; receiver = None;
-    busy_until = 0.0; queued = 0; drops = 0; loss = None;
+    tx = { busy_until = 0.0 }; queued = 0; drops = 0; loss = None;
     fly_time = Array.make 64 0.0; fly_wire = Array.make 64 0; fly_head = 0; fly_len = 0 }
 
 let set_random_loss t ~rng ~rate = t.loss <- Some (rng, rate)
@@ -104,9 +108,9 @@ let send t seg =
   end
   else begin
     t.queued <- t.queued + wire;
-    let start = Float.max now t.busy_until in
+    let start = Float.max now t.tx.busy_until in
     let tx_done = start +. (float_of_int wire *. 8.0 /. t.rate) in
-    t.busy_until <- tx_done;
+    t.tx.busy_until <- tx_done;
     fly_push t tx_done wire;
     ignore (Sim.Engine.schedule_at t.engine ~at:(tx_done +. t.delay) (fun () -> receiver seg));
     true

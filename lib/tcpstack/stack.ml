@@ -130,7 +130,9 @@ type t = {
   rng : Nkutil.Rng.t;
   cfg : config;
   mutable ips : Addr.ip list;
-  conns : sock Flow_table.t; (* keyed by local->remote flow *)
+  conns : sock Flow_table.t;
+      (* keyed by the arriving remote->local flow, so a received segment's
+         own flow finds its socket *)
   listeners : sock Endpoint_table.t;
   rx : rx_queue array;
   mon : Nkmon.t;
@@ -266,6 +268,7 @@ let unregister_endpoints t s =
    the active opener (fires the connect continuation) from a passive one
    (feeds the listener's accept queue). *)
 let make_actions t s ~flow ~role =
+  let key = Addr.Flow.reverse flow in
   let get_conn () = match s.kind with Conn c -> Some c | Fresh | Listener _ | Sclosed -> None in
   let on_established () =
     (match get_conn () with
@@ -310,7 +313,7 @@ let make_actions t s ~flow ~role =
     notify t s
   in
   let on_destroy () =
-    Flow_table.remove t.conns flow;
+    Flow_table.remove t.conns key;
     (match get_conn () with
     | Some c ->
         let rflow, isn = c.registry_key in
@@ -388,7 +391,7 @@ let handle_syn t (seg : Segment.t) =
                   }
                 in
                 s.kind <- Conn c;
-                Flow_table.replace t.conns flow s;
+                Flow_table.replace t.conns seg.Segment.flow s;
                 if t.cfg.register_vswitch then begin
                   (* Pin the 4-tuple to this stack so the listener's
                      ⟨ip, port⟩ endpoint can move to another NSM without
@@ -411,9 +414,8 @@ let seg_rx_cycles t (seg : Segment.t) =
 
 let deliver t (seg : Segment.t) =
   Nkmon.Registry.add t.ctr.c_payload_rx seg.Segment.len;
-  let flow = Addr.Flow.reverse seg.Segment.flow in
-  match Flow_table.find_opt t.conns flow with
-  | Some s -> (
+  match Flow_table.find t.conns seg.Segment.flow with
+  | s -> (
       match s.kind with
       | Conn c ->
           if seg.Segment.syn && (not seg.Segment.ack_flag) && Tcb.state c.tcb = Tcb.Time_wait
@@ -424,7 +426,7 @@ let deliver t (seg : Segment.t) =
           end
           else Tcb.input c.tcb seg
       | Fresh | Listener _ | Sclosed -> send_rst t seg)
-  | None ->
+  | exception Not_found ->
       if seg.Segment.rst then ()
       else if seg.Segment.syn && not seg.Segment.ack_flag then handle_syn t seg
       else send_rst t seg
@@ -447,12 +449,13 @@ let rec drain_interrupt t qi =
         else 0.0
       in
       q.batch_left <- q.batch_left - 1;
-      Nkspan.frame t.spans ~component:t.name ~stage:"rx" (fun () ->
-          Cpu.exec core
-            ~cycles:(interrupt_share +. seg_rx_cycles t seg)
-            (fun () ->
-              deliver t seg;
-              drain_interrupt t qi))
+      Nkspan.enter t.spans ~component:t.name ~stage:"rx";
+      Cpu.exec core
+        ~cycles:(interrupt_share +. seg_rx_cycles t seg)
+        (fun () ->
+          deliver t seg;
+          drain_interrupt t qi);
+      Nkspan.leave t.spans
 
 let rec poll_loop t qi =
   let q = t.rx.(qi) in
@@ -462,26 +465,27 @@ let rec poll_loop t qi =
   | [] ->
       ignore
         (Engine.schedule t.engine ~delay:t.cfg.poll_idle_delay (fun () ->
-             Nkspan.frame t.spans ~component:t.name ~stage:"poll" (fun () ->
-                 Cpu.exec core ~cycles:t.cfg.profile.poll_iter (fun () ->
-                     poll_loop t qi))))
+             Nkspan.enter t.spans ~component:t.name ~stage:"poll";
+             Cpu.exec core ~cycles:t.cfg.profile.poll_iter (fun () -> poll_loop t qi);
+             Nkspan.leave t.spans))
   | segs ->
       let cycles =
         List.fold_left
           (fun acc seg -> acc +. seg_rx_cycles t seg)
           t.cfg.profile.poll_iter segs
       in
-      Nkspan.frame t.spans ~component:t.name ~stage:"rx" (fun () ->
-          Cpu.exec core ~cycles (fun () ->
-              List.iter (deliver t) segs;
-              poll_loop t qi))
+      Nkspan.enter t.spans ~component:t.name ~stage:"rx";
+      Cpu.exec core ~cycles (fun () ->
+          List.iter (deliver t) segs;
+          poll_loop t qi);
+      Nkspan.leave t.spans
 
 let input t (seg : Segment.t) =
   Nkmon.Registry.incr t.ctr.c_segs_rx;
   let qi =
-    match Flow_table.find_opt t.conns (Addr.Flow.reverse seg.Segment.flow) with
-    | Some s -> s.qidx
-    | None -> Addr.Flow.rss_hash seg.Segment.flow mod ncores t
+    match Flow_table.find t.conns seg.Segment.flow with
+    | s -> s.qidx
+    | exception Not_found -> Addr.Flow.rss_hash seg.Segment.flow mod ncores t
   in
   let q = t.rx.(qi) in
   if not (Nkutil.Spsc_ring.push q.ring seg) then
@@ -652,8 +656,9 @@ let alloc_flow t ~src_ip ~dst =
     else begin
       let port = t.next_port in
       t.next_port <- (if t.next_port >= hi then lo else t.next_port + 1);
-      let flow = Addr.Flow.make ~src:(Addr.make src_ip port) ~dst in
-      if Flow_table.mem t.conns flow then loop (attempts + 1) else Some flow
+      let src = Addr.make src_ip port in
+      if Flow_table.mem t.conns (Addr.Flow.make ~src:dst ~dst:src) then loop (attempts + 1)
+      else Some (Addr.Flow.make ~src ~dst)
     end
   in
   loop 0
@@ -664,9 +669,9 @@ let pick_src_ip t s =
   | None ->
       (* Rotate over owned IPs so heavy client workloads don't exhaust one
          IP's ephemeral ports. *)
-      let ips = Array.of_list t.ips in
-      if Array.length ips = 0 then invalid_arg (t.name ^ ": no IP to connect from");
-      let ip = ips.(t.next_src_ip mod Array.length ips) in
+      let n = List.length t.ips in
+      if n = 0 then invalid_arg (t.name ^ ": no IP to connect from");
+      let ip = List.nth t.ips (t.next_src_ip mod n) in
       t.next_src_ip <- t.next_src_ip + 1;
       ip
 
@@ -678,8 +683,8 @@ let connect t s dst ~k =
            there (mTCP-style per-core port selection relies on this). *)
         match s.local with
         | Some a when a.Addr.port <> 0 ->
-            let flow = Addr.Flow.make ~src:a ~dst in
-            if Flow_table.mem t.conns flow then None else Some flow
+            if Flow_table.mem t.conns (Addr.Flow.make ~src:dst ~dst:a) then None
+            else Some (Addr.Flow.make ~src:a ~dst)
         | Some _ | None ->
             let src_ip = pick_src_ip t s in
             alloc_flow t ~src_ip ~dst
@@ -720,7 +725,7 @@ let connect t s dst ~k =
                     c_endpoint_registered = external_ip;
                     c_flow_registered = false;
                   };
-              Flow_table.replace t.conns flow s))
+              Flow_table.replace t.conns (Addr.Flow.reverse flow) s))
   | Listener _ | Conn _ | Sclosed -> k (Error Types.Einval)
 
 let conn_of s =
@@ -825,7 +830,7 @@ let export_conn t s =
          RST, no [on_destroy], and crucially no [Conn_registry.remove] —
          the content channel is the migrating flow's byte stream. *)
       Tcb.detach c.tcb;
-      Flow_table.remove t.conns flow;
+      Flow_table.remove t.conns (Addr.Flow.reverse flow);
       unregister_endpoints t s;
       s.kind <- Sclosed;
       Ok ex
@@ -862,7 +867,7 @@ let import_conn t ex =
         }
       in
       s.kind <- Conn c;
-      Flow_table.replace t.conns flow s;
+      Flow_table.replace t.conns (Addr.Flow.reverse flow) s;
       if t.cfg.register_vswitch then begin
         if ex.e_endpoint_registered then begin
           Vswitch.register_endpoint t.vswitch flow.Addr.Flow.src (input t);

@@ -55,6 +55,77 @@ let engine_cancel_frees_closure () =
   Alcotest.(check int) "its bucket neighbours still fire" 2 !fired;
   Alcotest.(check int) "nothing left" 0 (E.pending e)
 
+(* A fired event's closure goes too: the slab drops it when the event
+   runs, not when the slot is next reused. *)
+let engine_fire_frees_closure () =
+  let e = E.create () in
+  let w = Weak.create 1 in
+  ignore (arm_capturing e w);
+  E.run e;
+  Gc.full_major ();
+  Alcotest.(check bool) "the fired closure's capture is collected" false (Weak.check w 0);
+  (* A use after the collection keeps the engine, and so its slab, live
+     through it. *)
+  Alcotest.(check int) "nothing pending" 0 (E.pending e)
+
+(* A handle names one event, not a slot: once a fired event's slot serves
+   a new event, cancelling the old handle must leave the new one alone. *)
+let engine_stale_handle () =
+  let e = E.create () in
+  let log = ref [] in
+  let old = E.schedule e ~delay:1.0 (fun () -> log := "old" :: !log) in
+  E.run e;
+  let fresh = ref 0 in
+  (* The free list is LIFO, so the first of these reuses the fired slot;
+     scheduling a few makes that independent of the slab's policy. *)
+  for _ = 1 to 4 do
+    ignore (E.schedule e ~delay:1.0 (fun () -> incr fresh))
+  done;
+  E.Timer.cancel e old;
+  Alcotest.(check int) "the stale cancel leaves pending alone" 4 (E.pending e);
+  E.run e;
+  Alcotest.(check (list string)) "old fired once" [ "old" ] !log;
+  Alcotest.(check int) "every new event fires" 4 !fresh
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* Scheduling allocates only what the caller passes: with one shared
+   closure and one instant, 10,000 events cost less than a word each
+   (the slab and the near heap grow a few times). *)
+let engine_schedule_alloc () =
+  let e = E.create () in
+  let fired = ref 0 in
+  let f () = incr fired in
+  let at = 1e-3 in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to 10_000 do
+          ignore (E.schedule_at e ~at f)
+        done;
+        E.run e)
+    /. 10_000.0
+  in
+  Alcotest.(check int) "all fired" 10_000 !fired;
+  if words >= 1.0 then Alcotest.failf "%.3f minor words per event, want < 1" words
+
+(* The core's clock and busy counter are flat floats: charging allocates
+   nothing. *)
+let cpu_charge_alloc () =
+  let e = E.create () in
+  let core = Cpu.create e ~name:"c0" () in
+  let cycles = 1000.0 in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to 10_000 do
+          Cpu.charge core ~cycles
+        done)
+  in
+  Alcotest.(check (float 0.0)) "minor words for 10,000 charges" 0.0 words;
+  Alcotest.(check (float 0.0)) "busy cycles" 1e7 (Cpu.busy_cycles core)
+
 (* Exact bucket positions on a fresh engine: three events share one slot
    on each wheel level (the last scheduled is the bucket head, the first
    the tail), one waits in the overflow heap. Every cancel of a bucketed
@@ -389,6 +460,10 @@ let tests =
     Alcotest.test_case "cancellation" `Quick engine_cancel;
     Alcotest.test_case "cancel frees the closure at once" `Quick engine_cancel_frees_closure;
     Alcotest.test_case "cancel at bucket head, middle, tail" `Quick engine_cancel_positions;
+    Alcotest.test_case "firing frees the closure" `Quick engine_fire_frees_closure;
+    Alcotest.test_case "stale handle cancels nothing" `Quick engine_stale_handle;
+    Alcotest.test_case "scheduling allocates < 1 word per event" `Quick engine_schedule_alloc;
+    Alcotest.test_case "cpu charge allocates nothing" `Quick cpu_charge_alloc;
     Alcotest.test_case "run until horizon" `Quick engine_until;
     Alcotest.test_case "nested scheduling" `Quick engine_nested_schedule;
     Alcotest.test_case "wheel vs heap order oracle (100K)" `Quick wheel_matches_heap_oracle;
