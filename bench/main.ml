@@ -1,6 +1,7 @@
 (* Bechamel microbenchmarks of the NetKernel dataplane primitives: NQE
-   codec, SPSC ring, hugepage copy, engine timers, one CoreEngine switch and
-   one owner poll burst.
+   codec, SPSC ring, hugepage copy, engine timers, one CoreEngine switch,
+   one owner poll burst, a core's exec-and-fire step and one segment over
+   the fabric.
    The paper's tables and figures are regenerated by `nk run` instead.
 
      dune exec bench/main.exe *)
@@ -113,9 +114,48 @@ let () =
            Sim.Engine.run serve_engine;
            if !applied <> 64 then failwith "burst not applied"))
   in
+  (* The simulation core's most frequent step: a chain of Cpu.exec
+     continuations on one core, each firing and queueing the next, so one
+     engine step is one exec plus one fire. *)
+  let cpu_engine = Sim.Engine.create () in
+  let core = Sim.Cpu.create cpu_engine ~name:"c0" () in
+  let rec next () = Sim.Cpu.exec core ~cycles:230.0 next in
+  next ();
+  let cpu_exec =
+    Test.make ~name:"cpu exec + fire"
+      (Staged.stage (fun () -> if not (Sim.Engine.step cpu_engine) then failwith "chain ended"))
+  in
+  (* One 1448-byte segment from NIC a to NIC b through the fabric: the
+     uplink's serialization and delivery, the switch's route lookup, then
+     the downlink's. *)
+  let net_engine = Sim.Engine.create () in
+  let fabric = Fabric.create net_engine ~rate_bps:100e9 ~delay:2e-6 () in
+  let nic_a = Nic.create net_engine ~name:"a" ()
+  and nic_b = Nic.create net_engine ~name:"b" () in
+  Fabric.attach fabric nic_a;
+  Fabric.attach fabric nic_b;
+  Fabric.add_route fabric 2 nic_b;
+  let delivered = ref 0 in
+  Nic.set_rx_handler nic_b (fun _ -> incr delivered);
+  let seg =
+    Segment.make
+      ~flow:(Addr.Flow.make ~src:(Addr.make 1 5000) ~dst:(Addr.make 2 80))
+      ~seq:0 ~ack:0 ~len:1448 ()
+  in
+  let link_send =
+    Test.make ~name:"link send + fabric delivery"
+      (Staged.stage (fun () ->
+           let before = !delivered in
+           if not (Nic.transmit nic_a seg) then failwith "segment dropped";
+           Sim.Engine.run net_engine;
+           if !delivered <> before + 1 then failwith "segment not delivered"))
+  in
   let tests =
     Test.make_grouped ~name:"netkernel-primitives"
-      [ nqe_roundtrip; ring_pushpop; hugepage_copy; heap_ops; ce_switch; serve_burst ]
+      [
+        nqe_roundtrip; ring_pushpop; hugepage_copy; heap_ops; ce_switch; serve_burst; cpu_exec;
+        link_send;
+      ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
   let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
