@@ -3,20 +3,28 @@
    `diff`. The run is done twice first: the tables are deterministic, so a
    row, percentile or note that differs between the two is a leak.
 
-   Each rendering also carries the run's minor-heap allocation as its last
-   note. For a given build the count repeats exactly, so the double run
-   and the baseline `diff` gate the simulator's allocation like any other
-   output: a word added to a hot path moves it. *)
+   Each rendering also carries two host counters as its last notes: the
+   engine events the run executed and its minor-heap allocation. The
+   events count is the same for every build, the allocation count for a
+   given build, so the double run and the baseline `diff` gate the
+   simulator's work like any other output: an event or a word added to a
+   hot path moves them. *)
 
 let measured run =
+  let e0 = Sim.Engine.total_executed () in
   let w0 = Gc.minor_words () in
   let report = run () in
   let words = Gc.minor_words () -. w0 in
+  let events = Sim.Engine.total_executed () - e0 in
   Report.to_json
     {
       report with
       Report.notes =
-        report.Report.notes @ [ Printf.sprintf "host: %.0f minor words allocated" words ];
+        report.Report.notes
+        @ [
+            Printf.sprintf "host: %d engine events executed" events;
+            Printf.sprintf "host: %.0f minor words allocated" words;
+          ];
     }
 
 let run_twice run =

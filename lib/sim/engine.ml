@@ -464,6 +464,9 @@ let rec peek_next t =
     peek_next t
   end
 
+(* Events executed by every engine of the process, for [total_executed]. *)
+let executed_everywhere = ref 0
+
 (* Run [s], the front of [near] as [peek_next] returned it. Its slot is
    released before the closure runs, so the closure's captures are
    collectable once it returns and the slot can serve the events it
@@ -474,6 +477,7 @@ let exec t s =
   let time = t.time.(s) in
   if time <> t.clock then t.clock <- time;
   t.executed <- t.executed + 1;
+  incr executed_everywhere;
   let f = t.fn.(s) in
   release t s;
   f ()
@@ -507,5 +511,7 @@ let run ?until t =
   | _ -> ()
 
 let events_executed t = t.executed
+
+let total_executed () = !executed_everywhere
 
 let pending t = t.size

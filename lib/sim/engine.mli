@@ -62,6 +62,11 @@ val step : t -> bool
 val events_executed : t -> int
 (** Count of events executed so far (for performance reporting). *)
 
+val total_executed : unit -> int
+(** Events executed so far by every engine of the process. Like
+    [Gc.minor_words], a run is measured as the difference of two reads;
+    [nk bench] brackets each quick run with it. *)
+
 val pending : t -> int
 (** Number of events currently queued: every live event, plus cancelled
     ones that were already in the near-term heap (due within the current

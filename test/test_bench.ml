@@ -16,8 +16,9 @@ let scripted reports =
     incr n;
     r
 
-(* The snapshot is the report's rendering with one more note last: the
-   run's minor words, which the double run compares like any other note. *)
+(* The snapshot is the report's rendering with two more notes last: the
+   run's engine events and minor words, which the double run compares like
+   any other note. A scripted run executes no event. *)
 let identical_runs_pass () =
   let r = report ~notes:[ "x" ] () in
   match Bench.run_twice (scripted [ r; r ]) with
@@ -29,9 +30,11 @@ let identical_runs_pass () =
           (String.split_on_char '\n' snapshot)
         |> Option.value ~default:(-1)
       in
-      let note = Printf.sprintf "host: %d minor words allocated" words in
+      let notes =
+        [ "host: 0 engine events executed"; Printf.sprintf "host: %d minor words allocated" words ]
+      in
       Alcotest.(check string) "snapshot"
-        (Report.to_json { r with Report.notes = r.Report.notes @ [ note ] })
+        (Report.to_json { r with Report.notes = r.Report.notes @ notes })
         snapshot
   | Error d -> Alcotest.failf "identical runs flagged: %s" d
 
