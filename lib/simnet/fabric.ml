@@ -14,10 +14,11 @@ let create engine ~rate_bps ~delay ?buffer_bytes () =
   { engine; rate = rate_bps; delay; buffer = buffer_bytes; ports = [];
     routes = Hashtbl.create 16; unrouted = 0 }
 
+(* [find]/[Not_found] rather than [find_opt]: no [Some] per segment. *)
 let forward t (seg : Segment.t) =
-  match Hashtbl.find_opt t.routes seg.Segment.flow.dst.ip with
-  | Some port -> ignore (Link.send port.downlink seg)
-  | None -> t.unrouted <- t.unrouted + 1
+  match Hashtbl.find t.routes seg.Segment.flow.dst.ip with
+  | port -> ignore (Link.send port.downlink seg)
+  | exception Not_found -> t.unrouted <- t.unrouted + 1
 
 let attach t nic =
   let mk name =

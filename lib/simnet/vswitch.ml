@@ -21,17 +21,19 @@ type t = {
   mutable unclaimed : int;
 }
 
+(* Every segment takes this path, so the lookups use [find]/[Not_found]
+   rather than [find_opt]: no [Some] per table consulted. *)
 let input t (seg : Segment.t) =
-  match Flow_table.find_opt t.by_flow seg.Segment.flow with
-  | Some f -> f seg
-  | None -> (
+  match Flow_table.find t.by_flow seg.Segment.flow with
+  | f -> f seg
+  | exception Not_found -> (
       let dst = seg.Segment.flow.dst in
-      match Endpoint_table.find_opt t.by_endpoint dst with
-      | Some f -> f seg
-      | None -> (
-          match Hashtbl.find_opt t.by_ip dst.ip with
-          | Some f -> f seg
-          | None -> t.unclaimed <- t.unclaimed + 1))
+      match Endpoint_table.find t.by_endpoint dst with
+      | f -> f seg
+      | exception Not_found -> (
+          match Hashtbl.find t.by_ip dst.ip with
+          | f -> f seg
+          | exception Not_found -> t.unclaimed <- t.unclaimed + 1))
 
 let create engine ~nic () =
   let t =
