@@ -1,5 +1,5 @@
 (* Stack-level unit tests: binding, port allocation, listener lifecycle,
-   RST behaviour, zero-window persist probing, TIME_WAIT reuse. *)
+   RST behaviour, zero-window persist probing, TIME_WAIT. *)
 
 open Tcpstack
 module E = Sim.Engine
@@ -163,6 +163,216 @@ let events_snapshot () =
       Alcotest.(check bool) "not readable yet" false ev.Types.readable
   | other -> Alcotest.failf "expected one event, got %d" (List.length other)
 
+(* ---- TIME_WAIT ---------------------------------------------------------- *)
+
+(* The segments one NIC hands to its host, newest first. With [pass] off
+   they go to [held] instead. *)
+type tap = { mutable log : Segment.t list; mutable held : Segment.t list; mutable pass : bool }
+
+let tap (e : World.endpoint) =
+  let t = { log = []; held = []; pass = true } in
+  Nic.set_rx_handler e.World.nic (fun seg ->
+      if t.pass then begin
+        t.log <- seg :: t.log;
+        Vswitch.input e.World.vswitch seg
+      end
+      else t.held <- seg :: t.held);
+  t
+
+type tw_world = {
+  w : World.t;
+  mon : Nkmon.t;
+  cli : World.endpoint;
+  srv : World.endpoint;
+  at_cli : tap; (* what the client receives *)
+  at_srv : tap;
+  accepted : Socket_api.sock list ref; (* newest first *)
+}
+
+(* The client's only ephemeral port. *)
+let tw_port = 40000
+
+let now tw = E.now tw.w.World.engine
+
+let run_for tw d = World.run tw.w ~until:(now tw +. d)
+
+(* A traced client and server. The client connects from [tw_port] to
+   port 80, sends 64 B and reads the 64 B answer; then each side closes
+   at its given time. *)
+let tw_world ~cli_close ~srv_close =
+  let w = World.create () in
+  let mon = Nkmon.create ~trace_enabled:true ~now:(fun () -> E.now w.World.engine) () in
+  let config =
+    {
+      (Stack.default_config Sim.Cost_profile.linux_kernel) with
+      Stack.ephemeral_range = (tw_port, tw_port);
+    }
+  in
+  let cli = World.add_endpoint w ~name:"cli" ~ip:ip_a ~config ~mon in
+  let srv = World.add_endpoint w ~name:"srv" ~ip:ip_b ~mon in
+  let tw = { w; mon; cli; srv; at_cli = tap cli; at_srv = tap srv; accepted = ref [] } in
+  let capi = cli.World.api and sapi = srv.World.api in
+  let at t f = ignore (E.schedule_at w.World.engine ~at:t f) in
+  let ls = ok "socket" (sapi.Socket_api.socket ()) in
+  ok "bind" (sapi.Socket_api.bind ls (Addr.make ip_b 80));
+  ok "listen" (sapi.Socket_api.listen ls ~backlog:8);
+  let rec accept_loop () =
+    sapi.Socket_api.accept ls ~k:(fun r ->
+        let fd, _ = ok "accept" r in
+        if !(tw.accepted) = [] then begin
+          World.recv_retry w sapi fd ~max:64 ~mode:`Copy ~k:(fun r ->
+              Alcotest.(check int) "request" 64 (Types.payload_len (ok "recv" r));
+              World.send_all w sapi fd (Types.Zeros 64) ~k:(ok "answer"));
+          at srv_close (fun () -> sapi.Socket_api.close fd)
+        end;
+        tw.accepted := fd :: !(tw.accepted);
+        accept_loop ())
+  in
+  accept_loop ();
+  let fd = ok "socket" (capi.Socket_api.socket ()) in
+  capi.Socket_api.connect fd (Addr.make ip_b 80) ~k:(fun r ->
+      ok "connect" r;
+      World.send_all w capi fd (Types.Zeros 64) ~k:(fun r ->
+          ok "request" r;
+          World.recv_retry w capi fd ~max:64 ~mode:`Copy ~k:(fun r ->
+              Alcotest.(check int) "answer" 64 (Types.payload_len (ok "recv" r)))));
+  at cli_close (fun () -> capi.Socket_api.close fd);
+  World.run w ~until:10e-3;
+  tw
+
+(* [stack]'s Tcp_state transitions: (time, sock, old, new), oldest first. *)
+let transitions tw stack =
+  List.filter_map
+    (fun (r : Nkmon.Trace.record) ->
+      match r.Nkmon.Trace.event with
+      | Nkmon.Trace.Tcp_state { stack = st; sock; old_state; new_state } when st = stack ->
+          Some (r.Nkmon.Trace.time, sock, old_state, new_state)
+      | _ -> None)
+    (Nkmon.Trace.records (Nkmon.trace tw.mon))
+
+(* When [stack]'s first connection entered TIME_WAIT, and when it left
+   for CLOSED if it has. *)
+let time_wait_span tw stack =
+  let ts = transitions tw stack in
+  match List.find_opt (fun (_, _, _, n) -> n = "TIME_WAIT") ts with
+  | None -> Alcotest.failf "%s: no connection in TIME_WAIT" stack
+  | Some (entry, sock, _, _) ->
+      ( entry,
+        List.find_map
+          (fun (t, s, o, n) -> if s = sock && o = "TIME_WAIT" && n = "CLOSED" then Some t else None)
+          ts )
+
+(* [x] is in TIME_WAIT. Deliver the last FIN it received once more, past
+   its tap: the answer is one pure ACK with the seq, ack and window of the
+   last segment [x] sent, echoing the newest timestamp [x] received.
+   [to_peer] holds it back, so that a closed peer does not answer with a
+   reset. *)
+let check_re_ack tw ~(x : World.endpoint) ~at_x ~to_peer =
+  let newest_ts = List.fold_left (fun m s -> Float.max m s.Segment.ts) (-1.0) at_x.log in
+  let fin =
+    match List.find_opt (fun s -> s.Segment.fin) at_x.log with
+    | Some s -> s
+    | None -> Alcotest.fail "no FIN received"
+  in
+  let last = match to_peer.log with s :: _ -> s | [] -> Alcotest.fail "nothing sent" in
+  to_peer.held <- [];
+  to_peer.pass <- false;
+  Vswitch.input x.World.vswitch fin;
+  run_for tw 1e-3;
+  to_peer.pass <- true;
+  match to_peer.held with
+  | [ re ] ->
+      let open Segment in
+      Alcotest.(check bool) "a pure ACK" true
+        (re.ack_flag && re.len = 0 && not (re.syn || re.fin || re.rst));
+      Alcotest.(check int) "seq" last.seq re.seq;
+      Alcotest.(check int) "ack" last.ack re.ack;
+      Alcotest.(check int) "window" last.window re.window;
+      Alcotest.(check (float 0.0)) "ts_echo" newest_ts re.ts_echo
+  | held -> Alcotest.failf "expected one re-ACK, got %d segments" (List.length held)
+
+(* Connect from the client's only ephemeral port, by port allocation or
+   bound to it. The result lands in the cell; [None] while pending. *)
+let connect_from_port tw ~bound =
+  let capi = tw.cli.World.api in
+  let fd = ok "socket" (capi.Socket_api.socket ()) in
+  if bound then ok "bind" (capi.Socket_api.bind fd (Addr.make ip_a tw_port));
+  let r = ref None in
+  capi.Socket_api.connect fd (Addr.make ip_b 80) ~k:(fun x -> r := Some x);
+  r
+
+let check_connect what expect r =
+  let show = function
+    | None -> "pending"
+    | Some (Ok ()) -> "connected"
+    | Some (Error e) -> Types.err_to_string e
+  in
+  Alcotest.(check string) what expect (show !r)
+
+(* The client closes first and holds the TIME_WAIT: it re-ACKs a
+   retransmitted FIN, keeps its port until the entry expires 50 ms after
+   it began, and frees it then. *)
+let time_wait_client_first () =
+  let tw = tw_world ~cli_close:5e-3 ~srv_close:6e-3 in
+  let entry, left = time_wait_span tw "cli" in
+  Alcotest.(check (option (float 0.0))) "still in TIME_WAIT" None left;
+  check_re_ack tw ~x:tw.cli ~at_x:tw.at_cli ~to_peer:tw.at_srv;
+  check_connect "allocated port" "EADDRINUSE" (connect_from_port tw ~bound:false);
+  check_connect "bound port" "EADDRINUSE" (connect_from_port tw ~bound:true);
+  World.run tw.w ~until:(entry +. 0.05 +. 1e-3);
+  let _, left = time_wait_span tw "cli" in
+  Alcotest.(check (option (float 1e-12))) "CLOSED at entry + 50 ms" (Some (entry +. 0.05)) left;
+  let r = connect_from_port tw ~bound:true in
+  run_for tw 1e-3;
+  check_connect "port free after expiry" "connected" r
+
+(* The server closes first and holds the TIME_WAIT: it re-ACKs a
+   retransmitted FIN, and a fresh SYN on the same 4-tuple replaces the
+   entry at once and is accepted. *)
+let time_wait_server_first () =
+  let tw = tw_world ~cli_close:6e-3 ~srv_close:5e-3 in
+  check_re_ack tw ~x:tw.srv ~at_x:tw.at_srv ~to_peer:tw.at_cli;
+  let entry, _ = time_wait_span tw "srv" in
+  let r = connect_from_port tw ~bound:false in
+  run_for tw 1e-3;
+  check_connect "same 4-tuple" "connected" r;
+  Alcotest.(check int) "accepted again" 2 (List.length !(tw.accepted));
+  match time_wait_span tw "srv" with
+  | _, Some t when t < entry +. 0.05 -> ()
+  | _ -> Alcotest.fail "the SYN did not end the TIME_WAIT entry"
+
+(* Both sides close at once, pass through CLOSING and both hold a
+   TIME_WAIT, each entered on an ACK after which the peer's timestamp is
+   still taken. An RST ends the client's entry at once and frees its port;
+   the server's entry accepts the SYN that reuses the 4-tuple. *)
+let time_wait_simultaneous () =
+  let tw = tw_world ~cli_close:5e-3 ~srv_close:5e-3 in
+  List.iter
+    (fun stack ->
+      if not (List.exists (fun (_, _, _, n) -> n = "CLOSING") (transitions tw stack)) then
+        Alcotest.failf "%s never passed through CLOSING" stack)
+    [ "cli"; "srv" ];
+  check_re_ack tw ~x:tw.cli ~at_x:tw.at_cli ~to_peer:tw.at_srv;
+  check_re_ack tw ~x:tw.srv ~at_x:tw.at_srv ~to_peer:tw.at_cli;
+  let c_entry, _ = time_wait_span tw "cli" and s_entry, _ = time_wait_span tw "srv" in
+  let rst =
+    Segment.make
+      ~flow:(Addr.Flow.make ~src:(Addr.make ip_b 80) ~dst:(Addr.make ip_a tw_port))
+      ~seq:0 ~ack:0 ~rst:true ()
+  in
+  Vswitch.input tw.cli.World.vswitch rst;
+  run_for tw 1e-3;
+  (match time_wait_span tw "cli" with
+  | _, Some t when t < c_entry +. 0.05 -> ()
+  | _ -> Alcotest.fail "the RST did not end the client's TIME_WAIT entry");
+  let r = connect_from_port tw ~bound:false in
+  run_for tw 1e-3;
+  check_connect "same 4-tuple" "connected" r;
+  Alcotest.(check int) "accepted again" 2 (List.length !(tw.accepted));
+  match time_wait_span tw "srv" with
+  | _, Some t when t < s_entry +. 0.05 -> ()
+  | _ -> Alcotest.fail "the SYN did not end the server's TIME_WAIT entry"
+
 let tests =
   [
     Alcotest.test_case "bind conflicts" `Quick bind_conflicts;
@@ -171,4 +381,7 @@ let tests =
     Alcotest.test_case "ephemeral ports recycle" `Quick ephemeral_ports_recycle;
     Alcotest.test_case "zero-window persist" `Quick zero_window_persist;
     Alcotest.test_case "epoll events snapshot" `Quick events_snapshot;
+    Alcotest.test_case "TIME_WAIT: client closes first" `Quick time_wait_client_first;
+    Alcotest.test_case "TIME_WAIT: server closes first" `Quick time_wait_server_first;
+    Alcotest.test_case "TIME_WAIT: simultaneous close" `Quick time_wait_simultaneous;
   ]

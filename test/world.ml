@@ -24,8 +24,8 @@ let create ?(rate_gbps = 100.0) ?(delay = 20e-6) ?(seed = 42) () =
   let fabric = Fabric.create engine ~rate_bps:(rate_gbps *. 1e9) ~delay () in
   { engine; registry = Conn_registry.create (); fabric; rng = Nkutil.Rng.create ~seed }
 
-let add_endpoint ?(profile = Sim.Cost_profile.linux_kernel) ?(cores = 1) ?config t ~name ~ip
-    =
+let add_endpoint ?(profile = Sim.Cost_profile.linux_kernel) ?(cores = 1) ?config ?mon t ~name
+    ~ip =
   let nic = Nic.create t.engine ~name:(name ^ ".nic") () in
   Fabric.attach t.fabric nic;
   Fabric.add_route t.fabric ip nic;
@@ -34,7 +34,7 @@ let add_endpoint ?(profile = Sim.Cost_profile.linux_kernel) ?(cores = 1) ?config
   let cfg = match config with Some c -> c | None -> Stack.default_config profile in
   let stack =
     Stack.create ~engine:t.engine ~name ~cores:cpu ~vswitch ~registry:t.registry
-      ~rng:(Nkutil.Rng.split t.rng) cfg
+      ~rng:(Nkutil.Rng.split t.rng) ?mon cfg
   in
   Stack.add_ip stack ip;
   { stack; api = Direct_socket.make stack; nic; vswitch; ip }
