@@ -88,7 +88,18 @@ and conn = {
   mutable c_flow_registered : bool;
 }
 
-and sock_kind = Fresh | Listener of listener | Conn of conn | Sclosed
+(* A connection in TIME_WAIT whose TCB was dropped (see [settle]): what
+   the rest of its 2*MSL can still observe. *)
+and time_wait = {
+  tw : Tcb.time_wait;
+  tw_registry_key : Addr.Flow.t * int;
+  tw_endpoint_registered : bool;
+  tw_flow_registered : bool;
+  mutable tw_eof_pending : bool; (* the peer's FIN is not read yet *)
+  mutable tw_closed : bool; (* the TCB's [destroyed] *)
+}
+
+and sock_kind = Fresh | Listener of listener | Conn of conn | Time_wait of time_wait | Sclosed
 
 and sock = {
   sid : int;
@@ -199,6 +210,8 @@ let sock_events _t s =
         writable = Tcb.writable c.tcb;
         hup;
       }
+  | Time_wait w ->
+      { Types.readable = w.tw_eof_pending || w.tw_closed; writable = false; hup = w.tw_closed }
 
 let notify t s = match s.handler with None -> () | Some h -> h (sock_events t s)
 
@@ -248,28 +261,64 @@ let next_queue t =
   q
 
 let unregister_endpoints t s =
-  (match s.kind with
-  | Conn c ->
-      (if c.c_endpoint_registered then
-         match s.local with
-         | Some a -> Vswitch.unregister_endpoint t.vswitch a
-         | None -> ());
-      if c.c_flow_registered then (
-        match (s.local, s.peer) with
-        | Some l, Some p ->
-            Vswitch.unregister_flow t.vswitch (Addr.Flow.make ~src:p ~dst:l)
-        | _ -> ())
+  let unregister ~endpoint ~flow =
+    (if endpoint then
+       match s.local with
+       | Some a -> Vswitch.unregister_endpoint t.vswitch a
+       | None -> ());
+    if flow then
+      match (s.local, s.peer) with
+      | Some l, Some p -> Vswitch.unregister_flow t.vswitch (Addr.Flow.make ~src:p ~dst:l)
+      | _ -> ()
+  in
+  match s.kind with
+  | Conn c -> unregister ~endpoint:c.c_endpoint_registered ~flow:c.c_flow_registered
+  | Time_wait w -> unregister ~endpoint:w.tw_endpoint_registered ~flow:w.tw_flow_registered
   | Fresh | Sclosed -> ()
   | Listener l when l.l_endpoint_registered -> Vswitch.unregister_endpoint t.vswitch l.l_addr
-  | Listener _ -> ());
-  ()
+  | Listener _ -> ()
+
+let trace_transition t s old_state new_state =
+  if Nkmon.tracing t.mon then
+    Nkmon.event t.mon
+      (Nkmon.Trace.Tcp_state
+         {
+           stack = t.name;
+           sock = s.sid;
+           old_state = Tcb.state_to_string old_state;
+           new_state = Tcb.state_to_string new_state;
+         })
+
+(* [Tcb.destroy] and the [on_destroy] below, in their order, for a
+   TIME_WAIT record. *)
+let close_time_wait t s w =
+  if not w.tw_closed then begin
+    w.tw_closed <- true;
+    trace_transition t s Tcb.Time_wait Tcb.Closed;
+    w.tw.Tcb.tw_release ();
+    Flow_table.remove t.conns (Addr.Flow.reverse w.tw.Tcb.tw_flow);
+    let rflow, isn = w.tw_registry_key in
+    Conn_registry.remove t.registry ~flow:rflow ~isn;
+    unregister_endpoints t s;
+    notify t s
+  end
+
+(* [on_time_wait_end]: the TIME_WAIT expiry, for the record or for a TCB
+   [settle] kept. *)
+let time_wait_end t s =
+  match s.kind with
+  | Time_wait w -> close_time_wait t s w
+  | Conn c -> Tcb.destroy_quiet c.tcb
+  | Fresh | Listener _ | Sclosed -> ()
 
 (* Build the TCB action record for a connection socket. [role] distinguishes
    the active opener (fires the connect continuation) from a passive one
    (feeds the listener's accept queue). *)
 let make_actions t s ~flow ~role =
   let key = Addr.Flow.reverse flow in
-  let get_conn () = match s.kind with Conn c -> Some c | Fresh | Listener _ | Sclosed -> None in
+  let get_conn () =
+    match s.kind with Conn c -> Some c | Fresh | Listener _ | Time_wait _ | Sclosed -> None
+  in
   let on_established () =
     (match get_conn () with
     | Some c when not c.established ->
@@ -293,7 +342,7 @@ let make_actions t s ~flow ~role =
                 ~cycles:(syscall_cycles t +. (p.accept_op *. rps_mult t))
                 (fun () -> k (Ok s))
             end
-        | Fresh | Conn _ | Sclosed -> ()));
+        | Fresh | Conn _ | Time_wait _ | Sclosed -> ()));
     notify t s
   in
   let on_error err =
@@ -307,7 +356,7 @@ let make_actions t s ~flow ~role =
           | `Passive lsock -> (
               match lsock.kind with
               | Listener l -> l.syn_count <- Int.max 0 (l.syn_count - 1)
-              | Fresh | Conn _ | Sclosed -> ())
+              | Fresh | Conn _ | Time_wait _ | Sclosed -> ())
         end
     | None -> ());
     notify t s
@@ -332,17 +381,8 @@ let make_actions t s ~flow ~role =
     on_writable = (fun () -> notify t s);
     on_error;
     on_destroy;
-    on_transition =
-      (fun old_state new_state ->
-        if Nkmon.tracing t.mon then
-          Nkmon.event t.mon
-            (Nkmon.Trace.Tcp_state
-               {
-                 stack = t.name;
-                 sock = s.sid;
-                 old_state = Tcb.state_to_string old_state;
-                 new_state = Tcb.state_to_string new_state;
-               }));
+    on_transition = (fun old_state new_state -> trace_transition t s old_state new_state);
+    on_time_wait_end = (fun () -> time_wait_end t s);
   }
 
 (* ---- SYN handling ------------------------------------------------------ *)
@@ -400,7 +440,7 @@ let handle_syn t (seg : Segment.t) =
                   c.c_flow_registered <- true
                 end
           end
-      | Fresh | Conn _ | Sclosed -> send_rst t seg)
+      | Fresh | Conn _ | Time_wait _ | Sclosed -> send_rst t seg)
 
 (* ---- RX path ------------------------------------------------------------ *)
 
@@ -412,19 +452,59 @@ let seg_rx_cycles t (seg : Segment.t) =
     p.per_ack_rx *. tx_mult t
   else (p.per_chunk_rx +. (float_of_int seg.Segment.len *. p.per_byte_rx)) *. rx_mult t
 
+(* Once a segment has put a connection into TIME_WAIT and [Tcb.input] is
+   done with it, the socket keeps a [time_wait] record and drops the TCB:
+   its CC, RTT estimator, queues, reassembly and action closures are
+   garbage from then on, instead of at the expiry 2*MSL later. A TCB that
+   still holds unread bytes or a persist timer stays whole.
+
+   The owner's handler goes too. TIME_WAIT follows our FIN, which only
+   [close] queues, so the owner has closed the socket, and both owners
+   ignore it from then on: ServiceLib's handler returns at once once its
+   sock is [closed], which it sets before closing, and Direct_socket's
+   notifies an fd it has removed from its epoll table and never reuses. *)
+let settle s c =
+  match Tcb.time_wait c.tcb with
+  | None -> ()
+  | Some tw ->
+      s.handler <- None;
+      s.kind <-
+        Time_wait
+          {
+            tw;
+            tw_registry_key = c.registry_key;
+            tw_endpoint_registered = c.c_endpoint_registered;
+            tw_flow_registered = c.c_flow_registered;
+            tw_eof_pending = Tcb.eof_pending c.tcb;
+            tw_closed = false;
+          }
+
 let deliver t (seg : Segment.t) =
   Nkmon.Registry.add t.ctr.c_payload_rx seg.Segment.len;
   match Flow_table.find t.conns seg.Segment.flow with
   | s -> (
+      let fresh_syn = seg.Segment.syn && not seg.Segment.ack_flag in
       match s.kind with
       | Conn c ->
-          if seg.Segment.syn && (not seg.Segment.ack_flag) && Tcb.state c.tcb = Tcb.Time_wait
-          then begin
+          if fresh_syn && Tcb.state c.tcb = Tcb.Time_wait then begin
             (* A fresh incarnation over a TIME_WAIT flow: replace it. *)
             Tcb.destroy_quiet c.tcb;
             handle_syn t seg
           end
-          else Tcb.input c.tcb seg
+          else begin
+            Tcb.input c.tcb seg;
+            settle s c
+          end
+      | Time_wait w ->
+          (* The same, and [Tcb.input] in TIME_WAIT, on the record. *)
+          if w.tw_closed then ()
+          else if fresh_syn then begin
+            close_time_wait t s w;
+            handle_syn t seg
+          end
+          else if seg.Segment.rst then close_time_wait t s w
+          else if seg.Segment.len > 0 || seg.Segment.fin then
+            emit t s (Tcb.time_wait_ack w.tw ~now:(Engine.now t.engine))
       | Fresh | Listener _ | Sclosed -> send_rst t seg)
   | exception Not_found ->
       if seg.Segment.rst then ()
@@ -583,7 +663,7 @@ let sock_error _t s =
   match s.kind with
   | Conn c -> c.error
   | Sclosed -> Some Types.Eclosed
-  | Fresh | Listener _ -> None
+  | Fresh | Listener _ | Time_wait _ -> None
 
 let sock_core _t s = s.core
 
@@ -595,7 +675,7 @@ let bind t s addr =
         s.local <- Some addr;
         Ok ()
       end
-  | Listener _ | Conn _ | Sclosed -> Error Types.Einval
+  | Listener _ | Conn _ | Time_wait _ | Sclosed -> Error Types.Einval
 
 let listen t s ~backlog =
   match (s.kind, s.local) with
@@ -624,7 +704,7 @@ let listen t s ~backlog =
         Ok ()
       end
   | Fresh, None -> Error Types.Einval
-  | (Listener _ | Conn _ | Sclosed), _ -> Error Types.Einval
+  | (Listener _ | Conn _ | Time_wait _ | Sclosed), _ -> Error Types.Einval
 
 (* Migration quiesce: keep the listener serving in-flight handshakes and
    queued accepts, but silently drop fresh SYNs (their RTO retry finds the
@@ -633,7 +713,7 @@ let listen t s ~backlog =
 let pause_listener _t s =
   match s.kind with
   | Listener l -> l.l_paused <- true
-  | Fresh | Conn _ | Sclosed -> ()
+  | Fresh | Conn _ | Time_wait _ | Sclosed -> ()
 
 let accept t s ~k =
   match s.kind with
@@ -646,7 +726,7 @@ let accept t s ~k =
           ~cycles:(syscall_cycles t +. (p.accept_op *. rps_mult t))
           (fun () -> k (Ok cs))
       end
-  | Fresh | Conn _ | Sclosed -> k (Error Types.Einval)
+  | Fresh | Conn _ | Time_wait _ | Sclosed -> k (Error Types.Einval)
 
 let alloc_flow t ~src_ip ~dst =
   (* Find a free ephemeral port for (src_ip -> dst). *)
@@ -726,15 +806,29 @@ let connect t s dst ~k =
                     c_flow_registered = false;
                   };
               Flow_table.replace t.conns (Addr.Flow.reverse flow) s))
-  | Listener _ | Conn _ | Sclosed -> k (Error Types.Einval)
+  | Listener _ | Conn _ | Time_wait _ | Sclosed -> k (Error Types.Einval)
 
-let conn_of s =
-  match s.kind with Conn c -> Some c | Fresh | Listener _ | Sclosed -> None
+let not_conn s = Error (match s.kind with Sclosed -> Types.Eclosed | _ -> Types.Enotconn)
+
+(* On a TIME_WAIT record, [send], [recv] and [close] charge what they
+   charge a TCB in TIME_WAIT, whose [write] and [close] do nothing and
+   whose [read] has only the EOF to give. *)
 
 let send t s payload ~k =
-  match conn_of s with
-  | None -> k (Error (match s.kind with Sclosed -> Types.Eclosed | _ -> Types.Enotconn))
-  | Some c -> (
+  match s.kind with
+  | Fresh | Listener _ | Sclosed -> k (not_conn s)
+  | Time_wait w ->
+      let want = Types.payload_len payload in
+      let accept = Int.min want w.tw.Tcb.tw_sndbuf in
+      if accept = 0 && want > 0 then begin
+        Cpu.charge s.core ~cycles:(syscall_cycles t);
+        k (Error Types.Eclosed)
+      end
+      else
+        Cpu.exec s.core
+          ~cycles:(syscall_cycles t +. user_copy_cycles t accept)
+          (fun () -> k (Error Types.Eclosed))
+  | Conn c -> (
       match c.error with
       | Some e -> k (Error e)
       | None ->
@@ -758,9 +852,23 @@ let send t s payload ~k =
           end)
 
 let recv t s ~max ~mode ~k =
-  match conn_of s with
-  | None -> k (Error (match s.kind with Sclosed -> Types.Eclosed | _ -> Types.Enotconn))
-  | Some c ->
+  match s.kind with
+  | Fresh | Listener _ | Sclosed -> k (not_conn s)
+  | Time_wait w ->
+      if not w.tw_eof_pending then begin
+        Cpu.charge s.core ~cycles:(syscall_cycles t);
+        k (Error Types.Eagain)
+      end
+      else
+        Cpu.exec s.core
+          ~cycles:(syscall_cycles t +. user_copy_cycles t (Int.min max 0))
+          (fun () ->
+            if w.tw_closed || not w.tw_eof_pending then k (Error Types.Eagain)
+            else begin
+              w.tw_eof_pending <- false;
+              k (Ok (match mode with `Copy | `Auto -> Types.Data "" | `Discard -> Types.Zeros 0))
+            end)
+  | Conn c ->
       let avail = Tcb.readable_bytes c.tcb in
       if avail = 0 && not (Tcb.eof_pending c.tcb) then begin
         Cpu.charge s.core ~cycles:(syscall_cycles t);
@@ -775,6 +883,17 @@ let recv t s ~max ~mode ~k =
             | None -> k (Error Types.Eagain))
       end
 
+let abort t s =
+  match s.kind with
+  | Conn c -> Tcb.abort c.tcb
+  | Time_wait w ->
+      if not w.tw_closed then begin
+        emit t s (Tcb.time_wait_rst w.tw);
+        close_time_wait t s w
+      end
+  | Fresh | Sclosed -> s.kind <- Sclosed
+  | Listener _ -> ()
+
 let close t s =
   match s.kind with
   | Fresh -> s.kind <- Sclosed
@@ -782,8 +901,7 @@ let close t s =
   | Listener l ->
       Endpoint_table.remove t.listeners l.l_addr;
       if l.l_endpoint_registered then Vswitch.unregister_endpoint t.vswitch l.l_addr;
-      Queue.iter (fun cs -> match conn_of cs with Some c -> Tcb.abort c.tcb | None -> ())
-        l.accept_q;
+      Queue.iter (abort t) l.accept_q;
       Queue.iter (fun k -> k (Error Types.Eclosed)) l.accept_waiters;
       Queue.clear l.accept_q;
       Queue.clear l.accept_waiters;
@@ -793,12 +911,18 @@ let close t s =
       Cpu.exec s.core
         ~cycles:(syscall_cycles t +. (p.teardown *. rps_mult t))
         (fun () -> Tcb.close c.tcb)
+  | Time_wait _ ->
+      let p = t.cfg.profile in
+      Cpu.exec s.core ~cycles:(syscall_cycles t +. (p.teardown *. rps_mult t)) ignore
 
-let abort _t s =
-  match s.kind with
-  | Conn c -> Tcb.abort c.tcb
-  | Fresh | Sclosed -> s.kind <- Sclosed
-  | Listener _ -> ()
+let time_wait_conns t =
+  Flow_table.fold
+    (fun _ s n ->
+      match s.kind with
+      | Time_wait _ -> n + 1
+      | Conn c when Tcb.state c.tcb = Tcb.Time_wait -> n + 1
+      | Fresh | Listener _ | Conn _ | Sclosed -> n)
+    t.conns 0
 
 (* ---- Connection export/import (live NSM migration) --------------------- *)
 
@@ -811,9 +935,11 @@ type export = {
   e_flow_registered : bool;
 }
 
+(* A connection in TIME_WAIT is not exported, whether a record or a whole
+   TCB: its last 2*MSL runs out on this stack. *)
 let export_conn t s =
   match s.kind with
-  | Conn c when Tcb.state c.tcb <> Tcb.Closed ->
+  | Conn c when Tcb.state c.tcb <> Tcb.Closed && Tcb.state c.tcb <> Tcb.Time_wait ->
       let flow = Tcb.flow c.tcb in
       let rflow, isn = c.registry_key in
       let ex =
@@ -834,7 +960,7 @@ let export_conn t s =
       unregister_endpoints t s;
       s.kind <- Sclosed;
       Ok ex
-  | Conn _ -> Error Types.Eclosed
+  | Conn _ | Time_wait _ -> Error Types.Eclosed
   | Fresh | Listener _ | Sclosed -> Error Types.Enotconn
 
 let import_conn t ex =

@@ -122,6 +122,11 @@ val sock_error : t -> sock -> Types.err option
 val sock_core : t -> sock -> Sim.Cpu.t
 (** The core this socket's processing is pinned to. *)
 
+val time_wait_conns : t -> int
+(** Connections in TIME_WAIT, whether kept as a compact record or, with
+    unread bytes or a persist timer, as a whole TCB. Walks the connection
+    table. *)
+
 (** {1 Wire interface} *)
 
 val input : t -> Segment.t -> unit
@@ -145,7 +150,8 @@ val export_conn : t -> sock -> (export, Types.err) result
     timers, drop it from the flow table and the vswitch — without emitting
     a segment, firing callbacks, or removing the {!Conn_registry} channel
     (the byte streams migrate with the snapshot). The sock becomes closed.
-    [Enotconn] for non-connection socks, [Eclosed] for dead ones. *)
+    [Enotconn] for non-connection socks, [Eclosed] for dead ones and for
+    ones in TIME_WAIT, which run out their 2*MSL on this stack. *)
 
 val import_conn : t -> export -> (sock, Types.err) result
 (** Resume an exported connection on this stack: rebuilds the TCB over the

@@ -62,6 +62,7 @@ type actions = {
   on_error : Types.err -> unit;
   on_destroy : unit -> unit;
   on_transition : state -> state -> unit;
+  on_time_wait_end : unit -> unit;
 }
 
 type retx_item = {
@@ -160,11 +161,15 @@ let destroy t =
     t.act.on_destroy ()
   end
 
+(* TIME_WAIT ends through the owner: the timer holds its callback, not the
+   TCB, so the owner may swap the TCB for a [time_wait] record meanwhile. *)
+let arm_time_wait t = ignore (t.act.set_timer ~delay:t.cfg.time_wait t.act.on_time_wait_end)
+
 let enter_time_wait t =
   set_state t Time_wait;
   cancel_timer_opt t t.rto_timer;
   t.rto_timer <- None;
-  ignore (t.act.set_timer ~delay:t.cfg.time_wait (fun () -> destroy t))
+  arm_time_wait t
 
 (* ---- Segment emission ------------------------------------------------ *)
 
@@ -596,6 +601,45 @@ let close t =
 
 let destroy_quiet t = destroy t
 
+(* ---- TIME_WAIT record ---------------------------------------------------- *)
+
+type time_wait = {
+  tw_flow : Addr.Flow.t;
+  tw_seq : int;
+  tw_ack : int;
+  tw_window : int;
+  tw_ts_echo : float;
+  tw_sndbuf : int;
+  tw_release : unit -> unit;
+}
+
+(* In TIME_WAIT only [input]'s re-ACK, [read]'s EOF, [abort] and [destroy]
+   still act, and with no unread bytes and no timer of its own (the
+   retransmit timer went at entry) nothing but [destroy] changes what they
+   read: the record below is all of it. *)
+let time_wait t =
+  match (t.state, t.rto_timer, t.persist_timer) with
+  | Time_wait, None, None when t.recv_ready = 0 ->
+      Some
+        {
+          tw_flow = t.flow;
+          tw_seq = t.snd_nxt;
+          tw_ack = rcv_nxt t;
+          tw_window = rwnd_available t;
+          tw_ts_echo = t.peer_ts;
+          tw_sndbuf = sndbuf_available t;
+          tw_release = t.cc.Cc.release;
+        }
+  | _ -> None
+
+(* [emit_ack]'s and [abort]'s segments, field for field. *)
+let time_wait_ack tw ~now =
+  Segment.make ~flow:tw.tw_flow ~seq:tw.tw_seq ~ack:tw.tw_ack ~syn:false ~ack_flag:true
+    ~fin:false ~window:tw.tw_window ~len:0 ~ts:now ~ts_echo:tw.tw_ts_echo ()
+
+let time_wait_rst tw =
+  Segment.make ~flow:tw.tw_flow ~seq:tw.tw_seq ~ack:tw.tw_ack ~rst:true ~ack_flag:true ()
+
 (* ---- Serialization (live NSM migration) -------------------------------- *)
 
 module Snapshot = struct
@@ -738,7 +782,7 @@ let restore ~act ~cc ~channel ~role (s : Snapshot.t) =
   | Time_wait ->
       (* The residual 2*MSL dwell restarts from scratch; it only delays the
          TCB's disappearance, never its behaviour. *)
-      ignore (t.act.set_timer ~delay:t.cfg.time_wait (fun () -> destroy t))
+      arm_time_wait t
   | Syn_sent | Syn_rcvd | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing
   | Last_ack | Closed ->
       if s.Snapshot.s_rto_armed then arm_rto t);

@@ -59,6 +59,11 @@ type actions = {
   on_destroy : unit -> unit;  (** TCB left the demux; drop references *)
   on_transition : state -> state -> unit;
       (** observes every [old -> new] state change (Nkmon tracing) *)
+  on_time_wait_end : unit -> unit;
+      (** runs [config.time_wait] after the TCB enters TIME_WAIT; the
+          owner ends the connection then ({!destroy_quiet} if it kept the
+          TCB). The TCB's timer holds this callback, not the TCB, so the
+          owner may drop the TCB for a {!time_wait} record in between. *)
 }
 
 type t
@@ -113,7 +118,38 @@ val abort : t -> unit
 
 val destroy_quiet : t -> unit
 (** Tear the TCB down without emitting anything (e.g. when a TIME_WAIT
-    incarnation is replaced by a fresh SYN, RFC 6191 style). *)
+    incarnation is replaced by a fresh SYN, RFC 6191 style, or when
+    TIME_WAIT ends). *)
+
+(** {1 TIME_WAIT record} *)
+
+(** What a TCB in TIME_WAIT still shows: every re-ACK it sends and the
+    RST an abort sends are built from these fields alone. *)
+type time_wait = {
+  tw_flow : Addr.Flow.t;  (** local → remote *)
+  tw_seq : int;  (** [snd_nxt], past our FIN *)
+  tw_ack : int;  (** [rcv_nxt], past the peer's FIN *)
+  tw_window : int;  (** the window a re-ACK advertises *)
+  tw_ts_echo : float;  (** the peer timestamp a re-ACK echoes *)
+  tw_sndbuf : int;  (** what {!sndbuf_available} reports *)
+  tw_release : unit -> unit;  (** the CC's release, due when TIME_WAIT ends *)
+}
+
+val time_wait : t -> time_wait option
+(** [Some] when the TCB is in TIME_WAIT with no unread bytes and no
+    timer of its own. Then nothing but the TCB's destruction can change
+    what it shows: a segment only draws {!time_wait_ack} (or, an RST, the
+    destruction), [read] only hands out the EOF (when {!eof_pending}),
+    [write] and [close] do nothing and [abort] sends {!time_wait_rst}. An
+    owner may keep this record instead of the TCB until
+    [on_time_wait_end]. [None] in any other state, or while unread bytes
+    or a persist timer remain. *)
+
+val time_wait_ack : time_wait -> now:float -> Segment.t
+(** The ACK a TIME_WAIT TCB sends for a segment with payload or FIN. *)
+
+val time_wait_rst : time_wait -> Segment.t
+(** The RST {!abort} sends from TIME_WAIT. *)
 
 (** {1 Serialization (live NSM migration)} *)
 

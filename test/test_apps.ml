@@ -196,6 +196,57 @@ let churn_pending_bounded () =
     Alcotest.failf "only %d requests completed" r.Nkapps.Loadgen.completed;
   if !peak > 10_000 then Alcotest.failf "pending peaked at %d events" !peak
 
+(* A connection in TIME_WAIT keeps a compact record, not a whole TCB, and
+   live memory does not grow with run length. The same churn world; after
+   a full major GC, at 0.1 and at 0.3 virtual s, the live words above those
+   of the drained world (all TIME_WAITs expired) are divided by the
+   connections in TIME_WAIT: at most 100 each. A whole TCB with its CC,
+   RTT estimator, fifos, queues and action closures held about 280. *)
+let churn_memory_bounded () =
+  let w = world () in
+  let server = server_endpoint w and client = client_endpoint w in
+  (match
+     Nkapps.Epoll_server.start ~engine:w.World.engine ~api:server.World.api
+       (Nkapps.Epoll_server.config ~proto:(fixed 64) (Addr.make ip_server 80))
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "server: %s" (Types.err_to_string e));
+  let lg =
+    Nkapps.Loadgen.start ~engine:w.World.engine ~api:client.World.api
+      {
+        Nkapps.Loadgen.server = Addr.make ip_server 80;
+        proto = fixed 64;
+        mode = Nkapps.Loadgen.Closed { concurrency = 32; total = None; duration = Some 0.3 };
+        warmup = 0.0;
+      }
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let at t =
+    World.run w ~until:t;
+    let n =
+      Stack.time_wait_conns server.World.stack + Stack.time_wait_conns client.World.stack
+    in
+    (live (), n)
+  in
+  let l1, n1 = at 0.1 in
+  let l3, n3 = at 0.3 in
+  let drained, n = at 0.5 in
+  Alcotest.(check int) "TIME_WAITs expired" 0 n;
+  if n1 < 1000 || n3 < 1000 then Alcotest.failf "only %d and %d in TIME_WAIT" n1 n3;
+  List.iter
+    (fun (t, l, n) ->
+      let per_conn = float_of_int (l - drained) /. float_of_int n in
+      if per_conn > 100.0 then
+        Alcotest.failf "%.1f live words per TIME_WAIT connection at %.1f s (%d of them)"
+          per_conn t n)
+    [ (0.1, l1, n1); (0.3, l3, n3) ];
+  if Float.abs (float_of_int (l3 - l1)) > 0.1 *. float_of_int l1 then
+    Alcotest.failf "live words grew from %d at 0.1 s to %d at 0.3 s" l1 l3;
+  ignore (Sys.opaque_identity (Nkapps.Loadgen.results lg))
+
 let tests =
   [
     Alcotest.test_case "loadgen completes exactly" `Quick loadgen_completes_exactly;
@@ -205,4 +256,5 @@ let tests =
     Alcotest.test_case "paced stream" `Quick paced_stream;
     Alcotest.test_case "kv store over baseline" `Quick kvstore_baseline;
     Alcotest.test_case "connection churn keeps pending bounded" `Quick churn_pending_bounded;
+    Alcotest.test_case "connection churn keeps memory bounded" `Quick churn_memory_bounded;
   ]

@@ -24,6 +24,7 @@ let mk_act engine outq est =
     on_error = (fun _ -> ());
     on_destroy = (fun () -> ());
     on_transition = (fun _ _ -> ());
+    on_time_wait_end = (fun () -> ());
   }
 
 (* The restored twin gets a mute actions record: its re-armed timers must
@@ -40,6 +41,7 @@ let null_act engine =
     on_error = (fun _ -> ());
     on_destroy = (fun () -> ());
     on_transition = (fun _ _ -> ());
+    on_time_wait_end = (fun () -> ());
   }
 
 (* One checkpoint: snapshot, restore on a fresh controller from the same
