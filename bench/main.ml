@@ -1,7 +1,7 @@
 (* Bechamel microbenchmarks of the NetKernel dataplane primitives: NQE
    codec, SPSC ring, hugepage copy, engine timers, one CoreEngine switch,
-   one owner poll burst, a core's exec-and-fire step and one segment over
-   the fabric.
+   one owner poll burst, a core's exec-and-fire step, one segment over
+   the fabric and one TCP connection's whole life.
    The paper's tables and figures are regenerated by `nk run` instead.
 
      dune exec bench/main.exe *)
@@ -150,11 +150,81 @@ let () =
            Sim.Engine.run net_engine;
            if !delivered <> before + 1 then failwith "segment not delivered"))
   in
+  (* One non-keep-alive connection between two kernel stacks on two hosts,
+     the unit of connection churn: connect, 64 B each way, the server
+     closes after answering and the client after reading, then the engine
+     runs until nothing is left, TIME_WAIT expiry included. *)
+  let module St = Tcpstack.Stack in
+  let tcp_engine = Sim.Engine.create () in
+  let tcp_fabric = Fabric.create tcp_engine ~rate_bps:100e9 ~delay:20e-6 () in
+  let registry = Tcpstack.Conn_registry.create () in
+  let rng = Nkutil.Rng.create ~seed:1 in
+  let host ~name ~ip =
+    let nic = Nic.create tcp_engine ~name () in
+    Fabric.attach tcp_fabric nic;
+    Fabric.add_route tcp_fabric ip nic;
+    let stack =
+      St.create ~engine:tcp_engine ~name
+        ~cores:(Sim.Cpu.Set.create tcp_engine ~name ~n:1 ())
+        ~vswitch:(Vswitch.create tcp_engine ~nic ())
+        ~registry ~rng:(Nkutil.Rng.split rng)
+        (St.default_config Sim.Cost_profile.linux_kernel)
+    in
+    St.add_ip stack ip;
+    stack
+  in
+  let cli = host ~name:"cli" ~ip:1 and srv = host ~name:"srv" ~ip:2 in
+  let srv_addr = Addr.make 2 80 in
+  (* Read [n] bytes, one recv at a time as readiness arrives, then [k]. *)
+  let read_then stack s n k =
+    let got = ref 0 and busy = ref false in
+    let rec pull () =
+      if (not !busy) && !got < n then begin
+        busy := true;
+        St.recv stack s ~max:(n - !got) ~mode:`Discard ~k:(fun r ->
+            busy := false;
+            match r with
+            | Ok p when Tcpstack.Types.payload_len p > 0 ->
+                got := !got + Tcpstack.Types.payload_len p;
+                if !got = n then k () else pull ()
+            | Ok _ | Error _ -> ())
+      end
+    in
+    St.set_event_handler stack s (fun _ -> pull ());
+    pull ()
+  in
+  let ls = St.socket srv in
+  (match St.bind srv ls srv_addr with Ok () -> () | Error _ -> failwith "bind");
+  (match St.listen srv ls ~backlog:64 with Ok () -> () | Error _ -> failwith "listen");
+  let rec accept_loop () =
+    St.accept srv ls ~k:(function
+      | Error _ -> failwith "accept"
+      | Ok s ->
+          read_then srv s 64 (fun () ->
+              St.send srv s (Tcpstack.Types.Zeros 64) ~k:(fun _ -> St.close srv s));
+          accept_loop ())
+  in
+  accept_loop ();
+  let conn_life =
+    Test.make ~name:"tcp conn: 64 B each way + TIME_WAIT"
+      (Staged.stage (fun () ->
+           let s = St.socket cli in
+           let answered = ref false in
+           St.connect cli s srv_addr ~k:(function
+             | Error _ -> failwith "connect"
+             | Ok () ->
+                 St.send cli s (Tcpstack.Types.Zeros 64) ~k:(fun _ -> ());
+                 read_then cli s 64 (fun () ->
+                     answered := true;
+                     St.close cli s));
+           Sim.Engine.run tcp_engine;
+           if not !answered || St.time_wait_conns srv <> 0 then failwith "connection not done"))
+  in
   let tests =
     Test.make_grouped ~name:"netkernel-primitives"
       [
         nqe_roundtrip; ring_pushpop; hugepage_copy; heap_ops; ce_switch; serve_burst; cpu_exec;
-        link_send;
+        link_send; conn_life;
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
