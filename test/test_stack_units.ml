@@ -197,9 +197,9 @@ let now tw = E.now tw.w.World.engine
 let run_for tw d = World.run tw.w ~until:(now tw +. d)
 
 (* A traced client and server. The client connects from [tw_port] to
-   port 80, sends 64 B and reads the 64 B answer; then each side closes
-   at its given time. *)
-let tw_world ~cli_close ~srv_close =
+   port 80, sends 64 B and reads the 64 B answer (unless [cli_reads] is
+   false); then each side closes at its given time. *)
+let tw_world ?(cli_reads = true) ~cli_close ~srv_close () =
   let w = World.create () in
   let mon = Nkmon.create ~trace_enabled:true ~now:(fun () -> E.now w.World.engine) () in
   let config =
@@ -234,8 +234,9 @@ let tw_world ~cli_close ~srv_close =
       ok "connect" r;
       World.send_all w capi fd (Types.Zeros 64) ~k:(fun r ->
           ok "request" r;
-          World.recv_retry w capi fd ~max:64 ~mode:`Copy ~k:(fun r ->
-              Alcotest.(check int) "answer" 64 (Types.payload_len (ok "recv" r)))));
+          if cli_reads then
+            World.recv_retry w capi fd ~max:64 ~mode:`Copy ~k:(fun r ->
+                Alcotest.(check int) "answer" 64 (Types.payload_len (ok "recv" r)))));
   at cli_close (fun () -> capi.Socket_api.close fd);
   World.run w ~until:10e-3;
   tw
@@ -311,9 +312,10 @@ let check_connect what expect r =
 
 (* The client closes first and holds the TIME_WAIT: it re-ACKs a
    retransmitted FIN, keeps its port until the entry expires 50 ms after
-   it began, and frees it then. *)
-let time_wait_client_first () =
-  let tw = tw_world ~cli_close:5e-3 ~srv_close:6e-3 in
+   it began, and frees it then. With the answer left unread the same
+   holds, for a TIME_WAIT whose TCB still has bytes to give. *)
+let time_wait_client_first ~cli_reads () =
+  let tw = tw_world ~cli_reads ~cli_close:5e-3 ~srv_close:6e-3 () in
   let entry, left = time_wait_span tw "cli" in
   Alcotest.(check (option (float 0.0))) "still in TIME_WAIT" None left;
   check_re_ack tw ~x:tw.cli ~at_x:tw.at_cli ~to_peer:tw.at_srv;
@@ -330,7 +332,7 @@ let time_wait_client_first () =
    retransmitted FIN, and a fresh SYN on the same 4-tuple replaces the
    entry at once and is accepted. *)
 let time_wait_server_first () =
-  let tw = tw_world ~cli_close:6e-3 ~srv_close:5e-3 in
+  let tw = tw_world ~cli_close:6e-3 ~srv_close:5e-3 () in
   check_re_ack tw ~x:tw.srv ~at_x:tw.at_srv ~to_peer:tw.at_cli;
   let entry, _ = time_wait_span tw "srv" in
   let r = connect_from_port tw ~bound:false in
@@ -346,7 +348,7 @@ let time_wait_server_first () =
    still taken. An RST ends the client's entry at once and frees its port;
    the server's entry accepts the SYN that reuses the 4-tuple. *)
 let time_wait_simultaneous () =
-  let tw = tw_world ~cli_close:5e-3 ~srv_close:5e-3 in
+  let tw = tw_world ~cli_close:5e-3 ~srv_close:5e-3 () in
   List.iter
     (fun stack ->
       if not (List.exists (fun (_, _, _, n) -> n = "CLOSING") (transitions tw stack)) then
@@ -381,7 +383,10 @@ let tests =
     Alcotest.test_case "ephemeral ports recycle" `Quick ephemeral_ports_recycle;
     Alcotest.test_case "zero-window persist" `Quick zero_window_persist;
     Alcotest.test_case "epoll events snapshot" `Quick events_snapshot;
-    Alcotest.test_case "TIME_WAIT: client closes first" `Quick time_wait_client_first;
+    Alcotest.test_case "TIME_WAIT: client closes first" `Quick
+      (time_wait_client_first ~cli_reads:true);
+    Alcotest.test_case "TIME_WAIT: client closes first, answer unread" `Quick
+      (time_wait_client_first ~cli_reads:false);
     Alcotest.test_case "TIME_WAIT: server closes first" `Quick time_wait_server_first;
     Alcotest.test_case "TIME_WAIT: simultaneous close" `Quick time_wait_simultaneous;
   ]
