@@ -808,15 +808,14 @@ let connect t s dst ~k =
               Flow_table.replace t.conns (Addr.Flow.reverse flow) s))
   | Listener _ | Conn _ | Time_wait _ | Sclosed -> k (Error Types.Einval)
 
-let not_conn s = Error (match s.kind with Sclosed -> Types.Eclosed | _ -> Types.Enotconn)
-
 (* On a TIME_WAIT record, [send], [recv] and [close] charge what they
    charge a TCB in TIME_WAIT, whose [write] and [close] do nothing and
    whose [read] has only the EOF to give. *)
 
 let send t s payload ~k =
   match s.kind with
-  | Fresh | Listener _ | Sclosed -> k (not_conn s)
+  | Sclosed -> k (Error Types.Eclosed)
+  | Fresh | Listener _ -> k (Error Types.Enotconn)
   | Time_wait w ->
       let want = Types.payload_len payload in
       let accept = Int.min want w.tw.Tcb.tw_sndbuf in
@@ -853,7 +852,8 @@ let send t s payload ~k =
 
 let recv t s ~max ~mode ~k =
   match s.kind with
-  | Fresh | Listener _ | Sclosed -> k (not_conn s)
+  | Sclosed -> k (Error Types.Eclosed)
+  | Fresh | Listener _ -> k (Error Types.Enotconn)
   | Time_wait w ->
       if not w.tw_eof_pending then begin
         Cpu.charge s.core ~cycles:(syscall_cycles t);
