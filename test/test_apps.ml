@@ -201,7 +201,7 @@ let churn_pending_bounded () =
    a full major GC, at 0.1 and at 0.3 virtual s, the live words above those
    of the drained world (all TIME_WAITs expired) are divided by the
    connections in TIME_WAIT: at most 100 each. A whole TCB with its CC,
-   RTT estimator, fifos, queues and action closures held about 280. *)
+   RTT estimator, fifos, queues and action closures held about 270. *)
 let churn_memory_bounded () =
   let w = world () in
   let server = server_endpoint w and client = client_endpoint w in
