@@ -80,6 +80,173 @@ let zeros_in_headers_raise () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "synthetic bytes cannot form headers"
 
+(* ---- one stream, every chunking ------------------------------------------ *)
+
+(* A pipelined stream of requests and responses. A response body is real
+   bytes (with terminators inside, which a body must not end on), a
+   synthetic run, or empty; requests carry none. *)
+type body = Empty | Real of int | Synthetic of int
+
+type spec = { request : bool; path : string; keepalive : bool; body : body }
+
+let body_len = function Empty -> 0 | Real n | Synthetic n -> n
+
+let head_of sp =
+  if sp.request then Nkapps.Http.request ~path:sp.path ~keepalive:sp.keepalive ()
+  else Nkapps.Http.response_header ~content_length:(body_len sp.body) ~keepalive:sp.keepalive ()
+
+(* A line without a colon just before the block's closing CRLF. *)
+let break_head head =
+  String.sub head 0 (String.length head - 2) ^ "broken line\r\n\r\n"
+
+(* What a caller can observe of a message. *)
+let view msg =
+  ( msg.P.start_line,
+    msg.P.content_length,
+    msg.P.keepalive,
+    Nkapps.Http.header msg "Host",
+    Nkapps.Http.header msg "Connection" )
+
+let expected sp =
+  ( (if sp.request then "GET " ^ sp.path ^ " HTTP/1.1" else "HTTP/1.1 200 OK"),
+    body_len sp.body,
+    sp.keepalive,
+    (if sp.request then Some "netkernel.test" else None),
+    Some (if sp.keepalive then "keep-alive" else "close") )
+
+(* The stream as maximal runs: adjacent real bytes merge into one [Data]. *)
+let runs_of ?broken specs =
+  let runs = ref [] and pending = Buffer.create 256 in
+  let flush () =
+    if Buffer.length pending > 0 then begin
+      runs := Types.Data (Buffer.contents pending) :: !runs;
+      Buffer.clear pending
+    end
+  in
+  List.iteri
+    (fun i sp ->
+      let head = head_of sp in
+      Buffer.add_string pending (if broken = Some i then break_head head else head);
+      match sp.body with
+      | Empty -> ()
+      | Real n -> Buffer.add_string pending (String.init n (fun j -> "\r\n\r\nab".[j mod 6]))
+      | Synthetic n ->
+          flush ();
+          runs := Types.Zeros n :: !runs)
+    specs;
+  flush ();
+  List.rev !runs
+
+let total runs = List.fold_left (fun acc r -> acc + Types.payload_len r) 0 runs
+
+(* Offsets strictly inside or at the edges of every header terminator. *)
+let terminator_offsets runs =
+  let acc = ref [] and base = ref 0 in
+  List.iter
+    (fun r ->
+      (match r with
+      | Types.Data s ->
+          String.iteri
+            (fun i _ ->
+              if i + 4 <= String.length s && String.sub s i 4 = "\r\n\r\n" then
+                for k = 0 to 4 do
+                  acc := (!base + i + k) :: !acc
+                done)
+            s
+      | Types.Zeros _ -> ());
+      base := !base + Types.payload_len r)
+    runs;
+  List.sort_uniq Int.compare !acc
+
+(* Split the runs at absolute offsets (0 and the end are no cut). *)
+let cut runs offsets =
+  let offsets = List.sort_uniq Int.compare offsets in
+  let piece r a b =
+    match r with Types.Data s -> Types.Data (String.sub s a (b - a)) | Types.Zeros _ -> Types.Zeros (b - a)
+  in
+  let rec go base runs offsets acc =
+    match runs with
+    | [] -> List.rev acc
+    | r :: rest ->
+        let len = Types.payload_len r in
+        let inside = List.filter (fun o -> o > base && o < base + len) offsets in
+        let bounds = (0 :: List.map (fun o -> o - base) inside) @ [ len ] in
+        let rec pieces = function
+          | a :: (b :: _ as tl) -> piece r a b :: pieces tl
+          | [ _ ] | [] -> []
+        in
+        go (base + len) rest offsets (List.rev_append (pieces bounds) acc)
+  in
+  go 0 runs offsets []
+
+let feed_views chunks =
+  let p = P.create () in
+  let msgs = List.concat_map (P.feed p) chunks in
+  if P.in_body p || P.body_remaining p <> 0 then failwith "parser left inside a body";
+  List.map view msgs
+
+(* Every chunking the property tries: the random cuts, each terminator
+   offset alone, all of them at once, and byte by byte. *)
+let chunkings runs cuts =
+  let n = total runs in
+  let ends = terminator_offsets runs in
+  (runs :: cut runs cuts :: cut runs ends :: cut runs (List.init (Int.max 0 (n - 1)) succ)
+   :: List.map (fun o -> cut runs [ o ]) ends)
+
+let spec_gen =
+  QCheck.Gen.(
+    let* request = bool in
+    let* keepalive = bool in
+    let* path = map (fun i -> "/" ^ string_of_int i) (int_bound 999) in
+    let* body =
+      if request then return Empty
+      else
+        frequency
+          [ (1, return Empty); (2, map (fun n -> Real n) (int_range 1 300));
+            (2, map (fun n -> Synthetic n) (int_range 1 300)) ]
+    in
+    return { request; path; keepalive; body })
+
+let stream_gen =
+  QCheck.Gen.(
+    let* specs = list_size (int_range 1 5) spec_gen in
+    let* broken = int_bound (List.length specs - 1) in
+    let n = total (runs_of specs) in
+    let* cuts = list_size (int_bound 12) (int_range 0 n) in
+    return (specs, broken, cuts))
+
+let stream_arb =
+  QCheck.make stream_gen ~print:(fun (specs, broken, cuts) ->
+      Printf.sprintf "%d messages, broken #%d, cuts [%s]: %s" (List.length specs) broken
+        (String.concat ";" (List.map string_of_int cuts))
+        (String.concat " | "
+           (List.map
+              (fun sp ->
+                Printf.sprintf "%s %s ka=%b body=%s"
+                  (if sp.request then "req" else "resp")
+                  sp.path sp.keepalive
+                  (match sp.body with
+                  | Empty -> "empty"
+                  | Real n -> Printf.sprintf "real %d" n
+                  | Synthetic n -> Printf.sprintf "zeros %d" n))
+              specs)))
+
+let chunking_qcheck =
+  QCheck.Test.make ~name:"every chunking parses like one whole feed" ~count:200 stream_arb
+    (fun (specs, _, cuts) ->
+      let runs = runs_of specs in
+      let want = List.map expected specs in
+      List.for_all (fun chunks -> feed_views chunks = want) (chunkings runs cuts))
+
+let malformed_qcheck =
+  QCheck.Test.make ~name:"a malformed header line raises under every chunking" ~count:200
+    stream_arb (fun (specs, broken, cuts) ->
+      let runs = runs_of ~broken specs in
+      List.for_all
+        (fun chunks ->
+          match feed_views chunks with exception Failure _ -> true | _ -> false)
+        (chunkings runs cuts))
+
 let tests =
   [
     Alcotest.test_case "simple request" `Quick simple_request;
@@ -89,4 +256,6 @@ let tests =
     Alcotest.test_case "body then next header" `Quick body_then_next_header;
     Alcotest.test_case "malformed raises" `Quick malformed_raises;
     Alcotest.test_case "zeros in headers raise" `Quick zeros_in_headers_raise;
+    QCheck_alcotest.to_alcotest chunking_qcheck;
+    QCheck_alcotest.to_alcotest malformed_qcheck;
   ]
