@@ -138,9 +138,9 @@ let () =
   let delivered = ref 0 in
   Nic.set_rx_handler nic_b (fun _ -> incr delivered);
   let seg =
-    Segment.make
-      ~flow:(Addr.Flow.make ~src:(Addr.make 1 5000) ~dst:(Addr.make 2 80))
-      ~seq:0 ~ack:0 ~len:1448 ()
+    Segment.make ~flow:(Addr.Flow.make ~src:(Addr.make 1 5000) ~dst:(Addr.make 2 80)) ~seq:0
+      ~ack:0 ~syn:false ~ack_flag:false ~fin:false ~rst:false ~window:0 ~len:1448 ~ts:0.0
+      ~ts_echo:(-1.0)
   in
   let link_send =
     Test.make ~name:"link send + fabric delivery"

@@ -159,16 +159,19 @@ let emit t (h : Hcb.t) seg =
   Nkspan.leave t.spans
 
 let send_request t (h : Hcb.t) =
-  emit t h (Segment.make ~flow:h.Hcb.flow ~seq:h.Hcb.cid ~ack:0 ~syn:true ())
+  emit t h
+    (Segment.make ~flow:h.Hcb.flow ~seq:h.Hcb.cid ~ack:0 ~syn:true ~ack_flag:false ~fin:false
+       ~rst:false ~window:0 ~len:0 ~ts:0.0 ~ts_echo:(-1.0))
 
 let send_accept t (h : Hcb.t) =
   emit t h
-    (Segment.make ~flow:(Hcb.tx_flow h) ~seq:h.Hcb.cid ~ack:0 ~syn:true ~ack_flag:true ())
+    (Segment.make ~flow:(Hcb.tx_flow h) ~seq:h.Hcb.cid ~ack:0 ~syn:true ~ack_flag:true
+       ~fin:false ~rst:false ~window:0 ~len:0 ~ts:0.0 ~ts_echo:(-1.0))
 
 let send_ack t (h : Hcb.t) ~msg_idx ~granted =
   emit t h
-    (Segment.make ~flow:(Hcb.tx_flow h) ~seq:msg_idx ~ack:granted ~ack_flag:true
-       ~window:h.Hcb.rx_bytes ())
+    (Segment.make ~flow:(Hcb.tx_flow h) ~seq:msg_idx ~ack:granted ~syn:false ~ack_flag:true
+       ~fin:false ~rst:false ~window:h.Hcb.rx_bytes ~len:0 ~ts:0.0 ~ts_echo:(-1.0))
 
 (* ---- Connection teardown ------------------------------------------------ *)
 
@@ -225,22 +228,27 @@ let rec tx_pump t (h : Hcb.t) =
           h.Hcb.fin_sent <- true;
           h.Hcb.state <- Hcb.Closed;
           emit t h
-            (Segment.make ~flow:(Hcb.tx_flow h) ~seq:h.Hcb.tx_bytes ~ack:0 ~fin:true ());
+            (Segment.make ~flow:(Hcb.tx_flow h) ~seq:h.Hcb.tx_bytes ~ack:0 ~syn:false
+               ~ack_flag:false ~fin:true ~rst:false ~window:0 ~len:0 ~ts:0.0
+               ~ts_echo:(-1.0));
           maybe_teardown t h
         end
     | Some m ->
         if not m.Hcb.om_hdr_sent then begin
           m.Hcb.om_hdr_sent <- true;
           emit t h
-            (Segment.make ~flow:(Hcb.tx_flow h) ~seq:h.Hcb.tx_msg_base ~ack:0
-               ~window:m.Hcb.om_len ())
+            (Segment.make ~flow:(Hcb.tx_flow h) ~seq:h.Hcb.tx_msg_base ~ack:0 ~syn:false
+               ~ack_flag:false ~fin:false ~rst:false ~window:m.Hcb.om_len ~len:0 ~ts:0.0
+               ~ts_echo:(-1.0))
         end;
         let cwnd = h.Hcb.cc.Cc.cwnd () in
         let budget = min (m.Hcb.om_granted - m.Hcb.om_sent) (cwnd - Hcb.inflight h) in
         if budget > 0 then begin
           let chunk = min budget Segment.gso_max in
           emit t h
-            (Segment.make ~flow:(Hcb.tx_flow h) ~seq:h.Hcb.tx_bytes ~ack:0 ~len:chunk ());
+            (Segment.make ~flow:(Hcb.tx_flow h) ~seq:h.Hcb.tx_bytes ~ack:0 ~syn:false
+               ~ack_flag:false ~fin:false ~rst:false ~window:0 ~len:chunk ~ts:0.0
+               ~ts_echo:(-1.0));
           m.Hcb.om_sent <- m.Hcb.om_sent + chunk;
           h.Hcb.tx_bytes <- h.Hcb.tx_bytes + chunk;
           if m.Hcb.om_sent >= m.Hcb.om_len then begin
@@ -622,7 +630,9 @@ let close_conn t (h : Hcb.t) =
 let abort_conn t (h : Hcb.t) =
   if not h.Hcb.destroyed then begin
     if h.Hcb.state = Hcb.Open then
-      emit t h (Segment.make ~flow:(Hcb.tx_flow h) ~seq:h.Hcb.tx_bytes ~ack:0 ~rst:true ());
+      emit t h
+        (Segment.make ~flow:(Hcb.tx_flow h) ~seq:h.Hcb.tx_bytes ~ack:0 ~syn:false
+           ~ack_flag:false ~fin:false ~rst:true ~window:0 ~len:0 ~ts:0.0 ~ts_echo:(-1.0));
     h.Hcb.error <- Some Types.Econnreset;
     teardown t h
   end

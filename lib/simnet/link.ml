@@ -97,7 +97,7 @@ let send t seg =
           Segment.make ~flow:seg.Segment.flow ~seq:seg.Segment.seq ~ack:seg.Segment.ack
             ~syn:seg.Segment.syn ~ack_flag:seg.Segment.ack_flag ~fin:false
             ~rst:seg.Segment.rst ~window:seg.Segment.window ~len:fit_payload
-            ~ts:seg.Segment.ts ~ts_echo:seg.Segment.ts_echo ()
+            ~ts:seg.Segment.ts ~ts_echo:seg.Segment.ts_echo
       end
     end
   in

@@ -18,8 +18,7 @@ let header_bytes = 78
 
 let seq_mask = (1 lsl 32) - 1
 
-let make ~flow ~seq ~ack ?(syn = false) ?(ack_flag = false) ?(fin = false) ?(rst = false)
-    ?(window = 0) ?(len = 0) ?(ts = 0.0) ?(ts_echo = -1.0) () =
+let make ~flow ~seq ~ack ~syn ~ack_flag ~fin ~rst ~window ~len ~ts ~ts_echo =
   { flow; seq = seq land seq_mask; ack = ack land seq_mask; syn; ack_flag; fin; rst; window;
     len; ts; ts_echo }
 

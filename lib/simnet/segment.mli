@@ -37,16 +37,19 @@ val make :
   flow:Addr.Flow.t ->
   seq:int ->
   ack:int ->
-  ?syn:bool ->
-  ?ack_flag:bool ->
-  ?fin:bool ->
-  ?rst:bool ->
-  ?window:int ->
-  ?len:int ->
-  ?ts:float ->
-  ?ts_echo:float ->
-  unit ->
+  syn:bool ->
+  ack_flag:bool ->
+  fin:bool ->
+  rst:bool ->
+  window:int ->
+  len:int ->
+  ts:float ->
+  ts_echo:float ->
   t
+(** [seq] and [ack] are taken mod 2^32. Every field is given: a dev build
+    does not inline across modules, so each optional argument passed as a
+    variable would cost a [Some] on every segment. Pass [~ts_echo:(-1.0)]
+    when no peer timestamp is echoed. *)
 
 val packets : t -> int
 (** Number of wire packets this segment occupies (at least 1). *)

@@ -233,11 +233,10 @@ let send_rst t (seg : Segment.t) =
   if not seg.Segment.rst then begin
     Nkmon.Registry.incr t.ctr.c_rst_tx;
     let reply =
-      Segment.make
-        ~flow:(Addr.Flow.reverse seg.Segment.flow)
-        ~seq:seg.Segment.ack
+      Segment.make ~flow:(Addr.Flow.reverse seg.Segment.flow) ~seq:seg.Segment.ack
         ~ack:(Tcp_seq.add seg.Segment.seq (seg.Segment.len + if seg.Segment.syn then 1 else 0))
-        ~rst:true ~ack_flag:true ()
+        ~syn:false ~ack_flag:true ~fin:false ~rst:true ~window:0 ~len:0 ~ts:0.0
+        ~ts_echo:(-1.0)
     in
     Vswitch.output t.vswitch reply
   end

@@ -178,8 +178,8 @@ let emit_segment t ~seq ~len ~syn ~fin =
   let window = rwnd_available t in
   t.last_adv_wnd <- window;
   let seg =
-    Segment.make ~flow:t.flow ~seq ~ack:(rcv_nxt t) ~syn ~ack_flag ~fin ~window ~len
-      ~ts:(t.act.now ()) ~ts_echo:t.peer_ts ()
+    Segment.make ~flow:t.flow ~seq ~ack:(rcv_nxt t) ~syn ~ack_flag ~fin ~rst:false ~window
+      ~len ~ts:(t.act.now ()) ~ts_echo:t.peer_ts
   in
   t.act.emit seg
 
@@ -635,10 +635,11 @@ let time_wait t =
 (* [emit_ack]'s and [abort]'s segments, field for field. *)
 let time_wait_ack tw ~now =
   Segment.make ~flow:tw.tw_flow ~seq:tw.tw_seq ~ack:tw.tw_ack ~syn:false ~ack_flag:true
-    ~fin:false ~window:tw.tw_window ~len:0 ~ts:now ~ts_echo:tw.tw_ts_echo ()
+    ~fin:false ~rst:false ~window:tw.tw_window ~len:0 ~ts:now ~ts_echo:tw.tw_ts_echo
 
 let time_wait_rst tw =
-  Segment.make ~flow:tw.tw_flow ~seq:tw.tw_seq ~ack:tw.tw_ack ~rst:true ~ack_flag:true ()
+  Segment.make ~flow:tw.tw_flow ~seq:tw.tw_seq ~ack:tw.tw_ack ~syn:false ~ack_flag:true
+    ~fin:false ~rst:true ~window:0 ~len:0 ~ts:0.0 ~ts_echo:(-1.0)
 
 (* ---- Serialization (live NSM migration) -------------------------------- *)
 
@@ -792,7 +793,8 @@ let restore ~act ~cc ~channel ~role (s : Snapshot.t) =
 let abort t =
   if not t.destroyed then begin
     let seg =
-      Segment.make ~flow:t.flow ~seq:t.snd_nxt ~ack:(rcv_nxt t) ~rst:true ~ack_flag:true ()
+      Segment.make ~flow:t.flow ~seq:t.snd_nxt ~ack:(rcv_nxt t) ~syn:false ~ack_flag:true
+        ~fin:false ~rst:true ~window:0 ~len:0 ~ts:0.0 ~ts_echo:(-1.0)
     in
     t.act.emit seg;
     destroy t

@@ -2,7 +2,9 @@
 
 module E = Sim.Engine
 
-let seg flow ~len = Segment.make ~flow ~seq:0 ~ack:0 ~len ()
+let seg flow ~len =
+  Segment.make ~flow ~seq:0 ~ack:0 ~syn:false ~ack_flag:false ~fin:false ~rst:false ~window:0
+    ~len ~ts:0.0 ~ts_echo:(-1.0)
 
 let flow a b = Addr.Flow.make ~src:(Addr.make a 1) ~dst:(Addr.make b 2)
 
@@ -15,7 +17,10 @@ let segment_framing () =
   Alcotest.(check int) "segmented" 4 (Segment.packets big);
   let ack = seg f ~len:0 in
   Alcotest.(check int) "pure ack still one packet" 1 (Segment.packets ack);
-  let s = Segment.make ~flow:f ~seq:10 ~ack:0 ~syn:true ~len:5 ~fin:true () in
+  let s =
+    Segment.make ~flow:f ~seq:10 ~ack:0 ~syn:true ~ack_flag:false ~fin:true ~rst:false
+      ~window:0 ~len:5 ~ts:0.0 ~ts_echo:(-1.0)
+  in
   Alcotest.(check int) "seq space covers syn+data+fin" 17 (Segment.seq_end s)
 
 let link_serialization () =
@@ -75,7 +80,10 @@ let vswitch_demux () =
   Vswitch.register_endpoint vs (Addr.make 5 80) (fun _ -> incr got_ep);
   Vswitch.input vs (seg (flow 1 5) ~len:0);
   (* endpoint table wins over the ip table *)
-  Vswitch.input vs (Segment.make ~flow:(Addr.Flow.make ~src:(Addr.make 1 9) ~dst:(Addr.make 5 80)) ~seq:0 ~ack:0 ());
+  Vswitch.input vs
+    (Segment.make ~flow:(Addr.Flow.make ~src:(Addr.make 1 9) ~dst:(Addr.make 5 80)) ~seq:0
+       ~ack:0 ~syn:false ~ack_flag:false ~fin:false ~rst:false ~window:0 ~len:0 ~ts:0.0
+       ~ts_echo:(-1.0));
   Vswitch.input vs (seg (flow 1 7) ~len:0);
   Alcotest.(check int) "ip route" 1 !got_ip;
   Alcotest.(check int) "endpoint route" 1 !got_ep;

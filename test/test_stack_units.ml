@@ -54,8 +54,9 @@ let rst_for_unknown_flow () =
   (* A stray non-SYN segment to a port with no connection gets an RST. *)
   let stray =
     Segment.make
-      ~flow:(Addr.Flow.make ~src:(Addr.make ip_a 5555) ~dst:(Addr.make ip_b 4242))
-      ~seq:1000 ~ack:0 ~ack_flag:true ~len:100 ()
+      ~flow:(Addr.Flow.make ~src:(Addr.make ip_a 5555) ~dst:(Addr.make ip_b 4242)) ~seq:1000
+      ~ack:0 ~syn:false ~ack_flag:true ~fin:false ~rst:false ~window:0 ~len:100 ~ts:0.0
+      ~ts_echo:(-1.0)
   in
   Stack.input b.World.stack stray;
   World.run w ~until:0.1;
@@ -359,8 +360,9 @@ let time_wait_simultaneous () =
   let c_entry, _ = time_wait_span tw "cli" and s_entry, _ = time_wait_span tw "srv" in
   let rst =
     Segment.make
-      ~flow:(Addr.Flow.make ~src:(Addr.make ip_b 80) ~dst:(Addr.make ip_a tw_port))
-      ~seq:0 ~ack:0 ~rst:true ()
+      ~flow:(Addr.Flow.make ~src:(Addr.make ip_b 80) ~dst:(Addr.make ip_a tw_port)) ~seq:0
+      ~ack:0 ~syn:false ~ack_flag:false ~fin:false ~rst:true ~window:0 ~len:0 ~ts:0.0
+      ~ts_echo:(-1.0)
   in
   Vswitch.input tw.cli.World.vswitch rst;
   run_for tw 1e-3;
