@@ -154,8 +154,10 @@ type t = {
   mutable next_src_ip : int; (* round-robin index into [ips] for connects *)
   mutable next_queue : int; (* RFS-style round-robin flow steering *)
   mutable self_input : Segment.t -> unit;
-      (* [input t], tied after [create]; lets [handle_syn] pin accepted
-         flows in the vswitch without a forward reference. *)
+      (* [input t], tied after [create]: every vswitch registration (IPs,
+         listeners, connects, accepted and imported flows) shares this one
+         closure instead of building its own, and [handle_syn] reaches it
+         without a forward reference. *)
 }
 
 let engine t = t.engine
@@ -637,7 +639,7 @@ let create ~engine ~name ~cores ~vswitch ~registry ~rng ?(mon = Nkmon.null ())
 let add_ip t ip =
   if not (owns_ip t ip) then begin
     t.ips <- ip :: t.ips;
-    if t.cfg.register_vswitch then Vswitch.register_ip t.vswitch ip (input t)
+    if t.cfg.register_vswitch then Vswitch.register_ip t.vswitch ip t.self_input
   end
 
 (* Release an IP this stack no longer serves (the VM it belonged to migrated
@@ -699,7 +701,7 @@ let listen t s ~backlog =
         in
         s.kind <- Listener l;
         Endpoint_table.replace t.listeners addr s;
-        if external_ip then Vswitch.register_endpoint t.vswitch addr (input t);
+        if external_ip then Vswitch.register_endpoint t.vswitch addr t.self_input;
         Ok ()
       end
   | Fresh, None -> Error Types.Einval
@@ -789,7 +791,7 @@ let connect t s dst ~k =
               let isn = Nkutil.Rng.int t.rng Tcp_seq.modulus in
               let channel = Conn_registry.register t.registry ~flow ~isn in
               let external_ip = t.cfg.register_vswitch in
-              if external_ip then Vswitch.register_endpoint t.vswitch flow.src (input t);
+              if external_ip then Vswitch.register_endpoint t.vswitch flow.src t.self_input;
               let tcb =
                 Tcb.create_active ~flow ~cfg:t.cfg.tcb ~act ~cc:(t.cfg.cc_factory ()) ~isn
                   ~channel
@@ -995,7 +997,7 @@ let import_conn t ex =
       Flow_table.replace t.conns (Addr.Flow.reverse flow) s;
       if t.cfg.register_vswitch then begin
         if ex.e_endpoint_registered then begin
-          Vswitch.register_endpoint t.vswitch flow.Addr.Flow.src (input t);
+          Vswitch.register_endpoint t.vswitch flow.Addr.Flow.src t.self_input;
           c.c_endpoint_registered <- true
         end;
         if ex.e_flow_registered then begin
