@@ -374,8 +374,7 @@ let api t =
                   Cpu.exec (core_for t gs) ~cycles (fun () ->
                       (match payload with
                       | Types.Data s ->
-                          Hugepages.write_payload (Nk_device.hugepages t.device) extent
-                            (Types.Data (if String.length s = n then s else String.sub s 0 n))
+                          Hugepages.write_prefix (Nk_device.hugepages t.device) extent s
                       | Types.Zeros _ -> ());
                       Nkmon.Registry.add t.ctr.c_bytes_sent n;
                       Nkspan.end_stage t.spans ~id:span "guestlib";

@@ -116,14 +116,21 @@ let free t e =
       in
       t.free_list <- coalesce (insert [] t.free_list)
 
+let blit_in t e s len =
+  ensure_backing t (e.offset + len);
+  Bytes.blit_string s 0 t.buf e.offset len
+
 let write_payload t e payload =
   let len = Tcpstack.Types.payload_len payload in
   if len > e.len then invalid_arg "Hugepages.write_payload: payload larger than extent";
   match payload with
   | Tcpstack.Types.Zeros _ -> ()
-  | Tcpstack.Types.Data s ->
-      ensure_backing t (e.offset + len);
-      Bytes.blit_string s 0 t.buf e.offset len
+  | Tcpstack.Types.Data s -> blit_in t e s len
+
+let write_prefix t e s =
+  if e.len > String.length s then
+    invalid_arg "Hugepages.write_prefix: string shorter than extent";
+  blit_in t e s e.len
 
 let read_payload t e ~pos ~len ~synthetic =
   if pos < 0 || len < 0 || pos + len > e.len then

@@ -36,10 +36,16 @@ val write_payload : t -> extent -> Tcpstack.Types.payload -> unit
 (** Copy a payload into an extent ([Zeros] writes nothing). The payload
     must fit. *)
 
+val write_prefix : t -> extent -> string -> unit
+(** Copy the first [extent.len] bytes of a string into the extent (a send
+    that takes part of the caller's payload), with no intermediate copy. *)
+
 val read_payload : t -> extent -> pos:int -> len:int -> synthetic:bool ->
   Tcpstack.Types.payload
 (** Read [len] bytes starting at [pos] within the extent; returns [Zeros]
-    without touching memory when [synthetic]. *)
+    without touching memory when [synthetic]. Real bytes are copied out:
+    the region is mutable and its extents are reused, so a payload must
+    not alias it. *)
 
 val blit_between : src:t -> src_extent:extent -> dst:t -> dst_extent:extent -> len:int -> unit
 (** Raw copy between regions (the shared-memory NSM's data path, §6.4). *)

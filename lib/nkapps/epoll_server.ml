@@ -41,6 +41,10 @@ type t = {
   listener : Socket_api.sock;
   stats : stats;
   mutable stopped : bool;
+  (* The payloads of one response, built once per server: keep-alive and
+     close (the same for the fixed protocol). *)
+  reply_keepalive : Types.payload list;
+  reply_close : Types.payload list;
 }
 
 let stats t = t.stats
@@ -97,22 +101,36 @@ let rec flush t c =
               t.stats.errors <- t.stats.errors + 1;
               close_conn t c)
 
+let reply proto ~keepalive =
+  match proto with
+  | Proto.Fixed f -> [ Types.Zeros f.response ]
+  | Proto.Http h ->
+      let head = Http.response_header ~content_length:h.response ~keepalive () in
+      if h.response <= 1024 then
+        (* writev-style: header and small body leave in one send *)
+        [ Types.Data (head ^ String.make h.response '\000') ]
+      else [ Types.Data head; Types.Zeros h.response ]
+
+let rec queue_all q = function
+  | [] -> ()
+  | p :: rest ->
+      Queue.add p q;
+      queue_all q rest
+
 let respond t c ~keepalive =
   t.stats.requests <- t.stats.requests + 1;
   charge_app t c.fd;
   (match t.cfg.proto with
-  | Proto.Fixed f -> Queue.add (Types.Zeros f.response) c.outq
-  | Proto.Http h ->
-      c.keepalive <- keepalive;
-      let head = Http.response_header ~content_length:h.response ~keepalive () in
-      if h.response <= 1024 then
-        (* writev-style: header and small body leave in one send *)
-        Queue.add (Types.Data (head ^ String.make h.response '\000')) c.outq
-      else begin
-        Queue.add (Types.Data head) c.outq;
-        Queue.add (Types.Zeros h.response) c.outq
-      end);
+  | Proto.Fixed _ -> ()
+  | Proto.Http _ -> c.keepalive <- keepalive);
+  queue_all c.outq (if keepalive then t.reply_keepalive else t.reply_close);
   flush t c
+
+let rec respond_all t c = function
+  | [] -> ()
+  | msg :: rest ->
+      respond t c ~keepalive:msg.Http.Parser.keepalive;
+      respond_all t c rest
 
 let on_request_bytes t c n =
   (* Fixed protocol: count request bytes; possibly several pipelined
@@ -155,9 +173,7 @@ let rec drain t c =
                     close_conn t c;
                     []
                 in
-                List.iter
-                  (fun msg -> respond t c ~keepalive:msg.Http.Parser.keepalive)
-                  msgs
+                respond_all t c msgs
             | Proto.Http _, None -> ());
             drain t c
         | Error Types.Eagain -> ()
@@ -234,6 +250,8 @@ let start ~engine ~api cfg =
                     { accepted = 0; requests = 0; bytes_in = 0; bytes_out = 0; errors = 0;
                       active = 0 };
                   stopped = false;
+                  reply_keepalive = reply cfg.proto ~keepalive:true;
+                  reply_close = reply cfg.proto ~keepalive:false;
                 }
               in
               for _ = 1 to accept_parallelism do

@@ -35,6 +35,7 @@ type t = {
   mutable finished : float;
   mutable done_fired : bool;
   mutable deadline : float;
+  request : Types.payload;  (* every request's bytes, built once *)
 }
 
 let in_flight t = t.in_flight
@@ -138,7 +139,7 @@ let run_request t fd ~k_done =
             ignore (Engine.schedule t.engine ~delay:10e-6 (fun () -> send_payload payload))
         | Error _ -> finish false)
   in
-  send_payload (Proto.request_payload t.cfg.proto);
+  send_payload t.request;
   read_loop ()
 
 let one_shot t ~k =
@@ -218,6 +219,7 @@ let start ~engine ~api cfg =
       finished = Engine.now engine;
       done_fired = false;
       deadline;
+      request = Proto.request_payload cfg.proto;
     }
   in
   Reactor.run t.reactor;

@@ -3,7 +3,11 @@
     TCP socket buffers need an ordered byte queue. Performance experiments
     push gigabytes of payload whose content is irrelevant, so the FIFO also
     supports zero-runs that occupy O(1) memory; correctness tests use real
-    bytes and verify exact delivery. *)
+    bytes and verify exact delivery.
+
+    Real bytes are not copied in: strings are immutable, so the FIFO holds
+    the writer's string and hands the same one to a reader that takes it
+    whole. *)
 
 type t
 
@@ -13,16 +17,18 @@ val length : t -> int
 (** Number of queued bytes. *)
 
 val write : t -> string -> unit
-(** Enqueue the bytes of a string. *)
+(** Enqueue the bytes of a string (shared, not copied). *)
 
-val write_bytes : t -> bytes -> pos:int -> len:int -> unit
-(** Enqueue a slice (copied). *)
+val write_sub : t -> string -> pos:int -> len:int -> unit
+(** Enqueue a slice of a string (shared, not copied). *)
 
 val write_zeros : t -> int -> unit
 (** Enqueue [n] zero bytes in O(1) space. *)
 
 val read : t -> int -> string
-(** [read t n] dequeues [min n (length t)] bytes as a string. *)
+(** [read t n] dequeues [min n (length t)] bytes as a string. When they are
+    exactly one whole string a writer queued, that string is returned
+    itself; otherwise they are copied out. *)
 
 val next_run : t -> [ `Data of int | `Zeros of int ] option
 (** Kind and length of the leading homogeneous run, letting callers
@@ -35,4 +41,5 @@ val discard : t -> int -> int
 
 val transfer : src:t -> dst:t -> int -> int
 (** [transfer ~src ~dst n] moves up to [n] bytes preserving content and
-    zero-run compactness; returns the count moved. *)
+    zero-run compactness (real bytes move as slices of the same strings);
+    returns the count moved. *)

@@ -544,9 +544,7 @@ let write t payload =
     let accept = Int.min len (sndbuf_available t) in
     if accept > 0 then begin
       (match payload with
-      | Types.Data s ->
-          Nkutil.Byte_fifo.write_bytes t.write_fifo (Bytes.unsafe_of_string s) ~pos:0
-            ~len:accept
+      | Types.Data s -> Nkutil.Byte_fifo.write_sub t.write_fifo s ~pos:0 ~len:accept
       | Types.Zeros _ -> Nkutil.Byte_fifo.write_zeros t.write_fifo accept);
       t.send_pending <- t.send_pending + accept;
       try_output t

@@ -80,6 +80,26 @@ let zeros_in_headers_raise () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "synthetic bytes cannot form headers"
 
+(* A response that arrives whole in one chunk is parsed where it lies:
+   creating a parser and feeding it one 1,127-byte response (a 1 KB body
+   glued to its head, as the HTTP server sends it) allocates only the
+   message, its start line and the parser. *)
+let parse_alloc () =
+  let raw = Nkapps.Http.response_header ~content_length:1024 () ^ String.make 1024 'x' in
+  Alcotest.(check int) "response bytes" 1127 (String.length raw);
+  let chunk = Types.Data raw in
+  let last = ref [] in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    last := P.feed (P.create ()) chunk
+  done;
+  let words = (Gc.minor_words () -. w0) /. 1_000.0 in
+  (match !last with
+  | [ msg ] -> Alcotest.(check int) "content length" 1024 msg.P.content_length
+  | other -> Alcotest.failf "expected 1 message, got %d" (List.length other));
+  if words > 100.0 then
+    Alcotest.failf "%.1f minor words per parsed response, want <= 100" words
+
 (* ---- one stream, every chunking ------------------------------------------ *)
 
 (* A pipelined stream of requests and responses. A response body is real
@@ -93,7 +113,8 @@ let body_len = function Empty -> 0 | Real n | Synthetic n -> n
 
 let head_of sp =
   if sp.request then Nkapps.Http.request ~path:sp.path ~keepalive:sp.keepalive ()
-  else Nkapps.Http.response_header ~content_length:(body_len sp.body) ~keepalive:sp.keepalive ()
+  else
+    Nkapps.Http.response_header ~content_length:(body_len sp.body) ~keepalive:sp.keepalive ()
 
 (* A line without a colon just before the block's closing CRLF. *)
 let break_head head =
@@ -129,7 +150,8 @@ let runs_of ?broken specs =
       Buffer.add_string pending (if broken = Some i then break_head head else head);
       match sp.body with
       | Empty -> ()
-      | Real n -> Buffer.add_string pending (String.init n (fun j -> "\r\n\r\nab".[j mod 6]))
+      | Real n ->
+          Buffer.add_string pending (String.init n (fun j -> "\r\n\r\nab".[j mod 6]))
       | Synthetic n ->
           flush ();
           runs := Types.Zeros n :: !runs)
@@ -162,7 +184,9 @@ let terminator_offsets runs =
 let cut runs offsets =
   let offsets = List.sort_uniq Int.compare offsets in
   let piece r a b =
-    match r with Types.Data s -> Types.Data (String.sub s a (b - a)) | Types.Zeros _ -> Types.Zeros (b - a)
+    match r with
+    | Types.Data s -> Types.Data (String.sub s a (b - a))
+    | Types.Zeros _ -> Types.Zeros (b - a)
   in
   let rec go base runs offsets acc =
     match runs with
@@ -256,6 +280,7 @@ let tests =
     Alcotest.test_case "body then next header" `Quick body_then_next_header;
     Alcotest.test_case "malformed raises" `Quick malformed_raises;
     Alcotest.test_case "zeros in headers raise" `Quick zeros_in_headers_raise;
+    Alcotest.test_case "parsing a whole response allocates <= 100 words" `Quick parse_alloc;
     QCheck_alcotest.to_alcotest chunking_qcheck;
     QCheck_alcotest.to_alcotest malformed_qcheck;
   ]

@@ -263,6 +263,23 @@ let byte_fifo_transfer () =
   | Some (`Zeros 3) -> ()
   | _ -> Alcotest.fail "zeros preserved compactly"
 
+(* Strings are immutable, so the FIFO shares them: a string read back
+   whole is the very string written, and the write and read allocate only
+   the queue's bookkeeping. *)
+let byte_fifo_shares_strings () =
+  let f = BF.create () in
+  let s = String.init 1127 (fun i -> Char.chr (32 + (i mod 95))) in
+  let back = ref "" in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    BF.write f s;
+    back := BF.read f 1127
+  done;
+  let words = (Gc.minor_words () -. w0) /. 1_000.0 in
+  Alcotest.(check bool) "the written string itself" true (!back == s);
+  Alcotest.(check int) "drained" 0 (BF.length f);
+  if words > 16.0 then Alcotest.failf "%.1f minor words per write + read, want <= 16" words
+
 let byte_fifo_qcheck =
   QCheck.Test.make ~name:"byte fifo equals reference string" ~count:200
     QCheck.(list (pair bool small_nat))
@@ -335,6 +352,8 @@ let tests =
     Alcotest.test_case "byte fifo coalesce-after-drain" `Quick
       byte_fifo_zero_coalesce_after_drain;
     Alcotest.test_case "byte fifo transfer" `Quick byte_fifo_transfer;
+    Alcotest.test_case "byte fifo shares strings: write + read <= 16 words" `Quick
+      byte_fifo_shares_strings;
     QCheck_alcotest.to_alcotest byte_fifo_qcheck;
     Alcotest.test_case "timeseries bins" `Quick timeseries_bins;
     Alcotest.test_case "jain fairness" `Quick stats_jain;
