@@ -1,7 +1,8 @@
 (* Bechamel microbenchmarks of the NetKernel dataplane primitives: NQE
    codec, SPSC ring, hugepage copy, engine timers, one CoreEngine switch,
    one owner poll burst, a core's exec-and-fire step, one segment over
-   the fabric and one TCP connection's whole life.
+   the fabric, one TCP connection's whole life, one HTTP response parsed
+   and one socket-buffer write and read.
    The paper's tables and figures are regenerated by `nk run` instead.
 
      dune exec bench/main.exe *)
@@ -220,11 +221,34 @@ let () =
            Sim.Engine.run tcp_engine;
            if not !answered || St.time_wait_conns srv <> 0 then failwith "connection not done"))
   in
+  (* One 1 KB HTTP response as the load generator reads it: head and body
+     in one chunk, fed to a fresh parser. *)
+  let http_response =
+    Tcpstack.Types.Data
+      (Nkapps.Http.response_header ~content_length:1024 () ^ String.make 1024 '\000')
+  in
+  let http_parse =
+    Test.make ~name:"http parse: 1 KB response"
+      (Staged.stage (fun () ->
+           match Nkapps.Http.Parser.feed (Nkapps.Http.Parser.create ()) http_response with
+           | [ _ ] -> ()
+           | _ -> failwith "response not parsed"))
+  in
+  (* A 1 KB send through a socket buffer: written whole, read whole. *)
+  let fifo = Nkutil.Byte_fifo.create () in
+  let kb = String.make 1024 'x' in
+  let fifo_write_read =
+    Test.make ~name:"byte fifo: 1 KB write + read"
+      (Staged.stage (fun () ->
+           Nkutil.Byte_fifo.write fifo kb;
+           if String.length (Nkutil.Byte_fifo.read fifo 1024) <> 1024 then
+             failwith "short read"))
+  in
   let tests =
     Test.make_grouped ~name:"netkernel-primitives"
       [
         nqe_roundtrip; ring_pushpop; hugepage_copy; heap_ops; ce_switch; serve_burst; cpu_exec;
-        link_send; conn_life;
+        link_send; conn_life; http_parse; fifo_write_read;
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
