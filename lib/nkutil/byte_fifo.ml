@@ -49,37 +49,36 @@ let next_run t =
   | Some (Data d) -> Some (`Data d.len)
   | Some (Zeros z) -> Some (`Zeros z.n)
 
-let rec read_into t out ~pos ~want copied =
+let rec read_into t out ~want copied =
   if copied >= want then copied
   else
     match Queue.peek_opt t.q with
     | None -> copied
     | Some (Data d) ->
         let take = Int.min (want - copied) d.len in
-        Bytes.blit_string d.s d.pos out (pos + copied) take;
+        Bytes.blit_string d.s d.pos out copied take;
         d.pos <- d.pos + take;
         d.len <- d.len - take;
         if d.len = 0 then ignore (Queue.pop t.q);
-        read_into t out ~pos ~want (copied + take)
+        read_into t out ~want (copied + take)
     | Some (Zeros z) ->
         let take = Int.min (want - copied) z.n in
-        Bytes.fill out (pos + copied) take '\000';
+        Bytes.fill out copied take '\000';
         z.n <- z.n - take;
         if z.n = 0 then ignore (Queue.pop t.q);
-        read_into t out ~pos ~want (copied + take)
+        read_into t out ~want (copied + take)
 
 let read t n =
   let n = Int.max 0 (Int.min n t.total) in
   match Queue.peek_opt t.q with
-  | Some (Data ({ s; pos = 0; len } as d)) when len = n && n = String.length s ->
+  | Some (Data { s; pos = 0; len }) when len = n && n = String.length s ->
       (* The whole of a string a writer queued: hand the same string on. *)
-      d.len <- 0;
       ignore (Queue.pop t.q);
       t.total <- t.total - n;
       s
   | Some _ | None ->
       let out = Bytes.create n in
-      let got = read_into t out ~pos:0 ~want:n 0 in
+      let got = read_into t out ~want:n 0 in
       assert (got = n);
       t.total <- t.total - n;
       Bytes.unsafe_to_string out
