@@ -97,7 +97,34 @@ let trace_ring_wraparound () =
     (List.map (fun r -> r.T.seq) rs);
   Alcotest.(check (float 0.0)) "virtual timestamps" 7.0 (List.hd rs).T.time;
   T.clear tr;
-  Alcotest.(check int) "clear resets" 0 (T.recorded tr)
+  Alcotest.(check int) "clear resets" 0 (T.recorded tr);
+  (* The same window below, at and past a capacity the ring's array grows
+     to as it fills, and again after a clear. Each record's vm_id is its
+     seq. *)
+  let tr = T.create ~capacity:1000 ~enabled:true ~now:(fun () -> 0.0) () in
+  for _ = 1 to 2 do
+    List.iter
+      (fun n ->
+        while T.recorded tr < n do
+          T.record tr (T.Ring_defer { vm_id = T.recorded tr })
+        done;
+        let kept = Int.min n 1000 in
+        Alcotest.(check (list (pair int int)))
+          (Printf.sprintf "newest %d of %d" kept n)
+          (List.init kept (fun i -> (n - kept + i, n - kept + i)))
+          (List.map
+             (fun r ->
+               match r.T.event with
+               | T.Ring_defer { vm_id } -> (r.T.seq, vm_id)
+               | _ -> (r.T.seq, -1))
+             (T.records tr));
+        Alcotest.(check int) "dropped" (n - kept) (T.dropped tr);
+        Alcotest.(check int) "capacity" 1000 (T.capacity tr))
+      [ 10; 1000; 2500 ];
+    T.clear tr;
+    Alcotest.(check int) "nothing after clear" 0 (List.length (T.records tr));
+    Alcotest.(check int) "no drops after clear" 0 (T.dropped tr)
+  done
 
 (* Control events live in their own log: kept with tracing off and across a
    wrapped ring, merged with the ring in seq order, never counted as

@@ -82,27 +82,65 @@ let ring_fifo () =
   done;
   Alcotest.(check (option int)) "empty" None (Ring.pop r)
 
+(* Mirrored against a plain Queue. The capacity is drawn too: rings start
+   with 16 slots, so larger ones grow as they fill (up to nine doublings
+   at 8,192), and batch and slice pops move the head past index 0 before a
+   push grows the array. [`Push n] pushes the next [n] counter values. *)
 let ring_qcheck =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (oneof [ int_range 1 300; return 8192 ])
+        (list_size (int_bound 400)
+           (frequency
+              [
+                (4, map (fun n -> `Push n) (int_range 1 48));
+                (1, return `Pop);
+                (1, map (fun n -> `Batch n) (int_bound 32));
+                (1, map (fun n -> `Slice n) (int_bound 32));
+              ])))
+  in
+  let print (capacity, ops) =
+    Printf.sprintf "capacity %d: %s" capacity
+      (String.concat " "
+         (List.map
+            (function
+              | `Push n -> Printf.sprintf "push%d" n
+              | `Pop -> "pop"
+              | `Batch n -> Printf.sprintf "batch%d" n
+              | `Slice n -> Printf.sprintf "slice%d" n)
+            ops))
+  in
   QCheck.Test.make ~name:"ring preserves order under mixed ops" ~count:200
-    QCheck.(list (option small_nat))
-    (fun ops ->
-      (* Some x = push x, None = pop; mirror against a plain Queue. *)
-      let r = Ring.create ~capacity:16 in
+    (QCheck.make ~print ~shrink:QCheck.Shrink.(pair nil list) gen)
+    (fun (capacity, ops) ->
+      let r = Ring.create ~capacity in
       let q = Queue.create () in
-      List.for_all
-        (fun op ->
-          match op with
-          | Some x ->
-              let pushed = Ring.push r x in
-              let fits = Queue.length q < Ring.capacity r in
-              if fits then Queue.add x q;
-              pushed = fits
-          | None -> (
-              match (Ring.pop r, Queue.take_opt q) with
-              | Some a, Some b -> a = b
-              | None, None -> true
-              | _ -> false))
-        ops)
+      let next = ref 0 in
+      let rec pow2 c = if c >= capacity then c else pow2 (2 * c) in
+      let take n = List.init (Int.min n (Queue.length q)) (fun _ -> Queue.pop q) in
+      Ring.capacity r = pow2 1
+      && List.for_all
+           (fun op ->
+             let ok =
+               match op with
+               | `Push n ->
+                   List.for_all
+                     (fun _ ->
+                       incr next;
+                       let fits = Queue.length q < Ring.capacity r in
+                       if fits then Queue.add !next q;
+                       Ring.push r !next = fits)
+                     (List.init n Fun.id)
+               | `Pop -> Ring.pop r = Queue.take_opt q
+               | `Batch n -> Ring.pop_batch r ~max:n = take n
+               | `Slice n ->
+                   let buf = Array.make (n + 1) 0 in
+                   let got = Ring.pop_slice r buf ~pos:1 ~max:n in
+                   Array.to_list (Array.sub buf 1 got) = take n
+             in
+             ok && Ring.length r = Queue.length q)
+           ops)
 
 let ring_batch () =
   let r = Ring.create ~capacity:8 in
