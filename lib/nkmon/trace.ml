@@ -37,7 +37,8 @@ type record = { seq : int; time : float; event : event }
 
 type t = {
   now : unit -> float;
-  ring : record option array;
+  capacity : int;
+  mutable ring : record array; (* grows as records arrive, up to [capacity] *)
   mutable in_ring : int; (* dataplane records written; slot is [in_ring mod capacity] *)
   mutable log : record list; (* control records, newest first; never dropped *)
   mutable next : int; (* next seq, shared by ring and log *)
@@ -46,13 +47,13 @@ type t = {
 
 let create ?(capacity = 65536) ?(enabled = false) ~now () =
   let capacity = Int.max 1 capacity in
-  { now; ring = Array.make capacity None; in_ring = 0; log = []; next = 0; on = enabled }
+  { now; capacity; ring = [||]; in_ring = 0; log = []; next = 0; on = enabled }
 
 let enabled t = t.on
 
 let set_enabled t on = t.on <- on
 
-let capacity t = Array.length t.ring
+let capacity t = t.capacity
 
 let stamp t event =
   let r = { seq = t.next; time = t.now (); event } in
@@ -64,23 +65,31 @@ let record t event =
   | Custom _ -> t.log <- stamp t event :: t.log
   | _ ->
       if t.on then begin
-        t.ring.(t.in_ring mod Array.length t.ring) <- Some (stamp t event);
+        let r = stamp t event in
+        let n = Array.length t.ring in
+        if t.in_ring = n && n < t.capacity then begin
+          (* Every slot written and room to grow: double the array. [r] only
+             fills the new slots; none is read before it is written. *)
+          let ring = Array.make (Int.min t.capacity (Int.max 16 (2 * n))) r in
+          Array.blit t.ring 0 ring 0 n;
+          t.ring <- ring
+        end;
+        t.ring.(t.in_ring mod t.capacity) <- r;
         t.in_ring <- t.in_ring + 1
       end
 
 let recorded t = t.next
 
-let dropped t = Int.max 0 (t.in_ring - Array.length t.ring)
+let dropped t = Int.max 0 (t.in_ring - t.capacity)
 
 let records t =
-  let cap = Array.length t.ring in
-  let retained = Int.min t.in_ring cap in
+  let retained = Int.min t.in_ring t.capacity in
   let first = t.in_ring - retained in
-  let ring = List.init retained (fun i -> Option.get t.ring.((first + i) mod cap)) in
+  let ring = List.init retained (fun i -> t.ring.((first + i) mod t.capacity)) in
   List.merge (fun a b -> Int.compare a.seq b.seq) ring (List.rev t.log)
 
 let clear t =
-  Array.fill t.ring 0 (Array.length t.ring) None;
+  t.ring <- [||];
   t.in_ring <- 0;
   t.log <- [];
   t.next <- 0

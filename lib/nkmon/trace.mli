@@ -6,10 +6,12 @@
     counter per trace.
 
     Events are kept in one of two places:
-    - {e dataplane} events (every kind but [Custom]) go to a fixed-capacity
-      ring, and only while {!enabled} (default off). Once full, the oldest
-      are overwritten and counted in {!dropped}, so tracing never grows
-      without bound and never perturbs the simulation. Components guard
+    - {e dataplane} events (every kind but [Custom]) go to a ring of
+      {!capacity} records, and only while {!enabled} (default off). Once
+      full, the oldest are overwritten and counted in {!dropped}, so
+      tracing never grows without bound and never perturbs the simulation.
+      The ring's array is allocated as records arrive, doubling up to the
+      capacity, so a trace that records nothing holds no ring. Components guard
       their event construction with {!enabled}, so a disabled trace costs
       one branch per event site.
     - {e control} events ([Custom]) go to an append-only log whether or

@@ -1,14 +1,21 @@
-(** Single-producer single-consumer lockless ring buffer.
+(** Single-producer single-consumer ring buffer.
 
     This is the NQE transport of the paper (§3, §4.3): each queue of a queue
     set is shared memory between exactly one producer (GuestLib or ServiceLib)
     and one consumer (CoreEngine) or vice versa, so it needs no locks — only
-    a head and a tail index with release/acquire ordering. Capacity is rounded
-    up to a power of two so index wrap is a mask.
+    a head and a tail index. Capacity is rounded up to a power of two so
+    index wrap is a mask.
 
-    The implementation is safe for one producer domain and one consumer
-    domain under OCaml 5 ([Atomic] indices); the simulator uses it
-    single-threaded, and the Fig 11 microbenchmark drives it for real. *)
+    A ring's memory is proportional to its use: it starts with 16 slots (or
+    its capacity, if smaller), and a push that finds every slot live while
+    the ring is below capacity doubles the slot array. The ring never
+    shrinks, so it holds an array as large as the most elements it has
+    held at once. Growth changes only the cost: [push] returns [false] at
+    exactly [capacity] elements, as a preallocated ring would.
+
+    Growing the array from the producer is not safe against a consumer on
+    another domain, so a ring belongs to one domain. The simulator and the
+    Fig 11 microbenchmark both drive it single-threaded. *)
 
 type 'a t
 
@@ -20,13 +27,13 @@ val create : capacity:int -> 'a t
 val capacity : 'a t -> int
 
 val length : 'a t -> int
-(** [length t] is the number of queued elements (approximate under
-    concurrency, exact single-threaded). *)
+(** [length t] is the number of queued elements. *)
 
 val is_empty : 'a t -> bool
 
 val push : 'a t -> 'a -> bool
-(** [push t x] enqueues [x]; [false] if the ring is full. Producer side. *)
+(** [push t x] enqueues [x]; [false] if the ring holds [capacity]
+    elements. Producer side. *)
 
 val pop : 'a t -> 'a option
 (** [pop t] dequeues the oldest element. Consumer side. *)

@@ -288,6 +288,30 @@ let rate_limit_caps_throughput () =
   if gbps < 0.7 || gbps > 1.15 then
     Alcotest.failf "rate limit not enforced: measured %.2f Gbps (cap 1.0)" gbps
 
+(* An idle VM's memory is what it uses: its queue set's four rings hold
+   8,192 NQEs each but allocate slots as they fill. One host with one
+   kernel NSM, built with 1 and then 33 idle 1-vCPU VMs; after a full
+   major GC the 32 further VMs may hold at most 4,096 live words each
+   (about 2,100 now; 34,800 when each ring allocated all its slots). *)
+let idle_vm_memory () =
+  let live_with n =
+    let tb = Testbed.create () in
+    let host = Testbed.add_host tb ~name:"hostA" in
+    let nsm = Nsm.create_kernel host ~name:"nsm0" ~vcpus:1 () in
+    let vms =
+      List.init n (fun i ->
+          Vm.create_nk host ~name:(Printf.sprintf "vm%d" i) ~vcpus:1 ~ips:[ ip_vm + i ]
+            ~nsms:[ nsm ] ())
+    in
+    Gc.full_major ();
+    let live = (Gc.stat ()).Gc.live_words in
+    ignore (Sys.opaque_identity (tb, vms));
+    live
+  in
+  let one = live_with 1 in
+  let per_vm = (live_with 33 - one) / 32 in
+  if per_vm > 4096 then Alcotest.failf "%d live words per idle VM" per_vm
+
 let tests =
   [
     Alcotest.test_case "kv store over NetKernel" `Quick kv_over_netkernel;
@@ -299,4 +323,5 @@ let tests =
     Alcotest.test_case "one VM spread over two NSMs" `Quick multi_nsm_per_socket_spread;
     Alcotest.test_case "shared-memory NSM moves real data" `Quick shmem_nsm_copies_data;
     Alcotest.test_case "CoreEngine rate limit" `Quick rate_limit_caps_throughput;
+    Alcotest.test_case "an idle VM costs <= 4,096 live words" `Quick idle_vm_memory;
   ]
