@@ -144,9 +144,17 @@ let demo_cmd =
 
 (* A small representative NetKernel workload (kernel-stack NSM, epoll
    server in the VM, closed-loop load). The stats and trace subcommands
-   export its one testbed-wide Nkmon handle as a one-source list. *)
+   export its one testbed-wide Nkmon handle as a one-source list. Its
+   trace ring holds 2^17 records, room for the whole run's ~74,000, so
+   the export starts at seq 0; the ring allocates only what it keeps. *)
 let observed_world ~trace ~config =
-  let w = Experiments.Worlds.netkernel ~config () in
+  let tb =
+    {
+      config.Experiments.Worlds.Config.tb with
+      Nkcore.Testbed.Config.trace_capacity = Some (1 lsl 17);
+    }
+  in
+  let w = Experiments.Worlds.netkernel ~config:{ config with tb } () in
   let mon = w.Experiments.Worlds.tb.Nkcore.Testbed.mon in
   if trace then Nkmon.Trace.set_enabled (Nkmon.trace mon) true;
   ignore (Experiments.Worlds.measure_rps w ~concurrency:32 ~total:2_000 ());

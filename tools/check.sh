@@ -18,6 +18,18 @@ dune build @lint
 # NQE that is not switched, a full hugepage region, a decode error) fails
 # the check. Its timings stay ungated.
 dune exec bench/main.exe > /dev/null
+# Trace export smoke: `nk trace` and `nk trace --cluster` export their
+# whole workload, so neither may write to stderr (a dropped-events
+# warning means the trace ring overwrote part of the run).
+for args in "" "--cluster"; do
+  err=$(dune exec bin/nk.exe -- trace $args 2>&1 >/dev/null)
+  if [ -n "$err" ]; then
+    echo "check.sh: nk trace $args wrote to stderr:" >&2
+    echo "$err" >&2
+    exit 1
+  fi
+done
+echo "check.sh: nk trace exports OK"
 # Bench gate, and the one determinism loop: `nk bench` runs each
 # experiment's quick mode twice and exits 1 if the two rendered reports
 # differ anywhere, notes included (the sharded CE, the Nkspan catapult
