@@ -1,8 +1,8 @@
 (* Bechamel microbenchmarks of the NetKernel dataplane primitives: NQE
    codec, SPSC ring, hugepage copy, engine timers, one CoreEngine switch,
    one owner poll burst, a core's exec-and-fire step, one segment over
-   the fabric, one TCP connection's whole life, one HTTP response parsed
-   and one socket-buffer write and read.
+   the fabric, one TCP connection's whole life, one HTTP response parsed,
+   one socket-buffer write and read, and one world's set-up.
    The paper's tables and figures are regenerated by `nk run` instead.
 
      dune exec bench/main.exe *)
@@ -244,11 +244,25 @@ let () =
            if String.length (Nkutil.Byte_fifo.read fifo 1024) <> 1024 then
              failwith "short read"))
   in
+  (* World set-up, the cost perfbench reports as setup_s: a testbed with
+     one NetKernel host, one kernel NSM and eight idle 1-vCPU VMs. *)
+  let world_setup =
+    Test.make ~name:"world set-up: 1 NSM + 8 VMs"
+      (Staged.stage (fun () ->
+           let tb = Nkcore.Testbed.create () in
+           let host = Nkcore.Testbed.add_host tb ~name:"host" in
+           let nsm = Nkcore.Nsm.create_kernel host ~name:"nsm0" ~vcpus:1 () in
+           for i = 1 to 8 do
+             ignore
+               (Nkcore.Vm.create_nk host ~name:(Printf.sprintf "vm%d" i) ~vcpus:1
+                  ~ips:[ 10 + i ] ~nsms:[ nsm ] ())
+           done))
+  in
   let tests =
     Test.make_grouped ~name:"netkernel-primitives"
       [
         nqe_roundtrip; ring_pushpop; hugepage_copy; heap_ops; ce_switch; serve_burst; cpu_exec;
-        link_send; conn_life; http_parse; fifo_write_read;
+        link_send; conn_life; http_parse; fifo_write_read; world_setup;
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
