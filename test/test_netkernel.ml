@@ -292,7 +292,7 @@ let rate_limit_caps_throughput () =
    8,192 NQEs each but allocate slots as they fill. One host with one
    kernel NSM, built with 1 and then 33 idle 1-vCPU VMs; after a full
    major GC the 32 further VMs may hold at most 4,096 live words each
-   (about 2,100 now; 34,800 when each ring allocated all its slots). *)
+   (2,068 now; 34,796 when each ring allocated all its slots). *)
 let idle_vm_memory () =
   let live_with n =
     let tb = Testbed.create () in
