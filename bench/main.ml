@@ -2,7 +2,8 @@
    codec, SPSC ring, hugepage copy, engine timers, one CoreEngine switch,
    one owner poll burst, a core's exec-and-fire step, one segment over
    the fabric, one TCP connection's whole life, one HTTP response parsed,
-   one socket-buffer write and read, and one world's set-up.
+   one socket-buffer write and read, one world's set-up, one epoll_wait
+   over eight ready sockets, and a hugepage alloc+free past eight holes.
    The paper's tables and figures are regenerated by `nk run` instead.
 
      dune exec bench/main.exe *)
@@ -258,11 +259,45 @@ let () =
                   ~ips:[ 10 + i ] ~nsms:[ nsm ] ())
            done))
   in
+  (* One epoll_wait that finds eight sockets ready, and its wake: what an
+     event loop pays per iteration. *)
+  let ep_engine = Sim.Engine.create () in
+  let ep_core = Sim.Cpu.create ep_engine ~name:"app" () in
+  let ready = { Tcpstack.Types.readable = true; writable = false; hup = false } in
+  let ep_tbl =
+    Tcpstack.Epoll_core.create ~engine:ep_engine ~events_of:(fun _ -> ready)
+      ~core_of:(fun _ -> ep_core) ~wake_cycles:100.0
+  in
+  let ep = Tcpstack.Epoll_core.epoll_create ep_tbl () in
+  for fd = 3 to 10 do
+    Tcpstack.Epoll_core.epoll_add ep_tbl ep fd
+      ~mask:{ Tcpstack.Types.readable = true; writable = false; hup = true }
+  done;
+  let epoll_wait8 =
+    Test.make ~name:"epoll wait: 8 ready sockets"
+      (Staged.stage (fun () ->
+           Tcpstack.Epoll_core.epoll_wait ep_tbl ep ~timeout:1.0 ~k:ignore;
+           ignore (Sim.Engine.step ep_engine)))
+  in
+  (* A region with seven 64 B holes below the one a 1 KB extent fits in:
+     the alloc walks all eight holes, the free merges the extent back. *)
+  let hp8 = Nkcore.Hugepages.create ~page_size:4096 ~pages:4 () in
+  Array.iteri
+    (fun i e -> if i mod 2 = 0 then Nkcore.Hugepages.free hp8 e)
+    (Array.init 15 (fun _ -> Option.get (Nkcore.Hugepages.alloc hp8 64)));
+  let hugepage_holes =
+    Test.make ~name:"hugepage alloc+free: 8 holes"
+      (Staged.stage (fun () ->
+           match Nkcore.Hugepages.alloc hp8 1000 with
+           | None -> failwith "hugepages full"
+           | Some e -> Nkcore.Hugepages.free hp8 e))
+  in
   let tests =
     Test.make_grouped ~name:"netkernel-primitives"
       [
         nqe_roundtrip; ring_pushpop; hugepage_copy; heap_ops; ce_switch; serve_burst; cpu_exec;
-        link_send; conn_life; http_parse; fifo_write_read; world_setup;
+        link_send; conn_life; http_parse; fifo_write_read; world_setup; epoll_wait8;
+        hugepage_holes;
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in

@@ -2,11 +2,9 @@ module Cpu = Sim.Cpu
 module Engine = Sim.Engine
 module Ring = Nkutil.Spsc_ring
 module Types = Tcpstack.Types
+module Int_tbl = Nkutil.Int_tbl
 
 type route = { nsm_id : int; nsm_qset : int }
-
-(* Connection-table keys are ⟨VM id, socket id⟩. *)
-let conn_key_cmp = Nkutil.Det_tbl.pair Int.compare Int.compare
 
 type deferred_entry =
   | To_nsm of bytes
@@ -52,7 +50,7 @@ type shard = {
   cpu : Cpu.t;
   mutable running : bool;
   mutable release_scheduled : bool;
-  deferred : (int, dq) Hashtbl.t; (* vm_id -> parked traffic *)
+  deferred : dq Int_tbl.t; (* vm_id -> parked traffic *)
   ctr : counters;
   sweep_batch : Nkutil.Histogram.t;
   (* Reusable sweep work buffers (parallel arrays). A record's source is
@@ -69,14 +67,14 @@ type t = {
   engine : Engine.t;
   costs : Nk_costs.t;
   mutable shards : shard array;
-  vms : (int, Nk_device.t) Hashtbl.t;
-  nsms : (int, Nk_device.t) Hashtbl.t;
+  vms : Nk_device.t Int_tbl.t;
+  nsms : Nk_device.t Int_tbl.t;
   mutable device_order : (Nk_device.t * [ `Vm | `Nsm ]) list;
-  assignment : (int, int array * int ref) Hashtbl.t; (* vm_id -> nsms, rr *)
-  conn_table : (int * int, route) Hashtbl.t; (* (vm_id, sock) -> route *)
-  nsm_conns : (int, int ref) Hashtbl.t; (* nsm_id -> live table entries *)
-  draining : (int, unit) Hashtbl.t; (* NSMs excluded from new assignments *)
-  buckets : (int, Nkutil.Token_bucket.t) Hashtbl.t;
+  assignment : (int array * int ref) Int_tbl.t; (* vm_id -> nsms, rr *)
+  conn_table : route Int_tbl.t; (* Nqe.conn_key of (vm_id, sock) -> route *)
+  nsm_conns : int ref Int_tbl.t; (* nsm_id -> live table entries *)
+  draining : unit Int_tbl.t; (* NSMs excluded from new assignments *)
+  buckets : Nkutil.Token_bucket.t Int_tbl.t;
   mon : Nkmon.t;
   spans : Nkspan.t;
   instance : string;
@@ -109,7 +107,7 @@ let make_shard mon ~instance ~solo ~idx cpu =
       cpu;
       running = false;
       release_scheduled = false;
-      deferred = Hashtbl.create 16;
+      deferred = Int_tbl.create 16;
       ctr = make_counters mon ~instance;
       sweep_batch =
         Nkmon.histogram mon ~component:"coreengine" ~instance ~name:"sweep_batch";
@@ -123,9 +121,7 @@ let make_shard mon ~instance ~solo ~idx cpu =
      Evaluated only when a registry snapshot is taken. *)
   Nkmon.sampler mon ~component:"coreengine" ~instance ~name:"deferred_depth" (fun () ->
       float_of_int
-        (Nkutil.Det_tbl.fold ~cmp:Int.compare
-           (fun _ dq acc -> acc + Queue.length dq.entries)
-           sh.deferred 0));
+        (Int_tbl.fold (fun _ dq acc -> acc + Queue.length dq.entries) sh.deferred 0));
   sh
 
 let create ~engine ~cores ?(mon = Nkmon.null ()) ?(spans = Nkspan.null ())
@@ -138,21 +134,21 @@ let create ~engine ~cores ?(mon = Nkmon.null ()) ?(spans = Nkspan.null ())
       engine;
       costs;
       shards = Array.mapi (fun idx cpu -> make_shard mon ~instance ~solo ~idx cpu) cores;
-      vms = Hashtbl.create 16;
-      nsms = Hashtbl.create 16;
+      vms = Int_tbl.create 16;
+      nsms = Int_tbl.create 16;
       device_order = [];
-      assignment = Hashtbl.create 16;
-      conn_table = Hashtbl.create 1024;
-      nsm_conns = Hashtbl.create 16;
-      draining = Hashtbl.create 4;
-      buckets = Hashtbl.create 16;
+      assignment = Int_tbl.create 16;
+      conn_table = Int_tbl.create 1024;
+      nsm_conns = Int_tbl.create 16;
+      draining = Int_tbl.create 4;
+      buckets = Int_tbl.create 16;
       mon;
       spans;
       instance;
     }
   in
   Nkmon.sampler mon ~component:"coreengine" ~instance ~name:"conn_table_size" (fun () ->
-      float_of_int (Hashtbl.length t.conn_table));
+      float_of_int (Int_tbl.length t.conn_table));
   t
 
 let n_shards t = Array.length t.shards
@@ -234,15 +230,15 @@ let switched (sh : shard) t raw dst =
            dst;
          })
 
-let conn_table_size t = Hashtbl.length t.conn_table
+let conn_table_size t = Int_tbl.length t.conn_table
 
 let dump_conn_table t =
   let buf = Buffer.create 256 in
-  Nkutil.Det_tbl.iter ~cmp:conn_key_cmp
-    (fun (vm_id, sock) r ->
+  Int_tbl.iter
+    (fun key r ->
       Buffer.add_string buf
-        (Printf.sprintf "vm=%d sock=%d -> nsm=%d qset=%d\n" vm_id sock r.nsm_id
-           r.nsm_qset))
+        (Printf.sprintf "vm=%d sock=%d -> nsm=%d qset=%d\n" (Nqe.conn_key_vm key)
+           (Nqe.conn_key_sock key) r.nsm_id r.nsm_qset))
     t.conn_table;
   Buffer.contents buf
 
@@ -251,66 +247,66 @@ let dump_conn_table t =
    from a shard that is not the VM's home shard pay the cross-shard cost
    ([sh] is absent on control-plane paths, which run on no CE core). *)
 let conn_counter t nsm_id =
-  match Hashtbl.find_opt t.nsm_conns nsm_id with
-  | Some r -> r
-  | None ->
+  match Int_tbl.find t.nsm_conns nsm_id with
+  | r -> r
+  | exception Not_found ->
       let r = ref 0 in
       (* Internal to the accessors: the cross-shard charge happened at the
          table_add/table_remove entry point. (* nkscope: ce-owner *) *)
-      Hashtbl.replace t.nsm_conns nsm_id r;
+      Int_tbl.replace t.nsm_conns nsm_id r;
       r
 
 let table_add ?sh t key route =
   (match sh with
-  | Some sh when vm_home_idx t (fst key) <> sh.idx -> charge_xshard t sh
+  | Some sh when vm_home_idx t (Nqe.conn_key_vm key) <> sh.idx -> charge_xshard t sh
   | _ -> ());
-  (match Hashtbl.find_opt t.conn_table key with
-  | Some prev -> decr (conn_counter t prev.nsm_id)
-  | None -> ());
-  Hashtbl.replace t.conn_table key route;
+  (match Int_tbl.find t.conn_table key with
+  | prev -> decr (conn_counter t prev.nsm_id)
+  | exception Not_found -> ());
+  Int_tbl.replace t.conn_table key route;
   incr (conn_counter t route.nsm_id)
 
 let table_remove ?sh t key =
-  match Hashtbl.find_opt t.conn_table key with
-  | None -> ()
-  | Some r ->
+  match Int_tbl.find t.conn_table key with
+  | exception Not_found -> ()
+  | r ->
       (match sh with
-      | Some sh when vm_home_idx t (fst key) <> sh.idx -> charge_xshard t sh
+      | Some sh when vm_home_idx t (Nqe.conn_key_vm key) <> sh.idx -> charge_xshard t sh
       | _ -> ());
-      Hashtbl.remove t.conn_table key;
+      Int_tbl.remove t.conn_table key;
       decr (conn_counter t r.nsm_id)
 
 let nsm_conn_count t ~nsm_id =
-  match Hashtbl.find_opt t.nsm_conns nsm_id with Some r -> !r | None -> 0
+  match Int_tbl.find_opt t.nsm_conns nsm_id with Some r -> !r | None -> 0
 
 let ctl_event t name detail =
   Nkmon.event t.mon (Nkmon.Trace.Custom { component = "coreengine"; name; detail })
 
 let attach t ~vm_id ~nsm_ids =
   if nsm_ids = [] then invalid_arg "Coreengine.attach: need at least one NSM";
-  Hashtbl.replace t.assignment vm_id (Array.of_list nsm_ids, ref 0)
+  Int_tbl.replace t.assignment vm_id (Array.of_list nsm_ids, ref 0)
 
 let detach t ~vm_id ~nsm_id =
-  match Hashtbl.find_opt t.assignment vm_id with
+  match Int_tbl.find_opt t.assignment vm_id with
   | None -> ()
   | Some (nsms, _rr) ->
       let rest = List.filter (fun id -> id <> nsm_id) (Array.to_list nsms) in
       if List.length rest < Array.length nsms then begin
-        if rest = [] then Hashtbl.remove t.assignment vm_id
-        else Hashtbl.replace t.assignment vm_id (Array.of_list rest, ref 0);
+        if rest = [] then Int_tbl.remove t.assignment vm_id
+        else Int_tbl.replace t.assignment vm_id (Array.of_list rest, ref 0);
         ctl_event t "detach" (Printf.sprintf "vm=%d nsm=%d" vm_id nsm_id)
       end
 
 let drain_nsm t ~nsm_id =
-  if not (Hashtbl.mem t.draining nsm_id) then begin
-    Hashtbl.replace t.draining nsm_id ();
+  if not (Int_tbl.mem t.draining nsm_id) then begin
+    Int_tbl.replace t.draining nsm_id ();
     ctl_event t "drain_nsm" (Printf.sprintf "nsm=%d conns=%d" nsm_id (nsm_conn_count t ~nsm_id))
   end
 
-let forget_route t ~vm_id ~sock = table_remove t (vm_id, sock)
+let forget_route t ~vm_id ~sock = table_remove t (Nqe.conn_key ~vm_id ~sock)
 
 let add_route t ~vm_id ~sock ~nsm_id ~nsm_qset =
-  table_add t (vm_id, sock) { nsm_id; nsm_qset }
+  table_add t (Nqe.conn_key ~vm_id ~sock) { nsm_id; nsm_qset }
 
 let rehome_nsm_routes t ~from_nsm ~to_nsm =
   (* Re-point every route at [from_nsm] to [to_nsm], keeping queue-set
@@ -318,7 +314,7 @@ let rehome_nsm_routes t ~from_nsm ~to_nsm =
      sets). Used by live migration: the stub device standing in for a
      departed NSM inherits its flows atomically. *)
   let moved =
-    Nkutil.Det_tbl.fold ~cmp:conn_key_cmp
+    Int_tbl.fold
       (fun key r acc -> if r.nsm_id = from_nsm then (key, r.nsm_qset) :: acc else acc)
       t.conn_table []
   in
@@ -337,9 +333,9 @@ let forget_vm_routes t ~vm_id ~nsm_id =
      does not cover (listeners, bare sockets) at the stand-in stub — left in
      place, their replayed NQEs would bounce home CE -> stub forever. *)
   let keys =
-    Nkutil.Det_tbl.fold ~cmp:conn_key_cmp
+    Int_tbl.fold
       (fun key r acc ->
-        if fst key = vm_id && r.nsm_id = nsm_id then key :: acc else acc)
+        if Nqe.conn_key_vm key = vm_id && r.nsm_id = nsm_id then key :: acc else acc)
       t.conn_table []
   in
   List.iter (table_remove t) keys;
@@ -354,7 +350,7 @@ let forget_vm_routes t ~vm_id ~nsm_id =
 
 let set_rate_limit ?burst t ~vm_id ~bytes_per_sec =
   let burst = match burst with Some b -> b | None -> bytes_per_sec *. 0.05 in
-  Hashtbl.replace t.buckets vm_id
+  Int_tbl.replace t.buckets vm_id
     (Nkutil.Token_bucket.create ~rate:bytes_per_sec ~burst ~now:(Engine.now t.engine))
 
 (* ---- switching --------------------------------------------------------- *)
@@ -380,11 +376,11 @@ let charge_table_miss t (sh : shard) =
 
 let route_nsm_to_vm t (sh : shard) ~src_nsm ~src_qset raw =
   let vm_id = Nqe.View.vm_id raw in
-  match Hashtbl.find_opt t.vms vm_id with
-  | None ->
+  match Int_tbl.find t.vms vm_id with
+  | exception Not_found ->
       drop sh t (Some raw) "vm_gone";
       true
-  | Some dev ->
+  | dev ->
       let op = Nqe.View.op raw in
       let sock = Nqe.View.sock raw in
       (* An accept event introduces the new socket id (in the size field):
@@ -404,12 +400,10 @@ let route_nsm_to_vm t (sh : shard) ~src_nsm ~src_qset raw =
          pinned to the ServiceLib queue set that emitted the event, but never
          resurrect routes towards an NSM that has since departed (its
          parting completions are still in flight). *)
-      if
-        Hashtbl.mem t.nsms src_nsm
-        && not (Hashtbl.mem t.conn_table (vm_id, table_sock))
-      then
-        table_add ~sh t (vm_id, table_sock) { nsm_id = src_nsm; nsm_qset = src_qset };
-      if op = Nqe.Comp_close then table_remove ~sh t (vm_id, sock);
+      let table_key = Nqe.conn_key ~vm_id ~sock:table_sock in
+      if Int_tbl.mem t.nsms src_nsm && not (Int_tbl.mem t.conn_table table_key) then
+        table_add ~sh t table_key { nsm_id = src_nsm; nsm_qset = src_qset };
+      if op = Nqe.Comp_close then table_remove ~sh t (Nqe.conn_key ~vm_id ~sock);
       if push_inbound t sh dev ~qset raw then begin
         switched sh t raw (`Vm vm_id);
         true
@@ -417,11 +411,11 @@ let route_nsm_to_vm t (sh : shard) ~src_nsm ~src_qset raw =
       else false
 
 let deferred_queue (sh : shard) vm_id =
-  match Hashtbl.find_opt sh.deferred vm_id with
-  | Some q -> q
-  | None ->
+  match Int_tbl.find sh.deferred vm_id with
+  | q -> q
+  | exception Not_found ->
       let q = { entries = Queue.create (); to_vm_pending = 0; to_nsm_pending = 0 } in
-      Hashtbl.replace sh.deferred vm_id q;
+      Int_tbl.replace sh.deferred vm_id q;
       q
 
 let dq_add (dq : dq) entry =
@@ -450,7 +444,7 @@ and drain_deferred t (sh : shard) =
   let next_delay = ref infinity in
   (* VM-id order: which VM's parked traffic gets tokens / ring space first
      must not depend on hash-bucket layout. *)
-  Nkutil.Det_tbl.iter ~cmp:Int.compare
+  Int_tbl.iter
     (fun vm_id dq ->
       let rec loop () =
         match Queue.peek_opt dq.entries with
@@ -477,7 +471,7 @@ and drain_deferred t (sh : shard) =
                       Float.min !next_delay t.costs.Nk_costs.ce_ring_release_delay
               | To_nsm _ ->
                   let tokens_ok =
-                    match (Nqe.View.op raw, Hashtbl.find_opt t.buckets vm_id) with
+                    match (Nqe.View.op raw, Int_tbl.find_opt t.buckets vm_id) with
                     | Nqe.Send, Some bucket ->
                         let now = Engine.now t.engine in
                         let need = float_of_int (Nqe.View.size raw) in
@@ -546,32 +540,33 @@ and route_vm_to_nsm t (sh : shard) raw =
   let vm_id = Nqe.View.vm_id raw in
   let sock = Nqe.View.sock raw in
   let op = Nqe.View.op raw in
-  match Hashtbl.find_opt t.conn_table (vm_id, sock) with
-  | Some r -> (
-      match Hashtbl.find_opt t.nsms r.nsm_id with
-      | None ->
-          table_remove ~sh t (vm_id, sock);
+  let key = Nqe.conn_key ~vm_id ~sock in
+  match Int_tbl.find t.conn_table key with
+  | r -> (
+      match Int_tbl.find t.nsms r.nsm_id with
+      | exception Not_found ->
+          table_remove ~sh t key;
           drop sh t (Some raw) "nsm_gone";
           reply_error t sh raw Types.Econnreset;
           true
-      | Some dev ->
-          if op = Nqe.Close then table_remove ~sh t (vm_id, sock);
+      | dev ->
+          if op = Nqe.Close then table_remove ~sh t key;
           if push_inbound t sh dev ~qset:r.nsm_qset raw then begin
             switched sh t raw (`Nsm r.nsm_id);
             true
           end
           else false)
-  | None -> (
+  | exception Not_found -> (
       (* First NQE of this socket: assign an NSM and a queue set, skipping
          NSMs that are draining or gone (falling back to the raw pick if
          nothing else is available, so a misconfigured drain-all still
          yields a deterministic error path). *)
-      match Hashtbl.find_opt t.assignment vm_id with
-      | None ->
+      match Int_tbl.find t.assignment vm_id with
+      | exception Not_found ->
           drop sh t (Some raw) "no_nsm_assignment";
           reply_error t sh raw Types.Econnreset;
           true
-      | Some (nsms, rr) -> (
+      | nsms, rr -> (
           charge_table_miss t sh;
           let n = Array.length nsms in
           let base = !rr in
@@ -581,19 +576,19 @@ and route_vm_to_nsm t (sh : shard) raw =
               if i >= n then nsms.(base mod n)
               else
                 let cand = nsms.((base + i) mod n) in
-                if Hashtbl.mem t.nsms cand && not (Hashtbl.mem t.draining cand) then cand
+                if Int_tbl.mem t.nsms cand && not (Int_tbl.mem t.draining cand) then cand
                 else pick (i + 1)
             in
             pick 0
           in
-          match Hashtbl.find_opt t.nsms nsm_id with
-          | None ->
+          match Int_tbl.find t.nsms nsm_id with
+          | exception Not_found ->
               drop sh t (Some raw) "nsm_gone";
               reply_error t sh raw Types.Econnreset;
               true
-          | Some dev ->
+          | dev ->
               let nsm_qset = Nk_device.hash_qset dev sock in
-              table_add ~sh t (vm_id, sock) { nsm_id; nsm_qset };
+              table_add ~sh t key { nsm_id; nsm_qset };
               if push_inbound t sh dev ~qset:nsm_qset raw then begin
                 switched sh t raw (`Nsm nsm_id);
                 true
@@ -690,7 +685,7 @@ and dispatch t (sh : shard) src raw =
     let must_defer =
       dq.to_nsm_pending > 0
       ||
-      match (Nqe.View.op raw, Hashtbl.find_opt t.buckets vm_id) with
+      match (Nqe.View.op raw, Int_tbl.find_opt t.buckets vm_id) with
       | Nqe.Send, Some bucket ->
           not
             (Nkutil.Token_bucket.try_take bucket ~now:(Engine.now t.engine)
@@ -786,41 +781,41 @@ let register_common t dev side =
   t.device_order <- t.device_order @ [ (dev, side) ]
 
 let register_vm t dev =
-  Hashtbl.replace t.vms (Nk_device.id dev) dev;
+  Int_tbl.replace t.vms (Nk_device.id dev) dev;
   register_common t dev `Vm
 
 let register_nsm t dev =
-  Hashtbl.replace t.nsms (Nk_device.id dev) dev;
+  Int_tbl.replace t.nsms (Nk_device.id dev) dev;
   register_common t dev `Nsm
 
 let deregister_vm t ~vm_id =
-  (match Hashtbl.find_opt t.vms vm_id with
+  (match Int_tbl.find_opt t.vms vm_id with
   | None -> ()
   | Some dev ->
       t.device_order <-
         List.filter (fun (d, _) -> not (d == dev)) t.device_order);
-  Hashtbl.remove t.vms vm_id;
-  Hashtbl.remove t.assignment vm_id;
-  Hashtbl.remove t.buckets vm_id;
-  Array.iter (fun sh -> Hashtbl.remove sh.deferred vm_id) t.shards;
+  Int_tbl.remove t.vms vm_id;
+  Int_tbl.remove t.assignment vm_id;
+  Int_tbl.remove t.buckets vm_id;
+  Array.iter (fun sh -> Int_tbl.remove sh.deferred vm_id) t.shards;
   let keys =
-    Nkutil.Det_tbl.fold ~cmp:conn_key_cmp
-      (fun key _ acc -> if fst key = vm_id then key :: acc else acc)
+    Int_tbl.fold
+      (fun key _ acc -> if Nqe.conn_key_vm key = vm_id then key :: acc else acc)
       t.conn_table []
   in
   List.iter (table_remove t) keys
 
 let deregister_nsm t ~nsm_id =
-  (match Hashtbl.find_opt t.nsms nsm_id with
+  (match Int_tbl.find_opt t.nsms nsm_id with
   | None -> ()
   | Some dev ->
       t.device_order <-
         List.filter (fun (d, _) -> not (d == dev)) t.device_order);
-  Hashtbl.remove t.nsms nsm_id;
-  Hashtbl.remove t.draining nsm_id;
+  Int_tbl.remove t.nsms nsm_id;
+  Int_tbl.remove t.draining nsm_id;
   (* Take it out of every VM's round-robin pool. *)
   let vms_using =
-    Nkutil.Det_tbl.fold ~cmp:Int.compare
+    Int_tbl.fold
       (fun vm_id (nsms, _) acc ->
         if Array.exists (fun id -> id = nsm_id) nsms then vm_id :: acc else acc)
       t.assignment []
@@ -829,19 +824,19 @@ let deregister_nsm t ~nsm_id =
   (* And forget its connection-table entries (satellite bugfix: a departed
      NSM used to leak them forever). *)
   let keys =
-    Nkutil.Det_tbl.fold ~cmp:conn_key_cmp
+    Int_tbl.fold
       (fun key r acc -> if r.nsm_id = nsm_id then key :: acc else acc)
       t.conn_table []
   in
   List.iter (table_remove t) keys;
-  Hashtbl.remove t.nsm_conns nsm_id;
+  Int_tbl.remove t.nsm_conns nsm_id;
   ctl_event t "deregister_nsm" (Printf.sprintf "nsm=%d" nsm_id)
 
 let crash_nsm t ~nsm_id =
   let victims =
     (* Ascending ⟨vm,sock⟩ order: reset-event delivery order is part of the
        deterministic execution. *)
-    Nkutil.Det_tbl.bindings ~cmp:conn_key_cmp t.conn_table
+    Int_tbl.bindings t.conn_table
     |> List.filter_map (fun (key, r) -> if r.nsm_id = nsm_id then Some key else None)
   in
   deregister_nsm t ~nsm_id;
@@ -849,10 +844,11 @@ let crash_nsm t ~nsm_id =
      a hang — so GuestLib can fail pending accepts/connects/reads. The
      synthesized event is injected on the VM's home shard. *)
   List.iter
-    (fun (vm_id, sock) ->
+    (fun key ->
+      let vm_id = Nqe.conn_key_vm key in
       let nqe =
-        Nqe.make ~op:Nqe.Ev_err ~vm_id ~qset:Nqe.qset_unassigned ~sock
-          ~op_data:(Nqe.err_code Types.Econnreset) ()
+        Nqe.make ~op:Nqe.Ev_err ~vm_id ~qset:Nqe.qset_unassigned
+          ~sock:(Nqe.conn_key_sock key) ~op_data:(Nqe.err_code Types.Econnreset) ()
       in
       deliver_to_vm t (vm_home_shard t vm_id) ~src_nsm:(-1) ~src_qset:0
         (Nqe.encode nqe))

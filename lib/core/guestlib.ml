@@ -2,6 +2,7 @@ module Cpu = Sim.Cpu
 module Types = Tcpstack.Types
 module Socket_api = Tcpstack.Socket_api
 module Epoll_core = Tcpstack.Epoll_core
+module Int_tbl = Nkutil.Int_tbl
 
 type rx_chunk = { extent : Hugepages.extent; mutable off : int; synthetic : bool }
 
@@ -49,7 +50,7 @@ type t = {
   device : Nk_device.t;
   costs : Nk_costs.t;
   profile : Sim.Cost_profile.t;
-  socks : (int, gsock) Hashtbl.t;
+  socks : gsock Int_tbl.t;
   epoll : Epoll_core.t;
   mon : Nkmon.t;
   spans : Nkspan.t;
@@ -70,30 +71,27 @@ let stats t =
 
 let core_for t gs = Cpu.Set.core t.cores gs.qset
 
-let find t gid = Hashtbl.find_opt t.socks gid
+let find t gid = Int_tbl.find_opt t.socks gid
 
 (* ---- epoll plumbing ----------------------------------------------------- *)
 
-let gsock_events ~sendbuf = function
-  | None -> { Types.readable = false; writable = false; hup = true }
-  | Some gs -> (
-      match gs.state with
-      | Gfresh | Gconnecting -> Types.no_events
-      | Gclosed -> { Types.readable = false; writable = false; hup = true }
-      | Glistening ->
-          let hup = gs.err <> None in
-          {
-            Types.readable = (not (Queue.is_empty gs.acceptq)) || hup;
-            writable = false;
-            hup;
-          }
-      | Gconnected ->
-          let hup = gs.err <> None in
-          {
-            Types.readable = gs.recv_avail > 0 || (gs.eof && not gs.eof_delivered) || hup;
-            writable = gs.sendbuf_used < sendbuf;
-            hup;
-          })
+(* What a closed (or never opened) socket reports. *)
+let hup_only = { Types.readable = false; writable = false; hup = true }
+
+let gsock_events ~sendbuf gs =
+  match gs.state with
+  | Gfresh | Gconnecting -> Types.no_events
+  | Gclosed -> hup_only
+  | Glistening ->
+      let hup = gs.err <> None in
+      { Types.readable = (not (Queue.is_empty gs.acceptq)) || hup; writable = false; hup }
+  | Gconnected ->
+      let hup = gs.err <> None in
+      {
+        Types.readable = gs.recv_avail > 0 || (gs.eof && not gs.eof_delivered) || hup;
+        writable = gs.sendbuf_used < sendbuf;
+        hup;
+      }
 
 (* ---- NQE posting -------------------------------------------------------- *)
 
@@ -139,15 +137,15 @@ let apply t (nqe : Nqe.t) =
   let err = Nqe.err_of_code nqe.Nqe.op_data in
   match nqe.Nqe.op with
   | Nqe.Comp_socket | Nqe.Comp_bind | Nqe.Comp_listen -> (
-      match find t nqe.Nqe.sock with
-      | None -> ()
-      | Some gs ->
+      match Int_tbl.find t.socks nqe.Nqe.sock with
+      | exception Not_found -> ()
+      | gs ->
           (match err with Some e -> gs.err <- Some e | None -> ());
           Epoll_core.notify t.epoll gs.gid)
   | Nqe.Comp_connect -> (
-      match find t nqe.Nqe.sock with
-      | None -> ()
-      | Some gs ->
+      match Int_tbl.find t.socks nqe.Nqe.sock with
+      | exception Not_found -> ()
+      | gs ->
           (match err with
           | None -> gs.state <- Gconnected
           | Some e ->
@@ -163,9 +161,9 @@ let apply t (nqe : Nqe.t) =
       free_send_extent t nqe;
       Nkspan.end_stage t.spans ~id:nqe.Nqe.span "completion";
       Nkspan.finish t.spans ~id:nqe.Nqe.span;
-      match find t nqe.Nqe.sock with
-      | None -> ()
-      | Some gs ->
+      match Int_tbl.find t.socks nqe.Nqe.sock with
+      | exception Not_found -> ()
+      | gs ->
           gs.sendbuf_used <- Int.max 0 (gs.sendbuf_used - nqe.Nqe.size);
           (match err with Some e -> gs.err <- Some e | None -> ());
           if gs.close_pending && gs.sendbuf_used = 0 then begin
@@ -173,11 +171,11 @@ let apply t (nqe : Nqe.t) =
             post_op t gs Nqe.Close ()
           end;
           Epoll_core.notify t.epoll gs.gid)
-  | Nqe.Comp_close -> Hashtbl.remove t.socks nqe.Nqe.sock
+  | Nqe.Comp_close -> Int_tbl.remove t.socks nqe.Nqe.sock
   | Nqe.Ev_accept -> (
-      match find t nqe.Nqe.sock with
-      | None -> ()
-      | Some lsock when lsock.state = Glistening ->
+      match Int_tbl.find t.socks nqe.Nqe.sock with
+      | exception Not_found -> ()
+      | lsock when lsock.state = Glistening ->
           let gid = nqe.Nqe.size in
           let peer = Nqe.unpack_addr nqe.Nqe.op_data in
           let gs =
@@ -202,7 +200,7 @@ let apply t (nqe : Nqe.t) =
               close_pending = false;
             }
           in
-          Hashtbl.replace t.socks gid gs;
+          Int_tbl.replace t.socks gid gs;
           if Queue.is_empty lsock.accept_waiters then begin
             Queue.add (gid, peer) lsock.acceptq;
             Epoll_core.notify t.epoll lsock.gid
@@ -212,13 +210,13 @@ let apply t (nqe : Nqe.t) =
             Cpu.exec (core_for t gs) ~cycles:t.costs.Nk_costs.nk_syscall (fun () ->
                 k (Ok (gid, peer)))
           end
-      | Some _ -> ())
+      | _ -> ())
   | Nqe.Ev_data -> (
-      match find t nqe.Nqe.sock with
-      | None ->
+      match Int_tbl.find t.socks nqe.Nqe.sock with
+      | exception Not_found ->
           (* Socket already closed locally: return the extent. *)
           free_send_extent t nqe
-      | Some gs ->
+      | gs ->
           Queue.add
             {
               extent = { Hugepages.offset = nqe.Nqe.data_ptr; len = nqe.Nqe.size };
@@ -230,15 +228,15 @@ let apply t (nqe : Nqe.t) =
           Nkmon.Registry.add t.ctr.c_bytes_received nqe.Nqe.size;
           Epoll_core.notify t.epoll gs.gid)
   | Nqe.Ev_eof -> (
-      match find t nqe.Nqe.sock with
-      | None -> ()
-      | Some gs ->
+      match Int_tbl.find t.socks nqe.Nqe.sock with
+      | exception Not_found -> ()
+      | gs ->
           gs.eof <- true;
           Epoll_core.notify t.epoll gs.gid)
   | Nqe.Ev_err -> (
-      match find t nqe.Nqe.sock with
-      | None -> ()
-      | Some gs ->
+      match Int_tbl.find t.socks nqe.Nqe.sock with
+      | exception Not_found -> ()
+      | gs ->
           (match err with Some e -> gs.err <- Some e | None -> gs.err <- Some Types.Econnreset);
           let e = Option.value gs.err ~default:Types.Econnreset in
           (match gs.on_connect with
@@ -284,24 +282,24 @@ let control_cycles t = t.costs.Nk_costs.nk_syscall +. t.costs.Nk_costs.nqe_encod
 let api t =
   let socket () =
     let gs = alloc_gsock t in
-    Hashtbl.replace t.socks gs.gid gs;
+    Int_tbl.replace t.socks gs.gid gs;
     Cpu.charge (core_for t gs) ~cycles:(control_cycles t);
     post_op t gs Nqe.Socket ();
     Ok gs.gid
   in
   let bind gid addr =
-    match find t gid with
-    | None -> Error Types.Einval
-    | Some gs ->
+    match Int_tbl.find t.socks gid with
+    | exception Not_found -> Error Types.Einval
+    | gs ->
         gs.local <- Some addr;
         Cpu.charge (core_for t gs) ~cycles:(control_cycles t);
         post_op t gs Nqe.Bind ~op_data:(Nqe.pack_addr addr) ();
         Ok ()
   in
   let listen gid ~backlog =
-    match find t gid with
-    | None -> Error Types.Einval
-    | Some gs -> (
+    match Int_tbl.find t.socks gid with
+    | exception Not_found -> Error Types.Einval
+    | gs -> (
         match gs.local with
         | None -> Error Types.Einval
         | Some _ ->
@@ -312,33 +310,33 @@ let api t =
             Ok ())
   in
   let accept gid ~k =
-    match find t gid with
-    | None -> k (Error Types.Einval)
-    | Some gs when gs.state = Glistening && gs.err <> None ->
+    match Int_tbl.find t.socks gid with
+    | exception Not_found -> k (Error Types.Einval)
+    | gs when gs.state = Glistening && gs.err <> None ->
         k (Error (Option.value gs.err ~default:Types.Econnreset))
-    | Some gs when gs.state = Glistening ->
+    | gs when gs.state = Glistening ->
         if Queue.is_empty gs.acceptq then Queue.add k gs.accept_waiters
         else begin
           let cgid, peer = Queue.pop gs.acceptq in
           Cpu.exec (core_for t gs) ~cycles:(control_cycles t) (fun () -> k (Ok (cgid, peer)))
         end
-    | Some _ -> k (Error Types.Einval)
+    | _ -> k (Error Types.Einval)
   in
   let connect gid dst ~k =
-    match find t gid with
-    | None -> k (Error Types.Einval)
-    | Some gs when gs.state = Gfresh ->
+    match Int_tbl.find t.socks gid with
+    | exception Not_found -> k (Error Types.Einval)
+    | gs when gs.state = Gfresh ->
         gs.state <- Gconnecting;
         gs.peer <- Some dst;
         gs.on_connect <- Some k;
         Cpu.charge (core_for t gs) ~cycles:(control_cycles t);
         post_op t gs Nqe.Connect ~op_data:(Nqe.pack_addr dst) ()
-    | Some _ -> k (Error Types.Einval)
+    | _ -> k (Error Types.Einval)
   in
   let send gid payload ~k =
-    match find t gid with
-    | None -> k (Error Types.Eclosed)
-    | Some gs -> (
+    match Int_tbl.find t.socks gid with
+    | exception Not_found -> k (Error Types.Eclosed)
+    | gs -> (
         match (gs.state, gs.err) with
         | _, Some e -> k (Error e)
         | Gconnected, None -> (
@@ -385,9 +383,9 @@ let api t =
         | (Gfresh | Gconnecting | Glistening | Gclosed), None -> k (Error Types.Enotconn))
   in
   let recv gid ~max ~mode ~k =
-    match find t gid with
-    | None -> k (Error Types.Eclosed)
-    | Some gs ->
+    match Int_tbl.find t.socks gid with
+    | exception Not_found -> k (Error Types.Eclosed)
+    | gs ->
         if gs.recv_avail > 0 && max > 0 then begin
           (* Charge an estimate now; the chunk state is re-read at execution
              time because concurrent recv calls may race on this socket. *)
@@ -436,9 +434,9 @@ let api t =
         end
   in
   let close gid =
-    match find t gid with
-    | None -> ()
-    | Some gs ->
+    match Int_tbl.find t.socks gid with
+    | exception Not_found -> ()
+    | gs ->
         Cpu.charge (core_for t gs) ~cycles:(control_cycles t);
         (* Free any unread receive extents; the NSM stops delivering after
            the close NQE. *)
@@ -479,7 +477,7 @@ let api t =
 (* ---- listener re-homing (control plane) --------------------------------- *)
 
 let listening_socks t =
-  Nkutil.Det_tbl.bindings ~cmp:Int.compare t.socks
+  Int_tbl.bindings t.socks
   |> List.filter_map (fun (gid, gs) -> if gs.state = Glistening then Some gid else None)
 
 let remigrate_listeners t =
@@ -507,15 +505,17 @@ let create ~engine ~vm_id ~cores ~device ~costs ~profile ?(mon = Nkmon.null ())
     ?(spans = Nkspan.null ()) () =
   let instance = Printf.sprintf "vm%d" vm_id in
   let c name = Nkmon.counter mon ~component:"guestlib" ~instance ~name in
-  let socks = Hashtbl.create 256 in
+  let socks = Int_tbl.create 256 in
   let epoll =
     Epoll_core.create ~engine
       ~events_of:(fun gid ->
-        gsock_events ~sendbuf:costs.Nk_costs.guest_sendbuf (Hashtbl.find_opt socks gid))
+        match Int_tbl.find socks gid with
+        | gs -> gsock_events ~sendbuf:costs.Nk_costs.guest_sendbuf gs
+        | exception Not_found -> hup_only)
       ~core_of:(fun gid ->
-        match Hashtbl.find_opt socks gid with
-        | Some gs -> Cpu.Set.core cores gs.qset
-        | None -> Cpu.Set.core cores 0)
+        match Int_tbl.find socks gid with
+        | gs -> Cpu.Set.core cores gs.qset
+        | exception Not_found -> Cpu.Set.core cores 0)
       ~wake_cycles:costs.Nk_costs.guest_epoll_wake
   in
   let t =

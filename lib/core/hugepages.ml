@@ -1,3 +1,5 @@
+module Int_tbl = Nkutil.Int_tbl
+
 type extent = { offset : int; len : int }
 
 type t = {
@@ -10,9 +12,15 @@ type t = {
      observable contents are identical to an eagerly allocated region. *)
   mutable buf : bytes;
   size : int;
-  mutable free_list : (int * int) list; (* (offset, len), sorted by offset *)
+  (* The free holes, coalesced (no two touch) and sorted by offset: hole
+     [i < n_holes] spans [hole_off.(i)] .. [hole_off.(i) + hole_len.(i) - 1].
+     Parallel int arrays, updated in place: alloc and free allocate
+     nothing here. *)
+  mutable hole_off : int array;
+  mutable hole_len : int array;
+  mutable n_holes : int;
   mutable in_use : int;
-  live : (int, int) Hashtbl.t; (* offset -> len, for double-free detection *)
+  live : int Int_tbl.t; (* offset -> rounded len, for double-free detection *)
   mon : Nkmon.t;
   region : string;
 }
@@ -38,17 +46,20 @@ let create ?(page_size = 2 * 1024 * 1024) ?(pages = 32) ?(mon = Nkmon.null ())
     {
       buf = Bytes.create (Int.min size 4096);
       size;
-      free_list = [ (0, size) ];
+      hole_off = Array.make 8 0;
+      hole_len = Array.make 8 0;
+      n_holes = 1;
       in_use = 0;
-      live = Hashtbl.create 64;
+      live = Int_tbl.create 64;
       mon;
       region;
     }
   in
+  t.hole_len.(0) <- size;
   Nkmon.sampler mon ~component:"hugepages" ~instance:region ~name:"bytes_in_use" (fun () ->
       float_of_int t.in_use);
   Nkmon.sampler mon ~component:"hugepages" ~instance:region ~name:"allocations" (fun () ->
-      float_of_int (Hashtbl.length t.live));
+      float_of_int (Int_tbl.length t.live));
   (* Capacity next to bytes_in_use so pressure (in_use / capacity) is
      computable from a registry snapshot alone — the Nkobs hugepage
      pressure alert reads exactly these two rows. *)
@@ -60,61 +71,93 @@ let capacity t = t.size
 
 let bytes_in_use t = t.in_use
 
-let allocations t = Hashtbl.length t.live
+let allocations t = Int_tbl.length t.live
 
 (* Round to 64-byte cache lines so adjacent extents don't false-share. *)
 let round n = (n + 63) land lnot 63
 
+(* First fit: the lowest-offset hole of at least [need] bytes, or -1. *)
+let rec first_fit t need i =
+  if i >= t.n_holes then -1
+  else if t.hole_len.(i) >= need then i
+  else first_fit t need (i + 1)
+
+(* The index of the first hole above [off] (hole offsets are distinct). *)
+let rec hole_after t off lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if t.hole_off.(mid) < off then hole_after t off (mid + 1) hi
+    else hole_after t off lo mid
+
+let remove_hole t i =
+  let n = t.n_holes in
+  Array.blit t.hole_off (i + 1) t.hole_off i (n - i - 1);
+  Array.blit t.hole_len (i + 1) t.hole_len i (n - i - 1);
+  t.n_holes <- n - 1
+
+let insert_hole t i off len =
+  let n = t.n_holes in
+  if n = Array.length t.hole_off then begin
+    let grow a =
+      let b = Array.make (2 * n) 0 in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    t.hole_off <- grow t.hole_off;
+    t.hole_len <- grow t.hole_len
+  end;
+  Array.blit t.hole_off i t.hole_off (i + 1) (n - i);
+  Array.blit t.hole_len i t.hole_len (i + 1) (n - i);
+  t.hole_off.(i) <- off;
+  t.hole_len.(i) <- len;
+  t.n_holes <- n + 1
+
 let alloc t n =
   if n <= 0 then invalid_arg "Hugepages.alloc: size must be positive";
   let need = round n in
-  let rec take acc = function
-    | [] -> None
-    | (off, len) :: rest when len >= need ->
-        let remainder = if len > need then [ (off + need, len - need) ] else [] in
-        t.free_list <- List.rev_append acc (remainder @ rest);
-        t.in_use <- t.in_use + need;
-        Hashtbl.replace t.live off need;
-        if Nkmon.tracing t.mon then
-          Nkmon.event t.mon
-            (Nkmon.Trace.Hugepage_alloc { region = t.region; offset = off; len = n });
-        Some { offset = off; len = n }
-    | hole :: rest -> take (hole :: acc) rest
-  in
-  take [] t.free_list
+  let i = first_fit t need 0 in
+  if i < 0 then None
+  else begin
+    let off = t.hole_off.(i) in
+    let len = t.hole_len.(i) in
+    if len > need then begin
+      t.hole_off.(i) <- off + need;
+      t.hole_len.(i) <- len - need
+    end
+    else remove_hole t i;
+    t.in_use <- t.in_use + need;
+    Int_tbl.replace t.live off need;
+    if Nkmon.tracing t.mon then
+      Nkmon.event t.mon
+        (Nkmon.Trace.Hugepage_alloc { region = t.region; offset = off; len = n });
+    Some { offset = off; len = n }
+  end
 
 let free t e =
-  match Hashtbl.find_opt t.live e.offset with
-  | None -> invalid_arg "Hugepages.free: extent is not live (double free?)"
-  | Some rounded ->
-      Hashtbl.remove t.live e.offset;
+  match Int_tbl.find t.live e.offset with
+  | exception Not_found -> invalid_arg "Hugepages.free: extent is not live (double free?)"
+  | rounded ->
+      Int_tbl.remove t.live e.offset;
       t.in_use <- t.in_use - rounded;
       if Nkmon.tracing t.mon then
         Nkmon.event t.mon
           (Nkmon.Trace.Hugepage_free { region = t.region; offset = e.offset; len = e.len });
-      (* Insert sorted by offset, then coalesce adjacent holes. Both passes
-         are tail-recursive: a long-lived fragmented region accumulates
-         thousands of holes, and freeing must not grow the OCaml stack with
-         the free list. *)
-      let rec insert acc = function
-        | [] -> List.rev ((e.offset, rounded) :: acc)
-        | (off, len) :: rest ->
-            if e.offset < off then
-              List.rev_append acc ((e.offset, rounded) :: (off, len) :: rest)
-            else insert ((off, len) :: acc) rest
-      in
-      let coalesce holes =
-        let merged =
-          List.fold_left
-            (fun acc (o2, l2) ->
-              match acc with
-              | (o1, l1) :: tl when o1 + l1 = o2 -> (o1, l1 + l2) :: tl
-              | _ -> (o2, l2) :: acc)
-            [] holes
-        in
-        List.rev merged
-      in
-      t.free_list <- coalesce (insert [] t.free_list)
+      (* Put the extent back as a hole, merged with the holes it touches. *)
+      let off = e.offset in
+      let i = hole_after t off 0 t.n_holes in
+      let joins_left = i > 0 && t.hole_off.(i - 1) + t.hole_len.(i - 1) = off in
+      let joins_right = i < t.n_holes && off + rounded = t.hole_off.(i) in
+      if joins_left && joins_right then begin
+        t.hole_len.(i - 1) <- t.hole_len.(i - 1) + rounded + t.hole_len.(i);
+        remove_hole t i
+      end
+      else if joins_left then t.hole_len.(i - 1) <- t.hole_len.(i - 1) + rounded
+      else if joins_right then begin
+        t.hole_off.(i) <- off;
+        t.hole_len.(i) <- rounded + t.hole_len.(i)
+      end
+      else insert_hole t i off rounded
 
 let blit_in t e s len =
   ensure_backing t (e.offset + len);

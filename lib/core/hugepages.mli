@@ -3,7 +3,7 @@
     One region is shared per VM–NSM tuple: GuestLib copies outgoing payload
     in and passes ⟨offset, size⟩ through NQEs; ServiceLib copies incoming
     payload in for the VM to read. The region is backed by a real [bytes]
-    buffer managed by a first-fit free-list allocator with coalescing, so
+    buffer managed by a first-fit allocator over coalesced free holes, so
     offsets in NQEs are genuine and the Fig 12 copy microbenchmark measures
     actual memory traffic. Synthetic ([Zeros]) payloads allocate extents
     but skip the byte copies. *)

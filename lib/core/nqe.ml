@@ -91,6 +91,10 @@ let qset_unassigned = 0xFF
 
 let nsm_sock_bit = 1 lsl 30
 
+let conn_key ~vm_id ~sock = (vm_id lsl 32) lor sock
+let conn_key_vm key = key lsr 32
+let conn_key_sock key = key land 0xFFFF_FFFF
+
 let size_bytes = 32
 
 let make ~op ~vm_id ~qset ~sock ?(op_data = 0L) ?(data_ptr = 0) ?(size = 0)

@@ -63,6 +63,14 @@ val nsm_sock_bit : int
 (** Socket ids with this bit set were allocated by the NSM side (accepted
     connections), so the two allocators never collide. *)
 
+val conn_key : vm_id:int -> sock:int -> int
+(** ⟨VM id, socket id⟩ packed into one int, the key of the NSM-side
+    connection tables: the VM id (one wire byte) above bit 32, the socket
+    id (32 wire bits) below. Keys sort like the pairs. *)
+
+val conn_key_vm : int -> int
+val conn_key_sock : int -> int
+
 val size_bytes : int
 (** 32. *)
 

@@ -1,6 +1,7 @@
 module Cpu = Sim.Cpu
 module Engine = Sim.Engine
 module Types = Tcpstack.Types
+module Int_tbl = Nkutil.Int_tbl
 
 type vm_ctx = { vm_id : int; hugepages : Hugepages.t; mutable next_gid : int }
 
@@ -43,8 +44,8 @@ type t = {
   device : Nk_device.t;
   cores : Cpu.Set.t;
   costs : Nk_costs.t;
-  vms : (int, vm_ctx) Hashtbl.t;
-  socks : (int * int, endpoint) Hashtbl.t; (* (vm_id, gid) -> endpoint *)
+  vms : vm_ctx Int_tbl.t;
+  socks : endpoint Int_tbl.t; (* Nqe.conn_key of (vm_id, gid) -> endpoint *)
   listeners : listener Endpoint_table.t;
   spans : Nkspan.t;
   instance : string;
@@ -53,7 +54,7 @@ type t = {
 
 let register_vm t ~vm_id ~hugepages ~ips =
   ignore ips;
-  Hashtbl.replace t.vms vm_id { vm_id; hugepages; next_gid = 1 }
+  Int_tbl.replace t.vms vm_id { vm_id; hugepages; next_gid = 1 }
 
 (* ---- replies ------------------------------------------------------------- *)
 
@@ -129,27 +130,29 @@ let fresh_endpoint vm ~gid ~nsm_qset ~vm_qset =
     eof_sent = false;
   }
 
+(* The NQE's endpoint; a Socket NQE creates it. Raises [Not_found] for a
+   socket this NSM never saw. *)
 let lookup_or_create t vm (nqe : Nqe.t) ~qset_idx =
-  let key = (vm.vm_id, nqe.Nqe.sock) in
-  match Hashtbl.find_opt t.socks key with
-  | Some ep ->
+  let key = Nqe.conn_key ~vm_id:vm.vm_id ~sock:nqe.Nqe.sock in
+  match Int_tbl.find t.socks key with
+  | ep ->
       ep.vm_qset <- nqe.Nqe.qset;
-      Some ep
-  | None ->
-      if nqe.Nqe.op = Nqe.Socket then begin
-        let ep = fresh_endpoint vm ~gid:nqe.Nqe.sock ~nsm_qset:qset_idx ~vm_qset:nqe.Nqe.qset in
-        Hashtbl.replace t.socks key ep;
-        Some ep
-      end
-      else None
+      ep
+  | exception Not_found ->
+      if nqe.Nqe.op <> Nqe.Socket then raise Not_found;
+      let ep =
+        fresh_endpoint vm ~gid:nqe.Nqe.sock ~nsm_qset:qset_idx ~vm_qset:nqe.Nqe.qset
+      in
+      Int_tbl.replace t.socks key ep;
+      ep
 
 let apply t qset_idx (nqe : Nqe.t) =
-  match Hashtbl.find_opt t.vms nqe.Nqe.vm_id with
-  | None -> ()
-  | Some vm -> (
+  match Int_tbl.find t.vms nqe.Nqe.vm_id with
+  | exception Not_found -> ()
+  | vm -> (
       match lookup_or_create t vm nqe ~qset_idx with
-      | None -> ()
-      | Some ep -> (
+      | exception Not_found -> ()
+      | ep -> (
           match nqe.Nqe.op with
           | Nqe.Socket -> post_result t ep Nqe.Comp_socket None
           | Nqe.Bind ->
@@ -178,7 +181,9 @@ let apply t qset_idx (nqe : Nqe.t) =
                       ~nsm_qset:(Nk_device.hash_qset t.device sgid)
                       ~vm_qset:Nqe.qset_unassigned
                   in
-                  Hashtbl.replace t.socks (l.l_vm.vm_id, sgid) server;
+                  Int_tbl.replace t.socks
+                    (Nqe.conn_key ~vm_id:l.l_vm.vm_id ~sock:sgid)
+                    server;
                   ep.peer <- Some server;
                   server.peer <- Some ep;
                   Nkmon.Registry.incr t.ctr.c_conns;
@@ -230,7 +235,7 @@ let apply t qset_idx (nqe : Nqe.t) =
                   Queue.clear peer.outbox
               | None -> ());
               post_result t ep Nqe.Comp_close None;
-              Hashtbl.remove t.socks (vm.vm_id, ep.ep_gid)
+              Int_tbl.remove t.socks (Nqe.conn_key ~vm_id:vm.vm_id ~sock:ep.ep_gid)
           | Nqe.Comp_socket | Nqe.Comp_bind | Nqe.Comp_listen | Nqe.Comp_connect
           | Nqe.Comp_send | Nqe.Comp_close | Nqe.Ev_accept | Nqe.Ev_data | Nqe.Ev_eof
           | Nqe.Ev_err ->
@@ -245,8 +250,8 @@ let create ~engine ~device ~cores ~costs ?(mon = Nkmon.null ()) ?(spans = Nkspan
       device;
       cores;
       costs;
-      vms = Hashtbl.create 8;
-      socks = Hashtbl.create 256;
+      vms = Int_tbl.create 8;
+      socks = Int_tbl.create 256;
       listeners = Endpoint_table.create 16;
       spans;
       instance;

@@ -2,6 +2,7 @@ module Cpu = Sim.Cpu
 module Engine = Sim.Engine
 module Types = Tcpstack.Types
 module Stack_ops = Tcpstack.Stack_ops
+module Int_tbl = Nkutil.Int_tbl
 
 type pending_send = {
   extent : Hugepages.extent;
@@ -13,7 +14,7 @@ type pending_send = {
 type vm_ctx = {
   vm_id : int;
   hugepages : Hugepages.t;
-  socks : (int, ssock) Hashtbl.t;
+  socks : ssock Int_tbl.t;
   mutable next_gid : int;
 }
 
@@ -57,8 +58,8 @@ type t = {
   cores : Cpu.Set.t;
   costs : Nk_costs.t;
   pressure : Sim.Pressure.t;
-  vms : (int, vm_ctx) Hashtbl.t;
-  vm_forwarders : (int, Nqe.t -> unit) Hashtbl.t;
+  vms : vm_ctx Int_tbl.t;
+  vm_forwarders : (Nqe.t -> unit) Int_tbl.t;
       (* per-VM hooks for NQEs that were drained before the VM migrated
          away but applied after; they ship to the destination NSM *)
   mon : Nkmon.t;
@@ -173,7 +174,7 @@ and finish_close t ss =
     (match ss.conn with Some conn -> t.ops.Stack_ops.close_conn conn | None -> ());
     (match ss.listener with Some l -> t.ops.Stack_ops.close_listener l | None -> ());
     post_result t ss Nqe.Comp_close None;
-    Hashtbl.remove ss.vm.socks ss.gid
+    Int_tbl.remove ss.vm.socks ss.gid
   end
 
 (* ---- receive path ---------------------------------------------------------- *)
@@ -297,7 +298,7 @@ let on_accept t vm (lsock : ssock) conn ~peer =
   in
   vm.next_gid <- vm.next_gid + 1;
   let ss = fresh_ssock vm ~gid ~qset:Nqe.qset_unassigned in
-  Hashtbl.replace vm.socks gid ss;
+  Int_tbl.replace vm.socks gid ss;
   wire_conn t ss conn;
   (* Announce the pipelined accept: the VM learns the new socket id through
      the size field, the peer address through op_data. *)
@@ -310,21 +311,18 @@ let on_accept t vm (lsock : ssock) conn ~peer =
 
 (* ---- NQE dispatch ---------------------------------------------------------------- *)
 
-let lookup_or_create t vm (nqe : Nqe.t) =
-  match Hashtbl.find_opt vm.socks nqe.Nqe.sock with
-  | Some ss ->
+(* The NQE's socket; a Socket NQE creates it. Raises [Not_found] for a
+   socket this NSM never saw. *)
+let lookup_or_create vm (nqe : Nqe.t) =
+  match Int_tbl.find vm.socks nqe.Nqe.sock with
+  | ss ->
       ss.vm_qset <- nqe.Nqe.qset;
-      Some ss
-  | None ->
-      if nqe.Nqe.op = Nqe.Socket then begin
-        let ss = fresh_ssock vm ~gid:nqe.Nqe.sock ~qset:nqe.Nqe.qset in
-        Hashtbl.replace vm.socks nqe.Nqe.sock ss;
-        Some ss
-      end
-      else begin
-        ignore t;
-        None
-      end
+      ss
+  | exception Not_found ->
+      if nqe.Nqe.op <> Nqe.Socket then raise Not_found;
+      let ss = fresh_ssock vm ~gid:nqe.Nqe.sock ~qset:nqe.Nqe.qset in
+      Int_tbl.replace vm.socks nqe.Nqe.sock ss;
+      ss
 
 let apply t qset_idx (nqe : Nqe.t) =
   Nkmon.Registry.incr t.ctr.c_nqes_rx;
@@ -339,17 +337,17 @@ let apply t qset_idx (nqe : Nqe.t) =
            vm_id = nqe.Nqe.vm_id;
            sock = nqe.Nqe.sock;
          });
-  match Hashtbl.find_opt t.vms nqe.Nqe.vm_id with
-  | None -> (
+  match Int_tbl.find t.vms nqe.Nqe.vm_id with
+  | exception Not_found -> (
       (* The VM migrated away between this NQE's drain and its apply (the
          scratch window): forward it to wherever the VM's stack now lives
          instead of dropping or error-replying. *)
-      match Hashtbl.find_opt t.vm_forwarders nqe.Nqe.vm_id with
+      match Int_tbl.find_opt t.vm_forwarders nqe.Nqe.vm_id with
       | Some forward -> forward nqe
       | None -> ())
-  | Some vm -> (
-      match lookup_or_create t vm nqe with
-      | None -> (
+  | vm -> (
+      match lookup_or_create vm nqe with
+      | exception Not_found -> (
           (* A socket this NSM never saw — e.g. an NQE re-routed here after
              the socket's original NSM crashed. Complete it with an error so
              the VM never waits on a reply that cannot come; the Send reply
@@ -368,7 +366,7 @@ let apply t qset_idx (nqe : Nqe.t) =
           | Nqe.Close -> reply Nqe.Comp_close ~op_data:Nqe.ok_code
           | Nqe.Connect -> reply Nqe.Comp_connect ~op_data:(Nqe.err_code Types.Econnreset)
           | _ -> ())
-      | Some ss -> (
+      | ss -> (
           if ss.conn = None && ss.listener = None then ss.nsm_qset <- qset_idx;
           match nqe.Nqe.op with
           | Nqe.Socket -> post_result t ss Nqe.Comp_socket None
@@ -435,8 +433,8 @@ let create ~engine ~device ~ops ~cores ~costs ~pressure ?(mon = Nkmon.null ())
       cores;
       costs;
       pressure;
-      vms = Hashtbl.create 8;
-      vm_forwarders = Hashtbl.create 4;
+      vms = Int_tbl.create 8;
+      vm_forwarders = Int_tbl.create 4;
       mon;
       spans;
       instance;
@@ -456,9 +454,9 @@ let create ~engine ~device ~ops ~cores ~costs ~pressure ?(mon = Nkmon.null ())
 let register_vm t ~vm_id ~hugepages ~ips =
   (* Idempotent: re-registering (e.g. a control-plane re-attach) must not
      wipe the VM's live sockets. *)
-  if not (Hashtbl.mem t.vms vm_id) then
-    Hashtbl.replace t.vms vm_id
-      { vm_id; hugepages; socks = Hashtbl.create 256; next_gid = 1 };
+  if not (Int_tbl.mem t.vms vm_id) then
+    Int_tbl.replace t.vms vm_id
+      { vm_id; hugepages; socks = Int_tbl.create 256; next_gid = 1 };
   List.iter t.ops.Stack_ops.add_ip ips
 
 (* Disown IPs whose VM migrated away: in-flight segments for its flows must
@@ -468,11 +466,11 @@ let register_vm t ~vm_id ~hugepages ~ips =
 let release_ips t ips = List.iter t.ops.Stack_ops.remove_ip ips
 
 let close_vm_listeners t ~vm_id =
-  match Hashtbl.find_opt t.vms vm_id with
+  match Int_tbl.find_opt t.vms vm_id with
   | None -> ()
   | Some vm ->
       let listeners =
-        Nkutil.Det_tbl.fold ~cmp:Int.compare
+        Int_tbl.fold
           (fun gid ss acc ->
             match ss.listener with Some l -> (gid, ss, l) :: acc | None -> acc)
           vm.socks []
@@ -485,7 +483,7 @@ let close_vm_listeners t ~vm_id =
           t.ops.Stack_ops.close_listener l;
           ss.listener <- None;
           ss.closed <- true;
-          Hashtbl.remove vm.socks gid)
+          Int_tbl.remove vm.socks gid)
         listeners
 
 (* Migration quiesce: stop the VM's listeners from admitting fresh
@@ -493,10 +491,10 @@ let close_vm_listeners t ~vm_id =
    so the cut moments later finds nothing half-done to abort. Peers retry
    per their protocol's own recovery and land on the post-cut owner. *)
 let quiesce_vm_listeners t ~vm_id =
-  match Hashtbl.find_opt t.vms vm_id with
+  match Int_tbl.find_opt t.vms vm_id with
   | None -> ()
   | Some vm ->
-      Nkutil.Det_tbl.iter ~cmp:Int.compare
+      Int_tbl.iter
         (fun _ ss ->
           match ss.listener with
           | Some l -> t.ops.Stack_ops.quiesce_listener l
@@ -511,9 +509,9 @@ let fail t =
        remote peers observe resets, exactly like a crashed middlebox. *)
     (* Abort order is externally visible (RSTs on the wire), so walk VMs
        and sockets in id order. *)
-    Nkutil.Det_tbl.iter ~cmp:Int.compare
+    Int_tbl.iter
       (fun _ vm ->
-        Nkutil.Det_tbl.iter ~cmp:Int.compare
+        Int_tbl.iter
           (fun _ ss ->
             (match ss.conn with
             | Some conn -> t.ops.Stack_ops.abort_conn conn
@@ -523,7 +521,7 @@ let fail t =
             | None -> ())
           vm.socks)
       t.vms;
-    Hashtbl.reset t.vms
+    Int_tbl.reset t.vms
   end
 
 (* ---- VM export/import (live NSM migration) ------------------------------ *)
@@ -550,14 +548,14 @@ type sock_export = {
 
 type vm_export = { x_vm_id : int; x_next_gid : int; x_socks : sock_export list }
 
-let set_vm_forwarder t ~vm_id forward = Hashtbl.replace t.vm_forwarders vm_id forward
+let set_vm_forwarder t ~vm_id forward = Int_tbl.replace t.vm_forwarders vm_id forward
 
 let export_vm t ~vm_id =
-  match Hashtbl.find_opt t.vms vm_id with
+  match Int_tbl.find_opt t.vms vm_id with
   | None -> None
   | Some vm ->
       let socks =
-        Nkutil.Det_tbl.fold ~cmp:Int.compare
+        Int_tbl.fold
           (fun gid ss acc ->
             if ss.closed then acc
             else
@@ -622,12 +620,12 @@ let export_vm t ~vm_id =
           vm.socks []
       in
       let x = { x_vm_id = vm_id; x_next_gid = vm.next_gid; x_socks = List.rev socks } in
-      Hashtbl.remove t.vms vm_id;
+      Int_tbl.remove t.vms vm_id;
       Some x
 
 let import_vm t (x : vm_export) ~hugepages ~ips =
   register_vm t ~vm_id:x.x_vm_id ~hugepages ~ips;
-  match Hashtbl.find_opt t.vms x.x_vm_id with
+  match Int_tbl.find_opt t.vms x.x_vm_id with
   | None -> ()
   | Some vm ->
       vm.next_gid <- Int.max vm.next_gid x.x_next_gid;
@@ -650,7 +648,7 @@ let import_vm t (x : vm_export) ~hugepages ~ips =
                 }
                 ss.sendq)
             sx.x_sendq;
-          Hashtbl.replace vm.socks sx.x_gid ss;
+          Int_tbl.replace vm.socks sx.x_gid ss;
           match sx.x_conn with
           | None -> ()
           | Some ex -> (

@@ -23,7 +23,5 @@ let bindings ~cmp tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (k1, _) (k2, _) -> cmp k1 k2)
 
-let iter ~cmp f tbl = List.iter (fun (k, v) -> f k v) (bindings ~cmp tbl)
-
 let fold ~cmp f tbl init =
   List.fold_left (fun acc (k, v) -> f k v acc) init (bindings ~cmp tbl)

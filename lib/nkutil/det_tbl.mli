@@ -25,8 +25,6 @@ val bindings : cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) list
 (** All bindings sorted by key (ascending). With duplicate bindings per key
     (from [Hashtbl.add]), the most recent one sorts first. *)
 
-val iter : cmp:('k -> 'k -> int) -> ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
-
 val fold :
   cmp:('k -> 'k -> int) -> ('k -> 'v -> 'acc -> 'acc) -> ('k, 'v) Hashtbl.t -> 'acc -> 'acc
 (** Folds in ascending key order (left fold). *)

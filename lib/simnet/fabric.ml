@@ -6,17 +6,17 @@ type t = {
   delay : float;
   buffer : int option;
   mutable ports : port list;
-  routes : (Addr.ip, port) Hashtbl.t;
+  routes : port Nkutil.Int_tbl.t; (* ip -> port *)
   mutable unrouted : int;
 }
 
 let create engine ~rate_bps ~delay ?buffer_bytes () =
   { engine; rate = rate_bps; delay; buffer = buffer_bytes; ports = [];
-    routes = Hashtbl.create 16; unrouted = 0 }
+    routes = Nkutil.Int_tbl.create 16; unrouted = 0 }
 
 (* [find]/[Not_found] rather than [find_opt]: no [Some] per segment. *)
 let forward t (seg : Segment.t) =
-  match Hashtbl.find t.routes seg.Segment.flow.dst.ip with
+  match Nkutil.Int_tbl.find t.routes seg.Segment.flow.dst.ip with
   | port -> ignore (Link.send port.downlink seg)
   | exception Not_found -> t.unrouted <- t.unrouted + 1
 
@@ -34,7 +34,7 @@ let attach t nic =
 
 let add_route t ip nic =
   match List.find_opt (fun p -> p.nic == nic) t.ports with
-  | Some port -> Hashtbl.replace t.routes ip port
+  | Some port -> Nkutil.Int_tbl.replace t.routes ip port
   | None -> invalid_arg "Fabric.add_route: NIC not attached"
 
 let port_to t nic =

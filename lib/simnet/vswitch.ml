@@ -15,7 +15,7 @@ end)
 type t = {
   engine : Sim.Engine.t;
   nic : Nic.t;
-  by_ip : (Addr.ip, Segment.t -> unit) Hashtbl.t;
+  by_ip : (Segment.t -> unit) Nkutil.Int_tbl.t;
   by_endpoint : (Segment.t -> unit) Endpoint_table.t;
   by_flow : (Segment.t -> unit) Flow_table.t;
   mutable unclaimed : int;
@@ -31,22 +31,22 @@ let input t (seg : Segment.t) =
       match Endpoint_table.find t.by_endpoint dst with
       | f -> f seg
       | exception Not_found -> (
-          match Hashtbl.find t.by_ip dst.ip with
+          match Nkutil.Int_tbl.find t.by_ip dst.ip with
           | f -> f seg
           | exception Not_found -> t.unclaimed <- t.unclaimed + 1))
 
 let create engine ~nic () =
   let t =
-    { engine; nic; by_ip = Hashtbl.create 16;
+    { engine; nic; by_ip = Nkutil.Int_tbl.create 16;
       by_endpoint = Endpoint_table.create 16; by_flow = Flow_table.create 256;
       unclaimed = 0 }
   in
   Nic.set_rx_handler nic (input t);
   t
 
-let register_ip t ip f = Hashtbl.replace t.by_ip ip f
+let register_ip t ip f = Nkutil.Int_tbl.replace t.by_ip ip f
 
-let unregister_ip t ip = Hashtbl.remove t.by_ip ip
+let unregister_ip t ip = Nkutil.Int_tbl.remove t.by_ip ip
 
 let register_endpoint t addr f = Endpoint_table.replace t.by_endpoint addr f
 
@@ -56,7 +56,7 @@ let register_flow t flow f = Flow_table.replace t.by_flow flow f
 
 let unregister_flow t flow = Flow_table.remove t.by_flow flow
 
-let owns_ip t ip = Hashtbl.mem t.by_ip ip
+let owns_ip t ip = Nkutil.Int_tbl.mem t.by_ip ip
 
 (* Intra-host delivery latency. *)
 let local_delay = 5e-6

@@ -1,14 +1,18 @@
+module Int_tbl = Nkutil.Int_tbl
+
 let make stack =
-  let socks = Hashtbl.create 64 in
+  let socks = Int_tbl.create 64 in
   let next_fd = ref 3 in
-  let find fd = Hashtbl.find_opt socks fd in
+  let find fd = Int_tbl.find_opt socks fd in
   let events_of fd =
-    match find fd with None -> Types.no_events | Some s -> Stack.sock_events stack s
+    match Int_tbl.find socks fd with
+    | s -> Stack.sock_events stack s
+    | exception Not_found -> Types.no_events
   in
   let core_of fd =
-    match find fd with
-    | Some s -> Stack.sock_core stack s
-    | None -> Sim.Cpu.Set.core (Stack.cores stack) 0
+    match Int_tbl.find socks fd with
+    | s -> Stack.sock_core stack s
+    | exception Not_found -> Sim.Cpu.Set.core (Stack.cores stack) 0
   in
   let epoll =
     Epoll_core.create ~engine:(Stack.engine stack) ~events_of ~core_of
@@ -17,7 +21,7 @@ let make stack =
   let register_fd s =
     let fd = !next_fd in
     incr next_fd;
-    Hashtbl.replace socks fd s;
+    Int_tbl.replace socks fd s;
     Stack.set_event_handler stack s (fun _ -> Epoll_core.notify epoll fd);
     fd
   in
@@ -48,19 +52,21 @@ let make stack =
     match find fd with None -> k (Error Types.Einval) | Some s -> Stack.connect stack s addr ~k
   in
   let send fd payload ~k =
-    match find fd with None -> k (Error Types.Einval) | Some s -> Stack.send stack s payload ~k
+    match Int_tbl.find socks fd with
+    | s -> Stack.send stack s payload ~k
+    | exception Not_found -> k (Error Types.Einval)
   in
   let recv fd ~max ~mode ~k =
-    match find fd with
-    | None -> k (Error Types.Einval)
-    | Some s -> Stack.recv stack s ~max ~mode ~k
+    match Int_tbl.find socks fd with
+    | s -> Stack.recv stack s ~max ~mode ~k
+    | exception Not_found -> k (Error Types.Einval)
   in
   let close fd =
     match find fd with
     | None -> ()
     | Some s ->
         Stack.close stack s;
-        Hashtbl.remove socks fd;
+        Int_tbl.remove socks fd;
         Epoll_core.remove epoll fd
   in
   let local_addr fd = Option.bind (find fd) (Stack.local_addr stack) in

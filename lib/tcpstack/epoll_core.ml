@@ -1,5 +1,6 @@
 module Engine = Sim.Engine
 module Cpu = Sim.Cpu
+module Int_tbl = Nkutil.Int_tbl
 
 type sock = Socket_api.sock
 
@@ -8,10 +9,13 @@ type waiter = {
   mutable timer : Engine.Timer.t option;
 }
 
-(* One epoll instance. *)
+(* One epoll instance. The fds last seen ready sit in [ready.(0)] ..
+   [ready.(n_ready - 1)], ascending and each once: the order epoll_wait
+   hands out events is application-visible, so it is fd order. *)
 type instance = {
-  members : (sock, Types.events) Hashtbl.t; (* sock -> interest mask *)
-  ready : (sock, unit) Hashtbl.t;
+  members : Types.events Int_tbl.t; (* sock -> interest mask *)
+  mutable ready : int array;
+  mutable n_ready : int;
   mutable waiter : waiter option;
 }
 
@@ -20,34 +24,75 @@ type t = {
   events_of : sock -> Types.events;
   core_of : sock -> Cpu.t;
   wake_cycles : float;
-  instances : (Socket_api.epoll, instance) Hashtbl.t;
-  memberships : (sock, Socket_api.epoll list ref) Hashtbl.t; (* newest first *)
+  instances : instance Int_tbl.t; (* epoll id -> instance *)
+  memberships : Socket_api.epoll list ref Int_tbl.t; (* sock -> epolls, newest first *)
   mutable next_ep : int;
 }
 
 let create ~engine ~events_of ~core_of ~wake_cycles =
-  { engine; events_of; core_of; wake_cycles; instances = Hashtbl.create 8;
-    memberships = Hashtbl.create 256; next_ep = 1 }
+  { engine; events_of; core_of; wake_cycles; instances = Int_tbl.create 8;
+    memberships = Int_tbl.create 256; next_ep = 1 }
 
 let nonempty (e : Types.events) = e.Types.readable || e.Types.writable || e.Types.hup
 
-let masked ep fd (ev : Types.events) =
-  match Hashtbl.find_opt ep.members fd with
-  | None -> Types.no_events
-  | Some mask ->
-      {
-        Types.readable = ev.Types.readable && mask.Types.readable;
-        writable = ev.Types.writable && mask.Types.writable;
-        hup = ev.Types.hup;
-      }
+(* [ev] under an interest mask; [ev] itself when the mask keeps all of it
+   (events are immutable). *)
+let under (mask : Types.events) (ev : Types.events) =
+  if
+    (mask.Types.readable || not ev.Types.readable)
+    && (mask.Types.writable || not ev.Types.writable)
+  then ev
+  else
+    {
+      Types.readable = ev.Types.readable && mask.Types.readable;
+      writable = ev.Types.writable && mask.Types.writable;
+      hup = ev.Types.hup;
+    }
 
-let ready_list t ep =
-  (* Ascending-fd readiness order: the order epoll_wait hands out events is
-     application-visible and must not depend on hash-bucket layout. *)
-  Nkutil.Det_tbl.bindings ~cmp:Int.compare ep.ready
-  |> List.filter_map (fun (fd, ()) ->
-         let ev = masked ep fd (t.events_of fd) in
-         if nonempty ev then Some (fd, ev) else None)
+let masked ep fd ev =
+  match Int_tbl.find ep.members fd with
+  | exception Not_found -> Types.no_events
+  | mask -> under mask ev
+
+(* The index of the first ready fd >= [fd] in [ready.(lo)] .. [ready.(hi - 1)]. *)
+let rec search ready fd lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if ready.(mid) < fd then search ready fd (mid + 1) hi else search ready fd lo mid
+
+let mark_ready ep fd =
+  let n = ep.n_ready in
+  let i = search ep.ready fd 0 n in
+  if i = n || ep.ready.(i) <> fd then begin
+    if n = Array.length ep.ready then begin
+      let grown = Array.make (2 * n) 0 in
+      Array.blit ep.ready 0 grown 0 n;
+      ep.ready <- grown
+    end;
+    Array.blit ep.ready i ep.ready (i + 1) (n - i);
+    ep.ready.(i) <- fd;
+    ep.n_ready <- n + 1
+  end
+
+let unmark_ready ep fd =
+  let n = ep.n_ready in
+  let i = search ep.ready fd 0 n in
+  if i < n && ep.ready.(i) = fd then begin
+    Array.blit ep.ready (i + 1) ep.ready i (n - i - 1);
+    ep.n_ready <- n - 1
+  end
+
+(* The ready fds from index [i] down, consed in front of [acc] with their
+   masked events: the list comes out ascending. *)
+let rec collect t ep i acc =
+  if i < 0 then acc
+  else
+    let fd = ep.ready.(i) in
+    let ev = masked ep fd (t.events_of fd) in
+    collect t ep (i - 1) (if nonempty ev then (fd, ev) :: acc else acc)
+
+let ready_list t ep = collect t ep (ep.n_ready - 1) []
 
 let try_wake t ep core =
   match ep.waiter with
@@ -61,79 +106,81 @@ let try_wake t ep core =
           Cpu.exec core ~cycles:t.wake_cycles (fun () -> w.k events))
 
 let notify_instance t ep fd =
-  if Hashtbl.mem ep.members fd then begin
-    let ev = masked ep fd (t.events_of fd) in
-    if nonempty ev then begin
-      Hashtbl.replace ep.ready fd ();
-      try_wake t ep (t.core_of fd)
-    end
-    else Hashtbl.remove ep.ready fd
-  end
+  match Int_tbl.find ep.members fd with
+  | exception Not_found -> ()
+  | mask ->
+      if nonempty (under mask (t.events_of fd)) then begin
+        mark_ready ep fd;
+        try_wake t ep (t.core_of fd)
+      end
+      else unmark_ready ep fd
 
 let drop ep fd =
-  Hashtbl.remove ep.members fd;
-  Hashtbl.remove ep.ready fd
+  Int_tbl.remove ep.members fd;
+  unmark_ready ep fd
 
 (* A loop rather than [List.iter]: [notify] runs on every socket event. *)
 let rec notify_each t fd = function
   | [] -> ()
   | epid :: rest ->
-      (match Hashtbl.find_opt t.instances epid with
-      | None -> ()
-      | Some ep -> notify_instance t ep fd);
+      (match Int_tbl.find t.instances epid with
+      | exception Not_found -> ()
+      | ep -> notify_instance t ep fd);
       notify_each t fd rest
 
 let notify t fd =
-  match Hashtbl.find_opt t.memberships fd with
-  | None -> ()
-  | Some eps -> notify_each t fd !eps
+  match Int_tbl.find t.memberships fd with
+  | exception Not_found -> ()
+  | eps -> notify_each t fd !eps
 
 let remove t fd =
-  match Hashtbl.find_opt t.memberships fd with
-  | None -> ()
-  | Some eps ->
+  match Int_tbl.find t.memberships fd with
+  | exception Not_found -> ()
+  | eps ->
       List.iter
         (fun epid ->
-          match Hashtbl.find_opt t.instances epid with None -> () | Some ep -> drop ep fd)
+          match Int_tbl.find t.instances epid with
+          | exception Not_found -> ()
+          | ep -> drop ep fd)
         !eps;
-      Hashtbl.remove t.memberships fd
+      Int_tbl.remove t.memberships fd
 
 let epoll_create t () =
   let epid = t.next_ep in
   t.next_ep <- epid + 1;
-  Hashtbl.replace t.instances epid
-    { members = Hashtbl.create 64; ready = Hashtbl.create 64; waiter = None };
+  Int_tbl.replace t.instances epid
+    { members = Int_tbl.create 64; ready = Array.make 16 0; n_ready = 0; waiter = None };
   epid
 
 let epoll_add t epid fd ~mask =
-  match Hashtbl.find_opt t.instances epid with
-  | None -> ()
-  | Some ep ->
-      Hashtbl.replace ep.members fd mask;
+  match Int_tbl.find t.instances epid with
+  | exception Not_found -> ()
+  | ep ->
+      Int_tbl.replace ep.members fd mask;
       notify_instance t ep fd;
       let eps =
-        match Hashtbl.find_opt t.memberships fd with
+        match Int_tbl.find_opt t.memberships fd with
         | Some l -> l
         | None ->
             let l = ref [] in
-            Hashtbl.replace t.memberships fd l;
+            Int_tbl.replace t.memberships fd l;
             l
       in
       if not (List.mem epid !eps) then eps := epid :: !eps
 
 let epoll_del t epid fd =
-  match Hashtbl.find_opt t.instances epid with
-  | None -> ()
-  | Some ep -> (
+  match Int_tbl.find t.instances epid with
+  | exception Not_found -> ()
+  | ep -> (
       drop ep fd;
-      match Hashtbl.find_opt t.memberships fd with
-      | None -> ()
-      | Some eps -> eps := List.filter (fun e -> e <> epid) !eps)
+      match Int_tbl.find t.memberships fd with
+      | exception Not_found -> ()
+      | eps -> eps := List.filter (fun e -> e <> epid) !eps)
 
 let epoll_wait t epid ~timeout ~k =
-  match Hashtbl.find_opt t.instances epid with
-  | None -> k []
-  | Some ep -> (
+  match Int_tbl.find t.instances epid with
+  | exception Not_found -> k []
+  | ep -> (
       match ready_list t ep with
       | (fd1, _) :: _ as events ->
           Cpu.exec (t.core_of fd1) ~cycles:t.wake_cycles (fun () -> k events)

@@ -58,7 +58,9 @@ let d2_hashtbl_order () =
     [ ("D2", 1) ]
     "let f tbl = Hashtbl.fold (fun _ _ acc -> acc) tbl 0";
   check_diags "Det_tbl replacement is silent" []
-    "let f tbl = Nkutil.Det_tbl.iter ~cmp:Int.compare (fun _ _ -> ()) tbl";
+    "let f tbl = Nkutil.Det_tbl.fold ~cmp:Int.compare (fun _ _ acc -> acc) tbl 0";
+  check_diags "Int_tbl iterates in key order: silent" []
+    "let f tbl = Nkutil.Int_tbl.iter (fun _ _ -> ()) tbl";
   check_diags "ordered-ok waiver on the preceding line" []
     "(* nklint: ordered-ok *)\nlet f tbl = Hashtbl.fold (fun _ _ acc -> acc) tbl 0";
   check_diags "waiver only covers its own site"
@@ -158,6 +160,29 @@ let h1_hot_path_decode () =
   check_diags "hot-path basenames only match under core/"
     ~path:"test/coreengine.ml" []
     "let f raw = Nqe.decode raw"
+
+(* ---- H2: polymorphic Hashtbl on the datapath --------------------------- *)
+
+let h2_hot_path_hashtbl () =
+  check_diags "Hashtbl.create flagged in CoreEngine" ~path:"lib/core/coreengine.ml"
+    [ ("H2", 1) ]
+    "let t = Hashtbl.create 16";
+  check_diags "lookups and writes flagged in the other datapath modules"
+    ~path:"lib/tcpstack/epoll_core.ml"
+    [ ("H2", 1); ("H2", 2); ("H2", 3) ]
+    "let f t k = Hashtbl.find_opt t k\n\
+     let g t k = Stdlib.Hashtbl.mem t k\n\
+     let h t k v = Hashtbl.replace t k v";
+  check_diags "every listed module" ~path:"lib/core/hugepages.ml" [ ("H2", 1) ]
+    "let f t k = Hashtbl.find t k";
+  check_diags "Hashtbl.Make and Int_tbl are the sanctioned tables"
+    ~path:"lib/simnet/vswitch.ml" []
+    "module T = Hashtbl.Make (Int)\n\
+     let f t k = T.find t k\n\
+     let g t k = Nkutil.Int_tbl.find t k";
+  check_diags "off the datapath a polymorphic table is fine" ~path:"lib/nkmon/registry.ml"
+    [] "let t = Hashtbl.create 16";
+  check_diags "only lib/ modules" ~path:"test/fabric.ml" [] "let t = Hashtbl.create 16"
 
 (* ---- W1: waivers cannot rot -------------------------------------------- *)
 
@@ -356,6 +381,7 @@ let tests =
     Alcotest.test_case "P1 NQE wire invariants" `Quick p1_wire;
     Alcotest.test_case "P1 holds on the real codec" `Quick p1_real_codec;
     Alcotest.test_case "H1 hot-path NQE decode" `Quick h1_hot_path_decode;
+    Alcotest.test_case "H2 polymorphic Hashtbl on the datapath" `Quick h2_hot_path_hashtbl;
     Alcotest.test_case "W1 stale waivers" `Quick w1_stale_waivers;
     Alcotest.test_case "JSON output" `Quick json_format;
     Alcotest.test_case "S1 span stage pairing" `Quick s1_span_pairing;

@@ -101,6 +101,23 @@ let o1_waiver () =
     ("type shard = { idx : int }\n" ^ "type t = { conn_table : (int, int) Hashtbl.t }\n"
    ^ "let bad_add t (sh : shard) k v = ignore sh; Hashtbl.replace t.conn_table k v\n")
 
+(* The dataplane's int table ([Nkutil.Int_tbl], a [Hashtbl.Make] instance),
+   in miniature. *)
+let int_tbl_module =
+  "module Int_tbl = Hashtbl.Make (struct type t = int let equal = Int.equal let hash = \
+   Hashtbl.hash end)\n"
+
+let o1_int_tbl () =
+  (* CoreEngine's shared tables are int tables: their writes count like
+     Hashtbl's. *)
+  check_diags "an Int_tbl write from shard context is flagged"
+    [ ("O1", 4) ]
+    ("type shard = { idx : int }\n" (* 1 *) ^ int_tbl_module (* 2 *)
+   ^ "type t = { conn_table : int Int_tbl.t }\n" (* 3 *)
+   ^ "let bad_add t (sh : shard) k v = ignore sh; Int_tbl.replace t.conn_table k v\n"
+     (* 4 *)
+   ^ "let control_remove t k = Int_tbl.remove t.conn_table k\n" (* 5 *))
+
 (* ---- M1: migration snapshot completeness ------------------------------- *)
 
 let m1_unsnapshotted_field () =
@@ -130,6 +147,13 @@ let m1_restore_gap () =
     ("type t = { mutable a : int; mutable b : int }\n"
    ^ "let snapshot t = (t.a, t.b)\n"
    ^ "let restore ext ((a, _b) : int * int) = let t : t = ext () in t.a <- a; t\n")
+
+let m1_int_tbl () =
+  check_diags "an Int_tbl field is migration state"
+    [ ("M1", 2) ]
+    (int_tbl_module (* 1 *)
+   ^ "type t = { mutable a : int; socks : int Int_tbl.t }\n" (* 2 *)
+   ^ "let snapshot t = t.a\n" ^ "let restore a = { a; socks = Int_tbl.create 1 }\n")
 
 let m1_volatile_waiver () =
   check_diags "volatile waives a rebuilt-at-destination field" []
@@ -191,9 +215,11 @@ let tests =
     Alcotest.test_case "t1-waiver" `Quick t1_waiver;
     Alcotest.test_case "o1-discipline" `Quick o1_discipline;
     Alcotest.test_case "o1-waiver" `Quick o1_waiver;
+    Alcotest.test_case "o1-int-tbl" `Quick o1_int_tbl;
     Alcotest.test_case "m1-unsnapshotted-field" `Quick m1_unsnapshotted_field;
     Alcotest.test_case "m1-complete" `Quick m1_complete;
     Alcotest.test_case "m1-restore-gap" `Quick m1_restore_gap;
+    Alcotest.test_case "m1-int-tbl" `Quick m1_int_tbl;
     Alcotest.test_case "m1-volatile-waiver" `Quick m1_volatile_waiver;
     Alcotest.test_case "m1-export-import" `Quick m1_export_import;
     Alcotest.test_case "w1-stale-and-unknown" `Quick w1_stale_and_unknown;

@@ -7,6 +7,7 @@ module TB = Nkutil.Token_bucket
 module Hist = Nkutil.Histogram
 module BF = Nkutil.Byte_fifo
 module TS = Nkutil.Timeseries
+module IT = Nkutil.Int_tbl
 
 (* ---- heap ----------------------------------------------------------- *)
 
@@ -366,6 +367,53 @@ let stats_jain () =
   let skew = Nkutil.Stats.jain_fairness [| 9.0; 1.0 |] in
   if skew > 0.62 || skew < 0.60 then Alcotest.failf "jain skew %f" skew
 
+(* ---- int table ------------------------------------------------------ *)
+
+let int_tbl_sorted_visits () =
+  let t = IT.create 4 in
+  List.iter (fun k -> IT.replace t k (k * 10)) [ 42; 7; (3 lsl 32) lor 1; 0; 1 lsl 32; 99 ];
+  IT.replace t 7 70;
+  IT.remove t 99;
+  Alcotest.(check int) "length" 5 (IT.length t);
+  Alcotest.(check int) "find" 420 (IT.find t 42);
+  Alcotest.(check bool) "removed" false (IT.mem t 99);
+  Alcotest.check_raises "find raises" Not_found (fun () -> ignore (IT.find t 99));
+  Alcotest.(check (list int)) "ascending keys"
+    [ 0; 7; 42; 1 lsl 32; (3 lsl 32) lor 1 ]
+    (List.map fst (IT.bindings t));
+  (* Visits work on a snapshot, so the callback may empty the table. *)
+  let seen = ref [] in
+  IT.iter
+    (fun k _ ->
+      seen := k :: !seen;
+      IT.remove t k)
+    t;
+  Alcotest.(check int) "visited all" 5 (List.length !seen);
+  Alcotest.(check int) "emptied" 0 (IT.length t);
+  Alcotest.(check (list int)) "fold is a left fold in key order" [ 3; 2; 1 ]
+    (let u = IT.create 4 in
+     List.iter (fun k -> IT.replace u k ()) [ 2; 3; 1 ];
+     IT.fold (fun k () acc -> k :: acc) u [])
+
+(* Hashtbl picks a bucket from the hash's low bits, and dataplane keys are
+   often aligned: hugepage offsets are multiples of 64, packed connection
+   keys put the VM id above bit 32. An identity hash (x land max_int) puts
+   10,000 multiples of 64 in every 64th bucket, 79 to a bucket. *)
+let int_tbl_aligned_keys () =
+  let longest stride =
+    let t = IT.create 16 in
+    for i = 0 to 9_999 do
+      IT.replace t (i * stride) ()
+    done;
+    (IT.stats t).Hashtbl.max_bucket_length
+  in
+  List.iter
+    (fun stride ->
+      let m = longest stride in
+      if m > 8 then
+        Alcotest.failf "multiples of %d: a bucket holds %d keys, want <= 8" stride m)
+    [ 64; 16_384; 1 lsl 32 ]
+
 let tests =
   [
     Alcotest.test_case "heap sorted pops" `Quick heap_sorted_pops;
@@ -395,4 +443,6 @@ let tests =
     QCheck_alcotest.to_alcotest byte_fifo_qcheck;
     Alcotest.test_case "timeseries bins" `Quick timeseries_bins;
     Alcotest.test_case "jain fairness" `Quick stats_jain;
+    Alcotest.test_case "int table visits in key order" `Quick int_tbl_sorted_visits;
+    Alcotest.test_case "int table spreads aligned keys" `Quick int_tbl_aligned_keys;
   ]

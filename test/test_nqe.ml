@@ -232,11 +232,172 @@ let qcheck_allocator =
       List.iter (Hugepages.free hp) !live;
       !ok && Hugepages.bytes_in_use hp = 0)
 
+(* ---- the list allocator as an oracle ----------------------------------- *)
+
+(* Hugepages' allocator as it was while its holes lived in a list: first fit
+   over (offset, len) holes sorted by offset, 64-byte rounding, and a free
+   that inserts the hole and coalesces the list. The array allocator must
+   hand out exactly its offsets. *)
+module List_alloc = struct
+  type t = {
+    mutable holes : (int * int) list;
+    live : (int, int) Hashtbl.t;
+    mutable in_use : int;
+  }
+
+  let create size = { holes = [ (0, size) ]; live = Hashtbl.create 64; in_use = 0 }
+  let round n = (n + 63) land lnot 63
+
+  let alloc t n =
+    let need = round n in
+    let rec take acc = function
+      | [] -> None
+      | (off, len) :: rest when len >= need ->
+          let remainder = if len > need then [ (off + need, len - need) ] else [] in
+          t.holes <- List.rev_append acc (remainder @ rest);
+          t.in_use <- t.in_use + need;
+          Hashtbl.replace t.live off need;
+          Some off
+      | hole :: rest -> take (hole :: acc) rest
+    in
+    take [] t.holes
+
+  let free t offset =
+    let rounded = Hashtbl.find t.live offset in
+    Hashtbl.remove t.live offset;
+    t.in_use <- t.in_use - rounded;
+    let rec insert acc = function
+      | [] -> List.rev ((offset, rounded) :: acc)
+      | (off, len) :: rest ->
+          if offset < off then List.rev_append acc ((offset, rounded) :: (off, len) :: rest)
+          else insert ((off, len) :: acc) rest
+    in
+    let merged =
+      List.fold_left
+        (fun acc (o2, l2) ->
+          match acc with
+          | (o1, l1) :: tl when o1 + l1 = o2 -> (o1, l1 + l2) :: tl
+          | _ -> (o2, l2) :: acc)
+        [] (insert [] t.holes)
+    in
+    t.holes <- List.rev merged
+
+  let allocations t = Hashtbl.length t.live
+end
+
+let oracle_region = 4 * 4096
+
+(* Sizes from 1 B to the whole region, many of them one byte either side of
+   a 64 B boundary. *)
+let oracle_size_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, int_range 1 256);
+        (3, map2 (fun k d -> (64 * k) + d) (int_range 1 40) (int_range (-1) 1));
+        (1, int_range 1 oracle_region);
+      ])
+
+(* [`Free i] frees live extent [i mod live], oldest first, so any extent
+   can go. The run then allocates 64 B until the region is full and frees
+   what is left, [frees] picking the order. *)
+let oracle_gen =
+  QCheck.Gen.(
+    let op =
+      frequency [ (3, map (fun n -> `Alloc n) oracle_size_gen); (2, map (fun i -> `Free i) nat) ]
+    in
+    pair (list_size (int_range 0 120) op) (list_size (int_range 1 20) nat))
+
+let oracle_arb =
+  QCheck.make oracle_gen ~print:(fun (ops, frees) ->
+      Printf.sprintf "ops [%s], frees [%s]"
+        (String.concat "; "
+           (List.map
+              (function
+                | `Alloc n -> Printf.sprintf "alloc %d" n
+                | `Free i -> Printf.sprintf "free %d" i)
+              ops))
+        (String.concat "; " (List.map string_of_int frees)))
+
+let qcheck_allocator_oracle =
+  QCheck.Test.make ~name:"hugepage offsets equal the list allocator's" ~count:300 oracle_arb
+    (fun (ops, frees) ->
+      let hp = Hugepages.create ~page_size:4096 ~pages:4 () in
+      let oracle = List_alloc.create oracle_region in
+      let live = ref [] (* oldest first *) in
+      let same_accounting () =
+        Hugepages.bytes_in_use hp = oracle.List_alloc.in_use
+        && Hugepages.allocations hp = List_alloc.allocations oracle
+      in
+      let alloc n =
+        match (Hugepages.alloc hp n, List_alloc.alloc oracle n) with
+        | None, None -> `Full
+        | Some e, Some off when e.Hugepages.offset = off && e.Hugepages.len = n ->
+            live := !live @ [ e ];
+            `Ok
+        | Some e, Some off ->
+            QCheck.Test.fail_reportf "alloc %d: offset %d len %d, oracle %d" n
+              e.Hugepages.offset e.Hugepages.len off
+        | Some e, None ->
+            QCheck.Test.fail_reportf "alloc %d: %d, oracle None" n e.Hugepages.offset
+        | None, Some off -> QCheck.Test.fail_reportf "alloc %d: None, oracle %d" n off
+      in
+      let free i =
+        match !live with
+        | [] -> ()
+        | l ->
+            let e = List.nth l (i mod List.length l) in
+            live := List.filter (fun x -> x != e) l;
+            Hugepages.free hp e;
+            List_alloc.free oracle e.Hugepages.offset
+      in
+      let step f =
+        f ();
+        if not (same_accounting ()) then
+          QCheck.Test.fail_reportf "accounting: %d B in %d extents, oracle %d B in %d"
+            (Hugepages.bytes_in_use hp) (Hugepages.allocations hp) oracle.List_alloc.in_use
+            (List_alloc.allocations oracle)
+      in
+      List.iter
+        (function
+          | `Alloc n -> step (fun () -> ignore (alloc n)) | `Free i -> step (fun () -> free i))
+        ops;
+      let full = ref false in
+      while not !full do
+        step (fun () -> full := alloc 64 = `Full)
+      done;
+      let frees = Array.of_list frees in
+      let k = ref 0 in
+      while !live <> [] do
+        step (fun () -> free frees.(!k mod Array.length frees));
+        incr k
+      done;
+      Hugepages.bytes_in_use hp = 0
+      && List_alloc.alloc oracle oracle_region = Some 0
+      && (match Hugepages.alloc hp oracle_region with
+         | Some e -> e.Hugepages.offset = 0
+         | None -> false))
+
+(* An alloc and a free that walk eight holes: seven 64 B holes below the
+   one that fits. They allocate only the extent, its [Some] and the live
+   table's binding, 9 words (228 when the holes were a list). *)
+let hp_alloc_free_words () =
+  let hp = Hugepages.create ~page_size:4096 ~pages:4 () in
+  let extents = Array.init 15 (fun _ -> Option.get (Hugepages.alloc hp 64)) in
+  Array.iteri (fun i e -> if i mod 2 = 0 then Hugepages.free hp e) extents;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    match Hugepages.alloc hp 1000 with
+    | Some e -> Hugepages.free hp e
+    | None -> Alcotest.fail "region full"
+  done;
+  let words = (Gc.minor_words () -. w0) /. 1_000.0 in
+  if words > 24.0 then Alcotest.failf "%.1f minor words per alloc + free, want <= 24" words
+
 let hp_fragmentation_stress () =
   (* Thousands of interleaved extents: freeing every second one first
-     leaves ~n/2 disjoint holes, so each remaining free walks a maximally
-     fragmented free list (this overflowed the stack when insert/coalesce
-     were not tail-recursive). *)
+     leaves ~n/2 disjoint holes, so each remaining free lands in a
+     maximally fragmented hole set and merges two holes into one. *)
   let n = 8192 in
   let hp = Hugepages.create ~page_size:(2 * 1024 * 1024) ~pages:(n / 2) () in
   let extents = Array.init n (fun _ -> Option.get (Hugepages.alloc hp 64)) in
@@ -271,4 +432,7 @@ let tests =
     Alcotest.test_case "hugepages payload roundtrip" `Quick hp_payload_roundtrip;
     Alcotest.test_case "hugepages fragmentation stress" `Quick hp_fragmentation_stress;
     QCheck_alcotest.to_alcotest qcheck_allocator;
+    QCheck_alcotest.to_alcotest qcheck_allocator_oracle;
+    Alcotest.test_case "hugepage alloc + free with 8 holes allocates <= 24 words" `Quick
+      hp_alloc_free_words;
   ]

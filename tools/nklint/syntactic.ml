@@ -7,7 +7,8 @@
    D1  no wall clock / ambient randomness under lib/ — simulated components
        must take time from [Sim.Engine] and randomness from [Nkutil.Rng];
    D2  no order-sensitive [Hashtbl.iter]/[Hashtbl.fold] — use
-       [Nkutil.Det_tbl] (key-sorted) or waive with (* nklint: ordered-ok *);
+       [Nkutil.Int_tbl] or [Nkutil.Det_tbl] (both key-sorted) or waive with
+       (* nklint: ordered-ok *);
    D3  no bare polymorphic [compare] passed as a function value — use the
        monomorphic [Int.compare]/[Float.compare]/... (polymorphic compare
        on non-immediate types walks structure, and on custom types orders
@@ -27,6 +28,11 @@
        [Nqe.View] accessors; a deliberate full decode — e.g. an endpoint
        apply loop that needs the whole record — is waived with
        (* nklint: decode-ok *));
+   H2  no polymorphic [Hashtbl] values ([create], [find], [find_opt], [mem],
+       [replace], [add], [remove]) in H1's modules or the other datapath
+       tables' modules (epoll, direct sockets, fabric, hugepages, reactor):
+       each lookup there would pay a C [caml_hash] and a polymorphic
+       compare; [Nkutil.Int_tbl] or a [Hashtbl.Make] instance instead;
    S1  every span stage a lib/ file opens is closed somewhere under lib/;
    X1  every value a lib/ .mli exports has a user outside its own module;
    W1  no rotten waivers: a waiver comment that suppresses zero diagnostics
@@ -57,13 +63,25 @@ let hot_path_modules =
 let in_hot_path path =
   contains ~sub:"core/" path && List.mem (Filename.basename path) hot_path_modules
 
+(* H2's modules: H1's, plus those whose tables every socket event, segment
+   or payload extent consults. *)
+let table_hot_path_modules =
+  hot_path_modules
+  @ [ "epoll_core.ml"; "direct_socket.ml"; "fabric.ml"; "hugepages.ml"; "reactor.ml" ]
+
+let in_table_hot_path path =
+  in_lib path && List.mem (Filename.basename path) table_hot_path_modules
+
+let polymorphic_hashtbl_values =
+  [ "create"; "find"; "find_opt"; "mem"; "replace"; "add"; "remove" ]
+
 let rec last = function [] -> None | [ x ] -> Some x | _ :: tl -> last tl
 
 (* The last two components of a path: the (module, value) X1 and P2 match
    on. *)
 let rec last2 = function [ m; x ] -> Some (m, x) | _ :: tl -> last2 tl | [] -> None
 
-(* ---- expression-level rules (D1–D4, H1, P2) ---------------------------- *)
+(* ---- expression-level rules (D1–D4, H1, H2, P2) ------------------------ *)
 
 (* P2: Queue_set.of_op's shape, a case mapping NQE op constructors to a
    ring. *)
@@ -108,9 +126,17 @@ let expr_rules ~path ast =
         add loc "D2"
           (Printf.sprintf
              "Hashtbl.%s visits entries in nondeterministic bucket order — use \
-              Nkutil.Det_tbl.%s, or waive a provably order-insensitive site with (* \
-              nklint: ordered-ok *)"
+              Nkutil.Int_tbl.%s (int keys) or Nkutil.Det_tbl.fold, or waive a provably \
+              order-insensitive site with (* nklint: ordered-ok *)"
              f f)
+    | ([ "Hashtbl"; f ] | [ "Stdlib"; "Hashtbl"; f ])
+      when List.mem f polymorphic_hashtbl_values && in_table_hot_path path ->
+        add loc "H2"
+          (Printf.sprintf
+             "polymorphic Hashtbl.%s on the datapath hashes with caml_hash and compares \
+              polymorphically — use Nkutil.Int_tbl, or a Hashtbl.Make instance for \
+              other keys"
+             f)
     | ([ "compare" ] | [ "Stdlib"; "compare" ]) when not (Hashtbl.mem head_idents loc) ->
         add loc "D3"
           "bare polymorphic compare passed as a function — use Int.compare / \

@@ -6,7 +6,8 @@
    enforces discipline that no single-function syntactic check can see:
 
    O1  shard-ownership: CoreEngine's shared tables (conn_table, nsm_conns,
-       assignment, buckets) may be written directly from shard context only
+       assignment, buckets; [Hashtbl] or [Nkutil.Int_tbl] values) may be
+       written directly from shard context only
        on paths that charge the cross-shard cost — i.e. the writer reads
        [Nk_costs.ce_xshard] itself or reaches a function that does
        (charge_xshard, via the table_add/table_remove accessors). Control
@@ -102,6 +103,16 @@ let shared_tables = [ "conn_table"; "nsm_conns"; "assignment"; "buckets" ]
 let hashtbl_mutators =
   [ "replace"; "remove"; "add"; "reset"; "clear"; "filter_map_inplace" ]
 
+(* A table mutator: [Hashtbl]'s, or [Nkutil.Int_tbl]'s under any prefix
+   ([Int_tbl.replace], [Nkutil.Int_tbl.replace]). *)
+let is_table_mutator comps =
+  match comps with
+  | [ "Hashtbl"; m ] -> List.mem m hashtbl_mutators
+  | _ -> (
+      match List.rev comps with
+      | m :: "Int_tbl" :: _ -> List.mem m hashtbl_mutators
+      | _ -> false)
+
 (* Does a parameter's inferred type mention the [shard] record anywhere
    outside an arrow (a callback taking a shard does not put its taker in
    shard context)? *)
@@ -191,7 +202,7 @@ let unit_of_structure ~file ~src ~name (str : structure) =
             | _ -> ())
       | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) -> (
           match normalize p with
-          | [ "Hashtbl"; m ] when List.mem m hashtbl_mutators -> (
+          | comps when is_table_mutator comps -> (
               let first_pos =
                 List.find_map
                   (fun (lbl, a) ->
@@ -305,6 +316,10 @@ let unit_of_structure ~file ~src ~name (str : structure) =
 let builtin_mutable =
   [ "Queue.t"; "Hashtbl.t"; "Buffer.t"; "Bytes.t"; "bytes"; "ref"; "array"; "Atomic.t"; "Stack.t" ]
 
+(* [Nkutil.Int_tbl.t] under any prefix is a mutable container too. *)
+let is_int_tbl comps =
+  match List.rev comps with "t" :: "Int_tbl" :: _ -> true | _ -> false
+
 let builtin_immutable =
   [ "int"; "float"; "bool"; "char"; "string"; "unit"; "int32"; "int64"; "nativeint";
     "Int32.t"; "Int64.t"; "String.t" ]
@@ -325,8 +340,9 @@ let ty_stateful u ct =
     | Ttyp_tuple l -> List.exists (go visited) l
     | Ttyp_poly (_, t) -> go visited t
     | Ttyp_constr (p, _, args) ->
-        let pname = String.concat "." (strip_stdlib (split_path (Path.name p))) in
-        if List.mem pname builtin_mutable then true
+        let comps = strip_stdlib (split_path (Path.name p)) in
+        let pname = String.concat "." comps in
+        if List.mem pname builtin_mutable || is_int_tbl comps then true
         else if List.mem pname builtin_immutable then false
         else if List.mem pname transparent then List.exists (go visited) args
         else if String.contains (Path.name p) '.' then true (* external abstract *)
