@@ -1,7 +1,9 @@
-(* Bechamel microbenchmarks of the NetKernel dataplane primitives: NQE
-   codec, SPSC ring, hugepage copy, engine timers, one CoreEngine switch,
-   one owner poll burst, a core's exec-and-fire step, one segment over
-   the fabric, one TCP connection's whole life, one HTTP response parsed,
+(* Bechamel microbenchmarks of the NetKernel dataplane primitives: one NQE
+   slot write and its field reads, an NQE ring and the SPSC ring, hugepage
+   copy, engine timers, one CoreEngine switch, one owner poll burst, a
+   core's exec-and-fire step, one segment over the fabric, one TCP data
+   segment and its ACK, one Send NQE translated into a kernel stack by
+   ServiceLib, one TCP connection's whole life, one HTTP response parsed,
    one socket-buffer write and read, one world's set-up, one epoll_wait
    over eight ready sockets, and a hugepage alloc+free past eight holes.
    The paper's tables and figures are regenerated by `nk run` instead.
@@ -11,17 +13,32 @@
 let () =
   let open Bechamel in
   let open Toolkit in
-  let nqe_roundtrip =
-    Test.make ~name:"nqe encode+decode"
+  let module Nqe = Nkcore.Nqe in
+  (* What a producer and a consumer do to every NQE on the datapath: write
+     one into a slot, then read four fields of it in place. *)
+  let slots = Bytes.create (16 * Nqe.size_bytes) in
+  let nqe_slot =
+    Test.make ~name:"nqe slot write + 4 view reads"
       (Staged.stage (fun () ->
-           let nqe =
-             Nkcore.Nqe.make ~op:Nkcore.Nqe.Send ~vm_id:1 ~qset:0 ~sock:42 ~data_ptr:4096
-               ~size:8192 ()
-           in
-           match Nkcore.Nqe.decode (Nkcore.Nqe.encode nqe) with
-           | Ok _ -> ()
-           | Error e -> failwith e))
+           let pos = 5 * Nqe.size_bytes in
+           Nqe.write slots ~pos ~op:Nqe.Send ~vm_id:1 ~qset:0 ~sock:42 ~op_data:0
+             ~data_ptr:4096 ~size:8192 ~synthetic:false ~span:0;
+           if
+             Nqe.View.op slots pos <> Nqe.Send
+             || Nqe.View.vm_id slots pos + Nqe.View.sock slots pos + Nqe.View.size slots pos
+                <> 8235
+           then failwith "nqe fields"))
   in
+  (* One NQE through a queue-set ring: copied into its slot, copied out. *)
+  let nqe_ring = Nkcore.Nqe_ring.create ~capacity:1024 in
+  let nqe_ring_pushpop =
+    Test.make ~name:"nqe ring push+pop"
+      (Staged.stage (fun () ->
+           ignore (Nkcore.Nqe_ring.push nqe_ring slots 0);
+           if not (Nkcore.Nqe_ring.pop nqe_ring slots Nqe.size_bytes) then
+             failwith "nqe ring empty"))
+  in
+  (* The generic ring the TCP receive path keeps. *)
   let ring = Nkutil.Spsc_ring.create ~capacity:1024 in
   let payload = Bytes.create 32 in
   let ring_pushpop =
@@ -77,42 +94,42 @@ let () =
   done;
   Nkcore.Coreengine.attach ce ~vm_id:1 ~nsm_ids:[ 1 ];
   let send_nqe =
-    Nkcore.Nqe.encode
-      (Nkcore.Nqe.make ~op:Nkcore.Nqe.Send ~vm_id:1 ~qset:0 ~sock:7 ~data_ptr:0 ~size:1024 ())
+    Nqe_codec.encode (Nqe_codec.make ~op:Nqe.Send ~vm_id:1 ~qset:0 ~sock:7 ~size:1024 ())
   in
   let nsm_send = (Nkcore.Nk_device.qset nsm 0).Nkcore.Queue_set.send in
+  let switched = Bytes.create Nqe.size_bytes in
   let ce_switch =
     Test.make ~name:"coreengine switch (24 idle devices)"
       (Staged.stage (fun () ->
-           Nkcore.Nk_device.post vm ~qset:0 send_nqe;
+           Nkcore.Nk_device.post vm ~qset:0 send_nqe 0;
            Sim.Engine.run ce_engine;
-           match Nkutil.Spsc_ring.pop nsm_send with
-           | Some _ -> ()
-           | None -> failwith "send NQE not switched"))
+           if not (Nkcore.Nqe_ring.pop nsm_send switched 0) then
+             failwith "send NQE not switched"))
   in
   (* The owner poll loop GuestLib, ServiceLib and the shared-memory NSM all
      run: 64 jobs pushed onto an NSM device, one wake, one burst drained,
-     charged, decoded and applied, then the empty re-poll. *)
+     charged and applied, then the empty re-poll. *)
   let serve_engine = Sim.Engine.create () in
   let serve_dev = device ~id:2 Nkcore.Nk_device.Nsm_side in
   let applied = ref 0 in
   Nkcore.Nk_device.serve serve_dev
     ~cores:(Sim.Cpu.Set.create serve_engine ~name:"nsm" ~n:1 ())
     ~costs:Nkcore.Nk_costs.default ~component:"nsm2"
-    (fun _ _ -> incr applied);
-  let jobs =
-    Array.init 64 (fun sock ->
-        Nkcore.Nqe.encode (Nkcore.Nqe.make ~op:Nkcore.Nqe.Socket ~vm_id:1 ~qset:0 ~sock ()))
-  in
+    (fun _ _ _ -> incr applied);
+  let jobs = Bytes.create (64 * Nqe.size_bytes) in
+  for sock = 0 to 63 do
+    Nqe_codec.encode_into
+      (Nqe_codec.make ~op:Nqe.Socket ~vm_id:1 ~qset:0 ~sock ())
+      jobs ~pos:(sock * Nqe.size_bytes)
+  done;
   let serve_burst =
     Test.make ~name:"nk_device serve: one 64-NQE NSM burst"
       (Staged.stage (fun () ->
            applied := 0;
-           Array.iter
-             (fun raw -> ignore (Nkcore.Nk_device.push serve_dev ~qset:0 raw))
-             jobs;
-           Nkcore.Nk_device.wake serve_dev serve_engine ~qset:0
-             ~at:(Sim.Engine.now serve_engine);
+           for i = 0 to 63 do
+             ignore (Nkcore.Nk_device.push serve_dev ~qset:0 jobs (i * Nqe.size_bytes))
+           done;
+           Nkcore.Nk_device.wake serve_dev serve_engine ~qset:0 ~delay:0.0;
            Sim.Engine.run serve_engine;
            if !applied <> 64 then failwith "burst not applied"))
   in
@@ -207,6 +224,85 @@ let () =
           accept_loop ())
   in
   accept_loop ();
+  (* A sink on srv that reads whatever arrives, one recv at a time. *)
+  let sink_addr = Addr.make 2 81 in
+  let sink = St.socket srv in
+  (match St.bind srv sink sink_addr with Ok () -> () | Error _ -> failwith "bind");
+  (match St.listen srv sink ~backlog:8 with Ok () -> () | Error _ -> failwith "listen");
+  let rec sink_accept stack l =
+    St.accept stack l ~k:(function
+      | Error _ -> failwith "accept"
+      | Ok s ->
+          let busy = ref false in
+          let rec pull () =
+            if not !busy then begin
+              busy := true;
+              St.recv stack s ~max:65536 ~mode:`Discard ~k:(fun r ->
+                  busy := false;
+                  match r with
+                  | Ok p when Tcpstack.Types.payload_len p > 0 -> pull ()
+                  | Ok _ | Error _ -> ())
+            end
+          in
+          St.set_event_handler stack s (fun _ -> pull ());
+          pull ();
+          sink_accept stack l)
+  in
+  sink_accept srv sink;
+  (* One MSS of data on an established connection: the segment into srv's
+     stack, its ACK out and back into cli's. *)
+  let stream = St.socket cli in
+  St.connect cli stream sink_addr ~k:(function Ok () -> () | Error _ -> failwith "connect");
+  Sim.Engine.run tcp_engine;
+  let tcp_segment =
+    Test.make ~name:"tcp segment: 1448 B in, ACK out"
+      (Staged.stage (fun () ->
+           St.send cli stream (Tcpstack.Types.Zeros 1448) ~k:(function
+             | Ok 1448 -> ()
+             | Ok _ | Error _ -> failwith "send");
+           Sim.Engine.run tcp_engine))
+  in
+  (* ServiceLib's translation: one Send NQE pushed onto a kernel NSM's
+     device, applied into its stack (a connection to srv's sink), the data
+     sent and ACKed, and the Comp_send taken off the completion ring. *)
+  let nsm_nic = Nic.create tcp_engine ~name:"nsm" () in
+  Fabric.attach tcp_fabric nsm_nic;
+  Fabric.add_route tcp_fabric 3 nsm_nic;
+  let nsm_cores = Sim.Cpu.Set.create tcp_engine ~name:"nsm" ~n:1 () in
+  let nsm_stack =
+    St.create ~engine:tcp_engine ~name:"nsm" ~cores:nsm_cores
+      ~vswitch:(Vswitch.create tcp_engine ~nic:nsm_nic ())
+      ~registry ~rng:(Nkutil.Rng.split rng)
+      (St.default_config Sim.Cost_profile.linux_kernel)
+  in
+  let nsm_dev = device ~id:3 Nkcore.Nk_device.Nsm_side in
+  let service =
+    Nkcore.Servicelib.create ~engine:tcp_engine ~device:nsm_dev
+      ~ops:(Tcpstack.Tcp_ops.of_stack nsm_stack) ~cores:nsm_cores ~costs:Nkcore.Nk_costs.default
+      ~pressure:(Sim.Pressure.create tcp_engine ()) ()
+  in
+  Nkcore.Servicelib.register_vm service ~vm_id:1
+    ~hugepages:(Nkcore.Hugepages.create ~page_size:(2 * 1024 * 1024) ~pages:1 ())
+    ~ips:[ 3 ];
+  let nqe = Bytes.create Nqe.size_bytes in
+  let apply op ~op_data ~size =
+    Nqe.write nqe ~pos:0 ~op ~vm_id:1 ~qset:0 ~sock:1 ~op_data ~data_ptr:0 ~size
+      ~synthetic:true ~span:0;
+    if not (Nkcore.Nk_device.push nsm_dev ~qset:0 nqe 0) then failwith "nsm ring full";
+    Nkcore.Nk_device.wake nsm_dev tcp_engine ~qset:0 ~delay:0.0;
+    Sim.Engine.run tcp_engine
+  in
+  let completions = (Nkcore.Nk_device.qset nsm_dev 0).Nkcore.Queue_set.completion in
+  let rec take_completions n = if Nkcore.Nqe_ring.pop completions nqe 0 then take_completions (n + 1) else n in
+  apply Nqe.Socket ~op_data:0 ~size:0;
+  apply Nqe.Connect ~op_data:(Nqe.pack_addr sink_addr) ~size:0;
+  if take_completions 0 <> 2 then failwith "nsm socket not connected";
+  let servicelib_send =
+    Test.make ~name:"servicelib: Send NQE into a kernel stack"
+      (Staged.stage (fun () ->
+           apply Nqe.Send ~op_data:0 ~size:1448;
+           if take_completions 0 <> 1 then failwith "send not completed"))
+  in
   let conn_life =
     Test.make ~name:"tcp conn: 64 B each way + TIME_WAIT"
       (Staged.stage (fun () ->
@@ -295,9 +391,9 @@ let () =
   let tests =
     Test.make_grouped ~name:"netkernel-primitives"
       [
-        nqe_roundtrip; ring_pushpop; hugepage_copy; heap_ops; ce_switch; serve_burst; cpu_exec;
-        link_send; conn_life; http_parse; fifo_write_read; world_setup; epoll_wait8;
-        hugepage_holes;
+        nqe_slot; nqe_ring_pushpop; ring_pushpop; hugepage_copy; heap_ops; ce_switch;
+        serve_burst; cpu_exec; link_send; tcp_segment; servicelib_send; conn_life; http_parse;
+        fifo_write_read; world_setup; epoll_wait8; hugepage_holes;
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in

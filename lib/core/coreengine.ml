@@ -1,11 +1,13 @@
 module Cpu = Sim.Cpu
 module Engine = Sim.Engine
-module Ring = Nkutil.Spsc_ring
+module Ring = Nqe_ring
 module Types = Tcpstack.Types
 module Int_tbl = Nkutil.Int_tbl
 
 type route = { nsm_id : int; nsm_qset : int }
 
+(* A parked NQE keeps its own copy of the 32 bytes (at offset 0): the
+   sweep slot it came from is reused by the next sweep. *)
 type deferred_entry =
   | To_nsm of bytes
   | To_vm of { src_nsm : int; src_qset : int; raw : bytes }
@@ -53,14 +55,24 @@ type shard = {
   deferred : dq Int_tbl.t; (* vm_id -> parked traffic *)
   ctr : counters;
   sweep_batch : Nkutil.Histogram.t;
-  (* Reusable sweep work buffers (parallel arrays). A record's source is
-     packed into one int: -1 for VM-originated, else
-     [(nsm_dev_id lsl 16) lor src_qset]. Safe to reuse per shard: the
-     deferred dispatch closure always runs before the next sweep of this
-     shard ([running] stays true until a sweep comes back empty). *)
+  (* Reusable sweep work buffers: the popped NQEs as 32-byte slots of
+     [sweep_buf], and each one's source in [sweep_src], packed into one
+     int: -1 for VM-originated, else [(nsm_dev_id lsl 16) lor src_qset].
+     Both double when a sweep takes more NQEs than they hold. Safe to
+     reuse per shard: the deferred dispatch always runs before the next
+     sweep of this shard ([running] stays true until a sweep comes back
+     empty). *)
   mutable sweep_src : int array;
-  mutable sweep_raw : bytes array;
+  mutable sweep_buf : bytes;
   mutable sweep_len : int;
+  (* Where the shard writes the NQEs it synthesizes (error completions,
+     crash resets) before delivering them by copy. *)
+  reply : bytes;
+  (* The shard's continuations, built once ([set_thunks]) so a kick, a
+     sweep's switch and a release schedule no fresh closure. *)
+  mutable poll_thunk : unit -> unit;
+  mutable switch_thunk : unit -> unit;
+  mutable release_thunk : unit -> unit;
 }
 
 type t = {
@@ -112,8 +124,12 @@ let make_shard mon ~instance ~solo ~idx cpu =
       sweep_batch =
         Nkmon.histogram mon ~component:"coreengine" ~instance ~name:"sweep_batch";
       sweep_src = Array.make 64 (-1);
-      sweep_raw = Array.make 64 Bytes.empty;
+      sweep_buf = Bytes.create (64 * Nqe.size_bytes);
       sweep_len = 0;
+      reply = Bytes.create Nqe.size_bytes;
+      poll_thunk = ignore;
+      switch_thunk = ignore;
+      release_thunk = ignore;
     }
   in
   (* Instantaneous parked-NQE depth across this shard's deferred queues:
@@ -123,33 +139,6 @@ let make_shard mon ~instance ~solo ~idx cpu =
       float_of_int
         (Int_tbl.fold (fun _ dq acc -> acc + Queue.length dq.entries) sh.deferred 0));
   sh
-
-let create ~engine ~cores ?(mon = Nkmon.null ()) ?(spans = Nkspan.null ())
-    ?(instance = "ce") costs =
-  let n = Array.length cores in
-  if n = 0 then invalid_arg "Coreengine.create: need at least one CE core";
-  let solo = n = 1 in
-  let t =
-    {
-      engine;
-      costs;
-      shards = Array.mapi (fun idx cpu -> make_shard mon ~instance ~solo ~idx cpu) cores;
-      vms = Int_tbl.create 16;
-      nsms = Int_tbl.create 16;
-      device_order = [];
-      assignment = Int_tbl.create 16;
-      conn_table = Int_tbl.create 1024;
-      nsm_conns = Int_tbl.create 16;
-      draining = Int_tbl.create 4;
-      buckets = Int_tbl.create 16;
-      mon;
-      spans;
-      instance;
-    }
-  in
-  Nkmon.sampler mon ~component:"coreengine" ~instance ~name:"conn_table_size" (fun () ->
-      float_of_int (Int_tbl.length t.conn_table));
-  t
 
 let n_shards t = Array.length t.shards
 
@@ -199,35 +188,31 @@ let stats t =
     { switched = 0; rate_deferred = 0; ring_deferred = 0; dropped = 0; sweeps = 0 }
     t.shards
 
-let drop (sh : shard) t raw reason =
+(* The trace names the NQE's ⟨vm, sock⟩ when its opcode is readable, else
+   (-1, -1). *)
+let drop (sh : shard) t buf pos reason =
   Nkmon.Registry.incr sh.ctr.c_dropped;
   if Nkmon.tracing t.mon then
-    let vm_id, sock =
-      match raw with
-      | Some r when Nqe.View.ok r -> (Nqe.View.vm_id r, Nqe.View.sock r)
-      | _ -> (-1, -1)
-    in
+    let ok = Nqe.View.ok buf pos in
+    let vm_id = if ok then Nqe.View.vm_id buf pos else -1 in
+    let sock = if ok then Nqe.View.sock buf pos else -1 in
     Nkmon.event t.mon (Nkmon.Trace.Nqe_drop { vm_id; sock; reason })
 
-let switched (sh : shard) t raw dst =
+(* [dst_kind] ("vm" or "nsm") and [dst_id] name the destination device. *)
+let switched (sh : shard) t buf pos dst_kind dst_id =
   (* The ce-switch stage opened when the owning shard popped the NQE; any
      deferral retries in between kept it open, so parked time counts as
      switching latency. *)
-  Nkspan.end_stage t.spans ~id:(Nqe.View.span raw) "ce-switch";
+  Nkspan.end_stage t.spans ~id:(Nqe.View.span buf pos) "ce-switch";
   Nkmon.Registry.incr sh.ctr.c_switched;
   if Nkmon.tracing t.mon then
-    let dst =
-      match dst with
-      | `Vm i -> Printf.sprintf "vm%d" i
-      | `Nsm i -> Printf.sprintf "nsm%d" i
-    in
     Nkmon.event t.mon
       (Nkmon.Trace.Nqe_switch
          {
-           vm_id = Nqe.View.vm_id raw;
-           sock = Nqe.View.sock raw;
-           op = Nqe.op_to_string (Nqe.View.op raw);
-           dst;
+           vm_id = Nqe.View.vm_id buf pos;
+           sock = Nqe.View.sock buf pos;
+           op = Nqe.op_to_string (Nqe.View.op buf pos);
+           dst = dst_kind ^ string_of_int dst_id;
          })
 
 let conn_table_size t = Int_tbl.length t.conn_table
@@ -359,11 +344,10 @@ let set_rate_limit ?burst t ~vm_id ~bytes_per_sec =
    after [wake_latency]; false if the ring is full. A destination queue set
    owned by another shard is a cross-shard handoff and pays [ce_xshard] on
    the pushing shard. *)
-let push_inbound t (sh : shard) dev ~qset raw =
+let push_inbound t (sh : shard) dev ~qset buf pos =
   if owner_idx t ~dev_id:(Nk_device.id dev) ~qset <> sh.idx then charge_xshard t sh;
-  if Nk_device.push dev ~qset raw then begin
-    Nk_device.wake dev t.engine ~qset
-      ~at:(Engine.now t.engine +. t.costs.Nk_costs.wake_latency);
+  if Nk_device.push dev ~qset buf pos then begin
+    Nk_device.wake dev t.engine ~qset ~delay:t.costs.Nk_costs.wake_latency;
     true
   end
   else false
@@ -374,25 +358,25 @@ let charge_table_miss t (sh : shard) =
   if t.costs.Nk_costs.ce_hw_offload then
     Cpu.charge sh.cpu ~cycles:t.costs.Nk_costs.ce_switch
 
-let route_nsm_to_vm t (sh : shard) ~src_nsm ~src_qset raw =
-  let vm_id = Nqe.View.vm_id raw in
+let route_nsm_to_vm t (sh : shard) ~src_nsm ~src_qset buf pos =
+  let vm_id = Nqe.View.vm_id buf pos in
   match Int_tbl.find t.vms vm_id with
   | exception Not_found ->
-      drop sh t (Some raw) "vm_gone";
+      drop sh t buf pos "vm_gone";
       true
   | dev ->
-      let op = Nqe.View.op raw in
-      let sock = Nqe.View.sock raw in
+      let op = Nqe.View.op buf pos in
+      let sock = Nqe.View.sock buf pos in
       (* An accept event introduces the new socket id (in the size field):
          it keys both the queue-set pick and the table entry. *)
-      let table_sock = match op with Nqe.Ev_accept -> Nqe.View.size raw | _ -> sock in
+      let table_sock = match op with Nqe.Ev_accept -> Nqe.View.size buf pos | _ -> sock in
       let qset =
-        let q0 = Nqe.View.qset raw in
+        let q0 = Nqe.View.qset buf pos in
         if q0 < Nk_device.n_qsets dev then q0
         else begin
           let q = Nk_device.hash_qset dev table_sock in
           (* Complete the NQE with the chosen queue set before delivery. *)
-          Nqe.View.set_qset raw q;
+          Nqe.View.set_qset buf pos q;
           q
         end
       in
@@ -404,8 +388,8 @@ let route_nsm_to_vm t (sh : shard) ~src_nsm ~src_qset raw =
       if Int_tbl.mem t.nsms src_nsm && not (Int_tbl.mem t.conn_table table_key) then
         table_add ~sh t table_key { nsm_id = src_nsm; nsm_qset = src_qset };
       if op = Nqe.Comp_close then table_remove ~sh t (Nqe.conn_key ~vm_id ~sock);
-      if push_inbound t sh dev ~qset raw then begin
-        switched sh t raw (`Vm vm_id);
+      if push_inbound t sh dev ~qset buf pos then begin
+        switched sh t buf pos "vm" vm_id;
         true
       end
       else false
@@ -433,10 +417,7 @@ let dq_pop_head (dq : dq) =
 let rec schedule_release t (sh : shard) delay =
   if not sh.release_scheduled then begin
     sh.release_scheduled <- true;
-    ignore
-      (Engine.schedule t.engine ~delay (fun () ->
-           sh.release_scheduled <- false;
-           drain_deferred t sh))
+    ignore (Engine.schedule t.engine ~delay sh.release_thunk)
   end
 
 and drain_deferred t (sh : shard) =
@@ -453,15 +434,15 @@ and drain_deferred t (sh : shard) =
             let raw =
               match entry with To_nsm raw -> raw | To_vm { raw; _ } -> raw
             in
-            if not (Nqe.View.ok raw) then begin
+            if not (Nqe.View.ok raw 0) then begin
               dq_pop_head dq;
-              drop sh t None "decode";
+              drop sh t raw 0 "decode";
               loop ()
             end
             else
               match entry with
               | To_vm { src_nsm; src_qset; _ } ->
-                  if route_nsm_to_vm t sh ~src_nsm ~src_qset raw then begin
+                  if route_nsm_to_vm t sh ~src_nsm ~src_qset raw 0 then begin
                     dq_pop_head dq;
                     Cpu.charge sh.cpu ~cycles:t.costs.Nk_costs.ce_switch;
                     loop ()
@@ -471,10 +452,10 @@ and drain_deferred t (sh : shard) =
                       Float.min !next_delay t.costs.Nk_costs.ce_ring_release_delay
               | To_nsm _ ->
                   let tokens_ok =
-                    match (Nqe.View.op raw, Int_tbl.find_opt t.buckets vm_id) with
+                    match (Nqe.View.op raw 0, Int_tbl.find_opt t.buckets vm_id) with
                     | Nqe.Send, Some bucket ->
                         let now = Engine.now t.engine in
-                        let need = float_of_int (Nqe.View.size raw) in
+                        let need = float_of_int (Nqe.View.size raw 0) in
                         if Nkutil.Token_bucket.try_take bucket ~now need then true
                         else begin
                           next_delay :=
@@ -485,7 +466,7 @@ and drain_deferred t (sh : shard) =
                     | _, _ -> true
                   in
                   if tokens_ok then
-                    if route_vm_to_nsm t sh raw then begin
+                    if route_vm_to_nsm t sh raw 0 then begin
                       dq_pop_head dq;
                       Cpu.charge sh.cpu ~cycles:t.costs.Nk_costs.ce_switch;
                       loop ()
@@ -499,60 +480,57 @@ and drain_deferred t (sh : shard) =
   if !next_delay < infinity then schedule_release t sh (Float.max 1e-6 !next_delay);
   Nkspan.leave t.spans
 
-(* Deliver a CE-synthesized NSM->VM NQE, parking it with the VM's deferred
-   traffic when the inbound ring is full (same ordering rules as dispatch). *)
-and deliver_to_vm t (sh : shard) ~src_nsm ~src_qset raw =
-  let dq = deferred_queue sh (Nqe.View.vm_id raw) in
-  if dq.to_vm_pending > 0 || not (route_nsm_to_vm t sh ~src_nsm ~src_qset raw)
+(* Deliver a CE-synthesized NSM->VM NQE, parking a copy with the VM's
+   deferred traffic when the inbound ring is full (same ordering rules as
+   dispatch). *)
+and deliver_to_vm t (sh : shard) ~src_nsm ~src_qset buf pos =
+  let dq = deferred_queue sh (Nqe.View.vm_id buf pos) in
+  if dq.to_vm_pending > 0 || not (route_nsm_to_vm t sh ~src_nsm ~src_qset buf pos)
   then begin
-    dq_add dq (To_vm { src_nsm; src_qset; raw });
+    dq_add dq (To_vm { src_nsm; src_qset; raw = Bytes.sub buf pos Nqe.size_bytes });
     schedule_release t sh t.costs.Nk_costs.ce_ring_release_delay
   end
 
 (* The socket's NSM is gone (crash or deregistration): complete the job NQE
    with an error instead of dropping it, so GuestLib never hangs on a reply
    that cannot come. Close acknowledges success — the socket is gone either
-   way; Send keeps data_ptr/size so the VM reclaims the payload extent. *)
-and reply_error t (sh : shard) raw err =
-  let comp =
-    match Nqe.View.op raw with
-    | Nqe.Socket -> Some Nqe.Comp_socket
-    | Nqe.Bind -> Some Nqe.Comp_bind
-    | Nqe.Listen -> Some Nqe.Comp_listen
-    | Nqe.Connect -> Some Nqe.Comp_connect
-    | Nqe.Send -> Some Nqe.Comp_send
-    | Nqe.Close -> Some Nqe.Comp_close
-    | _ -> None
-  in
-  match comp with
-  | None -> ()
-  | Some op ->
-      Nkmon.Registry.incr sh.ctr.c_error_completions;
-      let op_data = if op = Nqe.Comp_close then Nqe.ok_code else Nqe.err_code err in
-      let reply =
-        Nqe.make ~op ~vm_id:(Nqe.View.vm_id raw) ~qset:(Nqe.View.qset raw)
-          ~sock:(Nqe.View.sock raw) ~op_data ~data_ptr:(Nqe.View.data_ptr raw)
-          ~size:(Nqe.View.size raw) ~span:(Nqe.View.span raw) ()
-      in
-      deliver_to_vm t sh ~src_nsm:(-1) ~src_qset:0 (Nqe.encode reply)
+   way; Send keeps data_ptr/size so the VM reclaims the payload extent. The
+   reply is written into the shard's [reply] slot. *)
+and reply_error t (sh : shard) buf pos err =
+  match Nqe.View.op buf pos with
+  | Nqe.Socket -> write_reply t sh buf pos Nqe.Comp_socket err
+  | Nqe.Bind -> write_reply t sh buf pos Nqe.Comp_bind err
+  | Nqe.Listen -> write_reply t sh buf pos Nqe.Comp_listen err
+  | Nqe.Connect -> write_reply t sh buf pos Nqe.Comp_connect err
+  | Nqe.Send -> write_reply t sh buf pos Nqe.Comp_send err
+  | Nqe.Close -> write_reply t sh buf pos Nqe.Comp_close err
+  | _ -> ()
 
-and route_vm_to_nsm t (sh : shard) raw =
-  let vm_id = Nqe.View.vm_id raw in
-  let sock = Nqe.View.sock raw in
-  let op = Nqe.View.op raw in
+and write_reply t (sh : shard) buf pos op err =
+  Nkmon.Registry.incr sh.ctr.c_error_completions;
+  let op_data = if op = Nqe.Comp_close then Nqe.ok_code else Nqe.err_code err in
+  Nqe.write sh.reply ~pos:0 ~op ~vm_id:(Nqe.View.vm_id buf pos) ~qset:(Nqe.View.qset buf pos)
+    ~sock:(Nqe.View.sock buf pos) ~op_data ~data_ptr:(Nqe.View.data_ptr buf pos)
+    ~size:(Nqe.View.size buf pos) ~synthetic:false ~span:(Nqe.View.span buf pos);
+  deliver_to_vm t sh ~src_nsm:(-1) ~src_qset:0 sh.reply 0
+
+and route_vm_to_nsm t (sh : shard) buf pos =
+  let vm_id = Nqe.View.vm_id buf pos in
+  let sock = Nqe.View.sock buf pos in
+  let op = Nqe.View.op buf pos in
   let key = Nqe.conn_key ~vm_id ~sock in
   match Int_tbl.find t.conn_table key with
   | r -> (
       match Int_tbl.find t.nsms r.nsm_id with
       | exception Not_found ->
           table_remove ~sh t key;
-          drop sh t (Some raw) "nsm_gone";
-          reply_error t sh raw Types.Econnreset;
+          drop sh t buf pos "nsm_gone";
+          reply_error t sh buf pos Types.Econnreset;
           true
       | dev ->
           if op = Nqe.Close then table_remove ~sh t key;
-          if push_inbound t sh dev ~qset:r.nsm_qset raw then begin
-            switched sh t raw (`Nsm r.nsm_id);
+          if push_inbound t sh dev ~qset:r.nsm_qset buf pos then begin
+            switched sh t buf pos "nsm" r.nsm_id;
             true
           end
           else false)
@@ -563,8 +541,8 @@ and route_vm_to_nsm t (sh : shard) raw =
          yields a deterministic error path). *)
       match Int_tbl.find t.assignment vm_id with
       | exception Not_found ->
-          drop sh t (Some raw) "no_nsm_assignment";
-          reply_error t sh raw Types.Econnreset;
+          drop sh t buf pos "no_nsm_assignment";
+          reply_error t sh buf pos Types.Econnreset;
           true
       | nsms, rr -> (
           charge_table_miss t sh;
@@ -583,38 +561,38 @@ and route_vm_to_nsm t (sh : shard) raw =
           in
           match Int_tbl.find t.nsms nsm_id with
           | exception Not_found ->
-              drop sh t (Some raw) "nsm_gone";
-              reply_error t sh raw Types.Econnreset;
+              drop sh t buf pos "nsm_gone";
+              reply_error t sh buf pos Types.Econnreset;
               true
           | dev ->
               let nsm_qset = Nk_device.hash_qset dev sock in
               table_add ~sh t key { nsm_id; nsm_qset };
-              if push_inbound t sh dev ~qset:nsm_qset raw then begin
-                switched sh t raw (`Nsm nsm_id);
+              if push_inbound t sh dev ~qset:nsm_qset buf pos then begin
+                switched sh t buf pos "nsm" nsm_id;
                 true
               end
               else false))
 
 (* Pop up to [batch] NQEs from [ring] into [sh]'s reusable work buffers,
    tagged with [src]. *)
-let rec take (sh : shard) ~batch src ring i =
-  if i < batch then
-    match Ring.pop ring with
-    | None -> ()
-    | Some raw ->
-        let n = sh.sweep_len in
-        if n = Array.length sh.sweep_raw then begin
-          let cap = 2 * n in
-          let src' = Array.make cap (-1) and raw' = Array.make cap Bytes.empty in
-          Array.blit sh.sweep_src 0 src' 0 n;
-          Array.blit sh.sweep_raw 0 raw' 0 n;
-          sh.sweep_src <- src';
-          sh.sweep_raw <- raw'
-        end;
-        sh.sweep_src.(n) <- src;
-        sh.sweep_raw.(n) <- raw;
-        sh.sweep_len <- n + 1;
-        take sh ~batch src ring (i + 1)
+let take (sh : shard) ~batch src ring =
+  let k = Int.min batch (Ring.length ring) in
+  if k > 0 then begin
+    let n = sh.sweep_len in
+    let cap = Array.length sh.sweep_src in
+    if n + k > cap then begin
+      let rec size c = if c >= n + k then c else size (2 * c) in
+      let cap' = size (2 * cap) in
+      let src' = Array.make cap' (-1) and buf' = Bytes.create (cap' * Nqe.size_bytes) in
+      Array.blit sh.sweep_src 0 src' 0 n;
+      Bytes.blit sh.sweep_buf 0 buf' 0 (n * Nqe.size_bytes);
+      sh.sweep_src <- src';
+      sh.sweep_buf <- buf'
+    end;
+    ignore (Ring.pop_slice ring sh.sweep_buf ~slot:n ~max:k);
+    Array.fill sh.sweep_src n k src;
+    sh.sweep_len <- n + k
+  end
 
 (* One full sweep by shard [sh] over the queue sets it owns, popping at most
    [ce_batch] NQEs per outbound ring into the shard's reusable work
@@ -651,60 +629,66 @@ and sweep_device t sh dev side =
         let s = Nk_device.qset dev i in
         match side with
         | `Vm ->
-            take sh ~batch (-1) s.Queue_set.job 0;
-            take sh ~batch (-1) s.Queue_set.send 0
+            take sh ~batch (-1) s.Queue_set.job;
+            take sh ~batch (-1) s.Queue_set.send
         | `Nsm ->
             let src = (dev_id lsl 16) lor i in
-            take sh ~batch src s.Queue_set.completion 0;
-            take sh ~batch src s.Queue_set.receive 0
+            take sh ~batch src s.Queue_set.completion;
+            take sh ~batch src s.Queue_set.receive
       end
       else if Nk_device.outbound_pending dev ~qset:i > 0 then
         kick_shard t t.shards.(owner_idx t ~dev_id ~qset:i)
     done
   end
 
-and dispatch t (sh : shard) src raw =
-  if not (Nqe.View.ok raw) then drop sh t None "decode"
+(* Switch the NQE in sweep slot [i]; one that must wait is parked as a
+   copy. *)
+and dispatch t (sh : shard) src i =
+  let buf = sh.sweep_buf and pos = i * Nqe.size_bytes in
+  if not (Nqe.View.ok buf pos) then drop sh t buf pos "decode"
   else if src >= 0 then begin
     let src_nsm = src lsr 16 and src_qset = src land 0xFFFF in
     (* NSM->VM results must not jump ahead of deferred ones for the
        same VM, and a full VM ring parks them too. *)
-    let dq = deferred_queue sh (Nqe.View.vm_id raw) in
-    if dq.to_vm_pending > 0 || not (route_nsm_to_vm t sh ~src_nsm ~src_qset raw)
+    let dq = deferred_queue sh (Nqe.View.vm_id buf pos) in
+    if dq.to_vm_pending > 0 || not (route_nsm_to_vm t sh ~src_nsm ~src_qset buf pos)
     then begin
       Nkmon.Registry.incr sh.ctr.c_ring_deferred;
       if Nkmon.tracing t.mon then
-        Nkmon.event t.mon (Nkmon.Trace.Ring_defer { vm_id = Nqe.View.vm_id raw });
-      dq_add dq (To_vm { src_nsm; src_qset; raw });
+        Nkmon.event t.mon (Nkmon.Trace.Ring_defer { vm_id = Nqe.View.vm_id buf pos });
+      dq_add dq (To_vm { src_nsm; src_qset; raw = Bytes.sub buf pos Nqe.size_bytes });
       schedule_release t sh t.costs.Nk_costs.ce_ring_release_delay
     end
   end
   else begin
-    let vm_id = Nqe.View.vm_id raw in
+    let vm_id = Nqe.View.vm_id buf pos in
     let dq = deferred_queue sh vm_id in
     let must_defer =
       dq.to_nsm_pending > 0
       ||
-      match (Nqe.View.op raw, Int_tbl.find_opt t.buckets vm_id) with
-      | Nqe.Send, Some bucket ->
-          not
-            (Nkutil.Token_bucket.try_take bucket ~now:(Engine.now t.engine)
-               (float_of_int (Nqe.View.size raw)))
-      | _, _ -> false
+      match Nqe.View.op buf pos with
+      | Nqe.Send -> (
+          match Int_tbl.find t.buckets vm_id with
+          | bucket ->
+              not
+                (Nkutil.Token_bucket.try_take bucket ~now:(Engine.now t.engine)
+                   (float_of_int (Nqe.View.size buf pos)))
+          | exception Not_found -> false)
+      | _ -> false
     in
     if must_defer then begin
       Nkmon.Registry.incr sh.ctr.c_rate_deferred;
       if Nkmon.tracing t.mon then
         Nkmon.event t.mon
-          (Nkmon.Trace.Rate_limit_defer { vm_id; bytes = Nqe.View.size raw });
-      dq_add dq (To_nsm raw);
+          (Nkmon.Trace.Rate_limit_defer { vm_id; bytes = Nqe.View.size buf pos });
+      dq_add dq (To_nsm (Bytes.sub buf pos Nqe.size_bytes));
       schedule_release t sh t.costs.Nk_costs.ce_rate_recheck_delay
     end
-    else if not (route_vm_to_nsm t sh raw) then begin
+    else if not (route_vm_to_nsm t sh buf pos) then begin
       Nkmon.Registry.incr sh.ctr.c_ring_deferred;
       if Nkmon.tracing t.mon then
         Nkmon.event t.mon (Nkmon.Trace.Ring_defer { vm_id });
-      dq_add dq (To_nsm raw);
+      dq_add dq (To_nsm (Bytes.sub buf pos Nqe.size_bytes));
       schedule_release t sh t.costs.Nk_costs.ce_ring_release_delay
     end
   end
@@ -726,34 +710,72 @@ and process t (sh : shard) =
        time parked in the deferred queues). *)
     if Nkspan.enabled t.spans then
       for i = 0 to n - 1 do
-        let span = Nqe.span_of_raw sh.sweep_raw.(i) in
+        let span = Nqe.View.span sh.sweep_buf (i * Nqe.size_bytes) in
         Nkspan.end_stage t.spans ~id:span "ring";
         Nkspan.begin_stage t.spans ~id:span ~component:sh.sinstance "ce-switch"
       done;
-    let per_nqe, per_sweep =
+    let cycles =
       (* hardware-offloaded switching leaves only a residual descriptor
          cost on the CE core — no software queue sweeps either; table
          misses are charged where they occur *)
-      if t.costs.Nk_costs.ce_hw_offload then (4.0, 10.0)
-      else (t.costs.Nk_costs.ce_switch, t.costs.Nk_costs.ce_poll_iter)
+      if t.costs.Nk_costs.ce_hw_offload then 10.0 +. (float_of_int n *. 4.0)
+      else t.costs.Nk_costs.ce_poll_iter +. (float_of_int n *. t.costs.Nk_costs.ce_switch)
     in
-    let cycles = per_sweep +. (float_of_int n *. per_nqe) in
     Nkspan.enter t.spans ~component:sh.sinstance ~stage:"switch";
-    Cpu.exec sh.cpu ~cycles (fun () ->
-        for i = 0 to n - 1 do
-          dispatch t sh sh.sweep_src.(i) sh.sweep_raw.(i)
-        done;
-        process t sh);
+    Cpu.exec sh.cpu ~cycles sh.switch_thunk;
     Nkspan.leave t.spans
   end
+
+(* The sweep's switch, run when its cycles are spent: the sweep slots stay
+   untouched until then ([running] keeps every other sweep of the shard
+   out). *)
+and switch t (sh : shard) =
+  for i = 0 to sh.sweep_len - 1 do
+    dispatch t sh sh.sweep_src.(i) i
+  done;
+  process t sh
 
 and kick_shard t (sh : shard) =
   if not sh.running then begin
     sh.running <- true;
-    ignore
-      (Engine.schedule t.engine ~delay:t.costs.Nk_costs.ce_poll_latency (fun () ->
-           process t sh))
+    ignore (Engine.schedule t.engine ~delay:t.costs.Nk_costs.ce_poll_latency sh.poll_thunk)
   end
+
+let set_thunks t (sh : shard) =
+  sh.poll_thunk <- (fun () -> process t sh);
+  sh.switch_thunk <- (fun () -> switch t sh);
+  sh.release_thunk <-
+    (fun () ->
+      sh.release_scheduled <- false;
+      drain_deferred t sh)
+
+let create ~engine ~cores ?(mon = Nkmon.null ()) ?(spans = Nkspan.null ())
+    ?(instance = "ce") costs =
+  let n = Array.length cores in
+  if n = 0 then invalid_arg "Coreengine.create: need at least one CE core";
+  let solo = n = 1 in
+  let t =
+    {
+      engine;
+      costs;
+      shards = Array.mapi (fun idx cpu -> make_shard mon ~instance ~solo ~idx cpu) cores;
+      vms = Int_tbl.create 16;
+      nsms = Int_tbl.create 16;
+      device_order = [];
+      assignment = Int_tbl.create 16;
+      conn_table = Int_tbl.create 1024;
+      nsm_conns = Int_tbl.create 16;
+      draining = Int_tbl.create 4;
+      buckets = Int_tbl.create 16;
+      mon;
+      spans;
+      instance;
+    }
+  in
+  Array.iter (set_thunks t) t.shards;
+  Nkmon.sampler mon ~component:"coreengine" ~instance ~name:"conn_table_size" (fun () ->
+      float_of_int (Int_tbl.length t.conn_table));
+  t
 
 let kick t = Array.iter (fun sh -> kick_shard t sh) t.shards
 
@@ -771,6 +793,7 @@ let scale_out t ~cores =
       (fun i cpu -> make_shard t.mon ~instance:t.instance ~solo:false ~idx:(n0 + i) cpu)
       cores
   in
+  Array.iter (set_thunks t) fresh;
   t.shards <- Array.append t.shards fresh;
   ctl_event t "scale_out"
     (Printf.sprintf "shards=%d->%d" n0 (Array.length t.shards));
@@ -846,11 +869,10 @@ let crash_nsm t ~nsm_id =
   List.iter
     (fun key ->
       let vm_id = Nqe.conn_key_vm key in
-      let nqe =
-        Nqe.make ~op:Nqe.Ev_err ~vm_id ~qset:Nqe.qset_unassigned
-          ~sock:(Nqe.conn_key_sock key) ~op_data:(Nqe.err_code Types.Econnreset) ()
-      in
-      deliver_to_vm t (vm_home_shard t vm_id) ~src_nsm:(-1) ~src_qset:0
-        (Nqe.encode nqe))
+      let sh = vm_home_shard t vm_id in
+      Nqe.write sh.reply ~pos:0 ~op:Nqe.Ev_err ~vm_id ~qset:Nqe.qset_unassigned
+        ~sock:(Nqe.conn_key_sock key) ~op_data:(Nqe.err_code Types.Econnreset) ~data_ptr:0
+        ~size:0 ~synthetic:false ~span:0;
+      deliver_to_vm t sh ~src_nsm:(-1) ~src_qset:0 sh.reply 0)
     victims;
   ctl_event t "crash_nsm" (Printf.sprintf "nsm=%d sockets=%d" nsm_id (List.length victims))

@@ -57,6 +57,7 @@ type t = {
   instance : string; (* "vm<id>", the span/metric component instance *)
   ctr : counters;
   mutable next_gid : int;
+  tx : bytes; (* the slot every outbound NQE is written into, then posted *)
 }
 
 let stats t =
@@ -95,7 +96,8 @@ let gsock_events ~sendbuf gs =
 
 (* ---- NQE posting -------------------------------------------------------- *)
 
-let post t gs (nqe : Nqe.t) =
+(* Write the NQE into [t.tx] and post it on the socket's queue set. *)
+let post t gs op ~op_data ~data_ptr ~size ~synthetic ~span =
   Nkmon.Registry.incr t.ctr.c_nqes_tx;
   if Nkmon.tracing t.mon then
     Nkmon.event t.mon
@@ -103,47 +105,52 @@ let post t gs (nqe : Nqe.t) =
          {
            device = Nk_device.id t.device;
            qset = gs.qset;
-           queue = Queue_set.trace_queue (Queue_set.of_op nqe.Nqe.op);
-           op = Nqe.op_to_string nqe.Nqe.op;
+           queue = Queue_set.trace_queue (Queue_set.of_op op);
+           op = Nqe.op_to_string op;
            vm_id = t.vm_id;
            sock = gs.gid;
          });
-  Nk_device.post t.device ~qset:gs.qset (Nqe.encode nqe)
+  Nqe.write t.tx ~pos:0 ~op ~vm_id:t.vm_id ~qset:gs.qset ~sock:gs.gid ~op_data ~data_ptr
+    ~size ~synthetic ~span;
+  Nk_device.post t.device ~qset:gs.qset t.tx 0
 
-let post_op t gs op ?op_data ?data_ptr ?size ?synthetic ?span () =
-  post t gs
-    (Nqe.make ~op ~vm_id:t.vm_id ~qset:gs.qset ~sock:gs.gid ?op_data ?data_ptr ?size
-       ?synthetic ?span ())
+(* A control NQE: no payload, no span. *)
+let post_ctl t gs op ~op_data =
+  post t gs op ~op_data ~data_ptr:0 ~size:0 ~synthetic:false ~span:0
 
 (* ---- inbound NQE processing ---------------------------------------------- *)
 
-let free_send_extent t (nqe : Nqe.t) =
+let free_send_extent t buf pos =
   Hugepages.free (Nk_device.hugepages t.device)
-    { Hugepages.offset = nqe.Nqe.data_ptr; len = nqe.Nqe.size }
+    { Hugepages.offset = Nqe.View.data_ptr buf pos; len = Nqe.View.size buf pos }
 
-let apply t (nqe : Nqe.t) =
+(* Apply the NQE at byte offset [pos] of [buf], reading its fields in
+   place; nothing here keeps the slot. *)
+let apply t buf pos =
   Nkmon.Registry.incr t.ctr.c_nqes_rx;
+  let op = Nqe.View.op buf pos in
+  let sock = Nqe.View.sock buf pos in
   if Nkmon.tracing t.mon then
     Nkmon.event t.mon
       (Nkmon.Trace.Nqe_deliver
          {
            component = "guestlib";
            instance = Printf.sprintf "vm%d" t.vm_id;
-           qset = nqe.Nqe.qset;
-           op = Nqe.op_to_string nqe.Nqe.op;
+           qset = Nqe.View.qset buf pos;
+           op = Nqe.op_to_string op;
            vm_id = t.vm_id;
-           sock = nqe.Nqe.sock;
+           sock;
          });
-  let err = Nqe.err_of_code nqe.Nqe.op_data in
-  match nqe.Nqe.op with
+  let err = Nqe.err_of_code (Nqe.View.op_data buf pos) in
+  match op with
   | Nqe.Comp_socket | Nqe.Comp_bind | Nqe.Comp_listen -> (
-      match Int_tbl.find t.socks nqe.Nqe.sock with
+      match Int_tbl.find t.socks sock with
       | exception Not_found -> ()
       | gs ->
           (match err with Some e -> gs.err <- Some e | None -> ());
           Epoll_core.notify t.epoll gs.gid)
   | Nqe.Comp_connect -> (
-      match Int_tbl.find t.socks nqe.Nqe.sock with
+      match Int_tbl.find t.socks sock with
       | exception Not_found -> ()
       | gs ->
           (match err with
@@ -158,32 +165,32 @@ let apply t (nqe : Nqe.t) =
               k (match err with None -> Ok () | Some e -> Error e));
           Epoll_core.notify t.epoll gs.gid)
   | Nqe.Comp_send -> (
-      free_send_extent t nqe;
-      Nkspan.end_stage t.spans ~id:nqe.Nqe.span "completion";
-      Nkspan.finish t.spans ~id:nqe.Nqe.span;
-      match Int_tbl.find t.socks nqe.Nqe.sock with
+      free_send_extent t buf pos;
+      let span = Nqe.View.span buf pos in
+      Nkspan.end_stage t.spans ~id:span "completion";
+      Nkspan.finish t.spans ~id:span;
+      match Int_tbl.find t.socks sock with
       | exception Not_found -> ()
       | gs ->
-          gs.sendbuf_used <- Int.max 0 (gs.sendbuf_used - nqe.Nqe.size);
+          gs.sendbuf_used <- Int.max 0 (gs.sendbuf_used - Nqe.View.size buf pos);
           (match err with Some e -> gs.err <- Some e | None -> ());
           if gs.close_pending && gs.sendbuf_used = 0 then begin
             gs.close_pending <- false;
-            post_op t gs Nqe.Close ()
+            post_ctl t gs Nqe.Close ~op_data:0
           end;
           Epoll_core.notify t.epoll gs.gid)
-  | Nqe.Comp_close -> Int_tbl.remove t.socks nqe.Nqe.sock
+  | Nqe.Comp_close -> Int_tbl.remove t.socks sock
   | Nqe.Ev_accept -> (
-      match Int_tbl.find t.socks nqe.Nqe.sock with
+      match Int_tbl.find t.socks sock with
       | exception Not_found -> ()
       | lsock when lsock.state = Glistening ->
-          let gid = nqe.Nqe.size in
-          let peer = Nqe.unpack_addr nqe.Nqe.op_data in
+          let gid = Nqe.View.size buf pos in
+          let peer = Nqe.unpack_addr (Nqe.View.op_data buf pos) in
+          let qset = Nqe.View.qset buf pos in
           let gs =
             {
               gid;
-              qset =
-                (if nqe.Nqe.qset < Cpu.Set.n t.cores then nqe.Nqe.qset
-                 else Nk_device.hash_qset t.device gid);
+              qset = (if qset < Cpu.Set.n t.cores then qset else Nk_device.hash_qset t.device gid);
               state = Gconnected;
               local = lsock.local;
               peer = Some peer;
@@ -212,29 +219,30 @@ let apply t (nqe : Nqe.t) =
           end
       | _ -> ())
   | Nqe.Ev_data -> (
-      match Int_tbl.find t.socks nqe.Nqe.sock with
+      match Int_tbl.find t.socks sock with
       | exception Not_found ->
           (* Socket already closed locally: return the extent. *)
-          free_send_extent t nqe
+          free_send_extent t buf pos
       | gs ->
+          let size = Nqe.View.size buf pos in
           Queue.add
             {
-              extent = { Hugepages.offset = nqe.Nqe.data_ptr; len = nqe.Nqe.size };
+              extent = { Hugepages.offset = Nqe.View.data_ptr buf pos; len = size };
               off = 0;
-              synthetic = nqe.Nqe.synthetic;
+              synthetic = Nqe.View.synthetic buf pos;
             }
             gs.recvq;
-          gs.recv_avail <- gs.recv_avail + nqe.Nqe.size;
-          Nkmon.Registry.add t.ctr.c_bytes_received nqe.Nqe.size;
+          gs.recv_avail <- gs.recv_avail + size;
+          Nkmon.Registry.add t.ctr.c_bytes_received size;
           Epoll_core.notify t.epoll gs.gid)
   | Nqe.Ev_eof -> (
-      match Int_tbl.find t.socks nqe.Nqe.sock with
+      match Int_tbl.find t.socks sock with
       | exception Not_found -> ()
       | gs ->
           gs.eof <- true;
           Epoll_core.notify t.epoll gs.gid)
   | Nqe.Ev_err -> (
-      match Int_tbl.find t.socks nqe.Nqe.sock with
+      match Int_tbl.find t.socks sock with
       | exception Not_found -> ()
       | gs ->
           (match err with Some e -> gs.err <- Some e | None -> gs.err <- Some Types.Econnreset);
@@ -284,7 +292,7 @@ let api t =
     let gs = alloc_gsock t in
     Int_tbl.replace t.socks gs.gid gs;
     Cpu.charge (core_for t gs) ~cycles:(control_cycles t);
-    post_op t gs Nqe.Socket ();
+    post_ctl t gs Nqe.Socket ~op_data:0;
     Ok gs.gid
   in
   let bind gid addr =
@@ -293,7 +301,7 @@ let api t =
     | gs ->
         gs.local <- Some addr;
         Cpu.charge (core_for t gs) ~cycles:(control_cycles t);
-        post_op t gs Nqe.Bind ~op_data:(Nqe.pack_addr addr) ();
+        post_ctl t gs Nqe.Bind ~op_data:(Nqe.pack_addr addr);
         Ok ()
   in
   let listen gid ~backlog =
@@ -306,7 +314,7 @@ let api t =
             gs.state <- Glistening;
             gs.backlog <- backlog;
             Cpu.charge (core_for t gs) ~cycles:(control_cycles t);
-            post_op t gs Nqe.Listen ~op_data:(Int64.of_int backlog) ();
+            post_ctl t gs Nqe.Listen ~op_data:backlog;
             Ok ())
   in
   let accept gid ~k =
@@ -330,7 +338,7 @@ let api t =
         gs.peer <- Some dst;
         gs.on_connect <- Some k;
         Cpu.charge (core_for t gs) ~cycles:(control_cycles t);
-        post_op t gs Nqe.Connect ~op_data:(Nqe.pack_addr dst) ()
+        post_ctl t gs Nqe.Connect ~op_data:(Nqe.pack_addr dst)
     | _ -> k (Error Types.Einval)
   in
   let send gid payload ~k =
@@ -376,8 +384,8 @@ let api t =
                       | Types.Zeros _ -> ());
                       Nkmon.Registry.add t.ctr.c_bytes_sent n;
                       Nkspan.end_stage t.spans ~id:span "guestlib";
-                      post_op t gs Nqe.Send ~data_ptr:extent.Hugepages.offset ~size:n ~synthetic
-                        ~span ();
+                      post t gs Nqe.Send ~op_data:0 ~data_ptr:extent.Hugepages.offset ~size:n
+                        ~synthetic ~span;
                       k (Ok n));
                   Nkspan.leave t.spans)
         | (Gfresh | Gconnecting | Glistening | Gclosed), None -> k (Error Types.Enotconn))
@@ -421,7 +429,8 @@ let api t =
                     ignore (Queue.pop gs.recvq)
                   end;
                   (* Return the receive credit to the NSM. *)
-                  post_op t gs Nqe.Recv_done ~size:n ();
+                  post t gs Nqe.Recv_done ~op_data:0 ~data_ptr:0 ~size:n ~synthetic:false
+                    ~span:0;
                   k (Ok payload))
         end
         else if gs.eof && not gs.eof_delivered then begin
@@ -452,7 +461,7 @@ let api t =
            until every in-flight send has been acknowledged so it cannot
            overtake data. *)
         if gs.sendbuf_used > 0 then gs.close_pending <- true
-        else post_op t gs Nqe.Close ();
+        else post_ctl t gs Nqe.Close ~op_data:0;
         Epoll_core.remove t.epoll gid
   in
   let local_addr gid = Option.bind (find t gid) (fun gs -> gs.local) in
@@ -494,9 +503,9 @@ let remigrate_listeners t =
                  is wiped — the reborn listener starts clean. *)
               gs.err <- None;
               Cpu.charge (core_for t gs) ~cycles:(3.0 *. control_cycles t);
-              post_op t gs Nqe.Socket ();
-              post_op t gs Nqe.Bind ~op_data:(Nqe.pack_addr addr) ();
-              post_op t gs Nqe.Listen ~op_data:(Int64.of_int gs.backlog) ();
+              post_ctl t gs Nqe.Socket ~op_data:0;
+              post_ctl t gs Nqe.Bind ~op_data:(Nqe.pack_addr addr);
+              post_ctl t gs Nqe.Listen ~op_data:gs.backlog;
               Epoll_core.notify t.epoll gs.gid)
       | _ -> ())
     (listening_socks t)
@@ -539,7 +548,8 @@ let create ~engine ~vm_id ~cores ~device ~costs ~profile ?(mon = Nkmon.null ())
           c_send_eagain = c "send_eagain";
         };
       next_gid = 1;
+      tx = Bytes.create Nqe.size_bytes;
     }
   in
-  Nk_device.serve device ~cores ~costs ~component:instance (fun _ nqe -> apply t nqe);
+  Nk_device.serve device ~cores ~costs ~component:instance (fun _ buf pos -> apply t buf pos);
   t

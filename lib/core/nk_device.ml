@@ -1,9 +1,11 @@
 module Cpu = Sim.Cpu
 module Engine = Sim.Engine
-module Ring = Nkutil.Spsc_ring
+module Ring = Nqe_ring
 
 type role = Vm_side | Nsm_side
 
+(* A spilled NQE keeps its own copy of the 32 bytes: the producer reuses
+   its buffer as soon as [post] returns. *)
 type overflow = { q : [ `Job | `Completion | `Send | `Receive ]; qset : int; nqe : bytes }
 
 type t = {
@@ -89,36 +91,37 @@ let ring t ~qset q =
 let rec flush_overflow t =
   if not (Queue.is_empty t.overflow) then begin
     let o = Queue.peek t.overflow in
-    if Ring.push (ring t ~qset:o.qset o.q) o.nqe then begin
+    if Ring.push (ring t ~qset:o.qset o.q) o.nqe 0 then begin
       ignore (Queue.pop t.overflow);
       flush_overflow t
     end
   end
 
-let post t ~qset nqe =
-  let q = Queue_set.of_op (Nqe.View.op nqe) in
+let post t ~qset buf pos =
+  let q = Queue_set.of_op (Nqe.View.op buf pos) in
   flush_overflow t;
   Nkmon.Registry.incr t.c_posted;
   (* Device enqueue opens the ring stage of a traced request; whichever
      component dequeues it closes the stage, so ring time covers the SPSC
      wait plus any overflow spill. *)
   if Nkspan.enabled t.spans then begin
-    let span = Nqe.span_of_raw nqe in
+    let span = Nqe.View.span buf pos in
     if span > 0 then
       Nkspan.begin_stage t.spans ~id:span
         ~component:(t.instance ^ "." ^ Queue_set.queue_name q)
         "ring"
   end;
-  if (not (Queue.is_empty t.overflow)) || not (Ring.push (ring t ~qset q) nqe) then begin
+  if (not (Queue.is_empty t.overflow)) || not (Ring.push (ring t ~qset q) buf pos) then begin
     Nkmon.Registry.incr t.c_ring_full;
     if Nkmon.tracing t.mon then
       Nkmon.event t.mon
         (Nkmon.Trace.Ring_full { device = t.id; qset; queue = Queue_set.trace_queue q });
-    Queue.add { q; qset; nqe } t.overflow
+    Queue.add { q; qset; nqe = Bytes.sub buf pos Nqe.size_bytes } t.overflow
   end;
   match t.kick_ce with None -> () | Some f -> f qset
 
-let push t ~qset nqe = Ring.push (ring t ~qset (Queue_set.of_op (Nqe.View.op nqe))) nqe
+let push t ~qset buf pos =
+  Ring.push (ring t ~qset (Queue_set.of_op (Nqe.View.op buf pos))) buf pos
 
 (* Same-instant wakes coalesce: a CE dispatch burst delivering several NQEs
    to one queue set in one callback arms several wakes with the identical
@@ -130,11 +133,15 @@ let push t ~qset nqe = Ring.push (ring t ~qset (Queue_set.of_op (Nqe.View.op nqe
    two equal-time wakes only other wakes and ring pops run (all real work
    defers through [Cpu.exec] to strictly later times, and no other event
    kind is scheduled at exactly the wake latency), so nothing can slip a
-   new NQE into the queue set at that instant. *)
-let wake t engine ~qset ~at =
+   new NQE into the queue set at that instant. The event is scheduled by
+   [delay], the caller's own float, rather than by the fire time, which
+   would be a fresh box per wake: the engine computes the same [now +.
+   delay]. *)
+let wake t engine ~qset ~delay =
+  let at = Engine.now engine +. delay in
   if t.wake_armed_at.(qset) <> at then begin
     t.wake_armed_at.(qset) <- at;
-    ignore (Engine.schedule_at engine ~at t.wake_thunks.(qset))
+    ignore (Engine.schedule engine ~delay t.wake_thunks.(qset))
   end
 
 (* ---- the owner's poll loop ------------------------------------------------ *)
@@ -147,17 +154,37 @@ type owner = {
   cores : Cpu.Set.t;
   costs : Nk_costs.t;
   component : string;
-  apply : int -> Nqe.t -> unit;
+  apply : int -> bytes -> int -> unit;
   scheduled : bool array;
   (* End of the last applied burst per queue set; the VM side pays an
      interrupt when a burst finds the device idle past the polling
      window. *)
   last_active : float array;
-  (* Reusable burst buffers, per queue set because the apply loop runs
-     deferred (behind [Cpu.exec]) while another queue set may already be
-     draining. *)
-  scratch : bytes array array;
+  (* Reusable burst slot buffers, per queue set because the apply loop
+     runs deferred (behind [Cpu.exec]) while another queue set may already
+     be draining. Each starts empty and doubles as bursts need, up to
+     [width] slots. *)
+  scratch : bytes array;
+  width : int;
+  (* Per queue set: the size of the burst in flight and the preallocated
+     continuation that applies it, so a burst schedules no fresh
+     closure. *)
+  burst_len : int array;
+  mutable burst_thunks : (unit -> unit) array;
 }
+
+(* Queue set [qi]'s scratch, grown first to a slot for every NQE the
+   coming drain can take: as many as are queued, at most [width]. *)
+let scratch_for o qi s toward =
+  let need = Int.min o.width (Queue_set.inbound_length s ~toward) * Nqe.size_bytes in
+  let buf = o.scratch.(qi) in
+  if Bytes.length buf >= need then buf
+  else begin
+    let rec size b = if b >= need then b else size (2 * b) in
+    let buf = Bytes.create (Int.min (o.width * Nqe.size_bytes) (size (16 * Nqe.size_bytes))) in
+    o.scratch.(qi) <- buf;
+    buf
+  end
 
 (* One owner wakeup drains a budgeted burst from the queue set's inbound
    pair into its scratch buffer in ring order, charges poll + decode on the
@@ -170,12 +197,13 @@ type owner = {
 let rec poll o qi =
   if not o.dev.serving then o.scheduled.(qi) <- false
   else begin
-    let scratch = o.scratch.(qi) in
     let s = o.dev.qsets.(qi) in
     let n =
       match o.dev.role with
-      | Vm_side -> Queue_set.drain_into s ~toward:`Vm scratch ~budget ~shared:false
-      | Nsm_side -> Queue_set.drain_into s ~toward:`Nsm scratch ~budget ~shared:true
+      | Vm_side ->
+          Queue_set.drain_into s ~toward:`Vm (scratch_for o qi s `Vm) ~budget ~shared:false
+      | Nsm_side ->
+          Queue_set.drain_into s ~toward:`Nsm (scratch_for o qi s `Nsm) ~budget ~shared:true
     in
     if n = 0 then o.scheduled.(qi) <- false
     else begin
@@ -199,7 +227,7 @@ let rec poll o qi =
          carry a span id; the rest peek as 0. *)
       if Nkspan.enabled o.dev.spans then
         for i = 0 to n - 1 do
-          let span = Nqe.span_of_raw scratch.(i) in
+          let span = Nqe.View.span o.scratch.(qi) (i * Nqe.size_bytes) in
           Nkspan.end_stage o.dev.spans ~id:span "ring";
           match o.dev.role with
           | Vm_side ->
@@ -209,16 +237,19 @@ let rec poll o qi =
         done;
       Nkspan.enter o.dev.spans ~component:o.component
         ~stage:(match o.dev.role with Vm_side -> "poll" | Nsm_side -> "dispatch");
-      Cpu.exec core ~cycles (fun () -> apply_burst o qi n);
+      o.burst_len.(qi) <- n;
+      Cpu.exec core ~cycles o.burst_thunks.(qi);
       Nkspan.leave o.dev.spans
     end
   end
 
-and apply_burst o qi n =
+(* Every NQE is applied where it lies in the scratch; an apply that keeps
+   one copies it. *)
+and apply_burst o qi =
   let scratch = o.scratch.(qi) in
-  for i = 0 to n - 1 do
-    (* Endpoint apply needs the whole record. nklint: decode-ok *)
-    match Nqe.decode scratch.(i) with Error _ -> () | Ok nqe -> o.apply qi nqe
+  for i = 0 to o.burst_len.(qi) - 1 do
+    let pos = i * Nqe.size_bytes in
+    if Nqe.View.ok scratch pos then o.apply qi scratch pos
   done;
   o.last_active.(qi) <- Engine.now (Cpu.engine (Cpu.Set.core o.cores qi));
   poll o qi
@@ -231,7 +262,6 @@ let kick o qi =
 
 let serve t ~cores ~costs ~component apply =
   let n = Array.length t.qsets in
-  let width = match t.role with Vm_side -> 2 * budget | Nsm_side -> budget in
   let o =
     {
       dev = t;
@@ -241,31 +271,37 @@ let serve t ~cores ~costs ~component apply =
       apply;
       scheduled = Array.make n false;
       last_active = Array.make n 0.0;
-      scratch = Array.init n (fun _ -> Array.make width Bytes.empty);
+      scratch = Array.make n Bytes.empty;
+      width = (match t.role with Vm_side -> 2 * budget | Nsm_side -> budget);
+      burst_len = Array.make n 0;
+      burst_thunks = [||];
     }
   in
+  o.burst_thunks <- Array.init n (fun qi () -> apply_burst o qi);
   t.kick_owner <- Some (fun qi -> kick o qi)
 
 let stop_serving t = t.serving <- false
 
 (* ---- relay drains ---------------------------------------------------------- *)
 
-let rec pop_all ring f =
-  match Ring.pop ring with
-  | None -> ()
-  | Some raw ->
-      f raw;
-      pop_all ring f
+let rec pop_all ring buf f =
+  if Ring.pop ring buf 0 then begin
+    f buf 0;
+    pop_all ring buf f
+  end
 
+(* Each drain pops into a slot of its own, so a callback that starts
+   another drain cannot overwrite the NQE it is reading. *)
 let drain t ~qset ~toward f =
   let s = t.qsets.(qset) in
+  let buf = Bytes.create Nqe.size_bytes in
   match toward with
   | `Vm ->
-      pop_all s.Queue_set.completion f;
-      pop_all s.Queue_set.receive f
+      pop_all s.Queue_set.completion buf f;
+      pop_all s.Queue_set.receive buf f
   | `Nsm ->
-      pop_all s.Queue_set.job f;
-      pop_all s.Queue_set.send f
+      pop_all s.Queue_set.job buf f;
+      pop_all s.Queue_set.send buf f
 
 (* ---- CoreEngine's view ------------------------------------------------------ *)
 

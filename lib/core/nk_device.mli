@@ -12,7 +12,14 @@
     Outbound posting goes through a per-queue overflow buffer so a full
     ring backpressures instead of dropping (the simulated analogue of the
     producer spinning on a full lockless queue). The ring an NQE rides is
-    always {!Queue_set.of_op} of its op. *)
+    always {!Queue_set.of_op} of its op.
+
+    NQEs move by copy and nothing here allocates per NQE: {!post} and
+    {!push} copy the caller's 32 bytes into a ring slot (an overflow entry
+    keeps its own copy), the owner's poll loop drains into a slot buffer
+    per queue set, and the kick, wake and burst continuations are built
+    once. An NQE handed to an [apply] or a {!drain} callback, as a buffer
+    and a byte offset, is valid only during the call. *)
 
 type role = Vm_side | Nsm_side
 
@@ -55,32 +62,36 @@ val set_kick_owner : t -> (int -> unit) -> unit
     devices with no poll loop, such as Nkfabric's relay stub and proxy,
     which {!drain} their rings on every wake. *)
 
-val post : t -> qset:int -> bytes -> unit
-(** Owner-side enqueue of an encoded NQE on its op's ring + CE kick; spills
-    to the overflow buffer when the ring is full. *)
+val post : t -> qset:int -> bytes -> int -> unit
+(** [post t ~qset buf pos]: owner-side enqueue of the NQE at byte offset
+    [pos] of [buf] on its op's ring + CE kick; spills a copy to the
+    overflow buffer when the ring is full. [buf] is the caller's again
+    when [post] returns. *)
 
-val push : t -> qset:int -> bytes -> bool
-(** CoreEngine-side enqueue of an encoded NQE on its op's ring; [false] if
-    that ring is full (no overflow, no kick: the caller parks it and
-    {!wake}s the owner on success). *)
+val push : t -> qset:int -> bytes -> int -> bool
+(** CoreEngine-side enqueue (a copy) of the NQE at byte offset [pos] of
+    [buf] on its op's ring; [false] if that ring is full (no overflow, no
+    kick: the caller parks it and {!wake}s the owner on success). *)
 
-val wake : t -> Sim.Engine.t -> qset:int -> at:float -> unit
-(** Arm an owner wake for queue set [qset] at virtual time [at]. A wake
-    already armed for exactly [at] absorbs this one: the owner's budgeted
-    poll drains the whole same-instant burst. *)
+val wake : t -> Sim.Engine.t -> qset:int -> delay:float -> unit
+(** Arm an owner wake for queue set [qset] [delay] seconds from now. A
+    wake already armed for exactly that instant absorbs this one: the
+    owner's budgeted poll drains the whole same-instant burst. *)
 
 val serve :
   t ->
   cores:Sim.Cpu.Set.t ->
   costs:Nk_costs.t ->
   component:string ->
-  (int -> Nqe.t -> unit) ->
+  (int -> bytes -> int -> unit) ->
   unit
 (** Install the owner's budgeted poll loop. On a wake of queue set [i] the
-    loop drains a burst from [i]'s inbound rings, charges poll + one
-    [nqe_decode] per NQE on core [i] of [cores], then decodes and applies
-    each NQE there ([apply i nqe]) and polls again until a drain comes
-    back empty. The device role sets the rest:
+    loop drains a burst from [i]'s inbound rings into [i]'s slot buffer,
+    charges poll + one [nqe_decode] per NQE on core [i] of [cores], then
+    applies each NQE there where it lies ([apply i buf pos], reading
+    through {!Nqe.View}; an NQE with an unknown opcode is skipped) and
+    polls again until a drain comes back empty. The device role sets the
+    rest:
     - [Vm_side] (GuestLib): up to 64 completions, then up to 64 receive
       events; [guest_poll], plus [guest_interrupt] when the queue set had
       been idle for more than [guest_idle_window] (§4.6); span stage
@@ -94,11 +105,12 @@ val stop_serving : t -> unit
 (** The owner died: its poll loop drains nothing more (a burst already
     handed to [apply] still completes). *)
 
-val drain : t -> qset:int -> toward:[ `Vm | `Nsm ] -> (bytes -> unit) -> unit
+val drain : t -> qset:int -> toward:[ `Vm | `Nsm ] -> (bytes -> int -> unit) -> unit
 (** Synchronously pop the pair of rings flowing toward one side — completion
     then receive for [`Vm], job then send for [`Nsm] — handing each NQE to
-    [f]: the first ring completely, then the second. [f] must not push into
-    the rings being drained. The overflow buffer is left alone. *)
+    [f] as a buffer and byte offset: the first ring completely, then the
+    second. [f] must not push into the rings being drained, and copies any
+    NQE it keeps past the call. The overflow buffer is left alone. *)
 
 val flush_overflow : t -> unit
 (** Move spilled NQEs into their rings as space allows (CoreEngine calls

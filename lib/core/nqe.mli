@@ -1,10 +1,18 @@
 (** NetKernel Queue Elements — the fixed 32-byte socket-semantics units.
 
     This is the paper's Figure 3 laid out for real: every socket operation
-    and every result crossing the VM/NSM boundary is marshalled into 32
-    bytes, transmitted through the lockless queues and switched by
-    CoreEngine. The codec is an actual binary serializer over [bytes] so
-    the Fig 11 microbenchmark measures genuine encode/switch/decode work.
+    and every result crossing the VM/NSM boundary is 32 bytes in a slot of
+    a lockless queue ({!Nqe_ring}), switched by CoreEngine with a copy.
+    There is no host record behind an NQE: a producer writes its fields
+    straight into a 32-byte buffer with {!write}, the rings copy slots, and
+    a consumer reads the fields where they lie through {!View}. The record
+    codec the tests, Fig 11 and the benchmarks use as an independent
+    reference lives outside the datapath, in [Nqe_codec].
+
+    An NQE is named by a buffer and the byte offset of its slot. One handed
+    to a callback (an owner's apply, a drain callback, a VM forwarder) is
+    valid only during the call: the slot is reused by the next drain, so a
+    callee that keeps an NQE copies its 32 bytes.
 
     Layout (little-endian):
     {v
@@ -43,18 +51,6 @@ type op =
 
 val op_to_string : op -> string
 
-type t = {
-  op : op;
-  vm_id : int;  (** 0–255 *)
-  qset : int;  (** queue-set id; {!qset_unassigned} lets CoreEngine pick *)
-  sock : int;  (** VM socket id (GuestLib- or NSM-allocated) *)
-  op_data : int64;
-  data_ptr : int;  (** hugepage offset for Send / Ev_data *)
-  size : int;
-  synthetic : bool;  (** payload is content-free filler *)
-  span : int;  (** Nkspan span id carried end-to-end; 0 = untraced *)
-}
-
 val qset_unassigned : int
 (** Placed in [qset] by the NSM for events with no VM-side history
     (e.g. [Ev_accept]); CoreEngine then picks the target queue set. *)
@@ -74,69 +70,80 @@ val conn_key_sock : int -> int
 val size_bytes : int
 (** 32. *)
 
-val make :
-  op:op -> vm_id:int -> qset:int -> sock:int -> ?op_data:int64 -> ?data_ptr:int ->
-  ?size:int -> ?synthetic:bool -> ?span:int -> unit -> t
+val op_to_byte : op -> int
+(** The op's wire byte. *)
 
-val encode : t -> bytes
-(** Always returns a fresh 32-byte buffer. *)
+val op_of_byte : int -> op option
+(** The op a wire byte names; [None] for a byte no op uses. *)
 
-val decode : bytes -> (t, string) result
+val write :
+  bytes ->
+  pos:int ->
+  op:op ->
+  vm_id:int ->
+  qset:int ->
+  sock:int ->
+  op_data:int ->
+  data_ptr:int ->
+  size:int ->
+  synthetic:bool ->
+  span:int ->
+  unit
+(** [write buf ~pos ...] lays one NQE out in [buf] from byte [pos] (which
+    must leave room for {!size_bytes}). The one writer every producer
+    uses: every field is given, every field is an immediate, and nothing
+    is allocated. [vm_id] and [qset] keep their low byte, [sock], [size]
+    and [span] their low 32 bits. *)
 
-val span_of_raw : bytes -> int
-(** Peek the span id of an encoded NQE without a full decode (for
-    batch-dispatch loops that only need to open a stage). 0 on short
-    buffers. *)
+(** Zero-allocation accessors over the NQE at byte offset [pos] of [buf].
 
-(** Zero-allocation accessors over an encoded NQE.
+    The datapath reads every field it needs here, as unboxed ints, so
+    switching and applying an NQE never allocates. Every accessor agrees
+    with the reference decoder field for field (test_nqe.ml checks them
+    against each other across all opcodes and field bounds).
 
-    The hot path (CoreEngine switching, queue-set routing, Nsm_shmem
-    dispatch) reads at most a few fields per record; these read them
-    directly from the wire bytes as unboxed ints, so switching never
-    allocates a {!t} record. [decode] remains the reference codec for
-    tests, tracing, and cold paths — every accessor here must agree with
-    it field-for-field (enforced by test_nqe.ml across all opcodes).
-
-    All accessors except {!View.ok} assume a well-formed buffer:
-    [Bytes.length raw >= size_bytes]. Call {!View.ok} first on untrusted
-    input; {!View.op} raises [Invalid_argument] on an unknown opcode. *)
+    All accessors except {!View.ok} assume a well-formed slot: [pos >= 0]
+    and [pos + size_bytes <= Bytes.length buf]. Call {!View.ok} first on
+    untrusted input; {!View.op} raises [Invalid_argument] on an unknown
+    opcode. *)
 module View : sig
-  val ok : bytes -> bool
-  (** Length and opcode check — the raw-record analogue of
-      [decode raw |> Result.is_ok]. *)
+  val ok : bytes -> int -> bool
+  (** Bounds and opcode check. *)
 
-  val op : bytes -> op
+  val op : bytes -> int -> op
 
-  val vm_id : bytes -> int
+  val vm_id : bytes -> int -> int
 
-  val qset : bytes -> int
+  val qset : bytes -> int -> int
 
-  val set_qset : bytes -> int -> unit
+  val set_qset : bytes -> int -> int -> unit
   (** In-place queue-set patch, used when CoreEngine assigns a queue set
       to an NSM-originated event ({!qset_unassigned}). *)
 
-  val sock : bytes -> int
+  val sock : bytes -> int -> int
 
-  val op_data : bytes -> int64
+  val op_data : bytes -> int -> int
 
-  val data_ptr : bytes -> int
+  val data_ptr : bytes -> int -> int
 
-  val size : bytes -> int
+  val size : bytes -> int -> int
 
-  val synthetic : bytes -> bool
+  val synthetic : bytes -> int -> bool
 
-  val span : bytes -> int
+  val span : bytes -> int -> int
 end
 
 (** {1 Field packing helpers} *)
 
-val pack_addr : Addr.t -> int64
+val pack_addr : Addr.t -> int
+(** The address in op_data's low 48 bits: the IP below bit 32, the port
+    above. *)
 
-val unpack_addr : int64 -> Addr.t
+val unpack_addr : int -> Addr.t
 
-val err_code : Tcpstack.Types.err -> int64
+val err_code : Tcpstack.Types.err -> int
 
-val err_of_code : int64 -> Tcpstack.Types.err option
+val err_of_code : int -> Tcpstack.Types.err option
 (** [None] for 0 (success). *)
 
-val ok_code : int64
+val ok_code : int

@@ -59,7 +59,7 @@ val export_vm : t -> vm_id:int -> Servicelib.vm_export option
 
 val import_vm : t -> Servicelib.vm_export -> hugepages:Hugepages.t -> ips:Addr.ip list -> unit
 
-val set_vm_forwarder : t -> vm_id:int -> (Nqe.t -> unit) -> unit
+val set_vm_forwarder : t -> vm_id:int -> (bytes -> int -> unit) -> unit
 
 val release_vm_ips : t -> ips:Addr.ip list -> unit
 (** Disown the migrated VM's IPs on the backend stack so stray in-flight

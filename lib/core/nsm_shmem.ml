@@ -50,6 +50,7 @@ type t = {
   spans : Nkspan.t;
   instance : string;
   ctr : counters;
+  tx : bytes; (* the slot every reply NQE is written into, then posted *)
 }
 
 let register_vm t ~vm_id ~hugepages ~ips =
@@ -58,15 +59,26 @@ let register_vm t ~vm_id ~hugepages ~ips =
 
 (* ---- replies ------------------------------------------------------------- *)
 
-let post t (ep : endpoint) op ?op_data ?data_ptr ?size ?synthetic ?span () =
-  Cpu.charge (Cpu.Set.core t.cores ep.nsm_qset) ~cycles:t.costs.Nk_costs.nqe_encode;
-  Nk_device.post t.device ~qset:ep.nsm_qset
-    (Nqe.encode
-       (Nqe.make ~op ~vm_id:ep.ep_vm.vm_id ~qset:ep.vm_qset ~sock:ep.ep_gid ?op_data
-          ?data_ptr ?size ?synthetic ?span ()))
+(* Charge the encode, write the NQE into [t.tx] and post it on queue set
+   [qset]. *)
+let emit t ~qset op ~vm_id ~vm_qset ~sock ~op_data ~data_ptr ~size ~synthetic ~span =
+  Cpu.charge (Cpu.Set.core t.cores qset) ~cycles:t.costs.Nk_costs.nqe_encode;
+  Nqe.write t.tx ~pos:0 ~op ~vm_id ~qset:vm_qset ~sock ~op_data ~data_ptr ~size ~synthetic
+    ~span;
+  Nk_device.post t.device ~qset t.tx 0
+
+let post t (ep : endpoint) op ~op_data ~data_ptr ~size ~synthetic ~span =
+  emit t ~qset:ep.nsm_qset op ~vm_id:ep.ep_vm.vm_id ~vm_qset:ep.vm_qset ~sock:ep.ep_gid
+    ~op_data ~data_ptr ~size ~synthetic ~span
 
 let post_result t ep op err =
-  post t ep op ~op_data:(match err with None -> Nqe.ok_code | Some e -> Nqe.err_code e) ()
+  post t ep op
+    ~op_data:(match err with None -> Nqe.ok_code | Some e -> Nqe.err_code e)
+    ~data_ptr:0 ~size:0 ~synthetic:false ~span:0
+
+(* Return a sent extent to its VM. *)
+let post_comp_send t ep ~data_ptr ~size ~span =
+  post t ep Nqe.Comp_send ~op_data:0 ~data_ptr ~size ~synthetic:false ~span
 
 (* ---- data movement --------------------------------------------------------- *)
 
@@ -77,14 +89,15 @@ let rec drain t (src : endpoint) (dst : endpoint) =
   | None ->
       if src.closed && not dst.eof_sent then begin
         dst.eof_sent <- true;
-        if not dst.closed then post t dst Nqe.Ev_eof ()
+        if not dst.closed then
+          post t dst Nqe.Ev_eof ~op_data:0 ~data_ptr:0 ~size:0 ~synthetic:false ~span:0
       end
   | Some p ->
       if dst.closed then begin
         (* Peer is gone: return the extents to the sender. *)
         ignore (Queue.pop src.outbox);
-        post t src Nqe.Comp_send ~data_ptr:p.extent.Hugepages.offset
-          ~size:p.extent.Hugepages.len ~span:p.pd_span ();
+        post_comp_send t src ~data_ptr:p.extent.Hugepages.offset
+          ~size:p.extent.Hugepages.len ~span:p.pd_span;
         Nkspan.end_stage t.spans ~id:p.pd_span "servicelib";
         drain t src dst
       end
@@ -106,10 +119,10 @@ let rec drain t (src : endpoint) (dst : endpoint) =
                 ~cycles:(float_of_int len *. copy_cycles_per_byte);
               Nkmon.Registry.add t.ctr.c_bytes_copied len;
               dst.credit_used <- dst.credit_used + len;
-              post t dst Nqe.Ev_data ~data_ptr:dst_extent.Hugepages.offset ~size:len
-                ~synthetic:p.synthetic ();
-              post t src Nqe.Comp_send ~data_ptr:p.extent.Hugepages.offset ~size:len
-                ~span:p.pd_span ();
+              post t dst Nqe.Ev_data ~op_data:0 ~data_ptr:dst_extent.Hugepages.offset
+                ~size:len ~synthetic:p.synthetic ~span:0;
+              post_comp_send t src ~data_ptr:p.extent.Hugepages.offset ~size:len
+                ~span:p.pd_span;
               Nkspan.end_stage t.spans ~id:p.pd_span "servicelib";
               drain t src dst
       end
@@ -132,31 +145,35 @@ let fresh_endpoint vm ~gid ~nsm_qset ~vm_qset =
 
 (* The NQE's endpoint; a Socket NQE creates it. Raises [Not_found] for a
    socket this NSM never saw. *)
-let lookup_or_create t vm (nqe : Nqe.t) ~qset_idx =
-  let key = Nqe.conn_key ~vm_id:vm.vm_id ~sock:nqe.Nqe.sock in
+let lookup_or_create t vm ~op ~sock ~qset ~qset_idx =
+  let key = Nqe.conn_key ~vm_id:vm.vm_id ~sock in
   match Int_tbl.find t.socks key with
   | ep ->
-      ep.vm_qset <- nqe.Nqe.qset;
+      ep.vm_qset <- qset;
       ep
   | exception Not_found ->
-      if nqe.Nqe.op <> Nqe.Socket then raise Not_found;
-      let ep =
-        fresh_endpoint vm ~gid:nqe.Nqe.sock ~nsm_qset:qset_idx ~vm_qset:nqe.Nqe.qset
-      in
+      if op <> Nqe.Socket then raise Not_found;
+      let ep = fresh_endpoint vm ~gid:sock ~nsm_qset:qset_idx ~vm_qset:qset in
       Int_tbl.replace t.socks key ep;
       ep
 
-let apply t qset_idx (nqe : Nqe.t) =
-  match Int_tbl.find t.vms nqe.Nqe.vm_id with
+(* Apply the NQE at byte offset [pos] of [buf], reading its fields in
+   place; nothing here keeps the slot. *)
+let apply t qset_idx buf pos =
+  match Int_tbl.find t.vms (Nqe.View.vm_id buf pos) with
   | exception Not_found -> ()
   | vm -> (
-      match lookup_or_create t vm nqe ~qset_idx with
+      let op = Nqe.View.op buf pos in
+      match
+        lookup_or_create t vm ~op ~sock:(Nqe.View.sock buf pos) ~qset:(Nqe.View.qset buf pos)
+          ~qset_idx
+      with
       | exception Not_found -> ()
       | ep -> (
-          match nqe.Nqe.op with
+          match op with
           | Nqe.Socket -> post_result t ep Nqe.Comp_socket None
           | Nqe.Bind ->
-              ep.bound <- Some (Nqe.unpack_addr nqe.Nqe.op_data);
+              ep.bound <- Some (Nqe.unpack_addr (Nqe.View.op_data buf pos));
               post_result t ep Nqe.Comp_bind None
           | Nqe.Listen -> (
               match ep.bound with
@@ -166,7 +183,7 @@ let apply t qset_idx (nqe : Nqe.t) =
                     { l_vm = vm; l_gid = ep.ep_gid; l_ep = ep };
                   post_result t ep Nqe.Comp_listen None)
           | Nqe.Connect -> (
-              let dst = Nqe.unpack_addr nqe.Nqe.op_data in
+              let dst = Nqe.unpack_addr (Nqe.View.op_data buf pos) in
               match Endpoint_table.find_opt t.listeners dst with
               | None -> post_result t ep Nqe.Comp_connect (Some Types.Econnrefused)
               | Some l ->
@@ -188,31 +205,25 @@ let apply t qset_idx (nqe : Nqe.t) =
                   server.peer <- Some ep;
                   Nkmon.Registry.incr t.ctr.c_conns;
                   (* Announce the connection to the listener's VM. *)
-                  Cpu.charge
-                    (Cpu.Set.core t.cores server.nsm_qset)
-                    ~cycles:t.costs.Nk_costs.nqe_encode;
-                  Nk_device.post t.device ~qset:server.nsm_qset
-                    (Nqe.encode
-                       (Nqe.make ~op:Nqe.Ev_accept ~vm_id:l.l_vm.vm_id
-                          ~qset:Nqe.qset_unassigned ~sock:l.l_gid
-                          ~op_data:
-                            (Nqe.pack_addr
-                               (match ep.bound with
-                               | Some a -> a
-                               | None -> Addr.make vm.vm_id 0))
-                          ~size:sgid ()));
+                  emit t ~qset:server.nsm_qset Nqe.Ev_accept ~vm_id:l.l_vm.vm_id
+                    ~vm_qset:Nqe.qset_unassigned ~sock:l.l_gid
+                    ~op_data:
+                      (Nqe.pack_addr
+                         (match ep.bound with Some a -> a | None -> Addr.make vm.vm_id 0))
+                    ~data_ptr:0 ~size:sgid ~synthetic:false ~span:0;
                   post_result t ep Nqe.Comp_connect None)
           | Nqe.Send -> (
               Queue.add
                 {
-                  extent = { Hugepages.offset = nqe.Nqe.data_ptr; len = nqe.Nqe.size };
-                  synthetic = nqe.Nqe.synthetic;
-                  pd_span = nqe.Nqe.span;
+                  extent =
+                    { Hugepages.offset = Nqe.View.data_ptr buf pos; len = Nqe.View.size buf pos };
+                  synthetic = Nqe.View.synthetic buf pos;
+                  pd_span = Nqe.View.span buf pos;
                 }
                 ep.outbox;
               match ep.peer with Some peer -> drain t ep peer | None -> ())
           | Nqe.Recv_done -> (
-              ep.credit_used <- Int.max 0 (ep.credit_used - nqe.Nqe.size);
+              ep.credit_used <- Int.max 0 (ep.credit_used - Nqe.View.size buf pos);
               match ep.peer with Some peer -> drain t peer ep | None -> ())
           | Nqe.Close ->
               ep.closed <- true;
@@ -228,8 +239,8 @@ let apply t qset_idx (nqe : Nqe.t) =
                   (* Anything the peer still owes us can be dropped. *)
                   Queue.iter
                     (fun p ->
-                      post t peer Nqe.Comp_send ~data_ptr:p.extent.Hugepages.offset
-                        ~size:p.extent.Hugepages.len ~span:p.pd_span ();
+                      post_comp_send t peer ~data_ptr:p.extent.Hugepages.offset
+                        ~size:p.extent.Hugepages.len ~span:p.pd_span;
                       Nkspan.end_stage t.spans ~id:p.pd_span "servicelib")
                     peer.outbox;
                   Queue.clear peer.outbox
@@ -256,6 +267,7 @@ let create ~engine ~device ~cores ~costs ?(mon = Nkmon.null ()) ?(spans = Nkspan
       spans;
       instance;
       ctr = { c_bytes_copied = c "bytes_copied"; c_conns = c "conns" };
+      tx = Bytes.create Nqe.size_bytes;
     }
   in
   Nk_device.serve device ~cores ~costs ~component:instance (apply t);

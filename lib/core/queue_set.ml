@@ -1,4 +1,4 @@
-type queue = bytes Nkutil.Spsc_ring.t
+type queue = Nqe_ring.t
 
 type t = {
   job : queue;
@@ -9,10 +9,10 @@ type t = {
 
 let create ?(capacity = 8192) () =
   {
-    job = Nkutil.Spsc_ring.create ~capacity;
-    completion = Nkutil.Spsc_ring.create ~capacity;
-    send = Nkutil.Spsc_ring.create ~capacity;
-    receive = Nkutil.Spsc_ring.create ~capacity;
+    job = Nqe_ring.create ~capacity;
+    completion = Nqe_ring.create ~capacity;
+    send = Nqe_ring.create ~capacity;
+    receive = Nqe_ring.create ~capacity;
   }
 
 let of_op = function
@@ -35,16 +35,21 @@ let trace_queue = function
   | `Send -> Nkmon.Trace.Send
   | `Receive -> Nkmon.Trace.Receive
 
-let drain_into t ~toward buf ~budget ~shared =
-  let r1, r2 =
-    match toward with `Vm -> (t.completion, t.receive) | `Nsm -> (t.job, t.send)
-  in
-  let n1 = Nkutil.Spsc_ring.pop_slice r1 buf ~pos:0 ~max:budget in
+let inbound_length t ~toward =
+  match toward with
+  | `Vm -> Nqe_ring.length t.completion + Nqe_ring.length t.receive
+  | `Nsm -> Nqe_ring.length t.job + Nqe_ring.length t.send
+
+let drain_pair r1 r2 buf ~budget ~shared =
+  let n1 = Nqe_ring.pop_slice r1 buf ~slot:0 ~max:budget in
   let b2 = if shared then budget - n1 else budget in
-  n1 + Nkutil.Spsc_ring.pop_slice r2 buf ~pos:n1 ~max:b2
+  n1 + Nqe_ring.pop_slice r2 buf ~slot:n1 ~max:b2
+
+let drain_into t ~toward buf ~budget ~shared =
+  match toward with
+  | `Vm -> drain_pair t.completion t.receive buf ~budget ~shared
+  | `Nsm -> drain_pair t.job t.send buf ~budget ~shared
 
 let total_queued t =
-  Nkutil.Spsc_ring.length t.job
-  + Nkutil.Spsc_ring.length t.completion
-  + Nkutil.Spsc_ring.length t.send
-  + Nkutil.Spsc_ring.length t.receive
+  Nqe_ring.length t.job + Nqe_ring.length t.completion + Nqe_ring.length t.send
+  + Nqe_ring.length t.receive

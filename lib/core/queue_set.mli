@@ -1,12 +1,14 @@
 (** One queue set of an NK device (paper §4.2).
 
-    Four independent single-producer/single-consumer rings of encoded NQEs:
-    {e job} for control operations from the VM, {e completion} for their
-    results, {e send} for data-carrying operations, and {e receive} for
-    events of newly received data. Each ring is shared memory with the
-    CoreEngine, which is what keeps them lockless. *)
+    Four independent single-producer/single-consumer rings of NQEs, each
+    holding its NQEs as 32-byte slots ({!Nqe_ring}): {e job} for control
+    operations from the VM, {e completion} for their results, {e send} for
+    data-carrying operations, and {e receive} for events of newly received
+    data. Each ring is shared memory with the CoreEngine, which is what
+    keeps them lockless. NQEs enter and leave every ring by copy, and no
+    ring allocates a slot before its first push. *)
 
-type queue = bytes Nkutil.Spsc_ring.t
+type queue = Nqe_ring.t
 
 type t = {
   job : queue;
@@ -30,15 +32,17 @@ val queue_name : [ `Job | `Completion | `Send | `Receive ] -> string
 val trace_queue : [ `Job | `Completion | `Send | `Receive ] -> Nkmon.Trace.queue
 (** The same ring as an Nkmon trace-event field. *)
 
-val drain_into :
-  t -> toward:[ `Vm | `Nsm ] -> bytes array -> budget:int -> shared:bool -> int
+val inbound_length : t -> toward:[ `Vm | `Nsm ] -> int
+(** NQEs queued in the pair of rings flowing toward one side. *)
+
+val drain_into : t -> toward:[ `Vm | `Nsm ] -> bytes -> budget:int -> shared:bool -> int
 (** Burst-drain the pair of rings flowing toward one side into a reusable
-    scratch buffer, returning how many records were written from index 0:
+    slot buffer, returning how many NQEs were copied from slot 0:
     completion then receive for [`Vm] (GuestLib's inbound pair), job then
     send for [`Nsm]. Ring pop order is preserved, first ring's records
     first. [budget] bounds the first ring's take; with [shared:true] the
     second ring gets the remainder ([budget - n1], one burst across the
     pair), with [shared:false] it gets its own full [budget]. The buffer
-    must hold [budget] ([shared]) or [2 * budget] records. *)
+    must have a slot for every NQE the drain can take. *)
 
 val total_queued : t -> int

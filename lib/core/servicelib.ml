@@ -59,7 +59,7 @@ type t = {
   costs : Nk_costs.t;
   pressure : Sim.Pressure.t;
   vms : vm_ctx Int_tbl.t;
-  vm_forwarders : (Nqe.t -> unit) Int_tbl.t;
+  vm_forwarders : (bytes -> int -> unit) Int_tbl.t;
       (* per-VM hooks for NQEs that were drained before the VM migrated
          away but applied after; they ship to the destination NSM *)
   mon : Nkmon.t;
@@ -67,6 +67,7 @@ type t = {
   instance : string;
   ctr : counters;
   mutable dead : bool; (* crashed: no NQEs in or out, ever again *)
+  tx : bytes; (* the slot every reply NQE is written into, then posted *)
 }
 
 let stats t =
@@ -85,19 +86,30 @@ let core_index t core =
 
 (* ---- NQE replies --------------------------------------------------------- *)
 
-let post t (ss : ssock) op ?op_data ?data_ptr ?size ?synthetic ?span () =
-  if not t.dead then begin
-    Nkmon.Registry.incr t.ctr.c_nqes_tx;
-    Cpu.charge (Cpu.Set.core t.cores ss.nsm_qset) ~cycles:t.costs.Nk_costs.nqe_encode;
-    Nk_device.post t.device ~qset:ss.nsm_qset
-      (Nqe.encode
-         (Nqe.make ~op ~vm_id:ss.vm.vm_id ~qset:ss.vm_qset ~sock:ss.gid ?op_data ?data_ptr
-            ?size ?synthetic ?span ()))
-  end
+(* Charge the encode, write the NQE into [t.tx] and post it on queue set
+   [qset]. *)
+let emit t ~qset op ~vm_id ~vm_qset ~sock ~op_data ~data_ptr ~size ~synthetic ~span =
+  Nkmon.Registry.incr t.ctr.c_nqes_tx;
+  Cpu.charge (Cpu.Set.core t.cores qset) ~cycles:t.costs.Nk_costs.nqe_encode;
+  Nqe.write t.tx ~pos:0 ~op ~vm_id ~qset:vm_qset ~sock ~op_data ~data_ptr ~size ~synthetic
+    ~span;
+  Nk_device.post t.device ~qset t.tx 0
+
+let post t (ss : ssock) op ~op_data ~data_ptr ~size ~synthetic ~span =
+  if not t.dead then
+    emit t ~qset:ss.nsm_qset op ~vm_id:ss.vm.vm_id ~vm_qset:ss.vm_qset ~sock:ss.gid ~op_data
+      ~data_ptr ~size ~synthetic ~span
+
+(* A result or event with no payload: only op_data. *)
+let post_event t ss op ~op_data =
+  post t ss op ~op_data ~data_ptr:0 ~size:0 ~synthetic:false ~span:0
 
 let post_result t ss op err =
-  let op_data = match err with None -> Nqe.ok_code | Some e -> Nqe.err_code e in
-  post t ss op ~op_data ()
+  post_event t ss op ~op_data:(match err with None -> Nqe.ok_code | Some e -> Nqe.err_code e)
+
+(* Return a send extent to the VM. *)
+let post_comp_send t ss ~data_ptr ~size ~span =
+  post t ss Nqe.Comp_send ~op_data:0 ~data_ptr ~size ~synthetic:false ~span
 
 (* ---- send path ------------------------------------------------------------ *)
 
@@ -143,8 +155,8 @@ let rec pump_send t ss =
                       p.off <- p.off + n;
                       if p.off >= p.extent.Hugepages.len then begin
                         ignore (Queue.pop ss.sendq);
-                        post t ss Nqe.Comp_send ~data_ptr:p.extent.Hugepages.offset
-                          ~size:p.extent.Hugepages.len ~span:p.p_span ();
+                        post_comp_send t ss ~data_ptr:p.extent.Hugepages.offset
+                          ~size:p.extent.Hugepages.len ~span:p.p_span;
                         Nkspan.end_stage t.spans ~id:p.p_span "servicelib"
                       end;
                       go ()
@@ -162,8 +174,8 @@ and flush_sendq t ss =
     match Queue.pop ss.sendq with
     | exception Queue.Empty -> ()
     | p ->
-        post t ss Nqe.Comp_send ~data_ptr:p.extent.Hugepages.offset
-          ~size:p.extent.Hugepages.len ~span:p.p_span ();
+        post_comp_send t ss ~data_ptr:p.extent.Hugepages.offset
+          ~size:p.extent.Hugepages.len ~span:p.p_span;
         loop ()
   in
   loop ()
@@ -204,7 +216,7 @@ let rec pump_recv t ss =
                         Hugepages.free ss.vm.hugepages extent;
                         if not ss.eof_sent then begin
                           ss.eof_sent <- true;
-                          post t ss Nqe.Ev_eof ()
+                          post_event t ss Nqe.Ev_eof ~op_data:0
                         end;
                         ss.recv_pumping <- false
                     | Ok payload ->
@@ -220,8 +232,8 @@ let rec pump_recv t ss =
                             +. t.costs.Nk_costs.hugepage_alloc);
                         ss.recv_credit_used <- ss.recv_credit_used + n;
                         Nkmon.Registry.add t.ctr.c_bytes_to_vm n;
-                        post t ss Nqe.Ev_data ~data_ptr:extent.Hugepages.offset ~size:n
-                          ~synthetic ();
+                        post t ss Nqe.Ev_data ~op_data:0 ~data_ptr:extent.Hugepages.offset
+                          ~size:n ~synthetic ~span:0;
                         go ()
                     | Error Types.Eagain ->
                         Hugepages.free ss.vm.hugepages extent;
@@ -231,7 +243,7 @@ let rec pump_recv t ss =
                         ss.recv_pumping <- false;
                         if not ss.err_sent then begin
                           ss.err_sent <- true;
-                          post t ss Nqe.Ev_err ~op_data:(Nqe.err_code e) ()
+                          post_event t ss Nqe.Ev_err ~op_data:(Nqe.err_code e)
                         end)
           end
         in
@@ -252,7 +264,7 @@ let on_conn_event t ss (ev : Types.events) =
               if not ss.err_sent then begin
                 ss.err_sent <- true;
                 flush_sendq t ss;
-                post t ss Nqe.Ev_err ~op_data:(Nqe.err_code e) ()
+                post_event t ss Nqe.Ev_err ~op_data:(Nqe.err_code e)
               end
           | None -> ())
       | None -> ());
@@ -302,30 +314,41 @@ let on_accept t vm (lsock : ssock) conn ~peer =
   wire_conn t ss conn;
   (* Announce the pipelined accept: the VM learns the new socket id through
      the size field, the peer address through op_data. *)
-  Nkmon.Registry.incr t.ctr.c_nqes_tx;
-  Cpu.charge (Cpu.Set.core t.cores ss.nsm_qset) ~cycles:t.costs.Nk_costs.nqe_encode;
-  Nk_device.post t.device ~qset:ss.nsm_qset
-    (Nqe.encode
-       (Nqe.make ~op:Nqe.Ev_accept ~vm_id:vm.vm_id ~qset:Nqe.qset_unassigned
-          ~sock:lsock.gid ~op_data:(Nqe.pack_addr peer) ~size:gid ()))
+  emit t ~qset:ss.nsm_qset Nqe.Ev_accept ~vm_id:vm.vm_id ~vm_qset:Nqe.qset_unassigned
+    ~sock:lsock.gid ~op_data:(Nqe.pack_addr peer) ~data_ptr:0 ~size:gid ~synthetic:false
+    ~span:0
 
 (* ---- NQE dispatch ---------------------------------------------------------------- *)
 
 (* The NQE's socket; a Socket NQE creates it. Raises [Not_found] for a
    socket this NSM never saw. *)
-let lookup_or_create vm (nqe : Nqe.t) =
-  match Int_tbl.find vm.socks nqe.Nqe.sock with
+let lookup_or_create vm ~op ~sock ~qset =
+  match Int_tbl.find vm.socks sock with
   | ss ->
-      ss.vm_qset <- nqe.Nqe.qset;
+      ss.vm_qset <- qset;
       ss
   | exception Not_found ->
-      if nqe.Nqe.op <> Nqe.Socket then raise Not_found;
-      let ss = fresh_ssock vm ~gid:nqe.Nqe.sock ~qset:nqe.Nqe.qset in
-      Int_tbl.replace vm.socks nqe.Nqe.sock ss;
+      if op <> Nqe.Socket then raise Not_found;
+      let ss = fresh_ssock vm ~gid:sock ~qset in
+      Int_tbl.replace vm.socks sock ss;
       ss
 
-let apply t qset_idx (nqe : Nqe.t) =
+(* A socket this NSM never saw — e.g. an NQE re-routed here after the
+   socket's original NSM crashed. Complete it with an error so the VM never
+   waits on a reply that cannot come; the reply echoes data_ptr/size so
+   GuestLib reclaims a Send's payload extent. *)
+let reply_unknown t qset_idx buf pos op ~op_data =
+  emit t ~qset:qset_idx op ~vm_id:(Nqe.View.vm_id buf pos) ~vm_qset:(Nqe.View.qset buf pos)
+    ~sock:(Nqe.View.sock buf pos) ~op_data ~data_ptr:(Nqe.View.data_ptr buf pos)
+    ~size:(Nqe.View.size buf pos) ~synthetic:false ~span:(Nqe.View.span buf pos)
+
+(* Apply the NQE at byte offset [pos] of [buf], reading its fields in
+   place; a forwarder that ships it copies it. *)
+let apply t qset_idx buf pos =
   Nkmon.Registry.incr t.ctr.c_nqes_rx;
+  let op = Nqe.View.op buf pos in
+  let vm_id = Nqe.View.vm_id buf pos in
+  let sock = Nqe.View.sock buf pos in
   if Nkmon.tracing t.mon then
     Nkmon.event t.mon
       (Nkmon.Trace.Nqe_deliver
@@ -333,45 +356,36 @@ let apply t qset_idx (nqe : Nqe.t) =
            component = "servicelib";
            instance = t.instance;
            qset = qset_idx;
-           op = Nqe.op_to_string nqe.Nqe.op;
-           vm_id = nqe.Nqe.vm_id;
-           sock = nqe.Nqe.sock;
+           op = Nqe.op_to_string op;
+           vm_id;
+           sock;
          });
-  match Int_tbl.find t.vms nqe.Nqe.vm_id with
+  match Int_tbl.find t.vms vm_id with
   | exception Not_found -> (
       (* The VM migrated away between this NQE's drain and its apply (the
          scratch window): forward it to wherever the VM's stack now lives
          instead of dropping or error-replying. *)
-      match Int_tbl.find_opt t.vm_forwarders nqe.Nqe.vm_id with
-      | Some forward -> forward nqe
-      | None -> ())
+      match Int_tbl.find t.vm_forwarders vm_id with
+      | forward -> forward buf pos
+      | exception Not_found -> ())
   | vm -> (
-      match lookup_or_create vm nqe with
+      match lookup_or_create vm ~op ~sock ~qset:(Nqe.View.qset buf pos) with
       | exception Not_found -> (
-          (* A socket this NSM never saw — e.g. an NQE re-routed here after
-             the socket's original NSM crashed. Complete it with an error so
-             the VM never waits on a reply that cannot come; the Send reply
-             echoes data_ptr/size so GuestLib reclaims the payload extent. *)
-          let reply op ~op_data =
-            Nkmon.Registry.incr t.ctr.c_nqes_tx;
-            Cpu.charge (Cpu.Set.core t.cores qset_idx) ~cycles:t.costs.Nk_costs.nqe_encode;
-            Nk_device.post t.device ~qset:qset_idx
-              (Nqe.encode
-                 (Nqe.make ~op ~vm_id:nqe.Nqe.vm_id ~qset:nqe.Nqe.qset ~sock:nqe.Nqe.sock
-                    ~op_data ~data_ptr:nqe.Nqe.data_ptr ~size:nqe.Nqe.size
-                    ~span:nqe.Nqe.span ()))
-          in
-          match nqe.Nqe.op with
-          | Nqe.Send -> reply Nqe.Comp_send ~op_data:(Nqe.err_code Types.Econnreset)
-          | Nqe.Close -> reply Nqe.Comp_close ~op_data:Nqe.ok_code
-          | Nqe.Connect -> reply Nqe.Comp_connect ~op_data:(Nqe.err_code Types.Econnreset)
+          match op with
+          | Nqe.Send ->
+              reply_unknown t qset_idx buf pos Nqe.Comp_send
+                ~op_data:(Nqe.err_code Types.Econnreset)
+          | Nqe.Close -> reply_unknown t qset_idx buf pos Nqe.Comp_close ~op_data:Nqe.ok_code
+          | Nqe.Connect ->
+              reply_unknown t qset_idx buf pos Nqe.Comp_connect
+                ~op_data:(Nqe.err_code Types.Econnreset)
           | _ -> ())
       | ss -> (
           if ss.conn = None && ss.listener = None then ss.nsm_qset <- qset_idx;
-          match nqe.Nqe.op with
+          match op with
           | Nqe.Socket -> post_result t ss Nqe.Comp_socket None
           | Nqe.Bind ->
-              ss.bound <- Some (Nqe.unpack_addr nqe.Nqe.op_data);
+              ss.bound <- Some (Nqe.unpack_addr (Nqe.View.op_data buf pos));
               post_result t ss Nqe.Comp_bind None
           | Nqe.Listen -> (
               match ss.bound with
@@ -379,7 +393,7 @@ let apply t qset_idx (nqe : Nqe.t) =
               | Some addr -> (
                   match
                     t.ops.Stack_ops.new_listener ~addr
-                      ~backlog:(Int64.to_int nqe.Nqe.op_data)
+                      ~backlog:(Nqe.View.op_data buf pos)
                       ~on_accept:(fun conn ~peer -> on_accept t vm ss conn ~peer)
                   with
                   | Ok l ->
@@ -387,7 +401,7 @@ let apply t qset_idx (nqe : Nqe.t) =
                       post_result t ss Nqe.Comp_listen None
                   | Error e -> post_result t ss Nqe.Comp_listen (Some e)))
           | Nqe.Connect ->
-              let dst = Nqe.unpack_addr nqe.Nqe.op_data in
+              let dst = Nqe.unpack_addr (Nqe.View.op_data buf pos) in
               t.ops.Stack_ops.connect ~dst ~k:(fun r ->
                   match r with
                   | Ok conn ->
@@ -400,15 +414,16 @@ let apply t qset_idx (nqe : Nqe.t) =
           | Nqe.Send ->
               Queue.add
                 {
-                  extent = { Hugepages.offset = nqe.Nqe.data_ptr; len = nqe.Nqe.size };
+                  extent =
+                    { Hugepages.offset = Nqe.View.data_ptr buf pos; len = Nqe.View.size buf pos };
                   off = 0;
-                  p_synthetic = nqe.Nqe.synthetic;
-                  p_span = nqe.Nqe.span;
+                  p_synthetic = Nqe.View.synthetic buf pos;
+                  p_span = Nqe.View.span buf pos;
                 }
                 ss.sendq;
               pump_send t ss
           | Nqe.Recv_done ->
-              ss.recv_credit_used <- Int.max 0 (ss.recv_credit_used - nqe.Nqe.size);
+              ss.recv_credit_used <- Int.max 0 (ss.recv_credit_used - Nqe.View.size buf pos);
               pump_recv t ss
           | Nqe.Close ->
               ss.closing <- true;
@@ -439,6 +454,7 @@ let create ~engine ~device ~ops ~cores ~costs ~pressure ?(mon = Nkmon.null ())
       spans;
       instance;
       dead = false;
+      tx = Bytes.create Nqe.size_bytes;
       ctr =
         {
           c_nqes_rx = c "nqes_rx";
@@ -661,6 +677,6 @@ let import_vm t (x : vm_export) ~hugepages ~ips =
                      surface it exactly like a reset on an owned conn. *)
                   if not ss.err_sent then begin
                     ss.err_sent <- true;
-                    post t ss Nqe.Ev_err ~op_data:(Nqe.err_code e) ()
+                    post_event t ss Nqe.Ev_err ~op_data:(Nqe.err_code e)
                   end))
         x.x_socks

@@ -89,10 +89,11 @@ val import_vm : t -> vm_export -> hugepages:Hugepages.t -> ips:Addr.ip list -> u
     restarts the send/receive pumps. A connection whose channel vanished
     mid-flight surfaces as [Ev_err] to the VM. *)
 
-val set_vm_forwarder : t -> vm_id:int -> (Nqe.t -> unit) -> unit
+val set_vm_forwarder : t -> vm_id:int -> (bytes -> int -> unit) -> unit
 (** After [export_vm], NQEs already drained into a scratch burst but not
     yet applied would find no VM; the forwarder ships them to the
-    destination instead (the migration protocol's late-NQE hook). *)
+    destination instead (the migration protocol's late-NQE hook). It gets
+    each NQE as a buffer and byte offset, valid only during the call. *)
 
 val release_ips : t -> Addr.ip list -> unit
 (** Disown IPs after [export_vm] (their VM now lives on another host), so

@@ -1,9 +1,10 @@
 (* Fig 11: CoreEngine switching throughput (single core) vs batch size.
 
-   This drives the REAL mechanism — the actual NQE codec and the actual
-   lockless SPSC rings through the CoreEngine's data movement: pop a batch
-   from the source ring, decode the header, look up the connection table,
-   copy into the destination ring — but charges every modeled operation its
+   This drives the REAL mechanism — the actual 32-byte NQE slot rings
+   (Nqe_ring) through the CoreEngine's data movement, with the reference
+   codec (Nqe_codec) decoding each header: pop a batch from the source
+   ring, decode the header, look up the connection table, copy into the
+   destination ring — but charges every modeled operation its
    cycle cost from the calibrated NetKernel cost model (Nk_costs) instead of
    timing the host with a wall clock. Reported NQEs/s is therefore a pure
    function of the cost model at the paper's 2.3 GHz core clock and is
@@ -25,26 +26,25 @@ let cycles_per_sec = 2.3e9
 
 let run_one ~batch ~iterations =
   let costs = Nk_costs.default in
-  let src = Nkutil.Spsc_ring.create ~capacity:4096 in
-  let dst = Nkutil.Spsc_ring.create ~capacity:4096 in
+  let src = Nqe_ring.create ~capacity:4096 in
+  let dst = Nqe_ring.create ~capacity:4096 in
+  (* One NQE slot: where the switch reads the popped header. *)
+  let slot = Bytes.create Nqe.size_bytes in
   (* CoreEngine sweeps every registered device's queues each polling
      iteration; most are empty. Smaller batches pay that sweep more often —
      this is exactly what the paper's Fig 11 batching amortizes. *)
-  let idle_queues = Array.init 32 (fun _ -> Nkutil.Spsc_ring.create ~capacity:64) in
-  let poll_idle () =
-    Array.iter (fun q -> ignore (Nkutil.Spsc_ring.pop q)) idle_queues
-  in
+  let idle_queues = Array.init 32 (fun _ -> Nqe_ring.create ~capacity:64) in
+  let poll_idle () = Array.iter (fun q -> ignore (Nqe_ring.pop q slot 0)) idle_queues in
   let sweep_cycles = costs.Nk_costs.ce_poll_iter *. float_of_int (Array.length idle_queues + 1) in
   let per_nqe_cycles = costs.Nk_costs.nqe_decode +. costs.Nk_costs.ce_switch in
   let table = Hashtbl.create 1024 in
   Hashtbl.replace table (1, 42) (0, 0);
-  let proto =
-    Nqe.encode
-      (Nqe.make ~op:Nqe.Send ~vm_id:1 ~qset:0 ~sock:42 ~data_ptr:4096 ~size:8192 ())
-  in
-  (* Pre-fill a pool of independent 32-byte NQEs (CoreEngine never reuses a
-     buffer before the consumer drained it). *)
-  let pool = Array.init 4096 (fun _ -> Bytes.copy proto) in
+  let proto = Nqe_codec.make ~op:Nqe.Send ~vm_id:1 ~qset:0 ~sock:42 ~data_ptr:4096 ~size:8192 () in
+  (* A pool of 4096 pre-encoded NQEs, one 32-byte slot each. *)
+  let pool = Bytes.create (4096 * Nqe.size_bytes) in
+  for k = 0 to 4095 do
+    Nqe_codec.encode_into proto pool ~pos:(k * Nqe.size_bytes)
+  done;
   let switched = ref 0 in
   let cycles = ref 0.0 in
   for i = 0 to iterations - 1 do
@@ -52,30 +52,26 @@ let run_one ~batch ~iterations =
     cycles := !cycles +. sweep_cycles;
     (* producer side: enqueue a batch *)
     for j = 0 to batch - 1 do
-      ignore (Nkutil.Spsc_ring.push src pool.(((i * batch) + j) land 4095))
+      ignore (Nqe_ring.push src pool ((((i * batch) + j) land 4095) * Nqe.size_bytes))
     done;
     (* CoreEngine: pop batch, decode, look up, copy into destination *)
     let rec loop n =
-      if n < batch then
-        match Nkutil.Spsc_ring.pop src with
-        | None -> ()
-        | Some raw ->
-            (match Nqe.decode raw with
-            | Ok nqe ->
-                (match Hashtbl.find_opt table (nqe.Nqe.vm_id, nqe.Nqe.sock) with
-                | Some _ -> ()
-                | None -> Hashtbl.replace table (nqe.Nqe.vm_id, nqe.Nqe.sock) (0, 0));
-                ignore (Nkutil.Spsc_ring.push dst raw);
-                cycles := !cycles +. per_nqe_cycles;
-                incr switched
-            | Error _ -> ());
-            loop (n + 1)
+      if n < batch && Nqe_ring.pop src slot 0 then begin
+        (match Nqe_codec.decode slot with
+        | Ok nqe ->
+            (match Hashtbl.find_opt table (nqe.Nqe_codec.vm_id, nqe.Nqe_codec.sock) with
+            | Some _ -> ()
+            | None -> Hashtbl.replace table (nqe.Nqe_codec.vm_id, nqe.Nqe_codec.sock) (0, 0));
+            ignore (Nqe_ring.push dst slot 0);
+            cycles := !cycles +. per_nqe_cycles;
+            incr switched
+        | Error _ -> ());
+        loop (n + 1)
+      end
     in
     loop 0;
     (* consumer side: drain the destination *)
-    let rec drain () =
-      match Nkutil.Spsc_ring.pop dst with Some _ -> drain () | None -> ()
-    in
+    let rec drain () = if Nqe_ring.pop dst slot 0 then drain () in
     drain ()
   done;
   float_of_int !switched /. (!cycles /. cycles_per_sec)

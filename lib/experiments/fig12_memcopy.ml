@@ -30,8 +30,12 @@ let run_one ~size ~iterations =
      full simulation runs, not a microbenchmark's sub-ms horizon). *)
   let pressure = Sim.Pressure.create engine ~tau:1e-4 () in
   let hp = Hugepages.create ~page_size:(2 * 1024 * 1024) ~pages:8 () in
-  let ring_a = Nkutil.Spsc_ring.create ~capacity:1024 in
-  let ring_b = Nkutil.Spsc_ring.create ~capacity:1024 in
+  let ring_a = Nqe_ring.create ~capacity:1024 in
+  let ring_b = Nqe_ring.create ~capacity:1024 in
+  (* The sender's, the switch's and the receiver's NQE slots. *)
+  let tx = Bytes.create Nqe.size_bytes in
+  let ce = Bytes.create Nqe.size_bytes in
+  let rx = Bytes.create Nqe.size_bytes in
   let message = String.make size 'x' in
   let out = Bytes.create size in
   let moved = ref 0 in
@@ -42,32 +46,23 @@ let run_one ~size ~iterations =
     | Some extent ->
         (* sender: copy in, emit NQE *)
         Hugepages.write_payload hp extent (Tcpstack.Types.Data message);
-        let nqe =
-          Nqe.encode
-            (Nqe.make ~op:Nqe.Send ~vm_id:1 ~qset:0 ~sock:7
-               ~data_ptr:extent.Hugepages.offset ~size ())
-        in
-        ignore (Nkutil.Spsc_ring.push ring_a nqe);
+        Nqe.write tx ~pos:0 ~op:Nqe.Send ~vm_id:1 ~qset:0 ~sock:7 ~op_data:0
+          ~data_ptr:extent.Hugepages.offset ~size ~synthetic:false ~span:0;
+        ignore (Nqe_ring.push ring_a tx 0);
         (* CoreEngine: one ring to the other *)
-        (match Nkutil.Spsc_ring.pop ring_a with
-        | Some raw -> ignore (Nkutil.Spsc_ring.push ring_b raw)
-        | None -> ());
-        (* receiver: decode, copy out, free *)
-        (match Nkutil.Spsc_ring.pop ring_b with
-        | Some raw -> (
-            match Nqe.decode raw with
-            | Ok d -> (
-                match
-                  Hugepages.read_payload hp
-                    { Hugepages.offset = d.Nqe.data_ptr; len = d.Nqe.size }
-                    ~pos:0 ~len:d.Nqe.size ~synthetic:false
-                with
-                | Tcpstack.Types.Data s ->
-                    Bytes.blit_string s 0 out 0 (String.length s);
-                    moved := !moved + d.Nqe.size
-                | Tcpstack.Types.Zeros _ -> ())
-            | Error _ -> ())
-        | None -> ());
+        if Nqe_ring.pop ring_a ce 0 then ignore (Nqe_ring.push ring_b ce 0);
+        (* receiver: read the NQE, copy out, free *)
+        (if Nqe_ring.pop ring_b rx 0 then
+           let len = Nqe.View.size rx 0 in
+           match
+             Hugepages.read_payload hp
+               { Hugepages.offset = Nqe.View.data_ptr rx 0; len }
+               ~pos:0 ~len ~synthetic:false
+           with
+           | Tcpstack.Types.Data s ->
+               Bytes.blit_string s 0 out 0 (String.length s);
+               moved := !moved + len
+           | Tcpstack.Types.Zeros _ -> ());
         Hugepages.free hp extent;
         (* charge the modeled path: alloc + encode + switch + decode plus
            the two pressure-dependent hugepage copies (in and out) *)

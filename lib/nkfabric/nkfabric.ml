@@ -268,25 +268,28 @@ let vm_node t vm =
    for data-carrying operations (the hugepage region is shared by reference
    in simulation, so the spine is where payload transfer is charged). *)
 let wire_bytes raw =
-  match Nqe.View.op raw with
-  | Nqe.Send | Nqe.Ev_data -> Nqe.size_bytes + Nqe.View.size raw
+  match Nqe.View.op raw 0 with
+  | Nqe.Send | Nqe.Ev_data -> Nqe.size_bytes + Nqe.View.size raw 0
   | _ -> Nqe.size_bytes
 
 (* Home -> destination: a VM->NSM NQE switched into the stub travels to the
    proxy, whose post kicks the destination CoreEngine towards the serving
-   NSM. The proxy is read at delivery time (re-migration re-points it). *)
-let ship_to_dest t relay ~src raw =
+   NSM. The proxy is read at delivery time (re-migration re-points it).
+   The NQE at [pos] of [buf] is valid only during the call, so the
+   shipment carries its own copy. *)
+let ship_to_dest t relay ~src buf pos =
+  let raw = Bytes.sub buf pos Nqe.size_bytes in
   relay.r_nqes_out <- relay.r_nqes_out + 1;
   (* Traced requests crossing the spine record the flight as an explicit
      ["spine"] stage. The span was minted by the home host's GuestLib, so
      it lives in the home node's recorder; stage calls with a foreign id
      are no-ops there, which makes this safe for every shipment. *)
-  let span = Nqe.View.span raw in
+  let span = Nqe.View.span raw 0 in
   if span <> 0 then
     Nkspan.begin_stage relay.r_home.n_spans ~id:span ~component:"nkfabric" "spine";
   Spine.ship t.spine ~src ~dst:relay.r_dest.n_index ~bytes:(wire_bytes raw) (fun () ->
       if span <> 0 then Nkspan.end_stage relay.r_home.n_spans ~id:span "spine";
-      Nk_device.post relay.r_proxy ~qset:(Nqe.View.qset raw) raw)
+      Nk_device.post relay.r_proxy ~qset:(Nqe.View.qset raw 0) raw 0)
 
 (* Destination -> home: an NSM->VM NQE drained from the proxy re-enters the
    home CoreEngine through the stub. The queue set mirrors CoreEngine's own
@@ -294,26 +297,27 @@ let ship_to_dest t relay ~src raw =
    auto-added route on (the new-connection id for Ev_accept, the socket id
    otherwise), so follow-up NQEs of the same connection land on the same
    queue set. *)
-let ship_back t relay ~src raw =
+let ship_back t relay ~src buf pos =
+  let raw = Bytes.sub buf pos Nqe.size_bytes in
   relay.r_nqes_back <- relay.r_nqes_back + 1;
-  let span = Nqe.View.span raw in
+  let span = Nqe.View.span raw 0 in
   if span <> 0 then
     Nkspan.begin_stage relay.r_home.n_spans ~id:span ~component:"nkfabric" "spine";
   Spine.ship t.spine ~src ~dst:relay.r_home.n_index ~bytes:(wire_bytes raw) (fun () ->
       if span <> 0 then Nkspan.end_stage relay.r_home.n_spans ~id:span "spine";
       let key =
-        match Nqe.View.op raw with
-        | Nqe.Ev_accept -> Nqe.View.size raw
-        | _ -> Nqe.View.sock raw
+        match Nqe.View.op raw 0 with
+        | Nqe.Ev_accept -> Nqe.View.size raw 0
+        | _ -> Nqe.View.sock raw 0
       in
-      Nk_device.post relay.r_stub ~qset:(Nk_device.hash_qset relay.r_stub key) raw)
+      Nk_device.post relay.r_stub ~qset:(Nk_device.hash_qset relay.r_stub key) raw 0)
 
 (* One stub can carry several VMs' routes (the departed NSM multiplexed
    them); each drained NQE finds its own relay by vm id. *)
 let install_stub t stubdev =
-  let ship raw =
-    match Hashtbl.find_opt t.relays (Nqe.View.vm_id raw) with
-    | Some relay -> ship_to_dest t relay ~src:relay.r_home.n_index raw
+  let ship buf pos =
+    match Hashtbl.find_opt t.relays (Nqe.View.vm_id buf pos) with
+    | Some relay -> ship_to_dest t relay ~src:relay.r_home.n_index buf pos
     | None -> ()
   in
   Nk_device.set_kick_owner stubdev (fun qset ->
@@ -322,7 +326,7 @@ let install_stub t stubdev =
 (* The proxy captures its device: after a re-migration a stale wake on the
    old proxy must not drain the new one. *)
 let install_proxy t relay proxy =
-  let ship raw = ship_back t relay ~src:relay.r_dest.n_index raw in
+  let ship buf pos = ship_back t relay ~src:relay.r_dest.n_index buf pos in
   Nk_device.set_kick_owner proxy (fun qset -> Nk_device.drain proxy ~qset ~toward:`Vm ship)
 
 (* ---- live migration ------------------------------------------------------ *)
@@ -430,8 +434,7 @@ let migrate_vm t e ~source ~src_node ~dst ~dest_nsm ~get_stub =
   (* Late VM->NSM NQEs already switched towards the gagged source surface
      through its armed wakes and follow the relay, in order. *)
   let fwd_src = src_node.n_index in
-  Nsm.set_vm_forwarder source ~vm_id (fun nqe ->
-      ship_to_dest t relay ~src:fwd_src (Nqe.encode nqe));
+  Nsm.set_vm_forwarder source ~vm_id (fun buf pos -> ship_to_dest t relay ~src:fwd_src buf pos);
   (* The source stack must stop claiming the VM's IPs, or in-flight segments
      for migrated flows would draw RSTs and reset them at the peer. *)
   Nsm.release_vm_ips source ~ips;
@@ -507,11 +510,11 @@ let migrate_cut t ~source ~src_node ~dst ~dest_nsm ~moving =
   while Nk_device.has_outbound src_dev do
     Nk_device.flush_overflow src_dev;
     for qset = 0 to Nk_device.n_qsets src_dev - 1 do
-      Nk_device.drain src_dev ~qset ~toward:`Vm (fun raw ->
-          match Hashtbl.find_opt t.relays (Nqe.View.vm_id raw) with
+      Nk_device.drain src_dev ~qset ~toward:`Vm (fun buf pos ->
+          match Hashtbl.find_opt t.relays (Nqe.View.vm_id buf pos) with
           | Some r ->
-              if r.r_home.n_index = src_node.n_index then Nk_device.post r.r_stub ~qset raw
-              else ship_back t r ~src:src_node.n_index raw
+              if r.r_home.n_index = src_node.n_index then Nk_device.post r.r_stub ~qset buf pos
+              else ship_back t r ~src:src_node.n_index buf pos
           | None -> ())
     done
   done;
@@ -530,8 +533,8 @@ let migrate_cut t ~source ~src_node ~dst ~dest_nsm ~moving =
      rings ship home under the wake already armed for them: the proxy keeps
      its drain handler. Then drop the proxy and its conn-table entries (the
      new destination owns them). *)
-  let replay raw =
-    Nk_device.post src_dev ~qset:(Nk_device.hash_qset src_dev (Nqe.View.sock raw)) raw
+  let replay buf pos =
+    Nk_device.post src_dev ~qset:(Nk_device.hash_qset src_dev (Nqe.View.sock buf pos)) buf pos
   in
   List.iter
     (fun (vm_id, proxy) ->

@@ -18,8 +18,6 @@ let capacity t = t.capacity
 
 let length t = t.tail - t.head
 
-let is_empty t = length t = 0
-
 (* Called when every slot is live: doubles the array and unwraps the
    elements, oldest first, to its front. *)
 let grow t =

@@ -29,8 +29,6 @@ val capacity : 'a t -> int
 val length : 'a t -> int
 (** [length t] is the number of queued elements. *)
 
-val is_empty : 'a t -> bool
-
 val push : 'a t -> 'a -> bool
 (** [push t x] enqueues [x]; [false] if the ring holds [capacity]
     elements. Producer side. *)

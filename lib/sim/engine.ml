@@ -380,6 +380,10 @@ let cancel t h =
 module Timer = struct
   type t = int
 
+  (* No real handle is negative, and [cancel] reads this one's slot as
+     [slot_mask], past the end of any slab, so it cancels nothing. *)
+  let none = none
+
   let cancel = cancel
 end
 

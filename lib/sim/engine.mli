@@ -27,6 +27,10 @@ module Timer : sig
 
   type t [@@immediate]
 
+  val none : t
+  (** A handle that names no event: a holder of an optional timer keeps it
+      in an immediate instead of an option. {!cancel} ignores it. *)
+
   val cancel : engine -> t -> unit
   (** [cancel e h] prevents the event from running and releases its
       closure at once; cancelling a fired or already-cancelled event is a

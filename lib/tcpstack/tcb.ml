@@ -93,9 +93,16 @@ type t = {
   mutable fin_queued : bool;
   mutable fin_sent : bool;
   retxq : retx_item Queue.t;
-  mutable rto_timer : Sim.Engine.Timer.t option;
+  (* Armed timers, or [Timer.none]. Each fires its TCB's own thunk, built
+     with the TCB, so arming one allocates no closure and no option. *)
+  mutable rto_timer : Sim.Engine.Timer.t;
   mutable rto_backoff : float;
-  mutable persist_timer : Sim.Engine.Timer.t option;
+  mutable persist_timer : Sim.Engine.Timer.t;
+  (* Set once, right after the record is built ([with_timer_thunks]): a
+     [let rec] record would be built twice. A restored TCB builds its own,
+     so the thunks are never part of a snapshot. *)
+  mutable on_rto_timer : unit -> unit; (* nkscope: volatile *)
+  mutable on_persist_timer : unit -> unit; (* nkscope: volatile *)
   mutable dupacks : int;
   mutable recover : int;
   mutable in_recovery : bool;
@@ -135,10 +142,21 @@ let rwnd_available t =
 
 let rcv_nxt t = match t.reasm with None -> 0 | Some r -> Reassembly.next r
 
-let cancel_timer_opt t h =
-  match h with
-  | None -> ()
-  | Some handle -> t.act.cancel_timer handle
+let no_timer = Sim.Engine.Timer.none
+
+let armed h = h != no_timer
+
+let cancel_rto t =
+  if armed t.rto_timer then begin
+    t.act.cancel_timer t.rto_timer;
+    t.rto_timer <- no_timer
+  end
+
+let cancel_persist t =
+  if armed t.persist_timer then begin
+    t.act.cancel_timer t.persist_timer;
+    t.persist_timer <- no_timer
+  end
 
 (* All state changes funnel through here so the owning stack can observe
    them (Nkmon [Tcp_state] trace events). *)
@@ -153,10 +171,8 @@ let destroy t =
   if not t.destroyed then begin
     t.destroyed <- true;
     set_state t Closed;
-    cancel_timer_opt t t.rto_timer;
-    t.rto_timer <- None;
-    cancel_timer_opt t t.persist_timer;
-    t.persist_timer <- None;
+    cancel_rto t;
+    cancel_persist t;
     t.cc.Cc.release ();
     t.act.on_destroy ()
   end
@@ -167,8 +183,7 @@ let arm_time_wait t = ignore (t.act.set_timer ~delay:t.cfg.time_wait t.act.on_ti
 
 let enter_time_wait t =
   set_state t Time_wait;
-  cancel_timer_opt t t.rto_timer;
-  t.rto_timer <- None;
+  cancel_rto t;
   arm_time_wait t
 
 (* ---- Segment emission ------------------------------------------------ *)
@@ -190,12 +205,12 @@ let emit_ack t = emit_segment t ~seq:t.snd_nxt ~len:0 ~syn:false ~fin:false
 let current_rto t = Float.min t.cfg.max_rto (Rtt_estimator.rto t.rtt *. t.rto_backoff)
 
 let rec arm_rto t =
-  cancel_timer_opt t t.rto_timer;
-  if Queue.is_empty t.retxq then t.rto_timer <- None
-  else t.rto_timer <- Some (t.act.set_timer ~delay:(current_rto t) (fun () -> on_rto t))
+  cancel_rto t;
+  if not (Queue.is_empty t.retxq) then
+    t.rto_timer <- t.act.set_timer ~delay:(current_rto t) t.on_rto_timer
 
 and on_rto t =
-  t.rto_timer <- None;
+  t.rto_timer <- no_timer;
   match Queue.peek_opt t.retxq with
   | None -> ()
   | Some item ->
@@ -221,23 +236,22 @@ and on_rto t =
 (* ---- Persist (zero-window) timer ------------------------------------- *)
 
 let rec arm_persist t =
-  if t.persist_timer = None && t.snd_wnd = 0 && (t.send_pending > 0 || t.fin_queued) then begin
-    let delay = Float.max 0.5 (current_rto t) in
-    t.persist_timer <-
-      Some
-        (t.act.set_timer ~delay (fun () ->
-             t.persist_timer <- None;
-             if t.snd_wnd = 0 && t.send_pending > 0 && can_send_state t then begin
-               (* Probe with a single byte beyond the window. *)
-               let item = { seq = t.snd_nxt; len = 1; syn = false; fin = false; retx = 0 } in
-               Queue.add item t.retxq;
-               emit_segment t ~seq:t.snd_nxt ~len:1 ~syn:false ~fin:false;
-               t.snd_nxt <- Tcp_seq.add t.snd_nxt 1;
-               t.send_pending <- t.send_pending - 1;
-               if t.rto_timer = None then arm_rto t
-             end;
-             arm_persist t))
-  end
+  if (not (armed t.persist_timer)) && t.snd_wnd = 0 && (t.send_pending > 0 || t.fin_queued)
+  then
+    t.persist_timer <- t.act.set_timer ~delay:(Float.max 0.5 (current_rto t)) t.on_persist_timer
+
+and on_persist t =
+  t.persist_timer <- no_timer;
+  if t.snd_wnd = 0 && t.send_pending > 0 && can_send_state t then begin
+    (* Probe with a single byte beyond the window. *)
+    let item = { seq = t.snd_nxt; len = 1; syn = false; fin = false; retx = 0 } in
+    Queue.add item t.retxq;
+    emit_segment t ~seq:t.snd_nxt ~len:1 ~syn:false ~fin:false;
+    t.snd_nxt <- Tcp_seq.add t.snd_nxt 1;
+    t.send_pending <- t.send_pending - 1;
+    if not (armed t.rto_timer) then arm_rto t
+  end;
+  arm_persist t
 
 (* ---- Output ----------------------------------------------------------- *)
 
@@ -286,7 +300,7 @@ let rec try_output t =
       | Close_wait -> set_state t Last_ack
       | Syn_sent | Fin_wait_1 | Fin_wait_2 | Closing | Last_ack | Time_wait | Closed -> ())
     end;
-    if !progress && t.rto_timer = None then arm_rto t;
+    if !progress && not (armed t.rto_timer) then arm_rto t;
     if t.snd_wnd = 0 && t.send_pending > 0 then arm_persist t
   end
 
@@ -294,39 +308,47 @@ and send_fin_if_needed t = try_output t
 
 (* ---- Construction ----------------------------------------------------- *)
 
+let with_timer_thunks t =
+  t.on_rto_timer <- (fun () -> on_rto t);
+  t.on_persist_timer <- (fun () -> on_persist t);
+  t
+
 let base ~flow ~cfg ~act ~cc ~write_fifo ~read_fifo ~state ~iss =
-  {
-    flow;
-    cfg;
-    act;
-    cc;
-    rtt = Rtt_estimator.create ~min_rto:cfg.min_rto ~max_rto:cfg.max_rto ();
-    write_fifo;
-    read_fifo;
-    state;
-    iss;
-    snd_una = iss;
-    snd_nxt = iss;
-    snd_wnd = 0;
-    reasm = None;
-    send_pending = 0;
-    rwnd_limit = cfg.rwnd_limit;
-    fin_queued = false;
-    fin_sent = false;
-    retxq = Queue.create ();
-    rto_timer = None;
-    rto_backoff = 1.0;
-    persist_timer = None;
-    dupacks = 0;
-    recover = 0;
-    in_recovery = false;
-    recv_ready = 0;
-    fin_received = false;
-    eof_delivered = false;
-    peer_ts = -1.0;
-    last_adv_wnd = 0;
-    destroyed = false;
-  }
+  with_timer_thunks
+    {
+      flow;
+      cfg;
+      act;
+      cc;
+      rtt = Rtt_estimator.create ~min_rto:cfg.min_rto ~max_rto:cfg.max_rto ();
+      write_fifo;
+      read_fifo;
+      state;
+      iss;
+      snd_una = iss;
+      snd_nxt = iss;
+      snd_wnd = 0;
+      reasm = None;
+      send_pending = 0;
+      rwnd_limit = cfg.rwnd_limit;
+      fin_queued = false;
+      fin_sent = false;
+      retxq = Queue.create ();
+      rto_timer = no_timer;
+      rto_backoff = 1.0;
+      persist_timer = no_timer;
+      on_rto_timer = ignore;
+      on_persist_timer = ignore;
+      dupacks = 0;
+      recover = 0;
+      in_recovery = false;
+      recv_ready = 0;
+      fin_received = false;
+      eof_delivered = false;
+      peer_ts = -1.0;
+      last_adv_wnd = 0;
+      destroyed = false;
+    }
 
 let create_active ~flow ~cfg ~act ~cc ~isn ~channel =
   let t =
@@ -428,8 +450,7 @@ let process_ack t (seg : Segment.t) =
     end;
     t.snd_wnd <- seg.Segment.window;
     if t.snd_wnd > 0 then begin
-      cancel_timer_opt t t.persist_timer;
-      t.persist_timer <- None
+      cancel_persist t
     end
   end
 
@@ -616,8 +637,9 @@ type time_wait = {
    retransmit timer went at entry) nothing but [destroy] changes what they
    read: the record below is all of it. *)
 let time_wait t =
-  match (t.state, t.rto_timer, t.persist_timer) with
-  | Time_wait, None, None when t.recv_ready = 0 ->
+  match t.state with
+  | Time_wait when (not (armed t.rto_timer)) && (not (armed t.persist_timer)) && t.recv_ready = 0
+    ->
       Some
         {
           tw_flow = t.flow;
@@ -701,9 +723,9 @@ let snapshot t =
                rs_retx = i.retx }
              :: acc)
            [] t.retxq);
-    s_rto_armed = t.rto_timer <> None;
+    s_rto_armed = armed t.rto_timer;
     s_rto_backoff = t.rto_backoff;
-    s_persist_armed = t.persist_timer <> None;
+    s_persist_armed = armed t.persist_timer;
     s_dupacks = t.dupacks;
     s_recover = t.recover;
     s_in_recovery = t.in_recovery;
@@ -722,10 +744,8 @@ let snapshot t =
 let detach t =
   if not t.destroyed then begin
     t.destroyed <- true;
-    cancel_timer_opt t t.rto_timer;
-    t.rto_timer <- None;
-    cancel_timer_opt t t.persist_timer;
-    t.persist_timer <- None;
+    cancel_rto t;
+    cancel_persist t;
     t.cc.Cc.release ()
   end
 
@@ -737,38 +757,41 @@ let restore ~act ~cc ~channel ~role (s : Snapshot.t) =
     | `Server -> (channel.Conn_registry.s2c, channel.Conn_registry.c2s)
   in
   let t =
-    {
-      flow = s.Snapshot.s_flow;
-      cfg = s.Snapshot.s_cfg;
-      act;
-      cc;
-      rtt = Rtt_estimator.restore s.Snapshot.s_rtt;
-      write_fifo;
-      read_fifo;
-      state = s.Snapshot.s_state;
-      iss = s.Snapshot.s_iss;
-      snd_una = s.Snapshot.s_snd_una;
-      snd_nxt = s.Snapshot.s_snd_nxt;
-      snd_wnd = s.Snapshot.s_snd_wnd;
-      reasm = Option.map Reassembly.restore s.Snapshot.s_reasm;
-      send_pending = s.Snapshot.s_send_pending;
-      fin_queued = s.Snapshot.s_fin_queued;
-      fin_sent = s.Snapshot.s_fin_sent;
-      retxq = Queue.create ();
-      rto_timer = None;
-      rto_backoff = s.Snapshot.s_rto_backoff;
-      persist_timer = None;
-      dupacks = s.Snapshot.s_dupacks;
-      recover = s.Snapshot.s_recover;
-      in_recovery = s.Snapshot.s_in_recovery;
-      rwnd_limit = s.Snapshot.s_rwnd_limit;
-      recv_ready = s.Snapshot.s_recv_ready;
-      fin_received = s.Snapshot.s_fin_received;
-      eof_delivered = s.Snapshot.s_eof_delivered;
-      peer_ts = s.Snapshot.s_peer_ts;
-      last_adv_wnd = s.Snapshot.s_last_adv_wnd;
-      destroyed = false;
-    }
+    with_timer_thunks
+      {
+        flow = s.Snapshot.s_flow;
+        cfg = s.Snapshot.s_cfg;
+        act;
+        cc;
+        rtt = Rtt_estimator.restore s.Snapshot.s_rtt;
+        write_fifo;
+        read_fifo;
+        state = s.Snapshot.s_state;
+        iss = s.Snapshot.s_iss;
+        snd_una = s.Snapshot.s_snd_una;
+        snd_nxt = s.Snapshot.s_snd_nxt;
+        snd_wnd = s.Snapshot.s_snd_wnd;
+        reasm = Option.map Reassembly.restore s.Snapshot.s_reasm;
+        send_pending = s.Snapshot.s_send_pending;
+        fin_queued = s.Snapshot.s_fin_queued;
+        fin_sent = s.Snapshot.s_fin_sent;
+        retxq = Queue.create ();
+        rto_timer = no_timer;
+        rto_backoff = s.Snapshot.s_rto_backoff;
+        persist_timer = no_timer;
+        on_rto_timer = ignore;
+        on_persist_timer = ignore;
+        dupacks = s.Snapshot.s_dupacks;
+        recover = s.Snapshot.s_recover;
+        in_recovery = s.Snapshot.s_in_recovery;
+        rwnd_limit = s.Snapshot.s_rwnd_limit;
+        recv_ready = s.Snapshot.s_recv_ready;
+        fin_received = s.Snapshot.s_fin_received;
+        eof_delivered = s.Snapshot.s_eof_delivered;
+        peer_ts = s.Snapshot.s_peer_ts;
+        last_adv_wnd = s.Snapshot.s_last_adv_wnd;
+        destroyed = false;
+      }
   in
   List.iter
     (fun (r : Snapshot.retx) ->

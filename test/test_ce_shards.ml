@@ -14,7 +14,7 @@ let mk_device ?capacity ~id ~role ~qsets () =
     ()
 
 let encode op ~vm_id ~qset ~sock ?(size = 0) () =
-  Nqe.encode (Nqe.make ~op ~vm_id ~qset ~sock ~size ())
+  Nqe_codec.encode (Nqe_codec.make ~op ~vm_id ~qset ~sock ~size ())
 
 let mk_ce ~n_cores =
   let engine = E.create () in
@@ -37,7 +37,7 @@ let run_direct ~n_cores =
   Coreengine.attach ce ~vm_id:1 ~nsm_ids:[ 1; 2 ];
   for sock = 1 to 8 do
     Nk_device.post vm ~qset:(sock mod 2)
-      (encode Nqe.Socket ~vm_id:1 ~qset:(sock mod 2) ~sock ())
+      (encode Nqe.Socket ~vm_id:1 ~qset:(sock mod 2) ~sock ()) 0
   done;
   E.run engine;
   (ce, cores)
@@ -250,11 +250,12 @@ let words_per_switch ~idle =
   done;
   Coreengine.attach ce ~vm_id:1 ~nsm_ids:[ 1 ];
   let job = (Nk_device.qset nsm 0).Queue_set.job in
+  let popped = Bytes.create Nqe.size_bytes in
   let nqes = Array.init 1_100 (fun i -> encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock:(i + 1) ()) in
   let switch i =
-    Nk_device.post vm ~qset:0 nqes.(i);
+    Nk_device.post vm ~qset:0 nqes.(i) 0;
     E.run engine;
-    if Nkutil.Spsc_ring.pop job = None then Alcotest.failf "NQE %d was not switched" i
+    if not (Nqe_ring.pop job popped 0) then Alcotest.failf "NQE %d was not switched" i
   in
   for i = 0 to 99 do
     switch i
@@ -284,15 +285,16 @@ let run_overflow_burst ~n_cores =
   Coreengine.attach ce ~vm_id:1 ~nsm_ids:[ 1 ];
   for sock = 1 to 12 do
     Nk_device.post vm ~qset:(sock mod 2)
-      (encode Nqe.Socket ~vm_id:1 ~qset:(sock mod 2) ~sock ())
+      (encode Nqe.Socket ~vm_id:1 ~qset:(sock mod 2) ~sock ()) 0
   done;
   E.run engine;
   let received qi =
     let ring = (Nk_device.qset nsm qi).Queue_set.job in
+    let raw = Bytes.create Nqe.size_bytes in
     let rec drain acc =
-      match Nkutil.Spsc_ring.pop ring with
-      | Some raw -> drain (Nqe.View.sock raw :: acc)
-      | None -> List.rev acc
+      match Nqe_ring.pop ring raw 0 with
+      | true -> drain (Nqe.View.sock raw 0 :: acc)
+      | false -> List.rev acc
     in
     drain []
   in

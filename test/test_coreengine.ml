@@ -3,7 +3,7 @@
 
 open Nkcore
 module E = Sim.Engine
-module Ring = Nkutil.Spsc_ring
+module Ring = Nqe_ring
 
 let mk_world () =
   let engine = E.create () in
@@ -17,7 +17,10 @@ let mk_device ~id ~role ~qsets =
     ()
 
 let encode op ~vm_id ~qset ~sock ?(size = 0) () =
-  Nqe.encode (Nqe.make ~op ~vm_id ~qset ~sock ~size ())
+  Nqe_codec.encode (Nqe_codec.make ~op ~vm_id ~qset ~sock ~size ())
+
+(* A slot to pop an NQE into. *)
+let slot () = Bytes.create Nqe.size_bytes
 
 let vm_to_nsm_switching () =
   let engine, ce = mk_world () in
@@ -29,8 +32,8 @@ let vm_to_nsm_switching () =
   let woken = ref [] in
   Nk_device.set_kick_owner nsm (fun q -> woken := q :: !woken);
   (* Control op goes to the NSM's job queue; data op to its send queue. *)
-  Nk_device.post vm ~qset:0 (encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock:7 ());
-  Nk_device.post vm ~qset:0 (encode Nqe.Send ~vm_id:1 ~qset:0 ~sock:7 ~size:100 ());
+  Nk_device.post vm ~qset:0 (encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock:7 ()) 0;
+  Nk_device.post vm ~qset:0 (encode Nqe.Send ~vm_id:1 ~qset:0 ~sock:7 ~size:100 ()) 0;
   E.run engine;
   Alcotest.(check int) "one table entry" 1 (Coreengine.conn_table_size ce);
   Alcotest.(check int) "two switched" 2 (Coreengine.stats ce).Coreengine.switched;
@@ -60,9 +63,10 @@ let nsm_to_vm_completion () =
   (* NSM announces an accepted connection (unassigned queue set) and then a
      data event for it. *)
   Nk_device.post nsm ~qset:0
-    (Nqe.encode
-       (Nqe.make ~op:Nqe.Ev_accept ~vm_id:2 ~qset:Nqe.qset_unassigned ~sock:11
-          ~size:(Nqe.nsm_sock_bit lor 1) ()));
+    (Nqe_codec.encode
+       (Nqe_codec.make ~op:Nqe.Ev_accept ~vm_id:2 ~qset:Nqe.qset_unassigned ~sock:11
+          ~size:(Nqe.nsm_sock_bit lor 1) ()))
+    0;
   E.run engine;
   Alcotest.(check int) "accept created a table entry" 1 (Coreengine.conn_table_size ce);
   let receive_total =
@@ -71,17 +75,19 @@ let nsm_to_vm_completion () =
   in
   Alcotest.(check int) "delivered on a receive queue" 1 receive_total;
   (* The delivered NQE's qset byte was completed by the CoreEngine. *)
+  let raw0 = slot () and raw1 = slot () in
   let raw =
     match
-      ( Ring.pop (Nk_device.qset vm 0).Queue_set.receive,
-        Ring.pop (Nk_device.qset vm 1).Queue_set.receive )
+      ( Ring.pop (Nk_device.qset vm 0).Queue_set.receive raw0 0,
+        Ring.pop (Nk_device.qset vm 1).Queue_set.receive raw1 0 )
     with
-    | Some r, None | None, Some r -> r
+    | true, false -> raw0
+    | false, true -> raw1
     | _ -> Alcotest.fail "expected exactly one NQE"
   in
-  match Nqe.decode raw with
+  match Nqe_codec.decode raw with
   | Ok d ->
-      if d.Nqe.qset >= 2 then Alcotest.failf "qset not completed: %d" d.Nqe.qset
+      if d.Nqe_codec.qset >= 2 then Alcotest.failf "qset not completed: %d" d.Nqe_codec.qset
   | Error e -> Alcotest.fail e
 
 let close_clears_table () =
@@ -91,10 +97,10 @@ let close_clears_table () =
   Coreengine.register_vm ce vm;
   Coreengine.register_nsm ce nsm;
   Coreengine.attach ce ~vm_id:1 ~nsm_ids:[ 1 ];
-  Nk_device.post vm ~qset:0 (encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock:9 ());
+  Nk_device.post vm ~qset:0 (encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock:9 ()) 0;
   E.run engine;
   Alcotest.(check int) "entry exists" 1 (Coreengine.conn_table_size ce);
-  Nk_device.post vm ~qset:0 (encode Nqe.Close ~vm_id:1 ~qset:0 ~sock:9 ());
+  Nk_device.post vm ~qset:0 (encode Nqe.Close ~vm_id:1 ~qset:0 ~sock:9 ()) 0;
   E.run engine;
   Alcotest.(check int) "close removed the entry" 0 (Coreengine.conn_table_size ce)
 
@@ -108,7 +114,7 @@ let round_robin_across_nsms () =
   Coreengine.register_nsm ce nsm2;
   Coreengine.attach ce ~vm_id:1 ~nsm_ids:[ 1; 2 ];
   for sock = 1 to 4 do
-    Nk_device.post vm ~qset:0 (encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock ())
+    Nk_device.post vm ~qset:0 (encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock ()) 0
   done;
   E.run engine;
   let jobs d = Ring.length (Nk_device.qset d 0).Queue_set.job in
@@ -125,8 +131,8 @@ let rate_limit_defers_sends () =
   (* 1000 B/s with a 1000 B burst: the first send passes, the second waits
      ~1 s for tokens. *)
   Coreengine.set_rate_limit ce ~vm_id:1 ~bytes_per_sec:1000.0 ~burst:1000.0;
-  Nk_device.post vm ~qset:0 (encode Nqe.Send ~vm_id:1 ~qset:0 ~sock:5 ~size:1000 ());
-  Nk_device.post vm ~qset:0 (encode Nqe.Send ~vm_id:1 ~qset:0 ~sock:5 ~size:1000 ());
+  Nk_device.post vm ~qset:0 (encode Nqe.Send ~vm_id:1 ~qset:0 ~sock:5 ~size:1000 ()) 0;
+  Nk_device.post vm ~qset:0 (encode Nqe.Send ~vm_id:1 ~qset:0 ~sock:5 ~size:1000 ()) 0;
   E.run engine ~until:0.5;
   Alcotest.(check int) "only first send through at 0.5s" 1
     (Ring.length (Nk_device.qset nsm 0).Queue_set.send);
@@ -144,7 +150,7 @@ let control_not_rate_limited () =
   Coreengine.register_nsm ce nsm;
   Coreengine.attach ce ~vm_id:1 ~nsm_ids:[ 1 ];
   Coreengine.set_rate_limit ce ~vm_id:1 ~bytes_per_sec:1.0 ~burst:1.0;
-  Nk_device.post vm ~qset:0 (encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock:5 ());
+  Nk_device.post vm ~qset:0 (encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock:5 ()) 0;
   E.run engine ~until:0.01;
   Alcotest.(check int) "control op passes a strangled bucket" 1
     (Ring.length (Nk_device.qset nsm 0).Queue_set.job)
@@ -156,14 +162,14 @@ let device_overflow_backpressure () =
       ()
   in
   for sock = 1 to 5 do
-    Nk_device.post dev ~qset:0 (encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock ())
+    Nk_device.post dev ~qset:0 (encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock ()) 0
   done;
   (* capacity 2, so three spill to the overflow; nothing is lost *)
   Alcotest.(check int) "pending counts ring + overflow" 5
     (Nk_device.outbound_pending dev ~qset:0);
   let s = Nk_device.qset dev 0 in
-  ignore (Ring.pop s.Queue_set.job);
-  ignore (Ring.pop s.Queue_set.job);
+  ignore (Ring.pop s.Queue_set.job (slot ()) 0);
+  ignore (Ring.pop s.Queue_set.job (slot ()) 0);
   Nk_device.flush_overflow dev;
   Alcotest.(check int) "overflow refills the ring" 2 (Ring.length s.Queue_set.job);
   Alcotest.(check int) "still nothing lost" 3 (Nk_device.outbound_pending dev ~qset:0)
@@ -178,7 +184,7 @@ let forget_vm_routes_edge_cases () =
   Coreengine.register_vm ce vm;
   Coreengine.register_nsm ce nsm;
   Coreengine.attach ce ~vm_id:1 ~nsm_ids:[ 1 ];
-  Nk_device.post vm ~qset:0 (encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock:7 ());
+  Nk_device.post vm ~qset:0 (encode Nqe.Socket ~vm_id:1 ~qset:0 ~sock:7 ()) 0;
   E.run engine;
   Alcotest.(check int) "one route installed" 1 (Coreengine.conn_table_size ce);
   let traced () = Nkmon.Trace.recorded (Nkmon.trace mon) in
@@ -212,7 +218,7 @@ let codec_ops () =
     (fun b ->
       let raw = Bytes.make Nqe.size_bytes '\000' in
       Bytes.set_uint8 raw 0 b;
-      if Nqe.View.ok raw then Some (Nqe.View.op raw) else None)
+      if Nqe.View.ok raw 0 then Some (Nqe.View.op raw 0) else None)
     (List.init 256 Fun.id)
 
 (* The paper's split, written as a total match so a new op must take a
@@ -279,19 +285,19 @@ let serve_bursts ~role ~op1 ~first ~op2 ~second =
   let cores = Sim.Cpu.Set.create engine ~name:"owner" ~n:1 () in
   let dev = mk_device ~id:1 ~role ~qsets:1 in
   let applied = ref [] in
-  Nk_device.serve dev ~cores ~costs:Nk_costs.default ~component:"owner" (fun qset nqe ->
+  Nk_device.serve dev ~cores ~costs:Nk_costs.default ~component:"owner" (fun qset buf pos ->
       Alcotest.(check int) "queue-set index" 0 qset;
       let busy = Sim.Cpu.busy_cycles (Sim.Cpu.Set.core cores 0) in
-      applied := (E.now engine, nqe.Nqe.op, busy) :: !applied);
+      applied := (E.now engine, Nqe.View.op buf pos, busy) :: !applied);
   (* The second ring is filled first: the burst order must not follow push
      order across rings. *)
   for sock = 1 to second do
-    ignore (Nk_device.push dev ~qset:0 (encode op2 ~vm_id:1 ~qset:0 ~sock ()))
+    ignore (Nk_device.push dev ~qset:0 (encode op2 ~vm_id:1 ~qset:0 ~sock ()) 0)
   done;
   for sock = 1 to first do
-    ignore (Nk_device.push dev ~qset:0 (encode op1 ~vm_id:1 ~qset:0 ~sock ()))
+    ignore (Nk_device.push dev ~qset:0 (encode op1 ~vm_id:1 ~qset:0 ~sock ()) 0)
   done;
-  Nk_device.wake dev engine ~qset:0 ~at:1.0;
+  Nk_device.wake dev engine ~qset:0 ~delay:1.0;
   E.run engine;
   List.rev !applied
 
@@ -360,10 +366,10 @@ let drain_first_ring_first () =
     let dev = mk_device ~id:1 ~role ~qsets:2 in
     List.iteri
       (fun sock op ->
-        ignore (Nk_device.push dev ~qset:1 (encode op ~vm_id:1 ~qset:1 ~sock ())))
+        ignore (Nk_device.push dev ~qset:1 (encode op ~vm_id:1 ~qset:1 ~sock ()) 0))
       ops;
     let got = ref [] in
-    Nk_device.drain dev ~qset:1 ~toward (fun raw -> got := Nqe.View.sock raw :: !got);
+    Nk_device.drain dev ~qset:1 ~toward (fun buf pos -> got := Nqe.View.sock buf pos :: !got);
     Alcotest.(check (list int))
       "first ring emptied before the second" expected (List.rev !got);
     Alcotest.(check int) "rings empty" 0 (Queue_set.total_queued (Nk_device.qset dev 1))
@@ -374,6 +380,57 @@ let drain_first_ring_first () =
   check ~role:Nk_device.Vm_side ~toward:`Vm
     [ Nqe.Ev_data; Nqe.Comp_send; Nqe.Ev_eof; Nqe.Comp_close ]
     [ 1; 3; 0; 2 ]
+
+(* ---- the NQE trip ------------------------------------------------------- *)
+
+(* Minor words one NQE allocates on its whole trip: posted pre-encoded on a
+   VM device, switched by a one-shard CoreEngine, and served on the NSM
+   device by a no-op apply. [burst] Sends on [burst] sockets are posted
+   before the engine runs; the count is taken after a warm-up that grows
+   every table, ring, scratch buffer and engine slab to size. *)
+let words_per_trip ~burst =
+  let engine, ce = mk_world () in
+  let vm = mk_device ~id:1 ~role:Nk_device.Vm_side ~qsets:1 in
+  let nsm = mk_device ~id:1 ~role:Nk_device.Nsm_side ~qsets:1 in
+  Coreengine.register_vm ce vm;
+  Coreengine.register_nsm ce nsm;
+  Coreengine.attach ce ~vm_id:1 ~nsm_ids:[ 1 ];
+  let applied = ref 0 in
+  Nk_device.serve nsm
+    ~cores:(Sim.Cpu.Set.create engine ~name:"nsm" ~n:1 ())
+    ~costs:Nk_costs.default ~component:"nsm1"
+    (fun _ _ _ -> incr applied);
+  let nqes = Bytes.create (burst * Nqe.size_bytes) in
+  for i = 0 to burst - 1 do
+    Nqe_codec.encode_into
+      (Nqe_codec.make ~op:Nqe.Send ~vm_id:1 ~qset:0 ~sock:(i + 1) ~size:1024 ())
+      nqes ~pos:(i * Nqe.size_bytes)
+  done;
+  let trip () =
+    for i = 0 to burst - 1 do
+      Nk_device.post vm ~qset:0 nqes (i * Nqe.size_bytes)
+    done;
+    E.run engine
+  in
+  for _ = 1 to 100 do
+    trip ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    trip ()
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int (1_000 * burst) in
+  Alcotest.(check int) "every NQE applied" (1_100 * burst) !applied;
+  words
+
+let lone_nqe_trip_words () =
+  let words = words_per_trip ~burst:1 in
+  if words > 24.0 then Alcotest.failf "%.1f minor words per lone NQE trip, want <= 24" words
+
+let burst_nqe_trip_words () =
+  let words = words_per_trip ~burst:64 in
+  if words > 6.0 then
+    Alcotest.failf "%.1f minor words per NQE of a 64-NQE burst, want <= 6" words
 
 let tests =
   [
@@ -390,4 +447,7 @@ let tests =
     Alcotest.test_case "NSM serve bursts 64 across job, send" `Quick nsm_serve_burst_budget;
     Alcotest.test_case "VM serve bursts 64 + 64 per pair" `Quick vm_serve_burst_budget;
     Alcotest.test_case "drain empties first ring first" `Quick drain_first_ring_first;
+    Alcotest.test_case "a lone NQE's trip allocates <= 24 words" `Quick lone_nqe_trip_words;
+    Alcotest.test_case "a 64-NQE burst allocates <= 6 words per NQE" `Quick
+      burst_nqe_trip_words;
   ]

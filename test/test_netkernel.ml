@@ -289,10 +289,13 @@ let rate_limit_caps_throughput () =
     Alcotest.failf "rate limit not enforced: measured %.2f Gbps (cap 1.0)" gbps
 
 (* An idle VM's memory is what it uses: its queue set's four rings hold
-   8,192 NQEs each but allocate slots as they fill. One host with one
-   kernel NSM, built with 1 and then 33 idle 1-vCPU VMs; after a full
-   major GC the 32 further VMs may hold at most 4,096 live words each
-   (2,068 now; 34,796 when each ring allocated all its slots). *)
+   8,192 NQEs each but allocate slots as they fill, the first 16 at the
+   first push, and its poll loop's burst buffer grows from empty. One host
+   with one kernel NSM, built with 1 and then 33 idle 1-vCPU VMs; after a
+   full major GC the 32 further VMs may hold at most 4,096 live words each
+   (1,911 now; about 2,070 when every ring held 16 option slots and the
+   burst buffer 128 from the start; 34,796 when each ring allocated all
+   its slots). *)
 let idle_vm_memory () =
   let live_with n =
     let tb = Testbed.create () in

@@ -14,29 +14,29 @@ let roundtrip_all_ops () =
   List.iter
     (fun op ->
       let nqe =
-        Nqe.make ~op ~vm_id:7 ~qset:3 ~sock:123456 ~op_data:0x1234_5678_9ABCL
+        Nqe_codec.make ~op ~vm_id:7 ~qset:3 ~sock:123456 ~op_data:0x1234_5678_9ABC
           ~data_ptr:987654 ~size:4096 ~synthetic:true ()
       in
-      let buf = Nqe.encode nqe in
+      let buf = Nqe_codec.encode nqe in
       Alcotest.(check int) "32 bytes" Nqe.size_bytes (Bytes.length buf);
-      match Nqe.decode buf with
+      match Nqe_codec.decode buf with
       | Error e -> Alcotest.failf "decode failed for %s: %s" (Nqe.op_to_string op) e
       | Ok d ->
-          Alcotest.(check bool) "op" true (d.Nqe.op = op);
-          Alcotest.(check int) "vm_id" 7 d.Nqe.vm_id;
-          Alcotest.(check int) "qset" 3 d.Nqe.qset;
-          Alcotest.(check int) "sock" 123456 d.Nqe.sock;
-          Alcotest.(check int64) "op_data" 0x1234_5678_9ABCL d.Nqe.op_data;
-          Alcotest.(check int) "data_ptr" 987654 d.Nqe.data_ptr;
-          Alcotest.(check int) "size" 4096 d.Nqe.size;
-          Alcotest.(check bool) "synthetic" true d.Nqe.synthetic)
+          Alcotest.(check bool) "op" true (d.Nqe_codec.op = op);
+          Alcotest.(check int) "vm_id" 7 d.Nqe_codec.vm_id;
+          Alcotest.(check int) "qset" 3 d.Nqe_codec.qset;
+          Alcotest.(check int) "sock" 123456 d.Nqe_codec.sock;
+          Alcotest.(check int) "op_data" 0x1234_5678_9ABC d.Nqe_codec.op_data;
+          Alcotest.(check int) "data_ptr" 987654 d.Nqe_codec.data_ptr;
+          Alcotest.(check int) "size" 4096 d.Nqe_codec.size;
+          Alcotest.(check bool) "synthetic" true d.Nqe_codec.synthetic)
     all_ops
 
 let decode_garbage () =
-  (match Nqe.decode (Bytes.make 32 '\xEE') with
+  (match Nqe_codec.decode (Bytes.make 32 '\xEE') with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage op byte must not decode");
-  match Nqe.decode (Bytes.create 10) with
+  match Nqe_codec.decode (Bytes.create 10) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "short buffer must not decode"
 
@@ -66,13 +66,13 @@ let qcheck_roundtrip =
     QCheck.(
       quad (int_bound 255) (int_bound 254) (int_bound ((1 lsl 30) - 1)) (int_bound 1_000_000))
     (fun (vm_id, qset, sock, size) ->
-      let nqe = Nqe.make ~op:Nqe.Send ~vm_id ~qset ~sock ~data_ptr:(size * 3) ~size () in
-      match Nqe.decode (Nqe.encode nqe) with
+      let nqe = Nqe_codec.make ~op:Nqe.Send ~vm_id ~qset ~sock ~data_ptr:(size * 3) ~size () in
+      match Nqe_codec.decode (Nqe_codec.encode nqe) with
       | Error _ -> false
       | Ok d ->
-          d.Nqe.vm_id = vm_id && d.Nqe.qset = qset && d.Nqe.sock = sock
-          && d.Nqe.size = size
-          && d.Nqe.data_ptr = size * 3)
+          d.Nqe_codec.vm_id = vm_id && d.Nqe_codec.qset = qset && d.Nqe_codec.sock = sock
+          && d.Nqe_codec.size = size
+          && d.Nqe_codec.data_ptr = size * 3)
 
 (* ---- zero-allocation views ---------------------------------------------- *)
 
@@ -81,49 +81,49 @@ let qcheck_roundtrip =
    opcode (and on span-stamped / edge-value records). *)
 let view_equals_decode () =
   let check_one nqe =
-    let raw = Nqe.encode nqe in
-    Alcotest.(check bool) "View.ok" true (Nqe.View.ok raw);
-    match Nqe.decode raw with
+    let raw = Nqe_codec.encode nqe in
+    Alcotest.(check bool) "View.ok" true (Nqe.View.ok raw 0);
+    match Nqe_codec.decode raw with
     | Error e -> Alcotest.failf "decode failed: %s" e
     | Ok d ->
         Alcotest.(check bool)
-          (Printf.sprintf "op %s" (Nqe.op_to_string d.Nqe.op))
+          (Printf.sprintf "op %s" (Nqe.op_to_string d.Nqe_codec.op))
           true
-          (Nqe.View.op raw = d.Nqe.op);
-        Alcotest.(check int) "vm_id" d.Nqe.vm_id (Nqe.View.vm_id raw);
-        Alcotest.(check int) "qset" d.Nqe.qset (Nqe.View.qset raw);
-        Alcotest.(check int) "sock" d.Nqe.sock (Nqe.View.sock raw);
-        Alcotest.(check int64) "op_data" d.Nqe.op_data (Nqe.View.op_data raw);
-        Alcotest.(check int) "data_ptr" d.Nqe.data_ptr (Nqe.View.data_ptr raw);
-        Alcotest.(check int) "size" d.Nqe.size (Nqe.View.size raw);
-        Alcotest.(check bool) "synthetic" d.Nqe.synthetic (Nqe.View.synthetic raw);
-        Alcotest.(check int) "span" d.Nqe.span (Nqe.View.span raw)
+          (Nqe.View.op raw 0 = d.Nqe_codec.op);
+        Alcotest.(check int) "vm_id" d.Nqe_codec.vm_id (Nqe.View.vm_id raw 0);
+        Alcotest.(check int) "qset" d.Nqe_codec.qset (Nqe.View.qset raw 0);
+        Alcotest.(check int) "sock" d.Nqe_codec.sock (Nqe.View.sock raw 0);
+        Alcotest.(check int) "op_data" d.Nqe_codec.op_data (Nqe.View.op_data raw 0);
+        Alcotest.(check int) "data_ptr" d.Nqe_codec.data_ptr (Nqe.View.data_ptr raw 0);
+        Alcotest.(check int) "size" d.Nqe_codec.size (Nqe.View.size raw 0);
+        Alcotest.(check bool) "synthetic" d.Nqe_codec.synthetic (Nqe.View.synthetic raw 0);
+        Alcotest.(check int) "span" d.Nqe_codec.span (Nqe.View.span raw 0)
   in
   List.iter
     (fun op ->
       check_one
-        (Nqe.make ~op ~vm_id:7 ~qset:3 ~sock:123456 ~op_data:0x1234_5678_9ABCL
+        (Nqe_codec.make ~op ~vm_id:7 ~qset:3 ~sock:123456 ~op_data:0x1234_5678_9ABC
            ~data_ptr:987654 ~size:4096 ~synthetic:true ());
-      check_one (Nqe.make ~op ~vm_id:0 ~qset:0 ~sock:0 ());
+      check_one (Nqe_codec.make ~op ~vm_id:0 ~qset:0 ~sock:0 ());
       check_one
-        (Nqe.make ~op ~vm_id:255 ~qset:Nqe.qset_unassigned
+        (Nqe_codec.make ~op ~vm_id:255 ~qset:Nqe.qset_unassigned
            ~sock:((1 lsl 31) - 1)
-           ~op_data:Int64.min_int
+           ~op_data:min_int
            ~data_ptr:((1 lsl 40) - 1)
            ~size:((1 lsl 31) - 1)
            ~span:((1 lsl 31) - 1)
            ()))
     all_ops;
   (* View.ok mirrors decode's rejections. *)
-  Alcotest.(check bool) "garbage op" false (Nqe.View.ok (Bytes.make 32 '\xEE'));
-  Alcotest.(check bool) "short buffer" false (Nqe.View.ok (Bytes.create 10))
+  Alcotest.(check bool) "garbage op" false (Nqe.View.ok (Bytes.make 32 '\xEE') 0);
+  Alcotest.(check bool) "short buffer" false (Nqe.View.ok (Bytes.create 10) 0)
 
 let view_set_qset () =
-  let raw = Nqe.encode (Nqe.make ~op:Nqe.Ev_accept ~vm_id:9 ~qset:Nqe.qset_unassigned ~sock:5 ()) in
-  Nqe.View.set_qset raw 17;
-  Alcotest.(check int) "patched qset" 17 (Nqe.View.qset raw);
-  match Nqe.decode raw with
-  | Ok d -> Alcotest.(check int) "decoder sees the patch" 17 d.Nqe.qset
+  let raw = Nqe_codec.encode (Nqe_codec.make ~op:Nqe.Ev_accept ~vm_id:9 ~qset:Nqe.qset_unassigned ~sock:5 ()) in
+  Nqe.View.set_qset raw 0 17;
+  Alcotest.(check int) "patched qset" 17 (Nqe.View.qset raw 0);
+  match Nqe_codec.decode raw with
+  | Ok d -> Alcotest.(check int) "decoder sees the patch" 17 d.Nqe_codec.qset
   | Error e -> Alcotest.failf "decode after patch: %s" e
 
 let qcheck_view_equivalence =
@@ -133,22 +133,210 @@ let qcheck_view_equivalence =
     (fun (vm_id, qset, sock, size) ->
       let op = List.nth all_ops (sock mod List.length all_ops) in
       let raw =
-        Nqe.encode
-          (Nqe.make ~op ~vm_id ~qset ~sock ~op_data:(Int64.of_int (size * 7))
+        Nqe_codec.encode
+          (Nqe_codec.make ~op ~vm_id ~qset ~sock ~op_data:(size * 7)
              ~data_ptr:(size * 3) ~size ~span:(sock lxor size) ())
       in
-      match Nqe.decode raw with
+      match Nqe_codec.decode raw with
       | Error _ -> false
       | Ok d ->
-          Nqe.View.ok raw && Nqe.View.op raw = d.Nqe.op
-          && Nqe.View.vm_id raw = d.Nqe.vm_id
-          && Nqe.View.qset raw = d.Nqe.qset
-          && Nqe.View.sock raw = d.Nqe.sock
-          && Nqe.View.op_data raw = d.Nqe.op_data
-          && Nqe.View.data_ptr raw = d.Nqe.data_ptr
-          && Nqe.View.size raw = d.Nqe.size
-          && Nqe.View.synthetic raw = d.Nqe.synthetic
-          && Nqe.View.span raw = d.Nqe.span)
+          Nqe.View.ok raw 0 && Nqe.View.op raw 0 = d.Nqe_codec.op
+          && Nqe.View.vm_id raw 0 = d.Nqe_codec.vm_id
+          && Nqe.View.qset raw 0 = d.Nqe_codec.qset
+          && Nqe.View.sock raw 0 = d.Nqe_codec.sock
+          && Nqe.View.op_data raw 0 = d.Nqe_codec.op_data
+          && Nqe.View.data_ptr raw 0 = d.Nqe_codec.data_ptr
+          && Nqe.View.size raw 0 = d.Nqe_codec.size
+          && Nqe.View.synthetic raw 0 = d.Nqe_codec.synthetic
+          && Nqe.View.span raw 0 = d.Nqe_codec.span)
+
+(* ---- the slot writer against the reference codec ------------------------- *)
+
+(* Field bounds of the 32-byte layout: one byte for vm_id and qset, 32 bits
+   for sock, size and span, a whole int for op_data and data_ptr. *)
+let u32_max = 0xFFFF_FFFF
+
+let record_gen =
+  QCheck.Gen.(
+    let field lo hi = frequency [ (1, return lo); (1, return hi); (3, int_range lo hi) ] in
+    let word = frequency [ (1, return min_int); (1, return max_int); (1, return 0); (3, int) ] in
+    oneofl all_ops >>= fun op ->
+    field 0 255 >>= fun vm_id ->
+    field 0 255 >>= fun qset ->
+    field 0 u32_max >>= fun sock ->
+    word >>= fun op_data ->
+    word >>= fun data_ptr ->
+    field 0 u32_max >>= fun size ->
+    bool >>= fun synthetic ->
+    field 0 u32_max >>= fun span ->
+    return (Nqe_codec.make ~op ~vm_id ~qset ~sock ~op_data ~data_ptr ~size ~synthetic ~span ()))
+
+let write_record buf ~pos (r : Nqe_codec.t) =
+  Nqe.write buf ~pos ~op:r.Nqe_codec.op ~vm_id:r.vm_id ~qset:r.qset ~sock:r.sock
+    ~op_data:r.op_data ~data_ptr:r.data_ptr ~size:r.size ~synthetic:r.synthetic ~span:r.span
+
+(* [r] written at slot [slot] of an eight-slot buffer of noise: the 32 bytes
+   are the reference encoding, every view reads back the reference
+   decoding, and no byte outside the slot moves. *)
+let writer_agrees ~noise (r : Nqe_codec.t) slot =
+  let buf = Bytes.of_string noise in
+  let pos = slot * Nqe.size_bytes in
+  write_record buf ~pos r;
+  let d = Result.get_ok (Nqe_codec.decode (Nqe_codec.encode r)) in
+  Bytes.equal (Bytes.sub buf pos Nqe.size_bytes) (Nqe_codec.encode r)
+  && Nqe_codec.decode_from buf ~pos = Ok d
+  && d = r
+  && Nqe.View.ok buf pos
+  && Nqe.View.op buf pos = d.Nqe_codec.op
+  && Nqe.View.vm_id buf pos = d.vm_id
+  && Nqe.View.qset buf pos = d.qset
+  && Nqe.View.sock buf pos = d.sock
+  && Nqe.View.op_data buf pos = d.op_data
+  && Nqe.View.data_ptr buf pos = d.data_ptr
+  && Nqe.View.size buf pos = d.size
+  && Nqe.View.synthetic buf pos = d.synthetic
+  && Nqe.View.span buf pos = d.span
+  && String.equal (Bytes.sub_string buf 0 pos) (String.sub noise 0 pos)
+  &&
+  let past = pos + Nqe.size_bytes in
+  String.equal
+    (Bytes.sub_string buf past (Bytes.length buf - past))
+    (String.sub noise past (String.length noise - past))
+
+let slots8 = 8 * Nqe.size_bytes
+
+let qcheck_writer_oracle =
+  QCheck.Test.make ~name:"slot writer + views equal the reference codec" ~count:1000
+    (QCheck.make
+       QCheck.Gen.(triple record_gen (int_bound 7) (string_size ~gen:char (return slots8)))
+       ~print:(fun (r, slot, _) ->
+         Printf.sprintf "%s vm=%d qset=%d sock=%d op_data=%d data_ptr=%d size=%d syn=%b span=%d at slot %d"
+           (Nqe.op_to_string r.Nqe_codec.op) r.vm_id r.qset r.sock r.op_data r.data_ptr r.size
+           r.synthetic r.span slot))
+    (fun (r, slot, noise) -> writer_agrees ~noise r slot)
+
+(* Every opcode with every field at its low and at its high bound. *)
+let writer_bounds_all_ops () =
+  let noise = String.init slots8 (fun i -> Char.chr ((i * 37) land 0xFF)) in
+  List.iter
+    (fun op ->
+      List.iteri
+        (fun slot r ->
+          if not (writer_agrees ~noise r slot) then
+            Alcotest.failf "%s at slot %d disagrees with the reference codec"
+              (Nqe.op_to_string op) slot)
+        [
+          Nqe_codec.make ~op ~vm_id:0 ~qset:0 ~sock:0 ~op_data:min_int ~data_ptr:min_int ~size:0
+            ~synthetic:false ~span:0 ();
+          Nqe_codec.make ~op ~vm_id:255 ~qset:255 ~sock:u32_max ~op_data:max_int
+            ~data_ptr:max_int ~size:u32_max ~synthetic:true ~span:u32_max ();
+          Nqe_codec.make ~op ~vm_id:1 ~qset:Nqe.qset_unassigned ~sock:Nqe.nsm_sock_bit
+            ~op_data:(-1) ~data_ptr:0 ~size:1 ~synthetic:true ~span:1 ();
+        ])
+    all_ops
+
+(* ---- NQE rings ------------------------------------------------------------ *)
+
+(* NQE number [k]: every field moves with [k], so a lost, repeated or
+   reordered NQE shows in the bytes. *)
+let write_nth buf pos k =
+  Nqe.write buf ~pos ~op:(List.nth all_ops (k mod 17)) ~vm_id:(k land 0xFF)
+    ~qset:((k lsr 8) land 0xFF) ~sock:k ~op_data:(k * 7919) ~data_ptr:(k * 64)
+    ~size:(k land 0xFFFF) ~synthetic:(k land 1 = 1) ~span:(k lxor 0x5555)
+
+type ring_step = Push of int | Pop of int | Drain of int
+
+let ring_step_to_string = function
+  | Push n -> Printf.sprintf "push %d" n
+  | Pop n -> Printf.sprintf "pop %d" n
+  | Drain n -> Printf.sprintf "drain %d" n
+
+let ring_case_gen =
+  QCheck.Gen.(
+    pair
+      (frequency [ (4, int_range 1 300); (1, return 8192) ])
+      (list_size (int_range 1 60)
+         (frequency
+            [
+              (3, map (fun n -> Push n) (int_range 1 200));
+              (2, map (fun n -> Pop n) (int_range 1 80));
+              (1, map (fun n -> Drain n) (int_range 0 200));
+            ])))
+
+(* Runs of pushes, pops and drains against a queue of copied NQEs. After
+   every push and pop, and after every drain: the capacity is the power of
+   two at or above the one asked for, a push fails exactly when the queue
+   holds that many, the length matches, the slots allocated lie between the
+   length and the capacity, and every NQE comes out as it went in, oldest
+   first. Long push runs grow the slots while the head sits past the wrap
+   point. *)
+let qcheck_nqe_ring =
+  QCheck.Test.make ~name:"nqe ring equals a queue of copied NQEs" ~count:300
+    (QCheck.make ring_case_gen ~print:(fun (capacity, steps) ->
+         Printf.sprintf "capacity %d: %s" capacity
+           (String.concat ", " (List.map ring_step_to_string steps))))
+    (fun (capacity, steps) ->
+      let r = Nqe_ring.create ~capacity in
+      let cap = Nqe_ring.capacity r in
+      let q = Queue.create () in
+      let next = ref 0 in
+      let src = Bytes.make (3 * Nqe.size_bytes) '\x11' in
+      let dst = Bytes.make (3 * Nqe.size_bytes) '\x22' in
+      let ok = ref (cap >= capacity && cap < 2 * capacity && cap land (cap - 1) = 0) in
+      let fits () =
+        let n = Nqe_ring.length r and slots = Nqe_ring.slots r in
+        n = Queue.length q
+        && Nqe_ring.is_empty r = (n = 0)
+        && Nqe_ring.capacity r = cap
+        && slots >= n && slots <= cap
+        && (slots = 0 || slots land (slots - 1) = 0)
+      in
+      let pop_one () =
+        let got = Nqe_ring.pop r dst Nqe.size_bytes in
+        match Queue.take_opt q with
+        | None -> not got
+        | Some e -> got && Bytes.equal (Bytes.sub dst Nqe.size_bytes Nqe.size_bytes) e
+      in
+      List.iter
+        (fun step ->
+          match step with
+          | Push n ->
+              for _ = 1 to n do
+                write_nth src Nqe.size_bytes !next;
+                let room = Queue.length q < cap in
+                let pushed = Nqe_ring.push r src Nqe.size_bytes in
+                if pushed then begin
+                  Queue.add (Bytes.sub src Nqe.size_bytes Nqe.size_bytes) q;
+                  incr next
+                end;
+                ok := !ok && pushed = room && fits ()
+              done
+          | Pop n ->
+              for _ = 1 to n do
+                let popped = pop_one () in
+                ok := !ok && popped && fits ()
+              done
+          | Drain n ->
+              let buf = Bytes.make ((n + 2) * Nqe.size_bytes) '\xAA' in
+              let k = Nqe_ring.pop_slice r buf ~slot:1 ~max:n in
+              ok := !ok && k = Int.min n (Queue.length q);
+              for i = 1 to k do
+                let e = Queue.pop q in
+                ok :=
+                  !ok && Bytes.equal (Bytes.sub buf (i * Nqe.size_bytes) Nqe.size_bytes) e
+              done;
+              let untouched off len = Bytes.equal (Bytes.sub buf off len) (Bytes.make len '\xAA') in
+              ok :=
+                !ok
+                && untouched 0 Nqe.size_bytes
+                && untouched ((k + 1) * Nqe.size_bytes) ((n + 1 - k) * Nqe.size_bytes)
+                && fits ())
+        steps;
+      while not (Queue.is_empty q) do
+        let popped = pop_one () in
+        ok := !ok && popped
+      done;
+      !ok && fits () && not (Nqe_ring.pop r dst 0))
 
 (* ---- hugepages ---------------------------------------------------------- *)
 
@@ -426,6 +614,10 @@ let tests =
     Alcotest.test_case "view equals decode (all ops)" `Quick view_equals_decode;
     Alcotest.test_case "view qset patch" `Quick view_set_qset;
     QCheck_alcotest.to_alcotest qcheck_view_equivalence;
+    QCheck_alcotest.to_alcotest qcheck_writer_oracle;
+    Alcotest.test_case "slot writer at every field bound (all ops)" `Quick
+      writer_bounds_all_ops;
+    QCheck_alcotest.to_alcotest qcheck_nqe_ring;
     Alcotest.test_case "hugepages alloc/free/coalesce" `Quick hp_alloc_free;
     Alcotest.test_case "hugepages double free" `Quick hp_double_free;
     Alcotest.test_case "hugepages exhaustion" `Quick hp_exhaustion;

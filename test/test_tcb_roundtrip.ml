@@ -308,6 +308,83 @@ let random_midstream =
       in
       ok ~role:`Client ~ch:channel client && ok ~role:`Server ~ch:channel server)
 
+(* ---- re-arming the retransmission timer --------------------------------- *)
+
+(* A sender's flights of MSS segments, each ACKed back segment by segment:
+   every ACK that leaves data outstanding cancels the RTO and arms it
+   again. Each arm must hand the engine the TCB's own on-RTO thunk, built
+   with the TCB, and keep the handle as an immediate. Such an ACK then
+   allocates 27 words in the dev build (its own processing and the boxed
+   RTO the engine is handed); a fresh closure and a [Some] per arm make
+   it 34. *)
+let rto_rearm () =
+  let engine = E.create () in
+  let registry = Conn_registry.create () in
+  let flow = Addr.Flow.make ~src:(Addr.make 1 7000) ~dst:(Addr.make 2 80) in
+  let channel = Conn_registry.register registry ~flow ~isn:100 in
+  let cq = Queue.create () and sq = Queue.create () in
+  (* Every closure the client arms a timer with, kept without allocating. *)
+  let armed = Array.make 4096 ignore and n_armed = ref 0 in
+  let act =
+    {
+      (mk_act engine cq (ref false)) with
+      Tcb.set_timer =
+        (fun ~delay f ->
+          if !n_armed < Array.length armed then armed.(!n_armed) <- f;
+          incr n_armed;
+          E.schedule engine ~delay f);
+    }
+  in
+  let mkcc = Cc_cubic.factory ~mss:Segment.mss in
+  let client = Tcb.create_active ~flow ~cfg ~act ~cc:(mkcc ()) ~isn:100 ~channel in
+  let syn = Queue.pop cq in
+  let server =
+    Tcb.create_passive ~flow:(Addr.Flow.reverse flow) ~cfg
+      ~act:(mk_act engine sq (ref false))
+      ~cc:(mkcc ()) ~isn:200 ~remote_isn:syn.Segment.seq ~remote_ts:syn.Segment.ts ~channel
+  in
+  Tcb.input server syn;
+  while not (Queue.is_empty sq && Queue.is_empty cq) do
+    (match Queue.take_opt sq with Some s -> Tcb.input client s | None -> ());
+    match Queue.take_opt cq with Some s -> Tcb.input server s | None -> ()
+  done;
+  (* One flight; the server's ACKs for it, oldest first. *)
+  let flight () =
+    ignore (Tcb.write client (Types.Zeros (8 * Segment.mss)));
+    while not (Queue.is_empty cq) do
+      Tcb.input server (Queue.pop cq)
+    done;
+    ignore (Tcb.read server ~max:max_int ~mode:`Discard);
+    let acks = Array.of_seq (Queue.to_seq sq) in
+    Queue.clear sq;
+    acks
+  in
+  let words = ref 0.0 and rearms = ref 0 in
+  for round = 1 to 300 do
+    let acks = flight () in
+    let partial = Array.length acks - 1 in
+    if partial < 1 then Alcotest.fail "expected several ACKs per flight";
+    let n0 = !n_armed in
+    let w0 = Gc.minor_words () in
+    for i = 0 to partial - 1 do
+      Tcb.input client acks.(i)
+    done;
+    let w1 = Gc.minor_words () in
+    Tcb.input client acks.(partial);
+    if !n_armed - n0 <> partial then
+      Alcotest.failf "round %d: %d arms for %d re-arming ACKs" round (!n_armed - n0) partial;
+    if round > 100 then begin
+      words := !words +. (w1 -. w0);
+      rearms := !rearms + partial
+    end
+  done;
+  for i = 1 to Int.min !n_armed (Array.length armed) - 1 do
+    if not (armed.(i) == armed.(0)) then Alcotest.failf "arm %d used a fresh closure" i
+  done;
+  let per_rearm = !words /. float_of_int !rearms in
+  if per_rearm > 30.0 then
+    Alcotest.failf "%.1f minor words per re-arming ACK, want <= 30" per_rearm
+
 let tests =
   List.map
     (fun (name, mkcc) ->
@@ -315,4 +392,7 @@ let tests =
         (Printf.sprintf "lifecycle round-trip (%s)" name)
         `Quick (full_lifecycle ~mkcc))
     ccs
-  @ [ QCheck_alcotest.to_alcotest random_midstream ]
+  @ [
+      QCheck_alcotest.to_alcotest random_midstream;
+      Alcotest.test_case "re-arming the RTO allocates no closure or option" `Quick rto_rearm;
+    ]

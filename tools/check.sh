@@ -15,9 +15,14 @@ dune runtest
 # off, so it never recompiles the tree.
 dune build @lint
 # Microbenchmark smoke: run the Bechamel suite once so a broken case (an
-# NQE that is not switched, a full hugepage region, a decode error) fails
-# the check. Its timings stay ungated.
+# NQE that is not switched, a full hugepage region, a Send NQE that never
+# completes) fails the check. Its timings stay ungated.
 dune exec bench/main.exe > /dev/null
+# Benchmark selftest: perfbench's in-process checks (output checks, a
+# slice-driven run equal to one Testbed.run, paced equal to plain, traced
+# equal to untraced, seed sensitivity), so a change that breaks a workload
+# fails here before any benchmark run.
+dune exec perfbench/main.exe -- --selftest
 # Trace export smoke: `nk trace` and `nk trace --cluster` export their
 # whole workload, so neither may write to stderr (a dropped-events
 # warning means the trace ring overwrote part of the run).

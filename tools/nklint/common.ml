@@ -91,7 +91,6 @@ let waiver_tokens =
     ("nklint: ordered-ok", "D2");
     ("nklint: magic-ok", "D4");
     ("nklint: swallow-ok", "D4");
-    ("nklint: decode-ok", "H1");
     ("nkscope: volatile", "M1");
     ("nkscope: ce-owner", "O1");
     ("nkscope: nondet-ok", "T1");

@@ -16,21 +16,22 @@
    D4  no [Obj.magic]; no exception-swallowing [try ... with _ ->]
        (waivers: magic-ok / swallow-ok);
    P1  NQE wire-protocol invariants in lib/core/nqe.ml: the declared
-       [size_bytes] must equal the encoder's written span, every opcode
-       constructor must appear in both the encode and decode match sites,
-       and encode must assign distinct byte values;
+       [size_bytes] must equal the span the slot writer [write] stores,
+       every opcode constructor must appear in both the encode and decode
+       match sites, and encode must assign distinct byte values;
    P2  the queue-set protocol lives in one place: outside nk_device.ml no
        lib/ file holds the queue-set hash multiplier or calls
        [Queue_set.drain_into], and outside queue_set.ml no match case maps
        an NQE op constructor to a ring;
-   H1  no full [Nqe.decode]/[Nqe.decode_from] in the lib/core hot-path
-       modules (the datapath reads fields through the zero-allocation
-       [Nqe.View] accessors; a deliberate full decode — e.g. an endpoint
-       apply loop that needs the whole record — is waived with
-       (* nklint: decode-ok *));
+   H1  no NQE record codec — [make], [encode], [encode_into], [decode],
+       [decode_from] of [Nqe] or of the reference codec [Nqe_codec] — in
+       the lib/core hot-path modules or lib/nkfabric/nkfabric.ml: an NQE
+       lives in its 32-byte slot, producers write it with [Nqe.write] and
+       consumers read it through [Nqe.View], so a record or a fresh buffer
+       per NQE has no place there (no waiver);
    H2  no polymorphic [Hashtbl] values ([create], [find], [find_opt], [mem],
-       [replace], [add], [remove]) in H1's modules or the other datapath
-       tables' modules (epoll, direct sockets, fabric, hugepages, reactor):
+       [replace], [add], [remove]) in H1's lib/core modules or the other
+       datapath tables' modules (epoll, direct sockets, fabric, hugepages, reactor):
        each lookup there would pay a C [caml_hash] and a polymorphic
        compare; [Nkutil.Int_tbl] or a [Hashtbl.Make] instance instead;
    S1  every span stage a lib/ file opens is closed somewhere under lib/;
@@ -63,8 +64,14 @@ let hot_path_modules =
 let in_hot_path path =
   contains ~sub:"core/" path && List.mem (Filename.basename path) hot_path_modules
 
-(* H2's modules: H1's, plus those whose tables every socket event, segment
-   or payload extent consults. *)
+(* H1's files: the hot path plus the cluster relay, which moves NQEs
+   between hosts. *)
+let in_nqe_path path =
+  in_hot_path path
+  || (contains ~sub:"nkfabric/" path && Filename.basename path = "nkfabric.ml")
+
+(* H2's modules: H1's lib/core ones, plus those whose tables every socket
+   event, segment or payload extent consults. *)
 let table_hot_path_modules =
   hot_path_modules
   @ [ "epoll_core.ml"; "direct_socket.ml"; "fabric.ml"; "hugepages.ml"; "reactor.ml" ]
@@ -80,6 +87,13 @@ let rec last = function [] -> None | [ x ] -> Some x | _ :: tl -> last tl
 (* The last two components of a path: the (module, value) X1 and P2 match
    on. *)
 let rec last2 = function [ m; x ] -> Some (m, x) | _ :: tl -> last2 tl | [] -> None
+
+(* A path naming the record codec: [Nqe.encode], [Nqe_codec.decode], ... *)
+let is_nqe_codec l =
+  match last2 l with
+  | Some (("Nqe" | "Nqe_codec"), f) ->
+      List.mem f [ "make"; "encode"; "encode_into"; "decode"; "decode_from" ]
+  | Some _ | None -> false
 
 (* ---- expression-level rules (D1–D4, H1, H2, P2) ------------------------ *)
 
@@ -145,13 +159,12 @@ let expr_rules ~path ast =
         add loc "D4"
           "Obj.magic defeats the type system (and corrupts flat-float-array \
            payloads) — store a typed dummy/option instead"
-    | [ "Nqe"; (("decode" | "decode_from") as f) ] when in_hot_path path ->
+    | l when in_nqe_path path && is_nqe_codec l ->
         add loc "H1"
           (Printf.sprintf
-             "full Nqe.%s on the datapath allocates a record per NQE — read \
-              fields through Nqe.View, or waive a deliberate full decode with \
-              (* nklint: decode-ok *)"
-             f)
+             "NQE record codec %s on the datapath builds a record or a buffer per NQE — \
+              write slots with Nqe.write and read them through Nqe.View"
+             (String.concat "." l))
     | l when outside "nk_device.ml" && last2 l = Some ("Queue_set", "drain_into") ->
         add loc "P2"
           "Queue_set.drain_into outside nk_device.ml — poll through Nk_device.serve \
@@ -375,14 +388,14 @@ let nqe_rules ~path ast =
                     add vb.pvb_loc
                       (Printf.sprintf "opcode %s missing from decode match (op_of_byte)" c))
                 ctors)));
-  (* wire size: declared size_bytes = encoder's written span *)
-  (match (find_binding "size_bytes" ast, find_binding "encode_into" ast) with
+  (* wire size: declared size_bytes = the slot writer's span *)
+  (match (find_binding "size_bytes" ast, find_binding "write" ast) with
   | None, _ -> missing "a [size_bytes] wire-size constant" top_loc
-  | _, None -> missing "an [encode_into] writer" top_loc
+  | _, None -> missing "a [write] slot writer" top_loc
   | Some size_vb, Some enc_vb -> (
       match (int_of_const size_vb.pvb_expr, encoder_span enc_vb.pvb_expr) with
       | None, _ -> add size_vb.pvb_loc "size_bytes is not an integer literal"
-      | _, None -> add enc_vb.pvb_loc "encode_into contains no analyzable Bytes.set_* write"
+      | _, None -> add enc_vb.pvb_loc "write contains no analyzable Bytes.set_* write"
       | Some declared, Some span ->
           if declared <> span then
             add enc_vb.pvb_loc
