@@ -614,10 +614,6 @@ let tests =
     Alcotest.test_case "view equals decode (all ops)" `Quick view_equals_decode;
     Alcotest.test_case "view qset patch" `Quick view_set_qset;
     QCheck_alcotest.to_alcotest qcheck_view_equivalence;
-    QCheck_alcotest.to_alcotest qcheck_writer_oracle;
-    Alcotest.test_case "slot writer at every field bound (all ops)" `Quick
-      writer_bounds_all_ops;
-    QCheck_alcotest.to_alcotest qcheck_nqe_ring;
     Alcotest.test_case "hugepages alloc/free/coalesce" `Quick hp_alloc_free;
     Alcotest.test_case "hugepages double free" `Quick hp_double_free;
     Alcotest.test_case "hugepages exhaustion" `Quick hp_exhaustion;
@@ -627,4 +623,8 @@ let tests =
     QCheck_alcotest.to_alcotest qcheck_allocator_oracle;
     Alcotest.test_case "hugepage alloc + free with 8 holes allocates <= 24 words" `Quick
       hp_alloc_free_words;
+    QCheck_alcotest.to_alcotest qcheck_writer_oracle;
+    Alcotest.test_case "slot writer at every field bound (all ops)" `Quick
+      writer_bounds_all_ops;
+    QCheck_alcotest.to_alcotest qcheck_nqe_ring;
   ]
