@@ -5,7 +5,8 @@
    segment and its ACK, one Send NQE translated into a kernel stack by
    ServiceLib, one TCP connection's whole life, one HTTP response parsed,
    one socket-buffer write and read, one world's set-up, one epoll_wait
-   over eight ready sockets, and a hugepage alloc+free past eight holes.
+   over eight ready sockets, a hugepage alloc+free past eight holes, and
+   a hit and a miss in a flow table of 4,096 connections.
    The paper's tables and figures are regenerated by `nk run` instead.
 
      dune exec bench/main.exe *)
@@ -388,12 +389,37 @@ let () =
            | None -> failwith "hugepages full"
            | Some e -> Nkcore.Hugepages.free hp8 e))
   in
+  (* rpc-churn's TIME_WAIT population: 4,096 flows to one server, keyed
+     the way the TCP stack and the vswitch key theirs, looked up with
+     [find] for a flow the table holds and for one it does not. *)
+  let module Pairs = Nkutil.Int_tbl.Pair in
+  let server = Addr.make 10 80 in
+  let flows =
+    Array.init 4096 (fun i -> Addr.Flow.make ~src:(Addr.make 20 (32768 + i)) ~dst:server)
+  in
+  let flow_tbl = Pairs.create 256 in
+  Array.iter
+    (fun (f : Addr.Flow.t) -> Pairs.replace flow_tbl (Addr.key f.src) (Addr.key f.dst) f)
+    flows;
+  let lookup name (f : Addr.Flow.t) ~held =
+    Test.make ~name
+      (Staged.stage (fun () ->
+           match Pairs.find flow_tbl (Addr.key f.src) (Addr.key f.dst) with
+           | _ -> if not held then failwith name
+           | exception Not_found -> if held then failwith name))
+  in
+  let flow_hit = lookup "flow table hit: 4,096 flows" flows.(1234) ~held:true in
+  let flow_miss =
+    lookup "flow table miss: 4,096 flows"
+      (Addr.Flow.make ~src:(Addr.make 20 (32768 + 4096)) ~dst:server)
+      ~held:false
+  in
   let tests =
     Test.make_grouped ~name:"netkernel-primitives"
       [
         nqe_slot; nqe_ring_pushpop; ring_pushpop; hugepage_copy; heap_ops; ce_switch;
         serve_burst; cpu_exec; link_send; tcp_segment; servicelib_send; conn_life; http_parse;
-        fifo_write_read; world_setup; epoll_wait8; hugepage_holes;
+        fifo_write_read; world_setup; epoll_wait8; hugepage_holes; flow_hit; flow_miss;
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in

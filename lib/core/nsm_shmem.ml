@@ -22,13 +22,6 @@ type endpoint = {
 
 type listener = { l_vm : vm_ctx; l_gid : int; l_ep : endpoint }
 
-module Endpoint_table = Hashtbl.Make (struct
-  type t = Addr.t
-
-  let equal = Addr.equal
-  let hash = Addr.hash
-end)
-
 (* Live registry-backed counters. *)
 type counters = {
   c_bytes_copied : Nkmon.Registry.counter;
@@ -46,7 +39,7 @@ type t = {
   costs : Nk_costs.t;
   vms : vm_ctx Int_tbl.t;
   socks : endpoint Int_tbl.t; (* Nqe.conn_key of (vm_id, gid) -> endpoint *)
-  listeners : listener Endpoint_table.t;
+  listeners : listener Int_tbl.t; (* keyed by [Addr.key] *)
   spans : Nkspan.t;
   instance : string;
   ctr : counters;
@@ -179,12 +172,12 @@ let apply t qset_idx buf pos =
               match ep.bound with
               | None -> post_result t ep Nqe.Comp_listen (Some Types.Einval)
               | Some addr ->
-                  Endpoint_table.replace t.listeners addr
+                  Int_tbl.replace t.listeners (Addr.key addr)
                     { l_vm = vm; l_gid = ep.ep_gid; l_ep = ep };
                   post_result t ep Nqe.Comp_listen None)
           | Nqe.Connect -> (
               let dst = Nqe.unpack_addr (Nqe.View.op_data buf pos) in
-              match Endpoint_table.find_opt t.listeners dst with
+              match Int_tbl.find_opt t.listeners (Addr.key dst) with
               | None -> post_result t ep Nqe.Comp_connect (Some Types.Econnrefused)
               | Some l ->
                   let sgid =
@@ -229,8 +222,8 @@ let apply t qset_idx buf pos =
               ep.closed <- true;
               (match ep.bound with
               | Some addr -> (
-                  match Endpoint_table.find_opt t.listeners addr with
-                  | Some l when l.l_gid = ep.ep_gid -> Endpoint_table.remove t.listeners addr
+                  match Int_tbl.find_opt t.listeners (Addr.key addr) with
+                  | Some l when l.l_gid = ep.ep_gid -> Int_tbl.remove t.listeners (Addr.key addr)
                   | Some _ | None -> ())
               | None -> ());
               (match ep.peer with
@@ -263,7 +256,7 @@ let create ~engine ~device ~cores ~costs ?(mon = Nkmon.null ()) ?(spans = Nkspan
       costs;
       vms = Int_tbl.create 8;
       socks = Int_tbl.create 256;
-      listeners = Endpoint_table.create 16;
+      listeners = Int_tbl.create 16;
       spans;
       instance;
       ctr = { c_bytes_copied = c "bytes_copied"; c_conns = c "conns" };

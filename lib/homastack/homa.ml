@@ -78,19 +78,17 @@ type listener = {
   l_on_accept : Stack_ops.conn -> peer:Addr.t -> unit;
 }
 
-module Flow_tbl = Hashtbl.Make (struct
-  type t = Addr.Flow.t
+module IT = Nkutil.Int_tbl
 
-  let equal = Addr.Flow.equal
-  let hash = Addr.Flow.hash
-end)
+(* The conns table's key: a flow's (key src, key dst). *)
+let find_conn conns (flow : Addr.Flow.t) =
+  IT.Pair.find conns (Addr.key flow.src) (Addr.key flow.dst)
 
-module Addr_tbl = Hashtbl.Make (struct
-  type t = Addr.t
+let add_conn conns (flow : Addr.Flow.t) h =
+  IT.Pair.replace conns (Addr.key flow.src) (Addr.key flow.dst) h
 
-  let equal = Addr.equal
-  let hash = Addr.hash
-end)
+let remove_conn conns (flow : Addr.Flow.t) =
+  IT.Pair.remove conns (Addr.key flow.src) (Addr.key flow.dst)
 
 type counters = {
   c_segs_rx : R.counter;
@@ -111,8 +109,8 @@ type t = {
   vswitch : Vswitch.t;
   registry : Conn_registry.t;
   cfg : config;
-  conns : Hcb.t Flow_tbl.t;  (* keyed by the flow the conn receives on *)
-  listeners : listener Addr_tbl.t;  (* lookup-only: never iterated *)
+  conns : Hcb.t IT.Pair.t;  (* keyed by the flow the conn receives on *)
+  listeners : listener IT.t;  (* keyed by [Addr.key]; lookup-only: never iterated *)
   mutable ips : Addr.ip list;
   mutable next_port : int;
   mutable next_cid : int;
@@ -183,7 +181,7 @@ let teardown t (h : Hcb.t) =
         Engine.Timer.cancel t.engine tm;
         h.Hcb.request_timer <- None
     | None -> ());
-    Flow_tbl.remove t.conns (Hcb.rx_flow h);
+    remove_conn t.conns (Hcb.rx_flow h);
     if h.Hcb.endpoint_registered then begin
       Vswitch.unregister_endpoint t.vswitch (Hcb.local_addr h);
       h.Hcb.endpoint_registered <- false
@@ -399,7 +397,7 @@ let conn_input t (h : Hcb.t) (seg : Segment.t) =
 
 let handle_request t (seg : Segment.t) =
   let dst = seg.Segment.flow.Addr.Flow.dst in
-  match Addr_tbl.find_opt t.listeners dst with
+  match IT.find_opt t.listeners (Addr.key dst) with
   | Some l when l.l_open && not l.l_quiesced -> (
       match Conn_registry.lookup t.registry ~flow:seg.Segment.flow ~isn:seg.Segment.seq with
       | None -> R.incr t.ctr.c_req_drops
@@ -409,7 +407,7 @@ let handle_request t (seg : Segment.t) =
             Hcb.create ~flow:seg.Segment.flow ~cid:seg.Segment.seq ~role:Hcb.Server
               ~cc:(t.cfg.cc_factory ()) ~channel ~core ~state:Hcb.Open
           in
-          Flow_tbl.replace t.conns seg.Segment.flow h;
+          add_conn t.conns seg.Segment.flow h;
           Vswitch.register_flow t.vswitch seg.Segment.flow t.self_input;
           h.Hcb.flow_registered <- true;
           Cpu.charge core ~cycles:t.cfg.profile.Sim.Cost_profile.accept_op;
@@ -424,9 +422,9 @@ let handle_request t (seg : Segment.t) =
 
 let input t (seg : Segment.t) =
   R.incr t.ctr.c_segs_rx;
-  match Flow_tbl.find_opt t.conns seg.Segment.flow with
-  | Some h -> conn_input t h seg
-  | None ->
+  match find_conn t.conns seg.Segment.flow with
+  | h -> conn_input t h seg
+  | exception Not_found ->
       if seg.Segment.syn && not seg.Segment.ack_flag then handle_request t seg
       (* else: stray segment for a departed connection — drop. *)
 
@@ -443,8 +441,8 @@ let create ~engine ~name ~cores ~vswitch ~registry ?(mon : Nkmon.t option)
       vswitch;
       registry;
       cfg;
-      conns = Flow_tbl.create 64;
-      listeners = Addr_tbl.create 8;
+      conns = IT.Pair.create 64;
+      listeners = IT.create 8;
       ips = [];
       next_port = cfg.ephemeral_base;
       next_cid = 1;
@@ -498,9 +496,8 @@ let connect t ~dst ~k =
             t.cfg.ephemeral_base
             + ((t.next_port - t.cfg.ephemeral_base + 1) mod t.cfg.ephemeral_count);
           let src = Addr.make src_ip port in
-          let flow = Addr.Flow.make ~src ~dst in
-          if Flow_tbl.mem t.conns (Addr.Flow.reverse flow) then pick_port (tries + 1)
-          else Some (src, flow)
+          if IT.Pair.mem t.conns (Addr.key dst) (Addr.key src) then pick_port (tries + 1)
+          else Some (src, Addr.Flow.make ~src ~dst)
         end
       in
       (match pick_port 1 with
@@ -515,7 +512,7 @@ let connect t ~dst ~k =
               ~core ~state:Hcb.Opening
           in
           h.Hcb.connect_k <- Some (fun r -> k (Result.map (fun () -> Conn h) r));
-          Flow_tbl.replace t.conns (Addr.Flow.reverse flow) h;
+          IT.Pair.replace t.conns (Addr.key dst) (Addr.key src) h;
           Vswitch.register_endpoint t.vswitch src t.self_input;
           h.Hcb.endpoint_registered <- true;
           Cpu.charge core ~cycles:t.cfg.profile.Sim.Cost_profile.handshake;
@@ -537,19 +534,19 @@ let remove_ip t ip =
   end
 
 let listen t ~addr ~on_accept =
-  match Addr_tbl.find_opt t.listeners addr with
+  match IT.find_opt t.listeners (Addr.key addr) with
   | Some l when l.l_open -> Error Types.Eaddrinuse
   | _ ->
       let l =
         { l_addr = addr; l_open = true; l_quiesced = false; l_on_accept = on_accept }
       in
-      Addr_tbl.replace t.listeners addr l;
+      IT.replace t.listeners (Addr.key addr) l;
       Ok l
 
 let close_listener t l =
   if l.l_open then begin
     l.l_open <- false;
-    Addr_tbl.remove t.listeners l.l_addr
+    IT.remove t.listeners (Addr.key l.l_addr)
   end
 
 let quiesce_listener _t l = l.l_quiesced <- true
@@ -649,7 +646,7 @@ let export_conn t (h : Hcb.t) =
     if h.Hcb.endpoint_registered then
       Vswitch.unregister_endpoint t.vswitch (Hcb.local_addr h);
     if h.Hcb.flow_registered then Vswitch.unregister_flow t.vswitch h.Hcb.flow;
-    Flow_tbl.remove t.conns (Hcb.rx_flow h);
+    remove_conn t.conns (Hcb.rx_flow h);
     Hcb.detach ~cancel_timer:(Engine.Timer.cancel t.engine) h;
     Ok { Stack_ops.e_proto = proto; e_flow = h.Hcb.flow; e_payload = Homa_state snap }
   end
@@ -665,7 +662,7 @@ let import_conn t (x : Stack_ops.export) =
       | Some channel ->
           let core = pick_core t in
           let h = Hcb.restore ~cc:(t.cfg.cc_factory ()) ~channel ~core snap in
-          Flow_tbl.replace t.conns (Hcb.rx_flow h) h;
+          add_conn t.conns (Hcb.rx_flow h) h;
           if h.Hcb.endpoint_registered then
             Vswitch.register_endpoint t.vswitch (Hcb.local_addr h) t.self_input;
           if h.Hcb.flow_registered then

@@ -5,16 +5,22 @@
 
 let scale = 1e9
 
+(* The running moments, in a record of floats only: OCaml stores its
+   fields unboxed, so a sample updates them without allocating. *)
+type moments = {
+  mutable vmin : float;
+  mutable vmax : float;
+  mutable mean_acc : float; (* Welford running mean *)
+  mutable m2 : float; (* Welford running sum of squared deviations *)
+}
+
 type t = {
   sub : int; (* sub-buckets per magnitude; power of two *)
   sub_bits : int;
   max_ticks : int;
   counts : int array;
   mutable total : int;
-  mutable vmin : float;
-  mutable vmax : float;
-  mutable mean_acc : float; (* Welford running mean *)
-  mutable m2 : float; (* Welford running sum of squared deviations *)
+  m : moments;
 }
 
 let msb_position n =
@@ -47,8 +53,8 @@ let create ?(sub_buckets = 32) ?(max_value = 1e6) () =
   let max_ticks = int_of_float (max_value *. scale) in
   let sub_bits = msb_position sub_buckets in
   let probe =
-    { sub = sub_buckets; sub_bits; max_ticks; counts = [||]; total = 0; vmin = infinity;
-      vmax = neg_infinity; mean_acc = 0.0; m2 = 0.0 }
+    { sub = sub_buckets; sub_bits; max_ticks; counts = [||]; total = 0;
+      m = { vmin = infinity; vmax = neg_infinity; mean_acc = 0.0; m2 = 0.0 } }
   in
   let nbuckets = index_of probe max_ticks + 1 in
   { probe with counts = Array.make nbuckets 0 }
@@ -59,13 +65,14 @@ let record_n t v n =
     let ticks = Int.min t.max_ticks (int_of_float (v *. scale)) in
     let i = index_of t ticks in
     t.counts.(i) <- t.counts.(i) + n;
-    if v < t.vmin then t.vmin <- v;
-    if v > t.vmax then t.vmax <- v;
+    let m = t.m in
+    if v < m.vmin then m.vmin <- v;
+    if v > m.vmax then m.vmax <- v;
     for _ = 1 to n do
       t.total <- t.total + 1;
-      let delta = v -. t.mean_acc in
-      t.mean_acc <- t.mean_acc +. (delta /. float_of_int t.total);
-      t.m2 <- t.m2 +. (delta *. (v -. t.mean_acc))
+      let delta = v -. m.mean_acc in
+      m.mean_acc <- m.mean_acc +. (delta /. float_of_int t.total);
+      m.m2 <- m.m2 +. (delta *. (v -. m.mean_acc))
     done
   end
 
@@ -73,13 +80,13 @@ let record t v = record_n t v 1
 
 let count t = t.total
 
-let min t = if t.total = 0 then 0.0 else t.vmin
+let min t = if t.total = 0 then 0.0 else t.m.vmin
 
-let max t = if t.total = 0 then 0.0 else t.vmax
+let max t = if t.total = 0 then 0.0 else t.m.vmax
 
-let mean t = if t.total = 0 then 0.0 else t.mean_acc
+let mean t = if t.total = 0 then 0.0 else t.m.mean_acc
 
-let stddev t = if t.total = 0 then 0.0 else sqrt (t.m2 /. float_of_int t.total)
+let stddev t = if t.total = 0 then 0.0 else sqrt (t.m.m2 /. float_of_int t.total)
 
 let percentile t p =
   if t.total = 0 then 0.0
@@ -94,7 +101,7 @@ let percentile t p =
       if i >= Array.length t.counts then max t
       else begin
         let seen = seen + t.counts.(i) in
-        if seen >= target then Float.min t.vmax (upper_of_index t i)
+        if seen >= target then Float.min t.m.vmax (upper_of_index t i)
         else loop (i + 1) seen
       end
     in
@@ -109,18 +116,24 @@ let merge_into ~src ~dst =
   Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) src.counts;
   (* Combine the exact moments with Chan's parallel update. *)
   if src.total > 0 then begin
+    let s = src.m and d = dst.m in
     let na = float_of_int dst.total and nb = float_of_int src.total in
-    let delta = src.mean_acc -. dst.mean_acc in
+    let delta = s.mean_acc -. d.mean_acc in
     let n = na +. nb in
-    dst.mean_acc <- dst.mean_acc +. (delta *. nb /. n);
-    dst.m2 <- dst.m2 +. src.m2 +. (delta *. delta *. na *. nb /. n);
+    d.mean_acc <- d.mean_acc +. (delta *. nb /. n);
+    d.m2 <- d.m2 +. s.m2 +. (delta *. delta *. na *. nb /. n);
     dst.total <- dst.total + src.total;
-    if src.vmin < dst.vmin then dst.vmin <- src.vmin;
-    if src.vmax > dst.vmax then dst.vmax <- src.vmax
+    if s.vmin < d.vmin then d.vmin <- s.vmin;
+    if s.vmax > d.vmax then d.vmax <- s.vmax
   end
 
 let copy t =
-  { t with counts = Array.copy t.counts }
+  let m = t.m in
+  {
+    t with
+    counts = Array.copy t.counts;
+    m = { vmin = m.vmin; vmax = m.vmax; mean_acc = m.mean_acc; m2 = m.m2 };
+  }
 
 let diff ~newer ~older =
   if
@@ -141,17 +154,17 @@ let diff ~newer ~older =
   let mean_acc =
     if total = 0 then 0.0
     else
-      ((float_of_int newer.total *. newer.mean_acc)
-      -. (float_of_int older.total *. older.mean_acc))
+      ((float_of_int newer.total *. newer.m.mean_acc)
+      -. (float_of_int older.total *. older.m.mean_acc))
       /. float_of_int total
   in
   let m2 =
     if total = 0 then 0.0
     else begin
       let na = float_of_int older.total and nb = float_of_int total in
-      let delta = older.mean_acc -. mean_acc in
+      let delta = older.m.mean_acc -. mean_acc in
       Float.max 0.0
-        (newer.m2 -. older.m2 -. (delta *. delta *. na *. nb /. (na +. nb)))
+        (newer.m.m2 -. older.m.m2 -. (delta *. delta *. na *. nb /. (na +. nb)))
     end
   in
   let vmin = ref infinity and vmax = ref neg_infinity in
@@ -169,8 +182,5 @@ let diff ~newer ~older =
     max_ticks = newer.max_ticks;
     counts;
     total;
-    vmin = !vmin;
-    vmax = !vmax;
-    mean_acc;
-    m2;
+    m = { vmin = !vmin; vmax = !vmax; mean_acc; m2 };
   }

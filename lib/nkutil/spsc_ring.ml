@@ -60,15 +60,3 @@ let pop_batch t ~max =
       match pop t with None -> List.rev acc | Some x -> loop (i + 1) (x :: acc)
   in
   loop 0 []
-
-let pop_slice t buf ~pos ~max =
-  let rec loop i =
-    if i >= max then i
-    else
-      match pop t with
-      | None -> i
-      | Some x ->
-          buf.(pos + i) <- x;
-          loop (i + 1)
-  in
-  loop 0

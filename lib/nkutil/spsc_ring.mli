@@ -1,10 +1,8 @@
-(** Single-producer single-consumer ring buffer.
-
-    This is the NQE transport of the paper (§3, §4.3): each queue of a queue
-    set is shared memory between exactly one producer (GuestLib or ServiceLib)
-    and one consumer (CoreEngine) or vice versa, so it needs no locks — only
-    a head and a tail index. Capacity is rounded up to a power of two so
-    index wrap is a mask.
+(** Single-producer single-consumer ring buffer of OCaml values: the TCP
+    stack's per-core receive queues. (A queue set's NQE rings are
+    [Nkcore.Nqe_ring], which keeps its 32-byte NQEs in byte slots.) One
+    producer and one consumer need no locks, only a head and a tail index.
+    Capacity is rounded up to a power of two so index wrap is a mask.
 
     A ring's memory is proportional to its use: it starts with 16 slots (or
     its capacity, if smaller), and a push that finds every slot live while
@@ -14,8 +12,8 @@
     exactly [capacity] elements, as a preallocated ring would.
 
     Growing the array from the producer is not safe against a consumer on
-    another domain, so a ring belongs to one domain. The simulator and the
-    Fig 11 microbenchmark both drive it single-threaded. *)
+    another domain, so a ring belongs to one domain. The simulator drives
+    it single-threaded. *)
 
 type 'a t
 
@@ -38,8 +36,3 @@ val pop : 'a t -> 'a option
 
 val pop_batch : 'a t -> max:int -> 'a list
 (** [pop_batch t ~max] dequeues up to [max] elements, oldest first. *)
-
-val pop_slice : 'a t -> 'a array -> pos:int -> max:int -> int
-(** [pop_slice t buf ~pos ~max] dequeues up to [max] elements into
-    [buf.(pos) ...] and returns the count. Lets a poll loop drain several
-    rings into one reusable scratch buffer without lists. *)

@@ -2,9 +2,14 @@ type ip = int
 type port = int
 type t = { ip : ip; port : port }
 
-let make ip port = { ip; port }
+let make ip port =
+  if ip < 0 || ip > 0xFFFFFFFF then invalid_arg "Addr.make: ip outside [0, 2^32)";
+  if port < 0 || port > 0xFFFF then invalid_arg "Addr.make: port outside [0, 2^16)";
+  { ip; port }
 
 let equal a b = a.ip = b.ip && a.port = b.port
+
+let key a = (a.ip lsl 16) lor a.port
 
 (* Mix with a 64-bit avalanche so sequentially-allocated ips/ports spread. *)
 let mix x =
@@ -17,20 +22,13 @@ let hash a = mix ((a.ip * 65599) + a.port) land max_int
 
 module Flow = struct
   type addr = t
-
-  let addr_hash = hash
-
   type t = { src : addr; dst : addr }
 
   let make ~src ~dst = { src; dst }
 
   let reverse f = { src = f.dst; dst = f.src }
 
-  let equal a b = equal a.src b.src && equal a.dst b.dst
-
-  let hash f = mix ((addr_hash f.src * 31) + addr_hash f.dst) land max_int
-
   let rss_hash f =
-    let a = addr_hash f.src and b = addr_hash f.dst in
+    let a = hash f.src and b = hash f.dst in
     mix (Int.min a b + (31 * Int.max a b)) land max_int
 end

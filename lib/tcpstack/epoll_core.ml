@@ -55,7 +55,7 @@ let masked ep fd ev =
   | mask -> under mask ev
 
 (* The index of the first ready fd >= [fd] in [ready.(lo)] .. [ready.(hi - 1)]. *)
-let rec search ready fd lo hi =
+let rec search ready (fd : int) lo hi =
   if lo >= hi then lo
   else
     let mid = (lo + hi) lsr 1 in

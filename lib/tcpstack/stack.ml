@@ -111,19 +111,7 @@ and sock = {
   mutable handler : (Types.events -> unit) option;
 }
 
-module Flow_table = Hashtbl.Make (struct
-  type t = Addr.Flow.t
-
-  let equal = Addr.Flow.equal
-  let hash = Addr.Flow.hash
-end)
-
-module Endpoint_table = Hashtbl.Make (struct
-  type t = Addr.t
-
-  let equal = Addr.equal
-  let hash = Addr.hash
-end)
+module IT = Nkutil.Int_tbl
 
 type rx_queue = {
   ring : Segment.t Nkutil.Spsc_ring.t;
@@ -141,10 +129,10 @@ type t = {
   rng : Nkutil.Rng.t;
   cfg : config;
   mutable ips : Addr.ip list;
-  conns : sock Flow_table.t;
-      (* keyed by the arriving remote->local flow, so a received segment's
-         own flow finds its socket *)
-  listeners : sock Endpoint_table.t;
+  conns : sock IT.Pair.t;
+      (* keyed by the arriving remote->local flow's (key src, key dst), so a
+         received segment's own flow finds its socket *)
+  listeners : sock IT.t; (* keyed by [Addr.key] *)
   rx : rx_queue array;
   mon : Nkmon.t;
   spans : Nkspan.t;
@@ -297,7 +285,8 @@ let close_time_wait t s w =
     w.tw_closed <- true;
     trace_transition t s Tcb.Time_wait Tcb.Closed;
     w.tw.Tcb.tw_release ();
-    Flow_table.remove t.conns (Addr.Flow.reverse w.tw.Tcb.tw_flow);
+    let flow = w.tw.Tcb.tw_flow in
+    IT.Pair.remove t.conns (Addr.key flow.dst) (Addr.key flow.src);
     let rflow, isn = w.tw_registry_key in
     Conn_registry.remove t.registry ~flow:rflow ~isn;
     unregister_endpoints t s;
@@ -315,8 +304,8 @@ let time_wait_end t s =
 (* Build the TCB action record for a connection socket. [role] distinguishes
    the active opener (fires the connect continuation) from a passive one
    (feeds the listener's accept queue). *)
-let make_actions t s ~flow ~role =
-  let key = Addr.Flow.reverse flow in
+let make_actions t s ~(flow : Addr.Flow.t) ~role =
+  let key_src = Addr.key flow.dst and key_dst = Addr.key flow.src in
   let get_conn () =
     match s.kind with Conn c -> Some c | Fresh | Listener _ | Time_wait _ | Sclosed -> None
   in
@@ -363,7 +352,7 @@ let make_actions t s ~flow ~role =
     notify t s
   in
   let on_destroy () =
-    Flow_table.remove t.conns key;
+    IT.Pair.remove t.conns key_src key_dst;
     (match get_conn () with
     | Some c ->
         let rflow, isn = c.registry_key in
@@ -390,7 +379,7 @@ let make_actions t s ~flow ~role =
 
 let handle_syn t (seg : Segment.t) =
   let dst = seg.Segment.flow.dst in
-  match Endpoint_table.find_opt t.listeners dst with
+  match IT.find_opt t.listeners (Addr.key dst) with
   | None -> send_rst t seg
   | Some lsock -> (
       match lsock.kind with
@@ -432,7 +421,8 @@ let handle_syn t (seg : Segment.t) =
                   }
                 in
                 s.kind <- Conn c;
-                Flow_table.replace t.conns seg.Segment.flow s;
+                IT.Pair.replace t.conns (Addr.key seg.Segment.flow.src)
+                  (Addr.key seg.Segment.flow.dst) s;
                 if t.cfg.register_vswitch then begin
                   (* Pin the 4-tuple to this stack so the listener's
                      ⟨ip, port⟩ endpoint can move to another NSM without
@@ -482,7 +472,8 @@ let settle s c =
 
 let deliver t (seg : Segment.t) =
   Nkmon.Registry.add t.ctr.c_payload_rx seg.Segment.len;
-  match Flow_table.find t.conns seg.Segment.flow with
+  let flow = seg.Segment.flow in
+  match IT.Pair.find t.conns (Addr.key flow.src) (Addr.key flow.dst) with
   | s -> (
       let fresh_syn = seg.Segment.syn && not seg.Segment.ack_flag in
       match s.kind with
@@ -563,10 +554,11 @@ let rec poll_loop t qi =
 
 let input t (seg : Segment.t) =
   Nkmon.Registry.incr t.ctr.c_segs_rx;
+  let flow = seg.Segment.flow in
   let qi =
-    match Flow_table.find t.conns seg.Segment.flow with
+    match IT.Pair.find t.conns (Addr.key flow.src) (Addr.key flow.dst) with
     | s -> s.qidx
-    | exception Not_found -> Addr.Flow.rss_hash seg.Segment.flow mod ncores t
+    | exception Not_found -> Addr.Flow.rss_hash flow mod ncores t
   in
   let q = t.rx.(qi) in
   if not (Nkutil.Spsc_ring.push q.ring seg) then
@@ -617,8 +609,8 @@ let create ~engine ~name ~cores ~vswitch ~registry ~rng ?(mon = Nkmon.null ())
       rng;
       cfg;
       ips = [];
-      conns = Flow_table.create 256;
-      listeners = Endpoint_table.create 16;
+      conns = IT.Pair.create 256;
+      listeners = IT.create 16;
       rx;
       mon;
       spans;
@@ -671,7 +663,7 @@ let sock_core _t s = s.core
 let bind t s addr =
   match s.kind with
   | Fresh ->
-      if Endpoint_table.mem t.listeners addr then Error Types.Eaddrinuse
+      if IT.mem t.listeners (Addr.key addr) then Error Types.Eaddrinuse
       else begin
         s.local <- Some addr;
         Ok ()
@@ -681,7 +673,7 @@ let bind t s addr =
 let listen t s ~backlog =
   match (s.kind, s.local) with
   | Fresh, Some addr ->
-      if Endpoint_table.mem t.listeners addr then Error Types.Eaddrinuse
+      if IT.mem t.listeners (Addr.key addr) then Error Types.Eaddrinuse
       else begin
         Cpu.charge s.core ~cycles:(syscall_cycles t +. t.cfg.profile.sockop);
         (* Register the exact endpoint even for owned IPs: several stacks
@@ -700,7 +692,7 @@ let listen t s ~backlog =
           }
         in
         s.kind <- Listener l;
-        Endpoint_table.replace t.listeners addr s;
+        IT.replace t.listeners (Addr.key addr) s;
         if external_ip then Vswitch.register_endpoint t.vswitch addr t.self_input;
         Ok ()
       end
@@ -738,7 +730,7 @@ let alloc_flow t ~src_ip ~dst =
       let port = t.next_port in
       t.next_port <- (if t.next_port >= hi then lo else t.next_port + 1);
       let src = Addr.make src_ip port in
-      if Flow_table.mem t.conns (Addr.Flow.make ~src:dst ~dst:src) then loop (attempts + 1)
+      if IT.Pair.mem t.conns (Addr.key dst) (Addr.key src) then loop (attempts + 1)
       else Some (Addr.Flow.make ~src ~dst)
     end
   in
@@ -764,7 +756,7 @@ let connect t s dst ~k =
            there (mTCP-style per-core port selection relies on this). *)
         match s.local with
         | Some a when a.Addr.port <> 0 ->
-            if Flow_table.mem t.conns (Addr.Flow.make ~src:dst ~dst:a) then None
+            if IT.Pair.mem t.conns (Addr.key dst) (Addr.key a) then None
             else Some (Addr.Flow.make ~src:a ~dst)
         | Some _ | None ->
             let src_ip = pick_src_ip t s in
@@ -806,7 +798,7 @@ let connect t s dst ~k =
                     c_endpoint_registered = external_ip;
                     c_flow_registered = false;
                   };
-              Flow_table.replace t.conns (Addr.Flow.reverse flow) s))
+              IT.Pair.replace t.conns (Addr.key flow.dst) (Addr.key flow.src) s))
   | Listener _ | Conn _ | Time_wait _ | Sclosed -> k (Error Types.Einval)
 
 (* On a TIME_WAIT record, [send], [recv] and [close] charge what they
@@ -900,7 +892,7 @@ let close t s =
   | Fresh -> s.kind <- Sclosed
   | Sclosed -> ()
   | Listener l ->
-      Endpoint_table.remove t.listeners l.l_addr;
+      IT.remove t.listeners (Addr.key l.l_addr);
       if l.l_endpoint_registered then Vswitch.unregister_endpoint t.vswitch l.l_addr;
       Queue.iter (abort t) l.accept_q;
       Queue.iter (fun k -> k (Error Types.Eclosed)) l.accept_waiters;
@@ -917,8 +909,8 @@ let close t s =
       Cpu.exec s.core ~cycles:(syscall_cycles t +. (p.teardown *. rps_mult t)) ignore
 
 let time_wait_conns t =
-  Flow_table.fold
-    (fun _ s n ->
+  IT.Pair.fold
+    (fun _ _ s n ->
       match s.kind with
       | Time_wait _ -> n + 1
       | Conn c when Tcb.state c.tcb = Tcb.Time_wait -> n + 1
@@ -957,7 +949,7 @@ let export_conn t s =
          RST, no [on_destroy], and crucially no [Conn_registry.remove] —
          the content channel is the migrating flow's byte stream. *)
       Tcb.detach c.tcb;
-      Flow_table.remove t.conns (Addr.Flow.reverse flow);
+      IT.Pair.remove t.conns (Addr.key flow.dst) (Addr.key flow.src);
       unregister_endpoints t s;
       s.kind <- Sclosed;
       Ok ex
@@ -976,7 +968,9 @@ let import_conn t ex =
         (* The registry key is the client->server flow: when it matches the
            connection's own local->remote flow, this side is the active
            opener and writes [c2s]. *)
-        if Addr.Flow.equal ex.e_registry_flow flow then `Client else `Server
+        let rflow = ex.e_registry_flow in
+        if Addr.equal rflow.src flow.src && Addr.equal rflow.dst flow.dst then `Client
+        else `Server
       in
       let s = fresh_sock t ~qidx:(next_queue t) in
       s.local <- Some flow.Addr.Flow.src;
@@ -994,7 +988,7 @@ let import_conn t ex =
         }
       in
       s.kind <- Conn c;
-      Flow_table.replace t.conns (Addr.Flow.reverse flow) s;
+      IT.Pair.replace t.conns (Addr.key flow.dst) (Addr.key flow.src) s;
       if t.cfg.register_vswitch then begin
         if ex.e_endpoint_registered then begin
           Vswitch.register_endpoint t.vswitch flow.Addr.Flow.src t.self_input;

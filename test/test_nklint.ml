@@ -193,13 +193,21 @@ let h2_hot_path_hashtbl () =
      let h t k v = Hashtbl.replace t k v";
   check_diags "every listed module" ~path:"lib/core/hugepages.ml" [ ("H2", 1) ]
     "let f t k = Hashtbl.find t k";
-  check_diags "Hashtbl.Make and Int_tbl are the sanctioned tables"
-    ~path:"lib/simnet/vswitch.ml" []
+  check_diags "Hashtbl.Make flagged, Int_tbl is the sanctioned table"
+    ~path:"lib/simnet/vswitch.ml" [ ("H2", 1) ]
     "module T = Hashtbl.Make (Int)\n\
      let f t k = T.find t k\n\
      let g t k = Nkutil.Int_tbl.find t k";
+  check_diags "flow tables of the stacks and the registry" ~path:"lib/tcpstack/stack.ml"
+    [ ("H2", 1); ("H2", 2) ]
+    "module F = Stdlib.Hashtbl.Make (Flow)\n\
+     module G = Hashtbl.MakeSeeded (Flow)\n\
+     let f t a b = Nkutil.Int_tbl.Pair.find t a b";
+  List.iter
+    (fun path -> check_diags "every listed module" ~path [ ("H2", 1) ] "module T = Hashtbl.Make (K)")
+    [ "lib/tcpstack/conn_registry.ml"; "lib/homastack/homa.ml"; "lib/core/nsm_shmem.ml" ];
   check_diags "off the datapath a polymorphic table is fine" ~path:"lib/nkmon/registry.ml"
-    [] "let t = Hashtbl.create 16";
+    [] "let t = Hashtbl.create 16\nmodule T = Hashtbl.Make (String)";
   check_diags "only lib/ modules" ~path:"test/fabric.ml" [] "let t = Hashtbl.create 16"
 
 (* ---- W1: waivers cannot rot -------------------------------------------- *)

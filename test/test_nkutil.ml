@@ -85,8 +85,8 @@ let ring_fifo () =
 
 (* Mirrored against a plain Queue. The capacity is drawn too: rings start
    with 16 slots, so larger ones grow as they fill (up to nine doublings
-   at 8,192), and batch and slice pops move the head past index 0 before a
-   push grows the array. [`Push n] pushes the next [n] counter values. *)
+   at 8,192), and batch pops move the head past index 0 before a push
+   grows the array. [`Push n] pushes the next [n] counter values. *)
 let ring_qcheck =
   let gen =
     QCheck.Gen.(
@@ -98,7 +98,6 @@ let ring_qcheck =
                 (4, map (fun n -> `Push n) (int_range 1 48));
                 (1, return `Pop);
                 (1, map (fun n -> `Batch n) (int_bound 32));
-                (1, map (fun n -> `Slice n) (int_bound 32));
               ])))
   in
   let print (capacity, ops) =
@@ -108,8 +107,7 @@ let ring_qcheck =
             (function
               | `Push n -> Printf.sprintf "push%d" n
               | `Pop -> "pop"
-              | `Batch n -> Printf.sprintf "batch%d" n
-              | `Slice n -> Printf.sprintf "slice%d" n)
+              | `Batch n -> Printf.sprintf "batch%d" n)
             ops))
   in
   QCheck.Test.make ~name:"ring preserves order under mixed ops" ~count:200
@@ -135,10 +133,6 @@ let ring_qcheck =
                      (List.init n Fun.id)
                | `Pop -> Ring.pop r = Queue.take_opt q
                | `Batch n -> Ring.pop_batch r ~max:n = take n
-               | `Slice n ->
-                   let buf = Array.make (n + 1) 0 in
-                   let got = Ring.pop_slice r buf ~pos:1 ~max:n in
-                   Array.to_list (Array.sub buf 1 got) = take n
              in
              ok && Ring.length r = Queue.length q)
            ops)
@@ -147,13 +141,9 @@ let ring_batch () =
   let r = Ring.create ~capacity:8 in
   List.iter (fun x -> Alcotest.(check bool) "push" true (Ring.push r x)) [ 1; 2; 3; 4; 5 ];
   Alcotest.(check (list int)) "batch pop" [ 1; 2; 3 ] (Ring.pop_batch r ~max:3);
-  let buf = Array.make 6 0 in
-  Alcotest.(check int) "pop_slice stops when empty" 2 (Ring.pop_slice r buf ~pos:3 ~max:3);
-  Alcotest.(check (array int)) "pop_slice fills from pos" [| 0; 0; 0; 4; 5; 0 |] buf;
   List.iter (fun x -> ignore (Ring.push r x)) [ 6; 7; 8 ];
-  Alcotest.(check int) "pop_slice stops at max" 2 (Ring.pop_slice r buf ~pos:1 ~max:2);
-  Alcotest.(check (array int)) "pop_slice overwrites" [| 0; 6; 7; 4; 5; 0 |] buf;
-  Alcotest.(check (list int)) "rest stays queued" [ 8 ] (Ring.pop_batch r ~max:8)
+  Alcotest.(check (list int)) "batch stops at max" [ 4; 5 ] (Ring.pop_batch r ~max:2);
+  Alcotest.(check (list int)) "batch stops when empty" [ 6; 7; 8 ] (Ring.pop_batch r ~max:8)
 
 (* ---- token bucket ------------------------------------------------------- *)
 
@@ -235,6 +225,8 @@ let histogram_copy_diff () =
   let snap = Hist.copy h in
   List.iter (Hist.record h) [ 0.040; 0.050; 0.060 ];
   Alcotest.(check int) "copy frozen at snapshot" 2 (Hist.count snap);
+  if Float.abs (Hist.mean snap -. 0.0015) > 1e-12 then
+    Alcotest.failf "copy's mean %f moved with the original" (Hist.mean snap);
   let w = Hist.diff ~newer:h ~older:snap in
   Alcotest.(check int) "window count" 3 (Hist.count w);
   if Float.abs (Hist.mean w -. 0.050) > 1e-9 then
@@ -254,6 +246,22 @@ let histogram_copy_diff () =
   match Hist.diff ~newer:snap ~older:h with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "diff accepted a non-superset newer"
+
+(* The running min, max, mean and m2 live in an all-float record, so a
+   sample stores them unboxed: recording a boxed value allocates
+   nothing. *)
+let histogram_record_alloc () =
+  let h = Hist.create () in
+  let v = Sys.opaque_identity 2.5e-6 in
+  Hist.record h v;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    Hist.record h v
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "count" 10_001 (Hist.count h);
+  Alcotest.(check (float 0.0)) "minor words for 10,000 records" 0.0 words;
+  if Float.abs (Hist.mean h -. 2.5e-6) > 1e-15 then Alcotest.failf "mean %g" (Hist.mean h)
 
 (* ---- byte fifo ----------------------------------------------------------- *)
 
@@ -395,24 +403,173 @@ let int_tbl_sorted_visits () =
      List.iter (fun k -> IT.replace u k ()) [ 2; 3; 1 ];
      IT.fold (fun k () acc -> k :: acc) u [])
 
-(* Hashtbl picks a bucket from the hash's low bits, and dataplane keys are
-   often aligned: hugepage offsets are multiples of 64, packed connection
-   keys put the VM id above bit 32. An identity hash (x land max_int) puts
-   10,000 multiples of 64 in every 64th bucket, 79 to a bucket. *)
+(* Dataplane keys are often aligned: hugepage offsets are multiples of 64,
+   packed connection keys put the VM id above bit 32. The home slot is the
+   top bits of a multiplicative hash, so such keys still spread; an
+   identity index (key land (slots - 1)) would put 10,000 multiples of 64
+   into 512 of 32,768 slots, in runs hundreds of slots long. *)
 let int_tbl_aligned_keys () =
   let longest stride =
     let t = IT.create 16 in
     for i = 0 to 9_999 do
       IT.replace t (i * stride) ()
     done;
-    (IT.stats t).Hashtbl.max_bucket_length
+    IT.longest_probe t
   in
   List.iter
     (fun stride ->
       let m = longest stride in
       if m > 8 then
-        Alcotest.failf "multiples of %d: a bucket holds %d keys, want <= 8" stride m)
+        Alcotest.failf "multiples of %d: a lookup probes %d slots, want <= 8" stride m)
     [ 64; 16_384; 1 lsl 32 ]
+
+(* Keys whose home is a given slot of an 8-slot table (the first slot
+   array of [IT.create 0]), from the index [Int_tbl] computes. Keys homed
+   at slots 5-7 and 0-1 make probe runs that cross the array's end, where
+   backward-shift deletion has to compare homes cyclically. *)
+let home8 a b = (((a * 0x9E3779B97F4A7C1) + b) * 0xBF58476D1CE4E5B) lsr (Sys.int_size - 3)
+
+let homed ~home ~n key =
+  let rec go i acc =
+    if List.length acc = n then List.rev acc
+    else
+      let a, b = key i in
+      go (i + 1) (if home8 a b = home then (a, b) :: acc else acc)
+  in
+  go 0 []
+
+let wrap_keys key = List.concat_map (fun home -> homed ~home ~n:3 key) [ 5; 6; 7; 0; 1 ]
+let single_wrap = wrap_keys (fun i -> (i, 0))
+let pair_wrap = wrap_keys (fun i -> ((10 lsl 16) lor 80, (20 lsl 16) lor (32768 + i)))
+
+(* The crafted keys do collide: three keys homed at one slot make a run of
+   three. This fails if the index changes without [home8]. *)
+let int_tbl_colliding_keys () =
+  let t = IT.create 0 in
+  List.iter (fun (k, _) -> IT.replace t k ()) (homed ~home:7 ~n:3 (fun i -> (i, 0)));
+  Alcotest.(check int) "single keys homed at slot 7" 3 (IT.longest_probe t);
+  let p = IT.Pair.create 0 in
+  List.iter (fun (a, b) -> IT.Pair.replace p a b ()) (List.filteri (fun i _ -> i < 3) pair_wrap);
+  Alcotest.(check int) "pair keys homed at slot 5" 3 (IT.Pair.length p);
+  Alcotest.(check (list (pair (pair int int) unit))) "pairs visit in lexicographic order"
+    [ ((-1, 5), ()); ((-1, 7), ()); ((0, min_int), ()); ((3, 0), ()) ]
+    (let q = IT.Pair.create 0 in
+     List.iter (fun (a, b) -> IT.Pair.replace q a b ()) [ (3, 0); (0, min_int); (-1, 7); (-1, 5) ];
+     IT.Pair.bindings q)
+
+module Pair_map = Map.Make (struct
+  type t = int * int
+
+  let compare (a1, b1) (a2, b2) =
+    let c = Int.compare a1 a2 in
+    if c <> 0 then c else Int.compare b1 b2
+end)
+
+(* One table behind a pair-keyed face: the one-int table sees keys (k, 0). *)
+type model_tbl = {
+  replace : int -> int -> int -> unit;
+  remove : int -> int -> unit;
+  find : int -> int -> int;
+  find_opt : int -> int -> int option;
+  mem : int -> int -> bool;
+  length : unit -> int;
+  bindings : unit -> ((int * int) * int) list;
+}
+
+let single_tbl () =
+  let t = IT.create 0 in
+  {
+    replace = (fun a _ v -> IT.replace t a v);
+    remove = (fun a _ -> IT.remove t a);
+    find = (fun a _ -> IT.find t a);
+    find_opt = (fun a _ -> IT.find_opt t a);
+    mem = (fun a _ -> IT.mem t a);
+    length = (fun () -> IT.length t);
+    bindings = (fun () -> List.map (fun (k, v) -> ((k, 0), v)) (IT.bindings t));
+  }
+
+let pair_tbl () =
+  let t = IT.Pair.create 0 in
+  {
+    replace = IT.Pair.replace t;
+    remove = IT.Pair.remove t;
+    find = IT.Pair.find t;
+    find_opt = IT.Pair.find_opt t;
+    mem = IT.Pair.mem t;
+    length = (fun () -> IT.Pair.length t);
+    bindings = (fun () -> IT.Pair.bindings t);
+  }
+
+(* Keys aligned to 64, 16,384 and 2^32, negative ones, both ends of the
+   int range, and the crafted keys that share a home near the array's
+   end. *)
+let model_keys ~pairs =
+  let open QCheck.Gen in
+  let small = int_range (-3) 3 in
+  let int_key =
+    oneof
+      [
+        int_range (-20) 40;
+        map (fun i -> i * 64) (int_bound 40);
+        map (fun i -> i * 16_384) (int_bound 40);
+        map (fun i -> i lsl 32) small;
+        map (fun i -> max_int - i) (int_bound 3);
+        map (fun i -> min_int + i) (int_bound 3);
+      ]
+  in
+  let wrap = oneofl (if pairs then pair_wrap else single_wrap) in
+  if pairs then frequency [ (2, pair int_key (oneof [ small; int_key ])); (3, wrap) ]
+  else frequency [ (2, map (fun k -> (k, 0)) int_key); (3, wrap) ]
+
+let int_tbl_model ~pairs ~name make =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_bound 120)
+        (pair (frequency [ (3, return true); (2, return false) ]) (model_keys ~pairs)))
+  in
+  let print ops =
+    String.concat " "
+      (List.map
+         (fun (ins, (a, b)) -> Printf.sprintf "%s(%d,%d)" (if ins then "+" else "-") a b)
+         ops)
+  in
+  QCheck.Test.make ~name ~count:500
+    (QCheck.make ~print ~shrink:QCheck.Shrink.list gen)
+    (fun ops ->
+      let t = make () in
+      let keys = List.map snd ops in
+      let agrees m =
+        t.length () = Pair_map.cardinal m
+        && t.bindings () = Pair_map.bindings m
+        && List.for_all
+             (fun (a, b) ->
+               let want = Pair_map.find_opt (a, b) m in
+               t.find_opt a b = want
+               && t.mem a b = (want <> None)
+               && match t.find a b with v -> want = Some v | exception Not_found -> want = None)
+             keys
+      in
+      let step (ok, m, i) (ins, (a, b)) =
+        let m =
+          if ins then begin
+            t.replace a b i;
+            Pair_map.add (a, b) i m
+          end
+          else begin
+            t.remove a b;
+            Pair_map.remove (a, b) m
+          end
+        in
+        (ok && agrees m, m, i + 1)
+      in
+      let ok, _, _ = List.fold_left step (true, Pair_map.empty, 0) ops in
+      ok)
+
+let int_tbl_single_model =
+  int_tbl_model ~pairs:false ~name:"int table equals a Map (one-int keys)" single_tbl
+
+let int_tbl_pair_model =
+  int_tbl_model ~pairs:true ~name:"int table equals a Map (pair keys)" pair_tbl
 
 let tests =
   [
@@ -445,4 +602,8 @@ let tests =
     Alcotest.test_case "jain fairness" `Quick stats_jain;
     Alcotest.test_case "int table visits in key order" `Quick int_tbl_sorted_visits;
     Alcotest.test_case "int table spreads aligned keys" `Quick int_tbl_aligned_keys;
+    Alcotest.test_case "int table collides crafted keys" `Quick int_tbl_colliding_keys;
+    QCheck_alcotest.to_alcotest int_tbl_single_model;
+    QCheck_alcotest.to_alcotest int_tbl_pair_model;
+    Alcotest.test_case "histogram record allocates nothing" `Quick histogram_record_alloc;
   ]

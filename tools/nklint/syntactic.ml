@@ -30,10 +30,13 @@
        consumers read it through [Nqe.View], so a record or a fresh buffer
        per NQE has no place there (no waiver);
    H2  no polymorphic [Hashtbl] values ([create], [find], [find_opt], [mem],
-       [replace], [add], [remove]) in H1's lib/core modules or the other
-       datapath tables' modules (epoll, direct sockets, fabric, hugepages, reactor):
-       each lookup there would pay a C [caml_hash] and a polymorphic
-       compare; [Nkutil.Int_tbl] or a [Hashtbl.Make] instance instead;
+       [replace], [add], [remove]) and no [Hashtbl.Make] in H1's lib/core
+       modules or the other datapath tables' modules (epoll, direct
+       sockets, fabric, hugepages, reactor, the TCP stack, the content
+       registry, Homa): a polymorphic lookup pays a C [caml_hash] and a
+       polymorphic compare, a functor table an indirect hash and equal and
+       a bucket chain; [Nkutil.Int_tbl] instead, with [Int_tbl.Pair] and
+       the pair (Addr.key src, Addr.key dst) for flows;
    S1  every span stage a lib/ file opens is closed somewhere under lib/;
    X1  every value a lib/ .mli exports has a user outside its own module;
    W1  no rotten waivers: a waiver comment that suppresses zero diagnostics
@@ -74,13 +77,20 @@ let in_nqe_path path =
    event, segment or payload extent consults. *)
 let table_hot_path_modules =
   hot_path_modules
-  @ [ "epoll_core.ml"; "direct_socket.ml"; "fabric.ml"; "hugepages.ml"; "reactor.ml" ]
+  @ [
+      "epoll_core.ml"; "direct_socket.ml"; "fabric.ml"; "hugepages.ml"; "reactor.ml";
+      "stack.ml"; "conn_registry.ml"; "homa.ml";
+    ]
 
 let in_table_hot_path path =
   in_lib path && List.mem (Filename.basename path) table_hot_path_modules
 
 let polymorphic_hashtbl_values =
   [ "create"; "find"; "find_opt"; "mem"; "replace"; "add"; "remove" ]
+
+let h2_remedy =
+  "use Nkutil.Int_tbl: an int key, or Int_tbl.Pair with the pair (Addr.key src, Addr.key \
+   dst) for a flow"
 
 let rec last = function [] -> None | [ x ] -> Some x | _ :: tl -> last tl
 
@@ -148,9 +158,8 @@ let expr_rules ~path ast =
         add loc "H2"
           (Printf.sprintf
              "polymorphic Hashtbl.%s on the datapath hashes with caml_hash and compares \
-              polymorphically — use Nkutil.Int_tbl, or a Hashtbl.Make instance for \
-              other keys"
-             f)
+              polymorphically — %s"
+             f h2_remedy)
     | ([ "compare" ] | [ "Stdlib"; "compare" ]) when not (Hashtbl.mem head_idents loc) ->
         add loc "D3"
           "bare polymorphic compare passed as a function — use Int.compare / \
@@ -208,7 +217,23 @@ let expr_rules ~path ast =
     | _ -> ());
     default.expr self e
   in
-  let it = { default with expr } in
+  let module_expr self m =
+    (match m.pmod_desc with
+    | Pmod_apply ({ pmod_desc = Pmod_ident { txt; loc }; _ }, _) when in_table_hot_path path
+      -> (
+        match Longident.flatten txt with
+        | [ "Hashtbl"; ("Make" | "MakeSeeded" as f) ]
+        | [ "Stdlib"; "Hashtbl"; ("Make" | "MakeSeeded" as f) ] ->
+            add loc "H2"
+              (Printf.sprintf
+                 "Hashtbl.%s on the datapath hashes and compares through the functor's \
+                  closures and chains its buckets — %s"
+                 f h2_remedy)
+        | _ -> ())
+    | _ -> ());
+    default.module_expr self m
+  in
+  let it = { default with expr; module_expr } in
   it.structure it ast;
   !diags
 
