@@ -223,7 +223,8 @@ let apply t qset_idx buf pos =
               (match ep.bound with
               | Some addr -> (
                   match Int_tbl.find_opt t.listeners (Addr.key addr) with
-                  | Some l when l.l_gid = ep.ep_gid -> Int_tbl.remove t.listeners (Addr.key addr)
+                  | Some l when l.l_gid = ep.ep_gid ->
+                      Int_tbl.remove t.listeners (Addr.key addr)
                   | Some _ | None -> ())
               | None -> ());
               (match ep.peer with

@@ -179,5 +179,6 @@ module Pair = struct
   let replace = replace2
   let remove = remove2
   let bindings t = List.map (fun (a, b, v) -> ((a, b), v)) (sorted_bindings t)
-  let fold f t init = List.fold_left (fun acc (a, b, v) -> f a b v acc) init (sorted_bindings t)
+  let fold f t init =
+    List.fold_left (fun acc (a, b, v) -> f a b v acc) init (sorted_bindings t)
 end

@@ -204,7 +204,8 @@ let h2_hot_path_hashtbl () =
      module G = Hashtbl.MakeSeeded (Flow)\n\
      let f t a b = Nkutil.Int_tbl.Pair.find t a b";
   List.iter
-    (fun path -> check_diags "every listed module" ~path [ ("H2", 1) ] "module T = Hashtbl.Make (K)")
+    (fun path ->
+      check_diags "every listed module" ~path [ ("H2", 1) ] "module T = Hashtbl.Make (K)")
     [ "lib/tcpstack/conn_registry.ml"; "lib/homastack/homa.ml"; "lib/core/nsm_shmem.ml" ];
   check_diags "off the datapath a polymorphic table is fine" ~path:"lib/nkmon/registry.ml"
     [] "let t = Hashtbl.create 16\nmodule T = Hashtbl.Make (String)";

@@ -449,12 +449,16 @@ let int_tbl_colliding_keys () =
   List.iter (fun (k, _) -> IT.replace t k ()) (homed ~home:7 ~n:3 (fun i -> (i, 0)));
   Alcotest.(check int) "single keys homed at slot 7" 3 (IT.longest_probe t);
   let p = IT.Pair.create 0 in
-  List.iter (fun (a, b) -> IT.Pair.replace p a b ()) (List.filteri (fun i _ -> i < 3) pair_wrap);
+  List.iter
+    (fun (a, b) -> IT.Pair.replace p a b ())
+    (List.filteri (fun i _ -> i < 3) pair_wrap);
   Alcotest.(check int) "pair keys homed at slot 5" 3 (IT.Pair.length p);
   Alcotest.(check (list (pair (pair int int) unit))) "pairs visit in lexicographic order"
     [ ((-1, 5), ()); ((-1, 7), ()); ((0, min_int), ()); ((3, 0), ()) ]
     (let q = IT.Pair.create 0 in
-     List.iter (fun (a, b) -> IT.Pair.replace q a b ()) [ (3, 0); (0, min_int); (-1, 7); (-1, 5) ];
+     List.iter
+       (fun (a, b) -> IT.Pair.replace q a b ())
+       [ (3, 0); (0, min_int); (-1, 7); (-1, 5) ];
      IT.Pair.bindings q)
 
 module Pair_map = Map.Make (struct
@@ -546,7 +550,10 @@ let int_tbl_model ~pairs ~name make =
                let want = Pair_map.find_opt (a, b) m in
                t.find_opt a b = want
                && t.mem a b = (want <> None)
-               && match t.find a b with v -> want = Some v | exception Not_found -> want = None)
+               &&
+               match t.find a b with
+               | v -> want = Some v
+               | exception Not_found -> want = None)
              keys
       in
       let step (ok, m, i) (ins, (a, b)) =
