@@ -39,14 +39,15 @@ echo "check.sh: nk trace exports OK"
 # experiment's quick mode twice and exits 1 if the two rendered reports
 # differ anywhere, notes included (the sharded CE, the Nkspan catapult
 # export digest, the Nkfabric migration and relay, the Homa grant pacer
-# and handover, Nkobs SLO windows, alerts and the flight-dump digest).
+# and handover, Nkobs SLO windows, alerts and the flight-dump digest, and
+# the shared-memory NSM, whose fig10 row sits at its hugepage copy bound).
 # Its rendering is then diffed against the committed BENCH_<id>.json. The
 # reports are deterministic, so any diff is a behaviour change, to be
 # acknowledged by regenerating the baseline
 # (`dune exec bin/nk.exe -- bench <id> -o BENCH_<id>.json`).
 snap=$(mktemp)
 trap 'rm -f "$snap"' EXIT
-for id in ce-scale latency-breakdown cluster incast slo; do
+for id in ce-scale latency-breakdown cluster incast slo fig10; do
   dune exec bin/nk.exe -- bench "$id" -o "$snap"
   diff -u "BENCH_$id.json" "$snap"
   echo "check.sh: bench baseline $id OK"
