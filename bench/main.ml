@@ -115,8 +115,7 @@ let () =
   let applied = ref 0 in
   Nkcore.Nk_device.serve serve_dev
     ~cores:(Sim.Cpu.Set.create serve_engine ~name:"nsm" ~n:1 ())
-    ~costs:Nkcore.Nk_costs.default ~component:"nsm2"
-    (fun _ _ _ -> incr applied);
+    ~component:"nsm2" (fun _ _ _ -> incr applied);
   let jobs = Bytes.create (64 * Nqe.size_bytes) in
   for sock = 0 to 63 do
     Nqe_codec.encode_into

@@ -158,8 +158,8 @@ let vm_home_idx t vm_id = vm_id mod Array.length t.shards
 
 let vm_home_shard t vm_id = t.shards.(vm_home_idx t vm_id)
 
-let charge_xshard t (sh : shard) =
-  Cpu.charge sh.cpu ~cycles:t.costs.Nk_costs.ce_xshard;
+let charge_xshard (sh : shard) =
+  Cpu.charge sh.cpu ~cycles:Nk_costs.ce_xshard;
   Nkmon.Registry.incr sh.ctr.c_xshard
 
 let snapshot ctr =
@@ -243,7 +243,7 @@ let conn_counter t nsm_id =
 
 let table_add ?sh t key route =
   (match sh with
-  | Some sh when vm_home_idx t (Nqe.conn_key_vm key) <> sh.idx -> charge_xshard t sh
+  | Some sh when vm_home_idx t (Nqe.conn_key_vm key) <> sh.idx -> charge_xshard sh
   | _ -> ());
   (match Int_tbl.find t.conn_table key with
   | prev -> decr (conn_counter t prev.nsm_id)
@@ -256,7 +256,7 @@ let table_remove ?sh t key =
   | exception Not_found -> ()
   | r ->
       (match sh with
-      | Some sh when vm_home_idx t (Nqe.conn_key_vm key) <> sh.idx -> charge_xshard t sh
+      | Some sh when vm_home_idx t (Nqe.conn_key_vm key) <> sh.idx -> charge_xshard sh
       | _ -> ());
       Int_tbl.remove t.conn_table key;
       decr (conn_counter t r.nsm_id)
@@ -345,9 +345,9 @@ let set_rate_limit ?burst t ~vm_id ~bytes_per_sec =
    owned by another shard is a cross-shard handoff and pays [ce_xshard] on
    the pushing shard. *)
 let push_inbound t (sh : shard) dev ~qset buf pos =
-  if owner_idx t ~dev_id:(Nk_device.id dev) ~qset <> sh.idx then charge_xshard t sh;
+  if owner_idx t ~dev_id:(Nk_device.id dev) ~qset <> sh.idx then charge_xshard sh;
   if Nk_device.push dev ~qset buf pos then begin
-    Nk_device.wake dev t.engine ~qset ~delay:t.costs.Nk_costs.wake_latency;
+    Nk_device.wake dev t.engine ~qset ~delay:Nk_costs.wake_latency;
     true
   end
   else false
@@ -356,7 +356,7 @@ let push_inbound t (sh : shard) dev ~qset buf pos =
    hardware switches known connections by itself. *)
 let charge_table_miss t (sh : shard) =
   if t.costs.Nk_costs.ce_hw_offload then
-    Cpu.charge sh.cpu ~cycles:t.costs.Nk_costs.ce_switch
+    Cpu.charge sh.cpu ~cycles:Nk_costs.ce_switch
 
 let route_nsm_to_vm t (sh : shard) ~src_nsm ~src_qset buf pos =
   let vm_id = Nqe.View.vm_id buf pos in
@@ -444,12 +444,12 @@ and drain_deferred t (sh : shard) =
               | To_vm { src_nsm; src_qset; _ } ->
                   if route_nsm_to_vm t sh ~src_nsm ~src_qset raw 0 then begin
                     dq_pop_head dq;
-                    Cpu.charge sh.cpu ~cycles:t.costs.Nk_costs.ce_switch;
+                    Cpu.charge sh.cpu ~cycles:Nk_costs.ce_switch;
                     loop ()
                   end
                   else
                     next_delay :=
-                      Float.min !next_delay t.costs.Nk_costs.ce_ring_release_delay
+                      Float.min !next_delay Nk_costs.ce_ring_release_delay
               | To_nsm _ ->
                   let tokens_ok =
                     match (Nqe.View.op raw 0, Int_tbl.find_opt t.buckets vm_id) with
@@ -468,12 +468,12 @@ and drain_deferred t (sh : shard) =
                   if tokens_ok then
                     if route_vm_to_nsm t sh raw 0 then begin
                       dq_pop_head dq;
-                      Cpu.charge sh.cpu ~cycles:t.costs.Nk_costs.ce_switch;
+                      Cpu.charge sh.cpu ~cycles:Nk_costs.ce_switch;
                       loop ()
                     end
                     else
                       next_delay :=
-                        Float.min !next_delay t.costs.Nk_costs.ce_ring_release_delay)
+                        Float.min !next_delay Nk_costs.ce_ring_release_delay)
       in
       loop ())
     sh.deferred;
@@ -488,7 +488,7 @@ and deliver_to_vm t (sh : shard) ~src_nsm ~src_qset buf pos =
   if dq.to_vm_pending > 0 || not (route_nsm_to_vm t sh ~src_nsm ~src_qset buf pos)
   then begin
     dq_add dq (To_vm { src_nsm; src_qset; raw = Bytes.sub buf pos Nqe.size_bytes });
-    schedule_release t sh t.costs.Nk_costs.ce_ring_release_delay
+    schedule_release t sh Nk_costs.ce_ring_release_delay
   end
 
 (* The socket's NSM is gone (crash or deregistration): complete the job NQE
@@ -657,7 +657,7 @@ and dispatch t (sh : shard) src i =
       if Nkmon.tracing t.mon then
         Nkmon.event t.mon (Nkmon.Trace.Ring_defer { vm_id = Nqe.View.vm_id buf pos });
       dq_add dq (To_vm { src_nsm; src_qset; raw = Bytes.sub buf pos Nqe.size_bytes });
-      schedule_release t sh t.costs.Nk_costs.ce_ring_release_delay
+      schedule_release t sh Nk_costs.ce_ring_release_delay
     end
   end
   else begin
@@ -682,14 +682,14 @@ and dispatch t (sh : shard) src i =
         Nkmon.event t.mon
           (Nkmon.Trace.Rate_limit_defer { vm_id; bytes = Nqe.View.size buf pos });
       dq_add dq (To_nsm (Bytes.sub buf pos Nqe.size_bytes));
-      schedule_release t sh t.costs.Nk_costs.ce_rate_recheck_delay
+      schedule_release t sh Nk_costs.ce_rate_recheck_delay
     end
     else if not (route_vm_to_nsm t sh buf pos) then begin
       Nkmon.Registry.incr sh.ctr.c_ring_deferred;
       if Nkmon.tracing t.mon then
         Nkmon.event t.mon (Nkmon.Trace.Ring_defer { vm_id });
       dq_add dq (To_nsm (Bytes.sub buf pos Nqe.size_bytes));
-      schedule_release t sh t.costs.Nk_costs.ce_ring_release_delay
+      schedule_release t sh Nk_costs.ce_ring_release_delay
     end
   end
 
@@ -699,7 +699,7 @@ and process t (sh : shard) =
   if n = 0 then begin
     sh.running <- false;
     Nkspan.enter t.spans ~component:sh.sinstance ~stage:"poll";
-    Cpu.charge sh.cpu ~cycles:t.costs.Nk_costs.ce_poll_iter;
+    Cpu.charge sh.cpu ~cycles:Nk_costs.ce_poll_iter;
     Nkspan.leave t.spans
   end
   else begin
@@ -719,7 +719,7 @@ and process t (sh : shard) =
          cost on the CE core — no software queue sweeps either; table
          misses are charged where they occur *)
       if t.costs.Nk_costs.ce_hw_offload then 10.0 +. (float_of_int n *. 4.0)
-      else t.costs.Nk_costs.ce_poll_iter +. (float_of_int n *. t.costs.Nk_costs.ce_switch)
+      else Nk_costs.ce_poll_iter +. (float_of_int n *. Nk_costs.ce_switch)
     in
     Nkspan.enter t.spans ~component:sh.sinstance ~stage:"switch";
     Cpu.exec sh.cpu ~cycles sh.switch_thunk;
@@ -738,7 +738,7 @@ and switch t (sh : shard) =
 and kick_shard t (sh : shard) =
   if not sh.running then begin
     sh.running <- true;
-    ignore (Engine.schedule t.engine ~delay:t.costs.Nk_costs.ce_poll_latency sh.poll_thunk)
+    ignore (Engine.schedule t.engine ~delay:Nk_costs.ce_poll_latency sh.poll_thunk)
   end
 
 let set_thunks t (sh : shard) =

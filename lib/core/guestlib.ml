@@ -48,7 +48,6 @@ type t = {
   vm_id : int;
   cores : Cpu.Set.t;
   device : Nk_device.t;
-  costs : Nk_costs.t;
   profile : Sim.Cost_profile.t;
   socks : gsock Int_tbl.t;
   epoll : Epoll_core.t;
@@ -79,7 +78,7 @@ let find t gid = Int_tbl.find_opt t.socks gid
 (* What a closed (or never opened) socket reports. *)
 let hup_only = { Types.readable = false; writable = false; hup = true }
 
-let gsock_events ~sendbuf gs =
+let gsock_events gs =
   match gs.state with
   | Gfresh | Gconnecting -> Types.no_events
   | Gclosed -> hup_only
@@ -90,9 +89,30 @@ let gsock_events ~sendbuf gs =
       let hup = gs.err <> None in
       {
         Types.readable = gs.recv_avail > 0 || (gs.eof && not gs.eof_delivered) || hup;
-        writable = gs.sendbuf_used < sendbuf;
+        writable = gs.sendbuf_used < Nk_costs.guest_sendbuf;
         hup;
       }
+
+(* A socket with nothing queued, sent or received yet. *)
+let new_gsock gid ~qset ~state ~local ~peer =
+  {
+    gid;
+    qset;
+    state;
+    local;
+    peer;
+    backlog = 0;
+    err = None;
+    recvq = Queue.create ();
+    recv_avail = 0;
+    eof = false;
+    eof_delivered = false;
+    sendbuf_used = 0;
+    acceptq = Queue.create ();
+    accept_waiters = Queue.create ();
+    on_connect = None;
+    close_pending = false;
+  }
 
 (* ---- NQE posting -------------------------------------------------------- *)
 
@@ -186,26 +206,14 @@ let apply t buf pos =
       | lsock when lsock.state = Glistening ->
           let gid = Nqe.View.size buf pos in
           let peer = Nqe.unpack_addr (Nqe.View.op_data buf pos) in
-          let qset = Nqe.View.qset buf pos in
+          (* The queue set the NSM named, or the socket's hash when it
+             named none of this VM's. *)
+          let qset =
+            let hint = Nqe.View.qset buf pos in
+            if hint < Cpu.Set.n t.cores then hint else Nk_device.hash_qset t.device gid
+          in
           let gs =
-            {
-              gid;
-              qset = (if qset < Cpu.Set.n t.cores then qset else Nk_device.hash_qset t.device gid);
-              state = Gconnected;
-              local = lsock.local;
-              peer = Some peer;
-              backlog = 0;
-              err = None;
-              recvq = Queue.create ();
-              recv_avail = 0;
-              eof = false;
-              eof_delivered = false;
-              sendbuf_used = 0;
-              acceptq = Queue.create ();
-              accept_waiters = Queue.create ();
-              on_connect = None;
-              close_pending = false;
-            }
+            new_gsock gid ~qset ~state:Gconnected ~local:lsock.local ~peer:(Some peer)
           in
           Int_tbl.replace t.socks gid gs;
           if Queue.is_empty lsock.accept_waiters then begin
@@ -214,7 +222,7 @@ let apply t buf pos =
           end
           else begin
             let k = Queue.pop lsock.accept_waiters in
-            Cpu.exec (core_for t gs) ~cycles:t.costs.Nk_costs.nk_syscall (fun () ->
+            Cpu.exec (core_for t gs) ~cycles:Nk_costs.nk_syscall (fun () ->
                 k (Ok (gid, peer)))
           end
       | _ -> ())
@@ -266,32 +274,17 @@ let apply t buf pos =
 let alloc_gsock t =
   let gid = t.next_gid in
   t.next_gid <- t.next_gid + 1;
-  {
-    gid;
-    qset = Nk_device.hash_qset t.device gid;
-    state = Gfresh;
-    local = None;
-    peer = None;
-    backlog = 0;
-    err = None;
-    recvq = Queue.create ();
-    recv_avail = 0;
-    eof = false;
-    eof_delivered = false;
-    sendbuf_used = 0;
-    acceptq = Queue.create ();
-    accept_waiters = Queue.create ();
-    on_connect = None;
-    close_pending = false;
-  }
+  new_gsock gid
+    ~qset:(Nk_device.hash_qset t.device gid)
+    ~state:Gfresh ~local:None ~peer:None
 
-let control_cycles t = t.costs.Nk_costs.nk_syscall +. t.costs.Nk_costs.nqe_encode
+let control_cycles = Nk_costs.nk_syscall +. Nk_costs.nqe_encode
 
 let api t =
   let socket () =
     let gs = alloc_gsock t in
     Int_tbl.replace t.socks gs.gid gs;
-    Cpu.charge (core_for t gs) ~cycles:(control_cycles t);
+    Cpu.charge (core_for t gs) ~cycles:control_cycles;
     post_ctl t gs Nqe.Socket ~op_data:0;
     Ok gs.gid
   in
@@ -300,7 +293,7 @@ let api t =
     | exception Not_found -> Error Types.Einval
     | gs ->
         gs.local <- Some addr;
-        Cpu.charge (core_for t gs) ~cycles:(control_cycles t);
+        Cpu.charge (core_for t gs) ~cycles:control_cycles;
         post_ctl t gs Nqe.Bind ~op_data:(Nqe.pack_addr addr);
         Ok ()
   in
@@ -313,7 +306,7 @@ let api t =
         | Some _ ->
             gs.state <- Glistening;
             gs.backlog <- backlog;
-            Cpu.charge (core_for t gs) ~cycles:(control_cycles t);
+            Cpu.charge (core_for t gs) ~cycles:control_cycles;
             post_ctl t gs Nqe.Listen ~op_data:backlog;
             Ok ())
   in
@@ -326,7 +319,7 @@ let api t =
         if Queue.is_empty gs.acceptq then Queue.add k gs.accept_waiters
         else begin
           let cgid, peer = Queue.pop gs.acceptq in
-          Cpu.exec (core_for t gs) ~cycles:(control_cycles t) (fun () -> k (Ok (cgid, peer)))
+          Cpu.exec (core_for t gs) ~cycles:control_cycles (fun () -> k (Ok (cgid, peer)))
         end
     | _ -> k (Error Types.Einval)
   in
@@ -337,7 +330,7 @@ let api t =
         gs.state <- Gconnecting;
         gs.peer <- Some dst;
         gs.on_connect <- Some k;
-        Cpu.charge (core_for t gs) ~cycles:(control_cycles t);
+        Cpu.charge (core_for t gs) ~cycles:control_cycles;
         post_ctl t gs Nqe.Connect ~op_data:(Nqe.pack_addr dst)
     | _ -> k (Error Types.Einval)
   in
@@ -349,26 +342,26 @@ let api t =
         | _, Some e -> k (Error e)
         | Gconnected, None -> (
             let want = Types.payload_len payload in
-            let room = t.costs.Nk_costs.guest_sendbuf - gs.sendbuf_used in
+            let room = Nk_costs.guest_sendbuf - gs.sendbuf_used in
             let n = Int.min want room in
             if n <= 0 then begin
               Nkmon.Registry.incr t.ctr.c_send_eagain;
-              Cpu.charge (core_for t gs) ~cycles:t.costs.Nk_costs.nk_syscall;
+              Cpu.charge (core_for t gs) ~cycles:Nk_costs.nk_syscall;
               k (Error Types.Eagain)
             end
             else
               match Hugepages.alloc (Nk_device.hugepages t.device) n with
               | None ->
                   Nkmon.Registry.incr t.ctr.c_send_eagain;
-                  Cpu.charge (core_for t gs) ~cycles:t.costs.Nk_costs.nk_syscall;
+                  Cpu.charge (core_for t gs) ~cycles:Nk_costs.nk_syscall;
                   k (Error Types.Eagain)
               | Some extent ->
                   let synthetic =
                     match payload with Types.Zeros _ -> true | Types.Data _ -> false
                   in
                   let cycles =
-                    t.costs.Nk_costs.nk_syscall +. t.costs.Nk_costs.nqe_encode
-                    +. t.costs.Nk_costs.hugepage_alloc
+                    Nk_costs.nk_syscall +. Nk_costs.nqe_encode
+                    +. Nk_costs.hugepage_alloc
                     +. (float_of_int n *. t.profile.Sim.Cost_profile.per_byte_user_copy)
                   in
                   gs.sendbuf_used <- gs.sendbuf_used + n;
@@ -399,7 +392,7 @@ let api t =
              time because concurrent recv calls may race on this socket. *)
           let est = Int.min max gs.recv_avail in
           let cycles =
-            t.costs.Nk_costs.nk_syscall +. t.costs.Nk_costs.nqe_encode
+            Nk_costs.nk_syscall +. Nk_costs.nqe_encode
             +. (float_of_int est *. t.profile.Sim.Cost_profile.per_byte_user_copy)
           in
           Cpu.exec (core_for t gs) ~cycles (fun () ->
@@ -438,7 +431,7 @@ let api t =
           k (Ok (match mode with `Discard -> Types.Zeros 0 | `Copy | `Auto -> Types.Data ""))
         end
         else begin
-          Cpu.charge (core_for t gs) ~cycles:t.costs.Nk_costs.nk_syscall;
+          Cpu.charge (core_for t gs) ~cycles:Nk_costs.nk_syscall;
           match gs.err with Some e -> k (Error e) | None -> k (Error Types.Eagain)
         end
   in
@@ -446,7 +439,7 @@ let api t =
     match Int_tbl.find t.socks gid with
     | exception Not_found -> ()
     | gs ->
-        Cpu.charge (core_for t gs) ~cycles:(control_cycles t);
+        Cpu.charge (core_for t gs) ~cycles:control_cycles;
         (* Free any unread receive extents; the NSM stops delivering after
            the close NQE. *)
         Queue.iter
@@ -502,7 +495,7 @@ let remigrate_listeners t =
                  and re-registers the endpoint on the new NSM. A crash error
                  is wiped — the reborn listener starts clean. *)
               gs.err <- None;
-              Cpu.charge (core_for t gs) ~cycles:(3.0 *. control_cycles t);
+              Cpu.charge (core_for t gs) ~cycles:(3.0 *. control_cycles);
               post_ctl t gs Nqe.Socket ~op_data:0;
               post_ctl t gs Nqe.Bind ~op_data:(Nqe.pack_addr addr);
               post_ctl t gs Nqe.Listen ~op_data:gs.backlog;
@@ -510,7 +503,7 @@ let remigrate_listeners t =
       | _ -> ())
     (listening_socks t)
 
-let create ~engine ~vm_id ~cores ~device ~costs ~profile ?(mon = Nkmon.null ())
+let create ~engine ~vm_id ~cores ~device ~profile ?(mon = Nkmon.null ())
     ?(spans = Nkspan.null ()) () =
   let instance = Printf.sprintf "vm%d" vm_id in
   let c name = Nkmon.counter mon ~component:"guestlib" ~instance ~name in
@@ -519,20 +512,19 @@ let create ~engine ~vm_id ~cores ~device ~costs ~profile ?(mon = Nkmon.null ())
     Epoll_core.create ~engine
       ~events_of:(fun gid ->
         match Int_tbl.find socks gid with
-        | gs -> gsock_events ~sendbuf:costs.Nk_costs.guest_sendbuf gs
+        | gs -> gsock_events gs
         | exception Not_found -> hup_only)
       ~core_of:(fun gid ->
         match Int_tbl.find socks gid with
         | gs -> Cpu.Set.core cores gs.qset
         | exception Not_found -> Cpu.Set.core cores 0)
-      ~wake_cycles:costs.Nk_costs.guest_epoll_wake
+      ~wake_cycles:Nk_costs.guest_epoll_wake
   in
   let t =
     {
       vm_id;
       cores;
       device;
-      costs;
       profile;
       socks;
       epoll;
@@ -551,5 +543,5 @@ let create ~engine ~vm_id ~cores ~device ~costs ~profile ?(mon = Nkmon.null ())
       tx = Bytes.create Nqe.size_bytes;
     }
   in
-  Nk_device.serve device ~cores ~costs ~component:instance (fun _ buf pos -> apply t buf pos);
+  Nk_device.serve device ~cores ~component:instance (fun _ buf pos -> apply t buf pos);
   t

@@ -20,7 +20,6 @@ val create :
   vm_id:int ->
   cores:Sim.Cpu.Set.t ->
   device:Nk_device.t ->
-  costs:Nk_costs.t ->
   profile:Sim.Cost_profile.t ->
   ?mon:Nkmon.t ->
   ?spans:Nkspan.t ->

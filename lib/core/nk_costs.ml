@@ -1,55 +1,32 @@
-type t = {
-  nk_syscall : float;
-  guest_epoll_wake : float;
-  nqe_encode : float;
-  nqe_decode : float;
-  guest_poll : float;
-  guest_interrupt : float;
-  guest_idle_window : float;
-  ce_poll_iter : float;
-  ce_switch : float;
-  ce_xshard : float;
-  ce_poll_latency : float;
-  ce_ring_release_delay : float;
-  ce_rate_recheck_delay : float;
-  service_poll : float;
-  hugepage_alloc : float;
-  hugepage_copy_base : float;
-  hugepage_copy_contention : float;
-  wake_latency : float;
-  ce_batch : int;
-  guest_sendbuf : int;
-  nsm_rwnd : int;
-  nsm_zerocopy : bool;
-  ce_hw_offload : bool;
-}
+let nk_syscall = 500.0
+let guest_epoll_wake = 900.0
+let nqe_encode = 60.0
+let nqe_decode = 60.0
+let guest_poll = 80.0
+let guest_interrupt = 1500.0
+let guest_idle_window = 20e-6
+let ce_poll_iter = 120.0
+let ce_switch = 170.0
+let ce_xshard = 60.0
+let ce_poll_latency = 2e-7
+let ce_ring_release_delay = 5e-6
+let ce_rate_recheck_delay = 1e-5
+let service_poll = 80.0
+let hugepage_alloc = 100.0
 
-let default =
-  {
-    nk_syscall = 500.0;
-    guest_epoll_wake = 900.0;
-    nqe_encode = 60.0;
-    nqe_decode = 60.0;
-    guest_poll = 80.0;
-    guest_interrupt = 1500.0;
-    guest_idle_window = 20e-6;
-    ce_poll_iter = 120.0;
-    ce_switch = 170.0;
-    ce_xshard = 60.0;
-    ce_poll_latency = 2e-7;
-    ce_ring_release_delay = 5e-6;
-    ce_rate_recheck_delay = 1e-5;
-    service_poll = 80.0;
-    hugepage_alloc = 100.0;
-    hugepage_copy_base = 0.02;
-    hugepage_copy_contention = 0.2;
-    wake_latency = 5e-7;
-    ce_batch = 4;
-    guest_sendbuf = 512 * 1024;
-    nsm_rwnd = 256 * 1024;
-    nsm_zerocopy = false;
-    ce_hw_offload = false;
-  }
+(* per-byte copy in/out of hugepages *)
+let hugepage_copy_base = 0.02
+
+(* quadratic memory-pressure coefficient (Table 6) *)
+let hugepage_copy_contention = 0.2
+
+let wake_latency = 5e-7
+let guest_sendbuf = 512 * 1024
+let nsm_rwnd = 256 * 1024
+
+type t = { ce_batch : int; nsm_zerocopy : bool; ce_hw_offload : bool }
+
+let default = { ce_batch = 4; nsm_zerocopy = false; ce_hw_offload = false }
 
 let hugepage_copy_cycles t pressure n =
   if t.nsm_zerocopy then
@@ -58,8 +35,8 @@ let hugepage_copy_cycles t pressure n =
     float_of_int n *. 0.002
   else
     float_of_int n
-    *. Sim.Pressure.hugepage_copy_cost pressure ~base:t.hugepage_copy_base
-         ~contention:t.hugepage_copy_contention
+    *. Sim.Pressure.hugepage_copy_cost pressure ~base:hugepage_copy_base
+         ~contention:hugepage_copy_contention
 
 let zerocopy t = { t with nsm_zerocopy = true }
 

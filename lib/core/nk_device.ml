@@ -152,7 +152,6 @@ let budget = 64
 type owner = {
   dev : t;
   cores : Cpu.Set.t;
-  costs : Nk_costs.t;
   component : string;
   apply : int -> bytes -> int -> unit;
   scheduled : bool array;
@@ -208,18 +207,16 @@ let rec poll o qi =
     if n = 0 then o.scheduled.(qi) <- false
     else begin
       let core = Cpu.Set.core o.cores qi in
-      let c = o.costs in
-      let decode = float_of_int n *. c.Nk_costs.nqe_decode in
+      let decode = float_of_int n *. Nk_costs.nqe_decode in
       let cycles =
         match o.dev.role with
-        | Nsm_side -> c.Nk_costs.service_poll +. decode
+        | Nsm_side -> Nk_costs.service_poll +. decode
         | Vm_side ->
             (* The device slept after the polling window; waking it costs
                an interrupt (interrupt-driven polling, §4.6). *)
             let idle = Engine.now (Cpu.engine core) -. o.last_active.(qi) in
-            c.Nk_costs.guest_poll
-            +. (if idle > c.Nk_costs.guest_idle_window then c.Nk_costs.guest_interrupt
-                else 0.0)
+            Nk_costs.guest_poll
+            +. (if idle > Nk_costs.guest_idle_window then Nk_costs.guest_interrupt else 0.0)
             +. decode
       in
       (* Traced NQEs leave the ring here: poll + decode + core queueing
@@ -260,13 +257,12 @@ let kick o qi =
     poll o qi
   end
 
-let serve t ~cores ~costs ~component apply =
+let serve t ~cores ~component apply =
   let n = Array.length t.qsets in
   let o =
     {
       dev = t;
       cores;
-      costs;
       component;
       apply;
       scheduled = Array.make n false;

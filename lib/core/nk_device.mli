@@ -79,12 +79,7 @@ val wake : t -> Sim.Engine.t -> qset:int -> delay:float -> unit
     owner's budgeted poll drains the whole same-instant burst. *)
 
 val serve :
-  t ->
-  cores:Sim.Cpu.Set.t ->
-  costs:Nk_costs.t ->
-  component:string ->
-  (int -> bytes -> int -> unit) ->
-  unit
+  t -> cores:Sim.Cpu.Set.t -> component:string -> (int -> bytes -> int -> unit) -> unit
 (** Install the owner's budgeted poll loop. On a wake of queue set [i] the
     loop drains a burst from [i]'s inbound rings into [i]'s slot buffer,
     charges poll + one [nqe_decode] per NQE on core [i] of [cores], then

@@ -32,6 +32,13 @@ let finish host ~name ~cores ~device ~backend ~nsm_id =
   Coreengine.register_nsm (Host.coreengine host) device;
   { host; nsm_id; name; cores; device; backend; failed = false }
 
+(* Several NSMs may originate connections from one VM IP, so each takes a
+   disjoint slice of the ephemeral ports: its first port and the slice
+   length. *)
+let ephemeral_slice = 3500
+
+let ephemeral_base nsm_id = 32768 + (nsm_id mod 8 * ephemeral_slice)
+
 let create_kernel host ~name ~vcpus ?cc_factory () =
   let nsm_id = Host.fresh_nsm_id host in
   let cores = Host.new_cores host ~name ~n:vcpus in
@@ -40,15 +47,12 @@ let create_kernel host ~name ~vcpus ?cc_factory () =
   let cfg =
     {
       base with
-      Tcpstack.Stack.charge_syscalls = false (* ServiceLib calls kernel APIs directly *);
-      charge_user_copy = false (* the hugepage copy is charged by ServiceLib *);
+      (* ServiceLib calls kernel APIs directly and charges the hugepage
+         copy itself. *)
+      Tcpstack.Stack.charge_user_io = false;
       cc_factory = Option.value cc_factory ~default:base.Tcpstack.Stack.cc_factory;
-      (* several NSMs may originate connections from one VM IP: give each a
-         disjoint ephemeral slice *)
       ephemeral_range =
-        (let slice = 3500 in
-         let base_port = 32768 + (nsm_id mod 8 * slice) in
-         (base_port, base_port + slice - 1));
+        (ephemeral_base nsm_id, ephemeral_base nsm_id + ephemeral_slice - 1);
     }
   in
   let stack =
@@ -96,11 +100,8 @@ let create_homa host ~name ~vcpus () =
   let cfg =
     {
       Homastack.Homa.default_config with
-      (* Same slicing rule as the TCP NSMs: several NSMs may originate
-         connections from one VM IP, so each takes a disjoint ephemeral
-         range. *)
-      ephemeral_base = 32768 + (nsm_id mod 8 * 3500);
-      ephemeral_count = 3500;
+      ephemeral_base = ephemeral_base nsm_id;
+      ephemeral_count = ephemeral_slice;
     }
   in
   let homa =
@@ -122,8 +123,8 @@ let create_shmem host ~name ~vcpus () =
   let cores = Host.new_cores host ~name ~n:vcpus in
   let device = make_device host ~nsm_id ~vcpus in
   let shm =
-    Nsm_shmem.create ~engine:(Host.engine host) ~device ~cores ~costs:(Host.costs host)
-      ~mon:(Host.mon host) ~spans:(Host.spans host) ()
+    Nsm_shmem.create ~engine:(Host.engine host) ~device ~cores ~mon:(Host.mon host)
+      ~spans:(Host.spans host) ()
   in
   finish host ~name ~cores ~device ~backend:(Shm shm) ~nsm_id
 
@@ -165,9 +166,13 @@ let quiesce_vm_listeners t ~vm_id =
 let fail t =
   if not t.failed then begin
     t.failed <- true;
-    (* Silence the module first (no parting NQEs), then let CoreEngine drop
-       the device and error out every socket it was serving. *)
-    (match t.backend with Svc { service; _ } -> Servicelib.fail service | Shm _ -> ());
+    (* Silence the module first (no NQE consumed, no parting NQE posted),
+       then let CoreEngine drop the device and error out every socket it
+       was serving. *)
+    Nk_device.stop_serving t.device;
+    (match t.backend with
+    | Svc { service; _ } -> Servicelib.fail service
+    | Shm shm -> Nsm_shmem.fail shm);
     Coreengine.crash_nsm (Host.coreengine t.host) ~nsm_id:t.nsm_id
   end
 

@@ -36,13 +36,13 @@ type t = {
   engine : Engine.t;
   device : Nk_device.t;
   cores : Cpu.Set.t;
-  costs : Nk_costs.t;
   vms : vm_ctx Int_tbl.t;
   socks : endpoint Int_tbl.t; (* Nqe.conn_key of (vm_id, gid) -> endpoint *)
   listeners : listener Int_tbl.t; (* keyed by [Addr.key] *)
   spans : Nkspan.t;
   instance : string;
   ctr : counters;
+  mutable dead : bool; (* crashed: moves and posts nothing, ever again *)
   tx : bytes; (* the slot every reply NQE is written into, then posted *)
 }
 
@@ -55,7 +55,7 @@ let register_vm t ~vm_id ~hugepages ~ips =
 (* Charge the encode, write the NQE into [t.tx] and post it on queue set
    [qset]. *)
 let emit t ~qset op ~vm_id ~vm_qset ~sock ~op_data ~data_ptr ~size ~synthetic ~span =
-  Cpu.charge (Cpu.Set.core t.cores qset) ~cycles:t.costs.Nk_costs.nqe_encode;
+  Cpu.charge (Cpu.Set.core t.cores qset) ~cycles:Nk_costs.nqe_encode;
   Nqe.write t.tx ~pos:0 ~op ~vm_id ~qset:vm_qset ~sock ~op_data ~data_ptr ~size ~synthetic
     ~span;
   Nk_device.post t.device ~qset t.tx 0
@@ -96,12 +96,16 @@ let rec drain t (src : endpoint) (dst : endpoint) =
       end
       else begin
         let len = p.extent.Hugepages.len in
-        if dst.credit_used + len > t.costs.Nk_costs.nsm_rwnd then ()
+        if dst.credit_used + len > Nk_costs.nsm_rwnd then ()
         else
           match Hugepages.alloc dst.ep_vm.hugepages len with
           | None ->
+              (* Retry once the VM frees extents, unless the NSM has crashed
+                 by then: its device no longer drains, so this retry is the
+                 one way a dead NSM could still post. *)
               ignore
-                (Engine.schedule t.engine ~delay:50e-6 (fun () -> drain t src dst))
+                (Engine.schedule t.engine ~delay:50e-6 (fun () ->
+                     if not t.dead then drain t src dst))
           | Some dst_extent ->
               ignore (Queue.pop src.outbox);
               if not p.synthetic then
@@ -246,7 +250,7 @@ let apply t qset_idx buf pos =
           | Nqe.Ev_err ->
               ()))
 
-let create ~engine ~device ~cores ~costs ?(mon = Nkmon.null ()) ?(spans = Nkspan.null ()) () =
+let create ~engine ~device ~cores ?(mon = Nkmon.null ()) ?(spans = Nkspan.null ()) () =
   let instance = Printf.sprintf "nsm%d" (Nk_device.id device) in
   let c name = Nkmon.counter mon ~component:"nsm_shmem" ~instance ~name in
   let t =
@@ -254,15 +258,17 @@ let create ~engine ~device ~cores ~costs ?(mon = Nkmon.null ()) ?(spans = Nkspan
       engine;
       device;
       cores;
-      costs;
       vms = Int_tbl.create 8;
       socks = Int_tbl.create 256;
       listeners = Int_tbl.create 16;
       spans;
       instance;
       ctr = { c_bytes_copied = c "bytes_copied"; c_conns = c "conns" };
+      dead = false;
       tx = Bytes.create Nqe.size_bytes;
     }
   in
-  Nk_device.serve device ~cores ~costs ~component:instance (apply t);
+  Nk_device.serve device ~cores ~component:instance (apply t);
   t
+
+let fail t = t.dead <- true

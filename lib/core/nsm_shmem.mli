@@ -12,7 +12,6 @@ val create :
   engine:Sim.Engine.t ->
   device:Nk_device.t ->
   cores:Sim.Cpu.Set.t ->
-  costs:Nk_costs.t ->
   ?mon:Nkmon.t ->
   ?spans:Nkspan.t ->
   unit ->
@@ -24,3 +23,7 @@ val create :
 
 val register_vm : t -> vm_id:int -> hugepages:Hugepages.t -> ips:Addr.ip list -> unit
 (** The VM's IPs become resolvable for colocated connects. *)
+
+val fail : t -> unit
+(** Simulated crash: the NSM moves no more chunks and posts no more NQEs.
+    Its owner stops the device's poll loop ({!Nk_device.stop_serving}). *)

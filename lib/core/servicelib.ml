@@ -90,7 +90,7 @@ let core_index t core =
    [qset]. *)
 let emit t ~qset op ~vm_id ~vm_qset ~sock ~op_data ~data_ptr ~size ~synthetic ~span =
   Nkmon.Registry.incr t.ctr.c_nqes_tx;
-  Cpu.charge (Cpu.Set.core t.cores qset) ~cycles:t.costs.Nk_costs.nqe_encode;
+  Cpu.charge (Cpu.Set.core t.cores qset) ~cycles:Nk_costs.nqe_encode;
   Nqe.write t.tx ~pos:0 ~op ~vm_id ~qset:vm_qset ~sock ~op_data ~data_ptr ~size ~synthetic
     ~span;
   Nk_device.post t.device ~qset t.tx 0
@@ -121,7 +121,7 @@ let rec pump_send t ss =
         ss.send_pumping <- true;
         (* ServiceLib busy-polls its queues (paper §4.5); picking up send
            work costs a poll iteration, not a kernel epoll wake. *)
-        Cpu.charge (t.ops.Stack_ops.conn_core conn) ~cycles:t.costs.Nk_costs.service_poll;
+        Cpu.charge (t.ops.Stack_ops.conn_core conn) ~cycles:Nk_costs.service_poll;
         let rec go () =
           match Queue.peek_opt ss.sendq with
           | None ->
@@ -200,7 +200,7 @@ let rec pump_recv t ss =
         Cpu.charge (t.ops.Stack_ops.conn_core conn)
           ~cycles:t.ops.Stack_ops.wake_cycles;
         let rec go () =
-          let credit = t.costs.Nk_costs.nsm_rwnd - ss.recv_credit_used in
+          let credit = Nk_costs.nsm_rwnd - ss.recv_credit_used in
           if credit <= 0 then ss.recv_pumping <- false
           else begin
             let max = Int.min 65536 credit in
@@ -229,7 +229,7 @@ let rec pump_recv t ss =
                           (t.ops.Stack_ops.conn_core conn)
                           ~cycles:
                             (Nk_costs.hugepage_copy_cycles t.costs t.pressure n
-                            +. t.costs.Nk_costs.hugepage_alloc);
+                            +. Nk_costs.hugepage_alloc);
                         ss.recv_credit_used <- ss.recv_credit_used + n;
                         Nkmon.Registry.add t.ctr.c_bytes_to_vm n;
                         post t ss Nqe.Ev_data ~op_data:0 ~data_ptr:extent.Hugepages.offset
@@ -464,7 +464,7 @@ let create ~engine ~device ~ops ~cores ~costs ~pressure ?(mon = Nkmon.null ())
         };
     }
   in
-  Nk_device.serve device ~cores ~costs ~component:instance (apply t);
+  Nk_device.serve device ~cores ~component:instance (apply t);
   t
 
 let register_vm t ~vm_id ~hugepages ~ips =
@@ -520,7 +520,6 @@ let quiesce_vm_listeners t ~vm_id =
 let fail t =
   if not t.dead then begin
     t.dead <- true;
-    Nk_device.stop_serving t.device;
     (* Kill the stack state under every VM's sockets: aborts send RSTs so
        remote peers observe resets, exactly like a crashed middlebox. *)
     (* Abort order is externally visible (RSTs on the wire), so walk VMs

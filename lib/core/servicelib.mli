@@ -46,8 +46,9 @@ val close_vm_listeners : t -> vm_id:int -> unit
 
 val fail : t -> unit
 (** Simulated crash: abort every connection (remote peers observe resets),
-    close every listener, and go permanently silent — no NQE is consumed or
-    produced afterwards. *)
+    close every listener, and go permanently silent — no NQE is produced
+    afterwards. Its owner stops the device's poll loop
+    ({!Nk_device.stop_serving}), so none is consumed either. *)
 
 (** {1 VM export/import (live NSM migration)} *)
 

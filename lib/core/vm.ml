@@ -70,7 +70,7 @@ let create_nk host ~name ~vcpus ~ips ~nsms () =
   in
   let guestlib =
     Guestlib.create ~engine:(Host.engine host) ~vm_id ~cores ~device
-      ~costs:(Host.costs host) ~profile:Sim.Cost_profile.linux_kernel ~mon ~spans ()
+      ~profile:Sim.Cost_profile.linux_kernel ~mon ~spans ()
   in
   let ce = Host.coreengine host in
   Coreengine.register_vm ce device;

@@ -25,7 +25,6 @@ let batch_sizes = [ 1; 4; 8; 16; 32; 64 ]
 let cycles_per_sec = 2.3e9
 
 let run_one ~batch ~iterations =
-  let costs = Nk_costs.default in
   let src = Nqe_ring.create ~capacity:4096 in
   let dst = Nqe_ring.create ~capacity:4096 in
   (* One NQE slot: where the switch reads the popped header. *)
@@ -35,8 +34,8 @@ let run_one ~batch ~iterations =
      this is exactly what the paper's Fig 11 batching amortizes. *)
   let idle_queues = Array.init 32 (fun _ -> Nqe_ring.create ~capacity:64) in
   let poll_idle () = Array.iter (fun q -> ignore (Nqe_ring.pop q slot 0)) idle_queues in
-  let sweep_cycles = costs.Nk_costs.ce_poll_iter *. float_of_int (Array.length idle_queues + 1) in
-  let per_nqe_cycles = costs.Nk_costs.nqe_decode +. costs.Nk_costs.ce_switch in
+  let sweep_cycles = Nk_costs.ce_poll_iter *. float_of_int (Array.length idle_queues + 1) in
+  let per_nqe_cycles = Nk_costs.nqe_decode +. Nk_costs.ce_switch in
   let table = Hashtbl.create 1024 in
   Hashtbl.replace table (1, 42) (0, 0);
   let proto = Nqe_codec.make ~op:Nqe.Send ~vm_id:1 ~qset:0 ~sock:42 ~data_ptr:4096 ~size:8192 () in

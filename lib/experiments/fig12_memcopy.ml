@@ -21,7 +21,6 @@ let sizes = [ 64; 256; 1024; 4096; 8192; 16384; 65536 ]
 let cycles_per_sec = 2.3e9
 
 let run_one ~size ~iterations =
-  let costs = Nk_costs.default in
   let engine = Sim.Engine.create () in
   (* A time constant that spans many modeled messages at every size (the
      largest message costs a few µs of modeled time): long enough to damp
@@ -67,9 +66,9 @@ let run_one ~size ~iterations =
         (* charge the modeled path: alloc + encode + switch + decode plus
            the two pressure-dependent hugepage copies (in and out) *)
         let msg_cycles =
-          costs.Nk_costs.hugepage_alloc +. costs.Nk_costs.nqe_encode
-          +. costs.Nk_costs.ce_switch +. costs.Nk_costs.nqe_decode
-          +. (2.0 *. Nk_costs.hugepage_copy_cycles costs pressure size)
+          Nk_costs.hugepage_alloc +. Nk_costs.nqe_encode +. Nk_costs.ce_switch
+          +. Nk_costs.nqe_decode
+          +. (2.0 *. Nk_costs.hugepage_copy_cycles Nk_costs.default pressure size)
         in
         cycles := !cycles +. msg_cycles;
         (* advance virtual time and feed the bandwidth estimator, closing

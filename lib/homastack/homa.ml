@@ -17,8 +17,8 @@
      to the message with the fewest bytes still missing (ties break toward
      the oldest), so short messages preempt long ones — the property the
      incast experiment measures;
-   - grants double as cumulative acks driving the pluggable per-connection
-     congestion controller (any {!Tcpstack.Cc.factory}), which bounds
+   - grants double as cumulative acks driving the per-connection CUBIC
+     congestion controller ({!Tcpstack.Cc_cubic}), which bounds
      ungranted/unacked bytes in flight.
 
    Like the TCP stack, segments carry metadata only: message payload bytes
@@ -46,30 +46,36 @@ module R = Nkmon.Registry
 let proto = "homa"
 
 type config = {
-  profile : Sim.Cost_profile.t;
-  cc_factory : Cc.factory;
-  unsched_bytes : int;  (** per-message unscheduled (first-RTT) allotment *)
   grant_quantum : int;  (** bytes released per grant *)
   grant_interval : float;  (** pacer period, seconds *)
-  request_rto : float;  (** REQUEST retransmit period *)
-  max_request_retx : int;  (** give up connecting after this many resends *)
   ephemeral_base : int;
   ephemeral_count : int;
 }
 
 let default_config =
   {
-    profile = Sim.Cost_profile.mtcp;
-    cc_factory = Tcpstack.Cc_cubic.factory ~mss:Segment.mss;
-    unsched_bytes = 10 * Segment.mss;
     grant_quantum = 4 * Segment.mss;
     (* 4 MSS per grant at 100G line rate: 4 * 1448 * 8 / 100e9 s. *)
     grant_interval = 4.6e-7;
-    request_rto = 0.01;
-    max_request_retx = 50;
     ephemeral_base = 32768;
     ephemeral_count = 16384;
   }
+
+(* The kernel-bypass cost profile: the Homa NSM runs a polling userspace
+   stack, like mTCP. *)
+let profile = Sim.Cost_profile.mtcp
+
+(* Per-connection congestion control. *)
+let new_cc () = Tcpstack.Cc_cubic.create ~mss:Segment.mss ()
+
+(* Per-message unscheduled (first-RTT) allotment. *)
+let unsched_bytes = 10 * Segment.mss
+
+(* REQUEST retransmit period. *)
+let request_rto = 0.01
+
+(* Give up connecting after this many resends. *)
+let max_request_retx = 50
 
 type listener = {
   l_addr : Addr.t;
@@ -147,10 +153,9 @@ let pick_core t =
 let emit t (h : Hcb.t) seg =
   R.incr t.ctr.c_segs_tx;
   if seg.Segment.len > 0 then R.add t.ctr.c_payload_tx seg.Segment.len;
-  let p = t.cfg.profile in
   let cycles =
-    p.Sim.Cost_profile.per_chunk_tx
-    +. (p.Sim.Cost_profile.per_byte_tx *. float_of_int seg.Segment.len)
+    profile.Sim.Cost_profile.per_chunk_tx
+    +. (profile.Sim.Cost_profile.per_byte_tx *. float_of_int seg.Segment.len)
   in
   Nkspan.enter t.spans ~component:"homastack" ~stage:"tx";
   Cpu.exec h.Hcb.core ~cycles (fun () -> Vswitch.output t.vswitch seg);
@@ -196,7 +201,7 @@ let teardown t (h : Hcb.t) =
     if h.Hcb.role = Hcb.Client then
       Conn_registry.remove t.registry ~flow:h.Hcb.flow ~isn:h.Hcb.cid;
     h.Hcb.cc.Cc.release ();
-    Cpu.charge h.Hcb.core ~cycles:t.cfg.profile.Sim.Cost_profile.teardown
+    Cpu.charge h.Hcb.core ~cycles:profile.Sim.Cost_profile.teardown
   end
 
 let maybe_teardown t (h : Hcb.t) =
@@ -291,17 +296,16 @@ and arm_pacer t =
 
 (* ---- Receive path ------------------------------------------------------- *)
 
-let rx_cycles t (seg : Segment.t) =
-  let p = t.cfg.profile in
+let rx_cycles (seg : Segment.t) =
   if seg.Segment.len > 0 then
-    p.Sim.Cost_profile.per_chunk_rx
-    +. (p.Sim.Cost_profile.per_byte_rx *. float_of_int seg.Segment.len)
-  else p.Sim.Cost_profile.per_ack_rx
+    profile.Sim.Cost_profile.per_chunk_rx
+    +. (profile.Sim.Cost_profile.per_byte_rx *. float_of_int seg.Segment.len)
+  else profile.Sim.Cost_profile.per_ack_rx
 
 let conn_input t (h : Hcb.t) (seg : Segment.t) =
   if not h.Hcb.destroyed then begin
     Nkspan.enter t.spans ~component:"homastack" ~stage:"rx";
-    Cpu.charge h.Hcb.core ~cycles:(rx_cycles t seg);
+    Cpu.charge h.Hcb.core ~cycles:(rx_cycles seg);
     Nkspan.leave t.spans;
     if seg.Segment.rst then
       conn_fail t h
@@ -383,7 +387,7 @@ let conn_input t (h : Hcb.t) (seg : Segment.t) =
             end
             else begin
               let im =
-                { Hcb.im_len = len; im_rcvd = 0; im_granted = min t.cfg.unsched_bytes len }
+                { Hcb.im_len = len; im_rcvd = 0; im_granted = min unsched_bytes len }
               in
               h.Hcb.rx_cur <- Some im;
               if im.Hcb.im_granted < im.Hcb.im_len then begin
@@ -405,12 +409,12 @@ let handle_request t (seg : Segment.t) =
           let core = pick_core t in
           let h =
             Hcb.create ~flow:seg.Segment.flow ~cid:seg.Segment.seq ~role:Hcb.Server
-              ~cc:(t.cfg.cc_factory ()) ~channel ~core ~state:Hcb.Open
+              ~cc:(new_cc ()) ~channel ~core ~state:Hcb.Open
           in
           add_conn t.conns seg.Segment.flow h;
           Vswitch.register_flow t.vswitch seg.Segment.flow t.self_input;
           h.Hcb.flow_registered <- true;
-          Cpu.charge core ~cycles:t.cfg.profile.Sim.Cost_profile.accept_op;
+          Cpu.charge core ~cycles:profile.Sim.Cost_profile.accept_op;
           R.incr t.ctr.c_established;
           send_accept t h;
           l.l_on_accept (Conn h) ~peer:seg.Segment.flow.Addr.Flow.src)
@@ -473,11 +477,11 @@ let create ~engine ~name ~cores ~vswitch ~registry ?(mon : Nkmon.t option)
 let rec arm_request_timer t (h : Hcb.t) =
   h.Hcb.request_timer <-
     Some
-      (Engine.schedule t.engine ~delay:t.cfg.request_rto (fun () ->
+      (Engine.schedule t.engine ~delay:request_rto (fun () ->
            h.Hcb.request_timer <- None;
            if (not h.Hcb.destroyed) && h.Hcb.state = Hcb.Opening then begin
              h.Hcb.req_retx <- h.Hcb.req_retx + 1;
-             if h.Hcb.req_retx > t.cfg.max_request_retx then conn_fail t h Types.Etimedout
+             if h.Hcb.req_retx > max_request_retx then conn_fail t h Types.Etimedout
              else begin
                send_request t h;
                arm_request_timer t h
@@ -508,14 +512,14 @@ let connect t ~dst ~k =
           let channel = Conn_registry.register t.registry ~flow ~isn:cid in
           let core = pick_core t in
           let h =
-            Hcb.create ~flow ~cid ~role:Hcb.Client ~cc:(t.cfg.cc_factory ()) ~channel
+            Hcb.create ~flow ~cid ~role:Hcb.Client ~cc:(new_cc ()) ~channel
               ~core ~state:Hcb.Opening
           in
           h.Hcb.connect_k <- Some (fun r -> k (Result.map (fun () -> Conn h) r));
           IT.Pair.replace t.conns (Addr.key dst) (Addr.key src) h;
           Vswitch.register_endpoint t.vswitch src t.self_input;
           h.Hcb.endpoint_registered <- true;
-          Cpu.charge core ~cycles:t.cfg.profile.Sim.Cost_profile.handshake;
+          Cpu.charge core ~cycles:profile.Sim.Cost_profile.handshake;
           send_request t h;
           arm_request_timer t h)
 
@@ -569,15 +573,15 @@ let send t (h : Hcb.t) payload ~k =
             | Types.Zeros z -> Fifo.write_zeros h.Hcb.write_fifo z);
             Queue.add
               { Hcb.om_len = n; om_hdr_sent = false; om_sent = 0;
-                om_granted = min t.cfg.unsched_bytes n }
+                om_granted = min unsched_bytes n }
               h.Hcb.txq;
-            Cpu.charge h.Hcb.core ~cycles:t.cfg.profile.Sim.Cost_profile.sockop;
+            Cpu.charge h.Hcb.core ~cycles:profile.Sim.Cost_profile.sockop;
             tx_pump t h;
             k (Ok n)
           end
         end
 
-let recv t (h : Hcb.t) ~max ~mode ~k =
+let recv (h : Hcb.t) ~max ~mode ~k =
   if h.Hcb.destroyed then k (Error Types.Eclosed)
   else
     match h.Hcb.error with
@@ -602,7 +606,7 @@ let recv t (h : Hcb.t) ~max ~mode ~k =
             in
             let n = Types.payload_len payload in
             if n = rem then h.Hcb.ready <- rest else h.Hcb.ready <- (rem - n) :: rest;
-            Cpu.charge h.Hcb.core ~cycles:t.cfg.profile.Sim.Cost_profile.sockop;
+            Cpu.charge h.Hcb.core ~cycles:profile.Sim.Cost_profile.sockop;
             k (Ok payload)
         | [] ->
             if Hcb.eof_pending h then begin
@@ -661,7 +665,7 @@ let import_conn t (x : Stack_ops.export) =
       | None -> Error Types.Econnreset
       | Some channel ->
           let core = pick_core t in
-          let h = Hcb.restore ~cc:(t.cfg.cc_factory ()) ~channel ~core snap in
+          let h = Hcb.restore ~cc:(new_cc ()) ~channel ~core snap in
           add_conn t.conns (Hcb.rx_flow h) h;
           if h.Hcb.endpoint_registered then
             Vswitch.register_endpoint t.vswitch (Hcb.local_addr h) t.self_input;
@@ -717,7 +721,7 @@ let ops t =
     quiesce_listener = (fun l -> quiesce_listener t (unpack_listener l));
     connect = (fun ~dst ~k -> connect t ~dst ~k);
     send = (fun c p ~k -> send t (unpack_conn c) p ~k);
-    recv = (fun c ~max ~mode ~k -> recv t (unpack_conn c) ~max ~mode ~k);
+    recv = (fun c ~max ~mode ~k -> recv (unpack_conn c) ~max ~mode ~k);
     close_conn = (fun c -> close_conn t (unpack_conn c));
     abort_conn = (fun c -> abort_conn t (unpack_conn c));
     set_conn_handler = (fun c f -> (unpack_conn c).Hcb.handler <- Some f);
@@ -725,5 +729,5 @@ let ops t =
     conn_error = (fun c -> (unpack_conn c).Hcb.error);
     export_conn = (fun c -> export_conn t (unpack_conn c));
     import_conn = (fun x -> import_conn t x);
-    wake_cycles = t.cfg.profile.Sim.Cost_profile.epoll_wake;
+    wake_cycles = profile.Sim.Cost_profile.epoll_wake;
   }

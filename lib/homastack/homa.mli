@@ -4,7 +4,7 @@
     Connections are admitted on first contact — there is no SYN backlog to
     overflow, which is what removes the incast tail TCP suffers when many
     clients hit one listener at once. Each [send] is one message; the
-    first [unsched_bytes] of a message travel unscheduled and the rest is
+    first 10 MSS of a message travel unscheduled and the rest is
     released by receiver GRANTs paced SRPT across all incomplete inbound
     messages (shortest remaining first), so short RPCs preempt long
     transfers.
@@ -20,15 +20,13 @@ type t
 val proto : string
 (** ["homa"] — the protocol id stamped into exports. *)
 
+(** The stack's constants stay out of the config: the mTCP cost profile
+    ({!Sim.Cost_profile.mtcp}), CUBIC congestion control per connection,
+    an unscheduled allotment of 10 MSS per message, and a REQUEST resent
+    every 10 ms, at most 50 times. *)
 type config = {
-  profile : Sim.Cost_profile.t;
-  cc_factory : Tcpstack.Cc.factory;
-      (** per-connection congestion control (any TCP factory plugs in) *)
-  unsched_bytes : int;  (** per-message unscheduled (first-RTT) allotment *)
   grant_quantum : int;  (** bytes released per grant *)
   grant_interval : float;  (** pacer period, seconds *)
-  request_rto : float;  (** REQUEST retransmit period *)
-  max_request_retx : int;  (** give up connecting after this many resends *)
   ephemeral_base : int;
   ephemeral_count : int;
 }

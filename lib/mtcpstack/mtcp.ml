@@ -21,8 +21,8 @@ let create ~engine ~name ~cores ~vswitch ~registry ~rng ~mon () =
     {
       (T.Stack.default_config Sim.Cost_profile.mtcp) with
       T.Stack.rx_mode = T.Stack.Polling;
-      charge_syscalls = false;
-      charge_user_copy = false (* the hugepage copy is charged by ServiceLib *);
+      (* ServiceLib drives the shards and charges the hugepage copy. *)
+      charge_user_io = false;
       contention_cores = Some n;
       register_vswitch = false;
     }

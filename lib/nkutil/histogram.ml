@@ -5,6 +5,9 @@
 
 let scale = 1e9
 
+(* Values above 1e6 (seconds, about 11.6 days) clamp to it. *)
+let max_ticks = int_of_float (1e6 *. scale)
+
 (* The running moments, in a record of floats only: OCaml stores its
    fields unboxed, so a sample updates them without allocating. *)
 type moments = {
@@ -17,7 +20,6 @@ type moments = {
 type t = {
   sub : int; (* sub-buckets per magnitude; power of two *)
   sub_bits : int;
-  max_ticks : int;
   counts : int array;
   mutable total : int;
   m : moments;
@@ -47,13 +49,12 @@ let upper_of_index t i =
     float_of_int (((s + 1) lsl m) - 1) /. scale
   end
 
-let create ?(sub_buckets = 32) ?(max_value = 1e6) () =
+let create ?(sub_buckets = 32) () =
   if sub_buckets < 2 || sub_buckets land (sub_buckets - 1) <> 0 then
     invalid_arg "Histogram.create: sub_buckets must be a power of two >= 2";
-  let max_ticks = int_of_float (max_value *. scale) in
   let sub_bits = msb_position sub_buckets in
   let probe =
-    { sub = sub_buckets; sub_bits; max_ticks; counts = [||]; total = 0;
+    { sub = sub_buckets; sub_bits; counts = [||]; total = 0;
       m = { vmin = infinity; vmax = neg_infinity; mean_acc = 0.0; m2 = 0.0 } }
   in
   let nbuckets = index_of probe max_ticks + 1 in
@@ -62,7 +63,7 @@ let create ?(sub_buckets = 32) ?(max_value = 1e6) () =
 let record_n t v n =
   if n > 0 then begin
     let v = if v < 0.0 then 0.0 else v in
-    let ticks = Int.min t.max_ticks (int_of_float (v *. scale)) in
+    let ticks = Int.min max_ticks (int_of_float (v *. scale)) in
     let i = index_of t ticks in
     t.counts.(i) <- t.counts.(i) + n;
     let m = t.m in
@@ -179,7 +180,6 @@ let diff ~newer ~older =
   {
     sub = newer.sub;
     sub_bits = newer.sub_bits;
-    max_ticks = newer.max_ticks;
     counts;
     total;
     m = { vmin = !vmin; vmax = !vmax; mean_acc; m2 };

@@ -7,14 +7,13 @@
 
 type t
 
-val create : ?sub_buckets:int -> ?max_value:float -> unit -> t
-(** [create ()] covers [\[0, max_value\]] (default 1e6) with
-    [sub_buckets] linear buckets per power-of-two magnitude (default 32,
-    i.e. ~3% relative error). *)
+val create : ?sub_buckets:int -> unit -> t
+(** [create ()] covers [\[0, 1e6\]] with [sub_buckets] linear buckets per
+    power-of-two magnitude (default 32, i.e. ~3% relative error). *)
 
 val record : t -> float -> unit
 (** [record t v] adds observation [v]; negative values count as 0, values
-    above [max_value] clamp to it. *)
+    above 1e6 clamp to it. *)
 
 val count : t -> int
 

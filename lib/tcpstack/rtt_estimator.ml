@@ -1,16 +1,14 @@
 (* RFC 6298 2.1: before the first sample the RTO is 1 s. *)
 let initial_rto = 1.0
 
-type t = {
-  min_rto : float;
-  max_rto : float;
-  mutable srtt : float;
-  mutable rttvar : float;
-  mutable has_sample : bool;
-}
+(* The RTO's clamp: Linux's 200 ms floor and a 30 s ceiling. *)
+let min_rto = 0.2
 
-let create ?(min_rto = 0.2) ?(max_rto = 30.0) () =
-  { min_rto; max_rto; srtt = 0.0; rttvar = 0.0; has_sample = false }
+let max_rto = 30.0
+
+type t = { mutable srtt : float; mutable rttvar : float; mutable has_sample : bool }
+
+let create () = { srtt = 0.0; rttvar = 0.0; has_sample = false }
 
 let sample t rtt =
   if rtt >= 0.0 then
@@ -27,32 +25,16 @@ let sample t rtt =
 
 let srtt t = t.srtt
 
+(* The clamp is two branches rather than [Float.min]/[Float.max] so that a
+   clamped RTO is the bound itself, not a fresh box of its value. *)
 let rto t =
   if not t.has_sample then initial_rto
-  else Float.min t.max_rto (Float.max t.min_rto (t.srtt +. (4.0 *. t.rttvar)))
+  else
+    let rto = t.srtt +. (4.0 *. t.rttvar) in
+    if rto < min_rto then min_rto else if rto > max_rto then max_rto else rto
 
-type snapshot = {
-  s_min_rto : float;
-  s_max_rto : float;
-  s_srtt : float;
-  s_rttvar : float;
-  s_has_sample : bool;
-}
+type snapshot = { s_srtt : float; s_rttvar : float; s_has_sample : bool }
 
-let snapshot t =
-  {
-    s_min_rto = t.min_rto;
-    s_max_rto = t.max_rto;
-    s_srtt = t.srtt;
-    s_rttvar = t.rttvar;
-    s_has_sample = t.has_sample;
-  }
+let snapshot t = { s_srtt = t.srtt; s_rttvar = t.rttvar; s_has_sample = t.has_sample }
 
-let restore s =
-  {
-    min_rto = s.s_min_rto;
-    max_rto = s.s_max_rto;
-    srtt = s.s_srtt;
-    rttvar = s.s_rttvar;
-    has_sample = s.s_has_sample;
-  }
+let restore s = { srtt = s.s_srtt; rttvar = s.s_rttvar; has_sample = s.s_has_sample }

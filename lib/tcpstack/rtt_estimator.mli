@@ -2,9 +2,11 @@
 
 type t
 
-val create : ?min_rto:float -> ?max_rto:float -> unit -> t
-(** Defaults: [min_rto] 0.2 s (Linux), [max_rto] 30 s. Before the first
-    sample the RTO is 1 s (RFC 6298). *)
+val max_rto : float
+(** The RTO ceiling, 30 s; the floor is 0.2 s (Linux). *)
+
+val create : unit -> t
+(** Before the first sample the RTO is 1 s (RFC 6298). *)
 
 val sample : t -> float -> unit
 (** [sample t rtt] feeds one round-trip measurement (seconds). Negative
@@ -14,15 +16,9 @@ val srtt : t -> float
 (** Smoothed RTT; 0 before the first sample. *)
 
 val rto : t -> float
-(** Current retransmission timeout, clamped to [\[min_rto, max_rto\]]. *)
+(** Current retransmission timeout, clamped to [\[0.2, max_rto\]]. *)
 
-type snapshot = {
-  s_min_rto : float;
-  s_max_rto : float;
-  s_srtt : float;
-  s_rttvar : float;
-  s_has_sample : bool;
-}
+type snapshot = { s_srtt : float; s_rttvar : float; s_has_sample : bool }
 (** Serialized estimator state, for live NSM migration. *)
 
 val snapshot : t -> snapshot

@@ -9,11 +9,7 @@ type config = {
   tcb : Tcb.config;
   cc_factory : Cc.factory;
   rx_mode : rx_mode;
-  rx_ring_capacity : int;
-  interrupt_delay : float;
-  poll_idle_delay : float;
-  charge_syscalls : bool;
-  charge_user_copy : bool;
+  charge_user_io : bool;
   contention_cores : int option;
   register_vswitch : bool;
   ephemeral_range : int * int;
@@ -34,15 +30,20 @@ let default_config profile =
       };
     cc_factory = Cc_cubic.factory ~mss:Segment.mss;
     rx_mode = Interrupt;
-    rx_ring_capacity = 4096;
-    interrupt_delay = 5e-6;
-    poll_idle_delay = 20e-6;
-    charge_syscalls = true;
-    charge_user_copy = true;
+    charge_user_io = true;
     contention_cores = None;
     register_vswitch = true;
     ephemeral_range = (32768, 60999);
   }
+
+(* Per-core NIC RX descriptor ring. *)
+let rx_ring_capacity = 4096
+
+(* IRQ dispatch latency. *)
+let interrupt_delay = 5e-6
+
+(* Polling-loop sleep when the ring is empty. *)
+let poll_idle_delay = 20e-6
 
 type stats = {
   segs_rx : int;
@@ -180,10 +181,10 @@ let rx_mult t = Profile.contention_mult ~factor:t.cfg.profile.rx_contention ~cor
 let rps_mult t =
   Profile.contention_mult ~factor:t.cfg.profile.rps_contention ~cores:(contention_cores t)
 
-let syscall_cycles t = if t.cfg.charge_syscalls then t.cfg.profile.syscall else 0.0
+let syscall_cycles t = if t.cfg.charge_user_io then t.cfg.profile.syscall else 0.0
 
 let user_copy_cycles t n =
-  if t.cfg.charge_user_copy then float_of_int n *. t.cfg.profile.per_byte_user_copy else 0.0
+  if t.cfg.charge_user_io then float_of_int n *. t.cfg.profile.per_byte_user_copy else 0.0
 
 (* ---- event notification ------------------------------------------------ *)
 
@@ -536,7 +537,7 @@ let rec poll_loop t qi =
   match batch with
   | [] ->
       ignore
-        (Engine.schedule t.engine ~delay:t.cfg.poll_idle_delay (fun () ->
+        (Engine.schedule t.engine ~delay:poll_idle_delay (fun () ->
              Nkspan.enter t.spans ~component:t.name ~stage:"poll";
              Cpu.exec core ~cycles:t.cfg.profile.poll_iter (fun () -> poll_loop t qi);
              Nkspan.leave t.spans))
@@ -570,7 +571,7 @@ let input t (seg : Segment.t) =
         if not q.scheduled then begin
           q.scheduled <- true;
           ignore
-            (Engine.schedule t.engine ~delay:t.cfg.interrupt_delay (fun () ->
+            (Engine.schedule t.engine ~delay:interrupt_delay (fun () ->
                  drain_interrupt t qi))
         end
 
@@ -595,7 +596,7 @@ let create ~engine ~name ~cores ~vswitch ~registry ~rng ?(mon = Nkmon.null ())
   let n = Cpu.Set.n cores in
   let rx =
     Array.init n (fun _ ->
-        { ring = Nkutil.Spsc_ring.create ~capacity:cfg.rx_ring_capacity; scheduled = false;
+        { ring = Nkutil.Spsc_ring.create ~capacity:rx_ring_capacity; scheduled = false;
           batch_left = 0 })
   in
   let t =

@@ -24,11 +24,11 @@ type config = {
   tcb : Tcb.config;
   cc_factory : Cc.factory;
   rx_mode : rx_mode;
-  rx_ring_capacity : int;  (** per-core NIC RX descriptor ring *)
-  interrupt_delay : float;  (** IRQ dispatch latency *)
-  poll_idle_delay : float;  (** polling-loop sleep when the ring is empty *)
-  charge_syscalls : bool;  (** false when driven in-kernel by ServiceLib *)
-  charge_user_copy : bool;  (** false when payload already sits in hugepages *)
+  charge_user_io : bool;
+      (** charge a syscall per socket call and the per-byte user copy
+          (default); false when ServiceLib drives the stack directly (an
+          NSM calls kernel APIs without a syscall, and ServiceLib charges
+          the hugepage copy itself) *)
   contention_cores : int option;
       (** effective core count for contention multipliers; defaults to the
           stack's own core count — the mTCP facade overrides it with the
@@ -43,7 +43,9 @@ type config = {
 
 val default_config : Sim.Cost_profile.t -> config
 (** Interrupt-mode config with library defaults and a Reno-free CUBIC
-    factory ([Cc_cubic]). *)
+    factory ([Cc_cubic]). Every stack has a 4096-descriptor RX ring per
+    core, a 5 us IRQ dispatch latency in interrupt mode and a 20 us
+    polling-loop sleep on an empty ring in polling mode. *)
 
 val create :
   engine:Sim.Engine.t ->

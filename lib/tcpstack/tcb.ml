@@ -23,33 +23,28 @@ let state_to_string = function
   | Closed -> "CLOSED"
 
 type config = {
-  mss : int;
   gso : int;
   rwnd_limit : int;
   sndbuf_limit : int;
-  min_rto : float;
-  max_rto : float;
-  time_wait : float;
-  max_syn_retx : int;
-  max_data_retx : int;
-  nodelay : bool; (* false = Nagle: hold sub-MSS chunks while data is in flight *)
   rwnd_max : int; (* receive-buffer autotuning ceiling (Linux tcp_moderate_rcvbuf) *)
 }
 
 let default_config =
   {
-    mss = Segment.mss;
     gso = Segment.gso_max;
     rwnd_limit = 256 * 1024;
     sndbuf_limit = 1024 * 1024;
-    min_rto = 0.2;
-    max_rto = 30.0;
-    time_wait = 0.05;
-    max_syn_retx = 6;
-    max_data_retx = 10;
-    nodelay = false;
     rwnd_max = 6 * 1024 * 1024;
   }
+
+(* 2*MSL residence in TIME_WAIT before the TCB is destroyed. *)
+let two_msl = 0.05
+
+(* Retransmissions of a SYN, and of a data segment, before the connection
+   times out. *)
+let max_syn_retx = 6
+
+let max_data_retx = 10
 
 type actions = {
   now : unit -> float;
@@ -179,7 +174,7 @@ let destroy t =
 
 (* TIME_WAIT ends through the owner: the timer holds its callback, not the
    TCB, so the owner may swap the TCB for a [time_wait] record meanwhile. *)
-let arm_time_wait t = ignore (t.act.set_timer ~delay:t.cfg.time_wait t.act.on_time_wait_end)
+let arm_time_wait t = ignore (t.act.set_timer ~delay:two_msl t.act.on_time_wait_end)
 
 let enter_time_wait t =
   set_state t Time_wait;
@@ -202,7 +197,8 @@ let emit_ack t = emit_segment t ~seq:t.snd_nxt ~len:0 ~syn:false ~fin:false
 
 (* ---- Retransmission timer -------------------------------------------- *)
 
-let current_rto t = Float.min t.cfg.max_rto (Rtt_estimator.rto t.rtt *. t.rto_backoff)
+let current_rto t =
+  Float.min Rtt_estimator.max_rto (Rtt_estimator.rto t.rtt *. t.rto_backoff)
 
 let rec arm_rto t =
   cancel_rto t;
@@ -216,7 +212,7 @@ and on_rto t =
   | Some item ->
       item.retx <- item.retx + 1;
       let too_many =
-        if item.syn then item.retx > t.cfg.max_syn_retx else item.retx > t.cfg.max_data_retx
+        if item.syn then item.retx > max_syn_retx else item.retx > max_data_retx
       in
       if too_many then begin
         t.act.on_error Types.Etimedout;
@@ -275,9 +271,8 @@ let rec try_output t =
            bulk senders; request/response traffic (no data in flight) is
            never delayed. *)
         inflight () > 0
-        && (not t.cfg.nodelay)
         && (not t.fin_queued)
-        && chunk < Int.min t.cfg.gso (Int.max t.cfg.mss (wnd () / 2))
+        && chunk < Int.min t.cfg.gso (Int.max Segment.mss (wnd () / 2))
       then continue := false
       else begin
         let item = { seq = t.snd_nxt; len = chunk; syn = false; fin = false; retx = 0 } in
@@ -320,7 +315,7 @@ let base ~flow ~cfg ~act ~cc ~write_fifo ~read_fifo ~state ~iss =
       cfg;
       act;
       cc;
-      rtt = Rtt_estimator.create ~min_rto:cfg.min_rto ~max_rto:cfg.max_rto ();
+      rtt = Rtt_estimator.create ();
       write_fifo;
       read_fifo;
       state;
@@ -597,7 +592,7 @@ let read t ~max ~mode =
     t.recv_ready <- t.recv_ready - n;
     (* Window update: tell the peer when meaningful space opened up. *)
     let opened = rwnd_available t - t.last_adv_wnd in
-    if opened >= Int.max (2 * t.cfg.mss) (t.rwnd_limit / 8) then emit_ack t;
+    if opened >= Int.max (2 * Segment.mss) (t.rwnd_limit / 8) then emit_ack t;
     Some payload
   end
   else if eof_pending t then begin

@@ -27,19 +27,15 @@ type state =
 
 val state_to_string : state -> string
 
+(** The TCB's constants stay out of the config: segments of
+    {!Segment.mss} bytes, Nagle's algorithm always on (sub-MSS chunks wait
+    while data is in flight, so small writes coalesce), the RTO clamped to
+    {!Rtt_estimator}'s bounds, 6 SYN and 10 data retransmissions before
+    the connection times out, and a 50 ms (2*MSL) TIME_WAIT. *)
 type config = {
-  mss : int;
   gso : int;  (** largest segment payload handed to the NIC at once *)
   rwnd_limit : int;  (** receive buffer size (drives the advertised window) *)
   sndbuf_limit : int;
-  min_rto : float;
-  max_rto : float;
-  time_wait : float;  (** 2*MSL residence before the TCB is destroyed *)
-  max_syn_retx : int;
-  max_data_retx : int;
-  nodelay : bool;
-      (** [false] (default) = Nagle's algorithm: sub-MSS chunks wait while
-          data is in flight, so small writes coalesce *)
   rwnd_max : int;
       (** autotuning ceiling for the receive buffer (tcp_moderate_rcvbuf);
           set equal to [rwnd_limit] to disable autotuning *)
@@ -60,7 +56,7 @@ type actions = {
   on_transition : state -> state -> unit;
       (** observes every [old -> new] state change (Nkmon tracing) *)
   on_time_wait_end : unit -> unit;
-      (** runs [config.time_wait] after the TCB enters TIME_WAIT; the
+      (** runs 50 ms (2*MSL) after the TCB enters TIME_WAIT; the
           owner ends the connection then ({!destroy_quiet} if it kept the
           TCB). The TCB's timer holds this callback, not the TCB, so the
           owner may drop the TCB for a {!time_wait} record in between. *)

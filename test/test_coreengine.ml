@@ -285,7 +285,7 @@ let serve_bursts ~role ~op1 ~first ~op2 ~second =
   let cores = Sim.Cpu.Set.create engine ~name:"owner" ~n:1 () in
   let dev = mk_device ~id:1 ~role ~qsets:1 in
   let applied = ref [] in
-  Nk_device.serve dev ~cores ~costs:Nk_costs.default ~component:"owner" (fun qset buf pos ->
+  Nk_device.serve dev ~cores ~component:"owner" (fun qset buf pos ->
       Alcotest.(check int) "queue-set index" 0 qset;
       let busy = Sim.Cpu.busy_cycles (Sim.Cpu.Set.core cores 0) in
       applied := (E.now engine, Nqe.View.op buf pos, busy) :: !applied);
@@ -317,7 +317,6 @@ let ops_of burst = List.map (fun (_, op, _) -> op) burst
 let cycles_of burst = match burst with (_, _, c) :: _ -> c | [] -> nan
 
 let nsm_serve_burst_budget () =
-  let c = Nk_costs.default in
   let applied =
     serve_bursts ~role:Nk_device.Nsm_side ~op1:Nqe.Socket ~first:70 ~op2:Nqe.Send ~second:30
   in
@@ -329,13 +328,12 @@ let nsm_serve_burst_budget () =
       Alcotest.(check int) "second burst" 36 (List.length b2);
       Alcotest.(check bool) "second burst: the last 6 jobs, then 30 sends" true
         (ops_of b2 = List.init 6 (fun _ -> Nqe.Socket) @ List.init 30 (fun _ -> Nqe.Send));
-      let burst n = c.Nk_costs.service_poll +. (float_of_int n *. c.Nk_costs.nqe_decode) in
+      let burst n = Nk_costs.service_poll +. (float_of_int n *. Nk_costs.nqe_decode) in
       Alcotest.(check (float 1e-6)) "first burst cycles" (burst 64) (cycles_of b1);
       Alcotest.(check (float 1e-6)) "second burst cycles" (burst 64 +. burst 36) (cycles_of b2)
   | bs -> Alcotest.failf "expected 2 bursts, got %d" (List.length bs)
 
 let vm_serve_burst_budget () =
-  let c = Nk_costs.default in
   let applied =
     serve_bursts ~role:Nk_device.Vm_side ~op1:Nqe.Comp_send ~first:100 ~op2:Nqe.Ev_data
       ~second:10
@@ -352,12 +350,11 @@ let vm_serve_burst_budget () =
       (* Woken after a second idle, the first burst pays the interrupt
          (§4.6); the second follows at once and does not. *)
       let first =
-        c.Nk_costs.guest_poll +. c.Nk_costs.guest_interrupt
-        +. (74.0 *. c.Nk_costs.nqe_decode)
+        Nk_costs.guest_poll +. Nk_costs.guest_interrupt +. (74.0 *. Nk_costs.nqe_decode)
       in
       Alcotest.(check (float 1e-6)) "first burst cycles" first (cycles_of b1);
       Alcotest.(check (float 1e-6)) "second burst cycles"
-        (first +. c.Nk_costs.guest_poll +. (36.0 *. c.Nk_costs.nqe_decode))
+        (first +. Nk_costs.guest_poll +. (36.0 *. Nk_costs.nqe_decode))
         (cycles_of b2)
   | bs -> Alcotest.failf "expected 2 bursts, got %d" (List.length bs)
 
@@ -398,8 +395,7 @@ let words_per_trip ~burst =
   let applied = ref 0 in
   Nk_device.serve nsm
     ~cores:(Sim.Cpu.Set.create engine ~name:"nsm" ~n:1 ())
-    ~costs:Nk_costs.default ~component:"nsm1"
-    (fun _ _ _ -> incr applied);
+    ~component:"nsm1" (fun _ _ _ -> incr applied);
   let nqes = Bytes.create (burst * Nqe.size_bytes) in
   for i = 0 to burst - 1 do
     Nqe_codec.encode_into

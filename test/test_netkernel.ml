@@ -288,6 +288,35 @@ let rate_limit_caps_throughput () =
   if gbps < 0.7 || gbps > 1.15 then
     Alcotest.failf "rate limit not enforced: measured %.2f Gbps (cap 1.0)" gbps
 
+(* A crashed NSM is silent whatever its backend: after [Nsm.fail], a
+   Socket NQE for a registered VM, pushed onto the NSM device's inbound
+   ring and woken, draws no reply. *)
+let failed_nsm_posts_nothing () =
+  List.iter
+    (fun (kind, create) ->
+      let tb = Testbed.create () in
+      let host = Testbed.add_host tb ~name:"hostA" in
+      let nsm = create host in
+      let vm = Vm.create_nk host ~name:"vm0" ~vcpus:1 ~ips:[ ip_vm ] ~nsms:[ nsm ] () in
+      Nsm.fail nsm;
+      let dev = Nsm.device nsm in
+      let nqe = Bytes.create Nqe.size_bytes in
+      Nqe.write nqe ~pos:0 ~op:Nqe.Socket ~vm_id:(Vm.vm_id vm) ~qset:0 ~sock:1 ~op_data:0
+        ~data_ptr:0 ~size:0 ~synthetic:false ~span:0;
+      if not (Nk_device.push dev ~qset:0 nqe 0) then Alcotest.failf "%s: push" kind;
+      Nk_device.wake dev tb.Testbed.engine ~qset:0 ~delay:0.0;
+      Testbed.run tb ~until:1e-3;
+      Alcotest.(check int)
+        (kind ^ ": NQEs posted after the crash")
+        0
+        (Nk_device.outbound_pending dev ~qset:0))
+    [
+      ("kernel", fun h -> Nsm.create_kernel h ~name:"nsm0" ~vcpus:1 ());
+      ("mtcp", fun h -> Nsm.create_mtcp h ~name:"nsm0" ~vcpus:1 ());
+      ("homa", fun h -> Nsm.create_homa h ~name:"nsm0" ~vcpus:1 ());
+      ("shmem", fun h -> Nsm.create_shmem h ~name:"nsm0" ~vcpus:1 ());
+    ]
+
 (* An idle VM's memory is what it uses: its queue set's four rings hold
    8,192 NQEs each but allocate slots as they fill, the first 16 at the
    first push, and its poll loop's burst buffer grows from empty. One host
@@ -327,4 +356,6 @@ let tests =
     Alcotest.test_case "shared-memory NSM moves real data" `Quick shmem_nsm_copies_data;
     Alcotest.test_case "CoreEngine rate limit" `Quick rate_limit_caps_throughput;
     Alcotest.test_case "an idle VM costs <= 4,096 live words" `Quick idle_vm_memory;
+    Alcotest.test_case "a crashed NSM of any kind posts nothing" `Quick
+      failed_nsm_posts_nothing;
   ]

@@ -118,6 +118,43 @@ let o1_int_tbl () =
      (* 4 *)
    ^ "let control_remove t k = Int_tbl.remove t.conn_table k\n" (* 5 *))
 
+let o1_cost_value () =
+  (* The cross-shard cost as a module constant: reading the value
+     [Nk_costs.ce_xshard] charges like reading the record field. *)
+  check_diags "a read of the Nk_costs.ce_xshard value makes writes legal"
+    [ ("O1", 6) ]
+    ("type shard = { idx : int }
+" (* 1 *)
+   ^ "module Nk_costs = struct let ce_xshard = 60.0 end
+" (* 2 *)
+   ^ "type t = { conn_table : (int, int) Hashtbl.t }
+" (* 3 *)
+   ^ "let charge_xshard (sh : shard) = ignore sh; ignore Nk_costs.ce_xshard
+" (* 4 *)
+   ^ "let good_add t (sh : shard) k v = charge_xshard sh; Hashtbl.replace t.conn_table k v
+"
+     (* 5 *)
+   ^ "let bad_add t (sh : shard) k v = ignore sh; Hashtbl.replace t.conn_table k v
+" (* 6 *))
+
+(* ---- H3: comparisons at a type variable on the hot path ---------------- *)
+
+(* A linear search whose key [x] is annotated with [ann], or left to
+   inference when [ann] is empty. *)
+let search ann =
+  "let rec search (x" ^ ann ^ ") arr i =\n" (* 1 *)
+  ^ "  if i >= Array.length arr then -1\n" (* 2 *)
+  ^ "  else if arr.(i) = x then i\n" (* 3 *)
+  ^ "  else search x arr (i + 1)\n" (* 4 *)
+
+let h3_type_var_compare () =
+  let path = "lib/core/coreengine.ml" in
+  check_diags "an unannotated polymorphic search is flagged" ~path
+    [ ("H3", 3) ]
+    (search "");
+  check_diags "the same search with (x : int) is silent" ~path [] (search " : int");
+  check_diags "off the hot path the rule does not apply" [] (search "")
+
 (* ---- M1: migration snapshot completeness ------------------------------- *)
 
 let m1_unsnapshotted_field () =
@@ -225,4 +262,6 @@ let tests =
     Alcotest.test_case "w1-stale-and-unknown" `Quick w1_stale_and_unknown;
     Alcotest.test_case "w1-once-across-passes" `Quick w1_once_across_passes;
     Alcotest.test_case "json-format" `Quick json_format;
+    Alcotest.test_case "o1-cost-value" `Quick o1_cost_value;
+    Alcotest.test_case "h3-type-var-compare" `Quick h3_type_var_compare;
   ]

@@ -1,7 +1,8 @@
 (* What both nklint passes share (DESIGN.md §10): the diagnostic record and
-   its writers, path and location helpers, and the waiver table with its
-   scanner and stale-waiver (W1) filter. [Syntactic] and [Typed] include
-   this module, so each pass exposes the whole core. *)
+   its writers, path and location helpers, the hot-path module lists, and
+   the waiver table with its scanner and stale-waiver (W1) filter.
+   [Syntactic] and [Typed] include this module, so each pass exposes the
+   whole core. *)
 
 type diag = { file : string; line : int; col : int; rule : string; msg : string }
 
@@ -58,6 +59,37 @@ let contains ~sub s = find_sub ~sub s <> None
 
 let in_lib path =
   (String.length path >= 4 && String.sub path 0 4 = "lib/") || contains ~sub:"/lib/" path
+
+(* ---- the hot path (H1, H2, H3) ------------------------------------------ *)
+
+(* The lib/core modules on the per-NQE datapath, where a full record decode
+   is wall-clock the whole simulation pays millions of times. *)
+let hot_path_modules =
+  [
+    "coreengine.ml"; "nk_device.ml"; "queue_set.ml"; "vswitch.ml"; "nsm_shmem.ml";
+    "guestlib.ml"; "servicelib.ml";
+  ]
+
+let in_hot_path path =
+  contains ~sub:"core/" path && List.mem (Filename.basename path) hot_path_modules
+
+(* H1's files: the hot path plus the cluster relay, which moves NQEs
+   between hosts. *)
+let in_nqe_path path =
+  in_hot_path path
+  || (contains ~sub:"nkfabric/" path && Filename.basename path = "nkfabric.ml")
+
+(* H2's modules: H1's lib/core ones, plus those whose tables every socket
+   event, segment or payload extent consults. *)
+let table_hot_path_modules =
+  hot_path_modules
+  @ [
+      "epoll_core.ml"; "direct_socket.ml"; "fabric.ml"; "hugepages.ml"; "reactor.ml";
+      "stack.ml"; "conn_registry.ml"; "homa.ml";
+    ]
+
+let in_table_hot_path path =
+  in_lib path && List.mem (Filename.basename path) table_hot_path_modules
 
 let loc_line (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
 let loc_end_line (loc : Location.t) = loc.Location.loc_end.Lexing.pos_lnum

@@ -56,35 +56,6 @@
 open Parsetree
 include Common
 
-(* The lib/core modules on the per-NQE datapath, where a full record decode
-   is wall-clock the whole simulation pays millions of times. *)
-let hot_path_modules =
-  [
-    "coreengine.ml"; "nk_device.ml"; "queue_set.ml"; "vswitch.ml"; "nsm_shmem.ml";
-    "guestlib.ml"; "servicelib.ml";
-  ]
-
-let in_hot_path path =
-  contains ~sub:"core/" path && List.mem (Filename.basename path) hot_path_modules
-
-(* H1's files: the hot path plus the cluster relay, which moves NQEs
-   between hosts. *)
-let in_nqe_path path =
-  in_hot_path path
-  || (contains ~sub:"nkfabric/" path && Filename.basename path = "nkfabric.ml")
-
-(* H2's modules: H1's lib/core ones, plus those whose tables every socket
-   event, segment or payload extent consults. *)
-let table_hot_path_modules =
-  hot_path_modules
-  @ [
-      "epoll_core.ml"; "direct_socket.ml"; "fabric.ml"; "hugepages.ml"; "reactor.ml";
-      "stack.ml"; "conn_registry.ml"; "homa.ml";
-    ]
-
-let in_table_hot_path path =
-  in_lib path && List.mem (Filename.basename path) table_hot_path_modules
-
 let polymorphic_hashtbl_values =
   [ "create"; "find"; "find_opt"; "mem"; "replace"; "add"; "remove" ]
 

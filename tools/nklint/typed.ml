@@ -9,8 +9,9 @@
        assignment, buckets; [Hashtbl] or [Nkutil.Int_tbl] values) may be
        written directly from shard context only
        on paths that charge the cross-shard cost — i.e. the writer reads
-       [Nk_costs.ce_xshard] itself or reaches a function that does
-       (charge_xshard, via the table_add/table_remove accessors). Control
+       the cost itself (the value [Nk_costs.ce_xshard], or a record field
+       [ce_xshard]) or reaches a function that does (charge_xshard, via
+       the table_add/table_remove accessors). Control
        verbs running on no CE core are exempt (they never execute in shard
        context). Waiver for a deliberate owner-shard accessor:
        (* nkscope: ce-owner *).
@@ -21,6 +22,13 @@
        [export]/[import] closures), every mutable field of the local state
        record must be covered by both closures. Fields legitimately rebuilt
        at the destination carry (* nkscope: volatile *).
+   H3  no comparison at a type variable on the hot path: in H1's and H2's
+       modules (Common's hot-path lists), [=], [<>], [<], [>], [<=], [>=],
+       [compare], [min] and [max] of [Stdlib] must not be used at an
+       operand type that inference left a type variable (an unannotated
+       helper): the compiler emits a C call ([caml_equal],
+       [caml_lessthan], ...) for those, where an annotated [int] compiles
+       to one instruction. No waiver.
    T1  transitive determinism taint: taint seeded at wall-clock / ambient
        Random references propagates over the call graph (any mention of a
        function, including as a value, taints the mentioner), so a lib/
@@ -94,6 +102,7 @@ type unit_info = {
   u_types : type_decl list;
   u_exports : (expression * expression) option; (* (export, import) closures *)
   u_strlits : (int * int) list; (* line ranges of waiver-bearing string literals *)
+  u_poly_cmps : (string * int * int) list; (* H3: operator, line, col *)
 }
 
 (* ---- typedtree extraction ---------------------------------------------- *)
@@ -112,6 +121,20 @@ let is_table_mutator comps =
       match List.rev comps with
       | m :: "Int_tbl" :: _ -> List.mem m hashtbl_mutators
       | _ -> false)
+
+(* H3's comparisons: the polymorphic ones [Stdlib] provides. *)
+let polymorphic_comparisons =
+  List.map
+    (fun op -> "Stdlib." ^ op)
+    [ "="; "<>"; "<"; ">"; "<="; ">="; "compare"; "min"; "max" ]
+
+(* Is [ty], an instance of a comparison's type ['a -> 'a -> _], taken at a
+   type variable? *)
+let compared_at_type_var ty =
+  match Types.get_desc ty with
+  | Types.Tarrow (_, a, _, _) -> (
+      match Types.get_desc a with Types.Tvar _ | Types.Tunivar _ -> true | _ -> false)
+  | _ -> false
 
 (* Does a parameter's inferred type mention the [shard] record anywhere
    outside an arrow (a callback taking a shard does not put its taker in
@@ -175,11 +198,19 @@ let unit_of_structure ~file ~src ~name (str : structure) =
   let types = ref [] in
   let exports = ref None in
   let strlits = ref [] in
+  let poly_cmps = ref [] in
   let scan_expr (f : func) e0 =
     let default = Tast_iterator.default_iterator in
     let expr self e =
       (match e.exp_desc with
-      | Texp_ident (p, _, _) -> f.f_refs <- normalize p :: f.f_refs
+      | Texp_ident (p, _, _) ->
+          f.f_refs <- normalize p :: f.f_refs;
+          if
+            List.mem (Path.name p) polymorphic_comparisons
+            && compared_at_type_var e.exp_type
+          then
+            poly_cmps :=
+              (Path.last p, loc_line e.exp_loc, loc_col e.exp_loc) :: !poly_cmps
       | Texp_field (_, _, ld) -> f.f_field_reads <- ld.Types.lbl_name :: f.f_field_reads
       | Texp_setfield (_, _, ld, _) ->
           f.f_field_writes <- ld.Types.lbl_name :: f.f_field_writes
@@ -309,6 +340,7 @@ let unit_of_structure ~file ~src ~name (str : structure) =
     u_types = List.rev !types;
     u_exports = !exports;
     u_strlits = !strlits;
+    u_poly_cmps = List.rev !poly_cmps;
   }
 
 (* ---- M1: snapshot / export completeness -------------------------------- *)
@@ -553,9 +585,14 @@ let graph_diags units =
   (* O1: shard context flows caller -> callee from shard-parameter functions;
      cross-shard legality flows callee -> caller from ce_xshard readers. *)
   let shard_ctx = propagate (ids (fun f -> f.f_shard_param)) succs in
-  let xshard =
-    propagate (ids (fun f -> List.mem "ce_xshard" f.f_field_reads)) preds
+  let reads_xshard f =
+    List.mem "ce_xshard" f.f_field_reads
+    || List.exists
+         (fun comps ->
+           match List.rev comps with "ce_xshard" :: "Nk_costs" :: _ -> true | _ -> false)
+         f.f_refs
   in
+  let xshard = propagate (ids reads_xshard) preds in
   let o1 =
     Array.to_list funcs
     |> List.concat_map (fun f ->
@@ -624,11 +661,33 @@ let graph_diags units =
   in
   o1 @ t1
 
+(* ---- H3: comparisons at a type variable on the hot path --------------- *)
+
+let h3_unit u =
+  if in_nqe_path u.u_file || in_table_hot_path u.u_file then
+    List.map
+      (fun (op, line, col) ->
+        {
+          file = u.u_file;
+          line;
+          col;
+          rule = "H3";
+          msg =
+            Printf.sprintf
+              "[%s] at a type variable compiles to a polymorphic C comparison on the \
+               hot path — annotate the operand's type (e.g. (x : int))"
+              op;
+        })
+      u.u_poly_cmps
+  else []
+
 (* ---- driver ------------------------------------------------------------ *)
 
 let analyze units =
   let pre =
-    graph_diags units @ List.concat_map m1_unit (List.filter (fun u -> u.u_in_lib) units)
+    graph_diags units
+    @ List.concat_map m1_unit (List.filter (fun u -> u.u_in_lib) units)
+    @ List.concat_map h3_unit units
   in
   let scans =
     List.map
