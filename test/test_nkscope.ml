@@ -123,19 +123,13 @@ let o1_cost_value () =
      [Nk_costs.ce_xshard] charges like reading the record field. *)
   check_diags "a read of the Nk_costs.ce_xshard value makes writes legal"
     [ ("O1", 6) ]
-    ("type shard = { idx : int }
-" (* 1 *)
-   ^ "module Nk_costs = struct let ce_xshard = 60.0 end
-" (* 2 *)
-   ^ "type t = { conn_table : (int, int) Hashtbl.t }
-" (* 3 *)
-   ^ "let charge_xshard (sh : shard) = ignore sh; ignore Nk_costs.ce_xshard
-" (* 4 *)
-   ^ "let good_add t (sh : shard) k v = charge_xshard sh; Hashtbl.replace t.conn_table k v
-"
+    ("type shard = { idx : int }\n" (* 1 *)
+   ^ "module Nk_costs = struct let ce_xshard = 60.0 end\n" (* 2 *)
+   ^ "type t = { conn_table : (int, int) Hashtbl.t }\n" (* 3 *)
+   ^ "let charge_xshard (sh : shard) = ignore sh; ignore Nk_costs.ce_xshard\n" (* 4 *)
+   ^ "let good_add t (sh : shard) k v = charge_xshard sh; Hashtbl.replace t.conn_table k v\n"
      (* 5 *)
-   ^ "let bad_add t (sh : shard) k v = ignore sh; Hashtbl.replace t.conn_table k v
-" (* 6 *))
+   ^ "let bad_add t (sh : shard) k v = ignore sh; Hashtbl.replace t.conn_table k v\n" (* 6 *))
 
 (* ---- H3: comparisons at a type variable on the hot path ---------------- *)
 
